@@ -132,62 +132,6 @@ inline Counter cancelRunInterrupted{"cancel.run_interrupted"};
 /** Faults fired by the deterministic injection layer (any point). */
 inline Counter faultInjected{"fault.injected"};
 
-// --- Scheduling service (src/service/, docs/ROBUSTNESS.md) ----------
-
-/** Requests admitted into the daemon's bounded queue. */
-inline Counter svcRequestsAccepted{"svc.requests_accepted"};
-
-/** Requests shed at admission: queue full or daemon draining. */
-inline Counter svcRequestsRejected{"svc.requests_rejected"};
-
-/** Requests answered "ok" (scheduled normally, possibly on retry). */
-inline Counter svcRequestsOk{"svc.requests_ok"};
-
-/** Requests answered "degraded" (any block on original order, or the
- * whole request on the ladder's last rung). */
-inline Counter svcRequestsDegraded{"svc.requests_degraded"};
-
-/** Requests answered "error" (malformed request JSON). */
-inline Counter svcRequestsError{"svc.requests_error"};
-
-/** Admitted requests shed at queue pickup (deadline already expired)
- * — the piece that closes the conservation law `accepted == ok +
- * degraded + error + rejected_after_admit` the soak client asserts. */
-inline Counter svcRejectedAfterAdmit{"svc.rejected_after_admit"};
-
-/** Ladder retries: a failed attempt re-run on the table builder. */
-inline Counter svcRetries{"svc.retries"};
-
-/** Requests that exhausted both real attempts and fell to
- * original-order degradation (the ladder's last rung). */
-inline Counter svcDegradedFallbacks{"svc.degraded_fallbacks"};
-
-/** Payloads added to the quarantine table after failing twice. */
-inline Counter svcQuarantineAdds{"svc.quarantine_adds"};
-
-/** Requests short-circuited to degraded output by a quarantine hit. */
-inline Counter svcQuarantineHits{"svc.quarantine_hits"};
-
-/** Requests whose deadline expired in the queue (rejected) or that
- * ran out of deadline mid-run (blocks degraded via the budget rung). */
-inline Counter svcDeadlineExpired{"svc.deadline_expired"};
-
-/** Sandbox workers (`serve --isolate=process`) that died mid-request
- * — signal, rlimit kill, or unexpected exit.  The victim request is
- * answered degraded by the supervisor's ladder. */
-inline Counter svcWorkerCrashes{"svc.worker_crashes"};
-
-/** Subset of crashes inflicted by the supervisor's hung-worker
- * watchdog (SIGKILL past the deadline grace). */
-inline Counter svcWorkerKills{"svc.worker_kills"};
-
-/** Replacement sandbox workers spawned after a death. */
-inline Counter svcWorkerRespawns{"svc.worker_respawns"};
-
-/** Sandbox workers that never came up (exec failure or death before
- * the ready banner). */
-inline Counter svcWorkerSpawnFailures{"svc.worker_spawn_failures"};
-
 // --- Memory telemetry (obs/memory.hh) -------------------------------
 // Deterministic gauges only: each is a function of the input program,
 // so runs stay byte-identical across thread counts.  Environmental

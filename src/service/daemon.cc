@@ -117,6 +117,10 @@ Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)), engine_(config_.engine),
       queue_(config_.queueCapacity)
 {
+    // Made before any thread exists: requestDrain() may run on another
+    // thread (or in a signal handler) at any time, even before run().
+    if (::pipe(wakePipe_) < 0)
+        fatal("serve: pipe(): ", std::strerror(errno));
 }
 
 Daemon::~Daemon()
@@ -166,8 +170,6 @@ Daemon::run()
               "'): ", std::strerror(errno));
     if (::listen(listenFd_, 64) < 0)
         fatal("serve: listen(): ", std::strerror(errno));
-    if (::pipe(wakePipe_) < 0)
-        fatal("serve: pipe(): ", std::strerror(errno));
 
     unsigned lanes = config_.workers != 0
                          ? config_.workers
@@ -256,7 +258,6 @@ Daemon::run()
 
     // --- Final accounting (single-threaded from here) ---------------
     if (obs::enabled()) {
-        engine_.counters().flushToRegistry();
         obs::CounterRegistry &registry = obs::CounterRegistry::global();
         for (auto &slot : slots_)
             slot->shard.flushInto(registry);
@@ -539,27 +540,12 @@ Daemon::liveCounters()
         set = counterSetDelta(now, statsBefore_,
                               obs::CounterRegistry::global());
     }
-    // svc.* tallies live in plain atomics until the drain-time flush;
+    // svc.* tallies live in plain atomics, never in the registry;
     // overlay them so live scrapes and the final document agree.
     const SvcCounters &c = engine_.counters();
-    set.set("svc.requests_accepted", c.accepted.load());
-    set.set("svc.requests_rejected", c.rejected.load());
-    set.set("svc.requests_ok", c.ok.load());
-    set.set("svc.requests_degraded", c.degraded.load());
-    set.set("svc.requests_error", c.error.load());
-    set.set("svc.rejected_after_admit", c.rejectedAfterAdmit.load());
-    set.set("svc.retries", c.retries.load());
-    set.set("svc.degraded_fallbacks", c.degradedFallbacks.load());
-    set.set("svc.quarantine_adds", c.quarantineAdds.load());
-    set.set("svc.quarantine_hits", c.quarantineHits.load());
-    set.set("svc.deadline_expired", c.deadlineExpired.load());
-    if (config_.isolateProcess) {
-        set.set("svc.worker_crashes", c.workerCrashes.load());
-        set.set("svc.worker_kills", c.workerKills.load());
-        set.set("svc.worker_respawns", c.workerRespawns.load());
-        set.set("svc.worker_spawn_failures",
-                c.workerSpawnFailures.load());
-    }
+    for (const SvcTally &t : kSvcTallies)
+        if (!t.isolationOnly || config_.isolateProcess)
+            set.set(t.counter, (c.*t.value).load());
     return set;
 }
 
@@ -597,27 +583,19 @@ Daemon::statsDocument(const std::string &id,
             .value(fault::specString(fault::activeConfig()));
     w.endObject();
 
+    // The ladder's tallies, the quarantine gauge, then the pool's.
     const SvcCounters &c = engine_.counters();
+    const auto tallies = [&w, &c](bool isolationOnly) {
+        for (const SvcTally &t : kSvcTallies)
+            if (t.isolationOnly == isolationOnly)
+                w.key(t.key).value((c.*t.value).load());
+    };
     w.key("service").beginObject();
-    w.key("accepted").value(c.accepted.load());
-    w.key("rejected").value(c.rejected.load());
-    w.key("ok").value(c.ok.load());
-    w.key("degraded").value(c.degraded.load());
-    w.key("error").value(c.error.load());
-    w.key("retries").value(c.retries.load());
-    w.key("degraded_fallbacks").value(c.degradedFallbacks.load());
-    w.key("quarantine_adds").value(c.quarantineAdds.load());
-    w.key("quarantine_hits").value(c.quarantineHits.load());
-    w.key("deadline_expired").value(c.deadlineExpired.load());
-    w.key("rejected_after_admit").value(c.rejectedAfterAdmit.load());
+    tallies(false);
     w.key("quarantine_size")
         .value(static_cast<std::uint64_t>(engine_.quarantineSize()));
     if (config_.isolateProcess) {
-        w.key("worker_crashes").value(c.workerCrashes.load());
-        w.key("worker_kills").value(c.workerKills.load());
-        w.key("worker_respawns").value(c.workerRespawns.load());
-        w.key("worker_spawn_failures")
-            .value(c.workerSpawnFailures.load());
+        tallies(true);
         w.key("workers_live")
             .value(static_cast<std::uint64_t>(
                 supervisor_ ? supervisor_->liveWorkers() : 0));

@@ -13,9 +13,10 @@
  *    daemon never buffers unboundedly;
  *  - worker lanes run on the repo's own ThreadPool, each popping
  *    requests and running them through the Engine's resilience
- *    ladder; responses go back over the connection under a per-
- *    connection write lock, so concurrent workers never interleave
- *    bytes;
+ *    ladder (in-process, or in the lane's sandbox worker under
+ *    --isolate=process); responses go back over the connection under
+ *    a per-connection write lock, so concurrent workers never
+ *    interleave bytes;
  *  - requestDrain() — async-signal-safe: one relaxed store plus one
  *    write(2) to the self-pipe — stops admission (later lines are
  *    answered "rejected"/draining), lets workers finish everything
@@ -28,7 +29,8 @@
  * runPipeline detects external management and skips its own run
  * bracket.  Request latency and queue-wait distributions land in
  * `svc.request_ns` / `svc.queue_wait_ns` histograms; svc.* counters
- * are flushed into the global registry at drain.
+ * are the engine's atomics, named once in kSvcTallies
+ * (service/engine.hh) and overlaid on every stats document.
  *
  * Live telemetry (docs/OBSERVABILITY.md):
  *

@@ -3,13 +3,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "dag/memdep.hh"
 #include "ir/parser.hh"
 #include "obs/emitter.hh"
-#include "obs/events.hh"
 #include "obs/flight_recorder.hh"
 #include "support/diagnostics.hh"
 #include "support/fault_inject.hh"
@@ -18,8 +18,24 @@
 namespace sched91::service
 {
 
+/** The parse every rung shares: even the last-resort degradation
+ * needs the block structure to answer truthfully. */
+struct ParsedRequest
+{
+    Program prog;
+    std::vector<BasicBlock> blocks;
+    ResponseBody body; ///< blocks/insts/parse tallies pre-filled
+    std::optional<MachineModel> overrideMachine;
+    std::uint64_t parseNs = 0; ///< the parse's wall clock
+};
+
 namespace
 {
+
+/** Payloads quarantined at most.  A full table stops admitting rather
+ * than evicting: losing an old entry would let a known-bad payload
+ * back onto the failing path, the worse trade for a daemon. */
+constexpr std::size_t kQuarantineCapacity = 256;
 
 /** Scheduled (or original-order) instruction text, block by block. */
 std::vector<std::string>
@@ -41,39 +57,43 @@ scheduleText(Program &prog, const std::vector<BasicBlock> &blocks,
     return lines;
 }
 
-} // namespace
-
-void
-SvcCounters::flushToRegistry() const
+/** Parse @p spec; throws on an unknown machine override (the assembly
+ * parse itself is lenient). */
+ParsedRequest
+parseRequest(const RequestSpec &spec)
 {
-    obs::ev::svcRequestsAccepted.inc(accepted.load());
-    obs::ev::svcRequestsRejected.inc(rejected.load());
-    obs::ev::svcRequestsOk.inc(ok.load());
-    obs::ev::svcRequestsDegraded.inc(degraded.load());
-    obs::ev::svcRequestsError.inc(error.load());
-    obs::ev::svcRejectedAfterAdmit.inc(rejectedAfterAdmit.load());
-    obs::ev::svcRetries.inc(retries.load());
-    obs::ev::svcDegradedFallbacks.inc(degradedFallbacks.load());
-    obs::ev::svcQuarantineAdds.inc(quarantineAdds.load());
-    obs::ev::svcQuarantineHits.inc(quarantineHits.load());
-    obs::ev::svcDeadlineExpired.inc(deadlineExpired.load());
-    obs::ev::svcWorkerCrashes.inc(workerCrashes.load());
-    obs::ev::svcWorkerKills.inc(workerKills.load());
-    obs::ev::svcWorkerRespawns.inc(workerRespawns.load());
-    obs::ev::svcWorkerSpawnFailures.inc(workerSpawnFailures.load());
+    const auto t0 = std::chrono::steady_clock::now();
+    ParsedRequest parsed;
+    if (spec.machine)
+        parsed.overrideMachine = presetByName(*spec.machine);
+
+    DiagnosticEngine::Options dopts;
+    dopts.strict = false;
+    dopts.echoToLog = false;
+    DiagnosticEngine diags(dopts);
+    parsed.prog = parseAssembly(spec.source, diags, "request");
+    stampMemGenerations(parsed.prog);
+    parsed.blocks = partitionBlocks(parsed.prog, {});
+
+    parsed.body.blocks = parsed.blocks.size();
+    parsed.body.insts = parsed.prog.size();
+    parsed.body.parseErrors = diags.errorCount();
+    parsed.body.parseWarnings = diags.warningCount();
+    parsed.body.traceId = spec.traceId;
+    parsed.parseNs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    return parsed;
 }
 
-/** The parse every rung shares: even the last-resort degradation
- * needs the block structure to answer truthfully. */
-struct Engine::Parsed
-{
-    Program prog;
-    std::vector<BasicBlock> blocks;
-    ResponseBody body; ///< blocks/insts/parse tallies pre-filled
-    std::optional<MachineModel> overrideMachine;
-    std::uint64_t parseNs = 0; ///< the shared parse's wall clock
-};
-
+/**
+ * Stitch one attempt's per-phase timings into @p trace as child spans
+ * of the rung that ran it, laid out sequentially from @p rungStartNs
+ * (phase wall-clock is measured as durations, so the sequential layout
+ * reconstructs the attempt's internal timeline).  @p worker marks
+ * spans measured inside a sandbox worker.
+ */
 void
 recordPhaseSpans(const obs::RequestTrace *trace, int rung,
                  std::uint64_t rungStartNs, const PhaseSpans &spans,
@@ -95,6 +115,112 @@ recordPhaseSpans(const obs::RequestTrace *trace, int rung,
     }
 }
 
+} // namespace
+
+/** Every attempt in this process, on the request's one parse. */
+class Engine::InProcessRunner final : public AttemptRunner
+{
+  public:
+    InProcessRunner(Engine &engine, const RequestSpec &spec,
+                    double remainingSeconds)
+        : engine_(engine), spec_(spec),
+          remainingSeconds_(remainingSeconds)
+    {
+    }
+
+    ParsedRequest *
+    prepare() override
+    {
+        return &parsed_.emplace(parseRequest(spec_));
+    }
+
+    AttemptOutcome run(BuilderKind builder, int attempt,
+                       bool downgraded) override;
+
+  private:
+    Engine &engine_;
+    const RequestSpec &spec_;
+    double remainingSeconds_;
+    std::optional<ParsedRequest> parsed_;
+};
+
+AttemptOutcome
+Engine::InProcessRunner::run(BuilderKind builder, int attempt,
+                             bool downgraded)
+{
+    const EngineConfig &config = engine_.config_;
+    ParsedRequest &parsed = *parsed_;
+    AttemptOutcome out;
+    try {
+        PipelineOptions popts;
+        popts.builder = builder;
+        popts.algorithm = spec_.algorithm.value_or(config.algorithm);
+        popts.build.memPolicy = spec_.policy.value_or(config.policy);
+        popts.threads = 1; // concurrency comes from daemon workers
+        popts.evaluate = spec_.evaluate;
+        popts.verify = true;
+        // Failures must reach the ladder, not vanish into per-block
+        // degradation.  The budget/deadline and interrupt rungs still
+        // degrade in-pipeline — by design (see pipeline.hh).
+        popts.containFaults = false;
+        popts.maxBlockInsts = config.maxBlockInsts;
+        if (remainingSeconds_ > 0.0)
+            popts.maxRunSeconds = remainingSeconds_;
+        popts.faultSalt = static_cast<std::uint64_t>(attempt);
+        if (config.captureOutliers > 0)
+            popts.captureOutliers = config.captureOutliers;
+
+        std::vector<Schedule> schedules;
+        if (spec_.emitSchedule)
+            popts.schedules = &schedules;
+
+        const MachineModel &machine = parsed.overrideMachine
+                                          ? *parsed.overrideMachine
+                                          : engine_.machine_;
+        ProgramResult result = runPipeline(parsed.prog, machine, popts);
+
+        ResponseBody body = parsed.body;
+        body.status = result.blocksDegraded > 0 ? "degraded" : "ok";
+        body.degradedBlocks = result.blocksDegraded;
+        body.builderFallbacks = result.builderFallbacks;
+        body.verifierRejections = result.verifierRejections;
+        body.attempts = attempt + 1;
+        body.downgradedBuilder = downgraded;
+        if (spec_.evaluate) {
+            body.haveCycles = true;
+            body.cyclesOriginal = result.cyclesOriginal;
+            body.cyclesScheduled = result.cyclesScheduled;
+        }
+        if (spec_.emitSchedule)
+            body.schedule =
+                scheduleText(parsed.prog, parsed.blocks, &schedules);
+        for (const ProgramResult::BlockIssue &issue : result.blockIssues)
+            body.deadlineHit =
+                body.deadlineHit || issue.stage == "budget";
+        body.spans.parseNs = parsed.parseNs;
+        body.spans.buildNs = obs::secondsToNs(result.buildSeconds);
+        body.spans.heurNs = obs::secondsToNs(result.heurSeconds);
+        body.spans.schedNs = obs::secondsToNs(result.schedSeconds);
+        body.spans.verifyNs = obs::secondsToNs(result.verifySeconds);
+
+        if (config.captureOutliers > 0 && !config.outlierDir.empty() &&
+            !result.outliers.empty())
+            engine_.writeOutlierBundles(spec_, result, popts,
+                                        fault::fnv1a64(spec_.source));
+
+        out.kind = result.blocksDegraded > 0
+                       ? AttemptOutcome::Kind::Degraded
+                       : AttemptOutcome::Kind::Ok;
+        out.deadlineHit = body.deadlineHit;
+        out.spans = body.spans;
+        out.line = responseLine(spec_.id, body);
+    } catch (const std::exception &e) {
+        out.kind = AttemptOutcome::Kind::Failed;
+        out.error = e.what();
+    }
+    return out;
+}
+
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       machine_(presetByName(config_.machineName))
@@ -104,8 +230,6 @@ Engine::Engine(EngineConfig config)
 bool
 Engine::isQuarantined(std::uint64_t key) const
 {
-    if (config_.quarantineCapacity == 0)
-        return false;
     std::lock_guard<std::mutex> lock(quarantineMu_);
     return quarantine_.count(key) != 0;
 }
@@ -113,13 +237,8 @@ Engine::isQuarantined(std::uint64_t key) const
 void
 Engine::addToQuarantine(std::uint64_t key)
 {
-    if (config_.quarantineCapacity == 0)
-        return;
     std::lock_guard<std::mutex> lock(quarantineMu_);
-    // Bounded: a full table stops admitting rather than evicting —
-    // losing an old entry would let a known-bad payload back onto the
-    // failing path, the worse trade for a daemon.
-    if (quarantine_.size() >= config_.quarantineCapacity)
+    if (quarantine_.size() >= kQuarantineCapacity)
         return;
     if (quarantine_.insert(key).second)
         counters_.quarantineAdds.fetch_add(1,
@@ -167,104 +286,8 @@ Engine::writeOutlierBundles(const RequestSpec &spec,
     }
 }
 
-Engine::Parsed
-Engine::parseRequest(const RequestSpec &spec) const
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    Parsed parsed;
-    if (spec.machine)
-        parsed.overrideMachine = presetByName(*spec.machine);
-
-    DiagnosticEngine::Options dopts;
-    dopts.strict = false;
-    dopts.echoToLog = false;
-    DiagnosticEngine diags(dopts);
-    parsed.prog = parseAssembly(spec.source, diags, "request");
-    stampMemGenerations(parsed.prog);
-    parsed.blocks = partitionBlocks(parsed.prog, {});
-
-    parsed.body.blocks = parsed.blocks.size();
-    parsed.body.insts = parsed.prog.size();
-    parsed.body.parseErrors = diags.errorCount();
-    parsed.body.parseWarnings = diags.warningCount();
-    parsed.body.traceId = spec.traceId;
-    parsed.parseNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    return parsed;
-}
-
-Engine::AttemptOutcome
-Engine::runAttempt(Parsed &parsed, const RequestSpec &spec,
-                   BuilderKind builder, int attempt, bool downgraded,
-                   double remainingSeconds)
-{
-    PipelineOptions popts;
-    popts.builder = builder;
-    popts.algorithm = spec.algorithm.value_or(config_.algorithm);
-    popts.build.memPolicy = spec.policy.value_or(config_.policy);
-    popts.threads = 1; // concurrency comes from daemon workers
-    popts.evaluate = spec.evaluate;
-    popts.verify = true;
-    // Failures must reach the ladder, not vanish into per-block
-    // degradation.  The budget/deadline and interrupt rungs still
-    // degrade in-pipeline — by design (see pipeline.hh).
-    popts.containFaults = false;
-    popts.maxBlockInsts = config_.maxBlockInsts;
-    if (remainingSeconds > 0.0)
-        popts.maxRunSeconds = remainingSeconds;
-    popts.faultSalt = static_cast<std::uint64_t>(attempt);
-    if (config_.captureOutliers > 0)
-        popts.captureOutliers = config_.captureOutliers;
-
-    std::vector<Schedule> schedules;
-    if (spec.emitSchedule)
-        popts.schedules = &schedules;
-
-    const MachineModel *machine = parsed.overrideMachine
-                                      ? &*parsed.overrideMachine
-                                      : &machine_;
-    ProgramResult result = runPipeline(parsed.prog, *machine, popts);
-
-    ResponseBody body = parsed.body;
-    body.status = result.blocksDegraded > 0 ? "degraded" : "ok";
-    body.degradedBlocks = result.blocksDegraded;
-    body.builderFallbacks = result.builderFallbacks;
-    body.verifierRejections = result.verifierRejections;
-    body.attempts = attempt + 1;
-    body.downgradedBuilder = downgraded;
-    if (spec.evaluate) {
-        body.haveCycles = true;
-        body.cyclesOriginal = result.cyclesOriginal;
-        body.cyclesScheduled = result.cyclesScheduled;
-    }
-    if (spec.emitSchedule)
-        body.schedule =
-            scheduleText(parsed.prog, parsed.blocks, &schedules);
-    for (const ProgramResult::BlockIssue &issue : result.blockIssues)
-        body.deadlineHit = body.deadlineHit || issue.stage == "budget";
-    body.spans.parseNs = parsed.parseNs;
-    body.spans.buildNs = obs::secondsToNs(result.buildSeconds);
-    body.spans.heurNs = obs::secondsToNs(result.heurSeconds);
-    body.spans.schedNs = obs::secondsToNs(result.schedSeconds);
-    body.spans.verifyNs = obs::secondsToNs(result.verifySeconds);
-
-    if (config_.captureOutliers > 0 && !config_.outlierDir.empty() &&
-        !result.outliers.empty())
-        writeOutlierBundles(spec, result, popts,
-                            fault::fnv1a64(spec.source));
-
-    AttemptOutcome out;
-    out.degraded = result.blocksDegraded > 0;
-    out.deadlineHit = body.deadlineHit;
-    out.spans = body.spans;
-    out.line = responseLine(spec.id, body);
-    return out;
-}
-
 std::string
-Engine::lastRungLine(Parsed &parsed, const RequestSpec &spec,
+Engine::lastRungLine(ParsedRequest &parsed, const RequestSpec &spec,
                      bool fromQuarantine, int attempts)
 {
     ResponseBody body = parsed.body;
@@ -272,8 +295,8 @@ Engine::lastRungLine(Parsed &parsed, const RequestSpec &spec,
     body.attempts = attempts;
     body.quarantined = fromQuarantine;
     body.degradedBlocks = parsed.blocks.size();
-    // The last rung's only real work is the shared parse; report it so
-    // even a crash-degraded answer carries a per-phase span.
+    // The last rung's only real work is the parse; report it so even a
+    // crash-degraded answer carries a per-phase span.
     body.spans.parseNs = parsed.parseNs;
     if (spec.emitSchedule)
         body.schedule =
@@ -286,118 +309,138 @@ std::string
 Engine::attemptLine(const RequestSpec &spec, int attempt,
                     bool downgraded, double remainingSeconds)
 {
-    Parsed parsed = parseRequest(spec);
-    return runAttempt(parsed, spec,
-                      spec.builder.value_or(config_.builder), attempt,
-                      downgraded, remainingSeconds)
-        .line;
-}
-
-std::string
-Engine::degradedLine(const RequestSpec &spec, bool fromQuarantine,
-                     int attempts)
-{
-    std::optional<Parsed> parsed;
+    InProcessRunner runner(*this, spec, remainingSeconds);
     try {
-        parsed.emplace(parseRequest(spec));
+        runner.prepare();
     } catch (const std::exception &e) {
-        counters_.error.fetch_add(1, std::memory_order_relaxed);
         return errorLine(spec.id, e.what());
     }
-    return lastRungLine(*parsed, spec, fromQuarantine, attempts);
+    const AttemptOutcome out = runner.run(
+        spec.builder.value_or(config_.builder), attempt, downgraded);
+    return out.kind == AttemptOutcome::Kind::Failed
+               ? errorLine(spec.id, out.error)
+               : out.line;
 }
 
 std::string
 Engine::process(const RequestSpec &spec, double remainingSeconds,
                 const obs::RequestTrace *trace)
 {
+    InProcessRunner runner(*this, spec, remainingSeconds);
+    return process(spec, runner, trace);
+}
+
+std::string
+Engine::process(const RequestSpec &spec, AttemptRunner &runner,
+                const obs::RequestTrace *trace)
+{
+    using Kind = AttemptOutcome::Kind;
     const std::uint64_t key = fault::fnv1a64(spec.source);
+    const std::string_view id =
+        spec.id.empty() ? std::string_view("?") : std::string_view(spec.id);
+    const auto now = [trace] { return trace ? trace->nowNs() : 0; };
     const auto rungSpan = [trace](int rung, std::uint64_t startNs,
                                   std::string_view note) {
         if (trace)
             trace->span("rung", rung, startNs, trace->nowNs(), note);
     };
 
-    std::optional<Parsed> parsed;
+    ParsedRequest *parsed = nullptr;
     try {
-        parsed.emplace(parseRequest(spec));
+        parsed = runner.prepare();
     } catch (const std::exception &e) {
-        // Unknown machine override (the parse itself is lenient).
         counters_.error.fetch_add(1, std::memory_order_relaxed);
         return errorLine(spec.id, e.what());
     }
 
+    // Every degraded rung answers original order from a parse: the
+    // runner's own, or — for a sandboxed request — one made here on
+    // first need.  @p parseSpan gives the rung the parse as its phase
+    // child, for a crash whose dead worker reported none.
+    std::optional<ParsedRequest> ownParse;
+    const auto degrade = [&](int rung, std::string_view note,
+                             bool fromQuarantine, int attempts,
+                             bool parseSpan = false) {
+        const std::uint64_t t0 = now();
+        if (parsed == nullptr)
+            parsed = &ownParse.emplace(parseRequest(spec));
+        std::string line =
+            lastRungLine(*parsed, spec, fromQuarantine, attempts);
+        rungSpan(rung, t0, note);
+        if (parseSpan)
+            recordPhaseSpans(trace, rung, t0, PhaseSpans{parsed->parseNs},
+                             /*worker=*/false);
+        return line;
+    };
+
     if (isQuarantined(key)) {
-        const std::uint64_t t0 = trace ? trace->nowNs() : 0;
         counters_.quarantineHits.fetch_add(1,
                                            std::memory_order_relaxed);
         obs::flight::record(obs::flight::EventKind::Diag, "svc",
                             "quarantine hit", key);
-        std::string line = lastRungLine(*parsed, spec,
-                                        /*fromQuarantine=*/true,
-                                        /*attempts=*/0);
-        rungSpan(0, t0, "quarantine");
-        return line;
+        return degrade(0, "quarantine", /*fromQuarantine=*/true,
+                       /*attempts=*/0);
     }
 
     // Attempts 0 (requested builder) and 1 (table-forward downgrade).
-    const BuilderKind requested_builder =
-        spec.builder.value_or(config_.builder);
+    const BuilderKind requested = spec.builder.value_or(config_.builder);
     for (int attempt = 0; attempt < 2; ++attempt) {
-        const BuilderKind builder = attempt == 0
-                                        ? requested_builder
-                                        : BuilderKind::TableForward;
-        const bool downgraded =
-            attempt > 0 &&
-            requested_builder != BuilderKind::TableForward;
-        const std::uint64_t t0 = trace ? trace->nowNs() : 0;
-        try {
-            AttemptOutcome out =
-                runAttempt(*parsed, spec, builder, attempt, downgraded,
-                           remainingSeconds);
+        const std::uint64_t t0 = now();
+        const AttemptOutcome out = runner.run(
+            attempt == 0 ? requested : BuilderKind::TableForward, attempt,
+            attempt > 0 && requested != BuilderKind::TableForward);
+        switch (out.kind) {
+        case Kind::Ok:
+        case Kind::Degraded: {
+            const bool ok = out.kind == Kind::Ok;
             if (out.deadlineHit)
                 counters_.deadlineExpired.fetch_add(
                     1, std::memory_order_relaxed);
-            if (out.degraded)
-                counters_.degraded.fetch_add(1,
-                                             std::memory_order_relaxed);
-            else
-                counters_.ok.fetch_add(1, std::memory_order_relaxed);
-            rungSpan(attempt, t0, out.degraded ? "degraded" : "ok");
+            (ok ? counters_.ok : counters_.degraded)
+                .fetch_add(1, std::memory_order_relaxed);
+            rungSpan(attempt, t0, ok ? "ok" : "degraded");
             recordPhaseSpans(trace, attempt, t0, out.spans,
-                             /*worker=*/false);
+                             out.workerSpans);
             return out.line;
-        } catch (const std::exception &e) {
-            rungSpan(attempt, t0,
-                     std::string("failed: ") + e.what());
+        }
+        case Kind::Failed:
+            rungSpan(attempt, t0, "failed: " + out.error);
             if (attempt == 0) {
-                counters_.retries.fetch_add(1,
-                                            std::memory_order_relaxed);
-                obs::flight::record(obs::flight::EventKind::Diag,
-                                    "svc", "retry: table builder",
-                                    key);
-                log::info("request ", spec.id.empty() ? "?" : spec.id,
-                          ": attempt 0 failed (", e.what(),
-                          "); retrying on table builder");
+                counters_.retries.fetch_add(1, std::memory_order_relaxed);
+                obs::flight::record(obs::flight::EventKind::Diag, "svc",
+                                    "retry: table builder", key);
+                log::info("request ", id, ": attempt 0 failed (",
+                          out.error, "); retrying on table builder");
             } else {
-                obs::flight::record(obs::flight::EventKind::Diag,
-                                    "svc", "quarantine add", key);
-                log::info("request ", spec.id.empty() ? "?" : spec.id,
-                          ": attempt 1 failed (", e.what(),
-                          "); degrading to original order");
+                obs::flight::record(obs::flight::EventKind::Diag, "svc",
+                                    "quarantine add", key);
+                log::info("request ", id, ": attempt 1 failed (",
+                          out.error, "); degrading to original order");
             }
+            break;
+        case Kind::Crashed:
+            // The payload killed a worker: quarantine it and answer
+            // original order — a retry would crash the replacement too.
+            rungSpan(attempt, t0, "crash: " + out.error);
+            addToQuarantine(key);
+            return degrade(attempt + 1, "degrade: crash",
+                           /*fromQuarantine=*/false, attempt + 1,
+                           /*parseSpan=*/true);
+        case Kind::NoWorker:
+            // An environment failure, not a payload failure: answer
+            // original order but do not quarantine the content.
+            log::warn("request ", id, ": ", out.error,
+                      "; degrading to original order");
+            return degrade(attempt, "degrade: no-worker",
+                           /*fromQuarantine=*/false, attempt);
         }
     }
 
     // Both real attempts failed: quarantine and answer the last rung.
-    const std::uint64_t t0 = trace ? trace->nowNs() : 0;
     addToQuarantine(key);
     counters_.degradedFallbacks.fetch_add(1, std::memory_order_relaxed);
-    std::string line = lastRungLine(*parsed, spec,
-                                    /*fromQuarantine=*/false,
-                                    /*attempts=*/3);
-    rungSpan(2, t0, "last-rung");
-    return line;
+    return degrade(2, "last-rung", /*fromQuarantine=*/false,
+                   /*attempts=*/3);
 }
 
 } // namespace sched91::service

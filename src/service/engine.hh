@@ -20,6 +20,18 @@
  *     order (always possible — it needs only the parse), and
  *     quarantine the payload by content hash.
  *
+ * The ladder is written once (Engine::process over an AttemptRunner)
+ * and drives one of two runners: in-process, where every attempt
+ * shares the request's one parse, or sandboxed, where each attempt is
+ * an envelope to a lane's worker process (service/supervisor.hh).  A
+ * runner only reports what an attempt did; the ladder alone decides
+ * the next rung and does every ladder tally, flight event, log line
+ * and rung span, so both isolation modes answer alike (the sandbox
+ * pool keeps only its own worker_* tallies).  A sandboxed attempt
+ * adds two rungs: a crashed worker quarantines the payload and answers
+ * original order; a missing worker answers original order without
+ * quarantine (it says nothing about the payload).
+ *
  * Thread safety: process() is called concurrently by the daemon's
  * workers.  Each call runs its pipeline single-threaded (threads=1)
  * on the calling worker, whose thread-installed counter shard, phase
@@ -59,10 +71,6 @@ struct EngineConfig
     /** F1/F2 window: oversized blocks fall back to table building. */
     int maxBlockInsts = 0;
 
-    /** Payloads quarantined at most (hash-set entries); 0 disables
-     * quarantine entirely. */
-    std::size_t quarantineCapacity = 256;
-
     /** Per-request forensic bundles: keep the K most expensive blocks
      * of each successful request and write replayable bundles into
      * outlierDir (empty = off).  Bundles replay with
@@ -72,8 +80,8 @@ struct EngineConfig
 };
 
 /** Service-layer tallies; atomics because every daemon thread
- * (readers, workers, acceptor) bumps them.  Flushed into the global
- * counter registry once, at drain, by the daemon's main thread. */
+ * (readers, workers, acceptor) bumps them.  kSvcTallies names each
+ * one for the stats document. */
 struct SvcCounters
 {
     std::atomic<std::uint64_t> accepted{0};
@@ -99,10 +107,91 @@ struct SvcCounters
     std::atomic<std::uint64_t> workerKills{0};     ///< watchdog SIGKILLs
     std::atomic<std::uint64_t> workerRespawns{0};  ///< replacements spawned
     std::atomic<std::uint64_t> workerSpawnFailures{0}; ///< spawns that died
+};
 
-    /** Fold the tallies into the obs::ev::svc* registry counters
-     * (call single-threaded, with observability enabled). */
-    void flushToRegistry() const;
+/** One svc tally's names: the counter name of the stats document's
+ * `counters` section (and Prometheus), and the key of its `service`
+ * section. */
+struct SvcTally
+{
+    std::atomic<std::uint64_t> SvcCounters::*value;
+    const char *counter;
+    const char *key;
+    bool isolationOnly; ///< reported only under --isolate=process
+};
+
+/** Every svc tally, in the `service` section's key order. */
+inline constexpr SvcTally kSvcTallies[] = {
+    {&SvcCounters::accepted, "svc.requests_accepted", "accepted", false},
+    {&SvcCounters::rejected, "svc.requests_rejected", "rejected", false},
+    {&SvcCounters::ok, "svc.requests_ok", "ok", false},
+    {&SvcCounters::degraded, "svc.requests_degraded", "degraded", false},
+    {&SvcCounters::error, "svc.requests_error", "error", false},
+    {&SvcCounters::retries, "svc.retries", "retries", false},
+    {&SvcCounters::degradedFallbacks, "svc.degraded_fallbacks",
+     "degraded_fallbacks", false},
+    {&SvcCounters::quarantineAdds, "svc.quarantine_adds",
+     "quarantine_adds", false},
+    {&SvcCounters::quarantineHits, "svc.quarantine_hits",
+     "quarantine_hits", false},
+    {&SvcCounters::deadlineExpired, "svc.deadline_expired",
+     "deadline_expired", false},
+    {&SvcCounters::rejectedAfterAdmit, "svc.rejected_after_admit",
+     "rejected_after_admit", false},
+    {&SvcCounters::workerCrashes, "svc.worker_crashes", "worker_crashes",
+     true},
+    {&SvcCounters::workerKills, "svc.worker_kills", "worker_kills", true},
+    {&SvcCounters::workerRespawns, "svc.worker_respawns",
+     "worker_respawns", true},
+    {&SvcCounters::workerSpawnFailures, "svc.worker_spawn_failures",
+     "worker_spawn_failures", true},
+};
+
+/** What one ladder attempt came back with. */
+struct AttemptOutcome
+{
+    enum class Kind
+    {
+        Ok,       ///< scheduled; @ref line is the client's answer
+        Degraded, ///< answered with blocks on original order
+        Failed,   ///< the attempt threw; @ref error says why
+        Crashed,  ///< the sandbox worker died; @ref error is its exit
+        NoWorker, ///< no sandbox worker; @ref error says which lane
+    };
+
+    Kind kind = Kind::Failed;
+    std::string line;
+    std::string error;
+    bool deadlineHit = false; ///< a block degraded on the budget rung
+    PhaseSpans spans;         ///< per-phase timings of the attempt
+    bool workerSpans = false; ///< spans measured in a sandbox worker
+};
+
+/** One request's parse (engine.cc): the in-process attempts and every
+ * degraded answer share it. */
+struct ParsedRequest;
+
+/** Runs one request's ladder attempts: in this process, or in a
+ * lane's sandbox worker (service/supervisor.hh). */
+class AttemptRunner
+{
+  public:
+    virtual ~AttemptRunner() = default;
+
+    /**
+     * Ready the request before the ladder's first rung.  Throws when
+     * the request cannot run at all (an unknown machine override), so
+     * the ladder answers "error".  Returns the runner's own parse when
+     * it made one, for the degraded rungs to share; null = the ladder
+     * parses on demand.
+     */
+    virtual ParsedRequest *prepare() = 0;
+
+    /** Attempt @p attempt (0 = the requested builder, 1 = the
+     * table-forward retry) on @p builder; @p downgraded marks an
+     * answer from the retry rung.  Never throws. */
+    virtual AttemptOutcome run(BuilderKind builder, int attempt,
+                               bool downgraded) = 0;
 };
 
 class Engine
@@ -111,10 +200,10 @@ class Engine
     explicit Engine(EngineConfig config);
 
     /**
-     * Run one parsed request through the ladder and return the
-     * response line (no trailing newline).  @p remainingSeconds is
-     * what is left of the request's deadline at pick-up time
-     * (<= 0 = no deadline).  Never throws.
+     * Run one parsed request through the ladder in this process and
+     * return the response line (no trailing newline).
+     * @p remainingSeconds is what is left of the request's deadline at
+     * pick-up time (<= 0 = no deadline).  Never throws.
      *
      * @p trace, when non-null, receives the request's span tree:
      * one "rung" span per ladder attempt plus per-phase child spans
@@ -124,33 +213,23 @@ class Engine
                         double remainingSeconds,
                         const obs::RequestTrace *trace = nullptr);
 
+    /** The ladder over @p runner's attempts, same contract as above:
+     * the one ladder both the overload above (in-process runner) and
+     * Supervisor::process() (sandbox runner) delegate to. */
+    std::string process(const RequestSpec &spec, AttemptRunner &runner,
+                        const obs::RequestTrace *trace = nullptr);
+
     /**
-     * One ladder attempt in isolation — the sandbox worker's entry
-     * point (`--isolate=process`): parse @p spec, run the pipeline
-     * once with the spec's explicit configuration (the supervisor
-     * resolves daemon defaults before dispatch), and return the
-     * response line.  @p attempt sets the fault-injection salt and
-     * the reported attempts count; @p downgraded marks the response
-     * as answered by the builder-retry rung.  Throws when the attempt
-     * fails — the *caller* owns the ladder.  Does not touch the
-     * counters or the quarantine.
+     * One ladder attempt in this process, answered as a wire line —
+     * the sandbox worker's body (`--isolate=process`): the spec
+     * carries the attempt's explicit configuration, @p attempt sets
+     * the fault-injection salt and the reported attempts count, and
+     * @p downgraded marks the retry rung.  A failed attempt answers
+     * status "error"; never throws.  Touches neither the tallies nor
+     * the quarantine — the parent's ladder owns those.
      */
     std::string attemptLine(const RequestSpec &spec, int attempt,
                             bool downgraded, double remainingSeconds);
-
-    /**
-     * The ladder's last rung as a standalone answer — what the
-     * supervisor sends for a request whose worker died: the whole
-     * request degraded to original instruction order.  Counts one
-     * degraded response.  Never throws usefully beyond a malformed
-     * machine override (answered "error").
-     */
-    std::string degradedLine(const RequestSpec &spec,
-                             bool fromQuarantine, int attempts);
-
-    /** Quarantine table, shared with the supervisor's ladder. */
-    bool isQuarantined(std::uint64_t key) const;
-    void addToQuarantine(std::uint64_t key);
 
     SvcCounters &counters() { return counters_; }
     const EngineConfig &config() const { return config_; }
@@ -159,22 +238,12 @@ class Engine
     std::size_t quarantineSize() const;
 
   private:
-    struct Parsed;
+    class InProcessRunner;
 
-    /** Everything process()/the supervisor classify an attempt by. */
-    struct AttemptOutcome
-    {
-        std::string line;
-        bool degraded = false;
-        bool deadlineHit = false;
-        PhaseSpans spans; ///< per-phase timings of this attempt
-    };
-
-    Parsed parseRequest(const RequestSpec &spec) const;
-    AttemptOutcome runAttempt(Parsed &parsed, const RequestSpec &spec,
-                              BuilderKind builder, int attempt,
-                              bool downgraded, double remainingSeconds);
-    std::string lastRungLine(Parsed &parsed, const RequestSpec &spec,
+    bool isQuarantined(std::uint64_t key) const;
+    void addToQuarantine(std::uint64_t key);
+    std::string lastRungLine(ParsedRequest &parsed,
+                             const RequestSpec &spec,
                              bool fromQuarantine, int attempts);
     void writeOutlierBundles(const RequestSpec &spec,
                              const ProgramResult &result,
@@ -188,18 +257,6 @@ class Engine
     mutable std::mutex quarantineMu_;
     std::unordered_set<std::uint64_t> quarantine_;
 };
-
-/**
- * Stitch one attempt's per-phase timings into @p trace as child spans
- * of the rung that ran it, laid out sequentially from
- * @p rungStartNs (phase wall-clock is measured as durations, so the
- * sequential layout reconstructs the attempt's internal timeline).
- * @p worker marks spans measured inside a sandbox worker.  No-op when
- * @p trace is null.
- */
-void recordPhaseSpans(const obs::RequestTrace *trace, int rung,
-                      std::uint64_t rungStartNs,
-                      const PhaseSpans &spans, bool worker);
 
 } // namespace sched91::service
 

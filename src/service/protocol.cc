@@ -180,12 +180,21 @@ responseLine(const std::string &id, const ResponseBody &body)
 PhaseSpans
 phaseSpansFromResponse(const std::string &line)
 {
+    try {
+        return phaseSpansFromResponse(obs::parseJson(line));
+    } catch (const std::exception &) {
+        return {}; // unparseable: the caller classifies the response
+    }
+}
+
+PhaseSpans
+phaseSpansFromResponse(const obs::JsonValue &response)
+{
     PhaseSpans spans;
     try {
-        obs::JsonValue doc = obs::parseJson(line);
-        if (!doc.has("spans") || !doc.at("spans").isObject())
+        if (!response.has("spans") || !response.at("spans").isObject())
             return spans;
-        const obs::JsonValue &s = doc.at("spans");
+        const obs::JsonValue &s = response.at("spans");
         auto ns = [&s](const char *key) {
             const double v = s.numberOr(key, 0.0);
             return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
@@ -196,8 +205,7 @@ phaseSpansFromResponse(const std::string &line)
         spans.schedNs = ns("sched_ns");
         spans.verifyNs = ns("verify_ns");
     } catch (const std::exception &) {
-        // Unparseable response: the caller already classified it as a
-        // worker fault; spans simply stay empty.
+        // Malformed spans: they simply stay empty.
     }
     return spans;
 }

@@ -64,6 +64,11 @@
 #include "dag/builder.hh"
 #include "sched/registry.hh"
 
+namespace sched91::obs
+{
+class JsonValue;
+}
+
 namespace sched91::service
 {
 
@@ -125,6 +130,9 @@ struct PhaseSpans
 /** Extract the "spans" object from a response line; all-zero spans
  * when absent or unparseable (old workers, error lines). */
 PhaseSpans phaseSpansFromResponse(const std::string &line);
+
+/** The same, from a response already decoded. */
+PhaseSpans phaseSpansFromResponse(const obs::JsonValue &response);
 
 /** Outcome summary serialized into ok/degraded responses. */
 struct ResponseBody

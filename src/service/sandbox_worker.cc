@@ -15,11 +15,8 @@
 namespace sched91::service
 {
 
-namespace
-{
-
 bool
-writeLine(int fd, const std::string &line)
+writeFramedLine(int fd, const std::string &line)
 {
     std::string framed = line;
     framed += '\n';
@@ -37,9 +34,12 @@ writeLine(int fd, const std::string &line)
     return true;
 }
 
+namespace
+{
+
 /** One envelope -> one response line.  An attempt failure answers
- * status "error" — the supervisor's ladder turns that into a retry or
- * the degraded last rung; the worker itself never retries. */
+ * status "error" — the parent's ladder turns that into a retry or the
+ * degraded last rung; the worker itself never retries. */
 std::string
 answer(Engine &engine, const std::string &line)
 {
@@ -65,12 +65,8 @@ answer(Engine &engine, const std::string &line)
     const double remaining =
         env->spec.deadlineMs > 0.0 ? env->spec.deadlineMs / 1000.0
                                    : 0.0;
-    try {
-        return engine.attemptLine(env->spec, env->attempt,
-                                  env->downgraded, remaining);
-    } catch (const std::exception &e) {
-        return errorLine(env->spec.id, e.what());
-    }
+    return engine.attemptLine(env->spec, env->attempt, env->downgraded,
+                              remaining);
 }
 
 } // namespace
@@ -107,7 +103,7 @@ runSandboxWorker(const SandboxWorkerConfig &config)
 
     Engine engine(config.engine);
 
-    if (!writeLine(config.respFd, kWorkerReadyLine))
+    if (!writeFramedLine(config.respFd, kWorkerReadyLine))
         return 1;
 
     std::string buffer;
@@ -129,7 +125,7 @@ runSandboxWorker(const SandboxWorkerConfig &config)
             const std::string line = buffer.substr(start, nl - start);
             if (line.empty())
                 continue;
-            if (!writeLine(config.respFd, answer(engine, line)))
+            if (!writeFramedLine(config.respFd, answer(engine, line)))
                 return 1;
         }
         buffer.erase(0, start);

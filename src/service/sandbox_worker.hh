@@ -4,8 +4,8 @@
  * (docs/ROBUSTNESS.md): one sandbox worker runs ONE ladder attempt
  * per dispatch envelope and answers on its response pipe.  The ladder
  * itself — retries, quarantine, degradation, counters — stays in the
- * supervisor (service/supervisor.hh), so a worker death is just a
- * failed attempt the parent can answer for.
+ * parent's engine (service/engine.hh), so a worker death is just a
+ * crashed attempt the parent can answer for.
  *
  * Lifecycle is entirely the supervisor's: EOF on the request pipe is
  * the drain signal (the worker exits 0), a hung worker is SIGKILLed.
@@ -24,6 +24,7 @@
 #define SCHED91_SERVICE_SANDBOX_WORKER_HH
 
 #include <cstdint>
+#include <string>
 
 #include "obs/flight_recorder.hh"
 #include "service/engine.hh"
@@ -64,6 +65,11 @@ struct SandboxWorkerConfig
     int ringFd = -1; ///< crash-ring memfd; -1 = no ring
     EngineConfig engine;
 };
+
+/** Write @p line plus its '\n' frame to @p fd, retrying short writes
+ * and EINTR; false once the other end is gone (EPIPE).  Both ends of
+ * the worker's pipes frame lines this way. */
+bool writeFramedLine(int fd, const std::string &line);
 
 /**
  * Entry point of the hidden `__sandbox-worker` CLI command: serve

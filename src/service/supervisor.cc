@@ -31,6 +31,11 @@ namespace
 
 constexpr std::int64_t kMsNs = 1'000'000;
 
+/** Watchdog grace past a request's deadline: the in-process budget
+ * rung degrades at the deadline, so a worker healthy enough to do the
+ * same answers before the SIGKILL lands. */
+constexpr std::int64_t kDeadlineGraceNs = 500 * kMsNs;
+
 /** Lane-side backstop slack past the watchdog's kill time: the lane
  * only SIGKILLs itself when the watchdog thread is wedged. */
 constexpr std::int64_t kLaneSlackNs = 250 * kMsNs;
@@ -41,25 +46,6 @@ nowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-bool
-writeLineFd(int fd, const std::string &line)
-{
-    std::string framed = line;
-    framed += '\n';
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            ::write(fd, framed.data() + off, framed.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false; // EPIPE: the worker is gone
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 enum class ReadStatus
@@ -110,31 +96,30 @@ readLineFd(int fd, std::string &buffer, std::string &line,
     }
 }
 
-/** The fields the ladder classifies a worker response by. */
-struct Classified
+/** A worker's answer, decoded once: status ok/degraded is the
+ * client's answer; "error" is a failed attempt, and so are bytes that
+ * are no response at all (a worker fault). */
+AttemptOutcome
+decodeAnswer(std::string line)
 {
-    std::string status;
-    std::string error;
-    bool deadlineHit = false;
-    PhaseSpans spans; ///< the worker's per-phase child spans
-};
-
-Classified
-classifyResponse(const std::string &line)
-{
-    Classified c;
+    AttemptOutcome out;
     try {
-        obs::JsonValue doc = obs::parseJson(line);
-        c.status = doc.strOr("status", "");
-        c.error = doc.strOr("error", "");
-        c.deadlineHit = doc.has("deadline_hit");
-        c.spans = phaseSpansFromResponse(line);
+        const obs::JsonValue doc = obs::parseJson(line);
+        const std::string status = doc.strOr("status", "");
+        if (status != "ok" && status != "degraded") {
+            out.error = doc.strOr("error", "");
+            return out;
+        }
+        out.deadlineHit = doc.has("deadline_hit");
+        out.spans = phaseSpansFromResponse(doc);
+        out.workerSpans = true;
+        out.line = std::move(line);
+        out.kind = status == "ok" ? AttemptOutcome::Kind::Ok
+                                  : AttemptOutcome::Kind::Degraded;
     } catch (const std::exception &) {
-        // Unparseable bytes from a worker are a worker fault.
-        c.status = "error";
-        c.error = "unparseable worker response";
+        out.error = "unparseable worker response";
     }
-    return c;
+    return out;
 }
 
 std::string
@@ -549,15 +534,69 @@ Supervisor::harvestCrash(Worker &worker, const RequestSpec &spec,
     }
 }
 
-Supervisor::DispatchResult
-Supervisor::dispatchAttempt(Worker &worker,
-                            const SandboxEnvelope &envelope,
-                            double remainingSeconds,
-                            std::string &line,
-                            const obs::RequestTrace *trace)
+/** The ladder's sandbox runner: each attempt is one envelope to the
+ * lane's worker.  The runner keeps the pool — respawns, the watchdog,
+ * crash accounting and forensics — and reports only what the attempt
+ * did; the engine's ladder decides every rung. */
+class Supervisor::SandboxRunner final : public AttemptRunner
 {
-    const std::string request = sandboxEnvelopeLine(envelope);
-    const std::uint64_t dispatch0 = trace ? trace->nowNs() : 0;
+  public:
+    SandboxRunner(Supervisor &sup, Worker &worker, const RequestSpec &spec,
+                  double remainingSeconds, const obs::RequestTrace *trace)
+        : sup_(sup), worker_(worker), spec_(spec),
+          remainingSeconds_(remainingSeconds), trace_(trace)
+    {
+    }
+
+    ParsedRequest *
+    prepare() override
+    {
+        // Validate a machine override in-parent, exactly where the
+        // in-process runner's parse rejects it — a bad token must not
+        // burn ladder attempts.  No parse here: the ladder parses in
+        // this process only to answer a degraded rung.
+        if (spec_.machine)
+            presetByName(*spec_.machine);
+        return nullptr;
+    }
+
+    AttemptOutcome run(BuilderKind builder, int attempt,
+                       bool downgraded) override;
+
+  private:
+    Supervisor &sup_;
+    Worker &worker_;
+    const RequestSpec &spec_;
+    double remainingSeconds_;
+    const obs::RequestTrace *trace_;
+};
+
+AttemptOutcome
+Supervisor::SandboxRunner::run(BuilderKind builder, int attempt,
+                               bool downgraded)
+{
+    const EngineConfig &defaults = sup_.config_.engine;
+    SvcCounters &counters = sup_.engine_.counters();
+    Worker &worker = worker_;
+
+    SandboxEnvelope env;
+    env.spec = spec_;
+    env.spec.builder = builder;
+    env.spec.algorithm = spec_.algorithm.value_or(defaults.algorithm);
+    env.spec.policy = spec_.policy.value_or(defaults.policy);
+    env.spec.deadlineMs =
+        remainingSeconds_ > 0.0 ? remainingSeconds_ * 1000.0 : 0.0;
+    env.attempt = attempt;
+    env.downgraded = downgraded;
+    const std::string request = sandboxEnvelopeLine(env);
+
+    AttemptOutcome out;
+    const auto noWorker = [&out, &worker] {
+        out.kind = AttemptOutcome::Kind::NoWorker;
+        out.error =
+            "no sandbox worker on lane " + std::to_string(worker.lane);
+        return out;
+    };
 
     // A dead pipe *before* dispatch means the worker died idle or
     // never came up; the request has not reached any worker, so this
@@ -565,35 +604,36 @@ Supervisor::dispatchAttempt(Worker &worker,
     for (int spawnTry = 0;; ++spawnTry) {
         if (!worker.live) {
             const bool respawning = worker.everLive;
-            if (!spawnWorker(worker, trace))
-                return DispatchResult::NoWorker;
+            if (!sup_.spawnWorker(worker, trace_))
+                return noWorker();
             if (respawning)
-                engine_.counters().workerRespawns.fetch_add(
+                counters.workerRespawns.fetch_add(
                     1, std::memory_order_relaxed);
         }
-        if (writeLineFd(worker.reqFd, request))
+        if (writeFramedLine(worker.reqFd, request))
             break;
         worker.live = false;
         worker.livePid.store(-1, std::memory_order_relaxed);
         worker.proc.kill(SIGKILL);
         worker.proc.wait();
         if (spawnTry == 1)
-            return DispatchResult::NoWorker;
+            return noWorker();
     }
 
     // Arm the watchdog for this attempt.
     worker.laneKilled = false;
     worker.watchdogKilled.store(false, std::memory_order_relaxed);
     const std::int64_t budgetNs =
-        remainingSeconds > 0.0
+        remainingSeconds_ > 0.0
             ? static_cast<std::int64_t>(
-                  std::llround(remainingSeconds * 1e9)) +
-                  static_cast<std::int64_t>(config_.deadlineGraceMs) *
-                      kMsNs
-            : static_cast<std::int64_t>(config_.hangTimeoutMs) * kMsNs;
+                  std::llround(remainingSeconds_ * 1e9)) +
+                  kDeadlineGraceNs
+            : static_cast<std::int64_t>(sup_.config_.hangTimeoutMs) *
+                  kMsNs;
     const std::int64_t killAt = nowNs() + budgetNs;
     worker.killAtNs.store(killAt, std::memory_order_release);
 
+    std::string line;
     ReadStatus st = readLineFd(worker.respFd, worker.buffer, line,
                                killAt + kLaneSlackNs);
     if (st == ReadStatus::Timeout) {
@@ -605,7 +645,7 @@ Supervisor::dispatchAttempt(Worker &worker,
     }
     worker.killAtNs.store(0, std::memory_order_relaxed);
     if (st == ReadStatus::Line)
-        return DispatchResult::Answered;
+        return decodeAnswer(std::move(line));
 
     // The worker died holding this request: reap, account, harvest
     // forensics, respawn for the lane's next request.
@@ -615,24 +655,19 @@ Supervisor::dispatchAttempt(Worker &worker,
     const bool killed =
         worker.laneKilled ||
         worker.watchdogKilled.load(std::memory_order_relaxed);
-    engine_.counters().workerCrashes.fetch_add(
-        1, std::memory_order_relaxed);
+    counters.workerCrashes.fetch_add(1, std::memory_order_relaxed);
     if (killed)
-        engine_.counters().workerKills.fetch_add(
-            1, std::memory_order_relaxed);
+        counters.workerKills.fetch_add(1, std::memory_order_relaxed);
     log::warn("sandbox worker lane ", worker.lane,
               " died mid-request (", exit.describe(),
               killed ? "; watchdog kill)" : ")");
-    if (trace)
-        trace->span("rung", envelope.attempt, dispatch0,
-                    trace->nowNs(),
-                    std::string("crash: ") + exit.describe());
-    harvestCrash(worker, envelope.spec,
-                 fault::fnv1a64(envelope.spec.source), exit);
-    if (spawnWorker(worker, trace))
-        engine_.counters().workerRespawns.fetch_add(
-            1, std::memory_order_relaxed);
-    return DispatchResult::Crashed;
+    sup_.harvestCrash(worker, env.spec, fault::fnv1a64(spec_.source),
+                      exit);
+    if (sup_.spawnWorker(worker, trace_))
+        counters.workerRespawns.fetch_add(1, std::memory_order_relaxed);
+    out.kind = AttemptOutcome::Kind::Crashed;
+    out.error = exit.describe();
+    return out;
 }
 
 std::string
@@ -640,140 +675,9 @@ Supervisor::process(unsigned lane, const RequestSpec &spec,
                     double remainingSeconds,
                     const obs::RequestTrace *trace)
 {
-    Worker &worker = *workers_[lane % workers_.size()];
-    const std::uint64_t key = fault::fnv1a64(spec.source);
-    const auto rungSpan = [trace](int rung, std::uint64_t startNs,
-                                  std::string_view note) {
-        if (trace)
-            trace->span("rung", rung, startNs, trace->nowNs(), note);
-    };
-
-    // Validate a machine override in-parent, exactly where the
-    // in-process engine answers "error" — a bad token must not burn
-    // ladder attempts.
-    if (spec.machine) {
-        try {
-            presetByName(*spec.machine);
-        } catch (const std::exception &e) {
-            engine_.counters().error.fetch_add(
-                1, std::memory_order_relaxed);
-            return errorLine(spec.id, e.what());
-        }
-    }
-
-    if (engine_.isQuarantined(key)) {
-        const std::uint64_t t0 = trace ? trace->nowNs() : 0;
-        engine_.counters().quarantineHits.fetch_add(
-            1, std::memory_order_relaxed);
-        obs::flight::record(obs::flight::EventKind::Diag, "svc",
-                            "quarantine hit", key);
-        std::string line =
-            engine_.degradedLine(spec, /*fromQuarantine=*/true,
-                                 /*attempts=*/0);
-        rungSpan(0, t0, "quarantine");
-        return line;
-    }
-
-    const BuilderKind requested =
-        spec.builder.value_or(config_.engine.builder);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        SandboxEnvelope env;
-        env.spec = spec;
-        env.spec.builder = attempt == 0 ? requested
-                                        : BuilderKind::TableForward;
-        env.spec.algorithm =
-            spec.algorithm.value_or(config_.engine.algorithm);
-        env.spec.policy = spec.policy.value_or(config_.engine.policy);
-        env.spec.deadlineMs = remainingSeconds > 0.0
-                                  ? remainingSeconds * 1000.0
-                                  : 0.0;
-        env.attempt = attempt;
-        env.downgraded =
-            attempt > 0 && requested != BuilderKind::TableForward;
-
-        std::string line;
-        const std::uint64_t t0 = trace ? trace->nowNs() : 0;
-        const DispatchResult r =
-            dispatchAttempt(worker, env, remainingSeconds, line,
-                            trace);
-
-        if (r == DispatchResult::Answered) {
-            const Classified c = classifyResponse(line);
-            if (c.status == "ok" || c.status == "degraded") {
-                if (c.deadlineHit)
-                    engine_.counters().deadlineExpired.fetch_add(
-                        1, std::memory_order_relaxed);
-                if (c.status == "ok")
-                    engine_.counters().ok.fetch_add(
-                        1, std::memory_order_relaxed);
-                else
-                    engine_.counters().degraded.fetch_add(
-                        1, std::memory_order_relaxed);
-                rungSpan(attempt, t0, c.status);
-                recordPhaseSpans(trace, attempt, t0, c.spans,
-                                 /*worker=*/true);
-                return line;
-            }
-            // Status "error": the attempt failed inside the worker —
-            // same ladder as the in-process engine's catch blocks.
-            rungSpan(attempt, t0, "failed: " + c.error);
-            if (attempt == 0) {
-                engine_.counters().retries.fetch_add(
-                    1, std::memory_order_relaxed);
-                obs::flight::record(obs::flight::EventKind::Diag,
-                                    "svc", "retry: table builder",
-                                    key);
-                log::info("request ", spec.id.empty() ? "?" : spec.id,
-                          ": attempt 0 failed (", c.error,
-                          "); retrying on table builder");
-            } else {
-                obs::flight::record(obs::flight::EventKind::Diag,
-                                    "svc", "quarantine add", key);
-                log::info("request ", spec.id.empty() ? "?" : spec.id,
-                          ": attempt 1 failed (", c.error,
-                          "); degrading to original order");
-            }
-            continue;
-        }
-
-        if (r == DispatchResult::NoWorker) {
-            // Environment failure, not a payload failure: answer the
-            // degraded rung but do not quarantine the content.
-            log::warn("request ", spec.id.empty() ? "?" : spec.id,
-                      ": no sandbox worker on lane ", worker.lane,
-                      "; degrading to original order");
-            const std::uint64_t t1 = trace ? trace->nowNs() : 0;
-            std::string answer = engine_.degradedLine(
-                spec, /*fromQuarantine=*/false, attempt);
-            rungSpan(attempt, t1, "degrade: no-worker");
-            return answer;
-        }
-
-        // Crashed: the worker-death rung.  The payload killed a
-        // process — quarantine it and answer original order; a retry
-        // would deterministically crash the replacement too.
-        engine_.addToQuarantine(key);
-        const std::uint64_t t1 = trace ? trace->nowNs() : 0;
-        std::string answer = engine_.degradedLine(
-            spec, /*fromQuarantine=*/false, attempt + 1);
-        rungSpan(attempt + 1, t1, "degrade: crash");
-        // The in-parent degrade re-parsed the source; stitch that in
-        // so even a SIGKILLed request's tree has a phase child span.
-        recordPhaseSpans(trace, attempt + 1, t1,
-                         phaseSpansFromResponse(answer),
-                         /*worker=*/false);
-        return answer;
-    }
-
-    // Both attempts answered "error": last rung, as in-process.
-    engine_.addToQuarantine(key);
-    engine_.counters().degradedFallbacks.fetch_add(
-        1, std::memory_order_relaxed);
-    const std::uint64_t t1 = trace ? trace->nowNs() : 0;
-    std::string answer = engine_.degradedLine(
-        spec, /*fromQuarantine=*/false, /*attempts=*/3);
-    rungSpan(2, t1, "last-rung");
-    return answer;
+    SandboxRunner runner(*this, *workers_[lane % workers_.size()], spec,
+                         remainingSeconds, trace);
+    return engine_.process(spec, runner, trace);
 }
 
 } // namespace sched91::service

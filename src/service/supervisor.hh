@@ -7,22 +7,24 @@
  *
  * Division of labor:
  *
- *  - The *supervisor* owns the resilience ladder — quarantine check,
- *    attempt sequencing, builder downgrade, last-rung degradation —
- *    and all service counters, so `--isolate=process` answers with
- *    exactly the tallies the in-process engine would produce for the
- *    same seed.
+ *  - The engine's resilience ladder (service/engine.hh) runs in the
+ *    parent, the same ladder the in-process daemon runs, so
+ *    `--isolate=process` answers with exactly the responses and
+ *    tallies of the in-process engine for the same seed.  The
+ *    supervisor is its sandbox runner: each attempt is one envelope
+ *    to the lane's worker, reported back as a typed outcome.
  *  - A *worker* runs exactly one ladder attempt per dispatch envelope
  *    (service/sandbox_worker.hh).  Anything that kills it — injected
  *    SIGSEGV/abort, an rlimit, a watchdog SIGKILL — is contained to
  *    the one request it was holding.
  *
- * Worker death is its own ladder rung: the victim request is answered
- * degraded to original instruction order, its content hash is
- * quarantined, `svc.worker_crashes` ticks, and a flight event records
- * the cause.  Every accepted request is answered exactly once; the
- * crashed worker is reaped and respawned before the lane takes its
- * next request.
+ * Worker death is reported as a crashed attempt, which the ladder
+ * answers degraded to original instruction order and quarantines.
+ * The pool itself is the supervisor's: it counts the death
+ * (`svc.worker_crashes`), records a flight event with the cause,
+ * harvests the crash ring, and respawns the worker before the lane
+ * takes its next request.  Every accepted request is answered exactly
+ * once.
  *
  * Hang containment is layered: a watchdog thread SIGKILLs any worker
  * busy past its deadline grace (or the idle hang bound when the
@@ -81,11 +83,6 @@ struct SupervisorConfig
     /** Watchdog bound for requests with no deadline, ms. */
     int hangTimeoutMs = 10'000;
 
-    /** Watchdog grace past a request's deadline, ms: the in-process
-     * budget rung degrades at the deadline, so a worker healthy
-     * enough to do the same answers before the SIGKILL lands. */
-    int deadlineGraceMs = 500;
-
     /** How long a fresh worker may take to print its ready banner. */
     int spawnTimeoutMs = 10'000;
 
@@ -97,8 +94,9 @@ struct SupervisorConfig
 class Supervisor
 {
   public:
-    /** @p engine is the daemon's in-parent engine: the supervisor
-     * uses its quarantine table, counters, and last-rung answer. */
+    /** @p engine is the daemon's in-parent engine: its ladder drives
+     * the supervisor's attempts, and its counters take the pool's
+     * tallies. */
     Supervisor(SupervisorConfig config, Engine &engine);
     ~Supervisor();
 
@@ -114,23 +112,18 @@ class Supervisor
     void stop();
 
     /**
-     * Run one request through the ladder, each attempt in lane @p
-     * lane's sandbox worker.  Same contract as Engine::process():
-     * returns the response line, never throws.  @p trace, when
-     * non-null, receives the request's span tree: one "rung" span per
-     * dispatch (crashes annotated with the worker's exit), "respawn"
-     * spans for replacement workers, and the per-phase child spans
-     * the worker reported back in its response envelope.
+     * Run one request through the engine's ladder, each attempt in
+     * lane @p lane's sandbox worker.  Same contract as
+     * Engine::process(): returns the response line, never throws.
+     * @p trace, when non-null, receives the request's span tree: one
+     * "rung" span per dispatch (crashes annotated with the worker's
+     * exit), "respawn" spans for replacement workers, and the
+     * per-phase child spans the worker reported back in its response
+     * envelope.
      */
     std::string process(unsigned lane, const RequestSpec &spec,
                         double remainingSeconds,
                         const obs::RequestTrace *trace = nullptr);
-
-    /** Workers respawned so far (smoke/tests). */
-    std::uint64_t respawns() const
-    {
-        return engine_.counters().workerRespawns.load();
-    }
 
     /** Lanes whose sandbox worker is currently alive (stats/health
      * gauge; reads the watchdog atomics, so safe from any thread). */
@@ -138,24 +131,12 @@ class Supervisor
 
   private:
     struct Worker;
+    class SandboxRunner;
 
     bool spawnWorker(Worker &worker,
                      const obs::RequestTrace *trace = nullptr);
     void retireWorker(Worker &worker);
     void watchdogLoop();
-
-    /** Outcome of one dispatched attempt. */
-    enum class DispatchResult
-    {
-        Answered, ///< got a response line (any status)
-        Crashed,  ///< worker died or was killed mid-attempt
-        NoWorker, ///< worker absent and respawn failed
-    };
-    DispatchResult dispatchAttempt(Worker &worker,
-                                   const SandboxEnvelope &envelope,
-                                   double remainingSeconds,
-                                   std::string &line,
-                                   const obs::RequestTrace *trace);
 
     void harvestCrash(Worker &worker, const RequestSpec &spec,
                       std::uint64_t key, const SpawnExit &exit);

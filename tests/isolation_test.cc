@@ -5,8 +5,9 @@
  * clean dispatch path, worker death as a ladder rung (degraded answer
  * + quarantine + respawn), the watchdog SIGKILL on a spinning worker,
  * spawn failure (degraded answer, no quarantine), crash-forensics
- * harvest from the shared-memory ring, and tally determinism across
- * fresh pools under crash faults.
+ * harvest from the shared-memory ring, tally determinism across fresh
+ * pools under crash faults, and cross-mode equivalence: in-process and
+ * sandboxed ladders answer a fault-injected corpus alike.
  *
  * Worker-side rlimit tests (RLIMIT_AS) are deliberately absent: the
  * address-space cap breaks sanitizer runtimes, so the flag stays 0
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -258,4 +260,87 @@ TEST(Isolation, CrashTalliesAreDeterministicAcrossFreshPools)
     // The fault rate actually bites: both outcomes occur.
     EXPECT_GT(first[2], 0u) << "no crash ever fired at rate 0.4";
     EXPECT_GT(first[0], 0u) << "every request crashed at rate 0.4";
+}
+
+namespace
+{
+
+/** @p line without its "spans" member: phase timings are wall clock,
+ * everything else in a response is a function of (request, config). */
+std::string
+withoutSpans(const std::string &line)
+{
+    const std::size_t at = line.find(",\"spans\":{");
+    if (at == std::string::npos)
+        return line;
+    return line.substr(0, at) + line.substr(line.find('}', at) + 1);
+}
+
+/** Every svc tally, in one comparable list. */
+std::vector<std::uint64_t>
+tallies(const service::SvcCounters &c)
+{
+    return {c.accepted.load(),          c.rejected.load(),
+            c.ok.load(),                c.degraded.load(),
+            c.error.load(),             c.retries.load(),
+            c.degradedFallbacks.load(), c.quarantineAdds.load(),
+            c.quarantineHits.load(),    c.deadlineExpired.load(),
+            c.rejectedAfterAdmit.load(), c.workerCrashes.load(),
+            c.workerKills.load(),       c.workerRespawns.load(),
+            c.workerSpawnFailures.load()};
+}
+
+} // namespace
+
+TEST(Isolation, InProcessAndSandboxedLaddersAnswerAlike)
+{
+    // The isolation mode must not change a response: the same corpus
+    // through Engine::process and Supervisor::process answers byte for
+    // byte alike (outside wall-clock spans) and leaves the same
+    // tallies, with and without throw-grade faults.  Each payload goes
+    // twice, so failed payloads come back through the quarantine rung.
+    const char *const kFaults[] = {
+        "",
+        "seed=5,builder-throw=0.3",
+        "seed=6,verifier-reject=0.3",
+        "seed=7,alloc-fail=0.3",
+    };
+    const std::optional<BuilderKind> kBuilders[] = {
+        BuilderKind::N2Forward, BuilderKind::TableBackward,
+        std::nullopt};
+
+    std::uint64_t quarantineHits = 0, retries = 0;
+    for (const char *faults : kFaults) {
+        SCOPED_TRACE(std::string("faults: ") + faults);
+        fault::reset();
+        if (*faults != '\0')
+            fault::configure(fault::parseSpec(faults));
+        service::Engine local{service::EngineConfig{}};
+        Harness h{Harness::configWith(faults)};
+
+        for (int i = 0; i < 60; ++i) {
+            fuzz::GenParams params;
+            params.seed = 500 + static_cast<std::uint64_t>(i);
+            params.numBlocks = 1 + i % 4;
+            params.maxBlockSize = 16;
+            service::RequestSpec spec = specFor(
+                fuzz::generateSource(params), "x" + std::to_string(i));
+            spec.builder = kBuilders[i % 3];
+            spec.emitSchedule = true;
+            for (int send = 0; send < 2; ++send) {
+                const std::string inProcess = local.process(spec, 0.0);
+                const std::string sandboxed =
+                    h.supervisor.process(0, spec, 0.0);
+                ASSERT_EQ(withoutSpans(inProcess), withoutSpans(sandboxed))
+                    << "payload " << i << ", send " << send;
+            }
+        }
+        EXPECT_EQ(tallies(local.counters()), tallies(h.engine.counters()));
+        quarantineHits += local.counters().quarantineHits.load();
+        retries += local.counters().retries.load();
+    }
+    fault::reset();
+    // The faults bite: retries and the quarantine rung both ran.
+    EXPECT_GT(retries, 0u);
+    EXPECT_GT(quarantineHits, 0u);
 }
