@@ -6,7 +6,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -56,11 +55,12 @@ runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl)
 }
 
 /**
- * Per-block trace emission: snapshots the thread's active counter
- * source (worker shard inside the pipeline, global registry
- * otherwise) around each phase and fires one event with the phase's
- * deltas.  Inactive (and cost-free beyond one branch) unless both a
- * sink is configured and the observability layer is on.
+ * Per-block trace emission: one event per phase carrying the worker
+ * shard's change since the previous event, so a block's events tile
+ * it.  Events reuse the phases' own exit snapshots; the first counts
+ * from zero, because the shard was cleared as the block started.
+ * Inactive (and cost-free beyond one branch) unless both a sink is
+ * configured and the observability layer is on.
  */
 class BlockTracer
 {
@@ -70,12 +70,24 @@ class BlockTracer
         : sink_(obs::enabled() ? sink : nullptr), block_(block), bb_(bb),
           worker_(worker)
     {
-        if (sink_)
-            before_ = obs::activeSnapshot();
     }
 
     void
-    phaseDone(const char *phase, double seconds)
+    phaseDone(const char *phase, const obs::ScopedPhase &timed)
+    {
+        fire(phase, timed.seconds(), timed.exitCounters());
+    }
+
+    void
+    degraded()
+    {
+        if (sink_)
+            fire("degrade", 0.0, obs::activeCounters());
+    }
+
+  private:
+    void
+    fire(const char *phase, double seconds, const obs::CounterShard &now)
     {
         if (!sink_)
             return;
@@ -86,17 +98,16 @@ class BlockTracer
         ev.phase = phase;
         ev.seconds = seconds;
         ev.worker = worker_;
-        ev.counters = obs::activeDeltaSince(before_);
+        ev.counters = now.since(last_, /*peaks=*/true);
         sink_->event(ev);
-        before_ = obs::activeSnapshot();
+        last_ = now;
     }
 
-  private:
     obs::TraceSink *sink_;
     std::size_t block_;
     const BasicBlock &bb_;
     unsigned worker_;
-    obs::CounterSet before_;
+    obs::CounterShard last_; ///< the shard at the previous event
 };
 
 /** Everything one block produces, parked in its own slot until the
@@ -137,9 +148,9 @@ struct WorkerState
 {
     WorkerContext ctx;
     /** Cleared per block, so Max gauges become per-block peaks. */
-    obs::CounterShard blockShard{obs::CounterRegistry::global()};
-    /** Run-lifetime accumulation, flushed to the registry post-join. */
-    obs::CounterShard accum{obs::CounterRegistry::global()};
+    obs::CounterShard blockShard;
+    /** Run-lifetime accumulation, merged into the run total post-join. */
+    obs::CounterShard accum;
     obs::PhaseProfiler profiler;
     /** Per-block latency/size distributions; merged post-join (bucket
      * addition is associative, so lane assignment cannot show). */
@@ -165,26 +176,6 @@ blockSourceText(const BlockView &block)
 }
 
 } // namespace
-
-/**
- * Serializes the global counter-registry bracket (start snapshot,
- * post-join flush, delta) across concurrent runPipeline calls — the
- * daemon runs one pipeline per worker.  All per-event counting inside
- * the parallel region goes through thread-installed shards and never
- * touches the registry, so this lock is taken twice per *run*, not
- * per event.  Under concurrency the registry delta attributes
- * overlapping runs' work to whichever run reads it first; per-request
- * counter attribution is therefore approximate in the daemon (the
- * global totals stay exact).  Exposed (core/pipeline.hh) so the
- * daemon's live stats endpoint can snapshot the registry without
- * racing a concurrent post-join flush.
- */
-std::mutex &
-registryBracketMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
 
 ProgramResult
 runPipeline(Program &prog, const MachineModel &machine,
@@ -212,12 +203,6 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     const bool obs_on = obs::enabled();
     const bool tracing = obs_on && opts.trace != nullptr;
-
-    obs::CounterSet run_before;
-    if (obs_on) {
-        std::lock_guard<std::mutex> lock(registryBracketMutex());
-        run_before = obs::CounterRegistry::global().snapshot();
-    }
 
     unsigned threads = opts.threads != 0
                            ? opts.threads
@@ -318,7 +303,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 } catch (const std::exception &) {
                 }
             }
-            tracer.phaseDone("degrade", 0.0);
+            tracer.degraded();
         };
 
         // Effective per-block budget: the per-block cap, tightened by
@@ -500,7 +485,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             }
             Dag dag = use_builder->build(block, machine, build_opts);
             out.buildSeconds = build_phase.stop();
-            tracer.phaseDone("build", build_phase.seconds());
+            tracer.phaseDone("build", build_phase);
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
                                 "build", {}, dag.size(), dag.numArcs());
             spent += build_phase.seconds();
@@ -510,7 +495,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             obs::ScopedPhase heur_phase("heur");
             runNeededPasses(dag, spec.config, opts.passImpl);
             out.heurSeconds = heur_phase.stop();
-            tracer.phaseDone("heur", heur_phase.seconds());
+            tracer.phaseDone("heur", heur_phase);
             obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
             spent += heur_phase.seconds();
             checkBudget("heur");
@@ -529,7 +514,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             out.sched =
                 scheduler.run(dag, stats_ptr, token ? &*token : nullptr);
             out.schedSeconds = sched_phase.stop();
-            tracer.phaseDone("sched", sched_phase.seconds());
+            tracer.phaseDone("sched", sched_phase);
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
                                 "sched", {}, out.sched.order.size(),
                                 static_cast<std::uint64_t>(
@@ -554,7 +539,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 obs::ScopedPhase verify_phase("verify");
                 VerifyResult vr = verifySchedule(dag, out.sched, machine);
                 out.verifySeconds = verify_phase.stop();
-                tracer.phaseDone("verify", verify_phase.seconds());
+                tracer.phaseDone("verify", verify_phase);
                 // An injected rejection takes the real rejection path
                 // end to end; it only substitutes the verdict.
                 bool inject_reject =
@@ -618,7 +603,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                             .cycles;
                 }
                 eval_phase.stop();
-                tracer.phaseDone("evaluate", eval_phase.seconds());
+                tracer.phaseDone("evaluate", eval_phase);
                 obs::flight::record(
                     obs::flight::EventKind::PhaseEnd, "evaluate", {},
                     static_cast<std::uint64_t>(out.cyclesOriginal),
@@ -695,7 +680,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                     // Propagating fault (containFaults off): keep the
                     // partial block's counts — the exception path
                     // below flushes the lane accumulators into the
-                    // registry.
+                    // caller's counters.
                     ws.blockShard.flushInto(ws.accum);
                     throw;
                 }
@@ -735,7 +720,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                     rec.heurSeconds = out.heurSeconds;
                     rec.schedSeconds = out.schedSeconds;
                     rec.verifySeconds = out.verifySeconds;
-                    rec.counters = ws.blockShard.snapshot().nonzero();
+                    rec.counters = ws.blockShard;
                     rec.stage = out.fallback && !out.degraded
                                     ? "fallback"
                                     : out.stage;
@@ -770,17 +755,13 @@ runPipeline(Program &prog, const MachineModel &machine,
             // A propagating fault (containFaults off) must not lose
             // the events already counted: parallelFor drains every
             // chunk before rethrowing, so the lane accumulators are
-            // quiescent — flush them into the registry so a retrying
-            // caller (the daemon's ladder) still sees exact global
+            // quiescent — flush them into the caller's counters so a
+            // retrying caller (the daemon's ladder) still sees exact
             // totals, including the injected fault that killed this
             // attempt.
-            if (obs_on) {
-                std::lock_guard<std::mutex> lock(registryBracketMutex());
-                obs::CounterRegistry &registry =
-                    obs::CounterRegistry::global();
+            if (obs_on)
                 for (WorkerState &ws : workers)
-                    ws.accum.flushInto(registry);
-            }
+                    ws.accum.flushIntoActive();
             throw;
         }
     }
@@ -842,40 +823,26 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     // ... and worker order for the thread-private shards and phase
     // trees (both merges are kind-aware, so the result is independent
-    // of how blocks were distributed over lanes).
+    // of how blocks were distributed over lanes).  The merged shards
+    // are the run's counters: exact even while other runs overlap this
+    // one, because nothing else ever counts into them.
     if (obs_on) {
-        std::lock_guard<std::mutex> lock(registryBracketMutex());
-        obs::CounterRegistry &registry = obs::CounterRegistry::global();
         obs::PhaseProfiler &profiler = obs::PhaseProfiler::active();
-        obs::CounterShard run_total(registry);
+        obs::CounterShard run_total;
         for (WorkerState &ws : workers) {
             ws.accum.flushInto(run_total);
             profiler.mergeFrom(ws.profiler);
             result.histograms.merge(ws.hists);
         }
-        // Deterministic memory gauges join the run's counters through
-        // the merged shard, so the Sum entries land in the registry
-        // delta and the Max gauge rides the peak-override below.
-        run_total.add(
-            registry.getOrAdd(obs::ev::memArenaBytesAllocated.name()),
-            result.memory.arenaBytesAllocated);
-        run_total.recordMax(
-            registry.getOrAdd(obs::ev::memArenaHighWater.name(),
-                              obs::CounterKind::Max),
-            result.memory.arenaHighWaterBytes);
-        run_total.add(registry.getOrAdd(obs::ev::memDagArcBytes.name()),
+        // Deterministic memory gauges join the run's counters too.
+        run_total.add(obs::ev::memArenaBytesAllocated.id(),
+                      result.memory.arenaBytesAllocated);
+        run_total.recordMax(obs::ev::memArenaHighWater.id(),
+                            result.memory.arenaHighWaterBytes);
+        run_total.add(obs::ev::memDagArcBytes.id(),
                       result.memory.dagArcBytes);
-        run_total.flushInto(registry);
-        result.counters = registry.deltaSince(run_before);
-        // Registry-level subtraction cannot express a per-run peak: a
-        // prior run's higher Max value would zero (or understate) this
-        // run's.  All in-run counting went through the shards, so the
-        // merged shard holds exactly this run's peaks — report those.
-        for (std::size_t id = 0; id < registry.size(); ++id)
-            if (registry.kind(id) == obs::CounterKind::Max &&
-                run_total.value(id) != 0)
-                result.counters.set(registry.name(id),
-                                    run_total.value(id));
+        run_total.flushIntoActive();
+        result.counters = run_total.named();
     }
 
     // Lane-local top-K trackers merge into the global top-K: a block

@@ -27,7 +27,6 @@
 #define SCHED91_CORE_PIPELINE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -221,9 +220,11 @@ struct ProgramResult
     long long cyclesScheduled = 0; ///< sum over blocks, scheduled order
 
     /**
-     * Event-counter deltas attributable to this run (Table 1's
-     * a/f/b/v work, counted).  Empty unless the observability layer
-     * was enabled for the run.
+     * Event counts of this run alone (Table 1's a/f/b/v work,
+     * counted): the run's merged worker shards, exact even when runs
+     * overlap.  The same counts are also added to the caller's active
+     * counters — its installed shard, else the global registry.
+     * Empty unless the observability layer was enabled for the run.
      */
     obs::CounterSet counters;
 
@@ -284,15 +285,6 @@ struct ProgramResult
  */
 ProgramResult runPipeline(Program &prog, const MachineModel &machine,
                           const PipelineOptions &opts);
-
-/**
- * Mutex serializing global counter-registry brackets (start snapshot,
- * post-join flush) across concurrent runPipeline calls.  External
- * hosts that snapshot the registry while pipelines may be running —
- * the daemon's live `stats` endpoint — take the same lock so they
- * never read a half-flushed reduction.
- */
-std::mutex &registryBracketMutex();
 
 /** Single-block result: the annotated DAG and its schedule. */
 struct BlockScheduleResult

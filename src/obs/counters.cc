@@ -79,20 +79,6 @@ CounterSet::nonzero() const
     return out;
 }
 
-void
-mergeCounterSets(CounterSet &into, const CounterSet &from,
-                 const CounterRegistry &registry)
-{
-    for (const CounterSet::Item &item : from.items()) {
-        if (registry.kindByName(item.first) == CounterKind::Max) {
-            if (item.second > into.value(item.first))
-                into.set(item.first, item.second);
-        } else if (item.second != 0 || !into.contains(item.first)) {
-            into.set(item.first, into.value(item.first) + item.second);
-        }
-    }
-}
-
 // --- CounterRegistry -------------------------------------------------
 
 CounterRegistry &
@@ -110,6 +96,7 @@ CounterRegistry::addLocked(std::string_view name, CounterKind kind)
     kinds_.push_back(kind);
     slots_.push_back(0);
     index_.emplace(names_.back(), id);
+    size_.store(id + 1);
     return id;
 }
 
@@ -142,13 +129,6 @@ CounterRegistry::find(std::string_view name) const
 {
     std::lock_guard<std::mutex> lock(regMu_);
     return findLocked(name);
-}
-
-std::size_t
-CounterRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    return names_.size();
 }
 
 CounterKind
@@ -194,33 +174,51 @@ CounterRegistry::deltaSince(const CounterSet &before) const
 
 // --- CounterShard ----------------------------------------------------
 
+CounterShard
+CounterShard::copyOf(CounterRegistry &registry)
+{
+    CounterShard out(registry);
+    std::lock_guard<std::mutex> lock(registry.regMu_);
+    out.slots_.assign(registry.slots_.begin(), registry.slots_.end());
+    return out;
+}
+
+std::uint64_t
+CounterShard::value(std::string_view name) const
+{
+    const std::size_t id = registry_->find(name);
+    return id == CounterRegistry::npos ? 0 : value(id);
+}
+
+bool
+CounterShard::empty() const
+{
+    return std::all_of(slots_.begin(), slots_.end(),
+                       [](std::uint64_t v) { return v == 0; });
+}
+
 void
 CounterShard::clear()
 {
     std::fill(slots_.begin(), slots_.end(), 0);
 }
 
-CounterSet
-CounterShard::snapshot() const
+CounterShard
+CounterShard::since(const CounterShard &before, bool peaks) const
 {
-    CounterSet out;
-    for (std::size_t id = 0; id < registry_->size(); ++id)
-        out.set(registry_->name(id), value(id));
+    CounterShard out = *this;
+    for (std::size_t id = 0; id < slots_.size(); ++id)
+        if (!peaks || registry_->kind(id) == CounterKind::Sum)
+            out.slots_[id] -= before.value(id);
     return out;
 }
 
 CounterSet
-CounterShard::deltaSince(const CounterSet &before) const
+CounterShard::named() const
 {
     CounterSet out;
-    for (std::size_t id = 0; id < registry_->size(); ++id) {
-        // A Max gauge is a per-interval peak: subtraction against an
-        // earlier peak is meaningless, so report the value as-is.
-        std::uint64_t v = value(id);
-        if (registry_->kind(id) == CounterKind::Sum)
-            v -= before.value(registry_->name(id));
-        out.set(registry_->name(id), v);
-    }
+    for (std::size_t id = 0; id < registry_->size(); ++id)
+        out.set(registry_->name(id), value(id));
     return out;
 }
 
@@ -240,6 +238,7 @@ CounterShard::flushInto(CounterShard &into) const
 void
 CounterShard::flushInto(CounterRegistry &into) const
 {
+    std::lock_guard<std::mutex> lock(into.regMu_);
     for (std::size_t id = 0; id < slots_.size(); ++id) {
         if (slots_[id] == 0)
             continue;
@@ -250,46 +249,38 @@ CounterShard::flushInto(CounterRegistry &into) const
     }
 }
 
-CounterSet
-counterSetDelta(const CounterSet &now, const CounterSet &before,
-                const CounterRegistry &registry)
+void
+CounterShard::flushIntoActive() const
 {
-    CounterSet out;
-    for (const auto &[name, value] : now.items()) {
-        std::uint64_t v = value;
-        if (registry.kindByName(name) == CounterKind::Sum) {
-            const std::uint64_t prev = before.value(name);
-            v = v > prev ? v - prev : 0;
-        }
-        out.set(name, v);
-    }
-    return out;
+    if (CounterShard *shard = detail::t_shard;
+        shard && shard->registry_ == registry_)
+        flushInto(*shard);
+    else
+        flushInto(*registry_);
 }
 
 CounterSet
 SnapshotDeltaTracker::advance(const CounterSet &now)
 {
-    CounterSet delta = counterSetDelta(now, last_, *registry_);
+    CounterSet delta;
+    for (const auto &[name, value] : now.items()) {
+        std::uint64_t v = value;
+        if (registry_->kindByName(name) == CounterKind::Sum) {
+            const std::uint64_t prev = last_.value(name);
+            v = v > prev ? v - prev : 0;
+        }
+        delta.set(name, v);
+    }
     last_ = now;
     return delta;
 }
 
-// --- Thread-active helpers -------------------------------------------
-
-CounterSet
-activeSnapshot()
+CounterShard
+activeCounters()
 {
     if (detail::t_shard)
-        return detail::t_shard->snapshot();
-    return CounterRegistry::global().snapshot();
-}
-
-CounterSet
-activeDeltaSince(const CounterSet &before)
-{
-    if (detail::t_shard)
-        return detail::t_shard->deltaSince(before);
-    return CounterRegistry::global().deltaSince(before);
+        return *detail::t_shard;
+    return CounterShard::copyOf(CounterRegistry::global());
 }
 
 } // namespace sched91::obs

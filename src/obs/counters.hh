@@ -17,23 +17,25 @@
  *    increments cost a single predictable branch on the global
  *    enable flag — nothing else — so the hot paths of Tables 4/5
  *    are unaffected when observability is off (the default);
- *  - CounterSet snapshots/deltas make counters resettable per block
- *    or per phase without disturbing program-wide totals.
+ *  - values travel by counter id until output: a CounterShard is a
+ *    flat array of slots indexed like the registry, and names are
+ *    resolved (CounterShard::named) only when a document is written.
  *
- * Parallel runs add one more layer: a CounterShard is a flat,
- * thread-private copy of the registry's slots.  The pipeline installs
- * one per worker (ScopedCounterShard), instrumentation sites route
- * into it, and after the parallel region the shards are flushed back
- * into the registry in a fixed order.  Each counter carries a
- * CounterKind so the flush knows how to combine shard values: Sum
- * counters add, Max counters (gauges such as `sched.ready_list_peak`)
- * take the high-water mark.
+ * Parallel runs route increments into shards: the pipeline installs
+ * one per worker (ScopedCounterShard), instrumentation sites count
+ * into it, and after the parallel region the shards fold, in a fixed
+ * order, into the run's total.  The same id-indexed arrays serve as
+ * phase-boundary snapshots, per-phase and per-event deltas, and phase
+ * tree nodes.  Each counter carries a CounterKind so folds know how to
+ * combine values: Sum counters add, Max counters (gauges such as
+ * `sched.ready_list_peak`) take the high-water mark.
  */
 
 #ifndef SCHED91_OBS_COUNTERS_HH
 #define SCHED91_OBS_COUNTERS_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -119,13 +121,13 @@ class CounterSet
  * Registry of named counters.  One process-wide instance backs the
  * instrumented library; tests may create private instances.
  *
- * Registration and name-indexed reads are internally locked: handles
- * bind lazily (function-local statics on whatever thread first uses
- * an instrumented path), and a live telemetry scrape (`sched91
- * serve`'s stats endpoint) may snapshot the registry at the same
- * moment.  Id-indexed hot-path accessors (increment, value, kind,
- * slotAddress) stay lock-free: every per-id container is a deque, so
- * registration never relocates an existing slot.
+ * Registration, name-indexed reads, snapshots and shard flushes are
+ * internally locked: a handle may bind on whatever thread first uses
+ * it, and concurrent pipelines without an installed shard flush their
+ * run totals here.  Id-indexed hot-path accessors (size, increment,
+ * value, kind, slotAddress) stay lock-free: every per-id container is
+ * a deque, so registration never relocates an existing slot, and the
+ * size is published only after the new slot is in place.
  */
 class CounterRegistry
 {
@@ -153,7 +155,7 @@ class CounterRegistry
     /** Id by name, npos when absent. */
     std::size_t find(std::string_view name) const;
 
-    std::size_t size() const;
+    std::size_t size() const { return size_.load(); }
     const std::string &name(std::size_t id) const { return names_[id]; }
     CounterKind kind(std::size_t id) const { return kinds_[id]; }
     std::uint64_t value(std::size_t id) const { return slots_[id]; }
@@ -190,44 +192,32 @@ class CounterRegistry
     std::uint64_t *slotAddress(std::size_t id) { return &slots_[id]; }
 
   private:
+    friend class CounterShard; ///< locked copies and flushes
+
     std::size_t addLocked(std::string_view name, CounterKind kind);
     std::size_t findLocked(std::string_view name) const;
 
-    /** Guards registration and the name index; by-id reads need no
-     * lock (deques keep existing elements in place on append). */
+    /** Guards registration, the name index and whole-registry reads
+     * and writes; by-id access needs no lock (deques keep existing
+     * elements in place on append). */
     mutable std::mutex regMu_;
     std::deque<std::string> names_;
     std::deque<CounterKind> kinds_;
     std::deque<std::uint64_t> slots_; ///< deque: stable addresses
     std::map<std::string, std::size_t, std::less<>> index_;
+    std::atomic<std::size_t> size_{0}; ///< ids below it are complete
 };
-
-/**
- * Combine @p from into @p into respecting each counter's kind as
- * registered in @p registry: Sum entries add, Max entries keep the
- * larger value.  Names unknown to the registry default to Sum.
- */
-void mergeCounterSets(CounterSet &into, const CounterSet &from,
-                      const CounterRegistry &registry);
-
-/**
- * Kind-aware delta between two successive snapshots of the same
- * source: Sum counters subtract (clamped at zero, so a reset source
- * never yields an underflowed delta), Max gauges report the current
- * value as-is — a high-water mark has no meaningful subtraction.
- * Names only present in @p before are dropped (their delta is zero or
- * meaningless); names unknown to @p registry default to Sum.
- */
-CounterSet counterSetDelta(const CounterSet &now,
-                           const CounterSet &before,
-                           const CounterRegistry &registry);
 
 /**
  * Bookkeeping for periodic delta emission (`--snapshot-seconds`):
  * remembers the previous observation and yields the kind-aware delta
- * each time a new snapshot arrives.  The first advance() deltas
- * against zero, so the first emitted snapshot covers everything since
- * startup.
+ * each time a new snapshot arrives.  Sum counters subtract (clamped at
+ * zero, so a reset source never yields an underflowed delta); Max
+ * gauges report the current value as-is — a high-water mark has no
+ * meaningful subtraction.  Names only in the previous observation are
+ * dropped; names unknown to the registry count as Sum.  The first
+ * advance() deltas against zero, so the first emitted snapshot covers
+ * everything since startup.
  */
 class SnapshotDeltaTracker
 {
@@ -246,23 +236,32 @@ class SnapshotDeltaTracker
 };
 
 /**
- * Thread-private mirror of a registry's slots.  Instrumentation
- * handles route into the installed shard instead of the shared slots,
- * so workers never write the same memory; flushInto() folds the shard
- * back (kind-aware) once the owning thread has quiesced.
+ * Counter values indexed by registry id: the one in-flight counter
+ * representation.  As a thread's installed shard it takes the
+ * increments instead of the shared registry slots, so workers never
+ * write the same memory; as a copy it is a phase-boundary snapshot, a
+ * delta, or a phase-tree node.  Folds (flushInto) are kind-aware, and
+ * names are looked up only by named() and value(name), when output is
+ * written.
  *
- * The pipeline clears the shard at each block boundary, which also
- * makes Max gauges *per-block* peaks — exactly the value a per-block
- * delta should report, independent of which blocks ran earlier on the
- * same worker.
+ * The pipeline clears its worker shards at each block boundary, which
+ * also makes Max gauges *per-block* peaks — exactly the value a
+ * per-block delta should report, independent of which blocks ran
+ * earlier on the same worker.
  */
 class CounterShard
 {
   public:
+    /** An all-zero shard of the global registry. */
+    CounterShard() : CounterShard(CounterRegistry::global()) {}
+
     explicit CounterShard(CounterRegistry &registry)
         : registry_(&registry)
     {
     }
+
+    /** A copy of @p registry's slots, taken under its lock. */
+    static CounterShard copyOf(CounterRegistry &registry);
 
     CounterRegistry &registry() const { return *registry_; }
 
@@ -287,22 +286,40 @@ class CounterShard
         return id < slots_.size() ? slots_[id] : 0;
     }
 
+    /** Value by name, 0 when absent.  The lookup locks the registry:
+     * for tests and reports, not for hot paths. */
+    std::uint64_t value(std::string_view name) const;
+
+    /** Whether every slot is zero. */
+    bool empty() const;
+
     /** Zero every slot (capacity is kept for reuse). */
     void clear();
 
-    /** All registry names with this shard's values. */
-    CounterSet snapshot() const;
+    /**
+     * This copy less @p before, an earlier copy of the same source.
+     * Sum counters subtract.  A Max gauge keeps this copy's value when
+     * @p peaks is set — a shard cleared per block already holds the
+     * interval's peak — and otherwise subtracts too, reporting how far
+     * a never-cleared source's high-water mark rose.
+     */
+    CounterShard since(const CounterShard &before, bool peaks) const;
 
-    /** now - before for Sum counters; for Max counters the shard value
-     * itself (a per-interval peak has no meaningful subtraction). */
-    CounterSet deltaSince(const CounterSet &before) const;
+    /** Every registry name with this shard's value, in name order:
+     * where ids become names, once per run result or document. */
+    CounterSet named() const;
 
     /** Fold this shard into another (kind-aware); both must mirror the
      * same registry. */
     void flushInto(CounterShard &into) const;
 
-    /** Fold this shard into the shared registry slots (kind-aware). */
+    /** Fold this shard into the shared registry slots (kind-aware),
+     * under the registry's lock. */
     void flushInto(CounterRegistry &into) const;
+
+    /** Fold into the calling thread's active sink: its installed shard
+     * if that mirrors the same registry, else the registry itself. */
+    void flushIntoActive() const;
 
   private:
     void
@@ -335,13 +352,9 @@ class ScopedCounterShard
     CounterShard *prev_;
 };
 
-/** Snapshot of whatever the calling thread's increments land in: the
+/** Copy of whatever the calling thread's increments land in: the
  * installed shard if any, else the global registry. */
-CounterSet activeSnapshot();
-
-/** Delta against activeSnapshot()'s source (see CounterShard's note on
- * Max counters). */
-CounterSet activeDeltaSince(const CounterSet &before);
+CounterShard activeCounters();
 
 /**
  * Cheap instrumentation handle bound to one registry slot.  Intended
@@ -392,6 +405,7 @@ class Counter
     }
 
     std::uint64_t value() const { return *slot_; }
+    std::size_t id() const { return id_; }
     const char *name() const { return name_; }
 
   private:

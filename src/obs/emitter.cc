@@ -132,7 +132,7 @@ writeOutlierBody(JsonWriter &w, const OutlierRecord &r,
         .key("verify").value(zt * r.verifySeconds)
         .endObject();
     w.key("counters");
-    writeCounterSet(w, r.counters);
+    writeCounterSet(w, r.counters.named());
     w.key("issue").beginObject()
         .key("stage").value(r.stage)
         .key("reason").value(r.reason)
@@ -151,7 +151,7 @@ writePhaseTree(JsonWriter &w, const PhaseStats &node, bool zero_times)
         .key("entries").value(node.entries)
         .key("seconds").value(zero_times ? 0.0 : node.seconds);
     w.key("counters");
-    writeCounterSet(w, node.counters);
+    writeCounterSet(w, node.counters.named());
     w.key("children").beginArray();
     for (const PhaseStats &child : node.children)
         writePhaseTree(w, child, zero_times);

@@ -49,7 +49,7 @@ struct OutlierRecord
     double schedSeconds = 0.0;
     double verifySeconds = 0.0;
 
-    CounterSet counters; ///< Per-block counter delta (nonzero slots).
+    CounterShard counters; ///< The block's counts, by id.
 
     std::string stage;  ///< Issue stage, empty when the block was clean.
     std::string reason; ///< Issue reason, empty when clean.

@@ -1,5 +1,7 @@
 #include "obs/phase.hh"
 
+#include <utility>
+
 #include "support/logging.hh"
 
 namespace sched91::obs
@@ -33,18 +35,9 @@ PhaseProfiler::clear()
     SCHED91_ASSERT(stack_.empty(),
                    "cannot clear the phase tree with phases open");
     root_.children.clear();
-    root_.counters = CounterSet{};
+    root_.counters = CounterShard{};
     root_.entries = 0;
     root_.seconds = 0.0;
-}
-
-double
-PhaseProfiler::topLevelSeconds() const
-{
-    double total = 0.0;
-    for (const PhaseStats &c : root_.children)
-        total += c.seconds;
-    return total;
 }
 
 namespace
@@ -55,8 +48,7 @@ mergeNode(PhaseStats &into, const PhaseStats &from)
 {
     into.entries += from.entries;
     into.seconds += from.seconds;
-    mergeCounterSets(into.counters, from.counters,
-                     CounterRegistry::global());
+    from.counters.flushInto(into.counters);
     for (const PhaseStats &fc : from.children) {
         PhaseStats *ic = nullptr;
         for (PhaseStats &c : into.children)
@@ -106,13 +98,13 @@ PhaseProfiler::enter(const char *name)
 }
 
 void
-PhaseProfiler::exit(double seconds, const CounterSet &delta)
+PhaseProfiler::exit(double seconds, const CounterShard &delta)
 {
     SCHED91_ASSERT(!stack_.empty(), "phase exit without enter");
     PhaseStats *node = stack_.back();
     stack_.pop_back();
     node->seconds += seconds;
-    mergeCounterSets(node->counters, delta, CounterRegistry::global());
+    delta.flushInto(node->counters);
 }
 
 ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
@@ -120,7 +112,8 @@ ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
 {
     if (enabled()) {
         profiler_.enter(name);
-        before_ = activeSnapshot();
+        snap_ = activeCounters();
+        peaks_ = detail::t_shard != nullptr;
         open_ = true;
     }
 }
@@ -141,7 +134,9 @@ ScopedPhase::stop()
     elapsed_ = seconds();
     stopped_ = true;
     if (open_) {
-        profiler_.exit(elapsed_, activeDeltaSince(before_));
+        CounterShard now = activeCounters();
+        profiler_.exit(elapsed_, now.since(snap_, peaks_));
+        snap_ = std::move(now);
         open_ = false;
     }
     return elapsed_;

@@ -7,10 +7,12 @@
  * ScopedPhase replaces the ad-hoc Timer plumbing of the pipeline:
  * it always measures wall-clock time (two steady-clock reads, the
  * same cost the Timer had), and only when the observability layer is
- * enabled does it additionally maintain the phase tree and snapshot
- * the thread's active counter source to attribute event deltas to
- * phases.  Deltas are *inclusive*: a parent phase's counters include
- * those of its children.
+ * enabled does it additionally maintain the phase tree and copy the
+ * thread's active counter source at entry and at exit — one id-indexed
+ * snapshot per boundary — to attribute event deltas to phases.
+ * Deltas are *inclusive*: a parent phase's counters include those of
+ * its children.  Counter names are resolved only when the tree is
+ * emitted.
  *
  * Phases record into the thread's *active* profiler: normally the
  * process-wide one, but the parallel pipeline installs a private
@@ -45,7 +47,7 @@ struct PhaseStats
     std::string name;
     std::uint64_t entries = 0; ///< times the phase was entered
     double seconds = 0.0;      ///< total wall-clock across entries
-    CounterSet counters;       ///< inclusive counter deltas
+    CounterShard counters;     ///< inclusive counter deltas, by id
     std::vector<PhaseStats> children;
 
     /** Child by name, nullptr when absent. */
@@ -76,9 +78,6 @@ class PhaseProfiler
     /** The synthetic root; real phases are its descendants. */
     const PhaseStats &root() const { return root_; }
 
-    /** Total seconds of the top-level phases. */
-    double topLevelSeconds() const;
-
     /**
      * Fold another profiler's tree into this one, matching phases by
      * nesting path and name: entries and seconds add, counters merge
@@ -91,7 +90,7 @@ class PhaseProfiler
     friend class ScopedPhase;
 
     PhaseStats *enter(const char *name);
-    void exit(double seconds, const CounterSet &delta);
+    void exit(double seconds, const CounterShard &delta);
 
     PhaseStats root_;
     std::vector<PhaseStats *> stack_; ///< open-phase path, root absent
@@ -141,14 +140,20 @@ class ScopedPhase
      */
     double stop();
 
+    /** The active counter source as stop() copied it (valid once
+     * stopped; all zero unless entered with observability on). */
+    const CounterShard &exitCounters() const { return snap_; }
+
   private:
     using Clock = std::chrono::steady_clock;
 
     PhaseProfiler &profiler_;
     Clock::time_point start_;
     double elapsed_ = 0.0; ///< valid once stopped
-    CounterSet before_;    ///< active-source snapshot (enabled runs)
-    bool open_ = false;    ///< tree node pending an exit()
+    /** Active-source copy at the last boundary: entry, then exit. */
+    CounterShard snap_;
+    bool peaks_ = false; ///< source is a per-block shard (see since())
+    bool open_ = false;  ///< tree node pending an exit()
     bool stopped_ = false;
 };
 

@@ -17,9 +17,10 @@ JsonlTraceSink::event(const TraceEvent &ev)
         .key("seconds").value(zeroTimes_ ? 0.0 : ev.seconds);
     w.key("counters").beginObject();
     // Named binding: items() references the set's own storage.
-    CounterSet nz = ev.counters.nonzero();
-    for (const auto &[name, value] : nz.items())
-        w.key(name).value(value);
+    const CounterSet named = ev.counters.named();
+    for (const auto &[name, value] : named.items())
+        if (value != 0)
+            w.key(name).value(value);
     w.endObject().endObject();
     *out_ << w.take() << '\n';
     ++events_;

@@ -7,7 +7,8 @@
  * The pipeline fires one TraceEvent per phase of every block it
  * schedules, carrying the counter deltas attributable to that phase —
  * the per-block resolution at which the paper discusses construction
- * cost growth (Tables 4/5).
+ * cost growth (Tables 4/5).  Deltas travel by counter id; the JSONL
+ * sink names them as it writes each line.
  */
 
 #ifndef SCHED91_OBS_TRACE_HH
@@ -35,7 +36,7 @@ struct TraceEvent
      * JsonlTraceSink — lane assignment varies with thread count, and
      * JSONL traces are byte-compared across thread counts. */
     unsigned worker = 0;
-    CounterSet counters;       ///< event deltas within the phase
+    CounterShard counters;     ///< event deltas within the phase
 };
 
 /** Abstract consumer of trace events. */
@@ -92,10 +93,6 @@ class BufferedTraceSink final : public TraceSink
         for (const TraceEvent &ev : events_)
             sink.event(ev);
     }
-
-    void clear() { events_.clear(); }
-    std::size_t size() const { return events_.size(); }
-    const std::vector<TraceEvent> &events() const { return events_; }
 
   private:
     std::vector<TraceEvent> events_;

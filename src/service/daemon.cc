@@ -12,7 +12,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/pipeline.hh"
 #include "obs/exposition.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
@@ -104,11 +103,11 @@ struct Daemon::Connection
     std::mutex writeMu;
 };
 
-/** Per-worker-lane observability kit, set up before the lanes start
- * and reduced after they join. */
+/** Per-worker-lane observability kit, set up before the lanes start.
+ * The shard is published and cleared after every request. */
 struct Daemon::WorkerSlot
 {
-    obs::CounterShard shard{obs::CounterRegistry::global()};
+    obs::CounterShard shard;
     obs::PhaseProfiler profiler;
     obs::flight::Recorder *flight = nullptr;
 };
@@ -183,8 +182,6 @@ Daemon::run()
         obs::flight::beginRun();
         obs::flight::setExternallyManaged(true);
     }
-    if (obs::enabled())
-        statsBefore_ = obs::CounterRegistry::global().snapshot();
 
     slots_.clear();
     for (unsigned i = 0; i < lanes; ++i) {
@@ -257,11 +254,6 @@ Daemon::run()
     }
 
     // --- Final accounting (single-threaded from here) ---------------
-    if (obs::enabled()) {
-        obs::CounterRegistry &registry = obs::CounterRegistry::global();
-        for (auto &slot : slots_)
-            slot->shard.flushInto(registry);
-    }
     if (flight_on)
         obs::flight::setExternallyManaged(false);
 
@@ -442,8 +434,8 @@ Daemon::workerLoop(unsigned lane)
 {
     WorkerSlot &slot = *slots_[lane];
     // The lane's observability kit: all counter/profiler/flight
-    // traffic from the pipelines this lane runs lands in lane-private
-    // state, reduced single-threaded after the join.
+    // traffic from the requests this lane runs lands in lane-private
+    // state; the counts are published after every request.
     std::optional<obs::ScopedCounterShard> shard_scope;
     std::optional<obs::ScopedProfiler> prof_scope;
     if (obs::enabled()) {
@@ -514,10 +506,14 @@ Daemon::workerLoop(unsigned lane)
             response = errorLine(req->spec.id, e.what());
         }
         {
+            // Published before the response goes out: a client that
+            // has every answer sees every count in a `stats` scrape.
             std::lock_guard<std::mutex> lock(publishMu_);
             publishedHists_.record(
                 "svc.request_ns",
                 obs::secondsToNs(elapsedSeconds(started)));
+            slot.shard.flushInto(publishedCounters_);
+            slot.shard.clear();
         }
         trace.span("request", -1, arrivalNs, trace.nowNs());
         req->conn->writeLine(response);
@@ -529,16 +525,8 @@ Daemon::liveCounters()
 {
     obs::CounterSet set;
     if (obs::enabled()) {
-        obs::CounterSet now;
-        {
-            // The pipeline's post-join reduction flushes shards into
-            // the global registry under this lock; taking it makes a
-            // mid-run snapshot consistent instead of half-reduced.
-            std::lock_guard<std::mutex> lock(registryBracketMutex());
-            now = obs::CounterRegistry::global().snapshot();
-        }
-        set = counterSetDelta(now, statsBefore_,
-                              obs::CounterRegistry::global());
+        std::lock_guard<std::mutex> lock(publishMu_);
+        set = publishedCounters_.named();
     }
     // svc.* tallies live in plain atomics, never in the registry;
     // overlay them so live scrapes and the final document agree.

@@ -26,11 +26,15 @@
  * Observability in a long-lived process: the daemon owns the flight-
  * recorder rings (obs::flight::setExternallyManaged), claims one per
  * worker lane, and installs per-lane counter shards and profilers;
- * runPipeline detects external management and skips its own run
- * bracket.  Request latency and queue-wait distributions land in
+ * runPipeline detects external management and skips its own flight
+ * bracket, and adds each run's counts to the lane's shard.  After
+ * every request the lane adds its shard into one published aggregate
+ * and clears it, so live scrapes and the drain document read the same
+ * counts.  Request latency and queue-wait distributions land in
  * `svc.request_ns` / `svc.queue_wait_ns` histograms; svc.* counters
- * are the engine's atomics, named once in kSvcTallies
- * (service/engine.hh) and overlaid on every stats document.
+ * are the engine's atomics (reader threads bump them too, and have no
+ * shard), named once in kSvcTallies (service/engine.hh) and overlaid
+ * on every stats document.
  *
  * Live telemetry (docs/OBSERVABILITY.md):
  *
@@ -197,9 +201,8 @@ class Daemon
     std::string healthDocument(const std::string &id);
     std::string traceDumpDocument(const std::string &id);
 
-    /** Counter telemetry for stats/exposition: the registry delta
-     * since daemon start (bracket-locked against concurrent pipeline
-     * flushes) overlaid with the live svc.* service tallies. */
+    /** Counter telemetry for stats/exposition: the lanes' published
+     * counts, named, overlaid with the live svc.* service tallies. */
     obs::CounterSet liveCounters();
 
     void snapshotLoop();
@@ -219,19 +222,19 @@ class Daemon
     std::vector<std::thread> readers_;
 
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
-    obs::CounterSet statsBefore_;
 
     // --- Live telemetry ---------------------------------------------
     obs::ServiceTraceLog traceLog_;
     std::atomic<std::uint64_t> traceSeq_{0};
     std::chrono::steady_clock::time_point startTime_{};
 
-    /** Guards the published histogram set: lanes record queue-wait /
-     * request latency here per request; control responses copy it.
-     * Two short-critical-section records per request — noise next to
-     * the scheduling work. */
+    /** Guards the published telemetry: lanes record queue-wait /
+     * request latency and add their counter shard here per request;
+     * control responses copy it.  Two short critical sections per
+     * request — noise next to the scheduling work. */
     std::mutex publishMu_;
     obs::HistogramSet publishedHists_;
+    obs::CounterShard publishedCounters_;
 
     std::thread snapshotThread_;
     std::mutex snapMu_;

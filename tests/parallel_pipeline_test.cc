@@ -4,12 +4,15 @@
  * that schedules, structural statistics, event counters, trace events,
  * and the serialized run document are byte-identical at every thread
  * count.  Covered for heap-eligible static rankings and for dynamic
- * rankings that keep the scan, with and without observability.
+ * rankings that keep the scan, with and without observability; and a
+ * run's own counters stay exact while other runs overlap it.
  */
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <sstream>
+#include <thread>
 
 #include "core/pipeline.hh"
 #include "machine/presets.hh"
@@ -212,6 +215,55 @@ TEST(ParallelPipeline, TraceEventsArriveInBlockOrder)
         ++lines;
     }
     EXPECT_EQ(lines, 40u * 4u); // build/heur/sched/verify per block
+}
+
+TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
+{
+    // Two concurrent callers, each with its own phase profiler (as
+    // the daemon's lanes install), run different programs over and
+    // over.  Each run's counters must equal that program's serial
+    // result: a run counts only its own work, never the other's.
+    auto program = [](const char *profile, int blocks) {
+        WorkloadProfile p = profileByName(profile);
+        p.numBlocks = blocks;
+        return generateProgram(p);
+    };
+    const Program programs[2] = {program("linpack", 200),
+                                 program("tomcatv", 60)};
+    PipelineOptions opts;
+    opts.threads = 2;
+
+    obs::setEnabled(true);
+    obs::CounterSet serial[2];
+    for (int i = 0; i < 2; ++i) {
+        Program prog = programs[i];
+        serial[i] = runPipeline(prog, sparcstation2(), opts).counters;
+    }
+    EXPECT_GT(serial[0].value("dag.arcs_added"), 0u);
+
+    for (int round = 0; round < 20; ++round) {
+        obs::CounterSet overlapped[2];
+        std::latch start(2);
+        auto lane = [&](int i) {
+            obs::PhaseProfiler profiler;
+            obs::ScopedProfiler scope(profiler);
+            Program prog = programs[i];
+            start.arrive_and_wait();
+            overlapped[i] =
+                runPipeline(prog, sparcstation2(), opts).counters;
+        };
+        std::thread a(lane, 0);
+        std::thread b(lane, 1);
+        a.join();
+        b.join();
+        for (int i = 0; i < 2; ++i)
+            EXPECT_TRUE(overlapped[i] == serial[i])
+                << "round " << round << ", program " << i
+                << ": dag.arcs_added "
+                << overlapped[i].value("dag.arcs_added") << " vs serial "
+                << serial[i].value("dag.arcs_added");
+    }
+    obs::setEnabled(false);
 }
 
 } // namespace

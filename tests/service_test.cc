@@ -18,6 +18,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -1280,4 +1282,64 @@ TEST(Daemon, PeriodicSnapshotsShareTheStatsSchema)
     // everything this test sent.
     EXPECT_EQ(lastAccepted, 1.0);
     ::unlink(config.snapshotPath.c_str());
+}
+
+TEST(Daemon, LiveStatsAtQuiesceMatchTheDrainDocument)
+{
+    // Lanes count outside the pipeline too (request parsing's
+    // robust.parse_* counters); a live scrape must see those counts as
+    // soon as the request is answered, not only at drain.
+    FaultGuard guard;
+    struct ObsOn
+    {
+        ObsOn() { obs::setEnabled(true); } // serve always observes
+        ~ObsOn() { obs::setEnabled(false); }
+    } obsOn;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("quiesce");
+    config.workers = 2;
+    config.queueCapacity = 8;
+    config.statsPath = "/tmp/sched91-test-quiesce-" +
+                       std::to_string(::getpid()) + ".json";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+
+    int fd = connectWithRetry(config.socketPath);
+    ASSERT_GE(fd, 0) << "daemon did not come up";
+    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q0\",\"source\":\"add %g1, %g2, "
+                            "%g3\\nfrobnicate %g1, %g2\\nld [%g3], "
+                            "%g4\\n\"}\n"));
+    std::vector<std::string> lines = readLines(fd, 1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(obs::parseJson(lines[0]).strOr("status", ""), "ok");
+
+    ASSERT_TRUE(sendAll(fd, "{\"type\":\"stats\",\"id\":\"s\"}\n"));
+    lines = readLines(fd, 1);
+    ASSERT_EQ(lines.size(), 1u);
+    const obs::JsonValue live = obs::parseJson(lines[0]);
+
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    ::close(fd);
+
+    std::ifstream in(config.statsPath);
+    ASSERT_TRUE(in.good()) << config.statsPath;
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const obs::JsonValue drained = obs::parseJson(text);
+    ::unlink(config.statsPath.c_str());
+
+    auto counters = [](const obs::JsonValue &doc) {
+        std::map<std::string, double> out;
+        for (const auto &[name, value] : doc.at("counters").object())
+            out[name] = value.number();
+        return out;
+    };
+    EXPECT_EQ(counters(drained).at("robust.parse_errors"), 1.0);
+    EXPECT_GT(counters(drained).at("dag.arcs_added"), 0.0);
+    EXPECT_EQ(counters(live), counters(drained));
 }

@@ -25,7 +25,10 @@
 # daemon is under fault-injected fire (exposition validated by
 # tools/check_exposition.py), and the crash cycle pulls a trace-dump
 # to assert a SIGKILLed worker's request still renders as one
-# connected span tree.
+# connected span tree.  A last cycle soaks with corrupted sources, so
+# lanes count parse errors outside the pipeline, and asserts that a
+# `stats` scrape taken once every request is answered carries exactly
+# the drain document's counters.
 #
 # Runs the whole matrix at two injection seeds.  Usage:
 #
@@ -285,6 +288,68 @@ EOF
     grep '^soak_client:' "$workdir/crash-soak-$tag.out"
 }
 
+# Live telemetry at quiesce: serve, soak corrupted sources, scrape
+# `stats` after the last answer, SIGINT; the scrape's counters must
+# equal the drain document's.
+run_quiesce_cycle() {
+    local sock=$workdir/quiesce.sock
+    local stats=$workdir/stats-quiesce.json
+    local scrape=$workdir/scrape-quiesce.json
+
+    "$cli" serve --socket "$sock" --queue-capacity 32 \
+        --stats-json "$stats" 2>"$workdir/quiesce.err" &
+    daemon_pid=$!
+
+    if ! wait_for_socket "$sock"; then
+        echo "FAIL: quiesce daemon never bound $sock" >&2
+        cat "$workdir/quiesce.err" >&2
+        fails=$((fails + 1))
+        kill "$daemon_pid" 2>/dev/null
+        wait "$daemon_pid" 2>/dev/null
+        daemon_pid=
+        return
+    fi
+
+    "$soak" --socket "$sock" --requests 48 --connections 4 \
+        --pipeline 4 --seed 7 --corrupt 0.05 \
+        >"$workdir/quiesce-soak.out"
+    check "corrupted-source soak contract" 0 $?
+
+    python3 - "$sock" "$scrape" <<'EOF'
+import socket, sys
+c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+c.settimeout(30)
+c.connect(sys.argv[1])
+f = c.makefile('rw')
+f.write('{"type":"stats","id":"quiesce"}\n')
+f.flush()
+open(sys.argv[2], 'w').write(f.readline())
+c.close()
+EOF
+    check "stats scrape at quiesce" 0 $?
+
+    kill -INT "$daemon_pid"
+    wait "$daemon_pid"
+    check "quiesce daemon drain on SIGINT" 0 $?
+    daemon_pid=
+
+    python3 - "$scrape" "$stats" <<'EOF'
+import json, sys
+live = json.load(open(sys.argv[1]))['counters']
+final = json.load(open(sys.argv[2]))['counters']
+assert final.get('robust.parse_errors', 0) > 0, \
+    'corrupted sources produced no parse errors'
+diff = {k: (live.get(k), final.get(k))
+        for k in sorted(set(live) | set(final))
+        if live.get(k) != final.get(k)}
+assert not diff, f"scrape at quiesce != drain document: {diff}"
+print(f"ok: scrape at quiesce equals the drain document "
+      f"({len(final)} counters, parse errors "
+      f"{final['robust.parse_errors']})")
+EOF
+    check "live counters equal drain counters" 0 $?
+}
+
 for seed in 42 1337; do
     run_cycle "$seed" "$seed"
 done
@@ -313,6 +378,8 @@ if ! diff <(grep '^soak_client:' "$workdir/crash-soak-42.out") \
 else
     echo "ok: isolated seed 42 tallies reproduce exactly"
 fi
+
+run_quiesce_cycle
 
 if [ "$fails" -ne 0 ]; then
     echo "daemon smoke: $fails failure(s)" >&2

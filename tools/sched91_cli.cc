@@ -795,10 +795,11 @@ cmdSchedule(const CliOptions &opts)
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
 
-        obs::CounterSet block_before;
+        obs::CounterShard block_before;
         obs::ScopedPhase block_timer("block");
         if (session.trace())
-            block_before = obs::CounterRegistry::global().snapshot();
+            block_before = obs::CounterShard::copyOf(
+                obs::CounterRegistry::global());
 
         // Per-block containment: a fault degrades this block to its
         // original instruction order and the run continues (--strict
@@ -839,8 +840,8 @@ cmdSchedule(const CliOptions &opts)
             ev.size = bb.size();
             ev.phase = "block";
             ev.seconds = block_timer.stop();
-            ev.counters = obs::CounterRegistry::global().deltaSince(
-                block_before);
+            ev.counters = block_timer.exitCounters().since(
+                block_before, /*peaks=*/false);
             session.trace()->event(ev);
         }
         if (result)
