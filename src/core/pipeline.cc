@@ -54,75 +54,20 @@ runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl)
         computeRegisterPressure(dag);
 }
 
-/**
- * Per-block trace emission: one event per phase carrying the worker
- * shard's change since the previous event, so a block's events tile
- * it.  Events reuse the phases' own exit snapshots; the first counts
- * from zero, because the shard was cleared as the block started.
- * Inactive (and cost-free beyond one branch) unless both a sink is
- * configured and the observability layer is on.
- */
-class BlockTracer
-{
-  public:
-    BlockTracer(obs::TraceSink *sink, std::size_t block,
-                const BasicBlock &bb, unsigned worker)
-        : sink_(obs::enabled() ? sink : nullptr), block_(block), bb_(bb),
-          worker_(worker)
-    {
-    }
-
-    void
-    phaseDone(const char *phase, const obs::ScopedPhase &timed)
-    {
-        fire(phase, timed.seconds(), timed.exitCounters());
-    }
-
-    void
-    degraded()
-    {
-        if (sink_)
-            fire("degrade", 0.0, obs::activeCounters());
-    }
-
-  private:
-    void
-    fire(const char *phase, double seconds, const obs::CounterShard &now)
-    {
-        if (!sink_)
-            return;
-        obs::TraceEvent ev;
-        ev.block = block_;
-        ev.begin = bb_.begin;
-        ev.size = bb_.size();
-        ev.phase = phase;
-        ev.seconds = seconds;
-        ev.worker = worker_;
-        ev.counters = now.since(last_, /*peaks=*/true);
-        sink_->event(ev);
-        last_ = now;
-    }
-
-    obs::TraceSink *sink_;
-    std::size_t block_;
-    const BasicBlock &bb_;
-    unsigned worker_;
-    obs::CounterShard last_; ///< the shard at the previous event
-};
-
 /** Everything one block produces, parked in its own slot until the
  * post-join reduction. */
 struct BlockOutput
 {
-    double buildSeconds = 0.0;
-    double heurSeconds = 0.0;
-    double schedSeconds = 0.0;
-    double verifySeconds = 0.0;
+    /** The block's phases; every per-phase output derives from it. */
+    obs::PhaseRecord phases;
+    unsigned worker = 0;          ///< lane that ran the block
+    std::uint64_t arenaBytes = 0; ///< arena in use as the block ended
+    /** The per-block shard after degrading; set only when tracing. */
+    obs::CounterShard degradeCounters;
     DagStructure dagStats;
     long long cyclesOriginal = 0;
     long long cyclesScheduled = 0;
     Schedule sched;
-    obs::BufferedTraceSink trace; ///< used only when tracing
 
     /** Decision log, only for the --explain-block target. */
     std::unique_ptr<DecisionTrace> decisions;
@@ -152,9 +97,6 @@ struct WorkerState
     /** Run-lifetime accumulation, merged into the run total post-join. */
     obs::CounterShard accum;
     obs::PhaseProfiler profiler;
-    /** Per-block latency/size distributions; merged post-join (bucket
-     * addition is associative, so lane assignment cannot show). */
-    obs::HistogramSet hists;
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
     /** Buffered log records, replayed post-join in block order. */
@@ -261,7 +203,8 @@ runPipeline(Program &prog, const MachineModel &machine,
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
         BlockOutput &out = outputs[b];
-        BlockTracer tracer(tracing ? &out.trace : nullptr, b, bb, w);
+        out.phases.keepCounters = tracing;
+        out.worker = w;
 
         // Ladder rung two (last resort): the block keeps its original
         // instruction order — trivially valid, zero claimed speedup.
@@ -303,7 +246,8 @@ runPipeline(Program &prog, const MachineModel &machine,
                 } catch (const std::exception &) {
                 }
             }
-            tracer.degraded();
+            if (tracing)
+                out.degradeCounters = obs::activeCounters();
         };
 
         // Effective per-block budget: the per-block cap, tightened by
@@ -332,10 +276,12 @@ runPipeline(Program &prog, const MachineModel &machine,
             }
         }
 
-        double spent = 0.0;
         auto checkBudget = [&](const char *stage) {
             if (budget <= 0.0)
                 return;
+            double spent = 0.0;
+            for (const obs::PhaseRecord::Entry &e : out.phases)
+                spent += e.seconds;
             if (spent > budget) {
                 obs::ev::robustBudgetExceeded.inc();
                 if (from_run_budget)
@@ -369,7 +315,6 @@ runPipeline(Program &prog, const MachineModel &machine,
         if (fault_on)
             fault_key = fault::fnv1a64(blockSourceText(block));
 
-        const char *stage = "build";
         try {
             // Graceful drain: a fired interrupt token degrades every
             // block that has not yet started (in-flight blocks
@@ -413,7 +358,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             // rungs exactly like a genuinely pathological block; the
             // throw points exercise the containment (or, under
             // --strict / the daemon ladder, propagation) paths.
-            obs::ScopedPhase build_phase("build");
+            obs::ScopedPhase build_phase(obs::Phase::Build, &out.phases);
             if (fault_on) {
                 // Signal-grade points first (docs/ROBUSTNESS.md):
                 // they take the whole process down — the failure mode
@@ -484,23 +429,17 @@ runPipeline(Program &prog, const MachineModel &machine,
                 }
             }
             Dag dag = use_builder->build(block, machine, build_opts);
-            out.buildSeconds = build_phase.stop();
-            tracer.phaseDone("build", build_phase);
+            build_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
                                 "build", {}, dag.size(), dag.numArcs());
-            spent += build_phase.seconds();
             checkBudget("build");
 
-            stage = "heur";
-            obs::ScopedPhase heur_phase("heur");
+            obs::ScopedPhase heur_phase(obs::Phase::Heur, &out.phases);
             runNeededPasses(dag, spec.config, opts.passImpl);
-            out.heurSeconds = heur_phase.stop();
-            tracer.phaseDone("heur", heur_phase);
+            heur_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
-            spent += heur_phase.seconds();
             checkBudget("heur");
 
-            stage = "sched";
             // --explain-block: record this block's full decision log
             // through the explicit winnowing selection path.
             DecisionStats decision_stats;
@@ -510,11 +449,10 @@ runPipeline(Program &prog, const MachineModel &machine,
                 decision_stats.recordLog = true;
                 stats_ptr = &decision_stats;
             }
-            obs::ScopedPhase sched_phase("sched");
+            obs::ScopedPhase sched_phase(obs::Phase::Sched, &out.phases);
             out.sched =
                 scheduler.run(dag, stats_ptr, token ? &*token : nullptr);
-            out.schedSeconds = sched_phase.stop();
-            tracer.phaseDone("sched", sched_phase);
+            sched_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
                                 "sched", {}, out.sched.order.size(),
                                 static_cast<std::uint64_t>(
@@ -535,11 +473,10 @@ runPipeline(Program &prog, const MachineModel &machine,
             }
 
             if (opts.verify) {
-                stage = "verify";
-                obs::ScopedPhase verify_phase("verify");
+                obs::ScopedPhase verify_phase(obs::Phase::Verify,
+                                              &out.phases);
                 VerifyResult vr = verifySchedule(dag, out.sched, machine);
-                out.verifySeconds = verify_phase.stop();
-                tracer.phaseDone("verify", verify_phase);
+                verify_phase.stop();
                 // An injected rejection takes the real rejection path
                 // end to end; it only substitutes the verdict.
                 bool inject_reject =
@@ -566,8 +503,8 @@ runPipeline(Program &prog, const MachineModel &machine,
             out.dagStats.accumulate(dag);
 
             if (opts.evaluate) {
-                stage = "evaluate";
-                obs::ScopedPhase eval_phase("evaluate");
+                obs::ScopedPhase eval_phase(obs::Phase::Evaluate,
+                                            &out.phases);
                 // Ground truth: a timing-complete DAG.  Table-built
                 // DAGs preserve every timing constraint (Section 2),
                 // so reuse the scheduler's DAG when it came from a
@@ -603,7 +540,6 @@ runPipeline(Program &prog, const MachineModel &machine,
                             .cycles;
                 }
                 eval_phase.stop();
-                tracer.phaseDone("evaluate", eval_phase);
                 obs::flight::record(
                     obs::flight::EventKind::PhaseEnd, "evaluate", {},
                     static_cast<std::uint64_t>(out.cyclesOriginal),
@@ -626,7 +562,12 @@ runPipeline(Program &prog, const MachineModel &machine,
         } catch (const std::exception &e) {
             if (!opts.containFaults)
                 throw;
-            degrade(stage, e.what());
+            // Charged to the last phase to start (one that throws
+            // writes its entry as it unwinds), else to build.
+            const obs::PhaseRecord &rec = out.phases;
+            const obs::Phase at = rec.size ? rec.entries[rec.size - 1].phase
+                                           : obs::Phase::Build;
+            degrade(obs::phaseNames(at).name, e.what());
         }
         // The block's DAGs die here — before the next beginBlock()
         // recycles the arena their arc lists live in.
@@ -685,21 +626,10 @@ runPipeline(Program &prog, const MachineModel &machine,
                     throw;
                 }
                 ws.blockShard.flushInto(ws.accum);
-                // Per-block distributions, while the block's arena
-                // allocations are still accounted (the arena resets
-                // at the next beginBlock).
-                const BlockOutput &out = outputs[b];
-                ws.hists.record("block.insts", blocks[b].size());
-                ws.hists.record("block.arena_bytes",
-                                ws.ctx.arena().bytesInUse());
-                ws.hists.record("lat.build_ns",
-                                obs::secondsToNs(out.buildSeconds));
-                ws.hists.record("lat.heur_ns",
-                                obs::secondsToNs(out.heurSeconds));
-                ws.hists.record("lat.sched_ns",
-                                obs::secondsToNs(out.schedSeconds));
-                ws.hists.record("lat.verify_ns",
-                                obs::secondsToNs(out.verifySeconds));
+                // While the block's arena allocations are still
+                // accounted (the arena resets at the next beginBlock).
+                BlockOutput &out = outputs[b];
+                out.arenaBytes = ws.ctx.arena().bytesInUse();
 
                 // Deterministic work score: what the outlier ranking
                 // and the CounterSnap flight event report.
@@ -716,10 +646,6 @@ runPipeline(Program &prog, const MachineModel &machine,
                     rec.size = blocks[b].size();
                     rec.dagNodes = out.dagStats.totalNodes;
                     rec.dagArcs = out.dagStats.totalArcs;
-                    rec.buildSeconds = out.buildSeconds;
-                    rec.heurSeconds = out.heurSeconds;
-                    rec.schedSeconds = out.schedSeconds;
-                    rec.verifySeconds = out.verifySeconds;
                     rec.counters = ws.blockShard;
                     rec.stage = out.fallback && !out.degraded
                                     ? "fallback"
@@ -766,15 +692,49 @@ runPipeline(Program &prog, const MachineModel &machine,
         }
     }
 
-    // Deterministic reduction: block order for per-block outputs...
+    // Deterministic reduction: block order for per-block outputs,
+    // every per-phase one read from the block's phase record...
     if (opts.schedules)
         opts.schedules->assign(blocks.size(), Schedule{});
     for (std::size_t b = 0; b < outputs.size(); ++b) {
         BlockOutput &out = outputs[b];
-        result.buildSeconds += out.buildSeconds;
-        result.heurSeconds += out.heurSeconds;
-        result.schedSeconds += out.schedSeconds;
-        result.verifySeconds += out.verifySeconds;
+        result.buildSeconds += out.phases.seconds(obs::Phase::Build);
+        result.heurSeconds += out.phases.seconds(obs::Phase::Heur);
+        result.schedSeconds += out.phases.seconds(obs::Phase::Sched);
+        result.verifySeconds += out.phases.seconds(obs::Phase::Verify);
+        if (obs_on) {
+            result.histograms.record("block.insts", blocks[b].size());
+            result.histograms.record("block.arena_bytes", out.arenaBytes);
+            for (const obs::PhaseRecord::Entry &e : out.phases)
+                if (const char *lat = obs::phaseNames(e.phase).latency)
+                    result.histograms.record(lat,
+                                             obs::secondsToNs(e.seconds));
+        }
+        if (tracing) {
+            // One event per entry, carrying the shard's change since
+            // the previous entry (the first counts from zero: the shard
+            // was cleared as the block started); a degraded block's
+            // `degrade` event carries what was counted after the last.
+            obs::TraceEvent ev;
+            ev.block = b;
+            ev.begin = blocks[b].begin;
+            ev.size = blocks[b].size();
+            ev.worker = out.worker;
+            const obs::CounterShard zero;
+            const obs::CounterShard *last = &zero;
+            auto fire = [&](const char *phase, double seconds,
+                            const obs::CounterShard &now) {
+                ev.phase = phase;
+                ev.seconds = seconds;
+                ev.counters = now.since(*last, /*peaks=*/true);
+                opts.trace->event(ev);
+                last = &now;
+            };
+            for (const obs::PhaseRecord::Entry &e : out.phases)
+                fire(obs::phaseNames(e.phase).name, e.seconds, e.counters);
+            if (out.degraded)
+                fire("degrade", 0.0, out.degradeCounters);
+        }
         result.dagStats.merge(out.dagStats);
         result.cyclesOriginal += out.cyclesOriginal;
         result.cyclesScheduled += out.cyclesScheduled;
@@ -782,8 +742,6 @@ runPipeline(Program &prog, const MachineModel &machine,
             (*opts.schedules)[b] = std::move(out.sched);
         if (out.decisions)
             result.decisions = std::move(*out.decisions);
-        if (tracing)
-            out.trace.replayInto(*opts.trace);
         if (out.fallback) {
             ++result.builderFallbacks;
             std::ostringstream os;
@@ -832,7 +790,6 @@ runPipeline(Program &prog, const MachineModel &machine,
         for (WorkerState &ws : workers) {
             ws.accum.flushInto(run_total);
             profiler.mergeFrom(ws.profiler);
-            result.histograms.merge(ws.hists);
         }
         // Deterministic memory gauges join the run's counters too.
         run_total.add(obs::ev::memArenaBytesAllocated.id(),
@@ -855,6 +812,8 @@ runPipeline(Program &prog, const MachineModel &machine,
             if (ws.outliers)
                 merged.merge(*ws.outliers);
         result.outliers = merged.byBlock();
+        for (obs::OutlierRecord &rec : result.outliers)
+            rec.phases = outputs[rec.block].phases;
     }
 
     // Replay buffered log records through the sink in block order —
@@ -910,22 +869,22 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
     if (token)
         build_opts.cancel = &*token;
 
-    obs::ScopedPhase build_phase("build");
+    obs::ScopedPhase build_phase(obs::Phase::Build);
     Dag dag = builder->build(block, machine, build_opts);
     build_phase.stop();
 
-    obs::ScopedPhase heur_phase("heur");
+    obs::ScopedPhase heur_phase(obs::Phase::Heur);
     runNeededPasses(dag, spec.config, opts.passImpl);
     heur_phase.stop();
 
     ListScheduler scheduler(spec.config, machine);
-    obs::ScopedPhase sched_phase("sched");
+    obs::ScopedPhase sched_phase(obs::Phase::Sched);
     Schedule sched =
         scheduler.run(dag, nullptr, token ? &*token : nullptr);
     sched_phase.stop();
 
     if (opts.verify) {
-        obs::ScopedPhase verify_phase("verify");
+        obs::ScopedPhase verify_phase(obs::Phase::Verify);
         VerifyResult vr = verifySchedule(dag, sched, machine);
         verify_phase.stop();
         if (!vr.ok()) {

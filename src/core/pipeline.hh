@@ -200,7 +200,8 @@ struct ProgramResult
     std::size_t numBlocks = 0;
     std::size_t numInsts = 0;
 
-    // Phase wall-clock times (summed over blocks).
+    // Phase wall-clock times, summed over the blocks' phase records
+    // (a phase that threw counts the time it ran).
     double buildSeconds = 0.0;
     double heurSeconds = 0.0;
     double schedSeconds = 0.0;
@@ -229,9 +230,9 @@ struct ProgramResult
     obs::CounterSet counters;
 
     /**
-     * Per-block distributions, merged from the per-worker shards:
-     * phase latencies (`lat.build_ns`, `lat.heur_ns`, `lat.sched_ns`,
-     * `lat.verify_ns`, nanoseconds per block) and sizes
+     * Per-block distributions: phase latencies (`lat.build_ns`,
+     * `lat.heur_ns`, `lat.sched_ns`, `lat.verify_ns`, nanoseconds, one
+     * sample per block per phase that started) and sizes
      * (`block.insts`, `block.arena_bytes`).  Empty unless the
      * observability layer was enabled for the run.
      */

@@ -8,12 +8,12 @@
  * Format reference: the "Trace Event Format" document (JSON Object
  * Format variant: `{"traceEvents": [...]}`).
  *
- * The pipeline delivers events post-join in block order (via
- * BufferedTraceSink replay), not in wall-clock order, so the sink
- * synthesizes timestamps: each lane carries a cumulative clock and an
- * event occupies [clock, clock + duration) on its lane.  The visual
- * result is a compact per-lane timeline of where the run's time went
- * — the paper's Tables 4/5 phase asymmetry, one box per phase.
+ * The pipeline derives events from each block's PhaseRecord and
+ * delivers them post-join in block order, not in wall-clock order, so
+ * the sink synthesizes timestamps: each lane carries a cumulative
+ * clock and an event occupies [clock, clock + duration) on its lane.
+ * The visual result is a compact per-lane timeline of where the run's
+ * time went — the paper's Tables 4/5 phase asymmetry, one box per phase.
  *
  * With zero_times the lane is forced to 0 and durations to 0 (lane
  * assignment and wall-clock both vary run to run), making the whole
@@ -55,8 +55,6 @@ class ChromeTraceSink final : public TraceSink
     /** Write the buffered document.  Idempotent; called by the
      * destructor if the owner did not. */
     void close();
-
-    std::size_t eventsBuffered() const { return events_.size(); }
 
   private:
     std::ostream *out_;

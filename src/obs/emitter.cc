@@ -125,12 +125,10 @@ writeOutlierBody(JsonWriter &w, const OutlierRecord &r,
         .key("nodes").value(r.dagNodes)
         .key("arcs").value(r.dagArcs)
         .endObject();
-    w.key("seconds").beginObject()
-        .key("build").value(zt * r.buildSeconds)
-        .key("heur").value(zt * r.heurSeconds)
-        .key("sched").value(zt * r.schedSeconds)
-        .key("verify").value(zt * r.verifySeconds)
-        .endObject();
+    w.key("seconds").beginObject();
+    for (Phase p : {Phase::Build, Phase::Heur, Phase::Sched, Phase::Verify})
+        w.key(phaseNames(p).name).value(zt * r.phases.seconds(p));
+    w.endObject();
     w.key("counters");
     writeCounterSet(w, r.counters.named());
     w.key("issue").beginObject()
@@ -290,14 +288,6 @@ programResultJson(const ProgramResult &result, const RunMeta &meta,
     }
 
     w.endObject();
-    return w.take();
-}
-
-std::string
-counterSetJson(const CounterSet &counters)
-{
-    JsonWriter w;
-    writeCounterSet(w, counters);
     return w.take();
 }
 

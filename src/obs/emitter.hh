@@ -55,9 +55,6 @@ std::string programResultJson(const ProgramResult &result,
                               const PhaseStats *phases = nullptr,
                               const EmitOptions &opts = {});
 
-/** Serialize one counter set as a flat JSON object. */
-std::string counterSetJson(const CounterSet &counters);
-
 /** Fixed-width text table of nonzero counters (for `--counters`). */
 std::string renderCounters(const CounterSet &counters);
 

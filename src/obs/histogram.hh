@@ -11,12 +11,11 @@
  *  - a Histogram is a fixed array of power-of-two buckets holding
  *    exact event counts — recording is a bit-width computation and
  *    one increment, no allocation, no locks;
- *  - per-worker HistogramSet shards record privately during the
- *    parallel region and merge post-join by bucket-count addition,
- *    which is associative and commutative, so the merged result is
- *    identical at every thread count (for value streams that are
- *    themselves deterministic, e.g. block sizes; latency streams get
- *    identical counts and run-dependent bucket placement);
+ *  - the pipeline records per-block samples after the join, in block
+ *    order; bucket counts add associatively and commutatively, so the
+ *    result is identical at every thread count (for value streams
+ *    that are themselves deterministic, e.g. block sizes; latency
+ *    streams get identical counts and run-dependent bucket placement);
  *  - percentiles are extracted from the bucket counts: p50/p90/p99
  *    report the inclusive upper bound of the bucket containing the
  *    rank (clamped to the observed maximum), p100 is the exact max.
@@ -137,8 +136,8 @@ class Histogram
 
 /**
  * Ordered name -> Histogram mapping, the histogram analogue of
- * CounterSet.  One per pipeline worker (a lock-free shard: only the
- * owning thread records); merged post-join in a fixed order.
+ * CounterSet.  Not synchronized: one owner records into it (a run's
+ * result after the join, the daemon's published set under its lock).
  *
  * Naming convention: histograms of wall-clock durations end in
  * `_ns` (values in nanoseconds) — the emitter uses the suffix to

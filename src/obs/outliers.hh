@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "obs/counters.hh"
+#include "obs/phase.hh"
 
 namespace sched91::obs
 {
@@ -44,11 +45,7 @@ struct OutlierRecord
     std::uint64_t dagNodes = 0;
     std::uint64_t dagArcs = 0;
 
-    double buildSeconds = 0.0;
-    double heurSeconds = 0.0;
-    double schedSeconds = 0.0;
-    double verifySeconds = 0.0;
-
+    PhaseRecord phases;    ///< The block's phases and their seconds.
     CounterShard counters; ///< The block's counts, by id.
 
     std::string stage;  ///< Issue stage, empty when the block was clean.

@@ -118,12 +118,11 @@ ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
     }
 }
 
-double
-ScopedPhase::seconds() const
+ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
+    : ScopedPhase(phaseNames(phase).name)
 {
-    if (stopped_)
-        return elapsed_;
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    record_ = record;
+    phase_ = phase;
 }
 
 double
@@ -131,7 +130,8 @@ ScopedPhase::stop()
 {
     if (stopped_)
         return elapsed_;
-    elapsed_ = seconds();
+    elapsed_ =
+        std::chrono::duration<double>(Clock::now() - start_).count();
     stopped_ = true;
     if (open_) {
         CounterShard now = activeCounters();
@@ -139,7 +139,25 @@ ScopedPhase::stop()
         snap_ = std::move(now);
         open_ = false;
     }
+    if (record_) {
+        SCHED91_ASSERT(record_->size < record_->entries.size(),
+                       "phase record is full");
+        PhaseRecord::Entry &e = record_->entries[record_->size++];
+        e.phase = phase_;
+        e.seconds = elapsed_;
+        if (record_->keepCounters)
+            e.counters = snap_;
+    }
     return elapsed_;
+}
+
+double
+PhaseRecord::seconds(Phase phase) const
+{
+    for (const Entry &e : *this)
+        if (e.phase == phase)
+            return e.seconds;
+    return 0.0;
 }
 
 } // namespace sched91::obs

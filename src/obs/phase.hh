@@ -2,7 +2,8 @@
  * @file
  * RAII phase profiler: a nestable tree of named phases (build ->
  * heur-fwd/heur-bwd -> sched -> evaluate) carrying elapsed seconds,
- * entry counts, and per-phase counter deltas.
+ * entry counts, and per-phase counter deltas; and the per-block
+ * PhaseRecord every other per-phase output derives from.
  *
  * ScopedPhase replaces the ad-hoc Timer plumbing of the pipeline:
  * it always measures wall-clock time (two steady-clock reads, the
@@ -12,7 +13,8 @@
  * snapshot per boundary — to attribute event deltas to phases.
  * Deltas are *inclusive*: a parent phase's counters include those of
  * its children.  Counter names are resolved only when the tree is
- * emitted.
+ * emitted.  A pipeline phase also writes its PhaseRecord entry as it
+ * stops, so the tree and the record agree, a phase that throws too.
  *
  * Phases record into the thread's *active* profiler: normally the
  * process-wide one, but the parallel pipeline installs a private
@@ -24,7 +26,9 @@
 #ifndef SCHED91_OBS_PHASE_HH
 #define SCHED91_OBS_PHASE_HH
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,6 +38,58 @@ namespace sched91::obs
 {
 
 class PhaseProfiler;
+
+/** The pipeline's per-block phases, in run order. */
+enum class Phase : std::uint8_t { Build, Heur, Sched, Verify, Evaluate };
+
+/** Indexed by Phase: its tree node and trace-event name, and its
+ * per-block latency histogram, which Evaluate lacks: it measures
+ * schedule quality, not a Tables 4/5 phase. */
+struct PhaseNames
+{
+    const char *name;
+    const char *latency;
+};
+
+inline constexpr PhaseNames kPhaseNames[] = {
+    {"build", "lat.build_ns"}, {"heur", "lat.heur_ns"},
+    {"sched", "lat.sched_ns"}, {"verify", "lat.verify_ns"},
+    {"evaluate", nullptr},
+};
+static_assert(std::size(kPhaseNames) == std::size_t(Phase::Evaluate) + 1);
+
+inline const PhaseNames &
+phaseNames(Phase phase)
+{
+    return kPhaseNames[static_cast<std::size_t>(phase)];
+}
+
+/**
+ * One block's pipeline phases: an entry per phase that started, in run
+ * order, written by ScopedPhase::stop() (from its destructor when the
+ * phase throws).  Run and outlier seconds, `lat.*` histograms, trace
+ * events and the block budget all read it.  A fixed array, so
+ * recording allocates nothing unless counters are kept.
+ */
+struct PhaseRecord
+{
+    struct Entry
+    {
+        Phase phase = Phase::Build;
+        double seconds = 0.0;
+        CounterShard counters; ///< per-block shard as it ended, if kept
+    };
+
+    std::array<Entry, std::size(kPhaseNames)> entries;
+    std::size_t size = 0;
+    bool keepCounters = false; ///< set when a trace sink will read them
+
+    const Entry *begin() const { return entries.data(); }
+    const Entry *end() const { return entries.data() + size; }
+
+    /** Seconds of @p phase; 0 when it did not start. */
+    double seconds(Phase phase) const;
+};
 
 namespace detail
 {
@@ -126,13 +182,14 @@ class ScopedPhase
     explicit ScopedPhase(const char *name,
                          PhaseProfiler &profiler = PhaseProfiler::active());
 
+    /** A pipeline phase; when @p record is set, stop() also writes
+     * the phase's entry there. */
+    explicit ScopedPhase(Phase phase, PhaseRecord *record = nullptr);
+
     ScopedPhase(const ScopedPhase &) = delete;
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
     ~ScopedPhase() { stop(); }
-
-    /** Elapsed seconds since construction (or until stop()). */
-    double seconds() const;
 
     /**
      * Close the phase early; returns elapsed seconds.  Idempotent —
@@ -155,6 +212,8 @@ class ScopedPhase
     bool peaks_ = false; ///< source is a per-block shard (see since())
     bool open_ = false;  ///< tree node pending an exit()
     bool stopped_ = false;
+    PhaseRecord *record_ = nullptr;
+    Phase phase_ = Phase::Build; ///< record_'s entry
 };
 
 } // namespace sched91::obs

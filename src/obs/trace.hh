@@ -4,11 +4,12 @@
  * them — one event per line, so a run over thousands of blocks streams
  * without buffering and the output is trivially greppable/parsable.
  *
- * The pipeline fires one TraceEvent per phase of every block it
- * schedules, carrying the counter deltas attributable to that phase —
- * the per-block resolution at which the paper discusses construction
- * cost growth (Tables 4/5).  Deltas travel by counter id; the JSONL
- * sink names them as it writes each line.
+ * The pipeline derives one TraceEvent per phase of every block it
+ * schedules from the block's PhaseRecord (obs/phase.hh), carrying the
+ * counter deltas attributable to that phase — the per-block resolution
+ * at which the paper discusses construction cost growth (Tables 4/5).
+ * Deltas travel by counter id; the JSONL sink names them as it writes
+ * each line.
  */
 
 #ifndef SCHED91_OBS_TRACE_HH
@@ -16,7 +17,6 @@
 
 #include <cstdint>
 #include <ostream>
-#include <vector>
 
 #include "obs/counters.hh"
 
@@ -70,32 +70,6 @@ class JsonlTraceSink final : public TraceSink
     std::ostream *out_;
     bool zeroTimes_;
     std::size_t events_ = 0;
-};
-
-/**
- * Accumulates events in memory for later in-order replay.  The
- * parallel pipeline gives every block its own buffer (phase events of
- * one block stay contiguous and ordered), then replays the buffers in
- * block order after the join — so the user-visible trace is identical
- * to a serial run's, no matter which worker traced which block.
- *
- * TraceEvent::phase is a pointer to a static string literal at every
- * call site, so buffering events does not dangle.
- */
-class BufferedTraceSink final : public TraceSink
-{
-  public:
-    void event(const TraceEvent &ev) override { events_.push_back(ev); }
-
-    void
-    replayInto(TraceSink &sink) const
-    {
-        for (const TraceEvent &ev : events_)
-            sink.event(ev);
-    }
-
-  private:
-    std::vector<TraceEvent> events_;
 };
 
 } // namespace sched91::obs

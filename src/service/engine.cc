@@ -101,16 +101,12 @@ recordPhaseSpans(const obs::RequestTrace *trace, int rung,
 {
     if (trace == nullptr || trace->log == nullptr)
         return;
-    const std::pair<const char *, std::uint64_t> phases[] = {
-        {"parse", spans.parseNs},   {"build", spans.buildNs},
-        {"heur", spans.heurNs},     {"sched", spans.schedNs},
-        {"verify", spans.verifyNs},
-    };
     std::uint64_t at = rungStartNs;
-    for (const auto &[name, durNs] : phases) {
+    for (const PhaseSpanField &f : kPhaseSpanFields) {
+        const std::uint64_t durNs = spans.*f.ns;
         if (durNs == 0)
             continue;
-        trace->span(name, rung, at, at + durNs, {}, worker);
+        trace->span(f.name, rung, at, at + durNs, {}, worker);
         at += durNs;
     }
 }

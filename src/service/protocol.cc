@@ -166,11 +166,8 @@ responseLine(const std::string &id, const ResponseBody &body)
         w.key("trace_id").value(body.traceId);
     if (body.spans.any()) {
         w.key("spans").beginObject();
-        w.key("parse_ns").value(body.spans.parseNs);
-        w.key("build_ns").value(body.spans.buildNs);
-        w.key("heur_ns").value(body.spans.heurNs);
-        w.key("sched_ns").value(body.spans.schedNs);
-        w.key("verify_ns").value(body.spans.verifyNs);
+        for (const PhaseSpanField &f : kPhaseSpanFields)
+            w.key(f.key).value(body.spans.*f.ns);
         w.endObject();
     }
     w.endObject();
@@ -195,15 +192,10 @@ phaseSpansFromResponse(const obs::JsonValue &response)
         if (!response.has("spans") || !response.at("spans").isObject())
             return spans;
         const obs::JsonValue &s = response.at("spans");
-        auto ns = [&s](const char *key) {
-            const double v = s.numberOr(key, 0.0);
-            return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
-        };
-        spans.parseNs = ns("parse_ns");
-        spans.buildNs = ns("build_ns");
-        spans.heurNs = ns("heur_ns");
-        spans.schedNs = ns("sched_ns");
-        spans.verifyNs = ns("verify_ns");
+        for (const PhaseSpanField &f : kPhaseSpanFields) {
+            const double v = s.numberOr(f.key, 0.0);
+            spans.*f.ns = v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
+        }
     } catch (const std::exception &) {
         // Malformed spans: they simply stay empty.
     }

@@ -127,6 +127,24 @@ struct PhaseSpans
     }
 };
 
+/** One field of PhaseSpans: its span name, its key in the "spans"
+ * object and its member.  The encoder, the decoder and the span
+ * stitcher all iterate kPhaseSpanFields. */
+struct PhaseSpanField
+{
+    const char *name;
+    const char *key;
+    std::uint64_t PhaseSpans::*ns;
+};
+
+inline constexpr PhaseSpanField kPhaseSpanFields[] = {
+    {"parse", "parse_ns", &PhaseSpans::parseNs},
+    {"build", "build_ns", &PhaseSpans::buildNs},
+    {"heur", "heur_ns", &PhaseSpans::heurNs},
+    {"sched", "sched_ns", &PhaseSpans::schedNs},
+    {"verify", "verify_ns", &PhaseSpans::verifyNs},
+};
+
 /** Extract the "spans" object from a response line; all-zero spans
  * when absent or unparseable (old workers, error lines). */
 PhaseSpans phaseSpansFromResponse(const std::string &line);

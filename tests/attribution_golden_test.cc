@@ -9,7 +9,8 @@
  * trace event (a fallback lands in the `build` event but not in the
  * `build` phase; an injected rejection in `degrade`), each Max gauge,
  * and the order names are written in.  Both must match the committed
- * golden byte for byte at one lane and at four.
+ * golden byte for byte at one lane and at four, and so must the same
+ * run's Chrome trace, which fixes the events' order and phases.
  *
  * Regenerate only for an intended attribution change:
  *
@@ -18,6 +19,10 @@
  *       --zero-times --threads 1 \
  *       --stats-json tests/golden/profile-tomcatv-attribution.json \
  *       --trace tests/golden/profile-tomcatv-attribution.jsonl
+ *
+ * and, for the Chrome trace, the same profile flags with
+ * `--trace-format chrome --trace
+ * tests/golden/profile-tomcatv-attribution.chrome.json`.
  */
 
 #include <gtest/gtest.h>
@@ -90,5 +95,22 @@ expectGoldenAt(unsigned threads)
 TEST(AttributionGolden, OneLaneMatchesByteForByte) { expectGoldenAt(1); }
 
 TEST(AttributionGolden, FourLanesMatchByteForByte) { expectGoldenAt(4); }
+
+TEST(AttributionGolden, ChromeTraceMatchesAtOneAndFourLanes)
+{
+    for (unsigned threads : {1u, 4u}) {
+        const std::string trace = "/tmp/sched91-golden-" +
+                                  std::to_string(::getpid()) + "-" +
+                                  std::to_string(threads) + ".chrome.json";
+        const std::string cmd = std::string(SCHED91_CLI_PATH) + kProfile +
+                                " --threads " + std::to_string(threads) +
+                                " --trace-format chrome --trace " + trace +
+                                " > /dev/null 2>&1";
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        expectGolden(slurp(trace),
+                     "profile-tomcatv-attribution.chrome.json");
+        std::remove(trace.c_str());
+    }
+}
 
 } // namespace

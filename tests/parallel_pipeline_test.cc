@@ -4,21 +4,25 @@
  * that schedules, structural statistics, event counters, trace events,
  * and the serialized run document are byte-identical at every thread
  * count.  Covered for heap-eligible static rankings and for dynamic
- * rankings that keep the scan, with and without observability; and a
- * run's own counters stay exact while other runs overlap it.
+ * rankings that keep the scan, with and without observability; a
+ * run's own counters stay exact while other runs overlap it; and
+ * every per-phase output agrees with the phase tree.
  */
 
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "core/pipeline.hh"
 #include "machine/presets.hh"
 #include "obs/emitter.hh"
+#include "obs/json_parse.hh"
 #include "obs/phase.hh"
 #include "obs/trace.hh"
+#include "support/fault_inject.hh"
 #include "workload/generator.hh"
 
 namespace sched91
@@ -264,6 +268,109 @@ TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
                 << serial[i].value("dag.arcs_added");
     }
     obs::setEnabled(false);
+}
+
+/** One phase's trace events in a run. */
+struct PhaseTally
+{
+    std::uint64_t events = 0;
+    std::uint64_t faults = 0; ///< their `fault.injected` counts
+};
+
+/**
+ * Run the Table 3 tomcatv profile (112 blocks) traced, evaluated and
+ * observed at @p threads, and require every phase's outputs to agree:
+ * phase-tree entries == trace events == `lat.<phase>_ns` samples.  At
+ * one lane the result's seconds must also equal the tree's.  Returns
+ * the trace events by phase.
+ */
+std::map<std::string, PhaseTally>
+expectPhaseOutputsAgree(unsigned threads, PipelineOptions opts)
+{
+    Program prog = cachedProgram("tomcatv");
+    std::ostringstream trace_out;
+    obs::JsonlTraceSink sink(trace_out, /*zero_times=*/true);
+    opts.threads = threads;
+    opts.evaluate = true;
+    opts.trace = &sink;
+
+    obs::PhaseProfiler profiler;
+    obs::ScopedProfiler scope(profiler);
+    obs::setEnabled(true);
+    const ProgramResult r = runPipeline(prog, sparcstation2(), opts);
+    obs::setEnabled(false);
+    EXPECT_EQ(r.numBlocks, 112u);
+
+    std::map<std::string, PhaseTally> events;
+    std::istringstream in(trace_out.str());
+    for (std::string line; std::getline(in, line);) {
+        const obs::JsonValue ev = obs::parseJson(line);
+        PhaseTally &t = events[ev.at("phase").str()];
+        ++t.events;
+        t.faults += static_cast<std::uint64_t>(
+            ev.at("counters").numberOr("fault.injected", 0.0));
+    }
+
+    const std::pair<const char *, const char *> phases[] = {
+        {"build", "lat.build_ns"}, {"heur", "lat.heur_ns"},
+        {"sched", "lat.sched_ns"}, {"verify", "lat.verify_ns"},
+        {"evaluate", nullptr},
+    };
+    for (const auto &[name, latency] : phases) {
+        const obs::PhaseStats *node = profiler.root().child(name);
+        const std::uint64_t entries = node ? node->entries : 0;
+        EXPECT_EQ(events[name].events, entries)
+            << name << " trace events vs tree, " << threads << " lanes";
+        if (latency) {
+            const obs::Histogram *h = r.histograms.find(latency);
+            EXPECT_EQ(h ? h->count() : 0, entries)
+                << latency << " vs tree, " << threads << " lanes";
+        }
+    }
+    if (threads == 1) {
+        auto treeSeconds = [&profiler](const char *name) {
+            const obs::PhaseStats *node = profiler.root().child(name);
+            return node ? node->seconds : 0.0;
+        };
+        EXPECT_EQ(r.buildSeconds, treeSeconds("build"));
+        EXPECT_EQ(r.heurSeconds, treeSeconds("heur"));
+        EXPECT_EQ(r.schedSeconds, treeSeconds("sched"));
+        EXPECT_EQ(r.verifySeconds, treeSeconds("verify"));
+    }
+    return events;
+}
+
+TEST(ParallelPipeline, PhaseOutputsAgreeWhenBuildThrows)
+{
+    // 34 blocks throw inside build: each still has its build event,
+    // which carries the injected fault, then a degrade event, and no
+    // later phase.
+    PipelineOptions opts;
+    opts.builder = BuilderKind::N2Forward;
+    opts.maxBlockInsts = 40;
+    fault::configure(fault::parseSpec("seed=3,builder-throw=0.3"));
+    for (unsigned threads : {1u, 4u}) {
+        std::map<std::string, PhaseTally> events =
+            expectPhaseOutputsAgree(threads, opts);
+        EXPECT_EQ(events["build"].events, 112u) << threads << " lanes";
+        EXPECT_EQ(events["build"].faults, 34u) << threads << " lanes";
+        EXPECT_EQ(events["heur"].events, 78u) << threads << " lanes";
+        EXPECT_EQ(events["degrade"].events, 34u) << threads << " lanes";
+        EXPECT_EQ(events["degrade"].faults, 0u) << threads << " lanes";
+    }
+    fault::reset();
+}
+
+TEST(ParallelPipeline, PhaseOutputsAgreeWithVerifyOff)
+{
+    PipelineOptions opts;
+    opts.verify = false;
+    for (unsigned threads : {1u, 4u}) {
+        std::map<std::string, PhaseTally> events =
+            expectPhaseOutputsAgree(threads, opts);
+        EXPECT_EQ(events["sched"].events, 112u) << threads << " lanes";
+        EXPECT_EQ(events["verify"].events, 0u) << threads << " lanes";
+    }
 }
 
 } // namespace

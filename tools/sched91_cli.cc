@@ -1298,7 +1298,6 @@ cmdServe(const CliOptions &opts)
     // counter deltas in the final stats document are part of the
     // drain contract, not an opt-in.
     obs::setEnabled(true);
-    obs::PhaseProfiler::global().clear();
 
     if (opts.snapshotSeconds > 0.0 && opts.snapshotJson.empty())
         fatal("serve: --snapshot-seconds needs --snapshot-json");
