@@ -39,16 +39,6 @@ scheduleOrder(const BlockView &block, const MachineModel &machine,
     return scheduleBlock(block, machine, opts).sched.order;
 }
 
-/** Is this builder in the compare-against-all family (the one the
- * F1/F2 window ladder applies to)? */
-bool
-n2Family(BuilderKind kind)
-{
-    return kind == BuilderKind::N2Forward ||
-           kind == BuilderKind::N2Backward ||
-           kind == BuilderKind::N2Landskov;
-}
-
 } // namespace
 
 BackendResult
@@ -68,9 +58,7 @@ compileProgram(Program &prog, const MachineModel &machine,
         [&](const BlockView &block, std::size_t b, AlgorithmKind algo,
             const char *stage) -> std::vector<std::uint32_t> {
         BuilderKind builder = opts.builder;
-        if (opts.maxBlockInsts > 0 && n2Family(builder) &&
-            block.size() >
-                static_cast<std::size_t>(opts.maxBlockInsts)) {
+        if (fallsBackToTable(builder, block.size(), opts.maxBlockInsts)) {
             builder = BuilderKind::TableForward;
             ++result.builderFallbacks;
             obs::ev::robustBuilderFallbacks.inc();

@@ -105,6 +105,21 @@ struct WorkerState
     std::unique_ptr<obs::OutlierTracker> outliers;
 };
 
+/**
+ * The timing-complete ground truth a block's cycles are simulated on:
+ * a table-fwd DAG with every transitive arc, built without reach maps
+ * and never under a (possibly fired) block token.
+ */
+Dag
+buildGroundTruth(const BlockView &block, const MachineModel &machine,
+                 BuildOptions opts)
+{
+    opts.preventTransitive = false;
+    opts.maintainReachMaps = false;
+    opts.cancel = nullptr;
+    return TableForwardBuilder().build(block, machine, opts);
+}
+
 /** Lines of @p block's instructions, for a forensic bundle. */
 std::string
 blockSourceText(const BlockView &block)
@@ -119,6 +134,25 @@ blockSourceText(const BlockView &block)
 
 } // namespace
 
+bool
+fallsBackToTable(BuilderKind builder, std::size_t insts, int maxBlockInsts)
+{
+    const bool n2 = builder == BuilderKind::N2Forward ||
+                    builder == BuilderKind::N2Backward ||
+                    builder == BuilderKind::N2Landskov;
+    return n2 && maxBlockInsts > 0 &&
+           insts > static_cast<std::size_t>(maxBlockInsts);
+}
+
+ProgramResult::BlockIssue
+fallbackIssue(std::size_t block, std::size_t insts, int maxBlockInsts)
+{
+    std::ostringstream os;
+    os << insts << " insts over --max-block-insts " << maxBlockInsts
+       << ": n**2 builder fell back to table building";
+    return ProgramResult::BlockIssue{block, "fallback", os.str(), false};
+}
+
 ProgramResult
 runPipeline(Program &prog, const MachineModel &machine,
             const PipelineOptions &opts)
@@ -126,18 +160,8 @@ runPipeline(Program &prog, const MachineModel &machine,
     std::vector<BasicBlock> blocks = partitionBlocks(prog, opts.partition);
     AlgorithmSpec spec = algorithmSpec(opts.algorithm);
     std::unique_ptr<DagBuilder> builder = makeBuilder(opts.builder);
+    const TableForwardBuilder table_builder;
     ListScheduler scheduler(spec.config, machine);
-
-    // F1/F2 degradation ladder, rung one: an n**2 builder facing a
-    // block beyond the paper's practical window switches to table
-    // building (which handled fpppp's 11750-instruction block) before
-    // any thought of giving up on scheduling entirely.
-    const bool n2_family = opts.builder == BuilderKind::N2Forward ||
-                           opts.builder == BuilderKind::N2Backward ||
-                           opts.builder == BuilderKind::N2Landskov;
-    std::unique_ptr<DagBuilder> fallback_builder;
-    if (opts.maxBlockInsts > 0 && n2_family)
-        fallback_builder = makeBuilder(BuilderKind::TableForward);
 
     ProgramResult result;
     result.numBlocks = blocks.size();
@@ -230,13 +254,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // ground-truth DAG, so failure here just leaves the
                 // cycle counts at zero.
                 try {
-                    BuildOptions gt_opts = opts.build;
-                    gt_opts.preventTransitive = false;
-                    gt_opts.maintainReachMaps = false;
-                    // Never under the (possibly fired) block token.
-                    gt_opts.cancel = nullptr;
-                    Dag gt = TableForwardBuilder().build(block, machine,
-                                                         gt_opts);
+                    Dag gt = buildGroundTruth(block, machine, opts.build);
                     out.cyclesOriginal =
                         simulateSchedule(gt,
                                          originalOrderSchedule(gt).order,
@@ -339,14 +357,17 @@ runPipeline(Program &prog, const MachineModel &machine,
                 throw BlockAbort{"budget", os.str()};
             }
 
-            DagBuilder *use_builder = builder.get();
-            if (fallback_builder != nullptr &&
-                bb.size() >
-                    static_cast<std::size_t>(opts.maxBlockInsts)) {
-                use_builder = fallback_builder.get();
-                out.fallback = true;
+            // F1/F2 degradation ladder, rung one: an n**2 builder
+            // facing a block beyond the paper's practical window
+            // switches to table building (which handled fpppp's
+            // 11750-instruction block) before any thought of giving
+            // up on scheduling entirely.
+            out.fallback = fallsBackToTable(opts.builder, bb.size(),
+                                            opts.maxBlockInsts);
+            if (out.fallback)
                 obs::ev::robustBuilderFallbacks.inc();
-            }
+            const DagBuilder *use_builder =
+                out.fallback ? &table_builder : builder.get();
 
             BuildOptions build_opts = opts.build;
             if (token)
@@ -441,7 +462,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             checkBudget("heur");
 
             // --explain-block: record this block's full decision log
-            // through the explicit winnowing selection path.
+            // as the winnowing pass picks.
             DecisionStats decision_stats;
             DecisionStats *stats_ptr = nullptr;
             if (opts.explainBlock >= 0 &&
@@ -525,11 +546,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                         simulateSchedule(dag, out.sched.order, machine)
                             .cycles;
                 } else {
-                    BuildOptions gt_opts = opts.build;
-                    gt_opts.preventTransitive = false;
-                    gt_opts.maintainReachMaps = false;
-                    Dag gt = TableForwardBuilder().build(block, machine,
-                                                         gt_opts);
+                    Dag gt = buildGroundTruth(block, machine, opts.build);
                     out.cyclesOriginal =
                         simulateSchedule(gt,
                                          originalOrderSchedule(gt).order,
@@ -744,13 +761,8 @@ runPipeline(Program &prog, const MachineModel &machine,
             result.decisions = std::move(*out.decisions);
         if (out.fallback) {
             ++result.builderFallbacks;
-            std::ostringstream os;
-            os << blocks[b].size() << " insts over --max-block-insts "
-               << opts.maxBlockInsts
-               << ": n**2 builder fell back to table building";
             result.blockIssues.push_back(
-                ProgramResult::BlockIssue{b, "fallback", os.str(),
-                                          false});
+                fallbackIssue(b, blocks[b].size(), opts.maxBlockInsts));
         }
         if (out.verifyRejected)
             ++result.verifierRejections;
@@ -852,7 +864,12 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
               const PipelineOptions &opts)
 {
     AlgorithmSpec spec = algorithmSpec(opts.algorithm);
-    std::unique_ptr<DagBuilder> builder = makeBuilder(opts.builder);
+    const bool fallback =
+        fallsBackToTable(opts.builder, block.size(), opts.maxBlockInsts);
+    if (fallback)
+        obs::ev::robustBuilderFallbacks.inc();
+    std::unique_ptr<DagBuilder> builder =
+        makeBuilder(fallback ? BuilderKind::TableForward : opts.builder);
 
     // Same mid-loop budget enforcement as runPipeline, but the
     // CancelledError propagates: single-block callers own their
@@ -893,7 +910,7 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
         }
     }
 
-    return BlockScheduleResult{std::move(dag), std::move(sched)};
+    return BlockScheduleResult{std::move(dag), std::move(sched), fallback};
 }
 
 } // namespace sched91

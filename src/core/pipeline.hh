@@ -120,7 +120,7 @@ struct PipelineOptions
      * window; F2 shows table building handling an 11750-instruction
      * block with no window).  Counted in `robust.builder_fallbacks`,
      * *not* as a degraded block.  0 disables; no effect on table
-     * builders.
+     * builders.  scheduleBlock honors it too (fallsBackToTable).
      */
     int maxBlockInsts = 0;
 
@@ -187,9 +187,10 @@ struct PipelineOptions
 
     /**
      * Record the full per-pick decision log for this block id and
-     * fill ProgramResult::decisions.  Forces the explicit winnowing
-     * selection path for that block (same schedule, slightly
-     * different heuristic-evaluation counts).  -1 disables.
+     * fill ProgramResult::decisions.  The log observes the
+     * scheduler's own winnowing pass, so the schedule is the same; a
+     * static ranking moves off the heap for that block, which changes
+     * its heuristic-evaluation count.  -1 disables.
      */
     int explainBlock = -1;
 };
@@ -281,6 +282,20 @@ struct ProgramResult
 };
 
 /**
+ * Rung one of the F1/F2 degradation ladder (PipelineOptions::
+ * maxBlockInsts): whether a block of @p insts instructions falls back
+ * from @p builder to table building.  It does when @p builder is an
+ * n**2 builder and @p maxBlockInsts is positive and exceeded.
+ */
+bool fallsBackToTable(BuilderKind builder, std::size_t insts,
+                      int maxBlockInsts);
+
+/** The issue that records rung one firing on block @p block. */
+ProgramResult::BlockIssue fallbackIssue(std::size_t block,
+                                        std::size_t insts,
+                                        int maxBlockInsts);
+
+/**
  * Run the full pipeline over @p prog.  The program is mutated only by
  * memory-generation stamping (idempotent).
  */
@@ -292,11 +307,16 @@ struct BlockScheduleResult
 {
     Dag dag;
     Schedule sched;
+    /** Rung one fired: the DAG came from table building, not the
+     * requested n**2 builder (counted in `robust.builder_fallbacks`). */
+    bool builderFallback = false;
 };
 
 /**
  * Convenience single-block entry point: build, annotate with the
- * passes the algorithm needs, schedule.  When PipelineOptions::verify
+ * passes the algorithm needs, schedule.  An n**2 builder facing a
+ * block over PipelineOptions::maxBlockInsts falls back to table
+ * building, as in runPipeline.  When PipelineOptions::verify
  * is set (the default) the schedule is re-checked against the DAG and
  * a rejection throws PanicError — single-block callers own their
  * fallback policy (the CLI degrades to original order per block).

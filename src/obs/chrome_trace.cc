@@ -10,6 +10,62 @@
 namespace sched91::obs
 {
 
+namespace
+{
+
+/**
+ * One Trace Event Format document: the `{"displayTimeUnit": "ms",
+ * "traceEvents": [...]}` envelope and the fields every `ph:"X"`
+ * complete event shares, written once for both trace writers.  Each
+ * caller fills its events' `args`.  Under zero times every timestamp,
+ * duration and lane is written as 0.
+ */
+class ChromeDocument
+{
+  public:
+    explicit ChromeDocument(bool zeroTimes) : zeroTimes_(zeroTimes)
+    {
+        w_.beginObject();
+        w_.key("displayTimeUnit").value("ms");
+        w_.key("traceEvents").beginArray();
+    }
+
+    /** One complete event on lane @p tid of the one process; @p args
+     * writes the members of its `args` object. */
+    template <class Args>
+    void
+    event(std::string_view name, const char *cat, double ts, double dur,
+          unsigned tid, Args &&args)
+    {
+        w_.beginObject()
+            .key("name").value(name)
+            .key("cat").value(cat)
+            .key("ph").value("X")
+            .key("ts").value(zeroTimes_ ? 0.0 : ts)
+            .key("dur").value(zeroTimes_ ? 0.0 : dur)
+            .key("pid").value(std::uint64_t{0})
+            .key("tid")
+            .value(static_cast<std::uint64_t>(zeroTimes_ ? 0 : tid));
+        w_.key("args").beginObject();
+        args(w_);
+        w_.endObject().endObject();
+    }
+
+    /** Close the envelope and return the document. */
+    std::string
+    take()
+    {
+        w_.endArray().endObject();
+        return w_.take();
+    }
+
+  private:
+    bool zeroTimes_;
+    JsonWriter w_;
+};
+
+} // namespace
+
 void
 ChromeTraceSink::event(const TraceEvent &ev)
 {
@@ -23,36 +79,24 @@ ChromeTraceSink::close()
         return;
     closed_ = true;
 
-    JsonWriter w;
-    w.beginObject();
-    w.key("displayTimeUnit").value("ms");
-    w.key("traceEvents").beginArray();
+    ChromeDocument doc(zeroTimes_);
     // Synthetic per-lane clocks in microseconds: events arrive in
     // block order, so stacking them end to end per lane reconstructs
     // each lane's share of the run.
     std::map<unsigned, double> clocks;
     for (const TraceEvent &ev : events_) {
-        const unsigned tid = zeroTimes_ ? 0 : ev.worker;
-        const double dur = zeroTimes_ ? 0.0 : ev.seconds * 1e6;
-        double &clock = clocks[tid];
-        w.beginObject()
-            .key("name").value(ev.phase)
-            .key("cat").value("block")
-            .key("ph").value("X")
-            .key("ts").value(clock)
-            .key("dur").value(dur)
-            .key("pid").value(std::uint64_t{0})
-            .key("tid").value(static_cast<std::uint64_t>(tid));
-        w.key("args").beginObject()
-            .key("block").value(static_cast<std::uint64_t>(ev.block))
-            .key("begin").value(ev.begin)
-            .key("insts").value(ev.size)
-            .endObject();
-        w.endObject();
+        const double dur = ev.seconds * 1e6;
+        double &clock = clocks[ev.worker];
+        doc.event(ev.phase, "block", clock, dur, ev.worker,
+                  [&](JsonWriter &w) {
+                      w.key("block")
+                          .value(static_cast<std::uint64_t>(ev.block))
+                          .key("begin").value(ev.begin)
+                          .key("insts").value(ev.size);
+                  });
         clock += dur;
     }
-    w.endArray().endObject();
-    *out_ << w.take() << '\n';
+    *out_ << doc.take() << '\n';
 }
 
 // --- Service span log ------------------------------------------------
@@ -98,37 +142,21 @@ ServiceTraceLog::chromeJson(bool zeroTimes) const
                    std::tie(b.traceId, b.startNs, b.worker);
         });
 
-    JsonWriter w;
-    w.beginObject();
-    w.key("displayTimeUnit").value("ms");
-    w.key("traceEvents").beginArray();
+    ChromeDocument doc(zeroTimes);
     for (const ServiceSpan &s : spans) {
-        const double ts =
-            zeroTimes ? 0.0 : static_cast<double>(s.startNs) / 1e3;
-        const double dur =
-            zeroTimes ? 0.0 : static_cast<double>(s.durNs) / 1e3;
-        w.beginObject()
-            .key("name").value(s.name)
-            .key("cat").value("svc")
-            .key("ph").value("X")
-            .key("ts").value(ts)
-            .key("dur").value(dur)
-            .key("pid").value(std::uint64_t{0})
-            .key("tid").value(
-                static_cast<std::uint64_t>(zeroTimes ? 0 : s.lane));
-        w.key("args").beginObject();
-        w.key("trace_id").value(s.traceId);
-        if (s.rung >= 0)
-            w.key("rung").value(s.rung);
-        if (!s.note.empty())
-            w.key("note").value(s.note);
-        if (s.worker)
-            w.key("worker").value(true);
-        w.endObject();
-        w.endObject();
+        doc.event(s.name, "svc", static_cast<double>(s.startNs) / 1e3,
+                  static_cast<double>(s.durNs) / 1e3, s.lane,
+                  [&](JsonWriter &w) {
+                      w.key("trace_id").value(s.traceId);
+                      if (s.rung >= 0)
+                          w.key("rung").value(s.rung);
+                      if (!s.note.empty())
+                          w.key("note").value(s.note);
+                      if (s.worker)
+                          w.key("worker").value(true);
+                  });
     }
-    w.endArray().endObject();
-    return w.take();
+    return doc.take();
 }
 
 std::uint64_t

@@ -1,6 +1,7 @@
 #include "sched/list_scheduler.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "heuristics/dynamic.hh"
 #include "machine/function_unit.hh"
@@ -15,31 +16,6 @@ namespace sched91
 
 namespace
 {
-
-/**
- * Heuristics whose value depends on scheduling state (Table 1's 'v'
- * work or the evaluation context): these must be re-evaluated at every
- * pick, so a ranking containing one cannot precompute heap keys.
- * Everything else falls through evaluate()'s default case to
- * staticValue()/staticValueMax(), fixed once the heuristic passes ran.
- */
-bool
-isDynamicHeuristic(Heuristic h)
-{
-    switch (h) {
-      case Heuristic::InterlockWithPrevious:
-      case Heuristic::EarliestExecutionTime:
-      case Heuristic::FpuBusyTimes:
-      case Heuristic::AlternateType:
-      case Heuristic::NumSingleParentChildren:
-      case Heuristic::SumDelaysToSingleParentChildren:
-      case Heuristic::NumUncoveredChildren:
-      case Heuristic::BirthingInstruction:
-        return true;
-      default:
-        return false;
-    }
-}
 
 /** Mutable evaluation context for the dynamic ("v") heuristics. */
 struct EvalContext
@@ -88,110 +64,101 @@ evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
 }
 
 /**
- * True when candidate @p a beats candidate @p b under the ranked
- * chain; ties fall through to original order (@p forward selects which
- * end of the block "earlier" means).
- */
-bool
-better(const Dag &dag, std::uint32_t a, std::uint32_t b,
-       const SchedulerConfig &config, const EvalContext &ctx,
-       const MachineModel &machine)
-{
-    for (const RankedHeuristic &rh : config.ranking) {
-        long long va = evaluate(dag, a, rh, ctx, machine);
-        long long vb = evaluate(dag, b, rh, ctx, machine);
-        if (va != vb)
-            return rh.preferLarger ? va > vb : va < vb;
-    }
-    return config.forward ? a < b : a > b;
-}
-
-/**
- * Pick the best candidate.  The default path is a linear lexicographic
- * scan; when @p stats is requested the pick runs as an explicit
- * winnowing pass (paper Section 5: "apply heuristics in a given order
- * in a winnowing-like process") recording the deciding rank.  Both
- * paths select the same winner.
+ * Pick the best candidate by winnowing (paper Section 5: "apply
+ * heuristics in a given order in a winnowing-like process"): at each
+ * rank, evaluate every surviving candidate once and keep those with
+ * the best value, stop at one survivor, and break a tie that survives
+ * every rank by original order (@p config.forward selects which end
+ * of the block "earlier" means).  @p alive is the caller's survivor
+ * buffer, so a pick allocates nothing.  @p stats, when set, records
+ * what the pass decided.
  */
 std::size_t
 selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
-           const SchedulerConfig &config, const EvalContext &ctx,
-           const MachineModel &machine, DecisionStats *stats)
+           std::vector<std::uint32_t> &alive, const SchedulerConfig &config,
+           const EvalContext &ctx, const MachineModel &machine,
+           DecisionStats *stats)
 {
     SCHED91_ASSERT(!candidates.empty());
-    if (!stats) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < candidates.size(); ++i)
-            if (better(dag, candidates[i], candidates[best], config, ctx,
-                       machine)) {
-                best = i;
+    alive.resize(candidates.size());
+    std::iota(alive.begin(), alive.end(), std::uint32_t{0});
+    std::int32_t decided = alive.size() == 1
+                               ? DecisionStats::kDecidedTrivial
+                               : DecisionStats::kDecidedOriginalOrder;
+
+    for (std::size_t r = 0; r < config.ranking.size() && alive.size() > 1;
+         ++r) {
+        const RankedHeuristic &rh = config.ranking[r];
+        long long best_value = 0;
+        std::size_t kept = 0; // survivors compact in place: kept <= i
+        for (std::size_t i = 0; i < alive.size(); ++i) {
+            long long v = evaluate(dag, candidates[alive[i]], rh, ctx,
+                                   machine);
+            if (kept == 0 ||
+                (rh.preferLarger ? v > best_value : v < best_value)) {
+                best_value = v;
+                kept = 0;
+            } else if (v != best_value) {
+                continue;
             }
-        return best;
+            alive[kept++] = alive[i];
+        }
+        alive.resize(kept);
+        if (kept == 1)
+            decided = static_cast<std::int32_t>(r);
     }
 
-    ++stats->totalPicks;
-    stats->decidedAtRank.resize(config.ranking.size(), 0);
+    std::uint32_t best = alive[0];
+    for (std::uint32_t k : alive)
+        if (config.forward ? candidates[k] < candidates[best]
+                           : candidates[k] > candidates[best]) {
+            best = k;
+        }
 
-    // Optional decision log: one record per pick, filed at the
-    // winning return point with the rank that decided it.
-    auto logPick = [&](std::size_t idx, std::int32_t rank) {
-        if (!stats->recordLog)
-            return;
-        DecisionRecord rec;
-        rec.pick = static_cast<std::uint32_t>(stats->totalPicks - 1);
-        rec.node = candidates[idx];
-        rec.readySize = static_cast<std::uint32_t>(candidates.size());
-        rec.decidedRank = rank;
-        rec.time = ctx.time;
-        stats->log.push_back(rec);
-    };
+    if (stats) {
+        ++stats->totalPicks;
+        stats->decidedAtRank.resize(config.ranking.size(), 0);
+        if (decided >= 0)
+            ++stats->decidedAtRank[static_cast<std::size_t>(decided)];
+        else if (decided == DecisionStats::kDecidedTrivial)
+            ++stats->trivialPicks;
+        else
+            ++stats->originalOrderTies;
+        if (stats->recordLog)
+            stats->log.push_back(DecisionRecord{
+                .pick = static_cast<std::uint32_t>(stats->totalPicks - 1),
+                .node = candidates[best],
+                .readySize = static_cast<std::uint32_t>(candidates.size()),
+                .decidedRank = decided,
+                .time = ctx.time});
+    }
+    return best;
+}
 
-    if (candidates.size() == 1) {
-        ++stats->trivialPicks;
-        logPick(0, DecisionStats::kDecidedTrivial);
+/**
+ * Retire the picked node @p n: update the dynamic state, hand every
+ * node it makes ready to @p admit, and return its issue cycle.  A
+ * forward pass issues no earlier than @p time and the node's earliest
+ * execution time; a backward pass has no clock and returns 0.
+ */
+template <class Admit>
+int
+retire(Dag &dag, std::uint32_t n, int time, const SchedulerConfig &config,
+       Admit admit)
+{
+    if (!config.forward) {
+        onScheduledBackward(dag, n, config.birthing);
+        for (std::uint32_t p : dag.predFrom(n))
+            if (dag.ann().unscheduledChildren[p] == 0)
+                admit(p);
         return 0;
     }
-
-    std::vector<std::size_t> alive(candidates.size());
-    for (std::size_t i = 0; i < alive.size(); ++i)
-        alive[i] = i;
-
-    for (std::size_t r = 0; r < config.ranking.size(); ++r) {
-        const RankedHeuristic &rh = config.ranking[r];
-        long long best_value =
-            evaluate(dag, candidates[alive[0]], rh, ctx, machine);
-        std::vector<std::size_t> kept{alive[0]};
-        for (std::size_t k = 1; k < alive.size(); ++k) {
-            long long v =
-                evaluate(dag, candidates[alive[k]], rh, ctx, machine);
-            bool better_value =
-                rh.preferLarger ? v > best_value : v < best_value;
-            if (better_value) {
-                best_value = v;
-                kept.clear();
-                kept.push_back(alive[k]);
-            } else if (v == best_value) {
-                kept.push_back(alive[k]);
-            }
-        }
-        alive = std::move(kept);
-        if (alive.size() == 1) {
-            ++stats->decidedAtRank[r];
-            logPick(alive[0], static_cast<std::int32_t>(r));
-            return alive[0];
-        }
-    }
-
-    ++stats->originalOrderTies;
-    std::size_t best = alive[0];
-    for (std::size_t k : alive) {
-        bool wins = config.forward ? candidates[k] < candidates[best]
-                                   : candidates[k] > candidates[best];
-        if (wins)
-            best = k;
-    }
-    logPick(best, DecisionStats::kDecidedOriginalOrder);
-    return best;
+    int issue = std::max(time, dag.ann().earliestExecTime[n]);
+    onScheduledForward(dag, n, issue);
+    for (std::uint32_t c : dag.succTo(n))
+        if (dag.ann().unscheduledParents[c] == 0)
+            admit(c);
+    return issue;
 }
 
 /** Compute issue cycles and makespan for a completed order. */
@@ -230,35 +197,49 @@ fillTiming(const Dag &dag, Schedule &sched)
 
 ListScheduler::ListScheduler(SchedulerConfig config,
                              const MachineModel &machine)
-    : config_(std::move(config)), machine_(machine), rankingStatic_(true)
+    : config_(std::move(config)), machine_(machine)
 {
-    for (const RankedHeuristic &rh : config_.ranking)
-        if (isDynamicHeuristic(rh.heuristic))
-            rankingStatic_ = false;
+    // A ranking can key a heap unless a heuristic in it changes as
+    // nodes issue: Table 1's 'v' column, plus Tiemann's birthing
+    // instruction, whose priorityBoost the backward pass raises
+    // (onScheduledBackward).
+    rankingStatic_ = std::none_of(
+        config_.ranking.begin(), config_.ranking.end(),
+        [](const RankedHeuristic &rh) {
+            return heuristicInfo(rh.heuristic).pass ==
+                       CalcPass::Visitation ||
+                   rh.heuristic == Heuristic::BirthingInstruction;
+        });
 }
 
 Schedule
 ListScheduler::run(Dag &dag, DecisionStats *stats,
                    const CancellationToken *cancel) const
 {
-    // DecisionStats needs the explicit winnowing pass, so the heap
-    // fast path only serves plain scheduling runs.
-    Schedule sched =
-        (rankingStatic_ && !stats)
-            ? runHeap(dag, cancel)
-            : (config_.forward ? runForward(dag, stats, cancel)
-                               : runBackward(dag, stats, cancel));
+    initDynamicState(dag);
+    Schedule sched;
+    sched.order.reserve(dag.size());
+    // DecisionStats observes every candidate at every pick, so it
+    // moves a static ranking off the heap onto the scan.
+    if (rankingStatic_ && !stats)
+        runHeap(dag, sched.order, cancel);
+    else
+        runScan(dag, sched.order, stats, cancel);
+    SCHED91_ASSERT(sched.order.size() == dag.size(),
+                   "scheduler lost nodes (cyclic DAG?)");
+    // A backward pass picks the block from its end.
+    if (!config_.forward)
+        std::reverse(sched.order.begin(), sched.order.end());
     if (config_.postpassFixup)
         applyPostpassFixup(dag, sched);
     fillTiming(dag, sched);
     return sched;
 }
 
-Schedule
-ListScheduler::runHeap(Dag &dag, const CancellationToken *cancel) const
+void
+ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
+                       const CancellationToken *cancel) const
 {
-    initDynamicState(dag);
-
     const std::size_t ranks = config_.ranking.size();
     const bool forward = config_.forward;
 
@@ -281,9 +262,9 @@ ListScheduler::runHeap(Dag &dag, const CancellationToken *cancel) const
         obs::ev::schedHeuristicEvals.inc(ranks);
     };
 
-    // Same strict total order as better(): the ranked tuple, then
+    // The winnowing pass's strict total order: the ranked tuple, then
     // program order (earlier wins forward, later wins backward) — so
-    // extract-max returns exactly the node the linear scan would pick.
+    // extract-max returns exactly the node the scan would pick.
     auto outranks = [&](std::uint32_t a, std::uint32_t b) {
         for (std::size_t r = 0; r < ranks; ++r) {
             long long va = keys[a * ranks + r];
@@ -295,157 +276,72 @@ ListScheduler::runHeap(Dag &dag, const CancellationToken *cancel) const
     };
 
     DaryHeap<std::uint32_t, decltype(outranks)> ready(outranks, &store);
-    for (std::uint32_t i = 0; i < dag.size(); ++i) {
-        bool root = forward ? dag.numParents(i) == 0
-                            : dag.numChildren(i) == 0;
-        if (root) {
-            computeKey(i);
-            ready.push(i);
-        }
-    }
+    auto admit = [&](std::uint32_t n) {
+        computeKey(n);
+        ready.push(n);
+    };
+    for (std::uint32_t i = 0; i < dag.size(); ++i)
+        if (forward ? dag.numParents(i) == 0 : dag.numChildren(i) == 0)
+            admit(i);
 
-    Schedule sched;
-    sched.order.reserve(dag.size());
     int time = 0;
-
     while (!ready.empty()) {
         if (cancel)
             cancel->poll();
         obs::ev::schedNodeVisits.inc();
         obs::ev::schedReadyListPeak.max(ready.size());
         std::uint32_t n = ready.pop();
-        sched.order.push_back(n);
-
-        if (forward) {
-            int issue = std::max(time, dag.ann().earliestExecTime[n]);
-            onScheduledForward(dag, n, issue);
-            for (std::uint32_t c : dag.succTo(n)) {
-                if (dag.ann().unscheduledParents[c] == 0) {
-                    computeKey(c);
-                    ready.push(c);
-                }
-            }
-            time = issue + 1;
-        } else {
-            onScheduledBackward(dag, n, config_.birthing);
-            for (std::uint32_t p : dag.predFrom(n)) {
-                if (dag.ann().unscheduledChildren[p] == 0) {
-                    computeKey(p);
-                    ready.push(p);
-                }
-            }
-        }
+        order.push_back(n);
+        time = retire(dag, n, time, config_, admit) + 1;
     }
-
-    SCHED91_ASSERT(sched.order.size() == dag.size(),
-                   "scheduler lost nodes (cyclic DAG?)");
-    if (!forward)
-        std::reverse(sched.order.begin(), sched.order.end());
-    return sched;
 }
 
-Schedule
-ListScheduler::runForward(Dag &dag, DecisionStats *stats,
-                          const CancellationToken *cancel) const
+void
+ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
+                       DecisionStats *stats,
+                       const CancellationToken *cancel) const
 {
-    initDynamicState(dag);
+    const bool forward = config_.forward;
 
+    // The scan leaves the heap's node store idle, so the winnowing
+    // pass keeps its survivors there.
     WorkerContext *wc = WorkerContext::current();
-    std::vector<std::uint32_t> local_candidates;
-    std::vector<std::uint32_t> &candidates =
-        wc ? wc->readyList : local_candidates;
-    candidates.clear();
+    std::vector<std::uint32_t> local_ready;
+    std::vector<std::uint32_t> local_alive;
+    std::vector<std::uint32_t> &ready = wc ? wc->readyList : local_ready;
+    std::vector<std::uint32_t> &alive = wc ? wc->heapNodes : local_alive;
+    ready.clear();
+    auto admit = [&](std::uint32_t n) { ready.push_back(n); };
     for (std::uint32_t i = 0; i < dag.size(); ++i)
-        if (dag.numParents(i) == 0)
-            candidates.push_back(i);
+        if (forward ? dag.numParents(i) == 0 : dag.numChildren(i) == 0)
+            admit(i);
 
+    // Only a forward pass has a clock and function-unit state for the
+    // dynamic heuristics to rank on.
     FuState fus(machine_);
     EvalContext ctx;
-    ctx.fus = &fus;
+    if (forward)
+        ctx.fus = &fus;
 
-    Schedule sched;
-    sched.order.reserve(dag.size());
-    int time = 0;
-
-    while (!candidates.empty()) {
+    while (!ready.empty()) {
         if (cancel)
             cancel->poll();
         obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(candidates.size());
-        ctx.time = time;
+        obs::ev::schedReadyListPeak.max(ready.size());
         std::size_t best =
-            selectBest(dag, candidates, config_, ctx, machine_, stats);
+            selectBest(dag, ready, alive, config_, ctx, machine_, stats);
+        std::uint32_t n = ready[best];
+        ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best));
+        order.push_back(n);
 
-        std::uint32_t n = candidates[best];
-        candidates.erase(candidates.begin() +
-                         static_cast<std::ptrdiff_t>(best));
-
-        int issue = std::max(time, dag.ann().earliestExecTime[n]);
-        sched.order.push_back(n);
-        fus.occupy(dag.inst(n).cls(), issue);
-        onScheduledForward(dag, n, issue);
-
-        for (std::uint32_t c : dag.succTo(n))
-            if (dag.ann().unscheduledParents[c] == 0)
-                candidates.push_back(c);
-
-        time = issue + 1;
+        int issue = retire(dag, n, ctx.time, config_, admit);
+        if (forward) {
+            fus.occupy(dag.inst(n).cls(), issue);
+            ctx.time = issue + 1;
+        }
         ctx.last = n;
         ctx.lastGroup = dag.ann().altType[n];
     }
-
-    SCHED91_ASSERT(sched.order.size() == dag.size(),
-                   "scheduler lost nodes (cyclic DAG?)");
-    return sched;
-}
-
-Schedule
-ListScheduler::runBackward(Dag &dag, DecisionStats *stats,
-                           const CancellationToken *cancel) const
-{
-    initDynamicState(dag);
-
-    WorkerContext *wc = WorkerContext::current();
-    std::vector<std::uint32_t> local_candidates;
-    std::vector<std::uint32_t> &candidates =
-        wc ? wc->readyList : local_candidates;
-    candidates.clear();
-    for (std::uint32_t i = 0; i < dag.size(); ++i)
-        if (dag.numChildren(i) == 0)
-            candidates.push_back(i);
-
-    EvalContext ctx; // no FU / time context in a backward pass
-
-    Schedule sched;
-    sched.order.reserve(dag.size());
-
-    while (!candidates.empty()) {
-        if (cancel)
-            cancel->poll();
-        obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(candidates.size());
-        std::size_t best =
-            selectBest(dag, candidates, config_, ctx, machine_, stats);
-
-        std::uint32_t n = candidates[best];
-        candidates.erase(candidates.begin() +
-                         static_cast<std::ptrdiff_t>(best));
-
-        sched.order.push_back(n);
-        onScheduledBackward(dag, n, config_.birthing);
-
-        for (std::uint32_t p : dag.predFrom(n))
-            if (dag.ann().unscheduledChildren[p] == 0)
-                candidates.push_back(p);
-
-        ctx.last = n;
-        ctx.lastGroup = dag.ann().altType[n];
-    }
-
-    SCHED91_ASSERT(sched.order.size() == dag.size(),
-                   "scheduler lost nodes (cyclic DAG?)");
-    std::reverse(sched.order.begin(), sched.order.end());
-    return sched;
 }
 
 } // namespace sched91

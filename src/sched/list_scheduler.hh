@@ -7,10 +7,12 @@
  * heuristics to determine the 'best' instruction to issue" (Section 1).
  * Some published algorithms combine heuristics into a single priority
  * value, others "apply heuristics in a given order in a winnowing-like
- * process" (Section 5); both are realized here as a lexicographic
- * comparison over the ranked chain — equivalent to a priority function
- * whose rank weights are sufficiently separated — with original
- * program order as the final deterministic tie break.
+ * process" (Section 5).  Here each pick winnows the ranked chain, with
+ * original program order as the final deterministic tie break.  Its
+ * winner is the lexicographic maximum — the top of a priority function
+ * whose rank weights are sufficiently separated — so both families
+ * share the chain, and an all-static ranking can take the same winners
+ * off a heap.
  *
  * A forward pass admits a node once all parents are scheduled, ranks
  * candidates (typically with earliest execution time first), issues
@@ -78,13 +80,6 @@ struct SchedulerConfig
 };
 
 /**
- * Which heuristic ranks actually decide the picks.  Section 5 of the
- * paper observes that low-ranked heuristics may be removable ("the
- * use of minimum path to a root in Shieh and Papachristou could
- * possibly be omitted or replaced with little effect because it is
- * the last heuristic to be applied"); these counters measure that.
- */
-/**
  * One entry of the optional per-pick decision log: which node won,
  * how crowded the ready list was, and which rank of the winnowing
  * chain broke the tie.
@@ -101,6 +96,16 @@ struct DecisionRecord
     int time = 0; ///< Scheduler clock (0 in a backward pass).
 };
 
+/**
+ * Which heuristic ranks actually decide the picks.  Section 5 of the
+ * paper observes that low-ranked heuristics may be removable ("the
+ * use of minimum path to a root in Shieh and Papachristou could
+ * possibly be omitted or replaced with little effect because it is
+ * the last heuristic to be applied"); these counters measure that.
+ * They record what the scheduler's one winnowing pass decided, so
+ * attaching them changes neither the picks nor, for a ranking with a
+ * dynamic heuristic, the evaluations made.
+ */
 struct DecisionStats
 {
     /** decidedRank sentinel: a single candidate, no decision needed. */
@@ -153,9 +158,13 @@ class ListScheduler
     /**
      * Schedule @p dag.  Dynamic state in the node annotations is
      * (re)initialized; static annotations must already be computed.
-     * When @p stats is non-null, candidate selection runs as an
-     * explicit winnowing pass and records which rank decided each
-     * pick (same winners, slightly different bookkeeping cost).
+     *
+     * Each pick winnows the ready list: at each rank, every surviving
+     * candidate is evaluated once and those with the best value
+     * survive, until one is left; a tie that survives every rank goes
+     * to original program order.  The survivor buffer is reused, so a
+     * pick allocates nothing.  When @p stats is non-null it records
+     * what each pick decided.
      *
      * Rankings built purely from static ('a'/'f'/'b') heuristics run
      * on a d-ary heap keyed by the precomputed heuristic tuple —
@@ -163,7 +172,8 @@ class ListScheduler
      * strict total order (tuple, then program-order tie break), so the
      * produced schedules are identical to the scan's.  Rankings with
      * dynamic ('v') heuristics, whose values change as nodes issue,
-     * keep the scan.
+     * keep the scan, and so does any run with @p stats, which observes
+     * every candidate at every pick.
      *
      * When @p cancel is non-null the main scheduling loop polls it
      * once per extracted node and abandons the pass with
@@ -173,19 +183,17 @@ class ListScheduler
     Schedule run(Dag &dag, DecisionStats *stats = nullptr,
                  const CancellationToken *cancel = nullptr) const;
 
-    /** Whether this configuration's ranking qualifies for the heap. */
-    bool rankingStatic() const { return rankingStatic_; }
-
   private:
-    Schedule runForward(Dag &dag, DecisionStats *stats,
-                        const CancellationToken *cancel) const;
-    Schedule runBackward(Dag &dag, DecisionStats *stats,
-                         const CancellationToken *cancel) const;
-    Schedule runHeap(Dag &dag, const CancellationToken *cancel) const;
+    // Each appends the picks to @p order in the order they are made.
+    void runScan(Dag &dag, std::vector<std::uint32_t> &order,
+                 DecisionStats *stats,
+                 const CancellationToken *cancel) const;
+    void runHeap(Dag &dag, std::vector<std::uint32_t> &order,
+                 const CancellationToken *cancel) const;
 
     SchedulerConfig config_;
     const MachineModel &machine_;
-    bool rankingStatic_;
+    bool rankingStatic_; ///< no dynamic heuristic: the heap serves
 };
 
 } // namespace sched91

@@ -10,8 +10,9 @@
  *    arc-index lists and the table builders' def/use lists
  *    (support/arena.hh);
  *  - named scratch vectors whose *capacity* persists across blocks —
- *    the list scheduler's ready list, heap storage and key store, and
- *    the timing pass's dependence-ready array.
+ *    the list scheduler's ready list, heap storage (or winnowing
+ *    survivors) and key store, and the timing pass's dependence-ready
+ *    array.
  *
  * The context is installed thread-locally (WorkerContext::Scope) so
  * deep call sites — DAG builders, the list scheduler — can pick up the
@@ -71,7 +72,8 @@ class WorkerContext
     /** List scheduler: linear-scan candidate list. */
     std::vector<std::uint32_t> readyList;
 
-    /** List scheduler: d-ary heap element storage. */
+    /** List scheduler: d-ary heap element storage, or the scan's
+     * winnowing survivors. */
     std::vector<std::uint32_t> heapNodes;
 
     /** List scheduler: per-node ranked-key store for the heap. */

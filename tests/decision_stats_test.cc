@@ -1,8 +1,9 @@
 /**
  * @file
- * Winnowing decision-statistics tests: the stats-collecting selection
- * path must pick identical schedules to the plain lexicographic path,
- * and the counters must account for every pick.
+ * Winnowing decision-statistics tests: attaching DecisionStats must
+ * leave the schedules (and, for dynamic rankings, the heuristic
+ * evaluations) unchanged, and the counters must account for every
+ * pick.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,12 @@
 #include "heuristics/static_passes.hh"
 #include "ir/parser.hh"
 #include "machine/presets.hh"
+#include "obs/counters.hh"
+#include "obs/events.hh"
 #include "sched/list_scheduler.hh"
+#include "workload/generator.hh"
 #include "workload/kernels.hh"
+#include "workload/profiles.hh"
 
 namespace sched91
 {
@@ -50,6 +55,64 @@ TEST(DecisionStats, SameScheduleWithAndWithoutStats)
                     << algorithmName(kind) << " on " << kernel;
             }
         }
+    }
+}
+
+TEST(DecisionStats, SamePicksAndEvaluationsOverTable3)
+{
+    // A ranking with a heuristic that changes as nodes issue is picked
+    // by one winnowing pass, which DecisionStats only observes: over
+    // every Table 3 block, the stats run must make the same picks with
+    // the same heuristic evaluations as the plain run.
+    const AlgorithmKind kinds[] = {
+        AlgorithmKind::GibbonsMuchnick, AlgorithmKind::Krishnamurthy,
+        AlgorithmKind::Warren, AlgorithmKind::Tiemann};
+    constexpr std::size_t kKinds = std::size(kinds);
+    MachineModel machine = sparcstation2();
+    std::vector<ListScheduler> schedulers;
+    schedulers.reserve(kKinds);
+    for (AlgorithmKind kind : kinds)
+        schedulers.emplace_back(algorithmSpec(kind).config, machine);
+    BuildOptions bopts;
+    bopts.memPolicy = AliasPolicy::SymbolicExpr;
+
+    obs::setEnabled(true);
+    obs::CounterShard building; // keeps DAG construction out of the rest
+    std::vector<obs::CounterShard> plain(kKinds), counted(kKinds);
+    {
+        obs::ScopedCounterShard building_scope(building);
+        for (const WorkloadProfile &profile : allProfiles()) {
+            Program prog = cachedProgram(profile.name);
+            for (const BasicBlock &bb : partitionBlocks(prog)) {
+                Dag dag = TableForwardBuilder().build(BlockView(prog, bb),
+                                                      machine, bopts);
+                runAllStaticPasses(dag, PassImpl::ReverseWalk, true);
+                computeRegisterPressure(dag);
+                for (std::size_t k = 0; k < kKinds; ++k) {
+                    Schedule a, b;
+                    {
+                        obs::ScopedCounterShard scope(plain[k]);
+                        a = schedulers[k].run(dag);
+                    }
+                    {
+                        obs::ScopedCounterShard scope(counted[k]);
+                        DecisionStats stats;
+                        b = schedulers[k].run(dag, &stats);
+                    }
+                    ASSERT_EQ(a.order, b.order)
+                        << algorithmName(kinds[k]) << " on "
+                        << profile.name << " block @" << bb.begin;
+                }
+            }
+        }
+    }
+    obs::setEnabled(false);
+
+    const std::size_t evals = obs::ev::schedHeuristicEvals.id();
+    for (std::size_t k = 0; k < kKinds; ++k) {
+        EXPECT_GT(plain[k].value(evals), 0u) << algorithmName(kinds[k]);
+        EXPECT_EQ(plain[k].value(evals), counted[k].value(evals))
+            << algorithmName(kinds[k]);
     }
 }
 

@@ -425,6 +425,34 @@ TEST(Pipeline, OversizedBlockFallsBackInsteadOfDegrading)
     EXPECT_EQ(r.blocksDegraded, 0u);
 }
 
+TEST(Pipeline, ScheduleBlockFallsBackOnOversizedBlock)
+{
+    // scheduleBlock (the schedule, timeline and report commands)
+    // climbs the same rung one as runPipeline: no n**2 compares.
+    std::string text = readFile(corpusPath("oversized_block.s"));
+    Program prog = parseAssembly(text);
+    auto blocks = partitionBlocks(prog);
+    ASSERT_EQ(blocks.size(), 1u);
+    MachineModel machine = sparcstation2();
+
+    PipelineOptions opts;
+    opts.builder = BuilderKind::N2Forward;
+    opts.maxBlockInsts = 400;
+    obs::setEnabled(true);
+    obs::CounterShard shard;
+    {
+        obs::ScopedCounterShard scope(shard);
+        BlockScheduleResult r =
+            scheduleBlock(BlockView(prog, blocks[0]), machine, opts);
+        EXPECT_TRUE(r.builderFallback);
+        EXPECT_EQ(r.sched.order.size(), blocks[0].size());
+    }
+    obs::setEnabled(false);
+    EXPECT_EQ(shard.value("dag.pairwise_compares"), 0u);
+    EXPECT_EQ(shard.value("robust.builder_fallbacks"), 1u);
+    EXPECT_GT(shard.value("dag.table_probes"), 0u);
+}
+
 TEST(Pipeline, BudgetOverrunDegradesToOriginalOrder)
 {
     MachineModel machine = sparcstation2();

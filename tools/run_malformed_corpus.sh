@@ -47,9 +47,21 @@ for f in "$corpus"/*.s; do
     fi
 
     # The oversized block must also survive an n**2 builder via the
-    # table fallback (never exit nonzero, never abort).
-    "$bin" schedule "$f" --builder n2-fwd >/dev/null 2>&1
+    # table fallback (never exit nonzero, never abort): its counters
+    # show the fallback and not one n**2 compare.
+    "$bin" schedule "$f" --builder n2-fwd --counters >/dev/null \
+        2>/tmp/corpus_stderr.$$
     check "lenient n2-fwd $name" 0 $?
+    if [ "$name" = oversized_block.s ]; then
+        if grep -Eq '^robust\.builder_fallbacks +1$' /tmp/corpus_stderr.$$ &&
+            ! grep -q 'dag\.pairwise_compares' /tmp/corpus_stderr.$$; then
+            echo "ok: n2-fwd $name fell back to table building"
+        else
+            echo "FAIL: $name: n2-fwd did not fall back to table" \
+                "building" >&2
+            fails=$((fails + 1))
+        fi
+    fi
 done
 
 rm -f /tmp/corpus_stderr.$$

@@ -62,8 +62,10 @@
  *     --verify/--no-verify  schedule verifier (default on)
  *     --max-block-insts <N> n**2 -> table builder fallback threshold
  *     --max-block-seconds <S>  per-block wall-clock budget
- *     --max-run-seconds <S>    whole-run budget, fair-shared
- *     --fault-inject <spec> deterministic fault injection
+ *     --max-run-seconds <S>    whole-run budget, fair-shared (profile,
+ *                           explain)
+ *     --fault-inject <spec> deterministic fault injection (profile,
+ *                           explain, serve)
  *     --reduce-seconds <S>  wall-clock cap for `reduce`
  *
  * Service options (sched91 serve, docs/ROBUSTNESS.md):
@@ -336,13 +338,15 @@ const char kUsage[] =
     "  --max-run-seconds <S>  whole-run wall-clock budget, divided\n"
     "                       fair-share across remaining blocks; once\n"
     "                       spent, remaining blocks degrade to\n"
-    "                       original order (default off)\n"
+    "                       original order (default off; profile\n"
+    "                       and explain)\n"
     "  --fault-inject <spec>  deterministic fault injection at the\n"
     "                       pipeline's failure boundaries, e.g.\n"
     "                       \"seed=42,builder-throw=0.25,slow-ms=40\"\n"
     "                       (keys: seed, slow-ms, builder-throw,\n"
     "                       verifier-reject, slow-block, alloc-fail;\n"
-    "                       rates in [0,1]; schedule/profile/serve)\n"
+    "                       rates in [0,1]; profile, explain and\n"
+    "                       serve)\n"
     "  --reduce-seconds <S> wall-clock cap for reduce: return the\n"
     "                       best reduction found when it expires\n"
     "\n"
@@ -846,6 +850,11 @@ cmdSchedule(const CliOptions &opts)
         }
         if (result)
             agg.dagStats.accumulate(result->dag);
+        if (result && result->builderFallback) {
+            ++agg.builderFallbacks;
+            agg.blockIssues.push_back(
+                fallbackIssue(b, bb.size(), popeline.maxBlockInsts));
+        }
 
         // Quality bookkeeping against a table-built ground truth is
         // not part of the measured pipeline: keep its events out of
