@@ -25,6 +25,8 @@
  *   is reported; --gate-drift turns that drift into a failure, which
  *   is the committed-baseline CI gate.  An intentional change
  *   regenerates the baseline (tools/run_bench.sh --update-baseline).
+ *   Each record's `counters` section is compared the same way, under
+ *   the name "counters.<counter>", whatever the counter's suffix.
  *
  *   --threshold PCT            default threshold for noisy metrics
  *   --threshold NAME=PCT       per-metric threshold (enables gating
@@ -83,10 +85,15 @@ struct Record
 
 using RecordMap = std::map<std::string, Record>;
 
+/** Prefix under which a record's counters join its metrics. */
+constexpr const char *kCounterPrefix = "counters.";
+
 /** Host-dependent metrics: comparable only within one machine/run. */
 bool
 isNoisyMetric(const std::string &name)
 {
+    if (name.rfind(kCounterPrefix, 0) == 0)
+        return false;
     auto ends = [&](const char *suffix) {
         std::size_t n = std::strlen(suffix);
         return name.size() >= n &&
@@ -130,6 +137,10 @@ loadFile(const std::filesystem::path &path, RecordMap &out)
                 rec.p90s[name] = m.numberOr("p90", 0.0);
             }
         }
+        if (v.has("counters") && v.at("counters").isObject())
+            for (const auto &[name, c] : v.at("counters").object())
+                if (c.isNumber())
+                    rec.medians[kCounterPrefix + name] = c.number();
     }
 }
 

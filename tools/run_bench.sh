@@ -11,7 +11,8 @@
 # The CI subset is the fast, deterministic-metric-rich benches; the
 # committed baseline (bench/baseline/) pins their deterministic
 # metrics — cycles, arc counts, structural data, decision tallies —
-# and the compare step fails on any drift (--gate-drift).  Wall-clock
+# and every record's counters, and the compare step fails on any
+# drift (--gate-drift).  Wall-clock
 # metrics are host-dependent, so against the committed baseline they
 # are report-only (--no-time-gate); same-machine time gating is
 # bench_compare's default mode on two local runs.
