@@ -101,7 +101,7 @@ class Instruction
 
     /** Branch / call target label (empty when absent). */
     const std::string &target() const { return target_; }
-    void setTarget(std::string t) { target_ = std::move(t); }
+    void setTarget(std::string_view t) { target_.assign(t); }
 
     /** Record a use at source-operand position @p pos (%g0 dropped). */
     void

@@ -1,6 +1,7 @@
 #include "ir/operand.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/string_util.hh"
@@ -19,17 +20,21 @@ isRegisterToken(std::string_view t)
 }
 
 /** Parse a plain integer (decimal or 0x hex), optionally signed. */
-std::optional<std::int64_t>
-parsePlainInt(std::string_view t)
+ImmStatus
+parsePlainInt(std::string_view t, std::int64_t &value)
 {
     if (t.empty())
-        return std::nullopt;
+        return ImmStatus::NotImm;
     std::string s(t);
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(s.c_str(), &end, 0);
     if (end != s.c_str() + s.size())
-        return std::nullopt;
-    return v;
+        return ImmStatus::NotImm;
+    if (errno == ERANGE)
+        return ImmStatus::OutOfRange;
+    value = v;
+    return ImmStatus::Ok;
 }
 
 } // namespace
@@ -74,7 +79,8 @@ MemOperand::toString() const
 }
 
 std::optional<MemOperand>
-MemOperand::parse(std::string_view text, std::uint8_t width)
+MemOperand::parse(std::string_view text, std::uint8_t width,
+                  std::size_t *overflowAt)
 {
     std::string_view t = trim(text);
     if (t.size() < 3 || t.front() != '[' || t.back() != ']')
@@ -87,7 +93,7 @@ MemOperand::parse(std::string_view text, std::uint8_t width)
     out.width = width;
 
     // Split on top-level + and - (keeping the sign with the piece).
-    std::vector<std::string> pieces;
+    std::vector<std::string_view> pieces;
     std::size_t start = 0;
     for (std::size_t i = 1; i <= t.size(); ++i) {
         if (i == t.size() || ((t[i] == '+' || t[i] == '-') &&
@@ -101,7 +107,6 @@ MemOperand::parse(std::string_view text, std::uint8_t width)
     }
 
     for (std::string_view piece : pieces) {
-        bool negative = false;
         if (piece.empty())
             return std::nullopt; // dangling operator: "[%g1 +]"
         if (piece[0] == '-' && piece.size() > 1 &&
@@ -130,10 +135,18 @@ MemOperand::parse(std::string_view text, std::uint8_t width)
             // not %lo(...)): "[%q5 + 4]" is a typo, not a symbol.
             return std::nullopt;
         }
-        if (auto v = parsePlainInt(piece)) {
-            out.offset += negative ? -*v : *v;
-            continue;
+        std::int64_t v = 0;
+        ImmStatus lit = parsePlainInt(piece, v);
+        if (lit == ImmStatus::OutOfRange ||
+            (lit == ImmStatus::Ok &&
+             __builtin_add_overflow(out.offset, v, &out.offset))) {
+            if (overflowAt)
+                *overflowAt = static_cast<std::size_t>(piece.data() -
+                                                       text.data());
+            return std::nullopt;
         }
+        if (lit == ImmStatus::Ok)
+            continue;
         // Bare symbol.
         if (!out.symbol.empty())
             return std::nullopt;
@@ -156,20 +169,33 @@ MemExprTable::intern(const MemOperand &op)
     return it->second;
 }
 
-std::optional<std::int64_t>
-parseImmediate(std::string_view text)
+ImmStatus
+parseImmediate(std::string_view text, std::int64_t &value)
 {
     std::string_view t = trim(text);
     if (t.empty() || t[0] == '%') {
-        if (startsWith(t, "%hi(") && t.back() == ')')
-            return static_cast<std::int64_t>(
+        if (startsWith(t, "%hi(") && t.back() == ')') {
+            value = static_cast<std::int64_t>(
                 symbolHash(t.substr(4, t.size() - 5)) >> 10 << 10);
-        if (startsWith(t, "%lo(") && t.back() == ')')
-            return static_cast<std::int64_t>(
+            return ImmStatus::Ok;
+        }
+        if (startsWith(t, "%lo(") && t.back() == ')') {
+            value = static_cast<std::int64_t>(
                 symbolHash(t.substr(4, t.size() - 5)) & 0x3ff);
-        return std::nullopt;
+            return ImmStatus::Ok;
+        }
+        return ImmStatus::NotImm;
     }
-    return parsePlainInt(t);
+    return parsePlainInt(t, value);
+}
+
+std::optional<std::int64_t>
+parseImmediate(std::string_view text)
+{
+    std::int64_t v = 0;
+    if (parseImmediate(text, v) != ImmStatus::Ok)
+        return std::nullopt;
+    return v;
 }
 
 std::uint64_t

@@ -65,10 +65,15 @@ struct MemOperand
     /**
      * Parse "[...]" address syntax.  Returns std::nullopt on malformed
      * input.  Accepted shapes: [%r], [%r+imm], [%r-imm], [%r1+%r2],
-     * [sym], [sym+imm], [%lo(sym)+%r].
+     * [sym], [sym+imm], [%lo(sym)+%r].  A literal offset that does
+     * not fit in 64 bits, alone or summed with the literals before
+     * it, is malformed too; @p overflowAt (when non-null) then
+     * receives that literal's offset within @p text.
      */
     static std::optional<MemOperand> parse(std::string_view text,
-                                           std::uint8_t width);
+                                           std::uint8_t width,
+                                           std::size_t *overflowAt =
+                                               nullptr);
 };
 
 /** Interner mapping normalized memory expression keys to dense ids. */
@@ -89,12 +94,24 @@ class MemExprTable
     std::vector<std::string> keys_;
 };
 
+/** What parseImmediate() found in its text. */
+enum class ImmStatus : std::uint8_t {
+    Ok,         ///< an immediate; the value is set
+    NotImm,     ///< not an immediate (a register, say)
+    OutOfRange, ///< an integer literal that does not fit in 64 bits
+};
+
 /**
- * Parse an immediate operand: decimal, hex (0x...), %hi(sym) or
- * %lo(sym).  Symbols hash to a deterministic value so the functional
- * executor produces stable addresses.  Returns std::nullopt when the
- * text is not an immediate.
+ * Parse an immediate operand: an integer literal as strtoll() reads
+ * one with base 0 (optional sign, then decimal, 0x hex or 0-prefixed
+ * octal, the whole text), %hi(sym) or %lo(sym).  Symbols hash to a
+ * deterministic value so the functional executor produces stable
+ * addresses.  @p value is set only on ImmStatus::Ok.
  */
+ImmStatus parseImmediate(std::string_view text, std::int64_t &value);
+
+/** The immediate's value, or std::nullopt when @p text is not an
+ * immediate that fits in 64 bits. */
 std::optional<std::int64_t> parseImmediate(std::string_view text);
 
 /** Deterministic 64-bit hash of a symbol name (for executor addresses). */

@@ -89,15 +89,15 @@ lineError(int col, const Args &...args)
     throw LineError{col, os.str()};
 }
 
-/** 1-based column of @p tok within the raw source line (0 = unknown). */
+/**
+ * 1-based column of @p tok, a view into the raw source line @p raw
+ * (0 = unknown).  Taken from the view's position, not by searching
+ * for its text, which may occur earlier in the line.
+ */
 int
 columnOf(std::string_view raw, std::string_view tok)
 {
-    if (tok.empty())
-        return 0;
-    std::size_t pos = raw.find(tok);
-    return pos == std::string_view::npos ? 0
-                                         : static_cast<int>(pos) + 1;
+    return tok.empty() ? 0 : static_cast<int>(tok.data() - raw.data()) + 1;
 }
 
 Resource
@@ -108,6 +108,39 @@ requireReg(std::string_view tok, std::string_view raw)
         lineError(columnOf(raw, tok), "expected register, got '", tok,
                   "'");
     return r;
+}
+
+/**
+ * @p tok as an immediate, or std::nullopt when it is not one.  An
+ * integer literal that does not fit in 64 bits is a line error.
+ */
+std::optional<std::int64_t>
+immediate(std::string_view tok, std::string_view raw)
+{
+    std::int64_t v = 0;
+    switch (parseImmediate(tok, v)) {
+      case ImmStatus::Ok:
+        return v;
+      case ImmStatus::OutOfRange:
+        lineError(columnOf(raw, tok), "integer literal '", tok,
+                  "' does not fit in 64 bits");
+      default:
+        return std::nullopt;
+    }
+}
+
+/** @p tok as an address; a malformed one is a line error. */
+MemOperand
+address(std::string_view tok, std::uint8_t width, std::string_view raw)
+{
+    std::size_t overflow_at = std::string_view::npos;
+    auto mem = MemOperand::parse(tok, width, &overflow_at);
+    if (mem)
+        return *std::move(mem);
+    if (overflow_at != std::string_view::npos)
+        lineError(columnOf(raw, tok) + static_cast<int>(overflow_at),
+                  "memory offset does not fit in 64 bits");
+    lineError(columnOf(raw, tok), "bad address '", tok, "'");
 }
 
 /** SPARC simm13: the signed 13-bit immediate field of ALU-style ops. */
@@ -186,7 +219,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
                   "unknown mnemonic '", mnemonic, "'");
 
     const OpcodeInfo &info = opcodeInfo(op);
-    std::vector<std::string> ops = splitOperands(rest);
+    std::vector<std::string_view> ops = splitOperands(rest);
 
     auto need = [&](std::size_t n) {
         if (ops.size() != n)
@@ -201,7 +234,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         Resource rs1 = requireReg(ops[0], raw);
         Resource rs2;
         std::int64_t imm = 0;
-        if (auto v = parseImmediate(ops[1])) {
+        if (auto v = immediate(ops[1], raw)) {
             imm = *v;
             warnSimm13(warnings, ops[1], raw, imm);
         } else {
@@ -216,7 +249,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         Resource rs1 = requireReg(ops[0], raw);
         Resource rs2;
         std::int64_t imm = 0;
-        if (auto v = parseImmediate(ops[1])) {
+        if (auto v = immediate(ops[1], raw)) {
             imm = *v;
             warnSimm13(warnings, ops[1], raw, imm);
         } else {
@@ -230,7 +263,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         need(2);
         Resource rs1;
         std::int64_t imm = 0;
-        if (auto v = parseImmediate(ops[0])) {
+        if (auto v = immediate(ops[0], raw)) {
             imm = *v;
             warnSimm13(warnings, ops[0], raw, imm);
         } else {
@@ -243,7 +276,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
       }
       case OperandSig::Sethi2: {
         need(2);
-        auto v = parseImmediate(ops[0]);
+        auto v = immediate(ops[0], raw);
         if (!v)
             lineError(columnOf(raw, ops[0]), "bad sethi immediate '",
                       ops[0], "'");
@@ -256,11 +289,8 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         need(2);
         Resource rd = requireReg(ops[1], raw);
         Opcode real_op = remapFpMemory(op, rd);
-        auto mem = MemOperand::parse(ops[0], memWidth(real_op));
-        if (!mem)
-            lineError(columnOf(raw, ops[0]), "bad address '", ops[0],
-                      "'");
-        warnMemOffset(warnings, ops[0], raw, *mem);
+        MemOperand mem = address(ops[0], memWidth(real_op), raw);
+        warnMemOffset(warnings, ops[0], raw, mem);
         inst = makeInstruction(real_op, Resource(), Resource(), rd,
                                std::move(mem));
         break;
@@ -269,32 +299,34 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         need(2);
         Resource rs = requireReg(ops[0], raw);
         Opcode real_op = remapFpMemory(op, rs);
-        auto mem = MemOperand::parse(ops[1], memWidth(real_op));
-        if (!mem)
-            lineError(columnOf(raw, ops[1]), "bad address '", ops[1],
-                      "'");
-        warnMemOffset(warnings, ops[1], raw, *mem);
+        MemOperand mem = address(ops[1], memWidth(real_op), raw);
+        warnMemOffset(warnings, ops[1], raw, mem);
         inst = makeInstruction(real_op, rs, Resource(), Resource(),
                                std::move(mem));
         break;
       }
+      // The FP forms check their operands last to first, so a line
+      // with several bad registers reports the rightmost.
       case OperandSig::Fp3: {
         need(3);
-        inst = makeInstruction(op, requireReg(ops[0], raw),
-                               requireReg(ops[1], raw),
-                               requireReg(ops[2], raw));
+        Resource rd = requireReg(ops[2], raw);
+        Resource rs2 = requireReg(ops[1], raw);
+        Resource rs1 = requireReg(ops[0], raw);
+        inst = makeInstruction(op, rs1, rs2, rd);
         break;
       }
       case OperandSig::Fp2: {
         need(2);
-        inst = makeInstruction(op, requireReg(ops[0], raw), Resource(),
-                               requireReg(ops[1], raw));
+        Resource rd = requireReg(ops[1], raw);
+        Resource rs1 = requireReg(ops[0], raw);
+        inst = makeInstruction(op, rs1, Resource(), rd);
         break;
       }
       case OperandSig::Fcmp2: {
         need(2);
-        inst = makeInstruction(op, requireReg(ops[0], raw),
-                               requireReg(ops[1], raw), Resource());
+        Resource rs2 = requireReg(ops[1], raw);
+        Resource rs1 = requireReg(ops[0], raw);
+        inst = makeInstruction(op, rs1, rs2, Resource());
         break;
       }
       case OperandSig::BranchOp: {
@@ -323,7 +355,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
             Resource rs1 = requireReg(ops[0], raw);
             Resource rs2;
             std::int64_t imm = 0;
-            if (auto v = parseImmediate(ops[1]))
+            if (auto v = immediate(ops[1], raw))
                 imm = *v;
             else
                 rs2 = requireReg(ops[1], raw);

@@ -35,10 +35,10 @@ splitTrim(std::string_view s, char delim)
     return out;
 }
 
-std::vector<std::string>
+std::vector<std::string_view>
 splitOperands(std::string_view s)
 {
-    std::vector<std::string> out;
+    std::vector<std::string_view> out;
     int depth = 0;
     std::size_t start = 0;
     for (std::size_t i = 0; i <= s.size(); ++i) {

@@ -21,9 +21,10 @@ std::vector<std::string> splitTrim(std::string_view s, char delim);
 
 /**
  * Split an operand list on top-level commas, i.e. commas not inside
- * brackets, so "[%o0+4],%g1" yields two pieces.
+ * brackets, so "[%o0+4],%g1" yields two pieces.  The pieces are
+ * trimmed views into @p s; empty ones are dropped.
  */
-std::vector<std::string> splitOperands(std::string_view s);
+std::vector<std::string_view> splitOperands(std::string_view s);
 
 /** True when @p s starts with @p prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);

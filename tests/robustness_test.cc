@@ -67,7 +67,7 @@ const CorpusCase kCorpus[] = {
     {"bad_mnemonic.s", 4, 5},      {"truncated_operands.s", 5, 5},
     {"garbage.s", 10, 1},          {"register_typos.s", 5, 5},
     {"bad_address.s", 7, 4},       {"oversized_block.s", 0, 601},
-    {"suspicious.s", 0, 8},
+    {"suspicious.s", 0, 8},        {"out_of_range.s", 2, 2},
 };
 
 // --- Diagnostics engine --------------------------------------------
@@ -201,6 +201,39 @@ TEST(Parser, DiagCarriesLineAndColumn)
     EXPECT_EQ(d.line, 2);
     EXPECT_GT(d.col, 0);
     EXPECT_NE(d.message.find("expects 3"), std::string::npos);
+}
+
+TEST(Parser, ColumnPointsAtOperandAtFault)
+{
+    // Each faulty operand's text also appears earlier in its line.
+    DiagnosticEngine diags;
+    parseAssembly("\tor\t%g1, 5, 5\n"
+                  "\tld\t[%g1 + 8], [%g1 + 8]\n"
+                  "\tfadds\t%f1, %f2, %f\n",
+                  diags, "col.s");
+    ASSERT_EQ(diags.diags().size(), 3u) << diags.render();
+    EXPECT_EQ(diags.diags()[0].render(),
+              "col.s:1:13: error: expected register, got '5'");
+    EXPECT_EQ(diags.diags()[1].render(),
+              "col.s:2:16: error: expected register, got '[%g1 + 8]'");
+    EXPECT_EQ(diags.diags()[2].render(),
+              "col.s:3:18: error: expected register, got '%f'");
+}
+
+TEST(Parser, LiteralsBeyond64BitsAreErrorsAtTheirColumn)
+{
+    DiagnosticEngine diags;
+    Program prog = parseAssembly(
+        "\tld\t[%o0+9223372036854775807+9223372036854775807], %o1\n"
+        "\tadd\t%g1, 99999999999999999999, %g2\n",
+        diags, "big.s");
+    EXPECT_EQ(prog.size(), 0u);
+    ASSERT_EQ(diags.diags().size(), 2u) << diags.render();
+    EXPECT_EQ(diags.diags()[0].render(),
+              "big.s:1:30: error: memory offset does not fit in 64 bits");
+    EXPECT_EQ(diags.diags()[1].render(),
+              "big.s:2:11: error: integer literal "
+              "'99999999999999999999' does not fit in 64 bits");
 }
 
 TEST(Parser, LenientParseCountsParseErrors)
