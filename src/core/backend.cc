@@ -125,7 +125,6 @@ compileProgram(Program &prog, const MachineModel &machine,
                 result.program.append(block.inst(n));
         }
     }
-    stampMemGenerations(result.program);
 
     // Phase 2: optional postpass reschedule over the allocated code,
     // emitting the final program and measuring it.

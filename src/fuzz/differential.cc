@@ -152,7 +152,6 @@ checkProgram(Program &prog, const MachineModel &machine,
     };
 
     try {
-        stampMemGenerations(prog);
         auto blocks = partitionBlocks(prog);
         for (std::size_t b = 0; b < blocks.size() && report.ok; ++b) {
             BlockView block(prog, blocks[b]);

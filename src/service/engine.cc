@@ -72,7 +72,6 @@ parseRequest(const RequestSpec &spec)
     dopts.echoToLog = false;
     DiagnosticEngine diags(dopts);
     parsed.prog = parseAssembly(spec.source, diags, "request");
-    stampMemGenerations(parsed.prog);
     parsed.blocks = partitionBlocks(parsed.prog, {});
 
     parsed.body.blocks = parsed.blocks.size();
