@@ -1,16 +1,55 @@
 #include "ir/instruction.hh"
 
 #include <algorithm>
-
-#include "support/logging.hh"
+#include <cstring>
 
 namespace sched91
 {
 
+char *
+InstText::heap() const
+{
+    char *p;
+    std::memcpy(&p, buf_, sizeof p);
+    return p;
+}
+
+void
+InstText::release()
+{
+    if (onHeap())
+        delete[] heap();
+}
+
+void
+InstText::take(InstText &other)
+{
+    std::memcpy(buf_, other.buf_,
+                other.onHeap() ? sizeof(char *) : other.size_);
+    size_ = other.size_;
+    other.size_ = 0;
+}
+
+void
+InstText::assign(std::string_view s)
+{
+    // Free the old heap text only after copying: @p s may point into it.
+    char *old = onHeap() ? heap() : nullptr;
+    if (s.size() > kInline) {
+        char *p = new char[s.size()];
+        std::memcpy(p, s.data(), s.size());
+        std::memcpy(buf_, &p, sizeof p);
+    } else {
+        std::memmove(buf_, s.data(), s.size());
+    }
+    size_ = static_cast<std::uint32_t>(s.size());
+    delete[] old;
+}
+
 int
 Instruction::usePosition(Resource r) const
 {
-    for (std::size_t i = 0; i < uses_.size(); ++i)
+    for (std::size_t i = 0; i < numUses_; ++i)
         if (uses_[i] == r)
             return usePositions_[i];
     return -1;
@@ -19,7 +58,7 @@ Instruction::usePosition(Resource r) const
 int
 Instruction::defPairHalf(Resource r) const
 {
-    for (std::size_t i = 0; i < defs_.size(); ++i)
+    for (std::size_t i = 0; i < numDefs_; ++i)
         if (defs_[i] == r)
             return defPairHalves_[i];
     return -1;
@@ -28,20 +67,22 @@ Instruction::defPairHalf(Resource r) const
 bool
 Instruction::definesResource(Resource r) const
 {
-    return std::find(defs_.begin(), defs_.end(), r) != defs_.end();
+    auto d = defs();
+    return std::find(d.begin(), d.end(), r) != d.end();
 }
 
 bool
 Instruction::usesResource(Resource r) const
 {
-    return std::find(uses_.begin(), uses_.end(), r) != uses_.end();
+    auto u = uses();
+    return std::find(u.begin(), u.end(), r) != u.end();
 }
 
 std::string
 Instruction::toString() const
 {
     if (!text_.empty())
-        return text_;
+        return std::string(text_.view());
 
     const OpcodeInfo &info = opcodeInfo(op_);
     std::string out(info.mnemonic);
@@ -51,13 +92,13 @@ Instruction::toString() const
     // First register at a given source position (pairs render as the
     // even register only).
     auto src = [this](int pos) -> std::string {
-        for (std::size_t i = 0; i < uses_.size(); ++i)
+        for (std::size_t i = 0; i < numUses_; ++i)
             if (usePositions_[i] == pos)
                 return uses_[i].toString();
         return "%g0";
     };
     auto dst = [this]() -> std::string {
-        return defs_.empty() ? "%g0" : defs_.front().toString();
+        return numDefs_ == 0 ? "%g0" : defs_[0].toString();
     };
     auto src_or_imm = [&](int pos) -> std::string {
         return usesImm_ ? std::to_string(imm_) : src(pos);
@@ -100,7 +141,7 @@ Instruction::toString() const
         break;
       case OperandSig::None:
         // Three-operand restore carries ALU-style operands.
-        if (op_ == Opcode::Restore && !defs_.empty())
+        if (op_ == Opcode::Restore && numDefs_ != 0)
             out += " " + src(0) + ", " + src_or_imm(1) + ", " + dst();
         break;
     }
@@ -316,8 +357,8 @@ renameRegisters(const Instruction &inst,
     // First register at a given source-operand position (pairs are
     // represented by their even register).
     auto src = [&inst](int pos) -> Resource {
-        const auto &uses = inst.uses();
-        const auto &positions = inst.usePositions();
+        auto uses = inst.uses();
+        auto positions = inst.usePositions();
         for (std::size_t i = 0; i < uses.size(); ++i)
             if (positions[i] == pos)
                 return uses[i];

@@ -15,23 +15,84 @@
 #ifndef SCHED91_IR_INSTRUCTION_HH
 #define SCHED91_IR_INSTRUCTION_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "ir/opcode.hh"
 #include "ir/operand.hh"
 #include "ir/resource.hh"
+#include "support/logging.hh"
 
 namespace sched91
 {
+
+/**
+ * An instruction's source text: inline up to kInline characters, on
+ * the heap beyond.  Instruction text is short (p50 17-18 characters,
+ * at most 24, on the Table 3 and serve corpora), just past
+ * std::string's 15-character inline limit.
+ */
+class InstText
+{
+  public:
+    static constexpr std::size_t kInline = 28;
+
+    InstText() = default;
+    InstText(const InstText &other) { assign(other.view()); }
+    InstText(InstText &&other) noexcept { take(other); }
+    ~InstText() { release(); }
+
+    InstText &
+    operator=(const InstText &other)
+    {
+        if (this != &other)
+            assign(other.view());
+        return *this;
+    }
+
+    InstText &
+    operator=(InstText &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            take(other);
+        }
+        return *this;
+    }
+
+    std::string_view view() const { return {data(), size_}; }
+    bool empty() const { return size_ == 0; }
+
+    /** Replace the text; @p s may point into this text. */
+    void assign(std::string_view s);
+
+  private:
+    bool onHeap() const { return size_ > kInline; }
+    const char *data() const { return onHeap() ? heap() : buf_; }
+    char *heap() const;
+    void release();
+    void take(InstText &other);
+
+    std::uint32_t size_ = 0;
+    /** The characters, or on the heap a pointer to them. */
+    char buf_[kInline];
+};
 
 /** One assembly instruction. */
 class Instruction
 {
   public:
+    /** Most uses / defs any operand signature produces: call reads
+     * %o0-%o5, %sp and call state and writes %o0-%o5, %o7 and call
+     * state. */
+    static constexpr std::size_t kMaxUses = 8;
+    static constexpr std::size_t kMaxDefs = 8;
+
     Instruction() = default;
 
     explicit Instruction(Opcode op) : op_(op) {}
@@ -45,19 +106,28 @@ class Instruction
     void setIndex(std::uint32_t idx) { index_ = idx; }
 
     /** Register-like resources read, in source-operand order. */
-    const std::vector<Resource> &uses() const { return uses_; }
+    std::span<const Resource>
+    uses() const
+    {
+        return {uses_.data(), numUses_};
+    }
 
     /** Register-like resources written, pair-first order. */
-    const std::vector<Resource> &defs() const { return defs_; }
+    std::span<const Resource>
+    defs() const
+    {
+        return {defs_.data(), numDefs_};
+    }
 
     /**
      * Source operand position (0-based) of each entry of uses(); a
      * double-precision operand contributes two uses with the same
      * position.  Drives the asymmetric-bypass delay adjustment.
      */
-    const std::vector<std::uint8_t> &usePositions() const
+    std::span<const std::uint8_t>
+    usePositions() const
     {
-        return usePositions_;
+        return {usePositions_.data(), numUses_};
     }
 
     /**
@@ -65,9 +135,10 @@ class Instruction
      * defs().  The odd half of a double-word load can become available
      * a cycle later (paper Section 2).
      */
-    const std::vector<std::uint8_t> &defPairHalves() const
+    std::span<const std::uint8_t>
+    defPairHalves() const
     {
-        return defPairHalves_;
+        return {defPairHalves_.data(), numDefs_};
     }
 
     /** Memory operand, if the instruction accesses memory. */
@@ -108,8 +179,9 @@ class Instruction
     addUse(Resource r, int pos = 0)
     {
         if (r.valid() && !r.isZeroReg()) {
-            uses_.push_back(r);
-            usePositions_.push_back(static_cast<std::uint8_t>(pos));
+            SCHED91_ASSERT(numUses_ < kMaxUses, "too many uses");
+            uses_[numUses_] = r;
+            usePositions_[numUses_++] = static_cast<std::uint8_t>(pos);
         }
     }
 
@@ -118,8 +190,9 @@ class Instruction
     addDef(Resource r, int half = 0)
     {
         if (r.valid() && !r.isZeroReg()) {
-            defs_.push_back(r);
-            defPairHalves_.push_back(static_cast<std::uint8_t>(half));
+            SCHED91_ASSERT(numDefs_ < kMaxDefs, "too many defs");
+            defs_[numDefs_] = r;
+            defPairHalves_[numDefs_++] = static_cast<std::uint8_t>(half);
         }
     }
 
@@ -136,25 +209,27 @@ class Instruction
     bool usesResource(Resource r) const;
 
     /** Assembly text as parsed or synthesized. */
-    const std::string &text() const { return text_; }
-    void setText(std::string t) { text_ = std::move(t); }
+    std::string_view text() const { return text_.view(); }
+    void setText(std::string_view t) { text_.assign(t); }
 
     /** Render the instruction as assembly. */
     std::string toString() const;
 
   private:
-    Opcode op_ = Opcode::Invalid;
-    std::uint32_t index_ = 0;
-    std::vector<Resource> uses_;
-    std::vector<Resource> defs_;
-    std::vector<std::uint8_t> usePositions_;
-    std::vector<std::uint8_t> defPairHalves_;
     std::optional<MemOperand> mem_;
     std::int64_t imm_ = 0;
+    std::string target_;
+    InstText text_;
+    std::uint32_t index_ = 0;
+    std::array<Resource, kMaxUses> uses_;
+    std::array<Resource, kMaxDefs> defs_;
+    std::array<std::uint8_t, kMaxUses> usePositions_;
+    std::array<std::uint8_t, kMaxDefs> defPairHalves_;
+    Opcode op_ = Opcode::Invalid;
+    std::uint8_t numUses_ = 0;
+    std::uint8_t numDefs_ = 0;
     bool usesImm_ = false;
     bool annul_ = false;
-    std::string target_;
-    std::string text_;
 };
 
 /**

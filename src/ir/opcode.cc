@@ -1,7 +1,7 @@
 #include "ir/opcode.hh"
 
 #include <array>
-#include <unordered_map>
+#include <cstdint>
 
 #include "support/logging.hh"
 
@@ -146,18 +146,66 @@ buildTable()
 
 const auto kOpcodeTable = buildTable();
 
-const std::unordered_map<std::string_view, Opcode> &
-mnemonicMap()
+/**
+ * Mnemonics are at most 7 characters, so each packs into one word:
+ * its bytes, little-endian, with its length in the top byte.  The
+ * word is the key of an open-addressing table that the parser probes
+ * once per instruction.
+ */
+class MnemonicTable
 {
-    static const std::unordered_map<std::string_view, Opcode> map = [] {
-        std::unordered_map<std::string_view, Opcode> m;
-        for (const auto &info : kOpcodeTable)
-            if (info.op != Opcode::Invalid)
-                m.emplace(info.mnemonic, info.op);
-        return m;
-    }();
-    return map;
-}
+  public:
+    static constexpr std::size_t kMaxLen = 7;
+
+    MnemonicTable()
+    {
+        for (const auto &info : kOpcodeTable) {
+            if (info.op == Opcode::Invalid)
+                continue;
+            std::string_view m = info.mnemonic;
+            SCHED91_ASSERT(m.size() <= kMaxLen, "mnemonic too long: ", m);
+            std::size_t i = slot(pack(m));
+            while (ops_[i] != Opcode::Invalid)
+                i = (i + 1) % kSlots;
+            keys_[i] = pack(m);
+            ops_[i] = info.op;
+        }
+    }
+
+    Opcode
+    find(std::string_view m) const
+    {
+        if (m.size() > kMaxLen)
+            return Opcode::Invalid;
+        const std::uint64_t key = pack(m);
+        for (std::size_t i = slot(key); ops_[i] != Opcode::Invalid;
+             i = (i + 1) % kSlots)
+            if (keys_[i] == key)
+                return ops_[i];
+        return Opcode::Invalid;
+    }
+
+  private:
+    static constexpr std::size_t kSlots = 256; // >= 2x the opcodes
+
+    static std::uint64_t
+    pack(std::string_view m)
+    {
+        std::uint64_t key = std::uint64_t{m.size()} << 56;
+        for (std::size_t i = 0; i < m.size(); ++i)
+            key |= std::uint64_t{static_cast<unsigned char>(m[i])} << (8 * i);
+        return key;
+    }
+
+    static std::size_t
+    slot(std::uint64_t key)
+    {
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 56);
+    }
+
+    std::array<std::uint64_t, kSlots> keys_{};
+    std::array<Opcode, kSlots> ops_{};
+};
 
 } // namespace
 
@@ -170,14 +218,55 @@ opcodeInfo(Opcode op)
 Opcode
 opcodeFromMnemonic(std::string_view mnemonic)
 {
-    auto it = mnemonicMap().find(mnemonic);
-    return it == mnemonicMap().end() ? Opcode::Invalid : it->second;
+    static const MnemonicTable table;
+    return table.find(mnemonic);
 }
 
 std::string_view
 opcodeName(Opcode op)
 {
     return opcodeInfo(op).mnemonic;
+}
+
+std::uint8_t
+memAccessWidth(Opcode op)
+{
+    switch (op) {
+      case Opcode::Ldub:
+      case Opcode::Ldsb:
+      case Opcode::Stb:
+        return 1;
+      case Opcode::Lduh:
+      case Opcode::Ldsh:
+      case Opcode::Sth:
+        return 2;
+      case Opcode::Ldd:
+      case Opcode::Lddf:
+      case Opcode::Std:
+      case Opcode::Stdf:
+      case Opcode::Ldx:
+      case Opcode::Stx:
+        return 8;
+      default:
+        return 4;
+    }
+}
+
+Opcode
+fpMemoryForm(Opcode op)
+{
+    switch (op) {
+      case Opcode::Ld:
+        return Opcode::Ldf;
+      case Opcode::Ldd:
+        return Opcode::Lddf;
+      case Opcode::St:
+        return Opcode::Stf;
+      case Opcode::Std:
+        return Opcode::Stdf;
+      default:
+        return op;
+    }
 }
 
 InstClass

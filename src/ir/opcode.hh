@@ -112,6 +112,14 @@ Opcode opcodeFromMnemonic(std::string_view mnemonic);
 /** Mnemonic for an opcode. */
 std::string_view opcodeName(Opcode op);
 
+/** Access width in bytes of a memory opcode (4 for any other). */
+std::uint8_t memAccessWidth(Opcode op);
+
+/** The FP form of an int-form memory opcode (ld -> ldf, ldd -> lddf,
+ * st -> stf, std -> stdf), for an FP register operand; any other
+ * opcode unchanged. */
+Opcode fpMemoryForm(Opcode op);
+
 /** Instruction class of an opcode. */
 InstClass instClass(Opcode op);
 

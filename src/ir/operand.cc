@@ -1,8 +1,7 @@
 #include "ir/operand.hh"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 
 #include "support/string_util.hh"
 
@@ -12,29 +11,67 @@ namespace sched91
 namespace
 {
 
-/** Is this token a register name? */
-bool
-isRegisterToken(std::string_view t)
+/** Value of digit @p c in bases up to 16, or 16 when it is none. */
+unsigned
+digitValue(char c)
 {
-    return !t.empty() && t[0] == '%' && parseRegister(t).valid();
+    if (c >= '0' && c <= '9')
+        return static_cast<unsigned>(c - '0');
+    if (c >= 'a' && c <= 'f')
+        return static_cast<unsigned>(c - 'a' + 10);
+    if (c >= 'A' && c <= 'F')
+        return static_cast<unsigned>(c - 'A' + 10);
+    return 16;
 }
 
-/** Parse a plain integer (decimal or 0x hex), optionally signed. */
+/**
+ * A whole (trimmed) token as strtoll(base 0) reads an integer:
+ * optional sign, then 0x hex, 0-prefixed octal or decimal digits.
+ */
 ImmStatus
 parsePlainInt(std::string_view t, std::int64_t &value)
 {
-    if (t.empty())
+    std::size_t i = 0;
+    const bool negative = !t.empty() && t[0] == '-';
+    if (!t.empty() && (t[0] == '-' || t[0] == '+'))
+        ++i;
+    unsigned base = 10;
+    if (i + 2 < t.size() && t[i] == '0' &&
+        (t[i + 1] == 'x' || t[i + 1] == 'X') && digitValue(t[i + 2]) < 16) {
+        base = 16;
+        i += 2;
+    } else if (i < t.size() && t[i] == '0') {
+        base = 8;
+    }
+    if (i == t.size())
         return ImmStatus::NotImm;
-    std::string s(t);
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(s.c_str(), &end, 0);
-    if (end != s.c_str() + s.size())
-        return ImmStatus::NotImm;
-    if (errno == ERANGE)
+
+    std::uint64_t magnitude = 0;
+    bool overflow = false;
+    for (; i < t.size(); ++i) {
+        unsigned d = digitValue(t[i]);
+        if (d >= base)
+            return ImmStatus::NotImm;
+        overflow = overflow ||
+                   __builtin_mul_overflow(magnitude, base, &magnitude) ||
+                   __builtin_add_overflow(magnitude, d, &magnitude);
+    }
+    const std::uint64_t limit =
+        std::uint64_t{1} << 63; // |INT64_MIN|; INT64_MAX is one less
+    if (overflow || magnitude > limit - (negative ? 0 : 1))
         return ImmStatus::OutOfRange;
-    value = v;
+    value = static_cast<std::int64_t>(negative ? 0 - magnitude
+                                               : magnitude);
     return ImmStatus::Ok;
+}
+
+/** Append an integer register's name ("%o3") to @p out. */
+void
+appendIntReg(std::string &out, int reg)
+{
+    out += '%';
+    out += "goli"[reg / 8];
+    out += static_cast<char>('0' + reg % 8);
 }
 
 } // namespace
@@ -52,22 +89,23 @@ MemOperand::storageClass() const
 std::string
 MemOperand::exprKey() const
 {
-    std::string key;
-    if (!symbol.empty())
-        key += symbol;
+    std::string key = symbol;
     if (base >= 0) {
         if (!key.empty())
             key += '+';
-        key += Resource::intReg(base).toString();
+        appendIntReg(key, base);
     }
     if (index >= 0) {
         key += '+';
-        key += Resource::intReg(index).toString();
+        appendIntReg(key, index);
     }
     if (offset != 0 || key.empty()) {
         if (offset >= 0 && !key.empty())
             key += '+';
-        key += std::to_string(offset);
+        char digits[24];
+        auto [end, ec] = std::to_chars(digits, digits + sizeof digits,
+                                       offset);
+        key.append(digits, end);
     }
     return key;
 }
@@ -92,33 +130,30 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
     MemOperand out;
     out.width = width;
 
-    // Split on top-level + and - (keeping the sign with the piece).
-    std::vector<std::string_view> pieces;
+    // One cursor: a piece ends at each top-level + or - (one right
+    // after '(' belongs to the piece) and is read before the next is
+    // found.  A '-' starts the next piece; a '+' does not.
     std::size_t start = 0;
     for (std::size_t i = 1; i <= t.size(); ++i) {
-        if (i == t.size() || ((t[i] == '+' || t[i] == '-') &&
-                              t[i - 1] != '(')) {
-            pieces.emplace_back(trim(t.substr(start, i - start)));
-            if (i < t.size() && t[i] == '-')
-                start = i; // keep the minus sign
-            else
-                start = i + 1;
-        }
-    }
+        if (i < t.size() &&
+            !((t[i] == '+' || t[i] == '-') && t[i - 1] != '('))
+            continue;
+        const std::string_view piece = trim(t.substr(start, i - start));
+        start = i < t.size() && t[i] == '-' ? i : i + 1;
 
-    for (std::string_view piece : pieces) {
         if (piece.empty())
             return std::nullopt; // dangling operator: "[%g1 +]"
         if (piece[0] == '-' && piece.size() > 1 &&
-            !std::isdigit(static_cast<unsigned char>(piece[1]))) {
+            !std::isdigit(static_cast<unsigned char>(piece[1])))
             return std::nullopt; // -%reg makes no sense
-        }
-        if (startsWith(piece, "%lo(") && piece.back() == ')') {
+        if (piece.starts_with("%lo(") && piece.back() == ')') {
             // %lo(sym) contributes the symbol.
-            out.symbol = std::string(piece.substr(4, piece.size() - 5));
+            out.symbol.assign(piece.substr(4, piece.size() - 5));
             continue;
         }
-        if (isRegisterToken(piece)) {
+        if (piece[0] == '%') {
+            // Only an integer register; "[%q5 + 4]" is a typo, not a
+            // symbol.
             Resource r = parseRegister(piece);
             if (r.kind() != Resource::Kind::IntReg)
                 return std::nullopt;
@@ -130,19 +165,14 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
                 return std::nullopt;
             continue;
         }
-        if (piece[0] == '%') {
-            // Register-like token that is not a known register (and
-            // not %lo(...)): "[%q5 + 4]" is a typo, not a symbol.
-            return std::nullopt;
-        }
         std::int64_t v = 0;
         ImmStatus lit = parsePlainInt(piece, v);
         if (lit == ImmStatus::OutOfRange ||
             (lit == ImmStatus::Ok &&
              __builtin_add_overflow(out.offset, v, &out.offset))) {
             if (overflowAt)
-                *overflowAt = static_cast<std::size_t>(piece.data() -
-                                                       text.data());
+                *overflowAt =
+                    static_cast<std::size_t>(piece.data() - text.data());
             return std::nullopt;
         }
         if (lit == ImmStatus::Ok)
@@ -150,7 +180,7 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
         // Bare symbol.
         if (!out.symbol.empty())
             return std::nullopt;
-        out.symbol = std::string(piece);
+        out.symbol.assign(piece);
     }
 
     if (out.base < 0 && out.symbol.empty())
@@ -162,11 +192,12 @@ std::uint32_t
 MemExprTable::intern(const MemOperand &op)
 {
     std::string key = op.exprKey();
-    auto [it, inserted] =
-        ids_.emplace(key, static_cast<std::uint32_t>(keys_.size()));
-    if (inserted)
-        keys_.push_back(std::move(key));
-    return it->second;
+    if (auto it = ids_.find(key); it != ids_.end())
+        return it->second;
+    auto id = static_cast<std::uint32_t>(keys_.size());
+    ids_.emplace(key, id);
+    keys_.push_back(std::move(key));
+    return id;
 }
 
 ImmStatus
@@ -174,12 +205,12 @@ parseImmediate(std::string_view text, std::int64_t &value)
 {
     std::string_view t = trim(text);
     if (t.empty() || t[0] == '%') {
-        if (startsWith(t, "%hi(") && t.back() == ')') {
+        if (t.starts_with("%hi(") && t.back() == ')') {
             value = static_cast<std::int64_t>(
                 symbolHash(t.substr(4, t.size() - 5)) >> 10 << 10);
             return ImmStatus::Ok;
         }
-        if (startsWith(t, "%lo(") && t.back() == ')') {
+        if (t.starts_with("%lo(") && t.back() == ')') {
             value = static_cast<std::int64_t>(
                 symbolHash(t.substr(4, t.size() - 5)) & 0x3ff);
             return ImmStatus::Ok;

@@ -1,6 +1,7 @@
 #include "ir/parser.hh"
 
-#include <set>
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,57 +18,37 @@ namespace sched91
 namespace
 {
 
-/** Access width in bytes for a memory opcode. */
-std::uint8_t
-memWidth(Opcode op)
+/** What the line cursor notices about a character. */
+enum CharClass : std::uint8_t {
+    kSpace = 1,   ///< the C locale's isspace(): what trimming skips
+    kBlank = 2,   ///< ' ' or '\t': ends the mnemonic
+    kComment = 4, ///< '!' or '#': starts a comment
+    kColon = 8,
+};
+
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+    std::array<std::uint8_t, 256> t{};
+    for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+        t[c] |= kSpace;
+    t[' '] |= kBlank;
+    t['\t'] |= kBlank;
+    t['!'] |= kComment;
+    t['#'] |= kComment;
+    t[':'] |= kColon;
+    return t;
+}();
+
+constexpr std::uint8_t
+charClass(char c)
 {
-    switch (op) {
-      case Opcode::Ldub:
-      case Opcode::Ldsb:
-      case Opcode::Stb:
-        return 1;
-      case Opcode::Lduh:
-      case Opcode::Ldsh:
-      case Opcode::Sth:
-        return 2;
-      case Opcode::Ldd:
-      case Opcode::Lddf:
-      case Opcode::Std:
-      case Opcode::Stdf:
-      case Opcode::Ldx:
-      case Opcode::Stx:
-        return 8;
-      default:
-        return 4;
-    }
+    return kCharClass[static_cast<unsigned char>(c)];
 }
 
-/** Remap int-form memory mnemonics to the FP form for %f operands. */
-Opcode
-remapFpMemory(Opcode op, Resource reg)
+/** The C locale's tolower(). */
+constexpr char
+toLowerAscii(char c)
 {
-    if (reg.kind() != Resource::Kind::FpReg)
-        return op;
-    switch (op) {
-      case Opcode::Ld:
-        return Opcode::Ldf;
-      case Opcode::Ldd:
-        return Opcode::Lddf;
-      case Opcode::St:
-        return Opcode::Stf;
-      case Opcode::Std:
-        return Opcode::Stdf;
-      default:
-        return op;
-    }
-}
-
-/** Strip trailing comment introduced by '!' or '#'. */
-std::string_view
-stripComment(std::string_view line)
-{
-    std::size_t pos = line.find_first_of("!#");
-    return pos == std::string_view::npos ? line : line.substr(0, pos);
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 /**
@@ -90,299 +71,337 @@ lineError(int col, const Args &...args)
 }
 
 /**
- * 1-based column of @p tok, a view into the raw source line @p raw
- * (0 = unknown).  Taken from the view's position, not by searching
- * for its text, which may occur earlier in the line.
- */
-int
-columnOf(std::string_view raw, std::string_view tok)
-{
-    return tok.empty() ? 0 : static_cast<int>(tok.data() - raw.data()) + 1;
-}
-
-Resource
-requireReg(std::string_view tok, std::string_view raw)
-{
-    Resource r = parseRegister(tok);
-    if (!r.valid() && tok != "%g0")
-        lineError(columnOf(raw, tok), "expected register, got '", tok,
-                  "'");
-    return r;
-}
-
-/**
- * @p tok as an immediate, or std::nullopt when it is not one.  An
- * integer literal that does not fit in 64 bits is a line error.
- */
-std::optional<std::int64_t>
-immediate(std::string_view tok, std::string_view raw)
-{
-    std::int64_t v = 0;
-    switch (parseImmediate(tok, v)) {
-      case ImmStatus::Ok:
-        return v;
-      case ImmStatus::OutOfRange:
-        lineError(columnOf(raw, tok), "integer literal '", tok,
-                  "' does not fit in 64 bits");
-      default:
-        return std::nullopt;
-    }
-}
-
-/** @p tok as an address; a malformed one is a line error. */
-MemOperand
-address(std::string_view tok, std::uint8_t width, std::string_view raw)
-{
-    std::size_t overflow_at = std::string_view::npos;
-    auto mem = MemOperand::parse(tok, width, &overflow_at);
-    if (mem)
-        return *std::move(mem);
-    if (overflow_at != std::string_view::npos)
-        lineError(columnOf(raw, tok) + static_cast<int>(overflow_at),
-                  "memory offset does not fit in 64 bits");
-    lineError(columnOf(raw, tok), "bad address '", tok, "'");
-}
-
-/** SPARC simm13: the signed 13-bit immediate field of ALU-style ops. */
-constexpr std::int64_t kSimm13Min = -4096;
-constexpr std::int64_t kSimm13Max = 4095;
-
-/**
  * Parseable-but-suspicious findings on one line, handed back to the
  * caller as Severity::Warning diagnostics.  Same shape as LineError
  * but collected, not thrown.
  */
 using LineWarnings = std::vector<LineError>;
 
-/**
- * Warn when a *literal* immediate token exceeds the 13-bit signed
- * field.  %hi()/%lo() relocations synthesize values by design and
- * sethi's field is 22 bits wide, so only plain numeric tokens in
- * simm13 positions qualify.
- */
-void
-warnSimm13(LineWarnings *warnings, std::string_view tok,
-           std::string_view raw, std::int64_t value)
-{
-    if (!warnings || tok.empty() || tok[0] == '%')
-        return;
-    if (value < kSimm13Min || value > kSimm13Max) {
-        std::ostringstream os;
-        os << "immediate " << value
-           << " outside the signed 13-bit range [-4096, 4095]";
-        warnings->push_back(LineError{columnOf(raw, tok), os.str()});
-    }
-}
+/** SPARC simm13: the signed 13-bit immediate field of ALU-style ops. */
+constexpr std::int64_t kSimm13Min = -4096;
+constexpr std::int64_t kSimm13Max = 4095;
 
-/** Same check for the accumulated literal offset of a memory operand. */
-void
-warnMemOffset(LineWarnings *warnings, std::string_view tok,
-              std::string_view raw, const MemOperand &mem)
-{
-    if (!warnings)
-        return;
-    if (mem.offset < kSimm13Min || mem.offset > kSimm13Max) {
-        std::ostringstream os;
-        os << "memory offset " << mem.offset
-           << " outside the signed 13-bit range [-4096, 4095]";
-        warnings->push_back(LineError{columnOf(raw, tok), os.str()});
-    }
-}
+/** Longest mnemonic, ",a" included, the opcode lookup can match. */
+constexpr std::size_t kMaxMnemonic = 16;
 
 /**
- * Parse one non-empty, non-label, non-directive source line into an
- * Instruction.  Throws LineError on any malformed piece; the caller
- * owns recovery policy.  Suspicious-but-parseable findings are
- * appended to @p warnings (when non-null) instead of thrown.
+ * A line's operands: top-level comma-separated pieces (a comma inside
+ * brackets does not split), trimmed, empty ones dropped.  The first
+ * three, as many as any signature reads, are kept as views into the
+ * line, so each knows its column.
  */
+struct Operands
+{
+    std::array<std::string_view, 3> op;
+    std::size_t count = 0;
+
+    std::string_view operator[](std::size_t i) const { return op[i]; }
+};
+
+Operands
+splitOperands(std::string_view rest)
+{
+    Operands out;
+    int depth = 0;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= rest.size(); ++i) {
+        const char c = i == rest.size() ? ',' : rest[i];
+        if (c == '[') {
+            ++depth;
+        } else if (c == ']') {
+            --depth;
+        } else if (c == ',' && depth == 0) {
+            std::string_view piece = trim(rest.substr(start, i - start));
+            if (!piece.empty()) {
+                if (out.count < out.op.size())
+                    out.op[out.count] = piece;
+                ++out.count;
+            }
+            start = i + 1;
+        }
+    }
+    return out;
+}
+
+/** Parses one instruction line; every operand is a view into raw. */
+class LineParser
+{
+  public:
+    LineParser(std::string_view raw, LineWarnings &warnings)
+        : raw_(raw), warnings_(warnings)
+    {
+    }
+
+    /**
+     * Parse @p line (trimmed, comment-free, not a label or directive)
+     * whose mnemonic ends at @p blank (npos: no operands).  Throws
+     * LineError on any malformed piece.
+     */
+    Instruction
+    parse(std::string_view line, std::size_t blank)
+    {
+        Instruction inst = build(line, blank);
+        inst.setText(line);
+        return inst;
+    }
+
+  private:
+    Instruction build(std::string_view line, std::size_t blank);
+
+    /** 1-based column of @p tok, a view into the line (0 = none). */
+    int
+    col(std::string_view tok) const
+    {
+        return tok.empty() ? 0
+                           : static_cast<int>(tok.data() - raw_.data()) + 1;
+    }
+
+    Resource
+    reg(std::string_view tok) const
+    {
+        Resource r = parseRegister(tok);
+        if (!r.valid())
+            lineError(col(tok), "expected register, got '", tok, "'");
+        return r;
+    }
+
+    /** @p tok as an immediate, or std::nullopt when it is not one. */
+    std::optional<std::int64_t>
+    imm(std::string_view tok) const
+    {
+        std::int64_t v = 0;
+        switch (parseImmediate(tok, v)) {
+          case ImmStatus::Ok:
+            return v;
+          case ImmStatus::OutOfRange:
+            lineError(col(tok), "integer literal '", tok,
+                      "' does not fit in 64 bits");
+          default:
+            return std::nullopt;
+        }
+    }
+
+    /** An immediate in a simm13 field: a literal outside it warns. */
+    std::optional<std::int64_t>
+    simm13(std::string_view tok)
+    {
+        auto v = imm(tok);
+        if (v && tok[0] != '%' && (*v < kSimm13Min || *v > kSimm13Max)) {
+            std::ostringstream os;
+            os << "immediate " << *v
+               << " outside the signed 13-bit range [-4096, 4095]";
+            warnings_.push_back(LineError{col(tok), os.str()});
+        }
+        return v;
+    }
+
+    /** @p tok as an address (never std::nullopt: a bad one throws). */
+    std::optional<MemOperand>
+    address(std::string_view tok, Opcode op)
+    {
+        std::size_t overflow_at = std::string_view::npos;
+        auto mem = MemOperand::parse(tok, memAccessWidth(op), &overflow_at);
+        if (!mem && overflow_at != std::string_view::npos)
+            lineError(col(tok) + static_cast<int>(overflow_at),
+                      "memory offset does not fit in 64 bits");
+        if (!mem)
+            lineError(col(tok), "bad address '", tok, "'");
+        if (mem->offset < kSimm13Min || mem->offset > kSimm13Max) {
+            std::ostringstream os;
+            os << "memory offset " << mem->offset
+               << " outside the signed 13-bit range [-4096, 4095]";
+            warnings_.push_back(LineError{col(tok), os.str()});
+        }
+        return mem;
+    }
+
+    std::string_view raw_;
+    LineWarnings &warnings_;
+};
+
 Instruction
-parseInstructionLine(std::string_view line, std::string_view raw,
-                     LineWarnings *warnings = nullptr)
+LineParser::build(std::string_view line, std::size_t blank)
 {
-    // Split mnemonic from operand list.
-    std::size_t sp = line.find_first_of(" \t");
-    std::string mnemonic =
-        toLower(sp == std::string_view::npos ? line : line.substr(0, sp));
-    std::string_view rest =
-        sp == std::string_view::npos ? "" : trim(line.substr(sp));
+    const std::string_view word = line.substr(0, blank);
+    const std::string_view rest =
+        blank == std::string_view::npos ? std::string_view()
+                                        : trim(line.substr(blank));
 
+    // Lower-case the mnemonic into a stack buffer; ",a" marks an
+    // annulling branch.
+    char buf[kMaxMnemonic];
+    std::size_t len = word.size();
     bool annul = false;
-    if (mnemonic.size() > 2 &&
-        mnemonic.substr(mnemonic.size() - 2) == ",a") {
-        annul = true;
-        mnemonic.resize(mnemonic.size() - 2);
+    Opcode op = Opcode::Invalid;
+    if (len <= kMaxMnemonic) {
+        for (std::size_t i = 0; i < len; ++i)
+            buf[i] = toLowerAscii(word[i]);
+        if (len > 2 && buf[len - 2] == ',' && buf[len - 1] == 'a') {
+            annul = true;
+            len -= 2;
+        }
+        op = opcodeFromMnemonic({buf, len});
     }
-
-    Opcode op = opcodeFromMnemonic(mnemonic);
-    if (op == Opcode::Invalid)
-        lineError(columnOf(raw, line.substr(0, mnemonic.size())),
-                  "unknown mnemonic '", mnemonic, "'");
+    if (op == Opcode::Invalid) {
+        std::string mnemonic(word);
+        for (char &c : mnemonic)
+            c = toLowerAscii(c);
+        if (mnemonic.size() > 2 &&
+            mnemonic.compare(mnemonic.size() - 2, 2, ",a") == 0)
+            mnemonic.resize(mnemonic.size() - 2);
+        lineError(col(word), "unknown mnemonic '", mnemonic, "'");
+    }
+    const std::string_view mnemonic(buf, len);
 
     const OpcodeInfo &info = opcodeInfo(op);
-    std::vector<std::string_view> ops = splitOperands(rest);
-
+    const Operands ops = splitOperands(rest);
     auto need = [&](std::size_t n) {
-        if (ops.size() != n)
-            lineError(columnOf(raw, rest), "'", mnemonic, "' expects ",
-                      n, " operands, got ", ops.size());
+        if (ops.count != n)
+            lineError(col(rest), "'", mnemonic, "' expects ", n,
+                      " operands, got ", ops.count);
     };
 
-    Instruction inst;
     switch (info.sig) {
       case OperandSig::Alu3: {
         need(3);
-        Resource rs1 = requireReg(ops[0], raw);
+        Resource rs1 = reg(ops[0]);
         Resource rs2;
-        std::int64_t imm = 0;
-        if (auto v = immediate(ops[1], raw)) {
-            imm = *v;
-            warnSimm13(warnings, ops[1], raw, imm);
-        } else {
-            rs2 = requireReg(ops[1], raw);
-        }
-        Resource rd = requireReg(ops[2], raw);
-        inst = makeInstruction(op, rs1, rs2, rd, std::nullopt, imm);
-        break;
+        std::int64_t value = 0;
+        if (auto v = simm13(ops[1]))
+            value = *v;
+        else
+            rs2 = reg(ops[1]);
+        Resource rd = reg(ops[2]);
+        return makeInstruction(op, rs1, rs2, rd, std::nullopt, value);
       }
       case OperandSig::Cmp2: {
         need(2);
-        Resource rs1 = requireReg(ops[0], raw);
+        Resource rs1 = reg(ops[0]);
         Resource rs2;
-        std::int64_t imm = 0;
-        if (auto v = immediate(ops[1], raw)) {
-            imm = *v;
-            warnSimm13(warnings, ops[1], raw, imm);
-        } else {
-            rs2 = requireReg(ops[1], raw);
-        }
-        inst = makeInstruction(op, rs1, rs2, Resource(), std::nullopt,
-                               imm);
-        break;
+        std::int64_t value = 0;
+        if (auto v = simm13(ops[1]))
+            value = *v;
+        else
+            rs2 = reg(ops[1]);
+        return makeInstruction(op, rs1, rs2, Resource(), std::nullopt,
+                               value);
       }
       case OperandSig::Mov2: {
         need(2);
         Resource rs1;
-        std::int64_t imm = 0;
-        if (auto v = immediate(ops[0], raw)) {
-            imm = *v;
-            warnSimm13(warnings, ops[0], raw, imm);
-        } else {
-            rs1 = requireReg(ops[0], raw);
-        }
-        Resource rd = requireReg(ops[1], raw);
-        inst = makeInstruction(op, rs1, Resource(), rd, std::nullopt,
-                               imm);
-        break;
+        std::int64_t value = 0;
+        if (auto v = simm13(ops[0]))
+            value = *v;
+        else
+            rs1 = reg(ops[0]);
+        Resource rd = reg(ops[1]);
+        return makeInstruction(op, rs1, Resource(), rd, std::nullopt,
+                               value);
       }
       case OperandSig::Sethi2: {
         need(2);
-        auto v = immediate(ops[0], raw);
+        auto v = imm(ops[0]);
         if (!v)
-            lineError(columnOf(raw, ops[0]), "bad sethi immediate '",
-                      ops[0], "'");
-        Resource rd = requireReg(ops[1], raw);
-        inst = makeInstruction(op, Resource(), Resource(), rd,
+            lineError(col(ops[0]), "bad sethi immediate '", ops[0], "'");
+        Resource rd = reg(ops[1]);
+        return makeInstruction(op, Resource(), Resource(), rd,
                                std::nullopt, *v);
-        break;
       }
       case OperandSig::LoadOp: {
         need(2);
-        Resource rd = requireReg(ops[1], raw);
-        Opcode real_op = remapFpMemory(op, rd);
-        MemOperand mem = address(ops[0], memWidth(real_op), raw);
-        warnMemOffset(warnings, ops[0], raw, mem);
-        inst = makeInstruction(real_op, Resource(), Resource(), rd,
-                               std::move(mem));
-        break;
+        Resource rd = reg(ops[1]);
+        Opcode real_op =
+            rd.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op;
+        return makeInstruction(real_op, Resource(), Resource(), rd,
+                               address(ops[0], real_op));
       }
       case OperandSig::StoreOp: {
         need(2);
-        Resource rs = requireReg(ops[0], raw);
-        Opcode real_op = remapFpMemory(op, rs);
-        MemOperand mem = address(ops[1], memWidth(real_op), raw);
-        warnMemOffset(warnings, ops[1], raw, mem);
-        inst = makeInstruction(real_op, rs, Resource(), Resource(),
-                               std::move(mem));
-        break;
+        Resource rs = reg(ops[0]);
+        Opcode real_op =
+            rs.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op;
+        return makeInstruction(real_op, rs, Resource(), Resource(),
+                               address(ops[1], real_op));
       }
       // The FP forms check their operands last to first, so a line
       // with several bad registers reports the rightmost.
       case OperandSig::Fp3: {
         need(3);
-        Resource rd = requireReg(ops[2], raw);
-        Resource rs2 = requireReg(ops[1], raw);
-        Resource rs1 = requireReg(ops[0], raw);
-        inst = makeInstruction(op, rs1, rs2, rd);
-        break;
+        Resource rd = reg(ops[2]);
+        Resource rs2 = reg(ops[1]);
+        Resource rs1 = reg(ops[0]);
+        return makeInstruction(op, rs1, rs2, rd);
       }
       case OperandSig::Fp2: {
         need(2);
-        Resource rd = requireReg(ops[1], raw);
-        Resource rs1 = requireReg(ops[0], raw);
-        inst = makeInstruction(op, rs1, Resource(), rd);
-        break;
+        Resource rd = reg(ops[1]);
+        Resource rs1 = reg(ops[0]);
+        return makeInstruction(op, rs1, Resource(), rd);
       }
       case OperandSig::Fcmp2: {
         need(2);
-        Resource rs2 = requireReg(ops[1], raw);
-        Resource rs1 = requireReg(ops[0], raw);
-        inst = makeInstruction(op, rs1, rs2, Resource());
-        break;
+        Resource rs2 = reg(ops[1]);
+        Resource rs1 = reg(ops[0]);
+        return makeInstruction(op, rs1, rs2, Resource());
       }
-      case OperandSig::BranchOp: {
-        need(1);
-        inst = makeInstruction(op, Resource(), Resource(), Resource());
-        inst.setTarget(ops[0]);
-        inst.setAnnul(annul);
-        break;
-      }
+      case OperandSig::BranchOp:
       case OperandSig::CallOp: {
         need(1);
-        inst = makeInstruction(op, Resource(), Resource(), Resource());
+        Instruction inst =
+            makeInstruction(op, Resource(), Resource(), Resource());
         inst.setTarget(ops[0]);
-        break;
+        inst.setAnnul(annul && info.sig == OperandSig::BranchOp);
+        return inst;
       }
       case OperandSig::JmplOp: {
         need(2);
-        Resource rs1 = requireReg(ops[0], raw);
-        Resource rd = requireReg(ops[1], raw);
-        inst = makeInstruction(op, rs1, Resource(), rd);
-        break;
+        Resource rs1 = reg(ops[0]);
+        Resource rd = reg(ops[1]);
+        return makeInstruction(op, rs1, Resource(), rd);
       }
       case OperandSig::None: {
-        if (op == Opcode::Restore && ops.size() == 3) {
+        if (op == Opcode::Restore && ops.count == 3) {
             // restore %rs1, %rs2_or_imm, %rd form
-            Resource rs1 = requireReg(ops[0], raw);
+            Resource rs1 = reg(ops[0]);
             Resource rs2;
-            std::int64_t imm = 0;
-            if (auto v = immediate(ops[1], raw))
-                imm = *v;
+            std::int64_t value = 0;
+            if (auto v = imm(ops[1]))
+                value = *v;
             else
-                rs2 = requireReg(ops[1], raw);
-            Resource rd = requireReg(ops[2], raw);
-            inst = Instruction(Opcode::Restore);
+                rs2 = reg(ops[1]);
+            Resource rd = reg(ops[2]);
+            Instruction inst(Opcode::Restore);
             inst.addUse(rs1, 0);
             if (rs2.valid())
                 inst.addUse(rs2, 1);
             else
                 inst.setUsesImm(true);
-            inst.setImm(imm);
+            inst.setImm(value);
             inst.addDef(rd);
             inst.addUse(Resource::callState(), 2);
             inst.addDef(Resource::callState());
-        } else {
-            need(0);
-            inst = makeInstruction(op, Resource(), Resource(),
-                                   Resource());
+            return inst;
         }
-        break;
+        need(0);
+        return makeInstruction(op, Resource(), Resource(), Resource());
       }
       default:
         lineError(0, "unhandled signature for '", mnemonic, "'");
     }
+}
 
-    inst.setText(std::string(line));
-    return inst;
+/**
+ * Instructions @p text can hold: at most one per line, and at most
+ * one per four bytes ("nop\n" is the shortest), so a run of empty
+ * lines cannot make the reservation outgrow the input.
+ */
+std::size_t
+instructionCapacity(std::string_view text)
+{
+    std::size_t lines =
+        static_cast<std::size_t>(
+            std::count(text.begin(), text.end(), '\n')) + 1;
+    return std::min(lines, (text.size() + 1) / 4);
 }
 
 } // namespace
@@ -392,44 +411,67 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
               std::string_view filename)
 {
     Program prog;
+    prog.reserve(instructionCapacity(text));
 
     std::size_t pos = 0;
     int lineno = 0;
-    std::set<std::string, std::less<>> seen_labels;
     while (pos <= text.size()) {
         std::size_t nl = text.find('\n', pos);
         if (nl == std::string_view::npos)
             nl = text.size();
-        std::string_view raw = text.substr(pos, nl - pos);
+        const std::string_view raw = text.substr(pos, nl - pos);
         pos = nl + 1;
         ++lineno;
 
-        std::string_view line = trim(stripComment(raw));
-        if (line.empty())
+        // One cursor over the line: skip leading whitespace, then up
+        // to the comment ('!' or '#') note where the mnemonic's first
+        // blank is and whether a ':' occurs.
+        std::size_t b = 0;
+        while (b < raw.size() && (charClass(raw[b]) & kSpace))
+            ++b;
+        std::size_t e = b;
+        std::size_t blank = std::string_view::npos;
+        bool colon = false;
+        for (; e < raw.size(); ++e) {
+            const std::uint8_t k = charClass(raw[e]);
+            if (k == 0)
+                continue;
+            if (k & kComment)
+                break;
+            if ((k & kBlank) && blank == std::string_view::npos)
+                blank = e - b;
+            colon = colon || (k & kColon);
+        }
+        while (e > b && (charClass(raw[e - 1]) & kSpace))
+            --e;
+        if (e == b)
             continue;
+        const std::string_view line = raw.substr(b, e - b);
+        if (blank >= line.size())
+            blank = std::string_view::npos;
 
         // Labels (possibly several on one conceptual position).
         if (line.back() == ':') {
-            std::string label(line.substr(0, line.size() - 1));
-            if (!seen_labels.insert(label).second) {
+            const std::string_view label = line.substr(0, line.size() - 1);
+            if (!prog.addLabel(label)) {
                 // Parseable but almost certainly a mistake: a branch
                 // to this label is ambiguous.
                 obs::ev::robustParseWarnings.inc();
-                diags.warning(filename, lineno, 1,
-                              "label '" + label +
-                                  "' defined more than once");
+                std::string message = "label '";
+                message += label;
+                message += "' defined more than once";
+                diags.warning(filename, lineno, 1, std::move(message));
             }
-            prog.addLabel(std::move(label));
             continue;
         }
 
         // Ignore non-label assembler directives.
-        if (line[0] == '.' && line.find(':') == std::string_view::npos)
+        if (line[0] == '.' && !colon)
             continue;
 
+        LineWarnings warnings;
         try {
-            LineWarnings warnings;
-            prog.append(parseInstructionLine(line, raw, &warnings));
+            prog.append(LineParser(raw, warnings).parse(line, blank));
             for (const LineError &w : warnings) {
                 obs::ev::robustParseWarnings.inc();
                 diags.warning(filename, lineno, w.col, w.message);

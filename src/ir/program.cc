@@ -13,18 +13,26 @@ Program::append(Instruction inst)
         inst.mem()->exprId = memExprs_.intern(*inst.mem());
     insts_.push_back(std::move(inst));
     if (labelAt_.size() < insts_.size())
-        labelAt_.resize(insts_.size(), false);
+        labelAt_.push_back(false);
     return insts_.back();
 }
 
 void
-Program::addLabel(const std::string &name)
+Program::reserve(std::size_t n)
+{
+    insts_.reserve(n);
+    labelAt_.reserve(n);
+}
+
+bool
+Program::addLabel(std::string_view name)
 {
     auto idx = static_cast<std::uint32_t>(insts_.size());
-    labels_.emplace(name, idx);
+    bool added = labels_.try_emplace(std::string(name), idx).second;
     if (labelAt_.size() <= idx)
         labelAt_.resize(idx + 1, false);
     labelAt_[idx] = true;
+    return added;
 }
 
 std::int64_t

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -25,8 +26,15 @@ class Program
     /** Append an instruction; assigns its index and interns memory. */
     Instruction &append(Instruction inst);
 
-    /** Attach a label to the next appended instruction position. */
-    void addLabel(const std::string &name);
+    /** Make room for @p n instructions. */
+    void reserve(std::size_t n);
+
+    /**
+     * Attach a label to the next appended instruction position.
+     * Returns false when @p name is already defined; its first
+     * definition stays.
+     */
+    bool addLabel(std::string_view name);
 
     const std::vector<Instruction> &insts() const { return insts_; }
     std::vector<Instruction> &insts() { return insts_; }
@@ -34,6 +42,13 @@ class Program
     std::size_t size() const { return insts_.size(); }
 
     const Instruction &operator[](std::size_t i) const { return insts_[i]; }
+
+    /** Every label and the instruction index it points at. */
+    const std::unordered_map<std::string, std::uint32_t> &
+    labels() const
+    {
+        return labels_;
+    }
 
     /** Instruction index a label points at, or -1 when unknown. */
     std::int64_t labelTarget(const std::string &name) const;

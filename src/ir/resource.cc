@@ -1,7 +1,5 @@
 #include "ir/resource.hh"
 
-#include <cstdlib>
-
 #include "support/logging.hh"
 
 namespace sched91
@@ -58,6 +56,37 @@ parseRegister(std::string_view name)
         return Resource();
     std::string_view body = name.substr(1);
 
+    // Bank letter and one or two digits: the common case.
+    std::string_view digits = body.substr(1);
+    if (!digits.empty() && digits.size() <= 2) {
+        int n = 0;
+        for (char c : digits) {
+            if (c < '0' || c > '9') {
+                n = -1;
+                break;
+            }
+            n = n * 10 + (c - '0');
+        }
+        if (n >= 0) {
+            switch (body[0]) {
+              case 'g':
+                return n < 8 ? Resource::intReg(n) : Resource();
+              case 'o':
+                return n < 8 ? Resource::intReg(8 + n) : Resource();
+              case 'l':
+                return n < 8 ? Resource::intReg(16 + n) : Resource();
+              case 'i':
+                return n < 8 ? Resource::intReg(24 + n) : Resource();
+              case 'r':
+                return n < 32 ? Resource::intReg(n) : Resource();
+              case 'f':
+                return n < 32 ? Resource::fpReg(n) : Resource();
+              default:
+                return Resource();
+            }
+        }
+    }
+
     if (body == "sp")
         return Resource::intReg(14); // %o6
     if (body == "fp")
@@ -68,32 +97,7 @@ parseRegister(std::string_view name)
         return Resource::icc();
     if (body == "fcc")
         return Resource::fcc();
-
-    char bank = body[0];
-    std::string_view digits = body.substr(1);
-    if (digits.empty() || digits.size() > 2)
-        return Resource();
-    for (char c : digits)
-        if (c < '0' || c > '9')
-            return Resource();
-    int n = std::atoi(std::string(digits).c_str());
-
-    switch (bank) {
-      case 'g':
-        return n < 8 ? Resource::intReg(n) : Resource();
-      case 'o':
-        return n < 8 ? Resource::intReg(8 + n) : Resource();
-      case 'l':
-        return n < 8 ? Resource::intReg(16 + n) : Resource();
-      case 'i':
-        return n < 8 ? Resource::intReg(24 + n) : Resource();
-      case 'r':
-        return n < 32 ? Resource::intReg(n) : Resource();
-      case 'f':
-        return n < 32 ? Resource::fpReg(n) : Resource();
-      default:
-        return Resource();
-    }
+    return Resource();
 }
 
 } // namespace sched91

@@ -6,18 +6,6 @@
 namespace sched91
 {
 
-std::string_view
-trim(std::string_view s)
-{
-    std::size_t b = 0;
-    while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    std::size_t e = s.size();
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 std::vector<std::string>
 splitTrim(std::string_view s, char delim)
 {

@@ -13,8 +13,19 @@
 namespace sched91
 {
 
-/** Strip leading/trailing whitespace. */
-std::string_view trim(std::string_view s);
+/** Strip leading/trailing whitespace (the C locale's isspace()). */
+inline std::string_view
+trim(std::string_view s)
+{
+    auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+    std::size_t b = 0;
+    std::size_t e = s.size();
+    while (b < e && space(s[b]))
+        ++b;
+    while (e > b && space(s[e - 1]))
+        --e;
+    return s.substr(b, e - b);
+}
 
 /** Split on a delimiter character, trimming each piece. */
 std::vector<std::string> splitTrim(std::string_view s, char delim);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/basic_block.hh"
 #include "ir/parser.hh"
 #include "workload/generator.hh"
@@ -26,8 +28,10 @@ expectSameSemantics(const Program &a, const Program &b)
         const Instruction &x = a[i];
         const Instruction &y = b[i];
         EXPECT_EQ(x.op(), y.op()) << i << ": " << x.toString();
-        EXPECT_EQ(x.defs(), y.defs()) << i << ": " << x.toString();
-        EXPECT_EQ(x.uses(), y.uses()) << i << ": " << x.toString();
+        EXPECT_TRUE(std::ranges::equal(x.defs(), y.defs()))
+            << i << ": " << x.toString();
+        EXPECT_TRUE(std::ranges::equal(x.uses(), y.uses()))
+            << i << ": " << x.toString();
         EXPECT_EQ(x.usesImm(), y.usesImm()) << i;
         if (x.usesImm()) {
             EXPECT_EQ(x.imm(), y.imm()) << i;
