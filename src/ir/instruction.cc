@@ -6,30 +6,6 @@
 namespace sched91
 {
 
-char *
-InstText::heap() const
-{
-    char *p;
-    std::memcpy(&p, buf_, sizeof p);
-    return p;
-}
-
-void
-InstText::release()
-{
-    if (onHeap())
-        delete[] heap();
-}
-
-void
-InstText::take(InstText &other)
-{
-    std::memcpy(buf_, other.buf_,
-                other.onHeap() ? sizeof(char *) : other.size_);
-    size_ = other.size_;
-    other.size_ = 0;
-}
-
 void
 InstText::assign(std::string_view s)
 {

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
@@ -74,13 +75,33 @@ class InstText
   private:
     bool onHeap() const { return size_ > kInline; }
     const char *data() const { return onHeap() ? heap() : buf_; }
-    char *heap() const;
-    void release();
-    void take(InstText &other);
+
+    char *
+    heap() const
+    {
+        char *p;
+        std::memcpy(&p, buf_, sizeof p);
+        return p;
+    }
+
+    void
+    release()
+    {
+        if (onHeap())
+            delete[] heap();
+    }
+
+    void
+    take(InstText &other)
+    {
+        std::memcpy(buf_, other.buf_, kInline);
+        size_ = other.size_;
+        other.size_ = 0;
+    }
 
     std::uint32_t size_ = 0;
     /** The characters, or on the heap a pointer to them. */
-    char buf_[kInline];
+    char buf_[kInline] = {};
 };
 
 /** One assembly instruction. */

@@ -1,5 +1,6 @@
 #include "ir/operand.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -65,6 +66,18 @@ parsePlainInt(std::string_view t, std::int64_t &value)
     return ImmStatus::Ok;
 }
 
+/** FNV-1a: the slot hash of an expression key. */
+std::size_t
+keyHash(std::string_view key)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : key) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
 /** Append an integer register's name ("%o3") to @p out. */
 void
 appendIntReg(std::string &out, int reg)
@@ -116,19 +129,20 @@ MemOperand::toString() const
     return "[" + exprKey() + "]";
 }
 
-std::optional<MemOperand>
-MemOperand::parse(std::string_view text, std::uint8_t width,
-                  std::size_t *overflowAt)
+namespace
+{
+
+/** MemOperand::parse into @p out; false when malformed. */
+bool
+parseAddress(std::string_view text, MemOperand &out,
+             std::size_t *overflowAt)
 {
     std::string_view t = trim(text);
     if (t.size() < 3 || t.front() != '[' || t.back() != ']')
-        return std::nullopt;
+        return false;
     t = trim(t.substr(1, t.size() - 2));
     if (t.empty())
-        return std::nullopt;
-
-    MemOperand out;
-    out.width = width;
+        return false;
 
     // One cursor: a piece ends at each top-level + or - (one right
     // after '(' belongs to the piece) and is read before the next is
@@ -142,10 +156,10 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
         start = i < t.size() && t[i] == '-' ? i : i + 1;
 
         if (piece.empty())
-            return std::nullopt; // dangling operator: "[%g1 +]"
+            return false; // dangling operator: "[%g1 +]"
         if (piece[0] == '-' && piece.size() > 1 &&
             !std::isdigit(static_cast<unsigned char>(piece[1])))
-            return std::nullopt; // -%reg makes no sense
+            return false; // -%reg makes no sense
         if (piece.starts_with("%lo(") && piece.back() == ')') {
             // %lo(sym) contributes the symbol.
             out.symbol.assign(piece.substr(4, piece.size() - 5));
@@ -156,13 +170,13 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
             // symbol.
             Resource r = parseRegister(piece);
             if (r.kind() != Resource::Kind::IntReg)
-                return std::nullopt;
+                return false;
             if (out.base < 0)
                 out.base = r.index();
             else if (out.index < 0)
                 out.index = r.index();
             else
-                return std::nullopt;
+                return false;
             continue;
         }
         std::int64_t v = 0;
@@ -173,18 +187,30 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
             if (overflowAt)
                 *overflowAt =
                     static_cast<std::size_t>(piece.data() - text.data());
-            return std::nullopt;
+            return false;
         }
         if (lit == ImmStatus::Ok)
             continue;
         // Bare symbol.
         if (!out.symbol.empty())
-            return std::nullopt;
+            return false;
         out.symbol.assign(piece);
     }
 
-    if (out.base < 0 && out.symbol.empty())
-        return std::nullopt;
+    return out.base >= 0 || !out.symbol.empty();
+}
+
+} // namespace
+
+std::optional<MemOperand>
+MemOperand::parse(std::string_view text, std::uint8_t width,
+                  std::size_t *overflowAt)
+{
+    // One object throughout, returned in place.
+    std::optional<MemOperand> out(std::in_place);
+    out->width = width;
+    if (!parseAddress(text, *out, overflowAt))
+        out.reset();
     return out;
 }
 
@@ -192,12 +218,31 @@ std::uint32_t
 MemExprTable::intern(const MemOperand &op)
 {
     std::string key = op.exprKey();
-    if (auto it = ids_.find(key); it != ids_.end())
-        return it->second;
-    auto id = static_cast<std::uint32_t>(keys_.size());
-    ids_.emplace(key, id);
-    keys_.push_back(std::move(key));
-    return id;
+    if (2 * (keys_.size() + 1) > slots_.size())
+        grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = keyHash(key) & mask;; i = (i + 1) & mask) {
+        if (slots_[i] == 0) {
+            keys_.push_back(std::move(key));
+            slots_[i] = static_cast<std::uint32_t>(keys_.size());
+            return slots_[i] - 1;
+        }
+        if (keys_[slots_[i] - 1] == key)
+            return slots_[i] - 1;
+    }
+}
+
+void
+MemExprTable::grow()
+{
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+        std::size_t i = keyHash(keys_[id]) & mask;
+        while (slots_[i] != 0)
+            i = (i + 1) & mask;
+        slots_[i] = id + 1;
+    }
 }
 
 ImmStatus

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -24,6 +25,7 @@ enum CharClass : std::uint8_t {
     kBlank = 2,   ///< ' ' or '\t': ends the mnemonic
     kComment = 4, ///< '!' or '#': starts a comment
     kColon = 8,
+    kSplit = 16,  ///< '[', ']' or ',': what splits operands
 };
 
 constexpr std::array<std::uint8_t, 256> kCharClass = [] {
@@ -35,6 +37,9 @@ constexpr std::array<std::uint8_t, 256> kCharClass = [] {
     t['!'] |= kComment;
     t['#'] |= kComment;
     t[':'] |= kColon;
+    t['['] |= kSplit;
+    t[']'] |= kSplit;
+    t[','] |= kSplit;
     return t;
 }();
 
@@ -96,31 +101,73 @@ struct Operands
     std::size_t count = 0;
 
     std::string_view operator[](std::size_t i) const { return op[i]; }
+
+    void
+    add(std::string_view piece)
+    {
+        if (piece.empty())
+            return;
+        if (count < op.size())
+            op[count] = piece;
+        ++count;
+    }
 };
 
-Operands
-splitOperands(std::string_view rest)
+/** One source line as the cursor leaves it. */
+struct LineScan
 {
-    Operands out;
-    int depth = 0;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= rest.size(); ++i) {
-        const char c = i == rest.size() ? ',' : rest[i];
-        if (c == '[') {
-            ++depth;
-        } else if (c == ']') {
-            --depth;
-        } else if (c == ',' && depth == 0) {
-            std::string_view piece = trim(rest.substr(start, i - start));
-            if (!piece.empty()) {
-                if (out.count < out.op.size())
-                    out.op[out.count] = piece;
-                ++out.count;
+    std::string_view line; ///< trimmed, before any comment
+    std::size_t blank = std::string_view::npos; ///< mnemonic's end
+    bool colon = false;    ///< line has a ':'
+    Operands ops;          ///< what follows the mnemonic
+};
+
+/**
+ * One cursor over @p raw: skip leading whitespace, stop at a comment
+ * ('!' or '#'), note the mnemonic's end (the first blank) and any ':',
+ * and split the rest into operands on the way.
+ */
+LineScan
+scanLine(std::string_view raw)
+{
+    LineScan s;
+    std::size_t b = 0;
+    while (b < raw.size() && (charClass(raw[b]) & kSpace))
+        ++b;
+    std::size_t e = b;
+    std::size_t piece = 0; // where the current operand starts
+    int depth = 0;         // brackets open
+    for (; e < raw.size(); ++e) {
+        const std::uint8_t k = charClass(raw[e]);
+        if (k == 0)
+            continue;
+        if (k & kComment)
+            break;
+        s.colon = s.colon || (k & kColon);
+        if (s.blank == std::string_view::npos) {
+            if (k & kBlank) {
+                s.blank = e - b;
+                piece = e + 1;
             }
-            start = i + 1;
+        } else if (k & kSplit) {
+            if (raw[e] == '[') {
+                ++depth;
+            } else if (raw[e] == ']') {
+                --depth;
+            } else if (depth == 0) {
+                s.ops.add(trim(raw.substr(piece, e - piece)));
+                piece = e + 1;
+            }
         }
     }
-    return out;
+    if (s.blank != std::string_view::npos && depth == 0)
+        s.ops.add(trim(raw.substr(piece, e - piece)));
+    while (e > b && (charClass(raw[e - 1]) & kSpace))
+        --e;
+    s.line = raw.substr(b, e - b);
+    if (s.blank >= s.line.size())
+        s.blank = std::string_view::npos;
+    return s;
 }
 
 /** Parses one instruction line; every operand is a view into raw. */
@@ -133,20 +180,19 @@ class LineParser
     }
 
     /**
-     * Parse @p line (trimmed, comment-free, not a label or directive)
-     * whose mnemonic ends at @p blank (npos: no operands).  Throws
-     * LineError on any malformed piece.
+     * Parse a scanned instruction line (not a label or directive).
+     * Throws LineError on any malformed piece.
      */
     Instruction
-    parse(std::string_view line, std::size_t blank)
+    parse(const LineScan &scan)
     {
-        Instruction inst = build(line, blank);
-        inst.setText(line);
+        Instruction inst = build(scan);
+        inst.setText(scan.line);
         return inst;
     }
 
   private:
-    Instruction build(std::string_view line, std::size_t blank);
+    Instruction build(const LineScan &scan);
 
     /** 1-based column of @p tok, a view into the line (0 = none). */
     int
@@ -220,12 +266,9 @@ class LineParser
 };
 
 Instruction
-LineParser::build(std::string_view line, std::size_t blank)
+LineParser::build(const LineScan &scan)
 {
-    const std::string_view word = line.substr(0, blank);
-    const std::string_view rest =
-        blank == std::string_view::npos ? std::string_view()
-                                        : trim(line.substr(blank));
+    const std::string_view word = scan.line.substr(0, scan.blank);
 
     // Lower-case the mnemonic into a stack buffer; ",a" marks an
     // annulling branch.
@@ -254,11 +297,16 @@ LineParser::build(std::string_view line, std::size_t blank)
     const std::string_view mnemonic(buf, len);
 
     const OpcodeInfo &info = opcodeInfo(op);
-    const Operands ops = splitOperands(rest);
+    const Operands &ops = scan.ops;
     auto need = [&](std::size_t n) {
-        if (ops.count != n)
-            lineError(col(rest), "'", mnemonic, "' expects ", n,
-                      " operands, got ", ops.count);
+        if (ops.count == n)
+            return;
+        const std::string_view rest =
+            scan.blank == std::string_view::npos
+                ? std::string_view()
+                : trim(scan.line.substr(scan.blank));
+        lineError(col(rest), "'", mnemonic, "' expects ", n,
+                  " operands, got ", ops.count);
     };
 
     switch (info.sig) {
@@ -398,9 +446,22 @@ LineParser::build(std::string_view line, std::size_t blank)
 std::size_t
 instructionCapacity(std::string_view text)
 {
-    std::size_t lines =
-        static_cast<std::size_t>(
-            std::count(text.begin(), text.end(), '\n')) + 1;
+    // Newlines are counted eight bytes at a time: a byte of x is zero
+    // where the text has '\n', and nonzero marks those bytes' high
+    // bits (no carry crosses a byte).
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+    std::size_t lines = 1;
+    std::size_t i = 0;
+    for (; i + 8 <= text.size(); i += 8) {
+        std::uint64_t x;
+        std::memcpy(&x, text.data() + i, sizeof x);
+        x ^= kOnes * '\n';
+        const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
+        lines += ((zero >> 7) * kOnes) >> 56; // sum of the marks
+    }
+    for (; i < text.size(); ++i)
+        lines += text[i] == '\n';
     return std::min(lines, (text.size() + 1) / 4);
 }
 
@@ -423,32 +484,10 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
         pos = nl + 1;
         ++lineno;
 
-        // One cursor over the line: skip leading whitespace, then up
-        // to the comment ('!' or '#') note where the mnemonic's first
-        // blank is and whether a ':' occurs.
-        std::size_t b = 0;
-        while (b < raw.size() && (charClass(raw[b]) & kSpace))
-            ++b;
-        std::size_t e = b;
-        std::size_t blank = std::string_view::npos;
-        bool colon = false;
-        for (; e < raw.size(); ++e) {
-            const std::uint8_t k = charClass(raw[e]);
-            if (k == 0)
-                continue;
-            if (k & kComment)
-                break;
-            if ((k & kBlank) && blank == std::string_view::npos)
-                blank = e - b;
-            colon = colon || (k & kColon);
-        }
-        while (e > b && (charClass(raw[e - 1]) & kSpace))
-            --e;
-        if (e == b)
+        const LineScan scan = scanLine(raw);
+        const std::string_view line = scan.line;
+        if (line.empty())
             continue;
-        const std::string_view line = raw.substr(b, e - b);
-        if (blank >= line.size())
-            blank = std::string_view::npos;
 
         // Labels (possibly several on one conceptual position).
         if (line.back() == ':') {
@@ -466,12 +505,12 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
         }
 
         // Ignore non-label assembler directives.
-        if (line[0] == '.' && !colon)
+        if (line[0] == '.' && !scan.colon)
             continue;
 
         LineWarnings warnings;
         try {
-            prog.append(LineParser(raw, warnings).parse(line, blank));
+            prog.append(LineParser(raw, warnings).parse(scan));
             for (const LineError &w : warnings) {
                 obs::ev::robustParseWarnings.inc();
                 diags.warning(filename, lineno, w.col, w.message);

@@ -12,8 +12,6 @@ Program::append(Instruction inst)
     if (inst.mem().has_value())
         inst.mem()->exprId = memExprs_.intern(*inst.mem());
     insts_.push_back(std::move(inst));
-    if (labelAt_.size() < insts_.size())
-        labelAt_.push_back(false);
     return insts_.back();
 }
 
@@ -21,7 +19,6 @@ void
 Program::reserve(std::size_t n)
 {
     insts_.reserve(n);
-    labelAt_.reserve(n);
 }
 
 bool

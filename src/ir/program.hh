@@ -65,7 +65,7 @@ class Program
   private:
     std::vector<Instruction> insts_;
     std::unordered_map<std::string, std::uint32_t> labels_;
-    std::vector<bool> labelAt_;
+    std::vector<bool> labelAt_; ///< up to the last labelled index
     MemExprTable memExprs_;
 };
 
