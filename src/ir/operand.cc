@@ -37,9 +37,9 @@ parsePlainInt(std::string_view t, std::int64_t &value)
     if (!t.empty() && (t[0] == '-' || t[0] == '+'))
         ++i;
     unsigned base = 10;
-    if (i + 2 < t.size() && t[i] == '0' &&
-        (t[i + 1] == 'x' || t[i + 1] == 'X') && digitValue(t[i + 2]) < 16) {
-        base = 16;
+    if (i + 1 < t.size() && t[i] == '0' &&
+        (t[i + 1] == 'x' || t[i + 1] == 'X')) {
+        base = 16; // "0x" with no hex digit after it is no literal
         i += 2;
     } else if (i < t.size() && t[i] == '0') {
         base = 8;
