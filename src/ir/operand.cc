@@ -1,6 +1,5 @@
 #include "ir/operand.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -64,18 +63,6 @@ parsePlainInt(std::string_view t, std::int64_t &value)
     value = static_cast<std::int64_t>(negative ? 0 - magnitude
                                                : magnitude);
     return ImmStatus::Ok;
-}
-
-/** FNV-1a: the slot hash of an expression key. */
-std::size_t
-keyHash(std::string_view key)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
 /** Append an integer register's name ("%o3") to @p out. */
@@ -218,31 +205,12 @@ std::uint32_t
 MemExprTable::intern(const MemOperand &op)
 {
     std::string key = op.exprKey();
-    if (2 * (keys_.size() + 1) > slots_.size())
-        grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = keyHash(key) & mask;; i = (i + 1) & mask) {
-        if (slots_[i] == 0) {
-            keys_.push_back(std::move(key));
-            slots_[i] = static_cast<std::uint32_t>(keys_.size());
-            return slots_[i] - 1;
-        }
-        if (keys_[slots_[i] - 1] == key)
-            return slots_[i] - 1;
-    }
-}
-
-void
-MemExprTable::grow()
-{
-    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
-        std::size_t i = keyHash(keys_[id]) & mask;
-        while (slots_[i] != 0)
-            i = (i + 1) & mask;
-        slots_[i] = id + 1;
-    }
+    if (auto it = ids_.find(key); it != ids_.end())
+        return it->second;
+    auto id = static_cast<std::uint32_t>(keys_.size());
+    ids_.emplace(key, id);
+    keys_.push_back(std::move(key));
+    return id;
 }
 
 ImmStatus

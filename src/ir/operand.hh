@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/resource.hh"
@@ -89,12 +90,7 @@ class MemExprTable
     const std::string &key(std::uint32_t id) const { return keys_[id]; }
 
   private:
-    /** Double the slots and re-place every key. */
-    void grow();
-
-    /** Open addressing over keys_: id + 1 per slot, 0 when empty.  A
-     * power of two in size, kept at most half full. */
-    std::vector<std::uint32_t> slots_;
+    std::unordered_map<std::string, std::uint32_t> ids_;
     std::vector<std::string> keys_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -86,7 +85,8 @@ using LineWarnings = std::vector<LineError>;
 constexpr std::int64_t kSimm13Min = -4096;
 constexpr std::int64_t kSimm13Max = 4095;
 
-/** Longest mnemonic, ",a" included, the opcode lookup can match. */
+/** Mnemonic buffer size.  A longer word is no mnemonic: the longest
+ * one, ",a" included, has 9 characters. */
 constexpr std::size_t kMaxMnemonic = 16;
 
 /**
@@ -446,22 +446,9 @@ LineParser::build(const LineScan &scan)
 std::size_t
 instructionCapacity(std::string_view text)
 {
-    // Newlines are counted eight bytes at a time: a byte of x is zero
-    // where the text has '\n', and nonzero marks those bytes' high
-    // bits (no carry crosses a byte).
-    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-    std::size_t lines = 1;
-    std::size_t i = 0;
-    for (; i + 8 <= text.size(); i += 8) {
-        std::uint64_t x;
-        std::memcpy(&x, text.data() + i, sizeof x);
-        x ^= kOnes * '\n';
-        const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
-        lines += ((zero >> 7) * kOnes) >> 56; // sum of the marks
-    }
-    for (; i < text.size(); ++i)
-        lines += text[i] == '\n';
+    std::size_t lines =
+        static_cast<std::size_t>(
+            std::count(text.begin(), text.end(), '\n')) + 1;
     return std::min(lines, (text.size() + 1) / 4);
 }
 
