@@ -7,19 +7,21 @@ namespace sched91
 {
 
 void
-InstText::assign(std::string_view s)
+InstStrings::assign(std::string_view text, std::string_view target)
 {
-    // Free the old heap text only after copying: @p s may point into it.
-    char *old = onHeap() ? heap() : nullptr;
-    if (s.size() > kInline) {
-        char *p = new char[s.size()];
-        std::memcpy(p, s.data(), s.size());
-        std::memcpy(buf_, &p, sizeof p);
-    } else {
-        std::memmove(buf_, s.data(), s.size());
-    }
-    size_ = static_cast<std::uint32_t>(s.size());
-    delete[] old;
+    // Copy both out before releasing: either may point into this.
+    const std::size_t n = text.size() + target.size();
+    char inline_copy[kInline];
+    char *dst = n > kInline ? new char[n] : inline_copy;
+    std::copy_n(text.data(), text.size(), dst);
+    std::copy_n(target.data(), target.size(), dst + text.size());
+    release();
+    if (n > kInline)
+        std::memcpy(buf_, &dst, sizeof dst);
+    else
+        std::memcpy(buf_, inline_copy, n);
+    size_ = static_cast<std::uint32_t>(n);
+    textSize_ = static_cast<std::uint32_t>(text.size());
 }
 
 int
@@ -57,8 +59,8 @@ Instruction::usesResource(Resource r) const
 std::string
 Instruction::toString() const
 {
-    if (!text_.empty())
-        return std::string(text_.view());
+    if (!text().empty())
+        return std::string(text());
 
     const OpcodeInfo &info = opcodeInfo(op_);
     std::string out(info.mnemonic);
@@ -110,7 +112,8 @@ Instruction::toString() const
         break;
       case OperandSig::BranchOp:
       case OperandSig::CallOp:
-        out += " " + (target_.empty() ? std::string(".L0") : target_);
+        out += " ";
+        out += target().empty() ? std::string_view(".L0") : target();
         break;
       case OperandSig::JmplOp:
         out += " " + src(0) + ", " + dst();

@@ -33,31 +33,36 @@ namespace sched91
 {
 
 /**
- * An instruction's source text: inline up to kInline characters, on
+ * An instruction's strings, its source text and its branch target,
+ * stored back to back: inline up to kInline characters together, on
  * the heap beyond.  Instruction text is short (p50 17-18 characters,
- * at most 24, on the Table 3 and serve corpora), just past
- * std::string's 15-character inline limit.
+ * at most 24, on the Table 3 and serve corpora) and targets shorter;
+ * a std::string each would take 64 bytes, and text past 15
+ * characters would allocate.
  */
-class InstText
+class InstStrings
 {
   public:
-    static constexpr std::size_t kInline = 28;
+    static constexpr std::size_t kInline = 24;
 
-    InstText() = default;
-    InstText(const InstText &other) { assign(other.view()); }
-    InstText(InstText &&other) noexcept { take(other); }
-    ~InstText() { release(); }
+    InstStrings() = default;
+    InstStrings(const InstStrings &other)
+    {
+        assign(other.text(), other.target());
+    }
+    InstStrings(InstStrings &&other) noexcept { take(other); }
+    ~InstStrings() { release(); }
 
-    InstText &
-    operator=(const InstText &other)
+    InstStrings &
+    operator=(const InstStrings &other)
     {
         if (this != &other)
-            assign(other.view());
+            assign(other.text(), other.target());
         return *this;
     }
 
-    InstText &
-    operator=(InstText &&other) noexcept
+    InstStrings &
+    operator=(InstStrings &&other) noexcept
     {
         if (this != &other) {
             release();
@@ -66,11 +71,16 @@ class InstText
         return *this;
     }
 
-    std::string_view view() const { return {data(), size_}; }
-    bool empty() const { return size_ == 0; }
+    std::string_view text() const { return {data(), textSize_}; }
 
-    /** Replace the text; @p s may point into this text. */
-    void assign(std::string_view s);
+    std::string_view
+    target() const
+    {
+        return {data() + textSize_, size_ - textSize_};
+    }
+
+    /** Replace both strings; either may point into this object. */
+    void assign(std::string_view text, std::string_view target);
 
   private:
     bool onHeap() const { return size_ > kInline; }
@@ -92,14 +102,16 @@ class InstText
     }
 
     void
-    take(InstText &other)
+    take(InstStrings &other)
     {
         std::memcpy(buf_, other.buf_, kInline);
         size_ = other.size_;
-        other.size_ = 0;
+        textSize_ = other.textSize_;
+        other.size_ = other.textSize_ = 0;
     }
 
-    std::uint32_t size_ = 0;
+    std::uint32_t size_ = 0;     ///< text and target together
+    std::uint32_t textSize_ = 0;
     /** The characters, or on the heap a pointer to them. */
     char buf_[kInline] = {};
 };
@@ -192,8 +204,8 @@ class Instruction
     void setUsesImm(bool b) { usesImm_ = b; }
 
     /** Branch / call target label (empty when absent). */
-    const std::string &target() const { return target_; }
-    void setTarget(std::string_view t) { target_.assign(t); }
+    std::string_view target() const { return strings_.target(); }
+    void setTarget(std::string_view t) { strings_.assign(text(), t); }
 
     /** Record a use at source-operand position @p pos (%g0 dropped). */
     void
@@ -230,8 +242,8 @@ class Instruction
     bool usesResource(Resource r) const;
 
     /** Assembly text as parsed or synthesized. */
-    std::string_view text() const { return text_.view(); }
-    void setText(std::string_view t) { text_.assign(t); }
+    std::string_view text() const { return strings_.text(); }
+    void setText(std::string_view t) { strings_.assign(t, target()); }
 
     /** Render the instruction as assembly. */
     std::string toString() const;
@@ -239,8 +251,7 @@ class Instruction
   private:
     std::optional<MemOperand> mem_;
     std::int64_t imm_ = 0;
-    std::string target_;
-    InstText text_;
+    InstStrings strings_;
     std::uint32_t index_ = 0;
     std::array<Resource, kMaxUses> uses_;
     std::array<Resource, kMaxDefs> defs_;
