@@ -151,7 +151,7 @@ stripComment(std::string_view line)
 
 /**
  * Per-line parse failure, caught by the line loop and converted into
- * one Diag.  Never escapes parseAssembly.
+ * one Diag.  Never escapes referenceParseAssembly.
  */
 struct LineError
 {
@@ -460,7 +460,7 @@ parseInstructionLine(std::string_view line, std::string_view raw,
         lineError(0, "unhandled signature for '", mnemonic, "'");
     }
 
-    inst.setText(std::string(line));
+    inst.setText(line);
     return inst;
 }
 

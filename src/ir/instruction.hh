@@ -255,8 +255,8 @@ class Instruction
     std::uint32_t index_ = 0;
     std::array<Resource, kMaxUses> uses_;
     std::array<Resource, kMaxDefs> defs_;
-    std::array<std::uint8_t, kMaxUses> usePositions_;
-    std::array<std::uint8_t, kMaxDefs> defPairHalves_;
+    std::array<std::uint8_t, kMaxUses> usePositions_{};
+    std::array<std::uint8_t, kMaxDefs> defPairHalves_{};
     Opcode op_ = Opcode::Invalid;
     std::uint8_t numUses_ = 0;
     std::uint8_t numDefs_ = 0;
