@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -153,6 +154,41 @@ fallbackIssue(std::size_t block, std::size_t insts, int maxBlockInsts)
     return ProgramResult::BlockIssue{block, "fallback", os.str(), false};
 }
 
+DispatchPlan
+planDispatch(const std::vector<BasicBlock> &blocks, unsigned lanes)
+{
+    std::size_t insts = 0;
+    for (const BasicBlock &bb : blocks)
+        insts += bb.size();
+    const std::size_t target = std::max<std::size_t>(
+        1, insts / (static_cast<std::size_t>(std::max(lanes, 1u)) * 8));
+
+    DispatchPlan plan;
+    plan.order.resize(blocks.size());
+    std::iota(plan.order.begin(), plan.order.end(), std::size_t{0});
+    auto big_end = plan.order.begin();
+    if (lanes > 1) {
+        big_end = std::stable_partition(
+            plan.order.begin(), plan.order.end(),
+            [&](std::size_t b) { return blocks[b].size() >= target; });
+        std::stable_sort(plan.order.begin(), big_end,
+                         [&](std::size_t a, std::size_t b) {
+                             return blocks[a].size() > blocks[b].size();
+                         });
+    }
+    for (auto it = plan.order.begin(); it != big_end; ++it)
+        plan.bounds.push_back(plan.bounds.back() + 1);
+    std::size_t filled = 0;
+    for (std::size_t i = plan.bounds.back(); i < plan.order.size(); ++i) {
+        filled += blocks[plan.order[i]].size();
+        if (filled >= target || i + 1 == plan.order.size()) {
+            plan.bounds.push_back(i + 1);
+            filled = 0;
+        }
+    }
+    return plan;
+}
+
 ProgramResult
 runPipeline(Program &prog, const MachineModel &machine,
             const PipelineOptions &opts)
@@ -173,10 +209,9 @@ runPipeline(Program &prog, const MachineModel &machine,
     unsigned threads = opts.threads != 0
                            ? opts.threads
                            : ThreadPool::hardwareConcurrency();
-    if (!blocks.empty() && blocks.size() < threads)
-        threads = static_cast<unsigned>(blocks.size());
-    if (threads == 0)
-        threads = 1;
+    const DispatchPlan plan = planDispatch(blocks, threads);
+    threads = static_cast<unsigned>(std::clamp<std::size_t>(
+        plan.chunks(), 1, threads));
 
     std::vector<BlockOutput> outputs(blocks.size());
     std::vector<WorkerState> workers(threads);
@@ -590,7 +625,10 @@ runPipeline(Program &prog, const MachineModel &machine,
         // recycles the arena their arc lists live in.
     };
 
-    auto runChunk = [&](unsigned w, std::size_t begin, std::size_t end) {
+    auto runChunks = [&](unsigned w, std::size_t first, std::size_t last) {
+        const std::span<const std::size_t> chunk_blocks(
+            plan.order.data() + plan.bounds[first],
+            plan.order.data() + plan.bounds[last]);
         WorkerState &ws = workers[w];
         WorkerContext::Scope ctx_scope(ws.ctx);
         // One log buffer and (lazily claimed) flight ring per lane;
@@ -628,7 +666,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             // guarantee across thread counts depends on.
             obs::ScopedProfiler prof_scope(ws.profiler);
             obs::ScopedCounterShard shard_scope(ws.blockShard);
-            for (std::size_t b = begin; b < end; ++b) {
+            for (std::size_t b : chunk_blocks) {
                 ws.blockShard.clear();
                 ws.ctx.beginBlock();
                 blockBegin(b);
@@ -677,7 +715,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 blockEnd(b);
             }
         } else {
-            for (std::size_t b = begin; b < end; ++b) {
+            for (std::size_t b : chunk_blocks) {
                 ws.ctx.beginBlock();
                 blockBegin(b);
                 processBlock(w, b);
@@ -688,12 +726,8 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     {
         ThreadPool pool(threads);
-        std::size_t chunk =
-            blocks.size() / (static_cast<std::size_t>(threads) * 8);
-        if (chunk == 0)
-            chunk = 1;
         try {
-            pool.parallelFor(blocks.size(), chunk, runChunk);
+            pool.parallelFor(plan.chunks(), 1, runChunks);
         } catch (...) {
             // A propagating fault (containFaults off) must not lose
             // the events already counted: parallelFor drains every

@@ -189,7 +189,7 @@ struct PipelineOptions
      * Record the full per-pick decision log for this block id and
      * fill ProgramResult::decisions.  The log observes the
      * scheduler's own winnowing pass, so the schedule is the same; a
-     * static ranking moves off the heap for that block, which changes
+     * keyed ranking moves off the heaps for that block, which changes
      * its heuristic-evaluation count.  -1 disables.
      */
     int explainBlock = -1;
@@ -294,6 +294,32 @@ bool fallsBackToTable(BuilderKind builder, std::size_t insts,
 ProgramResult::BlockIssue fallbackIssue(std::size_t block,
                                         std::size_t insts,
                                         int maxBlockInsts);
+
+/**
+ * How runPipeline hands a program's blocks to its lanes: chunks of
+ * blocks, dispatched in order, each to the next free lane.
+ */
+struct DispatchPlan
+{
+    /** Block ids in dispatch order; every block appears once. */
+    std::vector<std::size_t> order;
+    /** Chunk c is order[bounds[c], bounds[c + 1]). */
+    std::vector<std::size_t> bounds{0};
+
+    std::size_t chunks() const { return bounds.size() - 1; }
+};
+
+/**
+ * Plan the dispatch of @p blocks over @p lanes.  Chunks are cut by
+ * instruction count: the target is the program's instructions over
+ * (lanes * 8).  With more than one lane, each block at or above the
+ * target is a chunk of its own and goes first, largest first (ties in
+ * program order), so no lane is left with a queue of big blocks while
+ * the others idle; the other blocks follow in program order.  One
+ * lane keeps program order.
+ */
+DispatchPlan planDispatch(const std::vector<BasicBlock> &blocks,
+                          unsigned lanes);
 
 /**
  * Run the full pipeline over @p prog.  The program is mutated only by

@@ -214,6 +214,28 @@ paramsFromBytes(const std::uint8_t *data, std::size_t size)
     return sanitizeParams(p);
 }
 
+GenParams
+sweepParams(std::uint64_t i)
+{
+    GenParams p;
+    p.seed = 0x5eed0000 + i;
+    p.numBlocks = 1 + static_cast<int>(i % 3);
+    p.maxBlockSize = 4 + static_cast<int>(i % 28);
+    p.fpMix = (i % 5) / 10.0;
+    p.memMix = (i % 7) / 10.0;
+    p.storeBias = 0.5;
+    p.branchProb = (i % 4) / 3.0;
+    p.intRegPool = 2 + static_cast<int>(i % 10);
+    p.fpRegPool = 2 + static_cast<int>(i % 6);
+    p.memExprPool = 1 + static_cast<int>(i % 6);
+    p.symbolMix = (i % 3) / 4.0;
+    p.bigImmMix = (i % 10 == 0) ? 0.3 : 0.0;
+    // Every fourth program is syntax-corrupted: the oracle then also
+    // exercises lenient parsing and checks whatever survived.
+    p.corruption = (i % 4 == 3) ? 0.15 : 0.0;
+    return p;
+}
+
 std::string
 generateSource(const GenParams &params)
 {

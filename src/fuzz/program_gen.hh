@@ -89,6 +89,13 @@ GenParams sanitizeParams(GenParams p);
 GenParams paramsFromBytes(const std::uint8_t *data, std::size_t size);
 
 /**
+ * Program @p i of the pinned differential sweep: a deterministic
+ * parameter schedule that covers the knob space, every fourth program
+ * syntax-corrupted.  differential_test checks the first thousand.
+ */
+GenParams sweepParams(std::uint64_t i);
+
+/**
  * Generate one program as assembly text.  Deterministic in @p params
  * (which is sanitized internally).  Counts
  * `fuzz.programs_generated` and `fuzz.corrupted_lines`.

@@ -8,42 +8,46 @@ namespace sched91
 FuState::FuState(const MachineModel &machine) : machine_(&machine)
 {
     for (int k = 0; k < kNumFuKinds; ++k) {
-        busyUntil_[k].assign(
-            std::max(1, machine.fuDesc(static_cast<FuKind>(k)).count), 0);
+        first_[k + 1] =
+            first_[k] +
+            std::max(1, machine.fuDesc(static_cast<FuKind>(k)).count);
     }
+    if (first_[kNumFuKinds] > kInlineUnits)
+        spilled_.assign(static_cast<std::size_t>(first_[kNumFuKinds]), 0);
+}
+
+std::span<const int>
+FuState::pool(FuKind kind) const
+{
+    const auto k = static_cast<std::size_t>(kind);
+    return {busyUntil() + first_[k], busyUntil() + first_[k + 1]};
 }
 
 void
 FuState::reset()
 {
-    for (auto &pool : busyUntil_)
-        std::fill(pool.begin(), pool.end(), 0);
+    std::fill(busyUntil(), busyUntil() + first_[kNumFuKinds], 0);
 }
 
 int
 FuState::earliestFree(FuKind kind, int now) const
 {
-    const auto &pool = busyUntil_[static_cast<std::size_t>(kind)];
-    int best = pool.front();
-    for (int t : pool)
-        best = std::min(best, t);
-    return std::max(now, best);
+    return std::max(now, std::ranges::min(pool(kind)));
 }
 
 void
 FuState::occupy(InstClass cls, int start)
 {
-    FuKind kind = machine_->fuFor(cls);
-    auto &pool = busyUntil_[static_cast<std::size_t>(kind)];
-    auto it = std::min_element(pool.begin(), pool.end());
-    *it = start + machine_->fuBusyCycles(cls);
+    const auto k = static_cast<std::size_t>(machine_->fuFor(cls));
+    int *units = busyUntil();
+    *std::min_element(units + first_[k], units + first_[k + 1]) =
+        start + machine_->fuBusyCycles(cls);
 }
 
 int
 FuState::maxBusyUntil(FuKind kind) const
 {
-    const auto &pool = busyUntil_[static_cast<std::size_t>(kind)];
-    return *std::max_element(pool.begin(), pool.end());
+    return std::ranges::max(pool(kind));
 }
 
 } // namespace sched91

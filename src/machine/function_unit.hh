@@ -12,6 +12,7 @@
 #define SCHED91_MACHINE_FUNCTION_UNIT_HH
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "machine/machine_model.hh"
@@ -45,11 +46,29 @@ class FuState
     int maxBusyUntil(FuKind kind) const;
 
   private:
+    /** Machines with at most this many units keep them inline, so a
+     * state (or a search-state snapshot) allocates nothing. */
+    static constexpr int kInlineUnits = 16;
+
+    /** Busy-until times, one entry per unit, pool after pool. */
+    int *
+    busyUntil()
+    {
+        return spilled_.empty() ? inline_.data() : spilled_.data();
+    }
+    const int *
+    busyUntil() const
+    {
+        return spilled_.empty() ? inline_.data() : spilled_.data();
+    }
+    std::span<const int> pool(FuKind kind) const;
+
     /** Non-owning; FuState stays copyable for search-state snapshots. */
     const MachineModel *machine_;
-    /** busyUntil_[kind] holds one entry per unit in the pool. */
-    std::array<std::vector<int>, static_cast<std::size_t>(
-                                     FuKind::kNumFuKinds)> busyUntil_;
+    /** Pool k is busyUntil()[first_[k], first_[k + 1]). */
+    std::array<int, kNumFuKinds + 1> first_{};
+    std::array<int, kInlineUnits> inline_{};
+    std::vector<int> spilled_; ///< the units, past kInlineUnits
 };
 
 } // namespace sched91

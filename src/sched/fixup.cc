@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/worker_context.hh"
+
 namespace sched91
 {
 
@@ -17,11 +19,15 @@ int
 applyPostpassFixup(const Dag &dag, Schedule &sched)
 {
     const std::size_t n = sched.order.size();
-    std::vector<int> pos(dag.size(), 0);
+    WorkerContext *wc = WorkerContext::current();
+    std::vector<int> local_pos, local_dep;
+    std::vector<int> &pos = wc ? wc->schedPos : local_pos;
+    std::vector<int> &dep_ready = wc ? wc->depReady : local_dep;
+    pos.assign(dag.size(), 0);
     for (std::size_t p = 0; p < n; ++p)
         pos[sched.order[p]] = static_cast<int>(p);
 
-    std::vector<int> dep_ready(dag.size(), 0);
+    dep_ready.assign(dag.size(), 0);
     for (std::uint32_t i = 0; i < dag.size(); ++i)
         dep_ready[i] = dag.ann().inheritedEet[i];
     int moved = 0;

@@ -1,7 +1,10 @@
 #include "sched/list_scheduler.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
+#include <optional>
 
 #include "heuristics/dynamic.hh"
 #include "machine/function_unit.hh"
@@ -199,12 +202,25 @@ ListScheduler::ListScheduler(SchedulerConfig config,
                              const MachineModel &machine)
     : config_(std::move(config)), machine_(machine)
 {
-    // A ranking can key a heap unless a heuristic in it changes as
-    // nodes issue: Table 1's 'v' column, plus Tiemann's birthing
-    // instruction, whose priorityBoost the backward pass raises
-    // (onScheduledBackward).
-    rankingStatic_ = std::none_of(
-        config_.ranking.begin(), config_.ranking.end(),
+    // A forward pass may lead with EET admission and then FPU busy
+    // time, both smaller-wins: the heap path serves those two by
+    // structure rather than by key (runHeap).
+    const std::vector<RankedHeuristic> &ranking = config_.ranking;
+    std::size_t r = 0;
+    auto leads = [&](Heuristic h) {
+        if (!config_.forward || r == ranking.size() ||
+            ranking[r].heuristic != h || ranking[r].preferLarger)
+            return false;
+        ++r;
+        return true;
+    };
+    eetRank_ = leads(Heuristic::EarliestExecutionTime);
+    fuRank_ = leads(Heuristic::FpuBusyTimes);
+    // The rest must not change as nodes issue: Table 1's 'v' column,
+    // plus Tiemann's birthing instruction, whose priorityBoost the
+    // backward pass raises (onScheduledBackward).
+    keyed_ = std::none_of(
+        ranking.begin() + static_cast<std::ptrdiff_t>(r), ranking.end(),
         [](const RankedHeuristic &rh) {
             return heuristicInfo(rh.heuristic).pass ==
                        CalcPass::Visitation ||
@@ -220,8 +236,8 @@ ListScheduler::run(Dag &dag, DecisionStats *stats,
     Schedule sched;
     sched.order.reserve(dag.size());
     // DecisionStats observes every candidate at every pick, so it
-    // moves a static ranking off the heap onto the scan.
-    if (rankingStatic_ && !stats)
+    // moves a keyed ranking off the heaps onto the scan.
+    if (keyed_ && !stats)
         runHeap(dag, sched.order, cancel);
     else
         runScan(dag, sched.order, stats, cancel);
@@ -240,59 +256,135 @@ void
 ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                        const CancellationToken *cancel) const
 {
-    const std::size_t ranks = config_.ranking.size();
-    const bool forward = config_.forward;
+    const std::size_t first = std::size_t{eetRank_} + fuRank_;
+    const std::size_t ranks = config_.ranking.size() - first;
+    // FPU busy time is one value per function-unit kind, so each kind
+    // gets its own heap; without it every node shares one.
+    const std::size_t classes = fuRank_ ? kNumFuKinds : 1;
+    const int *eet = dag.ann().earliestExecTime.data();
 
     WorkerContext *wc = WorkerContext::current();
+    std::vector<std::vector<std::uint32_t>> local_lists;
     std::vector<long long> local_keys;
-    std::vector<std::uint32_t> local_heap;
+    std::vector<std::vector<std::uint32_t>> &lists =
+        wc ? wc->nodeLists : local_lists;
     std::vector<long long> &keys = wc ? wc->heapKeys : local_keys;
-    std::vector<std::uint32_t> &store = wc ? wc->heapNodes : local_heap;
+    if (lists.size() < classes + 1)
+        lists.resize(classes + 1);
     keys.resize(static_cast<std::size_t>(dag.size()) * ranks);
 
-    // Each node enters the ready list exactly once, so its ranked
-    // tuple is evaluated exactly once, at admission.
+    // Each node enters the ready list exactly once, so its static
+    // tuple is evaluated exactly once, at admission, and so is its
+    // EET, which is final once every parent has issued.  Keys are
+    // stored so that the larger value wins at every rank.
     auto computeKey = [&](std::uint32_t n) {
         for (std::size_t r = 0; r < ranks; ++r) {
-            const RankedHeuristic &rh = config_.ranking[r];
-            keys[n * ranks + r] =
-                rh.phiMax ? staticValueMax(dag, n, rh.heuristic)
-                          : staticValue(dag, n, rh.heuristic);
+            const RankedHeuristic &rh = config_.ranking[first + r];
+            long long v = rh.phiMax ? staticValueMax(dag, n, rh.heuristic)
+                                    : staticValue(dag, n, rh.heuristic);
+            keys[n * ranks + r] = rh.preferLarger ? v : -v;
         }
-        obs::ev::schedHeuristicEvals.inc(ranks);
+        obs::ev::schedHeuristicEvals.inc(ranks + eetRank_);
     };
 
-    // The winnowing pass's strict total order: the ranked tuple, then
-    // program order (earlier wins forward, later wins backward) — so
-    // extract-max returns exactly the node the scan would pick.
-    auto outranks = [&](std::uint32_t a, std::uint32_t b) {
-        for (std::size_t r = 0; r < ranks; ++r) {
-            long long va = keys[a * ranks + r];
-            long long vb = keys[b * ranks + r];
-            if (va != vb)
-                return config_.ranking[r].preferLarger ? va > vb : va < vb;
-        }
+    // The winnowing pass's strict total order over the static ranks:
+    // the tuple, then program order (earlier wins forward, later wins
+    // backward) — so within a class, extract-max returns exactly the
+    // node the scan would pick.
+    auto outranks = [k = keys.data(), ranks,
+                     forward = config_.forward](std::uint32_t a,
+                                                std::uint32_t b) {
+        for (std::size_t r = 0; r < ranks; ++r)
+            if (k[a * ranks + r] != k[b * ranks + r])
+                return k[a * ranks + r] > k[b * ranks + r];
         return forward ? a < b : a > b;
     };
+    using ClassHeap = DaryHeap<std::uint32_t, decltype(outranks)>;
+    std::array<std::optional<ClassHeap>, kNumFuKinds> ready;
+    for (std::size_t c = 0; c < classes; ++c)
+        ready[c].emplace(outranks, &lists[c]);
+    unsigned live = 0; // bit c set: class c's heap is non-empty
 
-    DaryHeap<std::uint32_t, decltype(outranks)> ready(outranks, &store);
+    // The EET release queue: admitted nodes wait here, earliest EET
+    // first, until they tie for the EET rank.
+    auto releasesFirst = [eet](std::uint32_t a, std::uint32_t b) {
+        return eet[a] != eet[b] ? eet[a] < eet[b] : a < b;
+    };
+    DaryHeap<std::uint32_t, decltype(releasesFirst)> pending(
+        releasesFirst, &lists[classes]);
+
+    std::optional<FuState> fus;
+    if (fuRank_)
+        fus.emplace(machine_);
+    auto release = [&](std::uint32_t n) {
+        const std::size_t c =
+            fuRank_ ? static_cast<std::size_t>(
+                          machine_.fuFor(dag.inst(n).cls()))
+                    : 0;
+        ready[c]->push(n);
+        live |= 1u << c;
+    };
+    std::size_t waiting = 0; // the ready list: pending plus released
     auto admit = [&](std::uint32_t n) {
         computeKey(n);
-        ready.push(n);
+        ++waiting;
+        if (eetRank_)
+            pending.push(n);
+        else
+            release(n);
     };
     for (std::uint32_t i = 0; i < dag.size(); ++i)
-        if (forward ? dag.numParents(i) == 0 : dag.numChildren(i) == 0)
+        if (config_.forward ? dag.numParents(i) == 0
+                            : dag.numChildren(i) == 0)
             admit(i);
 
     int time = 0;
-    while (!ready.empty()) {
+    while (waiting > 0) {
         if (cancel)
             cancel->poll();
         obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(ready.size());
-        std::uint32_t n = ready.pop();
+        obs::ev::schedReadyListPeak.max(waiting);
+        if (eetRank_) {
+            // The EET rank is max(EET, now): every node issuable by
+            // now ties at now and beats the rest, and when none is,
+            // those with the least EET tie at it.
+            const int due = live ? time : std::max(time, eet[pending.top()]);
+            while (!pending.empty() && eet[pending.top()] <= due)
+                release(pending.pop());
+        }
+        // The released nodes tie on the EET rank, and a class on FPU
+        // busy time, so the winner is the best class head.
+        std::size_t best = static_cast<std::size_t>(std::countr_zero(live));
+        if (std::popcount(live) > 1) {
+            obs::ev::schedHeuristicEvals.inc(
+                static_cast<std::uint64_t>(std::popcount(live)));
+            auto busy = [&](std::size_t c) {
+                return fus->earliestFree(static_cast<FuKind>(c), time) -
+                       time;
+            };
+            int best_busy = busy(best);
+            for (unsigned rest = live & (live - 1); rest;
+                 rest &= rest - 1) {
+                const auto c = static_cast<std::size_t>(
+                    std::countr_zero(rest));
+                const int b = busy(c);
+                if (b < best_busy ||
+                    (b == best_busy &&
+                     outranks(ready[c]->top(), ready[best]->top()))) {
+                    best = c;
+                    best_busy = b;
+                }
+            }
+        }
+        const std::uint32_t n = ready[best]->pop();
+        if (ready[best]->empty())
+            live &= ~(1u << best);
+        --waiting;
         order.push_back(n);
-        time = retire(dag, n, time, config_, admit) + 1;
+        const int issue = retire(dag, n, time, config_, admit);
+        if (fus)
+            fus->occupy(dag.inst(n).cls(), issue);
+        time = issue + 1;
     }
 }
 
@@ -303,13 +395,14 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
 {
     const bool forward = config_.forward;
 
-    // The scan leaves the heap's node store idle, so the winnowing
-    // pass keeps its survivors there.
     WorkerContext *wc = WorkerContext::current();
-    std::vector<std::uint32_t> local_ready;
-    std::vector<std::uint32_t> local_alive;
-    std::vector<std::uint32_t> &ready = wc ? wc->readyList : local_ready;
-    std::vector<std::uint32_t> &alive = wc ? wc->heapNodes : local_alive;
+    std::vector<std::vector<std::uint32_t>> local_lists;
+    std::vector<std::vector<std::uint32_t>> &lists =
+        wc ? wc->nodeLists : local_lists;
+    if (lists.size() < 2)
+        lists.resize(2);
+    std::vector<std::uint32_t> &ready = lists[0];
+    std::vector<std::uint32_t> &alive = lists[1];
     ready.clear();
     auto admit = [&](std::uint32_t n) { ready.push_back(n); };
     for (std::uint32_t i = 0; i < dag.size(); ++i)

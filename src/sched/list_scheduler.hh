@@ -11,8 +11,8 @@
  * original program order as the final deterministic tie break.  Its
  * winner is the lexicographic maximum — the top of a priority function
  * whose rank weights are sufficiently separated — so both families
- * share the chain, and an all-static ranking can take the same winners
- * off a heap.
+ * share the chain, and a ranking whose order can be keyed takes the
+ * same winners off heaps.
  *
  * A forward pass admits a node once all parents are scheduled, ranks
  * candidates (typically with earliest execution time first), issues
@@ -103,8 +103,9 @@ struct DecisionRecord
  * possibly be omitted or replaced with little effect because it is
  * the last heuristic to be applied"); these counters measure that.
  * They record what the scheduler's one winnowing pass decided, so
- * attaching them changes neither the picks nor, for a ranking with a
- * dynamic heuristic, the evaluations made.
+ * attaching them changes neither the picks nor, for a ranking that
+ * keeps the scan, the evaluations made; a keyed ranking moves onto
+ * the scan to be observed.
  */
 struct DecisionStats
 {
@@ -166,14 +167,17 @@ class ListScheduler
      * pick allocates nothing.  When @p stats is non-null it records
      * what each pick decided.
      *
-     * Rankings built purely from static ('a'/'f'/'b') heuristics run
-     * on a d-ary heap keyed by the precomputed heuristic tuple —
-     * O(log n) per pick instead of an O(n) rescan — with the same
-     * strict total order (tuple, then program-order tie break), so the
-     * produced schedules are identical to the scan's.  Rankings with
-     * dynamic ('v') heuristics, whose values change as nodes issue,
-     * keep the scan, and so does any run with @p stats, which observes
-     * every candidate at every pick.
+     * Keyed rankings run on d-ary heaps instead — O(log n) per pick
+     * instead of an O(n) rescan — with the same strict total order, so
+     * the produced schedules are identical to the scan's.  A ranking
+     * is keyed when every rank after an optional leading EET and then
+     * FPU busy time (both smaller-wins, forward pass only) is static
+     * ('a'/'f'/'b'): the static tuple is computed once per node, a
+     * release queue serves EET, and one heap per function-unit kind
+     * serves FPU busy time (Krishnamurthy's ranking has that shape).
+     * Other rankings with dynamic ('v') heuristics keep the scan, and
+     * so does any run with @p stats, which observes every candidate at
+     * every pick.
      *
      * When @p cancel is non-null the main scheduling loop polls it
      * once per extracted node and abandons the pass with
@@ -193,7 +197,9 @@ class ListScheduler
 
     SchedulerConfig config_;
     const MachineModel &machine_;
-    bool rankingStatic_; ///< no dynamic heuristic: the heap serves
+    bool eetRank_ = false; ///< ranking leads with EET admission
+    bool fuRank_ = false;  ///< then (or first) FPU busy time
+    bool keyed_ = false;   ///< every later rank is static: heaps serve
 };
 
 } // namespace sched91

@@ -52,6 +52,9 @@ class DaryHeap
         siftUp(heap_->size() - 1);
     }
 
+    /** The top (maximum) element; the heap must not be empty. */
+    const T &top() const { return heap_->front(); }
+
     /** Remove and return the top (maximum) element. */
     T
     pop()

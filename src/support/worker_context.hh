@@ -10,9 +10,9 @@
  *    arc-index lists and the table builders' def/use lists
  *    (support/arena.hh);
  *  - named scratch vectors whose *capacity* persists across blocks —
- *    the list scheduler's ready list, heap storage (or winnowing
- *    survivors) and key store, and the timing pass's dependence-ready
- *    array.
+ *    the list scheduler's node lists (ready list and survivors, or
+ *    release queue and per-class heaps) and key store, and the timing
+ *    and fixup passes' per-node arrays.
  *
  * The context is installed thread-locally (WorkerContext::Scope) so
  * deep call sites — DAG builders, the list scheduler — can pick up the
@@ -69,18 +69,20 @@ class WorkerContext
 
     // --- capacity-persistent scratch (cleared by users, not here) ----
 
-    /** List scheduler: linear-scan candidate list. */
-    std::vector<std::uint32_t> readyList;
-
-    /** List scheduler: d-ary heap element storage, or the scan's
-     * winnowing survivors. */
-    std::vector<std::uint32_t> heapNodes;
+    /** List scheduler: node-index lists — the scan's candidates and
+     * winnowing survivors, or the heap path's per-class heaps and
+     * EET release queue. */
+    std::vector<std::vector<std::uint32_t>> nodeLists;
 
     /** List scheduler: per-node ranked-key store for the heap. */
     std::vector<long long> heapKeys;
 
-    /** Timing fill pass: per-node dependence-ready cycles. */
+    /** Postpass fixup, then the timing fill pass: per-node
+     * dependence-ready cycles. */
     std::vector<int> depReady;
+
+    /** Postpass fixup: each node's position in the schedule. */
+    std::vector<int> schedPos;
 
   private:
     Arena arena_;

@@ -139,6 +139,24 @@ TEST(FuState, ResetClears)
     EXPECT_EQ(fus.earliestFree(FuKind::FpDivSqrt, 0), 0);
 }
 
+TEST(FuState, PoolsBeyondTheInlineUnitsStayIndependent)
+{
+    // 40 units do not fit inline: the state keeps them on the heap,
+    // and a copy (a search-state snapshot) owns its own.
+    MachineModel m = sparcstation2();
+    m.fuDesc(FuKind::IntAlu).count = 32;
+    m.fuDesc(FuKind::FpDivSqrt).count = 2;
+    FuState fus(m);
+    fus.occupy(InstClass::FpDiv, 0);
+    FuState snapshot = fus;
+    fus.occupy(InstClass::FpDiv, 0);
+    EXPECT_EQ(fus.earliestFree(FuKind::FpDivSqrt, 0), 20);
+    EXPECT_EQ(snapshot.earliestFree(FuKind::FpDivSqrt, 0), 0);
+    EXPECT_EQ(fus.maxBusyUntil(FuKind::IntAlu), 0);
+    fus = snapshot;
+    EXPECT_EQ(fus.earliestFree(FuKind::FpDivSqrt, 0), 0);
+}
+
 TEST(Presets, LookupByName)
 {
     EXPECT_EQ(presetByName("sparcstation2").name, "sparcstation2");

@@ -3,16 +3,19 @@
  * Determinism tests for the block-parallel pipeline: the contract is
  * that schedules, structural statistics, event counters, trace events,
  * and the serialized run document are byte-identical at every thread
- * count.  Covered for heap-eligible static rankings and for dynamic
- * rankings that keep the scan, with and without observability; a
- * run's own counters stay exact while other runs overlap it; and
- * every per-phase output agrees with the phase tree.
+ * count.  Covered for static and keyed rankings, which run on heaps,
+ * and for dynamic rankings that keep the scan, with and without
+ * observability, and on fpppp, whose one big block skews the dispatch
+ * plan; a run's own counters stay exact while other runs overlap it;
+ * and every per-phase output agrees with the phase tree.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -48,18 +51,20 @@ struct RunArtifacts
     std::string trace;     ///< zero-times JSONL
 };
 
-/** One obs-enabled pipeline run at @p threads, all outputs captured. */
+/** One obs-enabled, evaluated pipeline run of @p prog at @p threads,
+ * all outputs captured. */
 RunArtifacts
-runAt(unsigned threads, AlgorithmKind algorithm, bool evaluate)
+runAt(unsigned threads, AlgorithmKind algorithm, Program prog,
+      PartitionOptions partition)
 {
-    Program prog = testProgram();
     std::ostringstream trace_out;
     obs::JsonlTraceSink sink(trace_out, /*zero_times=*/true);
 
     PipelineOptions opts;
     opts.algorithm = algorithm;
-    opts.evaluate = evaluate;
+    opts.evaluate = true;
     opts.threads = threads;
+    opts.partition = partition;
     opts.trace = &sink;
 
     RunArtifacts a;
@@ -93,19 +98,31 @@ expectSchedulesEqual(const RunArtifacts &a, const RunArtifacts &b)
     }
 }
 
+/** Runs of @p prog at each of @p lanes must equal its one-lane run. */
+void
+expectIdenticalRuns(AlgorithmKind algorithm, const Program &prog,
+                    PartitionOptions partition,
+                    std::initializer_list<unsigned> lanes)
+{
+    RunArtifacts serial = runAt(1, algorithm, prog, partition);
+    for (unsigned threads : lanes) {
+        SCOPED_TRACE(std::to_string(threads) + " lanes");
+        RunArtifacts parallel = runAt(threads, algorithm, prog, partition);
+        expectSchedulesEqual(serial, parallel);
+        EXPECT_EQ(serial.result.cyclesOriginal,
+                  parallel.result.cyclesOriginal);
+        EXPECT_EQ(serial.result.cyclesScheduled,
+                  parallel.result.cyclesScheduled);
+        EXPECT_TRUE(serial.result.counters == parallel.result.counters);
+        EXPECT_EQ(serial.statsJson, parallel.statsJson);
+        EXPECT_EQ(serial.trace, parallel.trace);
+    }
+}
+
 void
 expectIdenticalRuns(AlgorithmKind algorithm)
 {
-    RunArtifacts serial = runAt(1, algorithm, /*evaluate=*/true);
-    RunArtifacts parallel = runAt(8, algorithm, /*evaluate=*/true);
-
-    expectSchedulesEqual(serial, parallel);
-    EXPECT_EQ(serial.result.cyclesOriginal, parallel.result.cyclesOriginal);
-    EXPECT_EQ(serial.result.cyclesScheduled,
-              parallel.result.cyclesScheduled);
-    EXPECT_TRUE(serial.result.counters == parallel.result.counters);
-    EXPECT_EQ(serial.statsJson, parallel.statsJson);
-    EXPECT_EQ(serial.trace, parallel.trace);
+    expectIdenticalRuns(algorithm, testProgram(), {}, {8});
 }
 
 TEST(ParallelPipeline, DeterministicStaticRankingSimpleForward)
@@ -117,6 +134,26 @@ TEST(ParallelPipeline, DeterministicStaticRankingSimpleForward)
 TEST(ParallelPipeline, DeterministicStaticRankingShiehPapachristou)
 {
     expectIdenticalRuns(AlgorithmKind::ShiehPapachristou);
+}
+
+TEST(ParallelPipeline, DeterministicKeyedRankingKrishnamurthy)
+{
+    // EET and FPU busy time lead the ranking -> the keyed heaps.
+    expectIdenticalRuns(AlgorithmKind::Krishnamurthy);
+}
+
+TEST(ParallelPipeline, DeterministicOnSkewedFppppAtOneToFourLanes)
+{
+    // fpppp's 11750-instruction block, whole and cut into window
+    // blocks: the dispatch plan moves them to the front of the queue.
+    const Program &prog = cachedProgram("fpppp");
+    for (int window : {0, 1000}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        PartitionOptions partition;
+        partition.window = window;
+        expectIdenticalRuns(AlgorithmKind::Krishnamurthy, prog, partition,
+                            {2, 3, 4});
+    }
 }
 
 TEST(ParallelPipeline, DeterministicDynamicRankingWarren)
@@ -268,6 +305,92 @@ TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
                 << serial[i].value("dag.arcs_added");
     }
     obs::setEnabled(false);
+}
+
+/** Check planDispatch(@p blocks, @p lanes) against its contract. */
+void
+expectPlanContract(const std::vector<BasicBlock> &blocks, unsigned lanes)
+{
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    const DispatchPlan plan = planDispatch(blocks, lanes);
+
+    // Every block exactly once; chunks are non-empty and cover it all.
+    std::vector<int> seen(blocks.size(), 0);
+    for (std::size_t b : plan.order)
+        ++seen[b];
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(blocks.size()));
+    ASSERT_EQ(plan.bounds.front(), 0u);
+    EXPECT_EQ(plan.bounds.back(), blocks.size());
+    for (std::size_t c = 0; c < plan.chunks(); ++c)
+        EXPECT_LT(plan.bounds[c], plan.bounds[c + 1]);
+
+    std::size_t insts = 0;
+    for (const BasicBlock &bb : blocks)
+        insts += bb.size();
+    const std::size_t target =
+        std::max<std::size_t>(1, insts / (lanes * 8));
+    std::size_t big = 0;
+    if (lanes > 1)
+        for (const BasicBlock &bb : blocks)
+            big += bb.size() >= target;
+
+    // Blocks at or above the target lead, one per chunk, largest
+    // first, ties in program order...
+    for (std::size_t i = 0; i < big; ++i) {
+        EXPECT_EQ(plan.bounds[i + 1], i + 1);
+        EXPECT_GE(blocks[plan.order[i]].size(), target);
+        if (i > 0) {
+            const BasicBlock &prev = blocks[plan.order[i - 1]];
+            const BasicBlock &cur = blocks[plan.order[i]];
+            EXPECT_TRUE(prev.size() > cur.size() ||
+                        (prev.size() == cur.size() &&
+                         plan.order[i - 1] < plan.order[i]));
+        }
+    }
+    // ... and the rest keep program order (at one lane, all of them).
+    for (std::size_t i = big + 1; i < plan.order.size(); ++i)
+        EXPECT_LT(plan.order[i - 1], plan.order[i]);
+}
+
+TEST(DispatchPlan, ContractOnSkewedAndEvenPrograms)
+{
+    Program fpppp = cachedProgram("fpppp");
+    Program even = testProgram();
+    PartitionOptions w1000;
+    w1000.window = 1000;
+    for (const std::vector<BasicBlock> &blocks :
+         {partitionBlocks(fpppp), partitionBlocks(fpppp, w1000),
+          partitionBlocks(even)})
+        for (unsigned lanes : {1u, 2u, 3u, 4u, 8u})
+            expectPlanContract(blocks, lanes);
+}
+
+TEST(DispatchPlan, FppppWindowBlocksLandInTwelveChunks)
+{
+    // At window 1000, fpppp's 11750-instruction block becomes 12
+    // window blocks; four lanes must be able to share them out.
+    Program prog = cachedProgram("fpppp");
+    const std::vector<BasicBlock> whole = partitionBlocks(prog);
+    const auto big = std::ranges::max_element(
+        whole, {}, [](const BasicBlock &bb) { return bb.size(); });
+    ASSERT_EQ(big->size(), 11750u);
+
+    PartitionOptions w1000;
+    w1000.window = 1000;
+    const std::vector<BasicBlock> blocks = partitionBlocks(prog, w1000);
+    const DispatchPlan plan = planDispatch(blocks, 4);
+    std::set<std::size_t> chunks;
+    std::size_t window_blocks = 0;
+    for (std::size_t c = 0; c < plan.chunks(); ++c)
+        for (std::size_t i = plan.bounds[c]; i < plan.bounds[c + 1]; ++i)
+            if (blocks[plan.order[i]].begin >= big->begin &&
+                blocks[plan.order[i]].end <= big->end) {
+                ++window_blocks;
+                chunks.insert(c);
+            }
+    EXPECT_EQ(window_blocks, 12u);
+    EXPECT_EQ(chunks.size(), 12u);
 }
 
 /** One phase's trace events in a run. */
