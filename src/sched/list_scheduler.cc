@@ -216,6 +216,17 @@ ListScheduler::ListScheduler(SchedulerConfig config,
     };
     eetRank_ = leads(Heuristic::EarliestExecutionTime);
     fuRank_ = leads(Heuristic::FpuBusyTimes);
+    // A pipelined unit is free again the cycle after it issues, which
+    // is no later than the next pick, so its busy time is always 0:
+    // all pipelined kinds share class 0, and each other kind gets a
+    // class of its own.
+    for (int k = 0; k < kNumFuKinds; ++k) {
+        const auto kind = static_cast<FuKind>(k);
+        if (fuRank_ && !machine_.fuDesc(kind).pipelined) {
+            classKind_[classes_] = kind;
+            fuClass_[k] = static_cast<std::uint8_t>(classes_++);
+        }
+    }
     // The rest must not change as nodes issue: Table 1's 'v' column,
     // plus Tiemann's birthing instruction, whose priorityBoost the
     // backward pass raises (onScheduledBackward).
@@ -258,19 +269,15 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
 {
     const std::size_t first = std::size_t{eetRank_} + fuRank_;
     const std::size_t ranks = config_.ranking.size() - first;
-    // FPU busy time is one value per function-unit kind, so each kind
-    // gets its own heap; without it every node shares one.
-    const std::size_t classes = fuRank_ ? kNumFuKinds : 1;
     const int *eet = dag.ann().earliestExecTime.data();
 
     WorkerContext *wc = WorkerContext::current();
-    std::vector<std::vector<std::uint32_t>> local_lists;
+    WorkerContext::NodeLists local_lists;
     std::vector<long long> local_keys;
-    std::vector<std::vector<std::uint32_t>> &lists =
-        wc ? wc->nodeLists : local_lists;
+    WorkerContext::NodeLists &lists = wc ? wc->nodeLists : local_lists;
     std::vector<long long> &keys = wc ? wc->heapKeys : local_keys;
-    if (lists.size() < classes + 1)
-        lists.resize(classes + 1);
+    static_assert(kNumFuKinds + 2 <=
+                  std::tuple_size_v<WorkerContext::NodeLists>);
     keys.resize(static_cast<std::size_t>(dag.size()) * ranks);
 
     // Each node enters the ready list exactly once, so its static
@@ -299,9 +306,11 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                 return k[a * ranks + r] > k[b * ranks + r];
         return forward ? a < b : a > b;
     };
+    // FPU busy time is one value per class of function-unit kinds, so
+    // each class gets its own heap; without it every node shares one.
     using ClassHeap = DaryHeap<std::uint32_t, decltype(outranks)>;
-    std::array<std::optional<ClassHeap>, kNumFuKinds> ready;
-    for (std::size_t c = 0; c < classes; ++c)
+    std::array<std::optional<ClassHeap>, kNumFuKinds + 1> ready;
+    for (std::size_t c = 0; c < classes_; ++c)
         ready[c].emplace(outranks, &lists[c]);
     unsigned live = 0; // bit c set: class c's heap is non-empty
 
@@ -311,27 +320,30 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         return eet[a] != eet[b] ? eet[a] < eet[b] : a < b;
     };
     DaryHeap<std::uint32_t, decltype(releasesFirst)> pending(
-        releasesFirst, &lists[classes]);
+        releasesFirst, &lists[classes_]);
 
+    // Only the classes past 0 have busy times to track.
     std::optional<FuState> fus;
-    if (fuRank_)
+    if (classes_ > 1)
         fus.emplace(machine_);
     auto release = [&](std::uint32_t n) {
         const std::size_t c =
-            fuRank_ ? static_cast<std::size_t>(
-                          machine_.fuFor(dag.inst(n).cls()))
-                    : 0;
+            fus ? fuClass_[static_cast<std::size_t>(
+                      machine_.fuFor(dag.inst(n).cls()))]
+                : 0;
         ready[c]->push(n);
         live |= 1u << c;
     };
     std::size_t waiting = 0; // the ready list: pending plus released
+    int next = 0; // the clock at the next pick
     auto admit = [&](std::uint32_t n) {
         computeKey(n);
         ++waiting;
-        if (eetRank_)
-            pending.push(n);
-        else
+        // A node due by the next pick would be released there anyway.
+        if (!eetRank_ || eet[n] <= next)
             release(n);
+        else
+            pending.push(n);
     };
     for (std::uint32_t i = 0; i < dag.size(); ++i)
         if (config_.forward ? dag.numParents(i) == 0
@@ -359,8 +371,9 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
             obs::ev::schedHeuristicEvals.inc(
                 static_cast<std::uint64_t>(std::popcount(live)));
             auto busy = [&](std::size_t c) {
-                return fus->earliestFree(static_cast<FuKind>(c), time) -
-                       time;
+                return c == 0 ? 0
+                              : fus->earliestFree(classKind_[c], time) -
+                                    time;
             };
             int best_busy = busy(best);
             for (unsigned rest = live & (live - 1); rest;
@@ -381,6 +394,8 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
             live &= ~(1u << best);
         --waiting;
         order.push_back(n);
+        if (eetRank_)
+            next = std::max(time, eet[n]) + 1; // retire's issue, + 1
         const int issue = retire(dag, n, time, config_, admit);
         if (fus)
             fus->occupy(dag.inst(n).cls(), issue);
@@ -396,11 +411,8 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
     const bool forward = config_.forward;
 
     WorkerContext *wc = WorkerContext::current();
-    std::vector<std::vector<std::uint32_t>> local_lists;
-    std::vector<std::vector<std::uint32_t>> &lists =
-        wc ? wc->nodeLists : local_lists;
-    if (lists.size() < 2)
-        lists.resize(2);
+    WorkerContext::NodeLists local_lists;
+    WorkerContext::NodeLists &lists = wc ? wc->nodeLists : local_lists;
     std::vector<std::uint32_t> &ready = lists[0];
     std::vector<std::uint32_t> &alive = lists[1];
     ready.clear();

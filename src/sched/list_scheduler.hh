@@ -24,6 +24,7 @@
 #ifndef SCHED91_SCHED_LIST_SCHEDULER_HH
 #define SCHED91_SCHED_LIST_SCHEDULER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -173,8 +174,9 @@ class ListScheduler
      * is keyed when every rank after an optional leading EET and then
      * FPU busy time (both smaller-wins, forward pass only) is static
      * ('a'/'f'/'b'): the static tuple is computed once per node, a
-     * release queue serves EET, and one heap per function-unit kind
-     * serves FPU busy time (Krishnamurthy's ranking has that shape).
+     * release queue serves EET, and one heap per class of
+     * function-unit kinds with the same busy time serves FPU busy time
+     * (Krishnamurthy's ranking has that shape).
      * Other rankings with dynamic ('v') heuristics keep the scan, and
      * so does any run with @p stats, which observes every candidate at
      * every pick.
@@ -200,6 +202,12 @@ class ListScheduler
     bool eetRank_ = false; ///< ranking leads with EET admission
     bool fuRank_ = false;  ///< then (or first) FPU busy time
     bool keyed_ = false;   ///< every later rank is static: heaps serve
+    /** The heap path's classes: with fuRank_, class 0 holds every
+     * pipelined function-unit kind and each other kind has its own;
+     * otherwise one class holds every node. */
+    std::size_t classes_ = 1;
+    std::array<std::uint8_t, kNumFuKinds> fuClass_{}; ///< kind -> class
+    std::array<FuKind, kNumFuKinds + 1> classKind_{}; ///< class -> kind
 };
 
 } // namespace sched91

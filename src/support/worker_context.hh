@@ -25,6 +25,7 @@
 #ifndef SCHED91_SUPPORT_WORKER_CONTEXT_HH
 #define SCHED91_SUPPORT_WORKER_CONTEXT_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -70,9 +71,10 @@ class WorkerContext
     // --- capacity-persistent scratch (cleared by users, not here) ----
 
     /** List scheduler: node-index lists — the scan's candidates and
-     * winnowing survivors, or the heap path's per-class heaps and
-     * EET release queue. */
-    std::vector<std::vector<std::uint32_t>> nodeLists;
+     * winnowing survivors, or the heap path's per-class heaps (at most
+     * one per function-unit kind, plus one) and EET release queue. */
+    using NodeLists = std::array<std::vector<std::uint32_t>, 9>;
+    NodeLists nodeLists;
 
     /** List scheduler: per-node ranked-key store for the heap. */
     std::vector<long long> heapKeys;

@@ -165,22 +165,30 @@ plainRunMatchesScan(const ListScheduler &scheduler, Dag &dag)
 
 TEST(DecisionStats, PlainRunMatchesScanWhileAUnitIsBusy)
 {
-    // The multiplier is not pipelined: after the first smul issues,
-    // the second waits on FPU busy time, so the load (a later kind,
-    // with a worse static tuple) must win the second pick.
-    Program prog = parseAssembly("smul %g1, %g2, %g3\n"
-                                 "smul %g4, %g5, %g6\n"
-                                 "ld [%o0], %g7\n"
-                                 "ld [%o0+4], %o1\n");
+    // The multiplier and the divider are not pipelined: once the
+    // first smul issues, the second waits on FPU busy time, so a node
+    // of another kind with a worse static tuple wins the next pick —
+    // a load (pipelined), or an fdivs while the add waits on its EET.
+    const std::pair<const char *, std::vector<std::uint32_t>> cases[] = {
+        {"smul %g1, %g2, %g3\nsmul %g4, %g5, %g6\n"
+         "ld [%o0], %g7\nld [%o0+4], %o1\n",
+         {0, 2, 3, 1}},
+        {"smul %g1, %g2, %g3\nsmul %g4, %g5, %g6\n"
+         "fdivs %f0, %f1, %f2\nadd %g3, 1, %g7\n",
+         {0, 2, 1, 3}},
+    };
     MachineModel machine = sparcstation2();
-    Dag dag = TableForwardBuilder().build(
-        BlockView(prog, partitionBlocks(prog)[0]), machine, BuildOptions{});
-    runAllStaticPasses(dag, PassImpl::ReverseWalk, true);
     ListScheduler scheduler(
         algorithmSpec(AlgorithmKind::Krishnamurthy).config, machine);
-    EXPECT_TRUE(plainRunMatchesScan(scheduler, dag));
-    EXPECT_EQ(scheduler.run(dag).order,
-              (std::vector<std::uint32_t>{0, 2, 3, 1}));
+    for (const auto &[source, order] : cases) {
+        Program prog = parseAssembly(source);
+        Dag dag = TableForwardBuilder().build(
+            BlockView(prog, partitionBlocks(prog)[0]), machine,
+            BuildOptions{});
+        runAllStaticPasses(dag, PassImpl::ReverseWalk, true);
+        EXPECT_TRUE(plainRunMatchesScan(scheduler, dag)) << source;
+        EXPECT_EQ(scheduler.run(dag).order, order) << source;
+    }
 }
 
 /** Check every algorithm on every block of @p prog under every
