@@ -248,10 +248,12 @@ ListScheduler::run(Dag &dag, DecisionStats *stats,
     sched.order.reserve(dag.size());
     // DecisionStats observes every candidate at every pick, so it
     // moves a keyed ranking off the heaps onto the scan.
-    if (keyed_ && !stats)
-        runHeap(dag, sched.order, cancel);
-    else
+    if (!keyed_ || stats)
         runScan(dag, sched.order, stats, cancel);
+    else if (eetRank_ || fuRank_)
+        runHeap<true>(dag, sched.order, cancel);
+    else
+        runHeap<false>(dag, sched.order, cancel);
     SCHED91_ASSERT(sched.order.size() == dag.size(),
                    "scheduler lost nodes (cyclic DAG?)");
     // A backward pass picks the block from its end.
@@ -263,10 +265,12 @@ ListScheduler::run(Dag &dag, DecisionStats *stats,
     return sched;
 }
 
+template <bool Dynamic>
 void
 ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                        const CancellationToken *cancel) const
 {
+    const bool eet_rank = Dynamic && eetRank_;
     const std::size_t first = std::size_t{eetRank_} + fuRank_;
     const std::size_t ranks = config_.ranking.size() - first;
     const int *eet = dag.ann().earliestExecTime.data();
@@ -291,7 +295,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                                     : staticValue(dag, n, rh.heuristic);
             keys[n * ranks + r] = rh.preferLarger ? v : -v;
         }
-        obs::ev::schedHeuristicEvals.inc(ranks + eetRank_);
+        obs::ev::schedHeuristicEvals.inc(ranks + eet_rank);
     };
 
     // The winnowing pass's strict total order over the static ranks:
@@ -324,15 +328,16 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
 
     // Only the classes past 0 have busy times to track.
     std::optional<FuState> fus;
-    if (classes_ > 1)
+    if (Dynamic && classes_ > 1)
         fus.emplace(machine_);
     auto release = [&](std::uint32_t n) {
-        const std::size_t c =
-            fus ? fuClass_[static_cast<std::size_t>(
-                      machine_.fuFor(dag.inst(n).cls()))]
-                : 0;
+        std::size_t c = 0;
+        if (Dynamic && fus)
+            c = fuClass_[static_cast<std::size_t>(
+                machine_.fuFor(dag.inst(n).cls()))];
         ready[c]->push(n);
-        live |= 1u << c;
+        if (Dynamic)
+            live |= 1u << c;
     };
     std::size_t waiting = 0; // the ready list: pending plus released
     int next = 0; // the clock at the next pick
@@ -340,7 +345,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         computeKey(n);
         ++waiting;
         // A node due by the next pick would be released there anyway.
-        if (!eetRank_ || eet[n] <= next)
+        if (!eet_rank || eet[n] <= next)
             release(n);
         else
             pending.push(n);
@@ -356,7 +361,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
             cancel->poll();
         obs::ev::schedNodeVisits.inc();
         obs::ev::schedReadyListPeak.max(waiting);
-        if (eetRank_) {
+        if (eet_rank) {
             // The EET rank is max(EET, now): every node issuable by
             // now ties at now and beats the rest, and when none is,
             // those with the least EET tie at it.
@@ -366,8 +371,9 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         }
         // The released nodes tie on the EET rank, and a class on FPU
         // busy time, so the winner is the best class head.
-        std::size_t best = static_cast<std::size_t>(std::countr_zero(live));
-        if (std::popcount(live) > 1) {
+        std::size_t best =
+            Dynamic ? static_cast<std::size_t>(std::countr_zero(live)) : 0;
+        if (Dynamic && std::popcount(live) > 1) {
             obs::ev::schedHeuristicEvals.inc(
                 static_cast<std::uint64_t>(std::popcount(live)));
             auto busy = [&](std::size_t c) {
@@ -390,14 +396,14 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
             }
         }
         const std::uint32_t n = ready[best]->pop();
-        if (ready[best]->empty())
+        if (Dynamic && ready[best]->empty())
             live &= ~(1u << best);
         --waiting;
         order.push_back(n);
-        if (eetRank_)
+        if (eet_rank)
             next = std::max(time, eet[n]) + 1; // retire's issue, + 1
         const int issue = retire(dag, n, time, config_, admit);
-        if (fus)
+        if (Dynamic && fus)
             fus->occupy(dag.inst(n).cls(), issue);
         time = issue + 1;
     }

@@ -194,6 +194,9 @@ class ListScheduler
     void runScan(Dag &dag, std::vector<std::uint32_t> &order,
                  DecisionStats *stats,
                  const CancellationToken *cancel) const;
+    // Dynamic: the ranking leads with EET and/or FPU busy time; an
+    // all-static ranking compiles to a loop over one heap.
+    template <bool Dynamic>
     void runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                  const CancellationToken *cancel) const;
 
