@@ -216,17 +216,6 @@ ListScheduler::ListScheduler(SchedulerConfig config,
     };
     eetRank_ = leads(Heuristic::EarliestExecutionTime);
     fuRank_ = leads(Heuristic::FpuBusyTimes);
-    // A pipelined unit is free again the cycle after it issues, which
-    // is no later than the next pick, so its busy time is always 0:
-    // all pipelined kinds share class 0, and each other kind gets a
-    // class of its own.
-    for (int k = 0; k < kNumFuKinds; ++k) {
-        const auto kind = static_cast<FuKind>(k);
-        if (fuRank_ && !machine_.fuDesc(kind).pipelined) {
-            classKind_[classes_] = kind;
-            fuClass_[k] = static_cast<std::uint8_t>(classes_++);
-        }
-    }
     // The rest must not change as nodes issue: Table 1's 'v' column,
     // plus Tiemann's birthing instruction, whose priorityBoost the
     // backward pass raises (onScheduledBackward).
@@ -310,11 +299,25 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                 return k[a * ranks + r] > k[b * ranks + r];
         return forward ? a < b : a > b;
     };
-    // FPU busy time is one value per class of function-unit kinds, so
-    // each class gets its own heap; without it every node shares one.
+    // FPU busy time is one value per class of function-unit kinds, and
+    // each class gets its own heap.  A pipelined unit is free again the
+    // cycle after it issues, no later than the next pick, so its busy
+    // time is always 0: all pipelined kinds share class 0, and each
+    // other kind has a class of its own.  Without FPU busy time every
+    // node is in class 0.
+    std::size_t classes = 1;
+    std::array<std::uint8_t, kNumFuKinds> fu_class{};  // kind -> class
+    std::array<FuKind, kNumFuKinds + 1> class_kind{}; // class -> kind
+    for (int k = 0; Dynamic && fuRank_ && k < kNumFuKinds; ++k) {
+        const auto kind = static_cast<FuKind>(k);
+        if (!machine_.fuDesc(kind).pipelined) {
+            class_kind[classes] = kind;
+            fu_class[k] = static_cast<std::uint8_t>(classes++);
+        }
+    }
     using ClassHeap = DaryHeap<std::uint32_t, decltype(outranks)>;
     std::array<std::optional<ClassHeap>, kNumFuKinds + 1> ready;
-    for (std::size_t c = 0; c < classes_; ++c)
+    for (std::size_t c = 0; c < classes; ++c)
         ready[c].emplace(outranks, &lists[c]);
     unsigned live = 0; // bit c set: class c's heap is non-empty
 
@@ -324,16 +327,16 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         return eet[a] != eet[b] ? eet[a] < eet[b] : a < b;
     };
     DaryHeap<std::uint32_t, decltype(releasesFirst)> pending(
-        releasesFirst, &lists[classes_]);
+        releasesFirst, &lists[classes]);
 
     // Only the classes past 0 have busy times to track.
     std::optional<FuState> fus;
-    if (Dynamic && classes_ > 1)
+    if (Dynamic && classes > 1)
         fus.emplace(machine_);
     auto release = [&](std::uint32_t n) {
         std::size_t c = 0;
         if (Dynamic && fus)
-            c = fuClass_[static_cast<std::size_t>(
+            c = fu_class[static_cast<std::size_t>(
                 machine_.fuFor(dag.inst(n).cls()))];
         ready[c]->push(n);
         if (Dynamic)
@@ -378,7 +381,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                 static_cast<std::uint64_t>(std::popcount(live)));
             auto busy = [&](std::size_t c) {
                 return c == 0 ? 0
-                              : fus->earliestFree(classKind_[c], time) -
+                              : fus->earliestFree(class_kind[c], time) -
                                     time;
             };
             int best_busy = busy(best);

@@ -24,7 +24,6 @@
 #ifndef SCHED91_SCHED_LIST_SCHEDULER_HH
 #define SCHED91_SCHED_LIST_SCHEDULER_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -205,12 +204,6 @@ class ListScheduler
     bool eetRank_ = false; ///< ranking leads with EET admission
     bool fuRank_ = false;  ///< then (or first) FPU busy time
     bool keyed_ = false;   ///< every later rank is static: heaps serve
-    /** The heap path's classes: with fuRank_, class 0 holds every
-     * pipelined function-unit kind and each other kind has its own;
-     * otherwise one class holds every node. */
-    std::size_t classes_ = 1;
-    std::array<std::uint8_t, kNumFuKinds> fuClass_{}; ///< kind -> class
-    std::array<FuKind, kNumFuKinds + 1> classKind_{}; ///< class -> kind
 };
 
 } // namespace sched91

@@ -61,16 +61,16 @@ operator delete[](void *p) noexcept
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
-    operator delete(p);
+    std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
-    operator delete[](p);
+    std::free(p);
 }
 
 namespace sched91
