@@ -41,14 +41,20 @@ namespace
  * can never collide with a real retry salt). */
 constexpr std::uint64_t kArenaAllocFailSalt = 1ULL << 63;
 
-/** Run the static heuristic passes an algorithm declares it needs. */
+/** Run the static heuristic passes an algorithm declares it needs,
+ * each a sub-phase of heur (in @p record, if set). */
 void
-runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl)
+runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl,
+                obs::PhaseRecord *record)
 {
-    if (config.needsForwardPass)
+    if (config.needsForwardPass) {
+        obs::ScopedPhase phase(obs::Phase::HeurFwd, record);
         runForwardPass(dag, impl);
-    if (config.needsBackwardPass)
+    }
+    if (config.needsBackwardPass) {
+        obs::ScopedPhase phase(obs::Phase::HeurBwd, record);
         runBackwardPass(dag, impl, config.needsDescendants);
+    }
     if (config.needsForwardPass && config.needsBackwardPass)
         computeSlack(dag);
     if (config.needsRegisterPressure)
@@ -97,7 +103,7 @@ struct WorkerState
     obs::CounterShard blockShard;
     /** Run-lifetime accumulation, merged into the run total post-join. */
     obs::CounterShard accum;
-    obs::PhaseProfiler profiler;
+    obs::PhaseShards phaseShards; ///< its blocks' phases count here
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
     /** Buffered log records, replayed post-join in block order. */
@@ -263,6 +269,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         BlockView block(prog, bb);
         BlockOutput &out = outputs[b];
         out.phases.keepCounters = tracing;
+        out.phases.shards = obs_on ? &workers[w].phaseShards : nullptr;
         out.worker = w;
 
         // Ladder rung two (last resort): the block keeps its original
@@ -491,7 +498,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             checkBudget("build");
 
             obs::ScopedPhase heur_phase(obs::Phase::Heur, &out.phases);
-            runNeededPasses(dag, spec.config, opts.passImpl);
+            runNeededPasses(dag, spec.config, opts.passImpl, &out.phases);
             heur_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
             checkBudget("heur");
@@ -664,7 +671,6 @@ runPipeline(Program &prog, const MachineModel &machine,
             // per-block clear is what gives Max gauges history-free
             // per-block values, which the byte-identical-output
             // guarantee across thread counts depends on.
-            obs::ScopedProfiler prof_scope(ws.profiler);
             obs::ScopedCounterShard shard_scope(ws.blockShard);
             for (std::size_t b : chunk_blocks) {
                 ws.blockShard.clear();
@@ -754,6 +760,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         result.schedSeconds += out.phases.seconds(obs::Phase::Sched);
         result.verifySeconds += out.phases.seconds(obs::Phase::Verify);
         if (obs_on) {
+            result.phaseTree.add(out.phases);
             result.histograms.record("block.insts", blocks[b].size());
             result.histograms.record("block.arena_bytes", out.arenaBytes);
             for (const obs::PhaseRecord::Entry &e : out.phases)
@@ -825,17 +832,16 @@ runPipeline(Program &prog, const MachineModel &machine,
     result.memory.dagArcBytes = result.memory.dagArcs * sizeof(Arc);
     result.memory.peakRssBytes = obs::currentPeakRssBytes();
 
-    // ... and worker order for the thread-private shards and phase
-    // trees (both merges are kind-aware, so the result is independent
+    // ... and worker order for the thread-private shards and the phase
+    // totals (both merges are kind-aware, so the result is independent
     // of how blocks were distributed over lanes).  The merged shards
     // are the run's counters: exact even while other runs overlap this
     // one, because nothing else ever counts into them.
     if (obs_on) {
-        obs::PhaseProfiler &profiler = obs::PhaseProfiler::active();
         obs::CounterShard run_total;
         for (WorkerState &ws : workers) {
             ws.accum.flushInto(run_total);
-            profiler.mergeFrom(ws.profiler);
+            result.phaseTree.add(ws.phaseShards);
         }
         // Deterministic memory gauges join the run's counters too.
         run_total.add(obs::ev::memArenaBytesAllocated.id(),
@@ -925,7 +931,7 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
     build_phase.stop();
 
     obs::ScopedPhase heur_phase(obs::Phase::Heur);
-    runNeededPasses(dag, spec.config, opts.passImpl);
+    runNeededPasses(dag, spec.config, opts.passImpl, nullptr);
     heur_phase.stop();
 
     ListScheduler scheduler(spec.config, machine);

@@ -16,11 +16,11 @@
  * Basic blocks are independent (each gets its own DAG, heuristic
  * pass, and schedule), so the pipeline processes them block-parallel
  * on a chunked thread pool.  Every worker owns a WorkerContext (bump
- * arena + scratch buffers), a private counter shard, and a private
- * phase profiler; per-block outputs land in slots indexed by block
+ * arena + scratch buffers) and private counter shards for its blocks
+ * and their phases; per-block outputs land in slots indexed by block
  * id and all reductions happen after the join in a fixed order, so
- * schedules, statistics, counters, and trace events are identical for
- * every thread count (see docs/PERFORMANCE.md).
+ * schedules, statistics, counters, phase trees and trace events are
+ * identical for every thread count (see docs/PERFORMANCE.md).
  */
 
 #ifndef SCHED91_CORE_PIPELINE_HH
@@ -238,6 +238,10 @@ struct ProgramResult
      * observability layer was enabled for the run.
      */
     obs::HistogramSet histograms;
+
+    /** The run's phase tree, folded from the blocks' phase records.
+     * Empty unless the observability layer was enabled for the run. */
+    obs::PhaseStats phaseTree;
 
     /** Memory footprint of the run (filled regardless of
      * observability — the quantities are free at run end). */

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "obs/events.hh"
-#include "obs/phase.hh"
 #include "support/logging.hh"
 
 namespace sched91
@@ -72,7 +71,6 @@ passImplName(PassImpl impl)
 void
 runForwardPass(Dag &dag, PassImpl impl)
 {
-    obs::ScopedPhase phase("heur-fwd");
     obs::ev::heurForwardVisits.inc(dag.size());
 
     // Hoist the annotation columns: the pass streams over dense int
@@ -104,7 +102,6 @@ runForwardPass(Dag &dag, PassImpl impl)
 void
 runBackwardPass(Dag &dag, PassImpl impl, bool compute_descendants)
 {
-    obs::ScopedPhase phase("heur-bwd");
     obs::ev::heurBackwardVisits.inc(dag.size());
 
     // Descendant maps: reuse the builder's when it maintained

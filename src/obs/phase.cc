@@ -1,11 +1,36 @@
 #include "obs/phase.hh"
 
-#include <utility>
-
 #include "support/logging.hh"
 
 namespace sched91::obs
 {
+
+namespace
+{
+
+/** @p parent's child named @p name, appended if absent. */
+PhaseStats &
+childNode(PhaseStats &parent, std::string_view name)
+{
+    for (PhaseStats &c : parent.children)
+        if (c.name == name)
+            return c;
+    parent.children.push_back(PhaseStats{});
+    parent.children.back().name = name;
+    return parent.children.back();
+}
+
+/** @p phase's node in the run tree under @p root. */
+PhaseStats &
+phaseNode(PhaseStats &root, Phase phase)
+{
+    PhaseStats &parent =
+        isSubPhase(phase) ? childNode(root, phaseNames(Phase::Heur).name)
+                          : root;
+    return childNode(parent, phaseNames(phase).name);
+}
+
+} // namespace
 
 const PhaseStats *
 PhaseStats::child(std::string_view child_name) const
@@ -16,17 +41,35 @@ PhaseStats::child(std::string_view child_name) const
     return nullptr;
 }
 
+void
+PhaseStats::add(const PhaseRecord &record)
+{
+    auto addEntry = [this](const PhaseRecord::Entry &e) {
+        PhaseStats &node = phaseNode(*this, e.phase);
+        ++node.entries;
+        node.seconds += e.seconds;
+    };
+    for (const PhaseRecord::Entry &e : record)
+        addEntry(e);
+    for (std::size_t i = 0; i < record.numSubs; ++i)
+        addEntry(record.subs[i]);
+}
+
+void
+PhaseStats::add(const PhaseShards &lane)
+{
+    // A phase with counts has started, so its node is already there.
+    for (std::size_t p = 0; p < lane.totals.size(); ++p)
+        if (!lane.totals[p].empty())
+            lane.totals[p].flushInto(
+                phaseNode(*this, static_cast<Phase>(p)).counters);
+}
+
 PhaseProfiler &
 PhaseProfiler::global()
 {
     static PhaseProfiler instance;
     return instance;
-}
-
-PhaseProfiler &
-PhaseProfiler::active()
-{
-    return detail::t_profiler ? *detail::t_profiler : global();
 }
 
 void
@@ -35,66 +78,17 @@ PhaseProfiler::clear()
     SCHED91_ASSERT(stack_.empty(),
                    "cannot clear the phase tree with phases open");
     root_.children.clear();
-    root_.counters = CounterShard{};
-    root_.entries = 0;
-    root_.seconds = 0.0;
 }
-
-namespace
-{
 
 void
-mergeNode(PhaseStats &into, const PhaseStats &from)
-{
-    into.entries += from.entries;
-    into.seconds += from.seconds;
-    from.counters.flushInto(into.counters);
-    for (const PhaseStats &fc : from.children) {
-        PhaseStats *ic = nullptr;
-        for (PhaseStats &c : into.children)
-            if (c.name == fc.name) {
-                ic = &c;
-                break;
-            }
-        if (!ic) {
-            into.children.push_back(PhaseStats{});
-            ic = &into.children.back();
-            ic->name = fc.name;
-        }
-        mergeNode(*ic, fc);
-    }
-}
-
-} // namespace
-
-void
-PhaseProfiler::mergeFrom(const PhaseProfiler &other)
-{
-    SCHED91_ASSERT(stack_.empty() && other.stack_.empty(),
-                   "cannot merge phase trees with phases open");
-    mergeNode(root_, other.root_);
-}
-
-PhaseStats *
 PhaseProfiler::enter(const char *name)
 {
-    PhaseStats *parent = stack_.empty() ? &root_ : stack_.back();
-    PhaseStats *node = nullptr;
-    for (PhaseStats &c : parent->children)
-        if (c.name == name) {
-            node = &c;
-            break;
-        }
-    if (!node) {
-        // Only the innermost open phase ever grows children, so this
-        // push_back cannot invalidate any pointer still on the stack.
-        parent->children.push_back(PhaseStats{});
-        node = &parent->children.back();
-        node->name = name;
-    }
-    ++node->entries;
-    stack_.push_back(node);
-    return node;
+    // Only the innermost open phase ever grows children, so this
+    // cannot invalidate any pointer still on the stack.
+    PhaseStats &node =
+        childNode(stack_.empty() ? root_ : *stack_.back(), name);
+    ++node.entries;
+    stack_.push_back(&node);
 }
 
 void
@@ -107,11 +101,10 @@ PhaseProfiler::exit(double seconds, const CounterShard &delta)
     delta.flushInto(node->counters);
 }
 
-ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
-    : profiler_(profiler), start_(Clock::now())
+ScopedPhase::ScopedPhase(const char *name) : start_(Clock::now())
 {
-    if (enabled()) {
-        profiler_.enter(name);
+    if (name && enabled()) {
+        PhaseProfiler::global().enter(name);
         snap_ = activeCounters();
         peaks_ = detail::t_shard != nullptr;
         open_ = true;
@@ -119,8 +112,20 @@ ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
 }
 
 ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
-    : ScopedPhase(phaseNames(phase).name)
+    : ScopedPhase(record ? nullptr : phaseNames(phase).name)
 {
+    if (PhaseShards *lane = record ? record->shards : nullptr) {
+        SCHED91_ASSERT(detail::t_shard,
+                       "a recorded phase opens in its block's shard");
+        CounterShard &own = lane->own[isSubPhase(phase)];
+        own.clear();
+        const CounterRegistry &registry = own.registry();
+        for (std::size_t id = 0; id < registry.size(); ++id)
+            if (registry.kind(id) == CounterKind::Max)
+                own.recordMax(id, detail::t_shard->value(id));
+        parent_ = detail::t_shard;
+        detail::t_shard = &own;
+    }
     record_ = record;
     phase_ = phase;
 }
@@ -134,19 +139,28 @@ ScopedPhase::stop()
         std::chrono::duration<double>(Clock::now() - start_).count();
     stopped_ = true;
     if (open_) {
-        CounterShard now = activeCounters();
-        profiler_.exit(elapsed_, now.since(snap_, peaks_));
-        snap_ = std::move(now);
+        PhaseProfiler::global().exit(elapsed_,
+                                     activeCounters().since(snap_, peaks_));
         open_ = false;
     }
     if (record_) {
-        SCHED91_ASSERT(record_->size < record_->entries.size(),
+        const bool sub = isSubPhase(phase_);
+        SCHED91_ASSERT(sub ? record_->numSubs < record_->subs.size()
+                           : record_->size < record_->entries.size(),
                        "phase record is full");
-        PhaseRecord::Entry &e = record_->entries[record_->size++];
+        PhaseRecord::Entry &e = sub ? record_->subs[record_->numSubs++]
+                                    : record_->entries[record_->size++];
         e.phase = phase_;
         e.seconds = elapsed_;
-        if (record_->keepCounters)
-            e.counters = snap_;
+        if (parent_) {
+            const CounterShard &own = record_->shards->own[sub];
+            own.flushInto(*parent_);
+            own.flushInto(
+                record_->shards->totals[static_cast<std::size_t>(phase_)]);
+            detail::t_shard = parent_;
+            if (record_->keepCounters && !sub)
+                e.counters = *parent_;
+        }
     }
     return elapsed_;
 }

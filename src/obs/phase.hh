@@ -1,26 +1,25 @@
 /**
  * @file
- * RAII phase profiler: a nestable tree of named phases (build ->
- * heur-fwd/heur-bwd -> sched -> evaluate) carrying elapsed seconds,
- * entry counts, and per-phase counter deltas; and the per-block
- * PhaseRecord every other per-phase output derives from.
+ * Phase timing: ScopedPhase, the per-block PhaseRecord every per-phase
+ * output of the pipeline derives from, and phase trees of named phases
+ * (build -> heur -> heur-fwd/heur-bwd, sched, verify, evaluate)
+ * carrying elapsed seconds, entry counts and per-phase counter deltas.
  *
- * ScopedPhase replaces the ad-hoc Timer plumbing of the pipeline:
- * it always measures wall-clock time (two steady-clock reads, the
- * same cost the Timer had), and only when the observability layer is
- * enabled does it additionally maintain the phase tree and copy the
- * thread's active counter source at entry and at exit — one id-indexed
- * snapshot per boundary — to attribute event deltas to phases.
- * Deltas are *inclusive*: a parent phase's counters include those of
- * its children.  Counter names are resolved only when the tree is
- * emitted.  A pipeline phase also writes its PhaseRecord entry as it
- * stops, so the tree and the record agree, a phase that throws too.
+ * ScopedPhase always measures wall-clock time (two steady-clock
+ * reads).  A pipeline phase writes its PhaseRecord entry as it stops,
+ * a phase that throws too.  While the observability layer is enabled
+ * it also counts straight into its own shard in lane storage
+ * (PhaseShards), which folds into its parent's as it stops: the
+ * block's shard, or heur's for heur-fwd/heur-bwd.  No shard is copied
+ * on the way unless a trace sink keeps each entry's.  After the join
+ * the pipeline folds the records, in block order, into the run's
+ * phase tree.  Deltas are *inclusive*: a parent phase's counters
+ * include those of its children.  Counter names are resolved only when
+ * the tree is emitted.
  *
- * Phases record into the thread's *active* profiler: normally the
- * process-wide one, but the parallel pipeline installs a private
- * profiler per worker (ScopedProfiler) and merges the worker trees
- * into the caller's after the join — name-matched, so the final tree
- * is independent of how blocks were distributed over threads.
+ * A plain named phase (the CLI's per-block `block` phase, and
+ * scheduleBlock's phases) records into the process-wide tree instead,
+ * copying the thread's active counter source at entry and at exit.
  */
 
 #ifndef SCHED91_OBS_PHASE_HH
@@ -37,14 +36,16 @@
 namespace sched91::obs
 {
 
-class PhaseProfiler;
-
-/** The pipeline's per-block phases, in run order. */
-enum class Phase : std::uint8_t { Build, Heur, Sched, Verify, Evaluate };
+/** The pipeline's per-block phases, in run order, then heur's two
+ * sub-phases: the static passes. */
+enum class Phase : std::uint8_t
+{
+    Build, Heur, Sched, Verify, Evaluate, HeurFwd, HeurBwd
+};
 
 /** Indexed by Phase: its tree node and trace-event name, and its
- * per-block latency histogram, which Evaluate lacks: it measures
- * schedule quality, not a Tables 4/5 phase. */
+ * per-block latency histogram, which Evaluate lacks (it measures
+ * schedule quality, not a Tables 4/5 phase), as do the sub-phases. */
 struct PhaseNames
 {
     const char *name;
@@ -54,9 +55,9 @@ struct PhaseNames
 inline constexpr PhaseNames kPhaseNames[] = {
     {"build", "lat.build_ns"}, {"heur", "lat.heur_ns"},
     {"sched", "lat.sched_ns"}, {"verify", "lat.verify_ns"},
-    {"evaluate", nullptr},
+    {"evaluate", nullptr}, {"heur-fwd", nullptr}, {"heur-bwd", nullptr},
 };
-static_assert(std::size(kPhaseNames) == std::size_t(Phase::Evaluate) + 1);
+static_assert(std::size(kPhaseNames) == std::size_t(Phase::HeurBwd) + 1);
 
 inline const PhaseNames &
 phaseNames(Phase phase)
@@ -64,12 +65,30 @@ phaseNames(Phase phase)
     return kPhaseNames[static_cast<std::size_t>(phase)];
 }
 
+/** Whether @p phase is one of heur's sub-phases. */
+inline bool isSubPhase(Phase phase) { return phase > Phase::Evaluate; }
+
+/**
+ * A pipeline lane's counter storage for recorded phases, reused across
+ * its blocks.  A phase counts into own[0], a sub-phase into own[1]: the
+ * thread's active shard while it runs, cleared as it opens but for the
+ * Max gauges, which start at the parent's values, so it ends holding
+ * the block's running peaks.  As it stops it folds (kind-aware) into
+ * its parent, the shard that was active as it opened, and into its
+ * totals, the phase tree's counters.
+ */
+struct PhaseShards
+{
+    std::array<CounterShard, 2> own;
+    std::array<CounterShard, std::size(kPhaseNames)> totals; ///< by Phase
+};
+
 /**
  * One block's pipeline phases: an entry per phase that started, in run
  * order, written by ScopedPhase::stop() (from its destructor when the
  * phase throws).  Run and outlier seconds, `lat.*` histograms, trace
- * events and the block budget all read it.  A fixed array, so
- * recording allocates nothing unless counters are kept.
+ * events, the block budget and the phase tree all read it.  Fixed
+ * arrays, so recording allocates nothing unless counters are kept.
  */
 struct PhaseRecord
 {
@@ -80,9 +99,12 @@ struct PhaseRecord
         CounterShard counters; ///< per-block shard as it ended, if kept
     };
 
-    std::array<Entry, std::size(kPhaseNames)> entries;
+    std::array<Entry, std::size_t(Phase::Evaluate) + 1> entries;
     std::size_t size = 0;
+    std::array<Entry, 2> subs; ///< heur's, read by the phase tree only
+    std::size_t numSubs = 0;
     bool keepCounters = false; ///< set when a trace sink will read them
+    PhaseShards *shards = nullptr; ///< the lane's, while observing
 
     const Entry *begin() const { return entries.data(); }
     const Entry *end() const { return entries.data() + size; }
@@ -90,12 +112,6 @@ struct PhaseRecord
     /** Seconds of @p phase; 0 when it did not start. */
     double seconds(Phase phase) const;
 };
-
-namespace detail
-{
-/** Profiler this thread's phases record into (global() by default). */
-inline thread_local PhaseProfiler *t_profiler = nullptr;
-} // namespace detail
 
 /** Accumulated statistics for one phase node in the tree. */
 struct PhaseStats
@@ -108,24 +124,23 @@ struct PhaseStats
 
     /** Child by name, nullptr when absent. */
     const PhaseStats *child(std::string_view child_name) const;
+
+    /** Fold a block's record into this run tree (blocks in order, so
+     * seconds add alike at every lane count), then the lanes' totals. */
+    void add(const PhaseRecord &record);
+    void add(const PhaseShards &lane);
 };
 
 /**
- * Accumulator for the phase tree.  Phases entered while another phase
- * is open become (or re-open) children of it; the tree persists
- * across blocks, so per-block phases accumulate into one node per
- * distinct nesting path.
+ * The process-wide phase tree plain named phases record into.  Phases
+ * entered while another phase is open become (or re-open) children of
+ * it; the tree persists across blocks, so per-block phases accumulate
+ * into one node per distinct nesting path.
  */
 class PhaseProfiler
 {
   public:
     static PhaseProfiler &global();
-
-    /** The profiler the calling thread records into: the installed
-     * one (ScopedProfiler) or global(). */
-    static PhaseProfiler &active();
-
-    PhaseProfiler() { root_.name = "run"; }
 
     /** Drop all accumulated phases (open phases keep recording into
      * fresh nodes). */
@@ -134,41 +149,16 @@ class PhaseProfiler
     /** The synthetic root; real phases are its descendants. */
     const PhaseStats &root() const { return root_; }
 
-    /**
-     * Fold another profiler's tree into this one, matching phases by
-     * nesting path and name: entries and seconds add, counters merge
-     * kind-aware.  Used to fold per-worker trees back into the
-     * caller's after a parallel region.
-     */
-    void mergeFrom(const PhaseProfiler &other);
-
   private:
     friend class ScopedPhase;
 
-    PhaseStats *enter(const char *name);
+    PhaseProfiler() { root_.name = "run"; }
+
+    void enter(const char *name);
     void exit(double seconds, const CounterShard &delta);
 
     PhaseStats root_;
     std::vector<PhaseStats *> stack_; ///< open-phase path, root absent
-};
-
-/** RAII installer: this thread's phases record into @p profiler. */
-class ScopedProfiler
-{
-  public:
-    explicit ScopedProfiler(PhaseProfiler &profiler)
-        : prev_(detail::t_profiler)
-    {
-        detail::t_profiler = &profiler;
-    }
-
-    ~ScopedProfiler() { detail::t_profiler = prev_; }
-
-    ScopedProfiler(const ScopedProfiler &) = delete;
-    ScopedProfiler &operator=(const ScopedProfiler &) = delete;
-
-  private:
-    PhaseProfiler *prev_;
 };
 
 /**
@@ -179,11 +169,13 @@ class ScopedProfiler
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(const char *name,
-                         PhaseProfiler &profiler = PhaseProfiler::active());
+    /** A plain named phase of the process-wide tree (a bare timer
+     * when @p name is null). */
+    explicit ScopedPhase(const char *name);
 
     /** A pipeline phase; when @p record is set, stop() also writes
-     * the phase's entry there. */
+     * the phase's entry there, else it is the plain phase of its
+     * name. */
     explicit ScopedPhase(Phase phase, PhaseRecord *record = nullptr);
 
     ScopedPhase(const ScopedPhase &) = delete;
@@ -197,23 +189,18 @@ class ScopedPhase
      */
     double stop();
 
-    /** The active counter source as stop() copied it (valid once
-     * stopped; all zero unless entered with observability on). */
-    const CounterShard &exitCounters() const { return snap_; }
-
   private:
     using Clock = std::chrono::steady_clock;
 
-    PhaseProfiler &profiler_;
     Clock::time_point start_;
     double elapsed_ = 0.0; ///< valid once stopped
-    /** Active-source copy at the last boundary: entry, then exit. */
-    CounterShard snap_;
+    CounterShard snap_; ///< plain phase: active-source copy at entry
     bool peaks_ = false; ///< source is a per-block shard (see since())
     bool open_ = false;  ///< tree node pending an exit()
     bool stopped_ = false;
     PhaseRecord *record_ = nullptr;
     Phase phase_ = Phase::Build; ///< record_'s entry
+    CounterShard *parent_ = nullptr; ///< counting: active as it opened
 };
 
 } // namespace sched91::obs

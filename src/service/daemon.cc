@@ -16,7 +16,6 @@
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
 #include "obs/memory.hh"
-#include "obs/phase.hh"
 #include "service/supervisor.hh"
 #include "support/fault_inject.hh"
 #include "support/log.hh"
@@ -108,7 +107,6 @@ struct Daemon::Connection
 struct Daemon::WorkerSlot
 {
     obs::CounterShard shard;
-    obs::PhaseProfiler profiler;
     obs::flight::Recorder *flight = nullptr;
 };
 
@@ -433,15 +431,12 @@ void
 Daemon::workerLoop(unsigned lane)
 {
     WorkerSlot &slot = *slots_[lane];
-    // The lane's observability kit: all counter/profiler/flight
-    // traffic from the requests this lane runs lands in lane-private
-    // state; the counts are published after every request.
+    // The lane's observability kit: all counter and flight traffic
+    // from the requests this lane runs lands in lane-private state;
+    // the counts are published after every request.
     std::optional<obs::ScopedCounterShard> shard_scope;
-    std::optional<obs::ScopedProfiler> prof_scope;
-    if (obs::enabled()) {
+    if (obs::enabled())
         shard_scope.emplace(slot.shard);
-        prof_scope.emplace(slot.profiler);
-    }
     std::optional<obs::flight::ScopedRecorder> flight_scope;
     if (slot.flight != nullptr)
         flight_scope.emplace(slot.flight);

@@ -25,12 +25,11 @@
  *
  * Observability in a long-lived process: the daemon owns the flight-
  * recorder rings (obs::flight::setExternallyManaged), claims one per
- * worker lane, and installs per-lane counter shards and profilers;
- * runPipeline detects external management and skips its own flight
- * bracket, and adds each run's counts to the lane's shard.  After
- * every request the lane adds its shard into one published aggregate
- * and clears it, so live scrapes and the drain document read the same
- * counts.  Request latency and queue-wait distributions land in
+ * worker lane, and installs per-lane counter shards; runPipeline
+ * detects external management and skips its own flight bracket, and
+ * adds each run's counts to the lane's shard.  After every request
+ * the lane adds its shard into one published aggregate and clears
+ * it, so live scrapes and the drain document read the same counts.  Request latency and queue-wait distributions land in
  * `svc.request_ns` / `svc.queue_wait_ns` histograms; svc.* counters
  * are the engine's atomics (reader threads bump them too, and have no
  * shard), named once in kSvcTallies (service/engine.hh) and overlaid

@@ -34,10 +34,10 @@
  *
  * Thread safety: process() is called concurrently by the daemon's
  * workers.  Each call runs its pipeline single-threaded (threads=1)
- * on the calling worker, whose thread-installed counter shard, phase
- * profiler, and flight recorder absorb all per-event traffic; the
- * engine's own tallies are atomics (SvcCounters).  The quarantine
- * table is the only shared mutable state and sits behind a mutex.
+ * on the calling worker, whose thread-installed counter shard and
+ * flight recorder absorb all per-event traffic; the engine's own
+ * tallies are atomics (SvcCounters).  The quarantine table is the
+ * only shared mutable state and sits behind a mutex.
  */
 
 #ifndef SCHED91_SERVICE_ENGINE_HH

@@ -23,6 +23,20 @@
  * and, for the Chrome trace, the same profile flags with
  * `--trace-format chrome --trace
  * tests/golden/profile-tomcatv-attribution.chrome.json`.
+ *
+ * Two more stats documents pin the phase trees.  Schlansker's
+ * algorithm runs both static passes and computes slack between them,
+ * so `profile` fixes the heur -> heur-fwd + heur-bwd fold with
+ * `heur.slack_computes` in heur alone, at one lane and at four; and
+ * `schedule` fixes the CLI's tree, block -> build, heur (-> heur-fwd,
+ * heur-bwd), sched, verify:
+ *
+ *   sched91 profile linpack --algorithm schlansker --zero-times \
+ *       --threads 1 \
+ *       --stats-json tests/golden/profile-linpack-schlansker.json
+ *   sched91 schedule --kernel livermore1 --algorithm schlansker \
+ *       --zero-times \
+ *       --stats-json tests/golden/schedule-livermore1-schlansker.json
  */
 
 #include <gtest/gtest.h>
@@ -92,6 +106,20 @@ expectGoldenAt(unsigned threads)
     std::remove(trace.c_str());
 }
 
+/** The stats document `sched91 <args>` writes. */
+std::string
+statsOf(const std::string &args)
+{
+    const std::string stats = "/tmp/sched91-golden-" +
+                              std::to_string(::getpid()) + "-stats.json";
+    const std::string cmd = std::string(SCHED91_CLI_PATH) + " " + args +
+                            " --stats-json " + stats + " > /dev/null 2>&1";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    std::string out = slurp(stats);
+    std::remove(stats.c_str());
+    return out;
+}
+
 TEST(AttributionGolden, OneLaneMatchesByteForByte) { expectGoldenAt(1); }
 
 TEST(AttributionGolden, FourLanesMatchByteForByte) { expectGoldenAt(4); }
@@ -111,6 +139,22 @@ TEST(AttributionGolden, ChromeTraceMatchesAtOneAndFourLanes)
                      "profile-tomcatv-attribution.chrome.json");
         std::remove(trace.c_str());
     }
+}
+
+TEST(AttributionGolden, HeurSubPhasesFoldAtOneAndFourLanes)
+{
+    for (unsigned threads : {1u, 4u})
+        expectGolden(statsOf("profile linpack --algorithm schlansker"
+                             " --zero-times --threads " +
+                             std::to_string(threads)),
+                     "profile-linpack-schlansker.json");
+}
+
+TEST(AttributionGolden, ScheduleCommandTreeMatches)
+{
+    expectGolden(statsOf("schedule --kernel livermore1"
+                         " --algorithm schlansker --zero-times"),
+                 "schedule-livermore1-schlansker.json");
 }
 
 } // namespace

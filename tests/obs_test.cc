@@ -2,10 +2,11 @@
  * @file
  * Observability-layer tests: counter registry semantics (register,
  * increment, reset, merge, duplicate rejection), ScopedPhase nesting
- * into the global phase tree, zero-cost-when-disabled behavior, the
- * JSON/JSONL emitters round-tripped through a minimal parser, and the
- * builder counter asymmetry (pairwise compares vs table probes) the
- * instrumentation exists to expose.
+ * into the global phase tree, recorded phases counting into their own
+ * shards and folding into a run tree, zero-cost-when-disabled
+ * behavior, the JSON/JSONL emitters round-tripped through a minimal
+ * parser, and the builder counter asymmetry (pairwise compares vs
+ * table probes) the instrumentation exists to expose.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -359,6 +361,73 @@ TEST(ScopedPhase, StopIsIdempotentAndDisabledPhasesStayOffTree)
               nullptr);
 }
 
+TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
+{
+    ObsStateGuard guard;
+    obs::setEnabled(true);
+    obs::Counter events("test.recorded_events");
+    obs::Counter peak("test.recorded_peak", obs::CounterKind::Max);
+
+    obs::CounterShard block;
+    obs::PhaseShards lane;
+    obs::PhaseRecord record;
+    record.shards = &lane;
+    {
+        obs::ScopedCounterShard scope(block);
+        events.inc(1); // between phases: in no phase node
+        {
+            obs::ScopedPhase build(obs::Phase::Build, &record);
+            events.inc(2);
+            peak.max(5);
+        }
+        {
+            obs::ScopedPhase heur(obs::Phase::Heur, &record);
+            {
+                obs::ScopedPhase fwd(obs::Phase::HeurFwd, &record);
+                events.inc(4);
+            }
+            events.inc(8); // in heur, outside its sub-phase
+        }
+        try {
+            obs::ScopedPhase sched(obs::Phase::Sched, &record);
+            events.inc(16);
+            peak.max(3);
+            throw std::runtime_error("thrown inside sched");
+        } catch (const std::runtime_error &) {
+        }
+        EXPECT_EQ(obs::detail::t_shard, &block);
+    }
+    EXPECT_EQ(block.value(events.id()), 31u)
+        << "the block shard ends as if counted straight into it";
+    EXPECT_EQ(block.value(peak.id()), 5u);
+    ASSERT_EQ(record.size, 3u) << "a phase that throws keeps its entry";
+    EXPECT_EQ(record.numSubs, 1u);
+
+    obs::PhaseStats tree;
+    tree.add(record);
+    tree.add(lane);
+    ASSERT_EQ(tree.children.size(), 3u);
+    const char *order[] = {"build", "heur", "sched"};
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(tree.children[i].name, order[i]);
+    auto expectNode = [](const obs::PhaseStats *node, std::uint64_t n,
+                         std::uint64_t max) {
+        ASSERT_NE(node, nullptr);
+        EXPECT_EQ(node->entries, 1u) << node->name;
+        EXPECT_EQ(node->counters.value("test.recorded_events"), n)
+            << node->name;
+        EXPECT_EQ(node->counters.value("test.recorded_peak"), max)
+            << node->name << ": the block's running peak at its end";
+    };
+    const obs::PhaseStats *heur = tree.child("heur");
+    ASSERT_NE(heur, nullptr);
+    expectNode(tree.child("build"), 2, 5);
+    expectNode(heur, 12, 5);
+    expectNode(heur->child("heur-fwd"), 4, 5);
+    expectNode(tree.child("sched"), 16, 5);
+    EXPECT_EQ(tree.child("heur-fwd"), nullptr) << "nested under heur";
+}
+
 // ---------------------------------------------------------------------
 // JSON writer / emitters
 // ---------------------------------------------------------------------
@@ -460,8 +529,8 @@ TEST(Emitter, ProgramResultJsonRoundTrips)
     meta.algorithm = "simple-forward";
     meta.machine = "sparcstation2";
 
-    std::string text = obs::programResultJson(
-        r, meta, r.counters, &obs::PhaseProfiler::global().root());
+    std::string text =
+        obs::programResultJson(r, meta, r.counters, &r.phaseTree);
     JsonValue v = JsonParser(text).parse();
 
     EXPECT_EQ(v.at("meta").at("input").str(), "daxpy");

@@ -6,8 +6,9 @@
  * count.  Covered for static and keyed rankings, which run on heaps,
  * and for dynamic rankings that keep the scan, with and without
  * observability, and on fpppp, whose one big block skews the dispatch
- * plan; a run's own counters stay exact while other runs overlap it;
- * and every per-phase output agrees with the phase tree.
+ * plan; a run's own counters and phase tree stay exact while other
+ * runs overlap it; and every per-phase output agrees with the phase
+ * tree.
  */
 
 #include <gtest/gtest.h>
@@ -71,13 +72,12 @@ runAt(unsigned threads, AlgorithmKind algorithm, Program prog,
     opts.schedules = &a.schedules;
 
     obs::setEnabled(true);
-    obs::PhaseProfiler::global().clear();
     a.result = runPipeline(prog, sparcstation2(), opts);
     obs::EmitOptions emit;
     emit.zeroTimes = true;
-    a.statsJson = obs::programResultJson(
-        a.result, obs::RunMeta{}, a.result.counters,
-        &obs::PhaseProfiler::global().root(), emit);
+    a.statsJson = obs::programResultJson(a.result, obs::RunMeta{},
+                                         a.result.counters,
+                                         &a.result.phaseTree, emit);
     obs::setEnabled(false);
 
     a.trace = trace_out.str();
@@ -258,12 +258,24 @@ TEST(ParallelPipeline, TraceEventsArriveInBlockOrder)
     EXPECT_EQ(lines, 40u * 4u); // build/heur/sched/verify per block
 }
 
+/** Whether two phase trees agree in everything but seconds. */
+void
+expectSameTree(const obs::PhaseStats &a, const obs::PhaseStats &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.entries, b.entries) << a.name;
+    EXPECT_TRUE(a.counters.named() == b.counters.named()) << a.name;
+    ASSERT_EQ(a.children.size(), b.children.size()) << a.name;
+    for (std::size_t i = 0; i < a.children.size(); ++i)
+        expectSameTree(a.children[i], b.children[i]);
+}
+
 TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
 {
-    // Two concurrent callers, each with its own phase profiler (as
-    // the daemon's lanes install), run different programs over and
-    // over.  Each run's counters must equal that program's serial
-    // result: a run counts only its own work, never the other's.
+    // Two concurrent callers, with nothing installed, run different
+    // programs over and over.  Each run's counters and phase tree
+    // must equal that program's serial result: a run counts only its
+    // own work, never the other's.
     auto program = [](const char *profile, int blocks) {
         WorkloadProfile p = profileByName(profile);
         p.numBlocks = blocks;
@@ -275,34 +287,36 @@ TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
     opts.threads = 2;
 
     obs::setEnabled(true);
-    obs::CounterSet serial[2];
+    ProgramResult serial[2];
     for (int i = 0; i < 2; ++i) {
         Program prog = programs[i];
-        serial[i] = runPipeline(prog, sparcstation2(), opts).counters;
+        serial[i] = runPipeline(prog, sparcstation2(), opts);
     }
-    EXPECT_GT(serial[0].value("dag.arcs_added"), 0u);
+    EXPECT_GT(serial[0].counters.value("dag.arcs_added"), 0u);
+    EXPECT_NE(serial[0].phaseTree.child("heur"), nullptr);
 
     for (int round = 0; round < 20; ++round) {
-        obs::CounterSet overlapped[2];
+        ProgramResult overlapped[2];
         std::latch start(2);
         auto lane = [&](int i) {
-            obs::PhaseProfiler profiler;
-            obs::ScopedProfiler scope(profiler);
             Program prog = programs[i];
             start.arrive_and_wait();
-            overlapped[i] =
-                runPipeline(prog, sparcstation2(), opts).counters;
+            overlapped[i] = runPipeline(prog, sparcstation2(), opts);
         };
         std::thread a(lane, 0);
         std::thread b(lane, 1);
         a.join();
         b.join();
-        for (int i = 0; i < 2; ++i)
-            EXPECT_TRUE(overlapped[i] == serial[i])
-                << "round " << round << ", program " << i
-                << ": dag.arcs_added "
-                << overlapped[i].value("dag.arcs_added") << " vs serial "
-                << serial[i].value("dag.arcs_added");
+        for (int i = 0; i < 2; ++i) {
+            SCOPED_TRACE("round " + std::to_string(round) +
+                         ", program " + std::to_string(i));
+            EXPECT_TRUE(overlapped[i].counters == serial[i].counters)
+                << "dag.arcs_added "
+                << overlapped[i].counters.value("dag.arcs_added")
+                << " vs serial "
+                << serial[i].counters.value("dag.arcs_added");
+            expectSameTree(overlapped[i].phaseTree, serial[i].phaseTree);
+        }
     }
     obs::setEnabled(false);
 }
@@ -403,9 +417,9 @@ struct PhaseTally
 /**
  * Run the Table 3 tomcatv profile (112 blocks) traced, evaluated and
  * observed at @p threads, and require every phase's outputs to agree:
- * phase-tree entries == trace events == `lat.<phase>_ns` samples.  At
- * one lane the result's seconds must also equal the tree's.  Returns
- * the trace events by phase.
+ * phase-tree entries == trace events == `lat.<phase>_ns` samples, and
+ * the result's seconds == the tree's.  Returns the trace events by
+ * phase.
  */
 std::map<std::string, PhaseTally>
 expectPhaseOutputsAgree(unsigned threads, PipelineOptions opts)
@@ -417,8 +431,6 @@ expectPhaseOutputsAgree(unsigned threads, PipelineOptions opts)
     opts.evaluate = true;
     opts.trace = &sink;
 
-    obs::PhaseProfiler profiler;
-    obs::ScopedProfiler scope(profiler);
     obs::setEnabled(true);
     const ProgramResult r = runPipeline(prog, sparcstation2(), opts);
     obs::setEnabled(false);
@@ -440,7 +452,7 @@ expectPhaseOutputsAgree(unsigned threads, PipelineOptions opts)
         {"evaluate", nullptr},
     };
     for (const auto &[name, latency] : phases) {
-        const obs::PhaseStats *node = profiler.root().child(name);
+        const obs::PhaseStats *node = r.phaseTree.child(name);
         const std::uint64_t entries = node ? node->entries : 0;
         EXPECT_EQ(events[name].events, entries)
             << name << " trace events vs tree, " << threads << " lanes";
@@ -450,16 +462,15 @@ expectPhaseOutputsAgree(unsigned threads, PipelineOptions opts)
                 << latency << " vs tree, " << threads << " lanes";
         }
     }
-    if (threads == 1) {
-        auto treeSeconds = [&profiler](const char *name) {
-            const obs::PhaseStats *node = profiler.root().child(name);
-            return node ? node->seconds : 0.0;
-        };
-        EXPECT_EQ(r.buildSeconds, treeSeconds("build"));
-        EXPECT_EQ(r.heurSeconds, treeSeconds("heur"));
-        EXPECT_EQ(r.schedSeconds, treeSeconds("sched"));
-        EXPECT_EQ(r.verifySeconds, treeSeconds("verify"));
-    }
+    auto treeSeconds = [&r](const char *name) {
+        const obs::PhaseStats *node = r.phaseTree.child(name);
+        return node ? node->seconds : 0.0;
+    };
+    EXPECT_EQ(r.buildSeconds, treeSeconds("build")) << threads << " lanes";
+    EXPECT_EQ(r.heurSeconds, treeSeconds("heur")) << threads << " lanes";
+    EXPECT_EQ(r.schedSeconds, treeSeconds("sched")) << threads << " lanes";
+    EXPECT_EQ(r.verifySeconds, treeSeconds("verify"))
+        << threads << " lanes";
     return events;
 }
 

@@ -6,7 +6,9 @@
  * and the postpass fixup's arrays.  So Krishnamurthy's algorithm
  * (keyed heaps, function-unit state, postpass fixup) may allocate at
  * most once more per block than simple-forward (one all-static heap):
- * for the function-unit state's single buffer.
+ * for the function-unit state's single buffer.  And turning the
+ * observability layer on may cost at most one more per block: phases
+ * count into lane storage, so only per-run outputs allocate.
  *
  * Its own executable: it replaces the global operator new.
  */
@@ -20,6 +22,7 @@
 
 #include "core/pipeline.hh"
 #include "machine/presets.hh"
+#include "obs/counters.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -78,20 +81,24 @@ namespace sched91
 namespace
 {
 
-/** Allocations per block of a one-lane table-fwd run of @p prog. */
+/** Allocations per block of a one-lane table-fwd run of @p prog,
+ * with the observability layer on when @p observe. */
 double
-allocationsPerBlock(Program &prog, AlgorithmKind algorithm)
+allocationsPerBlock(Program &prog, AlgorithmKind algorithm,
+                    bool observe = false)
 {
     PipelineOptions opts;
     opts.algorithm = algorithm;
     opts.builder = BuilderKind::TableForward;
     opts.build.memPolicy = AliasPolicy::SymbolicExpr;
     opts.threads = 1;
+    obs::setEnabled(observe);
     runPipeline(prog, sparcstation2(), opts); // first-use statics
     allocations = 0;
     counting = true;
     ProgramResult r = runPipeline(prog, sparcstation2(), opts);
     counting = false;
+    obs::setEnabled(false);
     EXPECT_GT(r.numBlocks, 0u);
     return static_cast<double>(allocations) /
            static_cast<double>(r.numBlocks);
@@ -109,6 +116,21 @@ TEST(SchedAllocations, KrishnamurthyAtMostOneMorePerBlockThanSimpleForward)
                     "allocations per block\n",
                     profile.name.c_str(), simple, krishnamurthy);
         EXPECT_LE(krishnamurthy - simple, 1.0) << profile.name;
+    }
+}
+
+TEST(SchedAllocations, ObservabilityAtMostOneMorePerBlock)
+{
+    for (const WorkloadProfile &profile : allProfiles()) {
+        Program prog = generateProgram(profile);
+        const double off =
+            allocationsPerBlock(prog, AlgorithmKind::SimpleForward);
+        const double on =
+            allocationsPerBlock(prog, AlgorithmKind::SimpleForward, true);
+        std::printf("%-8s observability off %.2f, on %.2f allocations "
+                    "per block\n",
+                    profile.name.c_str(), off, on);
+        EXPECT_LE(on - off, 1.0) << profile.name;
     }
 }
 

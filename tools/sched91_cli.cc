@@ -684,8 +684,7 @@ class ObsSession
         obs::EmitOptions emit;
         emit.zeroTimes = opts_.zeroTimes;
         std::string json = obs::programResultJson(
-            result, meta(opts_), delta,
-            &obs::PhaseProfiler::global().root(), emit);
+            result, meta(opts_), delta, &result.phaseTree, emit);
         if (opts_.statsJson == "-") {
             std::fputs(json.c_str(), stdout);
             std::fputc('\n', stdout);
@@ -783,8 +782,9 @@ cmdSchedule(const CliOptions &opts)
     popeline.build.memPolicy = opts.policy;
     applyRobustness(popeline, opts);
 
-    // Aggregate run statistics for --stats-json (phase seconds come
-    // from the profiler tree scheduleBlock feeds).
+    // Aggregate run statistics for --stats-json (the phase tree and
+    // its seconds come from the process-wide tree scheduleBlock
+    // feeds).
     ProgramResult agg;
     agg.numBlocks = blocks.size();
     agg.numInsts = prog.size();
@@ -844,8 +844,8 @@ cmdSchedule(const CliOptions &opts)
             ev.size = bb.size();
             ev.phase = "block";
             ev.seconds = block_timer.stop();
-            ev.counters = block_timer.exitCounters().since(
-                block_before, /*peaks=*/false);
+            ev.counters = obs::activeCounters().since(block_before,
+                                                      /*peaks=*/false);
             session.trace()->event(ev);
         }
         if (result)
@@ -897,15 +897,10 @@ cmdSchedule(const CliOptions &opts)
 
     agg.cyclesOriginal = before;
     agg.cyclesScheduled = after;
-    const obs::PhaseStats &root = obs::PhaseProfiler::global().root();
-    auto phase_seconds = [&root](const char *name) {
-        const obs::PhaseStats *p = root.child(name);
-        if (p)
-            return p->seconds;
-        // Phases opened by scheduleBlock nest under the CLI's
-        // per-block timer when tracing.
-        const obs::PhaseStats *blk = root.child("block");
-        p = blk ? blk->child(name) : nullptr;
+    agg.phaseTree = obs::PhaseProfiler::global().root();
+    const obs::PhaseStats *blk = agg.phaseTree.child("block");
+    auto phase_seconds = [blk](const char *name) {
+        const obs::PhaseStats *p = blk ? blk->child(name) : nullptr;
         return p ? p->seconds : 0.0;
     };
     agg.buildSeconds = phase_seconds("build");

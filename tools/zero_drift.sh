@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Zero-drift check for a refactor: run two sched91 binaries (say, a
+# build of the parent commit and one of the change) on the same
+# commands and byte-compare everything they write under --zero-times.
+#
+# Usage:
+#   tools/zero_drift.sh <parent sched91> <change sched91>
+#
+# profile: the stats document, JSONL trace and Chrome trace of the
+# nine Table 3 profiles plus fpppp at --window 1000, for all seven
+# algorithms, under table-fwd and under n2-fwd with
+# --max-block-insts 40, at --threads 1 and 4.
+# schedule: stdout (the scheduled assembly) and the stats document of
+# every built-in kernel under all seven algorithms.
+#
+# Exits non-zero at the first difference and names the command and the
+# output; otherwise prints how many outputs it compared.
+set -eu
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <parent sched91> <change sched91>" >&2
+    exit 2
+fi
+bins=("$(realpath "$1")" "$(realpath "$2")")
+work=$(mktemp -d "${TMPDIR:-/tmp}/zero-drift.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+compared=0
+
+# drift <file>... -- <sched91 args>: run both binaries on the args,
+# each in a fresh directory where relative output paths land, and
+# compare the named files (`stdout` is the command's) byte for byte.
+drift() {
+    local files=()
+    while [ "$1" != -- ]; do
+        files+=("$1")
+        shift
+    done
+    shift
+    local side
+    for side in 0 1; do
+        rm -rf "${work:?}/$side"
+        mkdir "$work/$side"
+        if ! (cd "$work/$side" &&
+              "${bins[$side]}" "$@" > stdout 2> stderr); then
+            echo "zero-drift: ${bins[$side]} failed: sched91 $*" >&2
+            cat "$work/$side/stderr" >&2
+            exit 1
+        fi
+    done
+    local file
+    for file in "${files[@]}"; do
+        if ! cmp "$work/0/$file" "$work/1/$file" >&2; then
+            echo "zero-drift: $file differs: sched91 $*" >&2
+            exit 1
+        fi
+        compared=$((compared + 1))
+    done
+}
+
+algorithms="gibbons-muchnick krishnamurthy schlansker shieh-papachristou \
+tiemann warren simple-forward"
+
+for input in grep regex dfa cccp linpack lloops tomcatv nasa7 fpppp \
+             fpppp-1000; do
+    if [ "$input" = fpppp-1000 ]; then
+        workload=(fpppp --window 1000)
+    else
+        workload=("$input")
+    fi
+    for algorithm in $algorithms; do
+        for builder in table-fwd "n2-fwd --max-block-insts 40"; do
+            for threads in 1 4; do
+                # shellcheck disable=SC2206
+                args=(profile "${workload[@]}" --algorithm "$algorithm"
+                      --builder $builder --threads "$threads"
+                      --zero-times)
+                drift stats.json trace.jsonl -- "${args[@]}" \
+                    --stats-json stats.json --trace trace.jsonl
+                drift trace.json -- "${args[@]}" \
+                    --trace-format chrome --trace trace.json
+            done
+        done
+    done
+done
+
+for kernel in $("${bins[0]}" kernels); do
+    for algorithm in $algorithms; do
+        drift stdout stats.json -- schedule --kernel "$kernel" \
+            --algorithm "$algorithm" --zero-times --stats-json stats.json
+    done
+done
+
+echo "zero-drift: $compared outputs identical"
