@@ -215,6 +215,11 @@ runPipeline(Program &prog, const MachineModel &machine,
     unsigned threads = opts.threads != 0
                            ? opts.threads
                            : ThreadPool::hardwareConcurrency();
+    // No plan has more chunks than blocks, so no run needs more lanes.
+    threads = static_cast<unsigned>(
+        std::clamp<std::size_t>(blocks.size(), 1, threads));
+    ThreadPool &lanes = ThreadPool::local(threads);
+    threads = std::min(threads, lanes.threads());
     const DispatchPlan plan = planDispatch(blocks, threads);
     threads = static_cast<unsigned>(std::clamp<std::size_t>(
         plan.chunks(), 1, threads));
@@ -450,7 +455,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                     // no sleep — only SIGKILL (watchdog) or RLIMIT_CPU
                     // ends it.
                     for (volatile std::uint64_t spin = 0;;)
-                        ++spin;
+                        spin = spin + 1;
                 }
                 // The arena rung of alloc-fail: arm the worker's
                 // arena so std::bad_alloc surfaces from inside the
@@ -730,23 +735,19 @@ runPipeline(Program &prog, const MachineModel &machine,
         }
     };
 
-    {
-        ThreadPool pool(threads);
-        try {
-            pool.parallelFor(plan.chunks(), 1, runChunks);
-        } catch (...) {
-            // A propagating fault (containFaults off) must not lose
-            // the events already counted: parallelFor drains every
-            // chunk before rethrowing, so the lane accumulators are
-            // quiescent — flush them into the caller's counters so a
-            // retrying caller (the daemon's ladder) still sees exact
-            // totals, including the injected fault that killed this
-            // attempt.
-            if (obs_on)
-                for (WorkerState &ws : workers)
-                    ws.accum.flushIntoActive();
-            throw;
-        }
+    try {
+        lanes.parallelFor(plan.chunks(), 1, runChunks, threads);
+    } catch (...) {
+        // A propagating fault (containFaults off) must not lose the
+        // events already counted: parallelFor drains every chunk
+        // before rethrowing, so the lane accumulators are quiescent —
+        // flush them into the caller's counters so a retrying caller
+        // (the daemon's ladder) still sees exact totals, including the
+        // injected fault that killed this attempt.
+        if (obs_on)
+            for (WorkerState &ws : workers)
+                ws.accum.flushIntoActive();
+        throw;
     }
 
     // Deterministic reduction: block order for per-block outputs,

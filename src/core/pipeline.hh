@@ -79,9 +79,12 @@ struct PipelineOptions
 
     /**
      * Worker lanes for block-parallel execution: 0 picks the hardware
-     * concurrency, 1 runs serial.  Results are deterministic — the
-     * same program yields byte-identical schedules, statistics,
-     * counters, and traces at every thread count.
+     * concurrency, 1 runs serial.  The lanes are the calling thread's
+     * own (ThreadPool::local), kept from call to call.  parseAssembly
+     * takes a lane count with the same meaning, and the CLI sets both
+     * from --threads.  Results are deterministic — the same program
+     * yields byte-identical schedules, statistics, counters, and
+     * traces at every thread count.
      */
     unsigned threads = 0;
 

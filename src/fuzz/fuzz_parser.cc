@@ -8,7 +8,10 @@
  * mode is the documented error-cap FatalError.  On every input it must
  * also agree with fuzz::referenceParseAssembly (fuzz/reference_parser.hh):
  * the same Program::toString(), the same diagnostics, and the same
- * error-cap outcome.  A disagreement aborts.  Seed with
+ * error-cap outcome.  The input is also repeated, each copy followed
+ * by a newline, until it reaches kLaneParseBytes, and that text is
+ * parsed on four lanes, so the chunk merge sees the same bytes.  A
+ * disagreement aborts.  Seed with
  * tests/corpus/malformed/.  Builds either with -fsanitize=fuzzer or
  * against fuzz/driver_main.cc (see src/CMakeLists.txt and
  * docs/FUZZING.md).
@@ -48,15 +51,14 @@ outcome(std::string_view text, Parse parse)
     return out + "--- diagnostics\n" + diags.render();
 }
 
-} // namespace
-
-extern "C" int
-LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
+/** Abort unless parseAssembly on @p lanes lanes agrees with the
+ * reference parser on @p text. */
+void
+compare(std::string_view text, unsigned lanes)
 {
-    std::string_view text(reinterpret_cast<const char *>(data), size);
     const std::string got =
-        outcome(text, [](std::string_view t, DiagnosticEngine &d) {
-            return sched91::parseAssembly(t, d, "<fuzz>");
+        outcome(text, [lanes](std::string_view t, DiagnosticEngine &d) {
+            return sched91::parseAssembly(t, d, "<fuzz>", lanes);
         });
     const std::string want =
         outcome(text, [](std::string_view t, DiagnosticEngine &d) {
@@ -64,10 +66,28 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         });
     if (got != want) {
         std::fprintf(stderr,
-                     "fuzz_parser: parseAssembly and the reference parser "
-                     "disagree\n--- parseAssembly\n%s\n--- reference\n%s\n",
-                     got.c_str(), want.c_str());
+                     "fuzz_parser: parseAssembly (%u lanes) and the "
+                     "reference parser disagree\n--- parseAssembly\n%s\n"
+                     "--- reference\n%s\n",
+                     lanes, got.c_str(), want.c_str());
         std::abort();
+    }
+}
+
+} // namespace
+
+extern "C" int
+LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
+{
+    std::string_view text(reinterpret_cast<const char *>(data), size);
+    compare(text, 1);
+    if (size != 0) {
+        std::string tiled;
+        while (tiled.size() < sched91::kLaneParseBytes) {
+            tiled += text;
+            tiled += '\n';
+        }
+        compare(tiled, 4);
     }
     return 0;
 }

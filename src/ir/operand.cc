@@ -204,13 +204,17 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
 std::uint32_t
 MemExprTable::intern(const MemOperand &op)
 {
-    std::string key = op.exprKey();
-    if (auto it = ids_.find(key); it != ids_.end())
-        return it->second;
-    auto id = static_cast<std::uint32_t>(keys_.size());
-    ids_.emplace(key, id);
-    keys_.push_back(std::move(key));
-    return id;
+    return intern(op.exprKey());
+}
+
+std::uint32_t
+MemExprTable::intern(std::string key)
+{
+    auto [it, added] = ids_.try_emplace(
+        std::move(key), static_cast<std::uint32_t>(keys_.size()));
+    if (added)
+        keys_.push_back(it->first);
+    return it->second;
 }
 
 ImmStatus

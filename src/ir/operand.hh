@@ -83,6 +83,10 @@ class MemExprTable
     /** Intern @p op's expression key; returns the id. */
     std::uint32_t intern(const MemOperand &op);
 
+    /** Intern an expression key (MemOperand::exprKey()); returns the
+     * id. */
+    std::uint32_t intern(std::string key);
+
     /** Number of distinct expressions seen. */
     std::size_t size() const { return keys_.size(); }
 

@@ -32,6 +32,28 @@ Program::addLabel(std::string_view name)
     return added;
 }
 
+bool
+Program::addLabel(LabelNode &node)
+{
+    const std::uint32_t idx = node.mapped();
+    if (labelAt_.size() <= idx)
+        labelAt_.resize(idx + 1, false);
+    labelAt_[idx] = true;
+    auto result = labels_.insert(std::move(node));
+    if (!result.inserted)
+        node = std::move(result.node);
+    return result.inserted;
+}
+
+std::vector<std::uint32_t>
+Program::internMemExprs(const MemExprTable &exprs)
+{
+    std::vector<std::uint32_t> ids(exprs.size());
+    for (std::uint32_t id = 0; id < ids.size(); ++id)
+        ids[id] = memExprs_.intern(exprs.key(id));
+    return ids;
+}
+
 std::int64_t
 Program::labelTarget(const std::string &name) const
 {

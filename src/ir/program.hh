@@ -23,6 +23,10 @@ namespace sched91
 class Program
 {
   public:
+    /** A label's map node, as unordered_map::extract() hands it out. */
+    using LabelNode =
+        std::unordered_map<std::string, std::uint32_t>::node_type;
+
     /** Append an instruction; assigns its index and interns memory. */
     Instruction &append(Instruction inst);
 
@@ -35,6 +39,20 @@ class Program
      * definition stays.
      */
     bool addLabel(std::string_view name);
+
+    /**
+     * Attach a label node made elsewhere: its key is the name, its
+     * value the instruction index.  Returns false, leaving the node in
+     * @p node, when the name is already defined; its first definition
+     * stays.  Either way that index now carries a label.
+     */
+    bool addLabel(LabelNode &node);
+
+    /**
+     * Intern @p exprs' keys here in its id order.  Element i of the
+     * result is the id here of its id i.
+     */
+    std::vector<std::uint32_t> internMemExprs(const MemExprTable &exprs);
 
     const std::vector<Instruction> &insts() const { return insts_; }
     std::vector<Instruction> &insts() { return insts_; }

@@ -71,7 +71,9 @@ parseRequest(const RequestSpec &spec)
     dopts.strict = false;
     dopts.echoToLog = false;
     DiagnosticEngine diags(dopts);
-    parsed.prog = parseAssembly(spec.source, diags, "request");
+    // One lane, like the pipeline below: concurrency comes from the
+    // daemon's workers.
+    parsed.prog = parseAssembly(spec.source, diags, "request", 1);
     parsed.blocks = partitionBlocks(parsed.prog, {});
 
     parsed.body.blocks = parsed.blocks.size();

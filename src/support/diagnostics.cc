@@ -1,5 +1,6 @@
 #include "support/diagnostics.hh"
 
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -50,6 +51,16 @@ DiagnosticEngine::report(Diag d)
         log::write(stored.severity == Severity::Error ? log::Level::Error
                                                       : log::Level::Warn,
                    stored.render());
+}
+
+std::size_t
+DiagnosticEngine::errorsUntilFatal() const
+{
+    if (opts_.strict)
+        return 1;
+    if (opts_.maxErrors == 0)
+        return SIZE_MAX;
+    return errors_ < opts_.maxErrors ? opts_.maxErrors - errors_ + 1 : 1;
 }
 
 void

@@ -102,6 +102,14 @@ class DiagnosticEngine
     bool hasErrors() const { return errors_ != 0; }
     bool strict() const { return opts_.strict; }
 
+    /**
+     * How many more errors this engine records before one throws,
+     * that one included: 1 when strict, SIZE_MAX when uncapped.  A
+     * producer that reports after the fact (the parser's lanes) stops
+     * looking once it has found that many.
+     */
+    std::size_t errorsUntilFatal() const;
+
     /** Every recorded diagnostic, rendered one per line. */
     std::string render() const;
 

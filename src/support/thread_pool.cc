@@ -1,5 +1,6 @@
 #include "support/thread_pool.hh"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -11,6 +12,24 @@ namespace sched91
 
 namespace
 {
+
+/** Whether this thread is a lane: a pool's worker, or a caller inside
+ * parallelFor. */
+thread_local bool t_inLane = false;
+
+/** Marks the calling thread as a lane until the scope ends. */
+class LaneScope
+{
+  public:
+    LaneScope() : outer_(std::exchange(t_inLane, true)) {}
+    ~LaneScope() { t_inLane = outer_; }
+
+    LaneScope(const LaneScope &) = delete;
+    LaneScope &operator=(const LaneScope &) = delete;
+
+  private:
+    bool outer_;
+};
 
 /** "... (N additional worker error(s) suppressed)" suffix. */
 std::string
@@ -27,6 +46,18 @@ ThreadPool::hardwareConcurrency()
 {
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
+}
+
+ThreadPool &
+ThreadPool::local(unsigned lanes)
+{
+    thread_local ThreadPool serial(1);
+    thread_local std::unique_ptr<ThreadPool> own;
+    if (t_inLane)
+        return serial;
+    if (!own || own->threads() < lanes)
+        own = std::make_unique<ThreadPool>(lanes);
+    return *own;
 }
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -74,6 +105,7 @@ ThreadPool::runChunks(unsigned id)
 void
 ThreadPool::workerMain(unsigned id)
 {
+    t_inLane = true;
     std::unique_lock<std::mutex> lk(mu_);
     std::uint64_t seen = 0;
     for (;;) {
@@ -82,6 +114,8 @@ ThreadPool::workerMain(unsigned id)
         if (stop_)
             return;
         seen = generation_;
+        if (id >= jobLanes_)
+            continue;
         lk.unlock();
         runChunks(id);
         lk.lock();
@@ -92,13 +126,16 @@ ThreadPool::workerMain(unsigned id)
 
 void
 ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
-                        const ChunkFn &fn)
+                        const ChunkFn &fn, unsigned lanes)
 {
     if (n == 0)
         return;
     if (chunk == 0)
         chunk = 1;
-    if (nthreads_ == 1) {
+    if (lanes == 0 || lanes > nthreads_)
+        lanes = nthreads_;
+    LaneScope lane_scope;
+    if (lanes == 1) {
         // Serial lane: same chunking, no synchronization.
         for (std::size_t begin = 0; begin < n; begin += chunk) {
             std::size_t end = begin + chunk > n ? n : begin + chunk;
@@ -111,11 +148,12 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
         std::lock_guard<std::mutex> lk(mu_);
         jobSize_ = n;
         jobChunk_ = chunk;
+        jobLanes_ = lanes;
         jobFn_ = &fn;
         firstError_ = nullptr;
         suppressed_ = 0;
         next_.store(0, std::memory_order_relaxed);
-        active_ = static_cast<unsigned>(workers_.size());
+        active_ = lanes - 1;
         ++generation_;
     }
     cvStart_.notify_all();

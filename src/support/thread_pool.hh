@@ -1,15 +1,22 @@
 /**
  * @file
- * Chunked self-scheduling thread pool for the block-parallel pipeline.
+ * Chunked self-scheduling thread pool, and each thread's own
+ * persistent lanes, for the block-parallel pipeline and the parser.
  *
  * Basic blocks are independent units of work — each gets its own DAG,
  * heuristic pass, and schedule — so the whole-program pipeline is
- * embarrassingly parallel at block granularity.  The pool runs one
- * persistent worker thread per extra lane; parallelFor() hands out
- * contiguous index chunks through a shared atomic cursor, so fast
- * workers steal the remaining range from slow ones (chunked work
- * stealing) without any per-item locking.  The caller participates as
- * worker 0, so a pool of N threads uses N-1 spawned threads.
+ * embarrassingly parallel at block granularity; the parser's chunks of
+ * a large text are too.  The pool runs one persistent worker thread
+ * per extra lane; parallelFor() hands out contiguous index chunks
+ * through a shared atomic cursor, so fast workers steal the remaining
+ * range from slow ones (chunked work stealing) without any per-item
+ * locking.  The caller participates as worker 0, so a pool of N
+ * threads uses N-1 spawned threads.
+ *
+ * ThreadPool::local() gives each calling thread its own pool, created
+ * on first use, kept for every later runPipeline and parseAssembly
+ * call on that thread, and joined when the thread exits: a call pays
+ * for waking its lanes, not for starting and joining threads.
  *
  * Determinism contract: the pool imposes no ordering, so callers must
  * write results into pre-sized slots indexed by work item (the
@@ -32,8 +39,7 @@
 namespace sched91
 {
 
-/** Fixed-size pool; one instance per parallel region is fine (threads
- * are reused across parallelFor calls, not across pools). */
+/** Fixed-size pool whose threads are reused across parallelFor calls. */
 class ThreadPool
 {
   public:
@@ -43,6 +49,19 @@ class ThreadPool
 
     /** std::thread::hardware_concurrency, never 0. */
     static unsigned hardwareConcurrency();
+
+    /**
+     * The calling thread's own pool, with at least @p lanes lanes:
+     * created on first use, replaced by a larger one only when a call
+     * asks for more lanes than any before it, joined when the thread
+     * exits.  No other thread uses it.  The reference stays valid
+     * until the thread next calls local() from outside a lane.  A call
+     * from inside a lane (a pool's worker, or a caller running a
+     * parallelFor body) gets a one-lane pool, so nested parallelism
+     * runs serially instead of waiting on lanes that are busy with
+     * its own caller.
+     */
+    static ThreadPool &local(unsigned lanes);
 
     /** @p threads total lanes including the caller; clamped to >= 1. */
     explicit ThreadPool(unsigned threads);
@@ -54,15 +73,18 @@ class ThreadPool
     unsigned threads() const { return nthreads_; }
 
     /**
-     * Run @p fn over [0, n) in chunks of @p chunk items, on all lanes.
-     * Blocks until every item is done.  The first exception thrown by
-     * @p fn is rethrown here (remaining chunks still drain).  Further
-     * exceptions are counted, not swallowed: the count lands in the
+     * Run @p fn over [0, n) in chunks of @p chunk items, on the first
+     * @p lanes lanes (all of them when 0 or more than threads()), so
+     * worker ids stay below that count.  Blocks until every item is
+     * done.  The first exception thrown by @p fn is rethrown here
+     * (remaining chunks still drain).  Further exceptions are counted,
+     * not swallowed: the count lands in the
      * `robust.pool_suppressed_errors` event counter and is appended to
      * the rethrown FatalError/PanicError message, so a multi-lane
      * failure is distinguishable from a single bad chunk.
      */
-    void parallelFor(std::size_t n, std::size_t chunk, const ChunkFn &fn);
+    void parallelFor(std::size_t n, std::size_t chunk, const ChunkFn &fn,
+                     unsigned lanes = 0);
 
   private:
     void workerMain(unsigned id);
@@ -82,6 +104,7 @@ class ThreadPool
     std::atomic<std::size_t> next_{0};
     std::size_t jobSize_ = 0;
     std::size_t jobChunk_ = 1;
+    unsigned jobLanes_ = 1; ///< workers with a lower id take part
     const ChunkFn *jobFn_ = nullptr;
     std::exception_ptr firstError_;
     std::size_t suppressed_ = 0; ///< worker errors after the first

@@ -303,10 +303,11 @@ TEST(FlightRecorder, DumpParsesAndCarriesGaugesAndTail)
     for (const obs::JsonValue &ev : events) {
         double blk = ev.numberOr("block", -99);
         double seq = ev.numberOr("seq", -1);
-        if (blk == prev_block)
+        if (blk == prev_block) {
             EXPECT_GT(seq, prev_seq);
-        else if (blk != -2) // -2 (post-run) sorts after every block
+        } else if (blk != -2) { // -2 (post-run) sorts after every block
             EXPECT_GT(blk, prev_block);
+        }
         prev_block = blk;
         prev_seq = seq;
         EXPECT_EQ(ev.numberOr("ns", -1), 0) << "zeroTimes zeroes ns";
@@ -480,8 +481,9 @@ TEST(PipelineForensics, DecisionTraceMatchesScheduleAndIsDeterministic)
         EXPECT_LT(r.node, trace.insts.size());
         EXPECT_GE(r.decidedRank, DecisionStats::kDecidedTrivial);
         EXPECT_LT(r.decidedRank, num_ranks);
-        if (r.readySize == 1)
+        if (r.readySize == 1) {
             EXPECT_EQ(r.decidedRank, DecisionStats::kDecidedTrivial);
+        }
     }
 
     // Same trace at another thread count, rendered byte-identically.

@@ -212,10 +212,12 @@ checkAnnotationsAgainstReference(const Dag &dag)
                 << "node " << i;
             // Interlock implies some inserted delay > 1, and final
             // delays are maxima of inserted ones.
-            if (a.interlockWithChild[i])
+            if (a.interlockWithChild[i]) {
                 EXPECT_GT(max_to, 1) << "node " << i;
-            if (max_to <= 1)
+            }
+            if (max_to <= 1) {
                 EXPECT_FALSE(a.interlockWithChild[i]) << "node " << i;
+            }
         }
     }
 }

@@ -7,13 +7,16 @@
  * and for dynamic rankings that keep the scan, with and without
  * observability, and on fpppp, whose one big block skews the dispatch
  * plan; a run's own counters and phase tree stay exact while other
- * runs overlap it; and every per-phase output agrees with the phase
- * tree.
+ * runs overlap it; every per-phase output agrees with the phase tree;
+ * a caller's lanes outlive its runs; and runs and parses made from
+ * inside a lane match serial ones.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <latch>
 #include <map>
 #include <set>
@@ -21,12 +24,14 @@
 #include <thread>
 
 #include "core/pipeline.hh"
+#include "ir/parser.hh"
 #include "machine/presets.hh"
 #include "obs/emitter.hh"
 #include "obs/json_parse.hh"
 #include "obs/phase.hh"
 #include "obs/trace.hh"
 #include "support/fault_inject.hh"
+#include "support/thread_pool.hh"
 #include "workload/generator.hh"
 
 namespace sched91
@@ -319,6 +324,89 @@ TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
         }
     }
     obs::setEnabled(false);
+}
+
+/** The process's threads, by id, from /proc/self/task. */
+std::set<std::string>
+liveThreads()
+{
+    std::set<std::string> ids;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ids.insert(entry.path().filename().string());
+    return ids;
+}
+
+TEST(ParallelPipeline, LanesOutliveRunsAndTheirCallerJoinsThem)
+{
+    // A caller's first 4-lane run starts its three extra lanes; the
+    // next 199 runs reuse them (a pool per run would start and join
+    // three threads each time, leaving the count where it began).
+    const std::set<std::string> before = liveThreads();
+    std::thread caller([] {
+        Program prog = testProgram();
+        PipelineOptions opts;
+        opts.threads = 4;
+        const std::set<std::string> started = liveThreads();
+        runPipeline(prog, sparcstation2(), opts);
+        const std::set<std::string> first = liveThreads();
+        EXPECT_EQ(first.size(), started.size() + 3);
+        for (int run = 1; run < 200; ++run)
+            runPipeline(prog, sparcstation2(), opts);
+        EXPECT_EQ(liveThreads(), first);
+    });
+    caller.join();
+    // The lanes were joined as the caller exited; the kernel may list
+    // an exited thread for a moment longer.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (liveThreads() != before &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(liveThreads(), before);
+}
+
+TEST(ParallelPipeline, RunsAndParsesInsideLanesMatchSerial)
+{
+    // nasa7's text is large enough to parse on lanes.  Each lane of an
+    // outer parallelFor, on the caller's own lanes or on a pool of its
+    // own, asks for 4 lanes to parse and schedule it: a call from
+    // inside a lane runs on one, so none waits on lanes held by its
+    // caller, and every output equals a serial run's.
+    const std::string text =
+        generateProgram(profileByName("nasa7")).toString();
+    auto compile = [&](unsigned threads, std::vector<Schedule> &schedules) {
+        DiagnosticEngine diags;
+        Program prog = parseAssembly(text, diags, "nasa7.s", threads);
+        PipelineOptions opts;
+        opts.threads = threads;
+        opts.evaluate = true;
+        opts.schedules = &schedules;
+        runPipeline(prog, sparcstation2(), opts);
+        return prog.toString();
+    };
+    std::vector<Schedule> serial;
+    const std::string serial_text = compile(1, serial);
+
+    ThreadPool own(4);
+    for (ThreadPool *pool : {&ThreadPool::local(4), &own}) {
+        std::vector<std::vector<Schedule>> schedules(6);
+        std::vector<std::string> texts(6);
+        pool->parallelFor(schedules.size(), 1,
+                          [&](unsigned, std::size_t i, std::size_t) {
+                              texts[i] = compile(4, schedules[i]);
+                          });
+        for (std::size_t i = 0; i < schedules.size(); ++i) {
+            EXPECT_EQ(texts[i], serial_text) << "compile " << i;
+            ASSERT_EQ(schedules[i].size(), serial.size());
+            for (std::size_t b = 0; b < serial.size(); ++b) {
+                EXPECT_EQ(schedules[i][b].order, serial[b].order)
+                    << "compile " << i << ", block " << b;
+                EXPECT_EQ(schedules[i][b].issueCycle, serial[b].issueCycle)
+                    << "compile " << i << ", block " << b;
+            }
+        }
+    }
 }
 
 /** Check planDispatch(@p blocks, @p lanes) against its contract. */

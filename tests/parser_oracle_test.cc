@@ -4,8 +4,11 @@
  * (fuzz/reference_parser.hh).  Over the program_gen sweep with syntax
  * corruption on, the malformed corpus, the Table 3 corpus and a list
  * of edge cases, both must give the same Program (rendering, labels,
- * interned expressions and every instruction field) and the same
- * diagnostics (severity, line, column and message).
+ * which indexes carry one, interned expressions and every instruction
+ * field) and the same diagnostics (severity, line, column and
+ * message).  A text large enough to parse on lanes must do so at
+ * every lane count, and a strict or capped engine must stop it with
+ * the same message, diagnostics and counts as a one-lane parse.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +23,10 @@
 #include "fuzz/program_gen.hh"
 #include "fuzz/reference_parser.hh"
 #include "ir/parser.hh"
+#include "obs/counters.hh"
+#include "obs/events.hh"
 #include "support/diagnostics.hh"
+#include "support/logging.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -75,18 +81,25 @@ render(const Diag &d)
     return os.str();
 }
 
-/** Parse @p text with both parsers and require the same result. */
+/**
+ * Parse @p text with both parsers, parseAssembly on @p threads lanes,
+ * and require the same result.
+ */
 void
-expectSameParse(std::string_view text, const std::string &what)
+expectSameParse(std::string_view text, const std::string &what,
+                unsigned threads = 0)
 {
     DiagnosticEngine::Options opts;
     opts.maxErrors = 0; // compare every line, not just the first 64
     DiagnosticEngine got_diags(opts), want_diags(opts);
-    Program got = parseAssembly(text, got_diags, "t.s");
+    Program got = parseAssembly(text, got_diags, "t.s", threads);
     Program want = fuzz::referenceParseAssembly(text, want_diags, "t.s");
 
     EXPECT_EQ(got.toString(), want.toString()) << what;
     EXPECT_EQ(got.labels(), want.labels()) << what;
+    for (std::uint32_t i = 0; i <= want.size(); ++i)
+        ASSERT_EQ(got.hasLabelAt(i), want.hasLabelAt(i))
+            << what << ", index " << i;
     ASSERT_EQ(got.size(), want.size()) << what;
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(fields(got[i]), fields(want[i])) << what << ", inst " << i;
@@ -202,6 +215,116 @@ TEST(ParserOracle, EdgeCases)
     expectSameParse(all, "all edge cases");
     expectSameParse(std::string_view("add %g1, 1\0, %g2\nnop", 20), "NUL");
     expectSameParse("nop\n\n\n", "trailing newlines");
+}
+
+/**
+ * 400 corrupted program_gen programs back to back (about 240 KB, far
+ * above the size at which parseAssembly uses lanes), each defining L0,
+ * L1, ...: errors, warnings and duplicate labels fall on both sides of
+ * every chunk border, and a duplicate's first definition is usually in
+ * an earlier chunk.  One line in the middle ends in CRLF.
+ */
+std::string
+corruptedCorpus()
+{
+    std::string text;
+    for (std::uint64_t i = 0; i < 400; ++i) {
+        fuzz::GenParams p;
+        p.seed = 0x1a9e0000 + i;
+        p.numBlocks = 1 + static_cast<int>(i % 4);
+        p.maxBlockSize = 8 + static_cast<int>(i % 24);
+        p.fpMix = (i % 5) / 10.0;
+        p.memMix = (i % 7) / 10.0;
+        p.memExprPool = 1 + static_cast<int>(i % 6);
+        p.symbolMix = (i % 3) / 4.0;
+        p.bigImmMix = (i % 10 == 0) ? 0.3 : 0.0;
+        p.corruption = 0.05 + (i % 4) * 0.05;
+        text += fuzz::generateSource(p);
+        if (i == 200)
+            text += "    add %g1, 2, %g3\r\n";
+    }
+    return text;
+}
+
+TEST(ParserOracle, LanesMatchTheReferenceAtEveryLaneCount)
+{
+    const std::string text = corruptedCorpus();
+    ASSERT_GT(text.size(), 200u * 1024);
+    // The same text with no newline after its last line.
+    const std::string unterminated =
+        text + "L1:\n    add %g1, 1, %g2 ! no newline";
+    for (unsigned lanes : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(lanes) + " lanes");
+        expectSameParse(text, "corrupted corpus", lanes);
+        expectSameParse(unterminated, "no final newline", lanes);
+    }
+}
+
+/** How a parse ended: its exception, diagnostics and counts. */
+struct Outcome
+{
+    std::string thrown; ///< the FatalError's message; empty if none
+    std::string diags;  ///< every recorded diagnostic, rendered
+    std::uint64_t warnings = 0; ///< robust.parse_warnings
+    std::uint64_t errors = 0;   ///< robust.parse_errors
+};
+
+/** Parse @p text on @p lanes lanes under @p opts, counting into a
+ * shard of the calling thread's. */
+Outcome
+parseOutcome(std::string_view text, DiagnosticEngine::Options opts,
+             unsigned lanes)
+{
+    Outcome out;
+    DiagnosticEngine diags(opts);
+    obs::CounterShard shard;
+    {
+        obs::ScopedCounterShard scope(shard);
+        try {
+            parseAssembly(text, diags, "t.s", lanes);
+        } catch (const FatalError &e) {
+            out.thrown = e.what();
+        }
+    }
+    out.diags = diags.render();
+    out.warnings = shard.value(obs::ev::robustParseWarnings.id());
+    out.errors = shard.value(obs::ev::robustParseErrors.id());
+    return out;
+}
+
+TEST(ParserOracle, LanesStopWhereOneLaneStops)
+{
+    const std::string text = corruptedCorpus();
+    DiagnosticEngine::Options strict;
+    strict.strict = true;
+    DiagnosticEngine::Options capped;
+    capped.maxErrors = 64;
+    DiagnosticEngine::Options uncapped;
+    uncapped.maxErrors = 0;
+
+    obs::setEnabled(true);
+    for (const auto &[name, opts] :
+         {std::pair{"strict", strict}, std::pair{"capped", capped},
+          std::pair{"uncapped", uncapped}}) {
+        const Outcome one = parseOutcome(text, opts, 1);
+        if (opts.maxErrors == 0) {
+            EXPECT_TRUE(one.thrown.empty()) << name;
+            EXPECT_GT(one.errors, 64u) << name;
+        } else {
+            EXPECT_FALSE(one.thrown.empty()) << name;
+        }
+        EXPECT_GT(one.warnings, 0u) << name;
+        for (unsigned lanes : {2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE(std::string(name) + " at " +
+                         std::to_string(lanes) + " lanes");
+            const Outcome got = parseOutcome(text, opts, lanes);
+            EXPECT_EQ(got.thrown, one.thrown);
+            EXPECT_EQ(got.diags, one.diags);
+            EXPECT_EQ(got.warnings, one.warnings);
+            EXPECT_EQ(got.errors, one.errors);
+        }
+    }
+    obs::setEnabled(false);
 }
 
 } // namespace

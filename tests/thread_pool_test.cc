@@ -3,7 +3,8 @@
  * Unit tests for the chunked self-scheduling thread pool: exact-once
  * coverage of the index range at various thread/chunk geometries,
  * caller participation on the single-lane serial path, exception
- * propagation, and pool reuse across parallelFor calls.
+ * propagation, pool reuse across parallelFor calls, jobs on a subset
+ * of the lanes, and each thread's own lanes (ThreadPool::local).
  *
  * Also holds the BoundedQueue shutdown-ordering races (this binary is
  * the one CI pins under ThreadSanitizer): producers hammering
@@ -200,6 +201,62 @@ TEST(ThreadPool, ZeroThreadsClampsToOne)
 TEST(ThreadPool, HardwareConcurrencyNonZero)
 {
     EXPECT_GE(ThreadPool::hardwareConcurrency(), 1u);
+}
+
+TEST(ThreadPool, JobOnFewerLanesKeepsWorkerIdsBelowThem)
+{
+    ThreadPool pool(4);
+    for (unsigned lanes : {1u, 2u, 3u}) {
+        std::vector<std::atomic<int>> hits(200);
+        std::atomic<unsigned> maxWorker{0};
+        pool.parallelFor(
+            hits.size(), 3,
+            [&](unsigned w, std::size_t begin, std::size_t end) {
+                unsigned seen = maxWorker.load();
+                while (w > seen && !maxWorker.compare_exchange_weak(seen, w)) {
+                }
+                for (std::size_t i = begin; i < end; ++i)
+                    hits[i].fetch_add(1);
+            },
+            lanes);
+        EXPECT_LT(maxWorker.load(), lanes);
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+}
+
+TEST(ThreadPool, LocalLanesAreKeptAndGrowOnlyWhenAskedForMore)
+{
+    std::thread caller([] {
+        ThreadPool &two = ThreadPool::local(2);
+        EXPECT_EQ(two.threads(), 2u);
+        EXPECT_EQ(&ThreadPool::local(2), &two);
+        EXPECT_EQ(&ThreadPool::local(1), &two);
+        ThreadPool &four = ThreadPool::local(4);
+        EXPECT_EQ(four.threads(), 4u);
+        EXPECT_EQ(&ThreadPool::local(3), &four);
+        EXPECT_EQ(&ThreadPool::local(4), &four);
+    });
+    caller.join();
+    // Another thread never shares them.
+    std::thread other([] { EXPECT_EQ(ThreadPool::local(1).threads(), 1u); });
+    other.join();
+}
+
+TEST(ThreadPool, LocalInsideALaneIsOneLane)
+{
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        std::vector<unsigned> nested(8, 0);
+        pool.parallelFor(nested.size(), 1,
+                         [&](unsigned, std::size_t begin, std::size_t) {
+                             nested[begin] = ThreadPool::local(4).threads();
+                         });
+        for (unsigned n : nested)
+            EXPECT_EQ(n, 1u) << threads << "-lane pool";
+    }
+    // Outside any lane the caller gets its own lanes again.
+    EXPECT_GE(ThreadPool::local(2).threads(), 2u);
 }
 
 // --- BoundedQueue shutdown-ordering races ---------------------------

@@ -286,7 +286,8 @@ const char kUsage[] =
     "  --window <N>         instruction window (0 = none)\n"
     "  --block <N>          operate on basic block N (default 0)\n"
     "  --heuristics         annotate DOT nodes with heuristic values\n"
-    "  --threads <N>        pipeline worker lanes under profile\n"
+    "  --threads <N>        pipeline worker lanes under profile, and\n"
+    "                       the lanes a large input file parses on\n"
     "                       (0 = hardware concurrency, 1 = serial;\n"
     "                       output is identical either way)\n"
     "\n"
@@ -736,7 +737,8 @@ loadInput(const CliOptions &opts, std::size_t *parseErrors = nullptr,
     dopts.strict = opts.strict;
     dopts.echoToLog = true;
     DiagnosticEngine diags(dopts);
-    Program prog = parseAssembly(text.str(), diags, opts.input);
+    Program prog =
+        parseAssembly(text.str(), diags, opts.input, opts.threads);
     if (diags.hasErrors())
         log::error("sched91: ", diags.errorCount(), " malformed line",
                    diags.errorCount() == 1 ? "" : "s",

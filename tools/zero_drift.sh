@@ -12,6 +12,14 @@
 # --max-block-insts 40, at --threads 1 and 4.
 # schedule: stdout (the scheduled assembly) and the stats document of
 # every built-in kernel under all seven algorithms.
+# parse: stdout, stderr (the echoed diagnostics), the exit status and
+# any stats document of stats, report, compile and schedule on two
+# texts past the size at which parseAssembly parses on lanes
+# (kLaneParseBytes, 16 KiB), at --threads 1 and 4, lenient and
+# --strict.  malformed.s repeats tests/corpus/malformed/*.s: its
+# lenient runs stop at the 64-error cap in a later chunk, its --strict
+# runs at the first error.  warned.s repeats the two files of that
+# corpus that only warn, so every run on it schedules.
 #
 # Exits non-zero at the first difference and names the command and the
 # output; otherwise prints how many outputs it compared.
@@ -22,33 +30,52 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 bins=("$(realpath "$1")" "$(realpath "$2")")
+src=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d "${TMPDIR:-/tmp}/zero-drift.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 compared=0
 
-# drift <file>... -- <sched91 args>: run both binaries on the args,
-# each in a fresh directory where relative output paths land, and
-# compare the named files (`stdout` is the command's) byte for byte.
+# drift [--status] <file>... -- <sched91 args>: run both binaries on
+# the args, each in a fresh directory where relative output paths
+# land, and compare the named files (`stdout` and `stderr` are the
+# command's) byte for byte; a file neither run wrote is skipped.  Both
+# runs must succeed, or with --status exit with the same status.
 drift() {
+    local any_status=false
+    if [ "$1" = --status ]; then
+        any_status=true
+        shift
+    fi
     local files=()
     while [ "$1" != -- ]; do
         files+=("$1")
         shift
     done
     shift
-    local side
+    local side status=()
     for side in 0 1; do
         rm -rf "${work:?}/$side"
         mkdir "$work/$side"
-        if ! (cd "$work/$side" &&
-              "${bins[$side]}" "$@" > stdout 2> stderr); then
+        local rc=0
+        (cd "$work/$side" &&
+         "${bins[$side]}" "$@" > stdout 2> stderr) || rc=$?
+        if [ "$rc" -ne 0 ] && ! $any_status; then
             echo "zero-drift: ${bins[$side]} failed: sched91 $*" >&2
             cat "$work/$side/stderr" >&2
             exit 1
         fi
+        status+=("$rc")
     done
+    if [ "${status[0]}" != "${status[1]}" ]; then
+        echo "zero-drift: exit status ${status[0]} vs ${status[1]}:" \
+             "sched91 $*" >&2
+        exit 1
+    fi
     local file
     for file in "${files[@]}"; do
+        if [ ! -e "$work/0/$file" ] && [ ! -e "$work/1/$file" ]; then
+            continue
+        fi
         if ! cmp "$work/0/$file" "$work/1/$file" >&2; then
             echo "zero-drift: $file differs: sched91 $*" >&2
             exit 1
@@ -87,6 +114,33 @@ for kernel in $("${bins[0]}" kernels); do
     for algorithm in $algorithms; do
         drift stdout stats.json -- schedule --kernel "$kernel" \
             --algorithm "$algorithm" --zero-times --stats-json stats.json
+    done
+done
+
+# repeat <out> <file>...: the files, concatenated as often as it takes
+# to reach 16 KiB.
+repeat() {
+    local out=$1
+    shift
+    : > "$out"
+    while [ "$(wc -c < "$out")" -lt 16384 ]; do
+        cat "$@" >> "$out"
+    done
+}
+
+corpus="$src/tests/corpus/malformed"
+repeat "$work/malformed.s" "$corpus"/*.s
+repeat "$work/warned.s" "$corpus/suspicious.s" "$corpus/oversized_block.s"
+for input in malformed.s warned.s; do
+    for command in stats report compile schedule; do
+        for threads in 1 4; do
+            for strict in "" --strict; do
+                # shellcheck disable=SC2086
+                drift --status stdout stderr stats.json -- "$command" \
+                    "$work/$input" --threads "$threads" $strict \
+                    --zero-times --stats-json stats.json
+            done
+        done
     done
 done
 
