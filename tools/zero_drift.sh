@@ -38,8 +38,9 @@ compared=0
 # drift [--status] <file>... -- <sched91 args>: run both binaries on
 # the args, each in a fresh directory where relative output paths
 # land, and compare the named files (`stdout` and `stderr` are the
-# command's) byte for byte; a file neither run wrote is skipped.  Both
-# runs must succeed, or with --status exit with the same status.
+# command's) byte for byte.  Both runs must succeed; with --status
+# they must only exit with the same status, and a file neither run
+# wrote (a failed run's stats document) is skipped.
 drift() {
     local any_status=false
     if [ "$1" = --status ]; then
@@ -73,7 +74,8 @@ drift() {
     fi
     local file
     for file in "${files[@]}"; do
-        if [ ! -e "$work/0/$file" ] && [ ! -e "$work/1/$file" ]; then
+        if $any_status && [ ! -e "$work/0/$file" ] &&
+           [ ! -e "$work/1/$file" ]; then
             continue
         fi
         if ! cmp "$work/0/$file" "$work/1/$file" >&2; then
