@@ -826,8 +826,10 @@ runPipeline(Program &prog, const MachineModel &machine,
         result.memory.arenaHighWaterBytes =
             std::max<std::uint64_t>(result.memory.arenaHighWaterBytes,
                                     arena.highWaterBytes());
-        result.memory.arenaReservedBytes += arena.bytesReserved();
-        result.memory.arenaChunks += arena.numChunks();
+        Arena &scratch = ws.ctx.scratchArena();
+        result.memory.arenaReservedBytes +=
+            arena.bytesReserved() + scratch.bytesReserved();
+        result.memory.arenaChunks += arena.numChunks() + scratch.numChunks();
     }
     result.memory.dagArcs = result.dagStats.totalArcs;
     result.memory.dagArcBytes = result.memory.dagArcs * sizeof(Arc);

@@ -4,6 +4,7 @@
 
 #include "obs/events.hh"
 #include "support/logging.hh"
+#include "support/worker_context.hh"
 
 namespace sched91
 {
@@ -228,6 +229,25 @@ Dag::addArc(std::uint32_t from, std::uint32_t to, DepKind kind, int delay,
     return AddArcResult::Added;
 }
 
+namespace
+{
+
+/**
+ * Offsets used as fill cursors end one slot early: entry i holds where
+ * i + 1 starts.  Move entries [0, n) up one slot and restart at 0.
+ */
+void
+shiftUpOne(ArenaVector<std::uint32_t> &off, std::uint32_t n)
+{
+    if (n == 0)
+        return;
+    std::copy_backward(off.begin(), off.begin() + (n - 1),
+                       off.begin() + n);
+    off[0] = 0;
+}
+
+} // namespace
+
 void
 Dag::ensureCsr() const
 {
@@ -262,24 +282,24 @@ Dag::buildCsr() const
 
     // Fill in ascending arc-id order: per-node lists come out in
     // insertion order, matching the old per-node push_back lists
-    // exactly (schedule tie-breaking depends on this order).
-    std::vector<std::uint32_t> scur(n), pcur(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        scur[i] = succOff_[i];
-        pcur[i] = predOff_[i];
-    }
+    // exactly (schedule tie-breaking depends on this order).  Each
+    // node's offset serves as its own fill cursor, so it ends at the
+    // next node's start; shifting the offsets up one slot restores
+    // them without a cursor array.
     for (std::uint32_t a = 0; a < e; ++a) {
         const Arc &arc = arcs_[a];
-        std::uint32_t s = scur[arc.from]++;
+        std::uint32_t s = succOff_[arc.from]++;
         succArc_[s] = a;
         succTo_[s] = arc.to;
         succDelay_[s] = arc.delay;
-        std::uint32_t p = pcur[arc.to]++;
+        std::uint32_t p = predOff_[arc.to]++;
         predArc_[p] = a;
         predFrom_[p] = arc.from;
         predDelay_[p] = arc.delay;
         predKind_[p] = arc.kind;
     }
+    shiftUpOne(succOff_, n);
+    shiftUpOne(predOff_, n);
     csrValid_ = true;
 }
 
@@ -342,12 +362,12 @@ Dag::levelLists() const
             ++levelLists_.off_[static_cast<std::uint32_t>(level_[i]) + 1];
         for (std::uint32_t l = 0; l < levels; ++l)
             levelLists_.off_[l + 1] += levelLists_.off_[l];
+        // The offsets double as fill cursors, as in buildCsr().
         levelLists_.nodes_.resize(numNodes_);
-        std::vector<std::uint32_t> cur(levelLists_.off_.begin(),
-                                       levelLists_.off_.end());
         for (std::uint32_t i = 0; i < numNodes_; ++i)
-            levelLists_.nodes_[cur[static_cast<std::uint32_t>(
+            levelLists_.nodes_[levelLists_.off_[static_cast<std::uint32_t>(
                 level_[i])]++] = i;
+        shiftUpOne(levelLists_.off_, levels);
         levelListsValid_ = true;
     }
     return levelLists_;
@@ -371,8 +391,13 @@ Dag::computeDescendantMaps() const
 std::size_t
 Dag::countForestTrees() const
 {
-    // Union-find over undirected connectivity.
-    std::vector<std::uint32_t> parent(numNodes_);
+    // Union-find over undirected connectivity, on the worker's scratch
+    // arena, which takes it back on return.  Not the DAG's arena: at
+    // its peak, one more array can cost it a chunk of twice the size.
+    Arena *arena = WorkerContext::currentScratchArena();
+    ArenaScratch scratch(arena);
+    ArenaVector<std::uint32_t> parent(numNodes_,
+                                      ArenaAllocator<std::uint32_t>(arena));
     for (std::uint32_t i = 0; i < parent.size(); ++i)
         parent[i] = i;
     auto find = [&parent](std::uint32_t x) {

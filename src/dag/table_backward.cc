@@ -25,7 +25,6 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
                               const MachineModel &machine,
                               const BuildOptions &opts) const
 {
-    MemDisambiguator disamb(opts.memPolicy);
     DelayCalc delays(machine, dag);
     std::array<SlotEntry, Resource::kNumSlots> table{};
     if (Arena *arena = WorkerContext::currentArena()) {
@@ -34,10 +33,10 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
         for (SlotEntry &e : table)
             e.uses = ArcIdxVec(alloc);
     }
-    std::vector<MemEntry> mem_entries;
+    MemTable mem(opts.memPolicy, WorkerContext::currentScratchArena());
 
-    // Definition-table and memory-entry probes, accumulated locally
-    // and flushed once per block (Table 5's unit of work).
+    // Definition-table probes, accumulated locally and flushed with
+    // the memory table's once per block (Table 5's unit of work).
     std::uint64_t probes = 0;
 
     for (std::uint32_t j = block.size(); j-- > 0;) {
@@ -62,27 +61,22 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
 
         if (inst.isStore() && inst.mem().has_value()) {
             const MemOperand &ref = *inst.mem();
-            bool claimed = false;
-            for (MemEntry &e : mem_entries) {
-                ++probes;
-                AliasResult rel = disamb.alias(ref, e.ref);
-                if (rel == AliasResult::NoAlias)
-                    continue;
-                if (e.def >= 0 && e.uses.empty()) {
-                    std::uint32_t d = static_cast<std::uint32_t>(e.def);
-                    dag.addArc(j, d, DepKind::WAW, delays.waw(j, d));
-                }
-                for (std::uint32_t u : e.uses)
-                    dag.addArc(j, u, DepKind::RAW,
-                               delays.raw(j, u, Resource()));
-                if (rel == AliasResult::MustAlias) {
-                    e.uses.clear();
-                    e.def = j;
-                    claimed = true;
-                }
-            }
+            bool claimed = mem.forEachAlias(
+                ref, [&](MemTable::Entry &e, AliasResult rel) {
+                    if (e.def >= 0 && e.uses.empty()) {
+                        auto d = static_cast<std::uint32_t>(e.def);
+                        dag.addArc(j, d, DepKind::WAW, delays.waw(j, d));
+                    }
+                    for (std::uint32_t u : e.uses)
+                        dag.addArc(j, u, DepKind::RAW,
+                                   delays.raw(j, u, Resource()));
+                    if (rel == AliasResult::MustAlias) {
+                        e.uses.clear();
+                        e.def = j;
+                    }
+                });
             if (!claimed)
-                mem_entries.push_back(MemEntry{ref, j, {}});
+                mem.add(ref).def = j;
         }
 
         // --- resources used -------------------------------------------
@@ -98,27 +92,22 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
 
         if (inst.isLoad() && inst.mem().has_value()) {
             const MemOperand &ref = *inst.mem();
-            bool claimed = false;
-            for (MemEntry &e : mem_entries) {
-                ++probes;
-                AliasResult rel = disamb.alias(ref, e.ref);
-                if (rel == AliasResult::NoAlias)
-                    continue;
-                if (e.def >= 0 && e.def != static_cast<std::int64_t>(j)) {
-                    std::uint32_t d = static_cast<std::uint32_t>(e.def);
-                    dag.addArc(j, d, DepKind::WAR, delays.war());
-                }
-                if (rel == AliasResult::MustAlias) {
-                    e.uses.push_back(j);
-                    claimed = true;
-                }
-            }
+            bool claimed = mem.forEachAlias(
+                ref, [&](MemTable::Entry &e, AliasResult rel) {
+                    if (e.def >= 0 &&
+                        e.def != static_cast<std::int64_t>(j)) {
+                        auto d = static_cast<std::uint32_t>(e.def);
+                        dag.addArc(j, d, DepKind::WAR, delays.war());
+                    }
+                    if (rel == AliasResult::MustAlias)
+                        e.uses.push_back(j);
+                });
             if (!claimed)
-                mem_entries.push_back(MemEntry{ref, -1, {j}});
+                mem.add(ref).uses.push_back(j);
         }
     }
 
-    obs::ev::dagTableProbes.inc(probes);
+    obs::ev::dagTableProbes.inc(probes + mem.probes());
 }
 
 } // namespace sched91

@@ -25,7 +25,6 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
                              const MachineModel &machine,
                              const BuildOptions &opts) const
 {
-    MemDisambiguator disamb(opts.memPolicy);
     DelayCalc delays(machine, dag);
     std::array<SlotEntry, Resource::kNumSlots> table{};
     if (Arena *arena = WorkerContext::currentArena()) {
@@ -34,10 +33,10 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
         for (SlotEntry &e : table)
             e.uses = ArcIdxVec(alloc);
     }
-    std::vector<MemEntry> mem_entries;
+    MemTable mem(opts.memPolicy, WorkerContext::currentScratchArena());
 
-    // Definition-table and memory-entry probes, accumulated locally
-    // and flushed once per block (Table 5's unit of work).
+    // Definition-table probes, accumulated locally and flushed with
+    // the memory table's once per block (Table 5's unit of work).
     std::uint64_t probes = 0;
 
     std::uint32_t n = block.size();
@@ -62,24 +61,18 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
 
         if (inst.isLoad() && inst.mem().has_value()) {
             const MemOperand &ref = *inst.mem();
-            bool claimed = false;
-            for (MemEntry &e : mem_entries) {
-                ++probes;
-                AliasResult rel = disamb.alias(ref, e.ref);
-                if (rel == AliasResult::NoAlias)
-                    continue;
-                if (e.def >= 0) {
-                    std::uint32_t d = static_cast<std::uint32_t>(e.def);
-                    dag.addArc(d, j, DepKind::RAW,
-                               delays.raw(d, j, Resource()));
-                }
-                if (rel == AliasResult::MustAlias) {
-                    e.uses.push_back(j);
-                    claimed = true;
-                }
-            }
+            bool claimed = mem.forEachAlias(
+                ref, [&](MemTable::Entry &e, AliasResult rel) {
+                    if (e.def >= 0) {
+                        auto d = static_cast<std::uint32_t>(e.def);
+                        dag.addArc(d, j, DepKind::RAW,
+                                   delays.raw(d, j, Resource()));
+                    }
+                    if (rel == AliasResult::MustAlias)
+                        e.uses.push_back(j);
+                });
             if (!claimed)
-                mem_entries.push_back(MemEntry{ref, -1, {j}});
+                mem.add(ref).uses.push_back(j);
         }
 
         // --- resources defined ---------------------------------------
@@ -100,32 +93,28 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
 
         if (inst.isStore() && inst.mem().has_value()) {
             const MemOperand &ref = *inst.mem();
-            bool claimed = false;
-            for (MemEntry &e : mem_entries) {
-                ++probes;
-                AliasResult rel = disamb.alias(ref, e.ref);
-                if (rel == AliasResult::NoAlias)
-                    continue;
-                if (!e.uses.empty()) {
-                    for (std::uint32_t u : e.uses)
-                        if (u != j)
-                            dag.addArc(u, j, DepKind::WAR, delays.war());
-                } else if (e.def >= 0) {
-                    std::uint32_t d = static_cast<std::uint32_t>(e.def);
-                    dag.addArc(d, j, DepKind::WAW, delays.waw(d, j));
-                }
-                if (rel == AliasResult::MustAlias) {
-                    e.def = j;
-                    e.uses.clear();
-                    claimed = true;
-                }
-            }
+            bool claimed = mem.forEachAlias(
+                ref, [&](MemTable::Entry &e, AliasResult rel) {
+                    if (!e.uses.empty()) {
+                        for (std::uint32_t u : e.uses)
+                            if (u != j)
+                                dag.addArc(u, j, DepKind::WAR,
+                                           delays.war());
+                    } else if (e.def >= 0) {
+                        auto d = static_cast<std::uint32_t>(e.def);
+                        dag.addArc(d, j, DepKind::WAW, delays.waw(d, j));
+                    }
+                    if (rel == AliasResult::MustAlias) {
+                        e.def = j;
+                        e.uses.clear();
+                    }
+                });
             if (!claimed)
-                mem_entries.push_back(MemEntry{ref, j, {}});
+                mem.add(ref).def = j;
         }
     }
 
-    obs::ev::dagTableProbes.inc(probes);
+    obs::ev::dagTableProbes.inc(probes + mem.probes());
 }
 
 } // namespace sched91

@@ -25,7 +25,9 @@ bool
 Program::addLabel(std::string_view name)
 {
     auto idx = static_cast<std::uint32_t>(insts_.size());
-    bool added = labels_.try_emplace(std::string(name), idx).second;
+    auto [it, added] = labels_.try_emplace(std::string(name), idx);
+    if (added)
+        labelOrder_.push_back(it->first);
     if (labelAt_.size() <= idx)
         labelAt_.resize(idx + 1, false);
     labelAt_[idx] = true;
@@ -40,7 +42,9 @@ Program::addLabel(LabelNode &node)
         labelAt_.resize(idx + 1, false);
     labelAt_[idx] = true;
     auto result = labels_.insert(std::move(node));
-    if (!result.inserted)
+    if (result.inserted)
+        labelOrder_.push_back(result.position->first);
+    else
         node = std::move(result.node);
     return result.inserted;
 }
@@ -70,10 +74,10 @@ Program::hasLabelAt(std::uint32_t idx) const
 std::string
 Program::toString() const
 {
-    // Invert the label map so labels render under their own names.
+    // Labels render above their instruction in definition order.
     std::unordered_map<std::uint32_t, std::vector<std::string>> names;
-    for (const auto &[name, idx] : labels_)
-        names[idx].push_back(name);
+    for (const std::string &name : labelOrder_)
+        names[labels_.find(name)->second].push_back(name);
 
     std::ostringstream os;
     for (const auto &inst : insts_) {

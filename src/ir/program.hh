@@ -77,12 +77,14 @@ class Program
     /** Interned memory expressions across the whole program. */
     const MemExprTable &memExprs() const { return memExprs_; }
 
-    /** Render the program as assembly text. */
+    /** Render the program as assembly text: each instruction under
+     * its labels, in the order they were defined. */
     std::string toString() const;
 
   private:
     std::vector<Instruction> insts_;
     std::unordered_map<std::string, std::uint32_t> labels_;
+    std::vector<std::string> labelOrder_; ///< labels_' keys as defined
     std::vector<bool> labelAt_; ///< up to the last labelled index
     MemExprTable memExprs_;
 };

@@ -79,14 +79,8 @@ class Arena
         if (bytesInUse_ > highWater_)
             highWater_ = bytesInUse_;
         bytesInUse_ = 0;
-        chunkIndex_ = 0;
         pendingAllocFailure_ = false;
-        if (chunks_.empty()) {
-            cursor_ = limit_ = 0;
-            return;
-        }
-        cursor_ = reinterpret_cast<std::uintptr_t>(chunks_[0].data.get());
-        limit_ = cursor_ + chunks_[0].bytes;
+        restart();
     }
 
     /**
@@ -109,6 +103,44 @@ class Arena
         // Force even the fast path through allocateSlow, where the
         // armed flag is checked: zero hot-path cost when not armed.
         cursor_ = limit_ = 0;
+    }
+
+    /** Where the next allocation goes, and the counts so far. */
+    struct Mark
+    {
+        std::size_t chunkIndex = 0;
+        std::uintptr_t cursor = 0;
+        std::uintptr_t limit = 0;
+        std::size_t bytesInUse = 0;
+        std::size_t totalAllocated = 0;
+    };
+
+    Mark
+    mark() const
+    {
+        return {chunkIndex_, cursor_, limit_, bytesInUse_, totalAllocated_};
+    }
+
+    /**
+     * Take back everything allocated since @p m: its storage is handed
+     * out again, and every count reads as it did at the mark, so
+     * scratch given back this way never shows in the `mem.*` gauges.
+     * Nothing allocated since the mark may be used afterwards; marks
+     * nest.
+     */
+    void
+    rewind(const Mark &m)
+    {
+        bytesInUse_ = m.bytesInUse;
+        totalAllocated_ = m.totalAllocated;
+        if (m.limit == 0) {
+            // Marked before the first chunk: start again at it.
+            restart();
+            return;
+        }
+        chunkIndex_ = m.chunkIndex;
+        cursor_ = m.cursor;
+        limit_ = m.limit;
     }
 
     /** Live bytes handed out since the last reset (without padding). */
@@ -146,6 +178,19 @@ class Arena
         std::size_t bytes = 0;
     };
 
+    /** Point the cursor at the first chunk's start (none yet: 0). */
+    void
+    restart()
+    {
+        chunkIndex_ = 0;
+        if (chunks_.empty()) {
+            cursor_ = limit_ = 0;
+            return;
+        }
+        cursor_ = reinterpret_cast<std::uintptr_t>(chunks_[0].data.get());
+        limit_ = cursor_ + chunks_[0].bytes;
+    }
+
     void *
     allocateSlow(std::size_t bytes, std::size_t align)
     {
@@ -154,14 +199,7 @@ class Arena
             // allocation here; restore the start-of-block state so the
             // degradation path can keep using the arena.
             pendingAllocFailure_ = false;
-            chunkIndex_ = 0;
-            if (chunks_.empty()) {
-                cursor_ = limit_ = 0;
-            } else {
-                cursor_ = reinterpret_cast<std::uintptr_t>(
-                    chunks_[0].data.get());
-                limit_ = cursor_ + chunks_[0].bytes;
-            }
+            restart();
             throw std::bad_alloc();
         }
         // Advance through retained chunks first; grow only when none
@@ -272,6 +310,33 @@ class ArenaAllocator
 /** Vector whose storage may come from a worker arena. */
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
+
+/**
+ * Scratch scope: whatever the arena hands out while it lives is taken
+ * back when it ends (Arena::rewind).  A no-op without an arena, where
+ * scratch comes from the heap and is freed by its owner.
+ */
+class ArenaScratch
+{
+  public:
+    explicit ArenaScratch(Arena *arena)
+        : arena_(arena), mark_(arena ? arena->mark() : Arena::Mark{})
+    {
+    }
+
+    ~ArenaScratch()
+    {
+        if (arena_)
+            arena_->rewind(mark_);
+    }
+
+    ArenaScratch(const ArenaScratch &) = delete;
+    ArenaScratch &operator=(const ArenaScratch &) = delete;
+
+  private:
+    Arena *arena_;
+    Arena::Mark mark_;
+};
 
 } // namespace sched91
 

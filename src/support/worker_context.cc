@@ -20,6 +20,12 @@ WorkerContext::currentArena()
     return t_context ? &t_context->arena() : nullptr;
 }
 
+Arena *
+WorkerContext::currentScratchArena()
+{
+    return t_context ? &t_context->scratchArena() : nullptr;
+}
+
 WorkerContext::Scope::Scope(WorkerContext &ctx) : prev_(t_context)
 {
     t_context = &ctx;

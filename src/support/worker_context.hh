@@ -7,8 +7,14 @@
  * It bundles:
  *
  *  - a bump Arena recycled at every block boundary, backing the DAG's
- *    arc-index lists and the table builders' def/use lists
+ *    arc-index lists and the table builders' register def/use lists
  *    (support/arena.hh);
+ *  - a second, scratch arena for tables that live within one call:
+ *    the table builders' memory table (dag/memdep.hh) and the DAG's
+ *    forest count, each of which gives its storage back as it
+ *    returns.  Kept apart so that the first arena's counts
+ *    (`mem.arena_*`) stay the DAG's own, and so that scratch taken at
+ *    the DAG's peak never costs the first arena another chunk;
  *  - named scratch vectors whose *capacity* persists across blocks —
  *    the list scheduler's node lists (ready list and survivors, or
  *    release queue and per-class heaps) and key store, and the timing
@@ -44,15 +50,27 @@ class WorkerContext
     /** Block-lifetime allocator (reset by beginBlock). */
     Arena &arena() { return arena_; }
 
+    /** Allocator for scratch that lives within one call (also reset
+     * by beginBlock). */
+    Arena &scratchArena() { return scratch_; }
+
     /** Recycle all block-lifetime allocations.  Call only when the
      * previous block's DAG and scratch users are gone. */
-    void beginBlock() { arena_.reset(); }
+    void
+    beginBlock()
+    {
+        arena_.reset();
+        scratch_.reset();
+    }
 
     /** The context installed on the calling thread, or nullptr. */
     static WorkerContext *current();
 
     /** Shorthand: the installed context's arena, or nullptr. */
     static Arena *currentArena();
+
+    /** Shorthand: the installed context's scratch arena, or nullptr. */
+    static Arena *currentScratchArena();
 
     /** RAII thread-local installer (nestable; restores the previous
      * context on destruction). */
@@ -88,6 +106,9 @@ class WorkerContext
 
   private:
     Arena arena_;
+    /** Its tables are small but for the largest blocks, so it starts
+     * with a small chunk and doubles from there. */
+    Arena scratch_{Arena::kDefaultChunkBytes / 8};
 };
 
 } // namespace sched91

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the block-lifetime bump arena and its std-allocator
- * adapter: alignment, chunk growth and retention across reset(), the
- * null-arena heap fallback, and ArenaVector behavior under the
- * allocator-propagating move that the DAG builders rely on.
+ * adapter: alignment, chunk growth and retention across reset(), what
+ * rewind() gives back, the null-arena heap fallback, and ArenaVector
+ * behavior under the allocator-propagating move that the DAG builders
+ * rely on.
  */
 
 #include <gtest/gtest.h>
@@ -83,6 +84,39 @@ TEST(Arena, ValuesSurviveUntilReset)
     }
     for (int i = 0; i < 200; ++i)
         EXPECT_EQ(*ptrs[i], i);
+}
+
+TEST(Arena, RewindGivesScratchAndItsCountsBack)
+{
+    Arena arena(128);
+    arena.allocate(40, 8);
+    const std::size_t in_use = arena.bytesInUse();
+    const std::size_t total = arena.totalBytesAllocated();
+    {
+        ArenaScratch scratch(&arena);
+        for (int i = 0; i < 8; ++i)
+            arena.allocate(100, 8); // past the first chunk
+    }
+    EXPECT_EQ(arena.bytesInUse(), in_use);
+    EXPECT_EQ(arena.totalBytesAllocated(), total);
+    const std::size_t chunks = arena.numChunks();
+    {
+        ArenaScratch scratch(&arena);
+        for (int i = 0; i < 8; ++i)
+            arena.allocate(100, 8);
+    }
+    EXPECT_EQ(arena.numChunks(), chunks); // the same storage again
+}
+
+TEST(Arena, RewindBeforeTheFirstChunkReusesIt)
+{
+    Arena arena(256);
+    for (int round = 0; round < 4; ++round) {
+        ArenaScratch scratch(&arena);
+        arena.allocate(100, 8);
+    }
+    EXPECT_EQ(arena.numChunks(), 1u);
+    EXPECT_EQ(arena.totalBytesAllocated(), 0u);
 }
 
 TEST(ArenaAllocator, NullArenaFallsBackToHeap)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "ir/instruction.hh"
 #include "ir/operand.hh"
 #include "ir/parser.hh"
@@ -252,6 +256,51 @@ TEST(Parser, SmulTouchesY)
     Program p = parseAssembly("smul %g1, %g2, %g3\nsdiv %g3, %g1, %g4\n");
     EXPECT_TRUE(p[0].definesResource(Resource::y()));
     EXPECT_TRUE(p[1].usesResource(Resource::y()));
+}
+
+TEST(Program, LabelsRenderInDefinitionOrderHoweverTheMapGrew)
+{
+    // Two programs with the same labels: three on instruction 0, forty
+    // on instruction 1.  One defines them in index order; the other
+    // defines instruction 1's first, so its map has already grown to
+    // its full size when instruction 0's labels go in.
+    auto node = [](const std::string &name, std::uint32_t idx) {
+        std::unordered_map<std::string, std::uint32_t> scratch;
+        scratch.emplace(name, idx);
+        return scratch.extract(scratch.begin());
+    };
+    const std::vector<std::string> first = {"top", "label with space",
+                                            ".L1"};
+    std::vector<std::string> second;
+    for (int i = 0; i < 40; ++i)
+        second.push_back(std::string("L").append(std::to_string(i)));
+    const Program body =
+        parseAssembly("add %g1, %g2, %g3\nadd %g3, %g2, %g1\n");
+
+    Program a = body;
+    for (const std::string &name : first) {
+        Program::LabelNode n = node(name, 0);
+        EXPECT_TRUE(a.addLabel(n));
+    }
+    for (const std::string &name : second) {
+        Program::LabelNode n = node(name, 1);
+        EXPECT_TRUE(a.addLabel(n));
+    }
+    Program b = body;
+    for (const std::string &name : second) {
+        Program::LabelNode n = node(name, 1);
+        EXPECT_TRUE(b.addLabel(n));
+    }
+    for (const std::string &name : first) {
+        Program::LabelNode n = node(name, 0);
+        EXPECT_TRUE(b.addLabel(n));
+    }
+
+    const std::string text = a.toString();
+    EXPECT_EQ(text, b.toString());
+    EXPECT_TRUE(text.starts_with("top:\nlabel with space:\n.L1:\n    add"))
+        << text;
+    EXPECT_NE(text.find("L0:\nL1:\nL2:\n"), std::string::npos) << text;
 }
 
 TEST(Program, MemExprInterning)

@@ -18,11 +18,17 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
 #include "core/pipeline.hh"
+#include "dag/builder.hh"
+#include "dag/dag_stats.hh"
+#include "ir/basic_block.hh"
 #include "machine/presets.hh"
 #include "obs/counters.hh"
+#include "support/worker_context.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -131,6 +137,52 @@ TEST(SchedAllocations, ObservabilityAtMostOneMorePerBlock)
                     "per block\n",
                     profile.name.c_str(), off, on);
         EXPECT_LE(on - off, 1.0) << profile.name;
+    }
+}
+
+TEST(SchedAllocations, DagLayerAllocatesNothingPerBlockAfterWarmUp)
+{
+    // Table building under SymbolicExpr (the memory table), CSR
+    // adjacency, level lists and the forest count all draw on the
+    // worker's arenas, so once they have grown to a profile's largest
+    // block, its blocks allocate nothing.
+    const MachineModel machine = sparcstation2();
+    BuildOptions opts;
+    opts.memPolicy = AliasPolicy::SymbolicExpr;
+    WorkerContext ctx;
+    WorkerContext::Scope scope(ctx);
+    for (BuilderKind kind :
+         {BuilderKind::TableForward, BuilderKind::TableBackward}) {
+        std::unique_ptr<DagBuilder> builder = makeBuilder(kind);
+        for (const WorkloadProfile &profile : allProfiles()) {
+            Program prog = generateProgram(profile);
+            const std::vector<BasicBlock> blocks = partitionBlocks(prog);
+            DagStructure structure;
+            std::size_t levels = 0;
+            auto pass = [&] {
+                for (const BasicBlock &bb : blocks) {
+                    ctx.beginBlock();
+                    Dag dag =
+                        builder->build(BlockView(prog, bb), machine, opts);
+                    dag.preds(dag.size() - 1); // finalizes the CSR
+                    levels += dag.levelLists().size();
+                    structure.accumulate(dag);
+                }
+            };
+            pass();
+            allocations = 0;
+            counting = true;
+            pass();
+            counting = false;
+            EXPECT_EQ(structure.totalBlocks, 2 * blocks.size());
+            EXPECT_GE(levels, structure.totalBlocks);
+            std::printf("%-8s %s: %zu allocations over %zu blocks\n",
+                        profile.name.c_str(),
+                        std::string(builderKindName(kind)).c_str(),
+                        allocations.load(), blocks.size());
+            EXPECT_EQ(allocations.load(), 0u)
+                << profile.name << ", " << builderKindName(kind);
+        }
     }
 }
 
