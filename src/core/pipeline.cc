@@ -127,6 +127,16 @@ buildGroundTruth(const BlockView &block, const MachineModel &machine,
     return TableForwardBuilder().build(block, machine, opts);
 }
 
+/** The issue that records rung one firing on block @p block. */
+ProgramResult::BlockIssue
+fallbackIssue(std::size_t block, std::size_t insts, int maxBlockInsts)
+{
+    std::ostringstream os;
+    os << insts << " insts over --max-block-insts " << maxBlockInsts
+       << ": n**2 builder fell back to table building";
+    return ProgramResult::BlockIssue{block, "fallback", os.str(), false};
+}
+
 /** Lines of @p block's instructions, for a forensic bundle. */
 std::string
 blockSourceText(const BlockView &block)
@@ -149,15 +159,6 @@ fallsBackToTable(BuilderKind builder, std::size_t insts, int maxBlockInsts)
                     builder == BuilderKind::N2Landskov;
     return n2 && maxBlockInsts > 0 &&
            insts > static_cast<std::size_t>(maxBlockInsts);
-}
-
-ProgramResult::BlockIssue
-fallbackIssue(std::size_t block, std::size_t insts, int maxBlockInsts)
-{
-    std::ostringstream os;
-    os << insts << " insts over --max-block-insts " << maxBlockInsts
-       << ": n**2 builder fell back to table building";
-    return ProgramResult::BlockIssue{block, "fallback", os.str(), false};
 }
 
 DispatchPlan
@@ -312,7 +313,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 }
             }
             if (tracing)
-                out.degradeCounters = obs::activeCounters();
+                out.degradeCounters = workers[w].blockShard;
         };
 
         // Effective per-block budget: the per-block cap, tightened by
@@ -785,7 +786,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                             const obs::CounterShard &now) {
                 ev.phase = phase;
                 ev.seconds = seconds;
-                ev.counters = now.since(*last, /*peaks=*/true);
+                ev.counters = now.since(*last);
                 opts.trace->event(ev);
                 last = &now;
             };
@@ -929,24 +930,14 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
     if (token)
         build_opts.cancel = &*token;
 
-    obs::ScopedPhase build_phase(obs::Phase::Build);
     Dag dag = builder->build(block, machine, build_opts);
-    build_phase.stop();
-
-    obs::ScopedPhase heur_phase(obs::Phase::Heur);
     runNeededPasses(dag, spec.config, opts.passImpl, nullptr);
-    heur_phase.stop();
-
     ListScheduler scheduler(spec.config, machine);
-    obs::ScopedPhase sched_phase(obs::Phase::Sched);
     Schedule sched =
         scheduler.run(dag, nullptr, token ? &*token : nullptr);
-    sched_phase.stop();
 
     if (opts.verify) {
-        obs::ScopedPhase verify_phase(obs::Phase::Verify);
         VerifyResult vr = verifySchedule(dag, sched, machine);
-        verify_phase.stop();
         if (!vr.ok()) {
             obs::ev::robustVerifierRejections.inc();
             panic("schedule verification failed: ", vr.summary());

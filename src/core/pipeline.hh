@@ -297,11 +297,6 @@ struct ProgramResult
 bool fallsBackToTable(BuilderKind builder, std::size_t insts,
                       int maxBlockInsts);
 
-/** The issue that records rung one firing on block @p block. */
-ProgramResult::BlockIssue fallbackIssue(std::size_t block,
-                                        std::size_t insts,
-                                        int maxBlockInsts);
-
 /**
  * How runPipeline hands a program's blocks to its lanes: chunks of
  * blocks, dispatched in order, each to the next free lane.
@@ -352,9 +347,10 @@ struct BlockScheduleResult
  * building, as in runPipeline.  When PipelineOptions::verify
  * is set (the default) the schedule is re-checked against the DAG and
  * a rejection throws PanicError — single-block callers own their
- * fallback policy (the CLI degrades to original order per block).
- * Likewise PipelineOptions::maxBlockSeconds arms a per-call
+ * fallback policy (compileProgram degrades the block to original
+ * order).  Likewise PipelineOptions::maxBlockSeconds arms a per-call
  * cancellation token whose CancelledError propagates to the caller.
+ * No phase is recorded: per-phase outputs come from runPipeline.
  */
 BlockScheduleResult scheduleBlock(const BlockView &block,
                                   const MachineModel &machine,

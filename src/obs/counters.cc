@@ -174,15 +174,6 @@ CounterRegistry::deltaSince(const CounterSet &before) const
 
 // --- CounterShard ----------------------------------------------------
 
-CounterShard
-CounterShard::copyOf(CounterRegistry &registry)
-{
-    CounterShard out(registry);
-    std::lock_guard<std::mutex> lock(registry.regMu_);
-    out.slots_.assign(registry.slots_.begin(), registry.slots_.end());
-    return out;
-}
-
 std::uint64_t
 CounterShard::value(std::string_view name) const
 {
@@ -204,11 +195,11 @@ CounterShard::clear()
 }
 
 CounterShard
-CounterShard::since(const CounterShard &before, bool peaks) const
+CounterShard::since(const CounterShard &before) const
 {
     CounterShard out = *this;
     for (std::size_t id = 0; id < slots_.size(); ++id)
-        if (!peaks || registry_->kind(id) == CounterKind::Sum)
+        if (registry_->kind(id) == CounterKind::Sum)
             out.slots_[id] -= before.value(id);
     return out;
 }
@@ -273,14 +264,6 @@ SnapshotDeltaTracker::advance(const CounterSet &now)
     }
     last_ = now;
     return delta;
-}
-
-CounterShard
-activeCounters()
-{
-    if (detail::t_shard)
-        return *detail::t_shard;
-    return CounterShard::copyOf(CounterRegistry::global());
 }
 
 } // namespace sched91::obs

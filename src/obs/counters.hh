@@ -192,7 +192,7 @@ class CounterRegistry
     std::uint64_t *slotAddress(std::size_t id) { return &slots_[id]; }
 
   private:
-    friend class CounterShard; ///< locked copies and flushes
+    friend class CounterShard; ///< locked flushes
 
     std::size_t addLocked(std::string_view name, CounterKind kind);
     std::size_t findLocked(std::string_view name) const;
@@ -260,9 +260,6 @@ class CounterShard
     {
     }
 
-    /** A copy of @p registry's slots, taken under its lock. */
-    static CounterShard copyOf(CounterRegistry &registry);
-
     CounterRegistry &registry() const { return *registry_; }
 
     void
@@ -297,13 +294,12 @@ class CounterShard
     void clear();
 
     /**
-     * This copy less @p before, an earlier copy of the same source.
-     * Sum counters subtract.  A Max gauge keeps this copy's value when
-     * @p peaks is set — a shard cleared per block already holds the
-     * interval's peak — and otherwise subtracts too, reporting how far
-     * a never-cleared source's high-water mark rose.
+     * This copy less @p before, an earlier copy of the same per-block
+     * shard.  Sum counters subtract; a Max gauge keeps this copy's
+     * value, since a shard cleared per block already holds the
+     * interval's peak.
      */
-    CounterShard since(const CounterShard &before, bool peaks) const;
+    CounterShard since(const CounterShard &before) const;
 
     /** Every registry name with this shard's value, in name order:
      * where ids become names, once per run result or document. */
@@ -351,10 +347,6 @@ class ScopedCounterShard
   private:
     CounterShard *prev_;
 };
-
-/** Copy of whatever the calling thread's increments land in: the
- * installed shard if any, else the global registry. */
-CounterShard activeCounters();
 
 /**
  * Cheap instrumentation handle bound to one registry slot.  Intended

@@ -65,54 +65,8 @@ PhaseStats::add(const PhaseShards &lane)
                 phaseNode(*this, static_cast<Phase>(p)).counters);
 }
 
-PhaseProfiler &
-PhaseProfiler::global()
-{
-    static PhaseProfiler instance;
-    return instance;
-}
-
-void
-PhaseProfiler::clear()
-{
-    SCHED91_ASSERT(stack_.empty(),
-                   "cannot clear the phase tree with phases open");
-    root_.children.clear();
-}
-
-void
-PhaseProfiler::enter(const char *name)
-{
-    // Only the innermost open phase ever grows children, so this
-    // cannot invalidate any pointer still on the stack.
-    PhaseStats &node =
-        childNode(stack_.empty() ? root_ : *stack_.back(), name);
-    ++node.entries;
-    stack_.push_back(&node);
-}
-
-void
-PhaseProfiler::exit(double seconds, const CounterShard &delta)
-{
-    SCHED91_ASSERT(!stack_.empty(), "phase exit without enter");
-    PhaseStats *node = stack_.back();
-    stack_.pop_back();
-    node->seconds += seconds;
-    delta.flushInto(node->counters);
-}
-
-ScopedPhase::ScopedPhase(const char *name) : start_(Clock::now())
-{
-    if (name && enabled()) {
-        PhaseProfiler::global().enter(name);
-        snap_ = activeCounters();
-        peaks_ = detail::t_shard != nullptr;
-        open_ = true;
-    }
-}
-
 ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
-    : ScopedPhase(record ? nullptr : phaseNames(phase).name)
+    : start_(Clock::now()), record_(record), phase_(phase)
 {
     if (PhaseShards *lane = record ? record->shards : nullptr) {
         SCHED91_ASSERT(detail::t_shard,
@@ -126,8 +80,6 @@ ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
         parent_ = detail::t_shard;
         detail::t_shard = &own;
     }
-    record_ = record;
-    phase_ = phase;
 }
 
 double
@@ -138,11 +90,6 @@ ScopedPhase::stop()
     elapsed_ =
         std::chrono::duration<double>(Clock::now() - start_).count();
     stopped_ = true;
-    if (open_) {
-        PhaseProfiler::global().exit(elapsed_,
-                                     activeCounters().since(snap_, peaks_));
-        open_ = false;
-    }
     if (record_) {
         const bool sub = isSubPhase(phase_);
         SCHED91_ASSERT(sub ? record_->numSubs < record_->subs.size()

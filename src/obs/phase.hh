@@ -16,10 +16,6 @@
  * phase tree.  Deltas are *inclusive*: a parent phase's counters
  * include those of its children.  Counter names are resolved only when
  * the tree is emitted.
- *
- * A plain named phase (the CLI's per-block `block` phase, and
- * scheduleBlock's phases) records into the process-wide tree instead,
- * copying the thread's active counter source at entry and at exit.
  */
 
 #ifndef SCHED91_OBS_PHASE_HH
@@ -132,36 +128,6 @@ struct PhaseStats
 };
 
 /**
- * The process-wide phase tree plain named phases record into.  Phases
- * entered while another phase is open become (or re-open) children of
- * it; the tree persists across blocks, so per-block phases accumulate
- * into one node per distinct nesting path.
- */
-class PhaseProfiler
-{
-  public:
-    static PhaseProfiler &global();
-
-    /** Drop all accumulated phases (open phases keep recording into
-     * fresh nodes). */
-    void clear();
-
-    /** The synthetic root; real phases are its descendants. */
-    const PhaseStats &root() const { return root_; }
-
-  private:
-    friend class ScopedPhase;
-
-    PhaseProfiler() { root_.name = "run"; }
-
-    void enter(const char *name);
-    void exit(double seconds, const CounterShard &delta);
-
-    PhaseStats root_;
-    std::vector<PhaseStats *> stack_; ///< open-phase path, root absent
-};
-
-/**
  * RAII handle opening a phase for the duration of a scope.  Cheap
  * when observability is disabled: construction and destruction are a
  * clock read plus one branch each.
@@ -169,14 +135,9 @@ class PhaseProfiler
 class ScopedPhase
 {
   public:
-    /** A plain named phase of the process-wide tree (a bare timer
-     * when @p name is null). */
-    explicit ScopedPhase(const char *name);
-
-    /** A pipeline phase; when @p record is set, stop() also writes
-     * the phase's entry there, else it is the plain phase of its
-     * name. */
-    explicit ScopedPhase(Phase phase, PhaseRecord *record = nullptr);
+    /** A pipeline phase; stop() writes its entry into @p record.  With
+     * no record the phase only times itself. */
+    ScopedPhase(Phase phase, PhaseRecord *record);
 
     ScopedPhase(const ScopedPhase &) = delete;
     ScopedPhase &operator=(const ScopedPhase &) = delete;
@@ -194,12 +155,9 @@ class ScopedPhase
 
     Clock::time_point start_;
     double elapsed_ = 0.0; ///< valid once stopped
-    CounterShard snap_; ///< plain phase: active-source copy at entry
-    bool peaks_ = false; ///< source is a per-block shard (see since())
-    bool open_ = false;  ///< tree node pending an exit()
     bool stopped_ = false;
-    PhaseRecord *record_ = nullptr;
-    Phase phase_ = Phase::Build; ///< record_'s entry
+    PhaseRecord *record_;
+    Phase phase_; ///< record_'s entry
     CounterShard *parent_ = nullptr; ///< counting: active as it opened
 };
 

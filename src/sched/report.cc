@@ -46,17 +46,21 @@ ProgramReport
 reportProgram(Program &prog, const MachineModel &machine,
               const PipelineOptions &opts)
 {
+    std::vector<Schedule> schedules;
+    PipelineOptions run = opts;
+    run.schedules = &schedules;
+    runPipeline(prog, machine, run);
+
     ProgramReport report;
     auto blocks = partitionBlocks(prog, opts.partition);
-    for (const BasicBlock &bb : blocks) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
-        auto result = scheduleBlock(block, machine, opts);
-
         Dag gt = TableForwardBuilder().build(block, machine, opts.build);
         SimResult before = simulateSchedule(
             gt, originalOrderSchedule(gt).order, machine);
         SimResult after =
-            simulateSchedule(gt, result.sched.order, machine);
+            simulateSchedule(gt, schedules[b].order, machine);
 
         // Critical path: longest arc-delay path closed with the final
         // node's latency.

@@ -56,8 +56,10 @@ struct ProgramReport
 };
 
 /**
- * Schedule every block of @p prog with @p opts and collect per-block
- * quality records.
+ * Schedule every block of @p prog with one runPipeline call under
+ * @p opts and collect per-block quality records.  A block the
+ * pipeline degrades (a contained fault, a budget overrun) is reported
+ * in original order.
  */
 ProgramReport reportProgram(Program &prog, const MachineModel &machine,
                             const PipelineOptions &opts);

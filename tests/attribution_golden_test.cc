@@ -24,18 +24,18 @@
  * `--trace-format chrome --trace
  * tests/golden/profile-tomcatv-attribution.chrome.json`.
  *
- * Two more stats documents pin the phase trees.  Schlansker's
- * algorithm runs both static passes and computes slack between them,
- * so `profile` fixes the heur -> heur-fwd + heur-bwd fold with
- * `heur.slack_computes` in heur alone, at one lane and at four; and
- * `schedule` fixes the CLI's tree, block -> build, heur (-> heur-fwd,
- * heur-bwd), sched, verify:
+ * Two more stats documents pin the phase trees, at one lane and at
+ * four.  Schlansker's algorithm runs both static passes and computes
+ * slack between them, so `profile` fixes the heur -> heur-fwd +
+ * heur-bwd fold with `heur.slack_computes` in heur alone; and
+ * `schedule`, which runs the same pipeline, fixes its tree (build,
+ * heur -> heur-fwd + heur-bwd, sched, verify, evaluate) on a kernel:
  *
  *   sched91 profile linpack --algorithm schlansker --zero-times \
  *       --threads 1 \
  *       --stats-json tests/golden/profile-linpack-schlansker.json
  *   sched91 schedule --kernel livermore1 --algorithm schlansker \
- *       --zero-times \
+ *       --zero-times --threads 1 \
  *       --stats-json tests/golden/schedule-livermore1-schlansker.json
  */
 
@@ -152,9 +152,12 @@ TEST(AttributionGolden, HeurSubPhasesFoldAtOneAndFourLanes)
 
 TEST(AttributionGolden, ScheduleCommandTreeMatches)
 {
-    expectGolden(statsOf("schedule --kernel livermore1"
-                         " --algorithm schlansker --zero-times"),
-                 "schedule-livermore1-schlansker.json");
+    for (unsigned threads : {1u, 4u})
+        expectGolden(statsOf("schedule --kernel livermore1"
+                             " --algorithm schlansker --zero-times"
+                             " --threads " +
+                             std::to_string(threads)),
+                     "schedule-livermore1-schlansker.json");
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Observability-layer tests: counter registry semantics (register,
- * increment, reset, merge, duplicate rejection), ScopedPhase nesting
- * into the global phase tree, recorded phases counting into their own
- * shards and folding into a run tree, zero-cost-when-disabled
+ * increment, reset, merge, duplicate rejection), recorded phases
+ * counting into their own shards and folding into a run tree, a
+ * phase's idempotent stop, zero-cost-when-disabled
  * behavior, the JSON/JSONL emitters round-tripped through a minimal
  * parser, and the builder counter asymmetry (pairwise compares vs
  * table probes) the instrumentation exists to expose.
@@ -207,13 +207,11 @@ class ObsStateGuard
     {
         obs::setEnabled(false);
         obs::CounterRegistry::global().resetAll();
-        obs::PhaseProfiler::global().clear();
     }
     ~ObsStateGuard()
     {
         obs::setEnabled(false);
         obs::CounterRegistry::global().resetAll();
-        obs::PhaseProfiler::global().clear();
     }
 };
 
@@ -309,56 +307,21 @@ TEST(Counter, HandleCountsOnlyWhenEnabled)
 }
 
 // ---------------------------------------------------------------------
-// ScopedPhase / PhaseProfiler
+// ScopedPhase / PhaseRecord
 // ---------------------------------------------------------------------
 
-TEST(ScopedPhase, BuildsNestedTree)
-{
-    ObsStateGuard guard;
-    obs::setEnabled(true);
-    obs::CounterRegistry &reg = obs::CounterRegistry::global();
-    std::size_t id = reg.getOrAdd("test.phase_events");
-
-    {
-        obs::ScopedPhase outer("outer");
-        reg.increment(id, 1);
-        {
-            obs::ScopedPhase inner("inner");
-            reg.increment(id, 2);
-        }
-        {
-            obs::ScopedPhase inner("inner"); // re-entry accumulates
-            reg.increment(id, 3);
-        }
-    }
-
-    const obs::PhaseStats &root = obs::PhaseProfiler::global().root();
-    const obs::PhaseStats *outer = root.child("outer");
-    ASSERT_NE(outer, nullptr);
-    EXPECT_EQ(outer->entries, 1u);
-    EXPECT_GE(outer->seconds, 0.0);
-    EXPECT_EQ(outer->counters.value("test.phase_events"), 6u)
-        << "parent deltas are inclusive of children";
-
-    const obs::PhaseStats *inner = outer->child("inner");
-    ASSERT_NE(inner, nullptr);
-    EXPECT_EQ(inner->entries, 2u);
-    EXPECT_EQ(inner->counters.value("test.phase_events"), 5u);
-    EXPECT_EQ(root.child("inner"), nullptr)
-        << "inner nests under outer, not the root";
-}
-
-TEST(ScopedPhase, StopIsIdempotentAndDisabledPhasesStayOffTree)
+TEST(ScopedPhase, StopIsIdempotentAndRecordsOnce)
 {
     ObsStateGuard guard;
 
-    // Disabled: timing still works, tree untouched.
-    obs::ScopedPhase p("ghost");
+    // Disabled: the phase still times itself and writes its entry.
+    obs::PhaseRecord record;
+    obs::ScopedPhase p(obs::Phase::Sched, &record);
     double t1 = p.stop();
     EXPECT_EQ(p.stop(), t1) << "stop() is idempotent";
     EXPECT_GE(t1, 0.0);
-    EXPECT_EQ(obs::PhaseProfiler::global().root().child("ghost"),
-              nullptr);
+    ASSERT_EQ(record.size, 1u) << "a second stop() writes no entry";
+    EXPECT_EQ(record.seconds(obs::Phase::Sched), t1);
 }
 
 TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)

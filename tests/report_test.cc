@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/parser.hh"
 #include "machine/presets.hh"
 #include "sched/report.hh"
 #include "workload/generator.hh"
@@ -64,6 +65,29 @@ TEST(Report, RenderContainsTotals)
     std::string text = report.render(3);
     EXPECT_NE(text.find("cycles"), std::string::npos);
     EXPECT_NE(text.find("excess"), std::string::npos);
+}
+
+TEST(Report, BudgetOverrunDegradesTheBlockToOriginalOrder)
+{
+    // A 600-instruction dependence chain ending in a branch, then the
+    // delay slot's block.  No block builds within 1 ns: the pipeline
+    // degrades each one instead of ending the report.
+    std::string text = "big:\n";
+    for (int i = 0; i < 600; ++i)
+        text += "add %l" + std::to_string(i % 6) + ", 1, %l" +
+                std::to_string((i + 1) % 6) + "\n";
+    text += "cmp %l0, 400\nbl big\nnop\n";
+    Program prog = parseAssembly(text);
+    PipelineOptions opts;
+    opts.maxBlockSeconds = 1e-9;
+    ProgramReport report = reportProgram(prog, sparcstation2(), opts);
+
+    Program copy = prog;
+    ASSERT_EQ(report.blocks.size(), partitionBlocks(copy).size());
+    const BlockReport &big = report.blocks[0];
+    EXPECT_GE(big.size, 600u);
+    EXPECT_EQ(big.cyclesScheduled, big.cyclesOriginal);
+    EXPECT_EQ(big.stallsScheduled, big.stallsOriginal);
 }
 
 } // namespace

@@ -5,8 +5,10 @@
  * retry/degradation ladder (one test per injection point, matching
  * the failure-mode matrix), graceful drain of an in-process daemon
  * over a real AF_UNIX socket, the pipeline's interrupt rung, the
- * reducer's wall-clock cap, and two end-to-end CLI contracts driven
- * as subprocesses (empty program, SIGINT drain).
+ * reducer's wall-clock cap, and end-to-end CLI contracts driven as
+ * subprocesses (empty program, SIGINT drain, the budget rung under
+ * --strict, lane-count independence, and the daemon answering what
+ * `sched91 schedule` prints).
  */
 
 #include <gtest/gtest.h>
@@ -882,6 +884,21 @@ readFileOr(const std::string &path, const std::string &fallback)
     return ss.str();
 }
 
+/** Run `sched91 <args>` with stderr discarded; returns its stdout and
+ * sets @p status to its exit status (-1 when it did not exit). */
+std::string
+runCli(const std::string &args, int &status)
+{
+    const std::string out = tempPath("cli.out");
+    const std::string cmd = std::string(SCHED91_CLI_PATH) + " " + args +
+                            " > " + out + " 2> /dev/null";
+    const int rc = std::system(cmd.c_str());
+    status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    std::string text = readFileOr(out, "");
+    ::unlink(out.c_str());
+    return text;
+}
+
 } // namespace
 
 TEST(CliContract, EmptyProgramSchedulesCleanlyWithValidStats)
@@ -969,6 +986,140 @@ TEST(CliContract, SigintMidRunDrainsAndEmitsStats)
               1);
     ::unlink(input.c_str());
     ::unlink(stats.c_str());
+}
+
+TEST(CliContract, StrictBudgetOverrunDegradesTheBlock)
+{
+    // docs/ROBUSTNESS.md: a budget overrun degrades the block to its
+    // original order even under --strict.  No 600-instruction block
+    // builds within 1 ns.
+    std::string source = "big:\n";
+    for (int i = 0; i < 600; ++i)
+        source += "add %l" + std::to_string(i % 6) + ", 1, %l" +
+                  std::to_string((i + 1) % 6) + "\n";
+    const std::string input = tempPath("budget.s");
+    const std::string stats = tempPath("budget-stats.json");
+    writeFile(input, source);
+
+    int status = 0;
+    const std::string out =
+        runCli("schedule " + input +
+                   " --strict --max-block-seconds 1e-9 --stats-json " +
+                   stats,
+               status);
+    EXPECT_EQ(status, 0);
+    obs::JsonValue doc = obs::parseJson(readFileOr(stats, "{}"));
+    ASSERT_TRUE(doc.has("robust"));
+    EXPECT_GE(doc.at("robust").numberOr("blocks_degraded", 0), 1);
+
+    const Program prog = parseAssembly(source);
+    std::string want =
+        "! scheduled by sched91 (simple-forward, table fwd)\n.B0:\n";
+    for (const Instruction &inst : prog.insts())
+        want += "    " + inst.toString() + "\n";
+    EXPECT_EQ(out, want);
+    ::unlink(input.c_str());
+    ::unlink(stats.c_str());
+}
+
+TEST(CliContract, ScheduleWritesTheSameAtOneAndFourLanes)
+{
+    // Many blocks, some past --max-block-insts under an n**2 builder:
+    // the assembly, the stats document and the JSONL trace do not
+    // depend on how the blocks were spread over lanes.
+    std::string source;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        fuzz::GenParams params;
+        params.seed = seed;
+        params.numBlocks = 8;
+        params.maxBlockSize = 64;
+        source += fuzz::generateSource(params);
+    }
+    const std::string input = tempPath("lanes.s");
+    writeFile(input, source);
+
+    std::string outputs[2][3];
+    for (int side = 0; side < 2; ++side) {
+        const std::string threads = side == 0 ? "1" : "4";
+        const std::string stats = tempPath("lanes-stats.json");
+        const std::string trace = tempPath("lanes-trace.jsonl");
+        int status = 0;
+        outputs[side][0] = runCli(
+            "schedule " + input +
+                " --builder n2-fwd --max-block-insts 40 --zero-times"
+                " --threads " +
+                threads + " --stats-json " + stats + " --trace " + trace,
+            status);
+        EXPECT_EQ(status, 0) << "--threads " << threads;
+        outputs[side][1] = readFileOr(stats, "");
+        outputs[side][2] = readFileOr(trace, "");
+        ::unlink(stats.c_str());
+        ::unlink(trace.c_str());
+    }
+    const char *what[] = {"stdout", "stats document", "trace"};
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_FALSE(outputs[0][i].empty()) << what[i];
+        EXPECT_EQ(outputs[0][i], outputs[1][i]) << what[i];
+    }
+    ::unlink(input.c_str());
+}
+
+TEST(CliContract, ServeAnswersWhatSchedulePrints)
+{
+    // The daemon's schedule lines for a source are the instruction
+    // lines `sched91 schedule` prints for it under the same
+    // configuration.  Without fault injection only: under
+    // --fault-inject the daemon's ladder retries and quarantines a
+    // failing request while the CLI degrades its failing blocks, so
+    // the two answer differently by design.
+    struct Config
+    {
+        const char *algorithm;
+        const char *builder;
+    };
+    const Config configs[] = {{"krishnamurthy", "table-fwd"},
+                              {"simple-forward", "table-bwd"},
+                              {"warren", "n2-fwd"}};
+    const int kMaxBlockInsts = 40;
+    const std::string input = tempPath("serve-eq.s");
+    for (const Config &c : configs) {
+        service::EngineConfig cfg;
+        cfg.algorithm = service::algorithmFromToken(c.algorithm);
+        cfg.builder = service::builderFromToken(c.builder);
+        cfg.maxBlockInsts = kMaxBlockInsts;
+        service::Engine engine{cfg};
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            fuzz::GenParams params;
+            params.seed = seed;
+            params.numBlocks = 6;
+            params.maxBlockSize = 64;
+            const std::string source = fuzz::generateSource(params);
+            service::RequestSpec spec = specFor(source);
+            spec.emitSchedule = true;
+            obs::JsonValue doc = processToJson(engine, spec);
+            ASSERT_EQ(doc.strOr("status", ""), "ok") << "seed " << seed;
+            std::vector<std::string> served;
+            for (const obs::JsonValue &line : doc.at("schedule").array())
+                served.push_back(line.str());
+
+            writeFile(input, source);
+            int status = 0;
+            std::istringstream printed_text(runCli(
+                "schedule " + input + " --algorithm " + c.algorithm +
+                    " --builder " + c.builder + " --max-block-insts " +
+                    std::to_string(kMaxBlockInsts),
+                status));
+            ASSERT_EQ(status, 0) << "seed " << seed;
+            std::vector<std::string> printed;
+            for (std::string line; std::getline(printed_text, line);)
+                if (line.rfind("    ", 0) == 0)
+                    printed.push_back(line.substr(4));
+            EXPECT_FALSE(printed.empty()) << "seed " << seed;
+            EXPECT_EQ(served, printed)
+                << c.algorithm << "/" << c.builder << " seed " << seed;
+        }
+    }
+    ::unlink(input.c_str());
 }
 
 // ---------------------------------------------------------------------------

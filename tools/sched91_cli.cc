@@ -37,18 +37,17 @@
  *                           and profile only.
  *     --trace <path>        write a trace with counter deltas
  *                           ("-" for stdout): one event per block per
- *                           phase under profile, one per block under
- *                           schedule
+ *                           phase
  *     --trace-format <f>    jsonl (default) | chrome (Trace Event
  *                           Format for about://tracing / Perfetto)
  *     --counters            print nonzero event counters to stderr
  *                           (any command)
  *     --histograms          print per-block latency/size histograms
- *                           to stderr (profile)
+ *                           to stderr
  *
  * Forensics options (docs/FORENSICS.md):
  *     --capture-outliers <K>  track the K most expensive blocks and
- *                           print a forensic table (profile)
+ *                           print a forensic table
  *     --outlier-dir <dir>   write one replayable JSON bundle per
  *                           captured outlier block into <dir>
  *     --explain-block <N>   print block N's per-pick decision trace
@@ -62,10 +61,8 @@
  *     --verify/--no-verify  schedule verifier (default on)
  *     --max-block-insts <N> n**2 -> table builder fallback threshold
  *     --max-block-seconds <S>  per-block wall-clock budget
- *     --max-run-seconds <S>    whole-run budget, fair-shared (profile,
- *                           explain)
- *     --fault-inject <spec> deterministic fault injection (profile,
- *                           explain, serve)
+ *     --max-run-seconds <S>    whole-run budget, fair-shared
+ *     --fault-inject <spec> deterministic fault injection
  *     --reduce-seconds <S>  wall-clock cap for `reduce`
  *
  * Service options (sched91 serve, docs/ROBUSTNESS.md):
@@ -106,7 +103,6 @@
 #include "fuzz/differential.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/emitter.hh"
-#include "obs/events.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/histogram.hh"
 #include "obs/json_parse.hh"
@@ -286,22 +282,22 @@ const char kUsage[] =
     "  --window <N>         instruction window (0 = none)\n"
     "  --block <N>          operate on basic block N (default 0)\n"
     "  --heuristics         annotate DOT nodes with heuristic values\n"
-    "  --threads <N>        pipeline worker lanes under profile, and\n"
-    "                       the lanes a large input file parses on\n"
+    "  --threads <N>        pipeline worker lanes, and the lanes a\n"
+    "                       large input file parses on\n"
     "                       (0 = hardware concurrency, 1 = serial;\n"
     "                       output is identical either way)\n"
     "\n"
     "observability (docs/OBSERVABILITY.md):\n"
     "  --stats-json <path>  run result as JSON, \"-\" for stdout\n"
     "                       (schedule and profile)\n"
-    "  --trace <path>       trace with per-block counter deltas\n"
-    "                       (per phase under profile)\n"
+    "  --trace <path>       trace with per-block, per-phase counter\n"
+    "                       deltas\n"
     "  --trace-format <f>   jsonl (default) | chrome: Trace Event\n"
     "                       Format JSON for about://tracing/Perfetto\n"
     "  --counters           nonzero event counters on stderr (any\n"
     "                       command)\n"
     "  --histograms         per-block latency/size histograms on\n"
-    "                       stderr (profile: p50/p90/p99/max)\n"
+    "                       stderr (p50/p90/p99/max)\n"
     "  --zero-times         write all seconds fields as 0 in\n"
     "                       --stats-json/--trace output (byte-\n"
     "                       comparable across runs and thread counts)\n"
@@ -309,13 +305,13 @@ const char kUsage[] =
     "forensics (docs/FORENSICS.md):\n"
     "  --capture-outliers <K>  track the K most expensive blocks\n"
     "                       (deterministic work score) and print a\n"
-    "                       forensic table on stderr (profile)\n"
+    "                       forensic table on stderr\n"
     "  --outlier-dir <dir>  also write one replayable JSON bundle per\n"
     "                       captured block into <dir> (sched91 explain\n"
     "                       re-runs one)\n"
     "  --explain-block <N>  record block N's per-pick decision trace,\n"
     "                       print it on stdout, and add a \"decisions\"\n"
-    "                       section to --stats-json (profile)\n"
+    "                       section to --stats-json\n"
     "  --log-level <level>  stderr log threshold: error | warn\n"
     "                       (default) | info | debug\n"
     "  --flight-recorder    keep a per-worker ring of recent pipeline\n"
@@ -339,15 +335,13 @@ const char kUsage[] =
     "  --max-run-seconds <S>  whole-run wall-clock budget, divided\n"
     "                       fair-share across remaining blocks; once\n"
     "                       spent, remaining blocks degrade to\n"
-    "                       original order (default off; profile\n"
-    "                       and explain)\n"
+    "                       original order (default off)\n"
     "  --fault-inject <spec>  deterministic fault injection at the\n"
     "                       pipeline's failure boundaries, e.g.\n"
     "                       \"seed=42,builder-throw=0.25,slow-ms=40\"\n"
     "                       (keys: seed, slow-ms, builder-throw,\n"
     "                       verifier-reject, slow-block, alloc-fail;\n"
-    "                       rates in [0,1]; profile, explain and\n"
-    "                       serve)\n"
+    "                       rates in [0,1])\n"
     "  --reduce-seconds <S> wall-clock cap for reduce: return the\n"
     "                       best reduction found when it expires\n"
     "\n"
@@ -620,7 +614,6 @@ class ObsSession
         if (!opts.observing())
             return;
         obs::setEnabled(true);
-        obs::PhaseProfiler::global().clear();
         before_ = obs::CounterRegistry::global().snapshot();
         if (!opts.tracePath.empty()) {
             std::ostream *stream = &std::cout;
@@ -670,16 +663,9 @@ class ObsSession
         obs::CounterSet delta = deltas();
         if (opts_.counters)
             std::fputs(obs::renderCounters(delta).c_str(), stderr);
-        if (opts_.histograms) {
-            if (result.histograms.empty())
-                std::fputs("(no histograms: this command does not run "
-                           "the block pipeline)\n",
-                           stderr);
-            else
-                std::fputs(
-                    obs::renderHistograms(result.histograms).c_str(),
-                    stderr);
-        }
+        if (opts_.histograms)
+            std::fputs(obs::renderHistograms(result.histograms).c_str(),
+                       stderr);
         if (opts_.statsJson.empty())
             return;
         obs::EmitOptions emit;
@@ -766,6 +752,105 @@ selectBlock(Program &prog, const CliOptions &opts,
     return BlockView(prog, blocks[static_cast<std::size_t>(opts.block)]);
 }
 
+/** The scheduling configuration and robustness knobs of every
+ * command that schedules blocks. */
+PipelineOptions
+blockOptions(const CliOptions &opts)
+{
+    PipelineOptions pipeline;
+    pipeline.algorithm = opts.algorithm;
+    pipeline.builder = opts.builder;
+    pipeline.build.memPolicy = opts.policy;
+    pipeline.partition.window = opts.window;
+    applyRobustness(pipeline, opts);
+    return pipeline;
+}
+
+/** A whole-program run for schedule and profile: evaluated, on
+ * --threads lanes, drained by SIGINT/SIGTERM, traced into the
+ * session's sink, with the forensics options. */
+PipelineOptions
+runOptions(const CliOptions &opts, ObsSession &session)
+{
+    PipelineOptions pipeline = blockOptions(opts);
+    pipeline.evaluate = true;
+    pipeline.threads = opts.threads;
+    pipeline.interrupt = &g_interrupt;
+    pipeline.trace = session.trace();
+    pipeline.captureOutliers = opts.captureOutliers;
+    pipeline.explainBlock = opts.explainBlock;
+    return pipeline;
+}
+
+/** Cycles scheduling saved, as a percentage of original order. */
+double
+gainPercent(const ProgramResult &r)
+{
+    return r.cyclesOriginal ? 100.0 *
+                                  (r.cyclesOriginal - r.cyclesScheduled) /
+                                  r.cyclesOriginal
+                            : 0.0;
+}
+
+/** One replayable JSON bundle per captured outlier, written into
+ * --outlier-dir as outlier-block<id>.json. */
+void
+writeOutlierBundles(const std::vector<obs::OutlierRecord> &outliers,
+                    const obs::RunMeta &meta, const CliOptions &opts)
+{
+    obs::EmitOptions emit;
+    emit.zeroTimes = opts.zeroTimes;
+    for (const obs::OutlierRecord &rec : outliers) {
+        std::string path = opts.outlierDir + "/outlier-block" +
+                           std::to_string(rec.block) + ".json";
+        std::ofstream out(path);
+        if (!out)
+            fatal("cannot open '", path, "'");
+        out << obs::outlierBundleJson(rec, meta, emit) << '\n';
+        std::fprintf(stderr, "sched91: wrote %s\n", path.c_str());
+    }
+}
+
+/** --explain-block's decision trace on stdout, and the
+ * --capture-outliers table on stderr (plus --outlier-dir bundles). */
+void
+printForensics(const ProgramResult &r, const CliOptions &opts,
+               const ObsSession &session)
+{
+    if (opts.explainBlock >= 0) {
+        if (r.decisions.empty())
+            std::fprintf(stderr,
+                         "sched91: no decision trace for block %d "
+                         "(out of range or degraded)\n",
+                         opts.explainBlock);
+        else
+            std::fputs(obs::renderDecisionTrace(r.decisions).c_str(),
+                       stdout);
+    }
+    if (opts.captureOutliers > 0) {
+        std::fputs(obs::renderOutliers(r.outliers).c_str(), stderr);
+        if (!opts.outlierDir.empty())
+            writeOutlierBundles(r.outliers, session.meta(opts), opts);
+    }
+}
+
+/** The run's robustness tallies and block issues on stderr. */
+void
+printIssues(const ProgramResult &r)
+{
+    if (r.blocksDegraded || r.builderFallbacks || r.verifierRejections)
+        std::fprintf(stderr,
+                     "! robustness: %zu degraded, %zu builder "
+                     "fallbacks, %zu verifier rejections\n",
+                     r.blocksDegraded, r.builderFallbacks,
+                     r.verifierRejections);
+    for (const ProgramResult::BlockIssue &issue : r.blockIssues)
+        std::fprintf(stderr, "!   block %zu [%s]%s: %s\n", issue.block,
+                     issue.stage.c_str(),
+                     issue.degraded ? " degraded" : "",
+                     issue.reason.c_str());
+}
+
 int
 cmdSchedule(const CliOptions &opts)
 {
@@ -774,141 +859,35 @@ cmdSchedule(const CliOptions &opts)
     std::size_t parse_errors = 0, parse_warnings = 0;
     Program prog = loadInput(opts, &parse_errors, &parse_warnings);
     MachineModel machine = presetByName(opts.machineName);
-    PartitionOptions popts;
-    popts.window = opts.window;
-    auto blocks = partitionBlocks(prog, popts);
 
-    PipelineOptions popeline;
-    popeline.algorithm = opts.algorithm;
-    popeline.builder = opts.builder;
-    popeline.build.memPolicy = opts.policy;
-    applyRobustness(popeline, opts);
+    PipelineOptions pipeline = runOptions(opts, session);
+    std::vector<Schedule> schedules;
+    pipeline.schedules = &schedules;
 
-    // Aggregate run statistics for --stats-json (the phase tree and
-    // its seconds come from the process-wide tree scheduleBlock
-    // feeds).
-    ProgramResult agg;
-    agg.numBlocks = blocks.size();
-    agg.numInsts = prog.size();
-    agg.parseErrors = parse_errors;
-    agg.parseWarnings = parse_warnings;
-
-    long long before = 0, after = 0;
+    // Flushed before the run: the first byte tells a caller that
+    // SIGINT will now drain the run rather than end the process.
     std::printf("! scheduled by sched91 (%s, %s)\n",
                 std::string(algorithmName(opts.algorithm)).c_str(),
                 std::string(builderKindName(opts.builder)).c_str());
+    std::fflush(stdout);
+    ProgramResult r = runPipeline(prog, machine, pipeline);
+    r.parseErrors = parse_errors;
+    r.parseWarnings = parse_warnings;
+
+    const std::vector<BasicBlock> blocks =
+        partitionBlocks(prog, pipeline.partition);
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-        const BasicBlock &bb = blocks[b];
-        BlockView block(prog, bb);
-
-        obs::CounterShard block_before;
-        obs::ScopedPhase block_timer("block");
-        if (session.trace())
-            block_before = obs::CounterShard::copyOf(
-                obs::CounterRegistry::global());
-
-        // Per-block containment: a fault degrades this block to its
-        // original instruction order and the run continues (--strict
-        // propagates instead; see docs/ROBUSTNESS.md).  A SIGINT/
-        // SIGTERM drain degrades every remaining block the same way —
-        // the accounting and stats output below still run and the
-        // process exits 0, so an interrupted run leaves a complete,
-        // well-formed record.
-        std::optional<BlockScheduleResult> result;
-        if (g_interrupt.cancelled()) {
-            obs::ev::cancelRunInterrupted.inc();
-            obs::ev::robustBlocksDegraded.inc();
-            ++agg.blocksDegraded;
-            agg.blockIssues.push_back(ProgramResult::BlockIssue{
-                b, "interrupt",
-                "run interrupted: block kept original order", true});
-        } else {
-            try {
-                result = scheduleBlock(block, machine, popeline);
-            } catch (const std::exception &e) {
-                if (opts.strict)
-                    throw;
-                std::fprintf(stderr,
-                             "sched91: block %zu degraded to original "
-                             "order: %s\n",
-                             b, e.what());
-                obs::ev::robustBlocksDegraded.inc();
-                ++agg.blocksDegraded;
-                agg.blockIssues.push_back(ProgramResult::BlockIssue{
-                    b, "sched", e.what(), true});
-            }
-        }
-
-        if (session.trace()) {
-            obs::TraceEvent ev;
-            ev.block = b;
-            ev.begin = bb.begin;
-            ev.size = bb.size();
-            ev.phase = "block";
-            ev.seconds = block_timer.stop();
-            ev.counters = obs::activeCounters().since(block_before,
-                                                      /*peaks=*/false);
-            session.trace()->event(ev);
-        }
-        if (result)
-            agg.dagStats.accumulate(result->dag);
-        if (result && result->builderFallback) {
-            ++agg.builderFallbacks;
-            agg.blockIssues.push_back(
-                fallbackIssue(b, bb.size(), popeline.maxBlockInsts));
-        }
-
-        // Quality bookkeeping against a table-built ground truth is
-        // not part of the measured pipeline: keep its events out of
-        // the counters (a table-fwd build here would otherwise show
-        // table probes under --builder n2-fwd).
-        bool was_observing = obs::enabled();
-        obs::setEnabled(false);
-        try {
-            Dag gt = TableForwardBuilder().build(block, machine,
-                                                 popeline.build);
-            long long original =
-                simulateSchedule(gt, originalOrderSchedule(gt).order,
-                                 machine)
-                    .cycles;
-            before += original;
-            after += result ? simulateSchedule(gt, result->sched.order,
-                                               machine)
-                                  .cycles
-                            : original;
-        } catch (const std::exception &) {
-            // A block degraded during build may defeat the ground-
-            // truth builder too; skip its cycle accounting.
-        }
-        obs::setEnabled(was_observing);
-        std::printf(".B%u:\n", bb.begin);
-        if (result) {
-            for (std::uint32_t n : result->sched.order)
-                std::printf("    %s\n",
-                            block.inst(n).toString().c_str());
-        } else {
-            for (std::uint32_t n = 0; n < bb.size(); ++n)
-                std::printf("    %s\n",
-                            block.inst(n).toString().c_str());
-        }
+        BlockView block(prog, blocks[b]);
+        std::printf(".B%u:\n", blocks[b].begin);
+        for (std::uint32_t n : schedules[b].order)
+            std::printf("    %s\n", block.inst(n).toString().c_str());
     }
-    std::fprintf(stderr,
-                 "! %zu blocks, cycles %lld -> %lld (%.1f%%)\n",
-                 blocks.size(), before, after,
-                 before ? 100.0 * (before - after) / before : 0.0);
-
-    agg.cyclesOriginal = before;
-    agg.cyclesScheduled = after;
-    agg.phaseTree = obs::PhaseProfiler::global().root();
-    const obs::PhaseStats *blk = agg.phaseTree.child("block");
-    auto phase_seconds = [blk](const char *name) {
-        const obs::PhaseStats *p = blk ? blk->child(name) : nullptr;
-        return p ? p->seconds : 0.0;
-    };
-    agg.buildSeconds = phase_seconds("build");
-    agg.heurSeconds = phase_seconds("heur");
-    agg.schedSeconds = phase_seconds("sched");
-    session.finish(agg);
+    std::fprintf(stderr, "! %zu blocks, cycles %lld -> %lld (%.1f%%)\n",
+                 r.numBlocks, r.cyclesOriginal, r.cyclesScheduled,
+                 gainPercent(r));
+    session.finish(r);
+    printForensics(r, opts, session);
+    printIssues(r);
     return 0;
 }
 
@@ -999,12 +978,7 @@ cmdTimeline(const CliOptions &opts)
     std::vector<BasicBlock> blocks;
     BlockView block = selectBlock(prog, opts, blocks);
 
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
-    applyRobustness(pipeline, opts);
-    auto result = scheduleBlock(block, machine, pipeline);
+    auto result = scheduleBlock(block, machine, blockOptions(opts));
     session.finishCountersOnly();
 
     std::printf("original order:\n%s\n",
@@ -1046,35 +1020,12 @@ cmdReport(const CliOptions &opts)
     ObsSession session(opts);
     Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
-    pipeline.partition.window = opts.window;
-    applyRobustness(pipeline, opts);
+    PipelineOptions pipeline = blockOptions(opts);
+    pipeline.threads = opts.threads;
     ProgramReport report = reportProgram(prog, machine, pipeline);
     std::fputs(report.render(15).c_str(), stdout);
     session.finishCountersOnly();
     return 0;
-}
-
-/** One replayable JSON bundle per captured outlier, written into
- * --outlier-dir as outlier-block<id>.json. */
-void
-writeOutlierBundles(const std::vector<obs::OutlierRecord> &outliers,
-                    const obs::RunMeta &meta, const CliOptions &opts)
-{
-    obs::EmitOptions emit;
-    emit.zeroTimes = opts.zeroTimes;
-    for (const obs::OutlierRecord &rec : outliers) {
-        std::string path = opts.outlierDir + "/outlier-block" +
-                           std::to_string(rec.block) + ".json";
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot open '", path, "'");
-        out << obs::outlierBundleJson(rec, meta, emit) << '\n';
-        std::fprintf(stderr, "sched91: wrote %s\n", path.c_str());
-    }
 }
 
 int
@@ -1086,38 +1037,11 @@ cmdProfile(const CliOptions &opts)
     MachineModel machine = presetByName(opts.machineName);
     Program prog = cachedProgram(opts.input);
 
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
-    pipeline.partition.window = opts.window;
-    pipeline.evaluate = true;
-    pipeline.threads = opts.threads;
-    pipeline.captureOutliers = opts.captureOutliers;
-    pipeline.explainBlock = opts.explainBlock;
-    pipeline.interrupt = &g_interrupt;
-    applyRobustness(pipeline, opts);
-
     ObsSession session(opts);
-    pipeline.trace = session.trace();
-    ProgramResult r = runPipeline(prog, machine, pipeline);
+    ProgramResult r =
+        runPipeline(prog, machine, runOptions(opts, session));
     session.finish(r);
-
-    if (opts.explainBlock >= 0) {
-        if (r.decisions.empty())
-            std::fprintf(stderr,
-                         "sched91: no decision trace for block %d "
-                         "(out of range or degraded)\n",
-                         opts.explainBlock);
-        else
-            std::fputs(obs::renderDecisionTrace(r.decisions).c_str(),
-                       stdout);
-    }
-    if (opts.captureOutliers > 0) {
-        std::fputs(obs::renderOutliers(r.outliers).c_str(), stderr);
-        if (!opts.outlierDir.empty())
-            writeOutlierBundles(r.outliers, session.meta(opts), opts);
-    }
+    printForensics(r, opts, session);
     if (opts.injectPanic == "run")
         panic("injected failure (--inject-panic run)");
     if (opts.injectPanic == "abort")
@@ -1135,22 +1059,8 @@ cmdProfile(const CliOptions &opts)
                 static_cast<int>(r.dagStats.childrenPerInst.max()),
                 r.dagStats.childrenPerInst.avg());
     std::printf("cycles %lld -> %lld (%.1f%% gain)\n", r.cyclesOriginal,
-                r.cyclesScheduled,
-                r.cyclesOriginal
-                    ? 100.0 * (r.cyclesOriginal - r.cyclesScheduled) /
-                          r.cyclesOriginal
-                    : 0.0);
-    if (r.blocksDegraded || r.builderFallbacks || r.verifierRejections)
-        std::fprintf(stderr,
-                     "! robustness: %zu degraded, %zu builder "
-                     "fallbacks, %zu verifier rejections\n",
-                     r.blocksDegraded, r.builderFallbacks,
-                     r.verifierRejections);
-    for (const ProgramResult::BlockIssue &issue : r.blockIssues)
-        std::fprintf(stderr, "!   block %zu [%s]%s: %s\n", issue.block,
-                     issue.stage.c_str(),
-                     issue.degraded ? " degraded" : "",
-                     issue.reason.c_str());
+                r.cyclesScheduled, gainPercent(r));
+    printIssues(r);
     return 0;
 }
 

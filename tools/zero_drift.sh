@@ -16,8 +16,9 @@
 # drop dag.alias_queries and dag.table_probes from both sides before
 # comparing; everything else, and every base-offset run, is compared
 # byte for byte.
-# schedule: stdout (the scheduled assembly) and the stats document of
-# every built-in kernel under all seven algorithms.
+# schedule: stdout (the scheduled assembly), the stats document and
+# the JSONL trace of every built-in kernel under all seven algorithms,
+# at --threads 1 and 4 (schedule runs the block pipeline on lanes).
 # parse: stdout, stderr (the echoed diagnostics), the exit status and
 # any stats document of stats, report, compile and schedule on two
 # texts past the size at which parseAssembly parses on lanes
@@ -147,8 +148,12 @@ done
 
 for kernel in $("${bins[0]}" kernels); do
     for algorithm in $algorithms; do
-        drift stdout stats.json -- schedule --kernel "$kernel" \
-            --algorithm "$algorithm" --zero-times --stats-json stats.json
+        for threads in 1 4; do
+            drift stdout stats.json trace.jsonl -- schedule \
+                --kernel "$kernel" --algorithm "$algorithm" \
+                --threads "$threads" --zero-times \
+                --stats-json stats.json --trace trace.jsonl
+        done
     done
 done
 
