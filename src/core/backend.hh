@@ -6,19 +6,19 @@
  * Warren's is designed to be performed both prepass as well as
  * postpass", Section 3).
  *
- * compileProgram() rewrites every basic block: it schedules with the
- * prepass algorithm, allocates block-defined values onto a bounded
- * register pool (inserting spill code), optionally reschedules the
- * allocated block, and emits a new Program.  Blocks the allocator
- * cannot handle (calls, integer pairs, pools smaller than one
- * instruction's operands) pass through scheduled but unallocated, and
- * are reported.
+ * compileProgram() rewrites every basic block: a runPipeline pass
+ * schedules the input with the prepass algorithm, a serial loop
+ * allocates each scheduled block's values onto a bounded register
+ * pool (inserting spill code), and a second runPipeline pass
+ * reschedules the allocated program and measures it.  Both passes
+ * share runPipeline's lanes and its degrade ladder (n**2 -> table ->
+ * original order).  Blocks the allocator cannot handle (calls,
+ * integer pairs, pools smaller than one instruction's operands) pass
+ * through scheduled but unallocated.
  */
 
 #ifndef SCHED91_CORE_BACKEND_HH
 #define SCHED91_CORE_BACKEND_HH
-
-#include <optional>
 
 #include "core/pipeline.hh"
 #include "regalloc/local_allocator.hh"
@@ -29,8 +29,15 @@ namespace sched91
 /** Backend flow configuration. */
 struct BackendOptions
 {
-    /** Prepass scheduling algorithm (SimpleForward = latency-driven). */
-    AlgorithmKind prepass = AlgorithmKind::Krishnamurthy;
+    BackendOptions() { pipeline.algorithm = AlgorithmKind::Krishnamurthy; }
+
+    /**
+     * Both scheduling passes: builder, memory model, partition, lanes
+     * and the robustness knobs.  The algorithm (default Krishnamurthy)
+     * is the prepass's; the postpass runs the same options under
+     * `postpass`, with evaluate on.  compileProgram sets `schedules`.
+     */
+    PipelineOptions pipeline;
 
     /** Run register allocation at all. */
     bool allocate = true;
@@ -38,63 +45,29 @@ struct BackendOptions
     /** Allocator pools / spill area. */
     AllocatorOptions allocator;
 
-    /** Reschedule each allocated block (postpass); nullopt = skip. */
-    std::optional<AlgorithmKind> postpass = AlgorithmKind::Krishnamurthy;
-
-    /** DAG construction / memory model for both scheduling passes. */
-    BuilderKind builder = BuilderKind::TableForward;
-    AliasPolicy memPolicy = AliasPolicy::BaseOffset;
-
-    // --- Robustness (docs/ROBUSTNESS.md), mirroring PipelineOptions -
-
-    /** Re-check every prepass/postpass schedule against its DAG. */
-    bool verify = true;
-
-    /**
-     * Per-block fault containment: any exception out of one block's
-     * prepass scheduling, allocation, or postpass reschedule —
-     * including a verifier rejection or a budget cancellation —
-     * degrades that block to its original (respectively allocated)
-     * instruction order instead of failing the whole program.  The
-     * incident lands in BackendResult::blockIssues.  Off = fail fast.
-     */
-    bool containFaults = true;
-
-    /** n**2 -> table builder fallback threshold (the paper's F1/F2
-     * ladder); 0 disables, no effect on table builders. */
-    int maxBlockInsts = 0;
-
-    /** Per-block wall-clock budget in seconds, enforced mid-loop via
-     * a cancellation token (support/cancellation.hh); 0 disables. */
-    double maxBlockSeconds = 0.0;
+    /** Algorithm that reschedules each allocated block. */
+    AlgorithmKind postpass = AlgorithmKind::Krishnamurthy;
 };
 
 /** Backend outcome. */
 struct BackendResult
 {
     Program program;          ///< rewritten program
-    std::size_t blocks = 0;
     std::size_t allocatedBlocks = 0; ///< blocks the allocator handled
     int spillStores = 0;
     int spillLoads = 0;
 
-    /** Simulated cycles of the rewritten program (sum over blocks). */
-    long long cycles = 0;
+    /** The prepass run over the input program. */
+    ProgramResult prepass;
 
-    // --- Robustness outcomes ----------------------------------------
+    /** The postpass run over the allocated program; its
+     * cyclesScheduled is the rewritten program's simulated cycles. */
+    ProgramResult postpass;
 
-    /** Blocks that kept their incoming order after a contained fault
-     * (prepass and postpass counted separately). */
-    std::size_t blocksDegraded = 0;
-
-    /** Oversized blocks switched from an n**2 builder to table
-     * building — the block still scheduled normally. */
-    std::size_t builderFallbacks = 0;
-
-    /** Per-block incidents, in processing order.  Stages: "sched" /
-     * "budget" / "alloc" (phase 1), "postpass" (phase 2),
-     * "fallback". */
-    std::vector<ProgramResult::BlockIssue> blockIssues;
+    /** Blocks (numbered as in the prepass) whose allocation threw
+     * under PipelineOptions::containFaults and so pass through
+     * scheduled but unallocated; stage "alloc". */
+    std::vector<ProgramResult::BlockIssue> alloc;
 };
 
 /**

@@ -346,11 +346,12 @@ struct BlockScheduleResult
  * block over PipelineOptions::maxBlockInsts falls back to table
  * building, as in runPipeline.  When PipelineOptions::verify
  * is set (the default) the schedule is re-checked against the DAG and
- * a rejection throws PanicError — single-block callers own their
- * fallback policy (compileProgram degrades the block to original
- * order).  Likewise PipelineOptions::maxBlockSeconds arms a per-call
- * cancellation token whose CancelledError propagates to the caller.
- * No phase is recorded: per-phase outputs come from runPipeline.
+ * a rejection throws PanicError; likewise PipelineOptions::
+ * maxBlockSeconds arms a per-call cancellation token whose
+ * CancelledError propagates.  There is no degrade ladder and no fault
+ * injection: a caller that wants them (every whole-program path,
+ * compileProgram included) runs runPipeline instead.  No phase is
+ * recorded: per-phase outputs come from runPipeline.
  */
 BlockScheduleResult scheduleBlock(const BlockView &block,
                                   const MachineModel &machine,

@@ -49,9 +49,9 @@ reportProgram(Program &prog, const MachineModel &machine,
     std::vector<Schedule> schedules;
     PipelineOptions run = opts;
     run.schedules = &schedules;
-    runPipeline(prog, machine, run);
-
     ProgramReport report;
+    report.run = runPipeline(prog, machine, run);
+
     auto blocks = partitionBlocks(prog, opts.partition);
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         const BasicBlock &bb = blocks[b];

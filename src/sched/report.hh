@@ -48,6 +48,10 @@ struct ProgramReport
     long long cyclesOriginal = 0;
     long long cyclesScheduled = 0;
 
+    /** The runPipeline run the schedules came from: its robustness
+     * tallies and block issues say which blocks degraded. */
+    ProgramResult run;
+
     /** Blocks sorted by remaining distance to the critical path. */
     std::vector<BlockReport> worstBlocks(std::size_t n) const;
 
@@ -59,7 +63,7 @@ struct ProgramReport
  * Schedule every block of @p prog with one runPipeline call under
  * @p opts and collect per-block quality records.  A block the
  * pipeline degrades (a contained fault, a budget overrun) is reported
- * in original order.
+ * in original order, and in ProgramReport::run's block issues.
  */
 ProgramReport reportProgram(Program &prog, const MachineModel &machine,
                             const PipelineOptions &opts);

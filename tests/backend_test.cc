@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/backend.hh"
+#include "fuzz/program_gen.hh"
 #include "ir/parser.hh"
 #include "machine/presets.hh"
 #include "sim/executor.hh"
@@ -60,7 +63,7 @@ TEST(Backend, CompilesKernelsPreservingMemoryEffects)
         opts.allocator.fpPool = {0, 2, 4, 6, 8};
         opts.allocator.intPool = {8, 9, 10, 11};
         BackendResult result = compileProgram(prog, machine, opts);
-        EXPECT_GT(result.cycles, 0);
+        EXPECT_GT(result.postpass.cyclesScheduled, 0);
         expectSameMemoryEffects(prog, result.program, 61);
     }
 }
@@ -77,12 +80,12 @@ TEST(Backend, SyntheticProgramEndToEnd)
 
     MachineModel machine = sparcstation2();
     BackendOptions opts;
-    opts.memPolicy = AliasPolicy::SymbolicExpr;
+    opts.pipeline.build.memPolicy = AliasPolicy::SymbolicExpr;
     opts.allocator.fpPool = {0, 2, 4, 6, 8, 10};
     opts.allocator.intPool = {8, 9, 10, 11, 12, 13};
     BackendResult result = compileProgram(prog, machine, opts);
 
-    EXPECT_EQ(result.blocks, 10u);
+    EXPECT_EQ(result.prepass.numBlocks, 10u);
     EXPECT_GT(result.allocatedBlocks, 0u);
     expectSameMemoryEffects(prog, result.program, 67);
 }
@@ -111,7 +114,6 @@ TEST(Backend, NoAllocationPassThrough)
     MachineModel machine = sparcstation2();
     BackendOptions opts;
     opts.allocate = false;
-    opts.postpass = std::nullopt;
     BackendResult result = compileProgram(prog, machine, opts);
     EXPECT_EQ(result.spillStores + result.spillLoads, 0);
     EXPECT_EQ(result.allocatedBlocks, 0u);
@@ -132,9 +134,66 @@ TEST(Backend, UnallocatableBlocksStillScheduled)
     MachineModel machine = sparcstation2();
     BackendOptions opts;
     BackendResult result = compileProgram(prog, machine, opts);
-    EXPECT_EQ(result.blocks, 2u);
+    EXPECT_EQ(result.prepass.numBlocks, 2u);
     EXPECT_EQ(result.allocatedBlocks, 1u);
     EXPECT_EQ(result.program.size(), prog.size());
+}
+
+/** Every issue of @p r's two passes and its allocator, one a line. */
+std::string
+issueLines(const BackendResult &r)
+{
+    std::ostringstream os;
+    auto add = [&](const char *pass,
+                   const std::vector<ProgramResult::BlockIssue> &issues) {
+        for (const ProgramResult::BlockIssue &issue : issues)
+            os << pass << " block " << issue.block << " [" << issue.stage
+               << "] " << issue.degraded << ": " << issue.reason << '\n';
+    };
+    add("prepass", r.prepass.blockIssues);
+    add("alloc", r.alloc);
+    add("postpass", r.postpass.blockIssues);
+    return os.str();
+}
+
+TEST(Backend, CompilesTheSameAtOneAndFourLanes)
+{
+    // Many blocks, some past maxBlockInsts under an n**2 builder: what
+    // compileProgram emits and reports does not depend on how either
+    // pass spread the blocks over lanes.
+    MachineModel machine = sparcstation2();
+    std::size_t fallbacks = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        fuzz::GenParams params;
+        params.seed = seed;
+        params.numBlocks = 8;
+        params.maxBlockSize = 64;
+        const std::string source = fuzz::generateSource(params);
+        BackendResult runs[2];
+        for (int side = 0; side < 2; ++side) {
+            Program prog = parseAssembly(source);
+            BackendOptions opts;
+            opts.pipeline.builder = BuilderKind::N2Forward;
+            opts.pipeline.maxBlockInsts = 40;
+            opts.pipeline.threads = side == 0 ? 1 : 4;
+            runs[side] = compileProgram(prog, machine, opts);
+        }
+        const BackendResult &one = runs[0];
+        const BackendResult &four = runs[1];
+        EXPECT_EQ(one.program.toString(), four.program.toString())
+            << "seed " << seed;
+        EXPECT_EQ(one.allocatedBlocks, four.allocatedBlocks);
+        EXPECT_EQ(one.spillStores, four.spillStores) << "seed " << seed;
+        EXPECT_EQ(one.spillLoads, four.spillLoads) << "seed " << seed;
+        EXPECT_GT(one.postpass.cyclesScheduled, 0);
+        EXPECT_EQ(one.postpass.cyclesScheduled,
+                  four.postpass.cyclesScheduled)
+            << "seed " << seed;
+        EXPECT_EQ(issueLines(one), issueLines(four)) << "seed " << seed;
+        fallbacks +=
+            one.prepass.builderFallbacks + one.postpass.builderFallbacks;
+    }
+    EXPECT_GT(fallbacks, 0u); // rung one fired somewhere
 }
 
 } // namespace

@@ -272,14 +272,14 @@ TEST(Cancellation, BackendBudgetDegradesAndPreservesProgram)
     stampMemGenerations(prog);
     MachineModel machine;
     BackendOptions opts;
-    opts.builder = BuilderKind::N2Forward;
+    opts.pipeline.builder = BuilderKind::N2Forward;
     opts.allocate = false;
-    opts.maxBlockSeconds = 1e-9;
+    opts.pipeline.maxBlockSeconds = 1e-9;
 
     BackendResult result = compileProgram(prog, machine, opts);
-    EXPECT_GE(result.blocksDegraded, 1u);
-    ASSERT_FALSE(result.blockIssues.empty());
-    EXPECT_EQ(result.blockIssues[0].stage, "budget");
+    EXPECT_GE(result.prepass.blocksDegraded, 1u);
+    ASSERT_FALSE(result.prepass.blockIssues.empty());
+    EXPECT_EQ(result.prepass.blockIssues[0].stage, "budget");
     // The block degrades to its incoming order: same instructions.
     EXPECT_EQ(result.program.insts().size(), prog.insts().size());
 }
@@ -290,14 +290,14 @@ TEST(Cancellation, BackendBudgetDegradesEvenWithoutContainment)
     stampMemGenerations(prog);
     MachineModel machine;
     BackendOptions opts;
-    opts.builder = BuilderKind::N2Forward;
+    opts.pipeline.builder = BuilderKind::N2Forward;
     opts.allocate = false;
-    opts.containFaults = false;
-    opts.maxBlockSeconds = 1e-9;
+    opts.pipeline.containFaults = false;
+    opts.pipeline.maxBlockSeconds = 1e-9;
 
     BackendResult result;
     EXPECT_NO_THROW(result = compileProgram(prog, machine, opts));
-    EXPECT_GE(result.blocksDegraded, 1u);
+    EXPECT_GE(result.prepass.blocksDegraded, 1u);
 }
 
 } // namespace

@@ -88,6 +88,14 @@ TEST(Report, BudgetOverrunDegradesTheBlockToOriginalOrder)
     EXPECT_GE(big.size, 600u);
     EXPECT_EQ(big.cyclesScheduled, big.cyclesOriginal);
     EXPECT_EQ(big.stallsScheduled, big.stallsOriginal);
+
+    // The report says so: block 0's budget issue, degraded.
+    EXPECT_GE(report.run.blocksDegraded, 1u);
+    ASSERT_FALSE(report.run.blockIssues.empty());
+    const ProgramResult::BlockIssue &issue = report.run.blockIssues[0];
+    EXPECT_EQ(issue.block, 0u);
+    EXPECT_EQ(issue.stage, "budget");
+    EXPECT_TRUE(issue.degraded);
 }
 
 } // namespace

@@ -460,8 +460,8 @@ TEST(Pipeline, OversizedBlockFallsBackInsteadOfDegrading)
 
 TEST(Pipeline, ScheduleBlockFallsBackOnOversizedBlock)
 {
-    // scheduleBlock (the timeline command, compileProgram) climbs
-    // the same rung one as runPipeline: no n**2 compares.
+    // scheduleBlock (the timeline command) climbs the same rung one
+    // as runPipeline: no n**2 compares.
     std::string text = readFile(corpusPath("oversized_block.s"));
     Program prog = parseAssembly(text);
     auto blocks = partitionBlocks(prog);

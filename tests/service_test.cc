@@ -884,19 +884,37 @@ readFileOr(const std::string &path, const std::string &fallback)
     return ss.str();
 }
 
-/** Run `sched91 <args>` with stderr discarded; returns its stdout and
- * sets @p status to its exit status (-1 when it did not exit). */
+/** Run `sched91 <args>`; returns its stdout, sets @p status to its
+ * exit status (-1 when it did not exit), and puts its stderr in @p err
+ * (discarded when null). */
 std::string
-runCli(const std::string &args, int &status)
+runCli(const std::string &args, int &status, std::string *err = nullptr)
 {
     const std::string out = tempPath("cli.out");
+    const std::string err_path = err ? tempPath("cli.err") : "/dev/null";
     const std::string cmd = std::string(SCHED91_CLI_PATH) + " " + args +
-                            " > " + out + " 2> /dev/null";
+                            " > " + out + " 2> " + err_path;
     const int rc = std::system(cmd.c_str());
     status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
     std::string text = readFileOr(out, "");
     ::unlink(out.c_str());
+    if (err) {
+        *err = readFileOr(err_path, "");
+        ::unlink(err_path.c_str());
+    }
     return text;
+}
+
+/** The lines of @p text that contain @p needle. */
+std::vector<std::string>
+linesWith(const std::string &text, const std::string &needle)
+{
+    std::vector<std::string> found;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        if (line.find(needle) != std::string::npos)
+            found.push_back(line);
+    return found;
 }
 
 } // namespace
@@ -1062,6 +1080,66 @@ TEST(CliContract, ScheduleWritesTheSameAtOneAndFourLanes)
         EXPECT_EQ(outputs[0][i], outputs[1][i]) << what[i];
     }
     ::unlink(input.c_str());
+}
+
+TEST(CliContract, CompileReportsEachPassInScheduleWording)
+{
+    // A 601-instruction block under an n**2 builder: each of compile's
+    // two passes falls back to table building once, and reports it as
+    // `schedule` does, on a line naming the pass.
+    int status = 0;
+    std::string err;
+    runCli("compile " SCHED91_SOURCE_DIR
+           "/tests/corpus/malformed/oversized_block.s --builder n2-fwd",
+           status, &err);
+    EXPECT_EQ(status, 0);
+    const char *reason = "601 insts over --max-block-insts 400";
+    EXPECT_EQ(linesWith(err, reason).size(), 2u) << err;
+    for (const std::string pass : {"prepass", "postpass"}) {
+        EXPECT_EQ(linesWith(err, "! " + pass +
+                                     " robustness: 0 degraded, 1 builder "
+                                     "fallbacks, 0 verifier rejections")
+                      .size(),
+                  1u)
+            << err;
+        const auto issues = linesWith(err, "!   " + pass + " block ");
+        ASSERT_EQ(issues.size(), 1u) << err;
+        EXPECT_EQ(issues[0], "!   " + pass + " block 0 [fallback]: " +
+                                 reason +
+                                 ": n**2 builder fell back to table "
+                                 "building");
+    }
+}
+
+TEST(CliContract, CompileDegradesInjectedFaults)
+{
+    // Fault injection reaches both passes: every block's build throws,
+    // so every block keeps its order in each pass (exit 0), and
+    // --strict makes the first fault end the run (exit 1).
+    const std::string args =
+        "compile --kernel livermore1 --fault-inject "
+        "seed=1,builder-throw=1";
+    int status = 0;
+    std::string err;
+    const std::string out = runCli(args, status, &err);
+    EXPECT_EQ(status, 0) << err;
+    std::size_t blocks = 0; // one `B<n>:` label a block
+    std::istringstream printed(out);
+    for (std::string line; std::getline(printed, line);)
+        blocks += line.rfind('B', 0) == 0;
+    ASSERT_GT(blocks, 0u) << out;
+    for (const std::string pass : {"prepass", "postpass"}) {
+        const auto issues = linesWith(err, "!   " + pass + " block ");
+        EXPECT_EQ(issues.size(), blocks) << err;
+        for (const std::string &line : issues)
+            EXPECT_NE(line.find("[build] degraded: injected fault: "
+                                "builder-throw"),
+                      std::string::npos)
+                << line;
+    }
+
+    runCli(args + " --strict", status);
+    EXPECT_EQ(status, 1);
 }
 
 TEST(CliContract, ServeAnswersWhatSchedulePrints)

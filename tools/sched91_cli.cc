@@ -834,21 +834,29 @@ printForensics(const ProgramResult &r, const CliOptions &opts,
     }
 }
 
-/** The run's robustness tallies and block issues on stderr. */
+/** One block issue on stderr; @p lead (empty, or a pass name and a
+ * space) follows the line's `!`. */
 void
-printIssues(const ProgramResult &r)
+printIssue(const ProgramResult::BlockIssue &issue, const std::string &lead)
+{
+    std::fprintf(stderr, "!   %sblock %zu [%s]%s: %s\n", lead.c_str(),
+                 issue.block, issue.stage.c_str(),
+                 issue.degraded ? " degraded" : "", issue.reason.c_str());
+}
+
+/** The run's robustness tallies and block issues on stderr, each line
+ * with @p lead as in printIssue. */
+void
+printIssues(const ProgramResult &r, const std::string &lead = "")
 {
     if (r.blocksDegraded || r.builderFallbacks || r.verifierRejections)
         std::fprintf(stderr,
-                     "! robustness: %zu degraded, %zu builder "
+                     "! %srobustness: %zu degraded, %zu builder "
                      "fallbacks, %zu verifier rejections\n",
-                     r.blocksDegraded, r.builderFallbacks,
+                     lead.c_str(), r.blocksDegraded, r.builderFallbacks,
                      r.verifierRejections);
     for (const ProgramResult::BlockIssue &issue : r.blockIssues)
-        std::fprintf(stderr, "!   block %zu [%s]%s: %s\n", issue.block,
-                     issue.stage.c_str(),
-                     issue.degraded ? " degraded" : "",
-                     issue.reason.c_str());
+        printIssue(issue, lead);
 }
 
 int
@@ -941,31 +949,21 @@ cmdCompile(const CliOptions &opts)
     Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
     BackendOptions bopts;
-    bopts.prepass = opts.algorithm;
-    bopts.builder = opts.builder;
-    bopts.memPolicy = opts.policy;
-    bopts.verify = opts.verify;
-    bopts.containFaults = !opts.strict;
-    bopts.maxBlockInsts = opts.maxBlockInsts;
-    bopts.maxBlockSeconds = opts.maxBlockSeconds;
+    bopts.pipeline = blockOptions(opts);
+    bopts.pipeline.threads = opts.threads;
     BackendResult result = compileProgram(prog, machine, bopts);
     session.finishCountersOnly();
     std::fputs(result.program.toString().c_str(), stdout);
     std::fprintf(stderr,
                  "! %zu blocks (%zu allocated), %d spill stores, %d "
                  "reloads, %lld cycles\n",
-                 result.blocks, result.allocatedBlocks,
-                 result.spillStores, result.spillLoads, result.cycles);
-    if (result.blocksDegraded || result.builderFallbacks)
-        std::fprintf(stderr,
-                     "! robustness: %zu degraded, %zu builder "
-                     "fallbacks\n",
-                     result.blocksDegraded, result.builderFallbacks);
-    for (const ProgramResult::BlockIssue &issue : result.blockIssues)
-        std::fprintf(stderr, "!   block %zu [%s]%s: %s\n", issue.block,
-                     issue.stage.c_str(),
-                     issue.degraded ? " degraded" : "",
-                     issue.reason.c_str());
+                 result.prepass.numBlocks, result.allocatedBlocks,
+                 result.spillStores, result.spillLoads,
+                 result.postpass.cyclesScheduled);
+    printIssues(result.prepass, "prepass ");
+    for (const ProgramResult::BlockIssue &issue : result.alloc)
+        printIssue(issue, "alloc ");
+    printIssues(result.postpass, "postpass ");
     return 0;
 }
 
@@ -1025,6 +1023,7 @@ cmdReport(const CliOptions &opts)
     ProgramReport report = reportProgram(prog, machine, pipeline);
     std::fputs(report.render(15).c_str(), stdout);
     session.finishCountersOnly();
+    printIssues(report.run);
     return 0;
 }
 

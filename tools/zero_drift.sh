@@ -19,6 +19,11 @@
 # schedule: stdout (the scheduled assembly), the stats document and
 # the JSONL trace of every built-in kernel under all seven algorithms,
 # at --threads 1 and 4 (schedule runs the block pipeline on lanes).
+# compile: stdout (the compiled assembly) and stderr (the summary line
+# and any issues) of every built-in kernel under all seven algorithms,
+# under table-fwd, table-bwd and n2-fwd with --max-block-insts 40, each
+# under base-offset and symbolic, at --threads 1 and 4 (both of its
+# passes run the block pipeline on lanes).
 # parse: stdout, stderr (the echoed diagnostics), the exit status and
 # any stats document of stats, report, compile and schedule on two
 # texts past the size at which parseAssembly parses on lanes
@@ -153,6 +158,16 @@ for kernel in $("${bins[0]}" kernels); do
                 --kernel "$kernel" --algorithm "$algorithm" \
                 --threads "$threads" --zero-times \
                 --stats-json stats.json --trace trace.jsonl
+        done
+        for builder in table-fwd table-bwd "n2-fwd --max-block-insts 40"; do
+            for policy in base-offset symbolic; do
+                for threads in 1 4; do
+                    # shellcheck disable=SC2086
+                    drift stdout stderr -- compile --kernel "$kernel" \
+                        --algorithm "$algorithm" --builder $builder \
+                        --policy "$policy" --threads "$threads"
+                done
+            done
         done
     done
 done
