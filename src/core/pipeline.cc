@@ -44,16 +44,17 @@ constexpr std::uint64_t kArenaAllocFailSalt = 1ULL << 63;
 /** Run the static heuristic passes an algorithm declares it needs,
  * each a sub-phase of heur (in @p record, if set). */
 void
-runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl,
+runNeededPasses(Dag &dag, const SchedulerConfig &config,
                 obs::PhaseRecord *record)
 {
     if (config.needsForwardPass) {
         obs::ScopedPhase phase(obs::Phase::HeurFwd, record);
-        runForwardPass(dag, impl);
+        runForwardPass(dag);
     }
     if (config.needsBackwardPass) {
         obs::ScopedPhase phase(obs::Phase::HeurBwd, record);
-        runBackwardPass(dag, impl, config.needsDescendants);
+        runBackwardPass(dag, PassImpl::ReverseWalk,
+                        config.needsDescendants);
     }
     if (config.needsForwardPass && config.needsBackwardPass)
         computeSlack(dag);
@@ -504,7 +505,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             checkBudget("build");
 
             obs::ScopedPhase heur_phase(obs::Phase::Heur, &out.phases);
-            runNeededPasses(dag, spec.config, opts.passImpl, &out.phases);
+            runNeededPasses(dag, spec.config, &out.phases);
             heur_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
             checkBudget("heur");
@@ -931,7 +932,7 @@ scheduleBlock(const BlockView &block, const MachineModel &machine,
         build_opts.cancel = &*token;
 
     Dag dag = builder->build(block, machine, build_opts);
-    runNeededPasses(dag, spec.config, opts.passImpl, nullptr);
+    runNeededPasses(dag, spec.config, nullptr);
     ListScheduler scheduler(spec.config, machine);
     Schedule sched =
         scheduler.run(dag, nullptr, token ? &*token : nullptr);

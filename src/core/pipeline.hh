@@ -59,7 +59,6 @@ struct PipelineOptions
     BuilderKind builder = BuilderKind::TableForward;
     AlgorithmKind algorithm = AlgorithmKind::SimpleForward;
     BuildOptions build;
-    PassImpl passImpl = PassImpl::ReverseWalk;
     PartitionOptions partition;
 
     /**

@@ -12,10 +12,13 @@ SimResult
 simulateSchedule(const Dag &ground_truth,
                  const std::vector<std::uint32_t> &order,
                  const MachineModel &machine,
-                 const std::vector<int> *initial_ready)
+                 const std::vector<int> *initial_ready,
+                 std::span<int> issue_cycles)
 {
     SCHED91_ASSERT(isValidTopologicalOrder(ground_truth, order),
                    "schedule violates dependences");
+    SCHED91_ASSERT(issue_cycles.empty() ||
+                   issue_cycles.size() == order.size());
 
     std::vector<int> dep_ready(ground_truth.size(), 0);
     if (initial_ready) {
@@ -30,7 +33,8 @@ simulateSchedule(const Dag &ground_truth,
     unsigned groups_used = 0;
     int prev_issue = -1;
 
-    for (std::uint32_t n : order) {
+    for (std::size_t p = 0; p < order.size(); ++p) {
+        const std::uint32_t n = order[p];
         const Instruction &inst = ground_truth.inst(n);
         InstClass cls = inst.cls();
         unsigned group_bit = 1u << static_cast<unsigned>(inst.group());
@@ -54,6 +58,8 @@ simulateSchedule(const Dag &ground_truth,
         }
 
         int issue = cycle;
+        if (!issue_cycles.empty())
+            issue_cycles[p] = issue;
         ++issued_this_cycle;
         groups_used |= group_bit;
         fus.occupy(cls, issue);

@@ -16,6 +16,7 @@
 #ifndef SCHED91_SCHED_PIPELINE_SIM_HH
 #define SCHED91_SCHED_PIPELINE_SIM_HH
 
+#include <span>
 #include <vector>
 
 #include "dag/dag.hh"
@@ -41,12 +42,16 @@ struct SimResult
  *
  * @p initial_ready, when non-null, gives per-node earliest issue
  * floors carried in from the previous block (see
- * sched/global_info.hh).
+ * sched/global_info.hh).  @p issue_cycles, when non-empty, receives
+ * the issue cycle of each position of @p order (it must hold
+ * order.size() entries); this is the one in-order issue model, which
+ * the timeline chart draws from too.
  */
 SimResult simulateSchedule(const Dag &ground_truth,
                            const std::vector<std::uint32_t> &order,
                            const MachineModel &machine,
-                           const std::vector<int> *initial_ready = nullptr);
+                           const std::vector<int> *initial_ready = nullptr,
+                           std::span<int> issue_cycles = {});
 
 } // namespace sched91
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "machine/function_unit.hh"
+#include "sched/pipeline_sim.hh"
 #include "support/string_util.hh"
 
 namespace sched91
@@ -42,57 +43,17 @@ std::string
 renderTimeline(const Dag &dag, const std::vector<std::uint32_t> &order,
                const MachineModel &machine, const TimelineOptions &opts)
 {
-    // Replay with the pipeline simulator's rules, recording placements.
-    struct Placement
-    {
-        FuKind fu;
-        int issue;
-        int busy;
-        char mark;
-    };
-    std::vector<Placement> placements;
-
-    std::vector<int> dep_ready(dag.size(), 0);
-    for (std::uint32_t i = 0; i < dag.size(); ++i)
-        dep_ready[i] = dag.ann().inheritedEet[i];
-    FuState fus(machine);
-    int cycle = 0;
-    int issued = 0;
-    unsigned groups = 0;
+    // Issue cycles from the pipeline simulator, seeded with the
+    // block's cross-block latency floors.
+    const std::vector<int> floors(dag.ann().inheritedEet.begin(),
+                                  dag.ann().inheritedEet.end());
+    std::vector<int> issue(order.size());
+    simulateSchedule(dag, order, machine, &floors, issue);
     int last_cycle = 0;
-
-    for (std::size_t p = 0; p < order.size(); ++p) {
-        std::uint32_t n = order[p];
-        InstClass cls = dag.inst(n).cls();
-        unsigned bit = 1u << static_cast<unsigned>(dag.inst(n).group());
-        int t = std::max({cycle, dep_ready[n],
-                          fus.earliestFree(machine.fuFor(cls), 0)});
-        if (t > cycle) {
-            cycle = t;
-            issued = 0;
-            groups = 0;
-        }
-        while (issued >= machine.issueWidth ||
-               (machine.issueWidth > 1 && (groups & bit))) {
-            ++cycle;
-            issued = 0;
-            groups = 0;
-        }
-        ++issued;
-        groups |= bit;
-        fus.occupy(cls, cycle);
-        placements.push_back(Placement{machine.fuFor(cls), cycle,
-                                       machine.fuBusyCycles(cls),
-                                       positionMark(p)});
-        last_cycle = std::max(last_cycle,
-                              cycle + machine.fuBusyCycles(cls));
-        std::span<const std::uint32_t> to = dag.succTo(n);
-        std::span<const std::int32_t> delay = dag.succDelay(n);
-        for (std::size_t k = 0; k < to.size(); ++k) {
-            dep_ready[to[k]] =
-                std::max(dep_ready[to[k]], cycle + delay[k]);
-        }
-    }
+    for (std::size_t p = 0; p < order.size(); ++p)
+        last_cycle = std::max(
+            last_cycle,
+            issue[p] + machine.fuBusyCycles(dag.inst(order[p]).cls()));
 
     int width = std::min(last_cycle, opts.maxCycles);
     bool truncated = last_cycle > opts.maxCycles;
@@ -109,15 +70,18 @@ renderTimeline(const Dag &dag, const std::vector<std::uint32_t> &order,
         FuKind kind = static_cast<FuKind>(k);
         std::string row(static_cast<std::size_t>(width), '.');
         bool used = false;
-        for (const Placement &pl : placements) {
-            if (pl.fu != kind)
+        for (std::size_t p = 0; p < order.size(); ++p) {
+            const InstClass cls = dag.inst(order[p]).cls();
+            if (machine.fuFor(cls) != kind)
                 continue;
             used = true;
-            if (pl.issue < width)
-                row[pl.issue] = pl.mark;
-            for (int b = 1; b < pl.busy && pl.issue + b < width; ++b)
-                if (row[pl.issue + b] == '.')
-                    row[pl.issue + b] = '=';
+            const int at = issue[p];
+            if (at < width)
+                row[at] = positionMark(p);
+            for (int b = 1; b < machine.fuBusyCycles(cls) && at + b < width;
+                 ++b)
+                if (row[at + b] == '.')
+                    row[at + b] = '=';
         }
         if (used)
             os << padRight(fuName(kind), 12) << row

@@ -18,6 +18,7 @@
 #include "obs/memory.hh"
 #include "service/supervisor.hh"
 #include "support/fault_inject.hh"
+#include "support/line_io.hh"
 #include "support/log.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
@@ -62,7 +63,7 @@ nsSince(std::chrono::steady_clock::time_point epoch,
 
 /** One client connection: the fd plus a write lock so concurrent
  * workers (and the reader's error path) never interleave response
- * bytes.  Owned by shared_ptr — queued requests keep the fd alive
+ * lines.  Owned by shared_ptr — queued requests keep the fd alive
  * after the reader exits, so a draining daemon can still answer
  * everything it admitted. */
 struct Daemon::Connection
@@ -77,25 +78,13 @@ struct Daemon::Connection
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    /** Send one response line; EPIPE and friends are ignored (the
-     * client hung up — its responses have nowhere to go). */
+    /** Send one response line; a client that hung up just loses it
+     * (its responses have nowhere to go). */
     void
-    writeLine(const std::string &line)
+    respond(const std::string &line)
     {
         std::lock_guard<std::mutex> lock(writeMu);
-        std::string framed = line;
-        framed += '\n';
-        std::size_t off = 0;
-        while (off < framed.size()) {
-            ssize_t n = ::send(fd, framed.data() + off,
-                               framed.size() - off, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return;
-            }
-            off += static_cast<std::size_t>(n);
-        }
+        (void)writeLine(fd, line);
     }
 
     int fd;
@@ -232,10 +221,9 @@ Daemon::run()
     }
     acceptor.join();
     {
-        std::lock_guard<std::mutex> lock(readersMu_);
-        for (std::thread &t : readers_)
-            t.join();
-        readers_.clear();
+        // Readers are detached; each leaves within one drain poll.
+        std::unique_lock<std::mutex> lock(liveMu_);
+        readersGone_.wait(lock, [this] { return liveReaders_ == 0; });
     }
     if (supervisor_)
         supervisor_->stop(); // every lane is idle: clean pool drain
@@ -293,10 +281,19 @@ Daemon::acceptLoop()
             requestDrain();
             break;
         }
-        auto conn = std::make_shared<Connection>(fd);
-        std::lock_guard<std::mutex> lock(readersMu_);
-        readers_.emplace_back(
-            [this, conn] { readerLoop(std::move(conn)); });
+        {
+            std::lock_guard<std::mutex> lock(liveMu_);
+            ++liveReaders_;
+        }
+        // Detached, so a reader and its stack leave with its
+        // connection; drain waits for the live count instead.  Past
+        // the notify the thread touches nothing of the daemon.
+        std::thread([this, conn = std::make_shared<Connection>(fd)] {
+            readerLoop(conn);
+            std::lock_guard<std::mutex> lock(liveMu_);
+            if (--liveReaders_ == 0)
+                readersGone_.notify_all();
+        }).detach();
     }
     // Drain: stop admitting.  Closing the queue is the barrier that
     // lets workers finish everything already accepted, then exit.
@@ -319,7 +316,7 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     if (!spec) {
         engine_.counters().error.fetch_add(1,
                                            std::memory_order_relaxed);
-        conn->writeLine(errorLine("", error));
+        conn->respond(errorLine("", error));
         return;
     }
     Request req;
@@ -339,7 +336,7 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     if (!queue_.tryPush(std::move(req))) {
         engine_.counters().rejected.fetch_add(
             1, std::memory_order_relaxed);
-        conn->writeLine(rejectedLine(
+        conn->respond(rejectedLine(
             id, draining() ? "draining" : "overloaded"));
         return;
     }
@@ -356,7 +353,7 @@ Daemon::handleControlLine(const std::shared_ptr<Connection> &conn,
     case ControlType::None:
         return false;
     case ControlType::Invalid:
-        conn->writeLine(errorLine(ctl.id, ctl.error));
+        conn->respond(errorLine(ctl.id, ctl.error));
         return true;
     case ControlType::Stats:
         if (ctl.format == "prometheus") {
@@ -368,63 +365,51 @@ Daemon::handleControlLine(const std::shared_ptr<Connection> &conn,
             w.key("format").value("prometheus");
             w.key("exposition").value(prometheusDocument());
             w.endObject();
-            conn->writeLine(w.take());
+            conn->respond(w.take());
         } else {
-            conn->writeLine(statsDocument(ctl.id, nullptr));
+            conn->respond(statsDocument(ctl.id, nullptr));
         }
         return true;
     case ControlType::Health:
-        conn->writeLine(healthDocument(ctl.id));
+        conn->respond(healthDocument(ctl.id));
         return true;
     case ControlType::TraceDump:
-        conn->writeLine(traceDumpDocument(ctl.id));
+        conn->respond(traceDumpDocument(ctl.id));
         return true;
     }
     return false;
 }
 
 void
-Daemon::readerLoop(std::shared_ptr<Connection> conn)
+Daemon::readerLoop(const std::shared_ptr<Connection> &conn)
 {
-    std::string buffer;
-    while (!draining()) {
-        pollfd pfd{conn->fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, kPollMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (rc == 0)
-            continue; // timeout: re-check the drain flag
-        char chunk[65536];
-        ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
-        if (n == 0)
-            break; // client closed
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                continue;
-            return;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t nl;
-             (nl = buffer.find('\n', start)) != std::string::npos;
-             start = nl + 1)
-            handleLine(conn, buffer.substr(start, nl - start));
-        buffer.erase(0, start);
-        if (buffer.size() > kMaxLineBytes) {
+    LineReader reader(conn->fd, kMaxLineBytes);
+    std::string_view line;
+    for (;;) {
+        // A drain reads no more: a zero timeout hands out the lines
+        // already read, then times out.
+        const bool drain = draining();
+        switch (reader.read(line, drain ? 0 : kPollMs)) {
+        case LineReader::Status::Line:
+            handleLine(conn, std::string(line));
+            break;
+        case LineReader::Status::Timeout:
+            if (drain)
+                return;
+            break; // re-check the drain flag
+        case LineReader::Status::TooLong:
             engine_.counters().error.fetch_add(
                 1, std::memory_order_relaxed);
-            conn->writeLine(
-                errorLine("", "request line exceeds 8 MiB"));
+            conn->respond(errorLine("", "request line exceeds 8 MiB"));
+            return;
+        case LineReader::Status::Eof:
+            // An unterminated last line: lenient, treat it as a
+            // request (a drain, by contrast, just stops reading).
+            if (!draining() && !reader.rest().empty())
+                handleLine(conn, std::string(reader.rest()));
             return;
         }
     }
-    // EOF with an unterminated trailing line: lenient, treat it as a
-    // request (a drain, by contrast, just stops reading).
-    if (!draining() && !buffer.empty())
-        handleLine(conn, std::move(buffer));
 }
 
 void
@@ -476,7 +461,7 @@ Daemon::workerLoop(unsigned lane)
                     1, std::memory_order_relaxed);
                 engine_.counters().rejected.fetch_add(
                     1, std::memory_order_relaxed);
-                req->conn->writeLine(
+                req->conn->respond(
                     rejectedLine(req->spec.id, "deadline"));
                 trace.span("request", -1, arrivalNs, trace.nowNs(),
                            "shed: deadline");
@@ -511,7 +496,7 @@ Daemon::workerLoop(unsigned lane)
             slot.shard.clear();
         }
         trace.span("request", -1, arrivalNs, trace.nowNs());
-        req->conn->writeLine(response);
+        req->conn->respond(response);
     }
 }
 

@@ -7,16 +7,21 @@
  * Structure (docs/ROBUSTNESS.md):
  *
  *  - an acceptor thread poll()s the listening socket and a self-pipe;
- *  - one reader thread per connection parses request lines and admits
- *    them through a bounded MPMC queue (service/bounded_queue.hh) —
- *    a full queue is answered "rejected"/overloaded immediately, the
- *    daemon never buffers unboundedly;
+ *  - one detached reader thread per connection parses request lines
+ *    and admits them through a bounded MPMC queue
+ *    (service/bounded_queue.hh) — a full queue is answered
+ *    "rejected"/overloaded immediately, the daemon never buffers
+ *    unboundedly.  A reader leaves as its connection closes, so
+ *    connection churn keeps no finished thread around; drain waits
+ *    for the live-reader count to reach zero;
  *  - worker lanes run on the repo's own ThreadPool, each popping
  *    requests and running them through the Engine's resilience
  *    ladder (in-process, or in the lane's sandbox worker under
  *    --isolate=process); responses go back over the connection under
  *    a per-connection write lock, so concurrent workers never
- *    interleave bytes;
+ *    interleave bytes.  Both directions frame lines through
+ *    support/line_io.hh: one recv per reader wakeup, an 8 MiB cap on
+ *    an unterminated request line, one send per response;
  *  - requestDrain() — async-signal-safe: one relaxed store plus one
  *    write(2) to the self-pipe — stops admission (later lines are
  *    answered "rejected"/draining), lets workers finish everything
@@ -174,7 +179,7 @@ class Daemon
     struct WorkerSlot;
 
     void acceptLoop();
-    void readerLoop(std::shared_ptr<Connection> conn);
+    void readerLoop(const std::shared_ptr<Connection> &conn);
     void workerLoop(unsigned lane);
     void handleLine(const std::shared_ptr<Connection> &conn,
                     std::string line);
@@ -217,8 +222,11 @@ class Daemon
     int wakePipe_[2] = {-1, -1};
     std::atomic<bool> drain_{false};
 
-    std::mutex readersMu_;
-    std::vector<std::thread> readers_;
+    /** Reader threads still running (they are detached); drain waits
+     * for zero. */
+    std::mutex liveMu_;
+    std::condition_variable readersGone_;
+    unsigned liveReaders_ = 0;
 
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
 

@@ -1,38 +1,18 @@
 #include "service/sandbox_worker.hh"
 
-#include <cerrno>
 #include <csignal>
 #include <new>
 #include <optional>
 #include <string>
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include "service/protocol.hh"
 #include "support/fault_inject.hh"
+#include "support/line_io.hh"
 
 namespace sched91::service
 {
-
-bool
-writeFramedLine(int fd, const std::string &line)
-{
-    std::string framed = line;
-    framed += '\n';
-    std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            ::write(fd, framed.data() + off, framed.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 namespace
 {
@@ -74,7 +54,7 @@ answer(Engine &engine, const std::string &line)
 int
 runSandboxWorker(const SandboxWorkerConfig &config)
 {
-    // Lifecycle belongs to the supervisor: drain is request-pipe EOF,
+    // Lifecycle belongs to the supervisor: drain is EOF on the socket,
     // hangs end in SIGKILL.  Ignoring the terminal's signals keeps a
     // ^C on the process group from racing the orderly drain.
     std::signal(SIGINT, SIG_IGN);
@@ -103,33 +83,16 @@ runSandboxWorker(const SandboxWorkerConfig &config)
 
     Engine engine(config.engine);
 
-    if (!writeFramedLine(config.respFd, kWorkerReadyLine))
+    if (!writeLine(config.fd, kWorkerReadyLine))
         return 1;
 
-    std::string buffer;
-    char chunk[65536];
-    for (;;) {
-        const ssize_t n = ::read(config.reqFd, chunk, sizeof chunk);
-        if (n == 0)
-            return 0; // supervisor closed the pipe: clean drain
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
+    LineReader reader(config.fd);
+    std::string_view line;
+    while (reader.read(line, -1) == LineReader::Status::Line)
+        if (!line.empty() &&
+            !writeLine(config.fd, answer(engine, std::string(line))))
             return 1;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t nl;
-             (nl = buffer.find('\n', start)) != std::string::npos;
-             start = nl + 1) {
-            const std::string line = buffer.substr(start, nl - start);
-            if (line.empty())
-                continue;
-            if (!writeFramedLine(config.respFd, answer(engine, line)))
-                return 1;
-        }
-        buffer.erase(0, start);
-    }
+    return 0; // the supervisor closed the socket: clean drain
 }
 
 } // namespace sched91::service

@@ -2,13 +2,19 @@
  * @file
  * Child-process side of `sched91 serve --isolate=process`
  * (docs/ROBUSTNESS.md): one sandbox worker runs ONE ladder attempt
- * per dispatch envelope and answers on its response pipe.  The ladder
+ * per dispatch envelope and answers on the same socket.  The ladder
  * itself — retries, quarantine, degradation, counters — stays in the
  * parent's engine (service/engine.hh), so a worker death is just a
  * crashed attempt the parent can answer for.
  *
- * Lifecycle is entirely the supervisor's: EOF on the request pipe is
- * the drain signal (the worker exits 0), a hung worker is SIGKILLed.
+ * The worker's fds: 3 is its end of one AF_UNIX socketpair with the
+ * supervisor, newline-framed both ways (support/line_io.hh), which
+ * carries the envelopes in and the ready banner and answers out; 4 is
+ * the crash-ring memfd.  Every setting an attempt needs beyond the
+ * machine, the block cap and outlier capture rides in the envelope.
+ *
+ * Lifecycle is entirely the supervisor's: EOF on the socket is the
+ * drain signal (the worker exits 0), a hung worker is SIGKILLed.
  * SIGINT/SIGTERM are ignored so a ^C delivered to the process group
  * cannot race the supervisor's orderly drain.
  *
@@ -50,30 +56,23 @@ struct CrashRing
 inline constexpr std::uint64_t kCrashRingMagic = 0x73633931'72696e67ull;
 
 /** Well-known child fd numbers (the supervisor's dup2 plan). */
-inline constexpr int kWorkerReqFd = 3;  ///< envelopes in
-inline constexpr int kWorkerRespFd = 4; ///< responses out
-inline constexpr int kWorkerRingFd = 5; ///< crash-ring memfd
+inline constexpr int kWorkerFd = 3;     ///< envelopes in, answers out
+inline constexpr int kWorkerRingFd = 4; ///< crash-ring memfd
 
-/** First line on the response pipe: the worker is up.  Its absence
- * within the spawn timeout is a spawn failure. */
+/** First line the worker sends: it is up.  Its absence within the
+ * spawn timeout is a spawn failure. */
 inline constexpr char kWorkerReadyLine[] = "{\"sandbox_ready\":1}";
 
 struct SandboxWorkerConfig
 {
-    int reqFd = kWorkerReqFd;
-    int respFd = kWorkerRespFd;
+    int fd = kWorkerFd;
     int ringFd = -1; ///< crash-ring memfd; -1 = no ring
     EngineConfig engine;
 };
 
-/** Write @p line plus its '\n' frame to @p fd, retrying short writes
- * and EINTR; false once the other end is gone (EPIPE).  Both ends of
- * the worker's pipes frame lines this way. */
-bool writeFramedLine(int fd, const std::string &line);
-
 /**
  * Entry point of the hidden `__sandbox-worker` CLI command: serve
- * envelopes until request-pipe EOF.  Returns the process exit code
+ * envelopes until EOF on the socket.  Returns the process exit code
  * (0 = clean drain).
  */
 int runSandboxWorker(const SandboxWorkerConfig &config);

@@ -7,10 +7,9 @@
 #include <cstring>
 #include <fstream>
 
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "obs/emitter.hh"
@@ -20,6 +19,7 @@
 #include "obs/outliers.hh"
 #include "service/sandbox_worker.hh"
 #include "support/fault_inject.hh"
+#include "support/line_io.hh"
 #include "support/log.hh"
 #include "support/logging.hh"
 
@@ -46,54 +46,6 @@ nowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-enum class ReadStatus
-{
-    Line,
-    Eof,
-    Timeout,
-};
-
-/** Read one '\n'-terminated line from @p fd into @p line, buffering
- * partial reads in @p buffer, until the absolute steady-clock instant
- * @p deadlineNs. */
-ReadStatus
-readLineFd(int fd, std::string &buffer, std::string &line,
-           std::int64_t deadlineNs)
-{
-    for (;;) {
-        const std::size_t nl = buffer.find('\n');
-        if (nl != std::string::npos) {
-            line = buffer.substr(0, nl);
-            buffer.erase(0, nl + 1);
-            return ReadStatus::Line;
-        }
-        const std::int64_t left = deadlineNs - nowNs();
-        if (left <= 0)
-            return ReadStatus::Timeout;
-        pollfd pfd{fd, POLLIN, 0};
-        const int waitMs = static_cast<int>(
-            left / kMsNs < 100 ? left / kMsNs + 1 : 100);
-        const int rc = ::poll(&pfd, 1, waitMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            return ReadStatus::Eof;
-        }
-        if (rc == 0)
-            continue;
-        char chunk[65536];
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n == 0)
-            return ReadStatus::Eof;
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                continue;
-            return ReadStatus::Eof;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-    }
 }
 
 /** A worker's answer, decoded once: status ok/degraded is the
@@ -136,11 +88,10 @@ struct Supervisor::Worker
 {
     unsigned lane = 0;
     Subprocess proc;
-    int reqFd = -1;  ///< parent write end (envelopes out)
-    int respFd = -1; ///< parent read end (responses in)
+    int fd = -1;     ///< parent end of the socketpair (both ways)
     int ringFd = -1; ///< crash-ring memfd
     CrashRing *ring = nullptr; ///< parent-side mapping
-    std::string buffer;        ///< partial response line
+    LineReader reader;         ///< responses on fd
     bool live = false;
     bool everLive = false; ///< distinguishes respawn from first spawn
     bool laneKilled = false; ///< this lane's backstop fired
@@ -207,12 +158,12 @@ Supervisor::stop()
     if (watchdog_.joinable())
         watchdog_.join();
 
-    // Closing the request pipes is the drain signal: workers exit 0
-    // on EOF.  Close them all first so the pool drains in parallel.
+    // Closing the socketpairs is the drain signal: workers exit 0 on
+    // EOF.  Close them all first so the pool drains in parallel.
     for (auto &wp : workers_)
-        if (wp->reqFd >= 0) {
-            ::close(wp->reqFd);
-            wp->reqFd = -1;
+        if (wp->fd >= 0) {
+            ::close(wp->fd);
+            wp->fd = -1;
         }
     for (auto &wp : workers_) {
         Worker &w = *wp;
@@ -239,13 +190,9 @@ Supervisor::stop()
 void
 Supervisor::retireWorker(Worker &worker)
 {
-    if (worker.reqFd >= 0) {
-        ::close(worker.reqFd);
-        worker.reqFd = -1;
-    }
-    if (worker.respFd >= 0) {
-        ::close(worker.respFd);
-        worker.respFd = -1;
+    if (worker.fd >= 0) {
+        ::close(worker.fd);
+        worker.fd = -1;
     }
     if (worker.ring != nullptr) {
         ::munmap(worker.ring, sizeof(CrashRing));
@@ -255,7 +202,7 @@ Supervisor::retireWorker(Worker &worker)
         ::close(worker.ringFd);
         worker.ringFd = -1;
     }
-    worker.buffer.clear();
+    worker.reader = LineReader();
 }
 
 unsigned
@@ -300,16 +247,10 @@ Supervisor::spawnWorker(Worker &worker,
 
     retireWorker(worker);
 
-    int req[2] = {-1, -1};
-    int resp[2] = {-1, -1};
-    if (::pipe2(req, O_CLOEXEC) < 0) {
-        engine_.counters().workerSpawnFailures.fetch_add(
-            1, std::memory_order_relaxed);
-        return false;
-    }
-    if (::pipe2(resp, O_CLOEXEC) < 0) {
-        ::close(req[0]);
-        ::close(req[1]);
+    // One socketpair carries envelopes out and answers back; a write
+    // to a worker that died is an error return, never a SIGPIPE.
+    int link[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, link) < 0) {
         engine_.counters().workerSpawnFailures.fetch_add(
             1, std::memory_order_relaxed);
         return false;
@@ -335,22 +276,13 @@ Supervisor::spawnWorker(Worker &worker,
 
     const EngineConfig &e = config_.engine;
     SpawnSpec spec;
-    spec.argv = {exe_,
-                 "__sandbox-worker",
-                 "--req-fd",
-                 std::to_string(kWorkerReqFd),
-                 "--resp-fd",
-                 std::to_string(kWorkerRespFd)};
+    spec.argv = {exe_, "__sandbox-worker", "--fd",
+                 std::to_string(kWorkerFd)};
     if (ringFd >= 0) {
         spec.argv.push_back("--ring-fd");
         spec.argv.push_back(std::to_string(kWorkerRingFd));
     }
-    spec.argv.push_back("--builder");
-    spec.argv.push_back(std::string(builderKindName(e.builder)));
-    spec.argv.push_back("--algorithm");
-    spec.argv.push_back(std::string(algorithmName(e.algorithm)));
-    spec.argv.push_back("--policy");
-    spec.argv.push_back(std::string(aliasPolicyName(e.policy)));
+    // No builder, algorithm or policy: every envelope names all three.
     spec.argv.push_back("--machine");
     spec.argv.push_back(e.machineName);
     if (e.maxBlockInsts > 0) {
@@ -367,7 +299,7 @@ Supervisor::spawnWorker(Worker &worker,
         spec.argv.push_back("--fault-inject");
         spec.argv.push_back(config_.faultSpec);
     }
-    spec.fds = {{kWorkerReqFd, req[0]}, {kWorkerRespFd, resp[1]}};
+    spec.fds = {{kWorkerFd, link[1]}};
     if (ringFd >= 0)
         spec.fds.push_back({kWorkerRingFd, ringFd});
     spec.limits.cpuSeconds = config_.rlimitCpuSeconds;
@@ -381,13 +313,11 @@ Supervisor::spawnWorker(Worker &worker,
         log::warn("sandbox worker lane ", worker.lane,
                   ": spawn failed: ", e.what());
     }
-    ::close(req[0]);
-    ::close(resp[1]);
-    worker.reqFd = req[1];
-    worker.respFd = resp[0];
+    ::close(link[1]);
+    worker.fd = link[0];
+    worker.reader = LineReader(worker.fd);
     worker.ringFd = ringFd;
     worker.ring = ring;
-    worker.buffer.clear();
     if (!spawned) {
         retireWorker(worker);
         engine_.counters().workerSpawnFailures.fetch_add(
@@ -397,13 +327,10 @@ Supervisor::spawnWorker(Worker &worker,
 
     // The ready banner bounds "came up"; its absence (exec failure,
     // instant death, wedged init) is a spawn failure, not a crash.
-    std::string banner;
-    const ReadStatus st = readLineFd(
-        worker.respFd, worker.buffer, banner,
-        nowNs() + static_cast<std::int64_t>(config_.spawnTimeoutMs) *
-                      kMsNs);
-    if (st != ReadStatus::Line ||
-        banner.find("sandbox_ready") == std::string::npos) {
+    std::string_view banner;
+    if (worker.reader.read(banner, config_.spawnTimeoutMs) !=
+            LineReader::Status::Line ||
+        banner.find("sandbox_ready") == std::string_view::npos) {
         worker.proc.kill(SIGKILL);
         const SpawnExit exit = worker.proc.wait();
         log::warn("sandbox worker lane ", worker.lane,
@@ -610,7 +537,7 @@ Supervisor::SandboxRunner::run(BuilderKind builder, int attempt,
                 counters.workerRespawns.fetch_add(
                     1, std::memory_order_relaxed);
         }
-        if (writeFramedLine(worker.reqFd, request))
+        if (writeLine(worker.fd, request))
             break;
         worker.live = false;
         worker.livePid.store(-1, std::memory_order_relaxed);
@@ -633,19 +560,19 @@ Supervisor::SandboxRunner::run(BuilderKind builder, int attempt,
     const std::int64_t killAt = nowNs() + budgetNs;
     worker.killAtNs.store(killAt, std::memory_order_release);
 
-    std::string line;
-    ReadStatus st = readLineFd(worker.respFd, worker.buffer, line,
-                               killAt + kLaneSlackNs);
-    if (st == ReadStatus::Timeout) {
+    std::string_view line;
+    const LineReader::Status st = worker.reader.read(
+        line, LineReader::Clock::time_point(
+                  std::chrono::nanoseconds(killAt + kLaneSlackNs)));
+    if (st == LineReader::Status::Timeout) {
         // The watchdog is itself wedged (or this is a test with no
         // watchdog margin): the lane is the backstop.
         worker.laneKilled = true;
         worker.proc.kill(SIGKILL);
-        st = ReadStatus::Eof;
     }
     worker.killAtNs.store(0, std::memory_order_relaxed);
-    if (st == ReadStatus::Line)
-        return decodeAnswer(std::move(line));
+    if (st == LineReader::Status::Line)
+        return decodeAnswer(std::string(line));
 
     // The worker died holding this request: reap, account, harvest
     // forensics, respawn for the lane's next request.

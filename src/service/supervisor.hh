@@ -18,6 +18,13 @@
  *    SIGSEGV/abort, an rlimit, a watchdog SIGKILL — is contained to
  *    the one request it was holding.
  *
+ * Each worker is linked to its lane by one AF_UNIX socketpair, newline
+ * framed both ways (support/line_io.hh): the worker's fd 3 carries
+ * envelopes in and answers out, fd 4 is its crash-ring memfd.  A write
+ * to a worker that died while idle is an error return, never a
+ * SIGPIPE: the lane reaps it and respawns it before dispatching
+ * (`svc.worker_respawns`, no crash tally).
+ *
  * Worker death is reported as a crashed attempt, which the ladder
  * answers degraded to original instruction order and quarantines.
  * The pool itself is the supervisor's: it counts the death
@@ -62,7 +69,9 @@ struct SupervisorConfig
      * dispatch needs no pool lock. */
     unsigned workers = 1;
 
-    /** Forwarded to each worker's engine via CLI flags. */
+    /** The machine, block cap and outlier capture go to each
+     * worker's engine as flags; builder, algorithm and policy ride in
+     * every envelope. */
     EngineConfig engine;
 
     /** Worker executable; empty = /proc/self/exe.  Tests point this
@@ -106,8 +115,8 @@ class Supervisor
      * worker executable can be resolved. */
     void start();
 
-    /** Drain: close request pipes (workers exit 0 on EOF), reap with
-     * a grace period, SIGKILL stragglers, stop the watchdog.
+    /** Drain: stop the watchdog, close the workers' sockets (they
+     * exit 0 on EOF), reap with a grace period, SIGKILL stragglers.
      * Idempotent. */
     void stop();
 

@@ -3,7 +3,8 @@
  * Process-isolation tests (docs/ROBUSTNESS.md): a Supervisor driving
  * real sandbox-worker subprocesses of the CLI binary.  Covers the
  * clean dispatch path, worker death as a ladder rung (degraded answer
- * + quarantine + respawn), the watchdog SIGKILL on a spinning worker,
+ * + quarantine + respawn), an idle worker's death (respawned at the
+ * next dispatch), the watchdog SIGKILL on a spinning worker,
  * spawn failure (degraded answer, no quarantine), crash-forensics
  * harvest from the shared-memory ring, tally determinism across fresh
  * pools under crash faults, and cross-mode equivalence: in-process and
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include "fuzz/program_gen.hh"
@@ -110,6 +112,33 @@ slurp(const std::string &path)
     return out.str();
 }
 
+/** State letter and parent pid of process @p pid from /proc (state
+ * '?' when it is gone). */
+std::pair<char, pid_t>
+procState(const std::string &pid)
+{
+    const std::string stat = slurp("/proc/" + pid + "/stat");
+    const std::size_t paren = stat.rfind(')');
+    if (paren == std::string::npos)
+        return {'?', -1};
+    char state = '?';
+    int ppid = -1;
+    std::sscanf(stat.c_str() + paren + 1, " %c %d", &state, &ppid);
+    return {state, static_cast<pid_t>(ppid)};
+}
+
+/** Pids of this process's children. */
+std::vector<pid_t>
+childPids()
+{
+    std::vector<pid_t> pids;
+    for (const std::string &name : filesIn("/proc"))
+        if (name.find_first_not_of("0123456789") == std::string::npos &&
+            procState(name).second == ::getpid())
+            pids.push_back(static_cast<pid_t>(std::stoi(name)));
+    return pids;
+}
+
 } // namespace
 
 TEST(Isolation, CleanRequestAnswersOkThroughTheWorker)
@@ -150,6 +179,34 @@ TEST(Isolation, WorkerCrashIsItsOwnLadderRung)
     EXPECT_TRUE(doc.at("quarantined").boolean());
     EXPECT_EQ(c.quarantineHits.load(), 1u);
     EXPECT_EQ(c.workerCrashes.load(), 1u); // unchanged
+}
+
+TEST(Isolation, IdleWorkerDeathRespawnsTheWorker)
+{
+    // A worker that dies between requests holds no request: the next
+    // dispatch finds its socket closed, and the lane respawns the
+    // worker and sends the request to the new one.  No crash, no
+    // degraded answer, and no SIGPIPE in the supervisor.
+    Harness h{Harness::configWith("")};
+    ASSERT_EQ(h.process(specFor(kSource)).strOr("status", ""), "ok");
+
+    const std::vector<pid_t> workers = childPids();
+    ASSERT_EQ(workers.size(), 1u) << "the lane's worker";
+    ASSERT_EQ(::kill(workers[0], SIGKILL), 0);
+    // Unreaped, the worker stays a zombie; by then its socket is
+    // closed.
+    const std::string pid = std::to_string(workers[0]);
+    for (int i = 0; i < 500 && procState(pid).first != 'Z'; ++i)
+        ::usleep(10'000);
+    ASSERT_EQ(procState(pid).first, 'Z');
+
+    obs::JsonValue doc = h.process(specFor(kSource, "t2"));
+    EXPECT_EQ(doc.strOr("status", ""), "ok");
+    EXPECT_EQ(doc.numberOr("attempts", -1), 1);
+    const service::SvcCounters &c = h.engine.counters();
+    EXPECT_EQ(c.workerRespawns.load(), 1u);
+    EXPECT_EQ(c.workerCrashes.load(), 0u);
+    EXPECT_EQ(c.ok.load(), 2u);
 }
 
 TEST(Isolation, WatchdogKillsASpinningWorker)

@@ -31,10 +31,7 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -45,6 +42,7 @@
 #include "machine/presets.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/json.hh"
 #include "obs/json_parse.hh"
 #include "service/bounded_queue.hh"
 #include "service/daemon.hh"
@@ -53,6 +51,7 @@
 #include "support/cancellation.hh"
 #include "support/diagnostics.hh"
 #include "support/fault_inject.hh"
+#include "support/line_io.hh"
 #include "support/logging.hh"
 
 using namespace sched91;
@@ -648,71 +647,54 @@ TEST(ReducerCap, WallClockCapReturnsBestSoFar)
 namespace
 {
 
-int
-connectWithRetry(const std::string &path, int attempts = 100)
+/** A client of an in-process daemon over the line layer: connects
+ * once the daemon is up (retrying for about two seconds; fd stays -1
+ * when it never came up). */
+struct Client
 {
-    for (int i = 0; i < attempts; ++i) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (fd < 0)
-            return -1;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0)
-            return fd;
-        ::close(fd);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return -1;
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
+    explicit Client(const std::string &path)
+    {
+        for (int i = 0; i < 100 && fd < 0; ++i) {
+            fd = connectUnix(path);
+            if (fd < 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
-        off += static_cast<std::size_t>(n);
+        reader = LineReader(fd);
     }
-    return true;
-}
+    ~Client() { close(); }
 
-/** Read newline-delimited responses until @p want lines arrive (or a
- * 10 s safety timeout). */
-std::vector<std::string>
-readLines(int fd, std::size_t want)
-{
-    std::vector<std::string> lines;
-    std::string buffer;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (lines.size() < want &&
-           std::chrono::steady_clock::now() < deadline) {
-        pollfd pfd{fd, POLLIN, 0};
-        if (::poll(&pfd, 1, 200) <= 0)
-            continue;
-        char chunk[65536];
-        ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n <= 0)
-            break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t nl;
-             (nl = buffer.find('\n', start)) != std::string::npos;
-             start = nl + 1)
-            lines.push_back(buffer.substr(start, nl - start));
-        buffer.erase(0, start);
+    Client(const Client &) = delete;
+    Client &operator=(const Client &) = delete;
+
+    void
+    close()
+    {
+        if (fd >= 0)
+            ::close(fd);
+        fd = -1;
     }
-    return lines;
-}
+
+    /** Send @p lines ('\n'-separated) as one write. */
+    bool send(const std::string &lines) { return writeLine(fd, lines); }
+
+    /** Responses until @p want lines arrive (or a 10 s safety
+     * timeout). */
+    std::vector<std::string>
+    read(std::size_t want)
+    {
+        std::vector<std::string> lines;
+        const auto deadline =
+            LineReader::Clock::now() + std::chrono::seconds(10);
+        std::string_view line;
+        while (lines.size() < want &&
+               reader.read(line, deadline) == LineReader::Status::Line)
+            lines.emplace_back(line);
+        return lines;
+    }
+
+    int fd = -1;
+    LineReader reader;
+};
 
 std::string
 testSocketPath(const char *tag)
@@ -737,16 +719,16 @@ TEST(Daemon, DrainAnswersEverythingAccepted)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
 
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0) << "daemon did not come up";
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0) << "daemon did not come up";
 
     // Three requests: the empty program, a real one, a malformed one.
-    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q0\",\"source\":\"\"}\n"));
-    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q1\",\"source\":\"add %g1, "
-                            "%g2, %g3\\nld [%g3], %g4\\n\"}\n"));
-    ASSERT_TRUE(sendAll(fd, "this is not json\n"));
+    ASSERT_TRUE(client.send("{\"id\":\"q0\",\"source\":\"\"}"));
+    ASSERT_TRUE(client.send("{\"id\":\"q1\",\"source\":\"add %g1, "
+                            "%g2, %g3\\nld [%g3], %g4\\n\"}"));
+    ASSERT_TRUE(client.send("this is not json"));
 
-    std::vector<std::string> lines = readLines(fd, 3);
+    std::vector<std::string> lines = client.read(3);
     ASSERT_EQ(lines.size(), 3u);
 
     std::set<std::string> statuses;
@@ -765,7 +747,6 @@ TEST(Daemon, DrainAnswersEverythingAccepted)
     EXPECT_EQ(daemon.counters().accepted.load(), 2u);
     EXPECT_EQ(daemon.counters().ok.load(), 2u);
     EXPECT_EQ(daemon.counters().rejected.load(), 0u);
-    ::close(fd);
 }
 
 TEST(Daemon, FullQueueShedsInsteadOfBuffering)
@@ -791,18 +772,19 @@ TEST(Daemon, FullQueueShedsInsteadOfBuffering)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
 
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0);
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0);
 
     const int kRequests = 6;
     std::string burst;
     for (int i = 0; i < kRequests; ++i)
-        burst += "{\"id\":\"q" + std::to_string(i) +
-                 "\",\"source\":\"add %g1, %g2, %g3\\n\"}\n";
-    ASSERT_TRUE(sendAll(fd, burst));
+        burst += std::string(i ? "\n" : "") + "{\"id\":\"q" +
+                 std::to_string(i) +
+                 "\",\"source\":\"add %g1, %g2, %g3\\n\"}";
+    ASSERT_TRUE(client.send(burst));
 
     std::vector<std::string> lines =
-        readLines(fd, static_cast<std::size_t>(kRequests));
+        client.read(static_cast<std::size_t>(kRequests));
     ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
 
     int answered = 0, rejected = 0;
@@ -827,7 +809,6 @@ TEST(Daemon, FullQueueShedsInsteadOfBuffering)
     EXPECT_EQ(daemon.counters().accepted.load() +
                   daemon.counters().rejected.load(),
               static_cast<std::uint64_t>(kRequests));
-    ::close(fd);
 }
 
 TEST(Daemon, DrainWithNoRequestsExitsCleanly)
@@ -843,13 +824,157 @@ TEST(Daemon, DrainWithNoRequestsExitsCleanly)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
     // Wait until the socket exists so drain races with nothing.
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0);
-    ::close(fd);
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0);
+    client.close();
     daemon.requestDrain();
     server.join();
     EXPECT_EQ(rc, 0);
     EXPECT_EQ(daemon.counters().accepted.load(), 0u);
+}
+
+TEST(Daemon, ConnectionChurnKeepsNoThreadStacks)
+{
+    // Every connection gets a reader thread.  A reader leaves with its
+    // connection, so 500 connect -> health -> close cycles must not
+    // leave 500 exited threads' stacks mapped until the drain.
+    FaultGuard guard;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("churn");
+    config.workers = 1;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+
+    const auto mapsLines = [] {
+        std::ifstream in("/proc/self/maps");
+        std::size_t n = 0;
+        for (std::string line; std::getline(in, line);)
+            ++n;
+        return n;
+    };
+    const auto cycle = [&config] {
+        Client client(config.socketPath);
+        return client.send(R"({"type":"health","id":"h"})") &&
+               client.read(1).size() == 1;
+    };
+    EXPECT_TRUE(cycle()) << "daemon did not come up";
+    const std::size_t before = mapsLines();
+    int answered = 0;
+    for (int i = 0; i < 500; ++i)
+        answered += cycle() ? 1 : 0;
+    // The last readers leave a moment after their clients close.
+    std::size_t after = mapsLines();
+    for (int i = 0; i < 100 && after >= before + 50; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        after = mapsLines();
+    }
+
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(answered, 500);
+    EXPECT_LT(after, before + 50)
+        << "/proc/self/maps went from " << before << " to " << after
+        << " lines over 500 connections";
+}
+
+namespace
+{
+
+/** ROADMAP item 6(a)'s corpus: 20 program_gen seeds under three
+ * algorithm/builder pairs, as request lines whose id and trace id
+ * name the pair and the seed.  Run it with maxBlockInsts 40, so
+ * n2-fwd also takes the table fallback. */
+std::vector<std::string>
+crossModeRequests()
+{
+    const std::pair<const char *, const char *> configs[] = {
+        {"krishnamurthy", "table-fwd"},
+        {"simple-forward", "table-bwd"},
+        {"warren", "n2-fwd"}};
+    std::vector<std::string> lines;
+    for (const auto &[algorithm, builder] : configs)
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            fuzz::GenParams params;
+            params.seed = seed;
+            params.numBlocks = 6;
+            params.maxBlockSize = 64;
+            const std::string id = std::string(algorithm) + "/" +
+                                   builder + "/" + std::to_string(seed);
+            obs::JsonWriter w;
+            w.beginObject();
+            w.key("id").value(id);
+            w.key("trace_id").value(id);
+            w.key("source").value(fuzz::generateSource(params));
+            w.key("algorithm").value(algorithm);
+            w.key("builder").value(builder);
+            w.key("emit").value("schedule");
+            w.endObject();
+            lines.push_back(w.take());
+        }
+    return lines;
+}
+
+/** @p line without its "spans" member: phase timings are wall clock,
+ * everything else in a response is a function of (request, config). */
+std::string
+withoutSpans(const std::string &line)
+{
+    const std::size_t at = line.find(",\"spans\":{");
+    if (at == std::string::npos)
+        return line;
+    return line.substr(0, at) + line.substr(line.find('}', at) + 1);
+}
+
+} // namespace
+
+TEST(Daemon, AnswersAlikeOnOneAndFourLanes)
+{
+    // The lane count must not change a response: the same pipelined
+    // corpus against a one-lane and a four-lane daemon, answers
+    // matched by id.
+    FaultGuard guard;
+    const std::vector<std::string> requests = crossModeRequests();
+    std::string batch;
+    for (const std::string &line : requests)
+        batch += (batch.empty() ? "" : "\n") + line;
+
+    std::map<std::string, std::string> answers[2];
+    const unsigned lanes[] = {1, 4};
+    for (int side = 0; side < 2; ++side) {
+        service::DaemonConfig config;
+        config.socketPath = testSocketPath(side == 0 ? "lanes1" : "lanes4");
+        config.workers = lanes[side];
+        config.queueCapacity = requests.size(); // nothing is shed
+        config.engine.maxBlockInsts = 40;
+        config.statsPath = "";
+        ::unlink(config.socketPath.c_str());
+
+        service::Daemon daemon(config);
+        int rc = -1;
+        std::thread server([&] { rc = daemon.run(); });
+        {
+            Client client(config.socketPath);
+            EXPECT_TRUE(client.send(batch)) << "daemon did not come up";
+            for (const std::string &line : client.read(requests.size())) {
+                const obs::JsonValue doc = obs::parseJson(line);
+                EXPECT_EQ(doc.strOr("status", ""), "ok") << line;
+                EXPECT_EQ(doc.strOr("trace_id", ""), doc.strOr("id", ""));
+                answers[side][doc.strOr("id", "")] = withoutSpans(line);
+            }
+        }
+        daemon.requestDrain();
+        server.join();
+        EXPECT_EQ(rc, 0);
+    }
+    ASSERT_EQ(answers[0].size(), requests.size());
+    ASSERT_EQ(answers[1].size(), requests.size());
+    for (const auto &[id, answer] : answers[0])
+        EXPECT_EQ(answer, answers[1][id]) << id;
 }
 
 // ---------------------------------------------------------------------------
@@ -1200,6 +1325,67 @@ TEST(CliContract, ServeAnswersWhatSchedulePrints)
     ::unlink(input.c_str());
 }
 
+TEST(EngineLadder, AnswersAlikeWithObservabilityOnAndOff)
+{
+    // The daemon always observes; whether observability is on must
+    // not change a response.
+    FaultGuard guard;
+    struct ObsOff
+    {
+        ~ObsOff() { obs::setEnabled(false); }
+    } restore;
+    service::EngineConfig cfg;
+    cfg.maxBlockInsts = 40;
+    std::vector<std::string> answers[2];
+    for (int on = 0; on < 2; ++on) {
+        obs::setEnabled(on == 1);
+        service::Engine engine{cfg};
+        for (const std::string &line : crossModeRequests()) {
+            std::string error;
+            std::optional<service::RequestSpec> spec =
+                service::parseRequestLine(line, error);
+            ASSERT_TRUE(spec) << error;
+            answers[on].push_back(withoutSpans(engine.process(*spec, 0.0)));
+        }
+    }
+    ASSERT_EQ(answers[0].size(), 60u);
+    for (std::size_t i = 0; i < answers[0].size(); ++i) {
+        EXPECT_EQ(obs::parseJson(answers[0][i]).strOr("status", ""), "ok");
+        EXPECT_EQ(answers[0][i], answers[1][i]) << "request " << i;
+    }
+}
+
+TEST(CliContract, TopRendersFramesFromALiveDaemon)
+{
+    FaultGuard guard;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("top");
+    config.workers = 1;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+    int status = -1;
+    std::string out;
+    {
+        // One answered health probe: the daemon is up.
+        Client client(config.socketPath);
+        EXPECT_TRUE(client.send(R"({"type":"health"})"));
+        EXPECT_EQ(client.read(1).size(), 1u) << "daemon did not come up";
+        out = runCli("top " + config.socketPath +
+                         " --iterations 2 --interval-ms 50",
+                     status);
+    }
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(status, 0) << out;
+    EXPECT_EQ(linesWith(out, "sched91 top").size(), 2u) << out;
+    EXPECT_EQ(linesWith(out, "requests  accepted").size(), 2u) << out;
+}
+
 // ---------------------------------------------------------------------------
 // Live telemetry (docs/OBSERVABILITY.md): control-line protocol,
 // trace propagation, the span log, and the in-band endpoints.
@@ -1363,26 +1549,25 @@ TEST(Daemon, ControlLinesAnswerInBandWithOneSchema)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
 
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0) << "daemon did not come up";
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0) << "daemon did not come up";
 
     // One real request first, so the tallies are non-trivial and the
     // span log holds one finished request tree.
-    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q0\",\"source\":\"add %g1, "
-                            "%g2, %g3\\n\"}\n"));
-    std::vector<std::string> lines = readLines(fd, 1);
+    ASSERT_TRUE(client.send("{\"id\":\"q0\",\"source\":\"add %g1, "
+                            "%g2, %g3\\n\"}"));
+    std::vector<std::string> lines = client.read(1);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(obs::parseJson(lines[0]).strOr("status", ""), "ok");
 
-    ASSERT_TRUE(sendAll(
-        fd,
+    ASSERT_TRUE(client.send(
         "{\"type\":\"stats\",\"id\":\"s1\"}\n"
         "{\"type\":\"stats\",\"id\":\"s2\",\"format\":"
         "\"prometheus\"}\n"
         "{\"type\":\"health\",\"id\":\"h1\"}\n"
         "{\"type\":\"trace-dump\",\"id\":\"t1\"}\n"
-        "{\"type\":\"bogus\",\"id\":\"x1\"}\n"));
-    lines = readLines(fd, 5);
+        "{\"type\":\"bogus\",\"id\":\"x1\"}"));
+    lines = client.read(5);
     ASSERT_EQ(lines.size(), 5u);
 
     // Stats: the same document shape as the drain-time file, and at
@@ -1454,7 +1639,6 @@ TEST(Daemon, ControlLinesAnswerInBandWithOneSchema)
     // Control lines never touch admission.
     EXPECT_EQ(daemon.counters().accepted.load(), 1u);
     EXPECT_EQ(daemon.counters().rejected.load(), 0u);
-    ::close(fd);
 }
 
 TEST(Daemon, PeriodicSnapshotsShareTheStatsSchema)
@@ -1475,17 +1659,16 @@ TEST(Daemon, PeriodicSnapshotsShareTheStatsSchema)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
 
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0) << "daemon did not come up";
-    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q0\",\"source\":\"add %g1, "
-                            "%g2, %g3\\n\"}\n"));
-    ASSERT_EQ(readLines(fd, 1).size(), 1u);
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0) << "daemon did not come up";
+    ASSERT_TRUE(client.send("{\"id\":\"q0\",\"source\":\"add %g1, "
+                            "%g2, %g3\\n\"}"));
+    ASSERT_EQ(client.read(1).size(), 1u);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
     daemon.requestDrain();
     server.join();
     EXPECT_EQ(rc, 0);
-    ::close(fd);
 
     // Every line is one complete stats document (temp-then-rename
     // writes mean a reader never sees a torn line) with the shared
@@ -1536,24 +1719,23 @@ TEST(Daemon, LiveStatsAtQuiesceMatchTheDrainDocument)
     int rc = -1;
     std::thread server([&] { rc = daemon.run(); });
 
-    int fd = connectWithRetry(config.socketPath);
-    ASSERT_GE(fd, 0) << "daemon did not come up";
-    ASSERT_TRUE(sendAll(fd, "{\"id\":\"q0\",\"source\":\"add %g1, %g2, "
+    Client client(config.socketPath);
+    ASSERT_GE(client.fd, 0) << "daemon did not come up";
+    ASSERT_TRUE(client.send("{\"id\":\"q0\",\"source\":\"add %g1, %g2, "
                             "%g3\\nfrobnicate %g1, %g2\\nld [%g3], "
-                            "%g4\\n\"}\n"));
-    std::vector<std::string> lines = readLines(fd, 1);
+                            "%g4\\n\"}"));
+    std::vector<std::string> lines = client.read(1);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(obs::parseJson(lines[0]).strOr("status", ""), "ok");
 
-    ASSERT_TRUE(sendAll(fd, "{\"type\":\"stats\",\"id\":\"s\"}\n"));
-    lines = readLines(fd, 1);
+    ASSERT_TRUE(client.send("{\"type\":\"stats\",\"id\":\"s\"}"));
+    lines = client.read(1);
     ASSERT_EQ(lines.size(), 1u);
     const obs::JsonValue live = obs::parseJson(lines[0]);
 
     daemon.requestDrain();
     server.join();
     EXPECT_EQ(rc, 0);
-    ::close(fd);
 
     std::ifstream in(config.statsPath);
     ASSERT_TRUE(in.good()) << config.statsPath;

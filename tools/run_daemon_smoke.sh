@@ -30,7 +30,13 @@
 # `stats` scrape taken once every request is answered carries exactly
 # the drain document's counters.
 #
-# Runs the whole matrix at two injection seeds.  Usage:
+# A fault-free isolated cycle kills the one sandbox worker while it is
+# idle: the next dispatch must respawn it (`worker_respawns` 1,
+# `worker_crashes` 0), both soaks must pass, and the drain must exit 0
+# (a write to the dead worker's socket is an error return, not a
+# SIGPIPE that kills the daemon).
+#
+# Runs the fault-injected matrix at two injection seeds.  Usage:
 #
 #   tools/run_daemon_smoke.sh [builddir]     # default: build
 set -u
@@ -350,6 +356,63 @@ EOF
     check "live counters equal drain counters" 0 $?
 }
 
+# Idle-worker death: serve --isolate process on one lane without
+# faults, soak, SIGKILL the idle sandbox worker, soak again, SIGINT;
+# the lane must respawn the worker at its next dispatch.
+run_idle_death_cycle() {
+    local sock=$workdir/idle.sock
+    local stats=$workdir/stats-idle.json
+
+    "$cli" serve --socket "$sock" --threads 1 --isolate process \
+        --stats-json "$stats" 2>"$workdir/idle.err" &
+    daemon_pid=$!
+
+    if ! wait_for_socket "$sock"; then
+        echo "FAIL: idle-death daemon never bound $sock" >&2
+        cat "$workdir/idle.err" >&2
+        fails=$((fails + 1))
+        kill "$daemon_pid" 2>/dev/null
+        wait "$daemon_pid" 2>/dev/null
+        daemon_pid=
+        return
+    fi
+
+    "$soak" --socket "$sock" --requests 8 --connections 2 \
+        --seed 7 >"$workdir/idle-soak-1.out"
+    check "soak before the idle worker dies" 0 $?
+
+    local worker tries=100
+    worker=$(pgrep -P "$daemon_pid")
+    kill -9 "$worker"
+    # Unreaped, the worker stays a zombie; by then its socket is closed.
+    while [ "$tries" -gt 0 ] &&
+          [ "$(awk '{print $3}' "/proc/$worker/stat" 2>/dev/null)" != Z ]; do
+        sleep 0.05
+        tries=$((tries - 1))
+    done
+
+    "$soak" --socket "$sock" --requests 8 --connections 2 \
+        --seed 107 >"$workdir/idle-soak-2.out"
+    check "soak after the idle worker died" 0 $?
+
+    kill -INT "$daemon_pid"
+    wait "$daemon_pid"
+    check "idle-death daemon drain on SIGINT" 0 $?
+    daemon_pid=
+
+    python3 - "$stats" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))['service']
+assert s['worker_respawns'] == 1, \
+    f"worker_respawns {s['worker_respawns']}, want 1"
+assert s['worker_crashes'] == 0, \
+    f"worker_crashes {s['worker_crashes']}, want 0"
+print(f"ok: idle worker respawned (respawns {s['worker_respawns']}, "
+      f"crashes {s['worker_crashes']}, ok {s['ok']})")
+EOF
+    check "idle-death stats document" 0 $?
+}
+
 for seed in 42 1337; do
     run_cycle "$seed" "$seed"
 done
@@ -380,6 +443,8 @@ else
 fi
 
 run_quiesce_cycle
+
+run_idle_death_cycle
 
 if [ "$fails" -ne 0 ]; then
     echo "daemon smoke: $fails failure(s)" >&2

@@ -87,15 +87,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "core/sched91.hh"
@@ -115,6 +111,7 @@
 #include "support/cancellation.hh"
 #include "support/diagnostics.hh"
 #include "support/fault_inject.hh"
+#include "support/line_io.hh"
 #include "support/log.hh"
 #include "support/logging.hh"
 
@@ -205,44 +202,18 @@ struct CliOptions
     }
 };
 
-AlgorithmKind
-parseAlgorithm(const std::string &name)
+/** An enum option's value, spelled as `service::*FromToken` accepts
+ * it (the CLI token or the display name); a bad one is a usage
+ * error. */
+template <typename Kind>
+Kind
+parseToken(Kind (*fromToken)(const std::string &), const std::string &name)
 {
-    for (AlgorithmKind kind : allAlgorithms())
-        if (algorithmName(kind) == name)
-            return kind;
-    usageError("unknown algorithm '", name, "'");
-}
-
-BuilderKind
-parseBuilder(const std::string &name)
-{
-    static const std::map<std::string, BuilderKind> map = {
-        {"n2-fwd", BuilderKind::N2Forward},
-        {"n2-bwd", BuilderKind::N2Backward},
-        {"landskov", BuilderKind::N2Landskov},
-        {"table-fwd", BuilderKind::TableForward},
-        {"table-bwd", BuilderKind::TableBackward},
-    };
-    auto it = map.find(name);
-    if (it == map.end())
-        usageError("unknown builder '", name, "'");
-    return it->second;
-}
-
-AliasPolicy
-parsePolicy(const std::string &name)
-{
-    static const std::map<std::string, AliasPolicy> map = {
-        {"serialize", AliasPolicy::SerializeAll},
-        {"base-offset", AliasPolicy::BaseOffset},
-        {"storage", AliasPolicy::StorageClassed},
-        {"symbolic", AliasPolicy::SymbolicExpr},
-    };
-    auto it = map.find(name);
-    if (it == map.end())
-        usageError("unknown alias policy '", name, "'");
-    return it->second;
+    try {
+        return fromToken(name);
+    } catch (const FatalError &e) {
+        usageError(e.what());
+    }
 }
 
 const char kUsage[] =
@@ -402,13 +373,14 @@ parseArgs(int argc, char **argv)
         if (arg == "--kernel")
             opts.kernel = next();
         else if (arg == "--algorithm")
-            opts.algorithm = parseAlgorithm(next());
+            opts.algorithm =
+                parseToken(service::algorithmFromToken, next());
         else if (arg == "--builder")
-            opts.builder = parseBuilder(next());
+            opts.builder = parseToken(service::builderFromToken, next());
         else if (arg == "--machine")
             opts.machineName = next();
         else if (arg == "--policy")
-            opts.policy = parsePolicy(next());
+            opts.policy = parseToken(service::policyFromToken, next());
         else if (arg == "--window")
             opts.window = std::atoi(next().c_str());
         else if (arg == "--block")
@@ -1063,50 +1035,6 @@ cmdProfile(const CliOptions &opts)
     return 0;
 }
 
-// Outlier bundles carry the *display* names emitted by the stats
-// writer (builderKindName / aliasPolicyName), which differ from the
-// CLI option tokens ("n**2 fwd" vs "n2-fwd") — map them back by
-// asking each enum value for its name.  A mismatch is a data error
-// (exit 1), not a usage error.
-
-BuilderKind
-builderFromDisplayName(const std::string &name)
-{
-    static const BuilderKind kinds[] = {
-        BuilderKind::N2Forward,    BuilderKind::N2Backward,
-        BuilderKind::N2Landskov,   BuilderKind::TableForward,
-        BuilderKind::TableBackward,
-    };
-    for (BuilderKind kind : kinds)
-        if (builderKindName(kind) == name)
-            return kind;
-    fatal("unknown builder '", name, "' in bundle meta");
-}
-
-AliasPolicy
-policyFromDisplayName(const std::string &name)
-{
-    static const AliasPolicy policies[] = {
-        AliasPolicy::SerializeAll,
-        AliasPolicy::BaseOffset,
-        AliasPolicy::StorageClassed,
-        AliasPolicy::SymbolicExpr,
-    };
-    for (AliasPolicy policy : policies)
-        if (aliasPolicyName(policy) == name)
-            return policy;
-    fatal("unknown alias policy '", name, "' in bundle meta");
-}
-
-AlgorithmKind
-algorithmFromDisplayName(const std::string &name)
-{
-    for (AlgorithmKind kind : allAlgorithms())
-        if (algorithmName(kind) == name)
-            return kind;
-    fatal("unknown algorithm '", name, "' in bundle meta");
-}
-
 /**
  * Replay a forensic bundle written by --outlier-dir: re-parse its
  * captured source, re-run the single block under the configuration
@@ -1133,7 +1061,9 @@ cmdExplain(const CliOptions &opts)
         fatal("'", opts.input, "' carries no source text to replay");
 
     // Capture configuration: bundle meta wins; CLI options fill any
-    // gaps (old bundles without a policy field, say).
+    // gaps (old bundles without a policy field, say).  Meta carries
+    // display names, which the service's token parsers accept; a bad
+    // one is a data error (exit 1), not a usage error.
     AlgorithmKind algorithm = opts.algorithm;
     BuilderKind builder = opts.builder;
     AliasPolicy policy = opts.policy;
@@ -1142,13 +1072,13 @@ cmdExplain(const CliOptions &opts)
         const obs::JsonValue &meta = doc.at("meta");
         std::string name = meta.strOr("algorithm", "");
         if (!name.empty())
-            algorithm = algorithmFromDisplayName(name);
+            algorithm = service::algorithmFromToken(name);
         name = meta.strOr("builder", "");
         if (!name.empty())
-            builder = builderFromDisplayName(name);
+            builder = service::builderFromToken(name);
         name = meta.strOr("policy", "");
         if (!name.empty())
-            policy = policyFromDisplayName(name);
+            policy = service::policyFromToken(name);
         machineName = meta.strOr("machine", machineName);
     }
 
@@ -1249,86 +1179,6 @@ cmdServe(const CliOptions &opts)
     return rc;
 }
 
-/** Minimal line-oriented AF_UNIX client for `sched91 top`. */
-class UnixClient
-{
-  public:
-    explicit UnixClient(const std::string &path)
-    {
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (fd_ < 0)
-            fatal("top: socket(): ", std::strerror(errno));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path))
-            fatal("top: socket path '", path,
-                  "' too long for AF_UNIX");
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) < 0)
-            fatal("top: connect('", path,
-                  "'): ", std::strerror(errno),
-                  " (is the daemon running?)");
-    }
-
-    ~UnixClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    UnixClient(const UnixClient &) = delete;
-    UnixClient &operator=(const UnixClient &) = delete;
-
-    void
-    sendLine(const std::string &line)
-    {
-        std::string framed = line;
-        framed += '\n';
-        std::size_t off = 0;
-        while (off < framed.size()) {
-            const ssize_t n = ::send(fd_, framed.data() + off,
-                                     framed.size() - off,
-                                     MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                fatal("top: send(): ", std::strerror(errno));
-            }
-            off += static_cast<std::size_t>(n);
-        }
-    }
-
-    /** Next response line; nullopt on daemon EOF. */
-    std::optional<std::string>
-    recvLine()
-    {
-        for (;;) {
-            const std::size_t nl = buffer_.find('\n');
-            if (nl != std::string::npos) {
-                std::string line = buffer_.substr(0, nl);
-                buffer_.erase(0, nl + 1);
-                return line;
-            }
-            char chunk[65536];
-            const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-            if (n == 0)
-                return std::nullopt;
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                fatal("top: recv(): ", std::strerror(errno));
-            }
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buffer_;
-};
-
 /** Human-scaled duration from nanoseconds. */
 std::string
 fmtNs(double ns)
@@ -1358,7 +1208,11 @@ cmdTop(const CliOptions &opts)
 {
     const std::string socket =
         !opts.input.empty() ? opts.input : opts.socketPath;
-    UnixClient client(socket);
+    const int fd = connectUnix(socket);
+    if (fd < 0)
+        fatal("top: connect('", socket, "'): ", std::strerror(errno),
+              " (is the daemon running?)");
+    LineReader reader(fd);
     const bool refresh =
         opts.topIterations == 0 && ::isatty(STDOUT_FILENO) != 0;
 
@@ -1369,14 +1223,15 @@ cmdTop(const CliOptions &opts)
         if (frame > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(opts.topIntervalMs));
-        client.sendLine("{\"type\":\"stats\",\"id\":\"top\"}");
-        std::optional<std::string> line = client.recvLine();
-        if (!line)
+        if (!writeLine(fd, R"({"type":"stats","id":"top"})"))
+            fatal("top: send(): ", std::strerror(errno));
+        std::string_view line;
+        if (reader.read(line, -1) != LineReader::Status::Line)
             fatal("top: daemon closed the connection (draining?)");
-        obs::JsonValue doc = obs::parseJson(*line);
+        obs::JsonValue doc = obs::parseJson(std::string(line));
         if (!doc.has("sched91_serve_stats"))
             fatal("top: unexpected response (not a stats document): ",
-                  line->substr(0, 120));
+                  line.substr(0, 120));
 
         const obs::JsonValue &svc = doc.at("service");
         const obs::JsonValue &meta = doc.at("meta");
@@ -1465,6 +1320,7 @@ cmdTop(const CliOptions &opts)
         std::fputs(frameText.c_str(), stdout);
         std::fflush(stdout);
     }
+    ::close(fd);
     return 0;
 }
 
@@ -1543,19 +1399,10 @@ cmdSandboxWorker(int argc, char **argv)
                     fatal("missing value for ", arg);
                 return argv[++i];
             };
-            if (arg == "--req-fd")
-                cfg.reqFd = std::atoi(next().c_str());
-            else if (arg == "--resp-fd")
-                cfg.respFd = std::atoi(next().c_str());
+            if (arg == "--fd")
+                cfg.fd = std::atoi(next().c_str());
             else if (arg == "--ring-fd")
                 cfg.ringFd = std::atoi(next().c_str());
-            else if (arg == "--builder")
-                cfg.engine.builder = service::builderFromToken(next());
-            else if (arg == "--algorithm")
-                cfg.engine.algorithm =
-                    service::algorithmFromToken(next());
-            else if (arg == "--policy")
-                cfg.engine.policy = service::policyFromToken(next());
             else if (arg == "--machine")
                 cfg.engine.machineName = next();
             else if (arg == "--max-block-insts")

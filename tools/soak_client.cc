@@ -37,14 +37,12 @@
 #include <thread>
 #include <vector>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "fuzz/program_gen.hh"
 #include "obs/json.hh"
 #include "obs/json_parse.hh"
+#include "support/line_io.hh"
 
 using namespace sched91;
 
@@ -156,9 +154,7 @@ requestLine(const Options &opts, int index)
     if (opts.evaluate)
         w.key("evaluate").value(true);
     w.endObject();
-    std::string line = w.take();
-    line += '\n';
-    return line;
+    return w.take();
 }
 
 /** Shared tallies and the violation log. */
@@ -175,40 +171,6 @@ struct Outcome
         violations.push_back(std::move(what));
     }
 };
-
-int
-connectTo(const std::string &path)
-{
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** Check one response line against the contract; returns the id it
  * answered (empty = violation already recorded). */
@@ -316,101 +278,74 @@ void
 runConnection(const Options &opts, const std::vector<int> &indices,
               Outcome &out)
 {
-    int fd = connectTo(opts.socketPath);
+    const int fd = connectUnix(opts.socketPath);
     if (fd < 0) {
         out.violation("cannot connect to '" + opts.socketPath +
                       "': " + std::strerror(errno));
         return;
     }
 
+    LineReader reader(fd);
     std::set<std::string> pending; // sent, not yet answered
     std::size_t next = 0;
-    std::string buffer;
-    bool dead = false;
     int answeredHere = 0;  // request answers seen on this connection
     int pendingScrapes = 0;
     ScrapeState scrapeState;
 
-    while (!dead && (next < indices.size() || !pending.empty() ||
-                     pendingScrapes > 0)) {
+    while (next < indices.size() || !pending.empty() ||
+           pendingScrapes > 0) {
         while (next < indices.size() &&
                pending.size() <
                    static_cast<std::size_t>(opts.pipeline)) {
             int index = indices[next++];
-            if (!sendAll(fd, requestLine(opts, index))) {
+            if (!writeLine(fd, requestLine(opts, index))) {
                 out.violation("send failed: " +
                               std::string(std::strerror(errno)));
-                dead = true;
-                break;
+                ::close(fd);
+                return;
             }
             pending.insert("q" + std::to_string(index));
         }
-        if (dead || (pending.empty() && pendingScrapes == 0))
+        if (pending.empty() && pendingScrapes == 0)
             break;
 
-        pollfd pfd{fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, opts.timeoutMs);
-        if (rc == 0) {
+        std::string_view line;
+        const LineReader::Status st = reader.read(line, opts.timeoutMs);
+        if (st == LineReader::Status::Timeout) {
             out.violation(std::to_string(pending.size()) +
                           " responses lost (read timeout)");
             break;
         }
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            out.violation(std::string("poll failed: ") +
-                          std::strerror(errno));
-            break;
-        }
-        char chunk[65536];
-        ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n == 0) {
+        if (st != LineReader::Status::Line) {
             out.violation(std::to_string(pending.size()) +
                           " responses lost (daemon closed the "
                           "connection)");
             break;
         }
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            out.violation(std::string("recv failed: ") +
-                          std::strerror(errno));
-            break;
+        const std::string respLine(line);
+        if (pendingScrapes > 0 &&
+            respLine.find("\"sched91_serve_stats\"") != std::string::npos) {
+            checkScrape(respLine, scrapeState, out);
+            --pendingScrapes;
+            continue;
         }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (std::size_t nl;
-             (nl = buffer.find('\n', start)) != std::string::npos;
-             start = nl + 1) {
-            std::string respLine = buffer.substr(start, nl - start);
-            if (pendingScrapes > 0 &&
-                respLine.find("\"sched91_serve_stats\"") !=
-                    std::string::npos) {
-                checkScrape(respLine, scrapeState, out);
-                --pendingScrapes;
-                continue;
-            }
-            std::string id = checkResponse(respLine, out);
-            if (id.empty())
-                continue;
-            if (pending.erase(id) == 0) {
-                out.violation("duplicate or unexpected response id '" +
-                              id + "'");
-                continue;
-            }
-            ++answeredHere;
-            if (opts.scrapeEvery > 0 &&
-                answeredHere % opts.scrapeEvery == 0) {
-                if (sendAll(fd, "{\"type\":\"stats\",\"id\":\"s" +
-                                    std::to_string(answeredHere) +
-                                    "\"}\n"))
-                    ++pendingScrapes;
-                else
-                    out.violation("scrape send failed: " +
-                                  std::string(std::strerror(errno)));
-            }
+        std::string id = checkResponse(respLine, out);
+        if (id.empty())
+            continue;
+        if (pending.erase(id) == 0) {
+            out.violation("duplicate or unexpected response id '" + id +
+                          "'");
+            continue;
         }
-        buffer.erase(0, start);
+        ++answeredHere;
+        if (opts.scrapeEvery > 0 && answeredHere % opts.scrapeEvery == 0) {
+            if (writeLine(fd, "{\"type\":\"stats\",\"id\":\"s" +
+                                  std::to_string(answeredHere) + "\"}"))
+                ++pendingScrapes;
+            else
+                out.violation("scrape send failed: " +
+                              std::string(std::strerror(errno)));
+        }
     }
     ::close(fd);
 }
@@ -441,19 +376,20 @@ main(int argc, char **argv)
     // scrape must balance exactly: every admitted request was answered
     // down the ladder or charged to rejected_after_admit.
     if (opts.scrapeEvery > 0) {
-        int fd = connectTo(opts.socketPath);
+        int fd = connectUnix(opts.socketPath);
         if (fd < 0) {
             out.violation("final scrape: cannot connect: " +
                           std::string(std::strerror(errno)));
         } else {
             std::string line;
-            if (!sendAll(fd, "{\"type\":\"stats\",\"id\":\"sfinal\"}\n")) {
+            if (!writeLine(fd, "{\"type\":\"stats\",\"id\":\"sfinal\"}")) {
                 out.violation("final scrape: send failed");
             } else {
-                char c;
-                ssize_t n;
-                while ((n = ::recv(fd, &c, 1, 0)) == 1 && c != '\n')
-                    line += c;
+                LineReader reader(fd);
+                std::string_view got;
+                if (reader.read(got, opts.timeoutMs) ==
+                    LineReader::Status::Line)
+                    line = got;
                 if (line.empty())
                     out.violation("final scrape: no response");
             }
