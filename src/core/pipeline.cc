@@ -1,6 +1,7 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -756,6 +757,10 @@ runPipeline(Program &prog, const MachineModel &machine,
     // every per-phase one read from the block's phase record...
     if (opts.schedules)
         opts.schedules->assign(blocks.size(), Schedule{});
+    // Per-block samples go into one histogram each (`lat.*` indexed by
+    // Phase), named into the result once after the loop.
+    obs::Histogram block_insts, block_arena_bytes;
+    std::array<obs::Histogram, std::size(obs::kPhaseNames)> phase_lat;
     for (std::size_t b = 0; b < outputs.size(); ++b) {
         BlockOutput &out = outputs[b];
         result.buildSeconds += out.phases.seconds(obs::Phase::Build);
@@ -764,12 +769,12 @@ runPipeline(Program &prog, const MachineModel &machine,
         result.verifySeconds += out.phases.seconds(obs::Phase::Verify);
         if (obs_on) {
             result.phaseTree.add(out.phases);
-            result.histograms.record("block.insts", blocks[b].size());
-            result.histograms.record("block.arena_bytes", out.arenaBytes);
+            block_insts.record(blocks[b].size());
+            block_arena_bytes.record(out.arenaBytes);
             for (const obs::PhaseRecord::Entry &e : out.phases)
-                if (const char *lat = obs::phaseNames(e.phase).latency)
-                    result.histograms.record(lat,
-                                             obs::secondsToNs(e.seconds));
+                if (obs::phaseNames(e.phase).latency != nullptr)
+                    phase_lat[static_cast<std::size_t>(e.phase)].record(
+                        obs::secondsToNs(e.seconds));
         }
         if (tracing) {
             // One event per entry, carrying the shard's change since
@@ -816,6 +821,18 @@ runPipeline(Program &prog, const MachineModel &machine,
                 b, out.stage, out.reason, true});
         }
     }
+
+    // A histogram exists exactly when some block recorded into it.
+    const auto addHistogram = [&result](const char *name,
+                                        const obs::Histogram &hist) {
+        if (hist.count() != 0)
+            result.histograms.get(name) = hist;
+    };
+    addHistogram("block.insts", block_insts);
+    addHistogram("block.arena_bytes", block_arena_bytes);
+    for (std::size_t p = 0; p < phase_lat.size(); ++p)
+        if (const char *lat = obs::kPhaseNames[p].latency)
+            addHistogram(lat, phase_lat[p]);
 
     // Memory telemetry (obs/memory.hh).  The deterministic gauges are
     // per-block sums/maxima in disguise — summing (or maxing) over

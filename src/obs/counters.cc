@@ -162,6 +162,20 @@ CounterRegistry::snapshot() const
     return out;
 }
 
+std::shared_ptr<const std::vector<std::size_t>>
+CounterRegistry::idsByName() const
+{
+    std::lock_guard<std::mutex> lock(regMu_);
+    if (!byName_ || byName_->size() != index_.size()) {
+        auto ids = std::make_shared<std::vector<std::size_t>>();
+        ids->reserve(index_.size());
+        for (const auto &entry : index_)
+            ids->push_back(entry.second);
+        byName_ = std::move(ids);
+    }
+    return byName_;
+}
+
 CounterSet
 CounterRegistry::deltaSince(const CounterSet &before) const
 {
@@ -207,9 +221,12 @@ CounterShard::since(const CounterShard &before) const
 CounterSet
 CounterShard::named() const
 {
+    const std::shared_ptr<const std::vector<std::size_t>> ids =
+        registry_->idsByName();
     CounterSet out;
-    for (std::size_t id = 0; id < registry_->size(); ++id)
-        out.set(registry_->name(id), value(id));
+    out.items_.reserve(ids->size());
+    for (std::size_t id : *ids)
+        out.items_.emplace_back(registry_->name(id), value(id));
     return out;
 }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -110,6 +111,8 @@ class CounterSet
     }
 
   private:
+    friend class CounterShard; ///< named(): appends in name order
+
     std::vector<Item> items_; ///< kept sorted by name
 
     std::vector<Item>::iterator lowerBound(std::string_view name);
@@ -184,6 +187,10 @@ class CounterRegistry
     /** Snapshot of all counters. */
     CounterSet snapshot() const;
 
+    /** Every id in ascending name order, the order a CounterSet keeps:
+     * built once and cached until the next registration. */
+    std::shared_ptr<const std::vector<std::size_t>> idsByName() const;
+
     /** now - before, name by name (names absent from @p before count
      * from zero). */
     CounterSet deltaSince(const CounterSet &before) const;
@@ -206,6 +213,8 @@ class CounterRegistry
     std::deque<std::uint64_t> slots_; ///< deque: stable addresses
     std::map<std::string, std::size_t, std::less<>> index_;
     std::atomic<std::size_t> size_{0}; ///< ids below it are complete
+    /** idsByName()'s cache; stale once its size falls behind. */
+    mutable std::shared_ptr<const std::vector<std::size_t>> byName_;
 };
 
 /**
@@ -302,7 +311,8 @@ class CounterShard
     CounterShard since(const CounterShard &before) const;
 
     /** Every registry name with this shard's value, in name order:
-     * where ids become names, once per run result or document. */
+     * where ids become names, once per run result or document.  One
+     * append per counter, in the registry's cached name order. */
     CounterSet named() const;
 
     /** Fold this shard into another (kind-aware); both must mirror the

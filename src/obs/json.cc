@@ -1,38 +1,70 @@
 #include "obs/json.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
+#include "obs/json_scan.hh"
 #include "support/logging.hh"
 
 namespace sched91::obs
 {
+
+namespace
+{
+
+/** Append @p s to @p out, escaped for a JSON string literal: each run
+ * of bytes that need no escape goes in with one append, and eight
+ * plain bytes are skipped at a time. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    const auto special = [](std::uint64_t w) {
+        return detail::hasControl(w) | detail::hasByte(w, '"') |
+               detail::hasByte(w, '\\');
+    };
+    std::size_t run = 0;
+    std::size_t i = 0;
+    while (true) {
+        i = detail::skipPlainWords(s, i, special);
+        if (i >= s.size())
+            break;
+        // Byte by byte through the flagged word (or the short tail).
+        for (const std::size_t end = std::min(i + 8, s.size()); i < end;
+             ++i) {
+            const auto c = static_cast<unsigned char>(s[i]);
+            if (c >= 0x20 && c != '"' && c != '\\')
+                continue;
+            out.append(s.data() + run, i - run);
+            run = i + 1;
+            switch (c) {
+              case '"': out += "\\\""; break;
+              case '\\': out += "\\\\"; break;
+              case '\b': out += "\\b"; break;
+              case '\f': out += "\\f"; break;
+              case '\n': out += "\\n"; break;
+              case '\r': out += "\\r"; break;
+              case '\t': out += "\\t"; break;
+              default: {
+                const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                    kHex[c & 0xf]};
+                out.append(esc, sizeof esc);
+              }
+            }
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+}
+
+} // namespace
 
 std::string
 jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 
@@ -97,7 +129,7 @@ JsonWriter::key(std::string_view k)
         out_ += ',';
     hasElement_.back() = true;
     out_ += '"';
-    out_ += jsonEscape(k);
+    appendEscaped(out_, k);
     out_ += "\":";
     pendingKey_ = true;
     return *this;
@@ -108,7 +140,7 @@ JsonWriter::value(std::string_view s)
 {
     beforeValue();
     out_ += '"';
-    out_ += jsonEscape(s);
+    appendEscaped(out_, s);
     out_ += '"';
     return *this;
 }

@@ -62,6 +62,10 @@ class JsonWriter
     }
     JsonWriter &value(bool b);
 
+    /** Room for a document of about @p bytes, so a long one is
+     * written without regrowing its buffer. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
     /** The finished document (writer resets to empty). */
     std::string take();
 

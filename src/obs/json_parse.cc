@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "obs/json_scan.hh"
 #include "support/logging.hh"
 
 namespace sched91::obs
@@ -152,15 +153,21 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // The run up to the next quote or backslash, in one append.
+            std::size_t run = detail::skipPlainWords(
+                text_, pos_, [](std::uint64_t w) {
+                    return detail::hasByte(w, '"') |
+                           detail::hasByte(w, '\\');
+                });
+            while (run < text_.size() && text_[run] != '"' &&
+                   text_[run] != '\\')
+                ++run;
+            out.append(text_.data() + pos_, run - pos_);
+            pos_ = run;
             if (pos_ >= text_.size())
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
+            if (text_[pos_++] == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             char e = text_[pos_++];
@@ -173,32 +180,77 @@ class Parser
             case 'r': out += '\r'; break;
             case 'b': out += '\b'; break;
             case 'f': out += '\f'; break;
-            case 'u': {
-                // The writer only emits \u00xx (control characters).
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code += static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code += static_cast<unsigned>(h - 'a') + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code += static_cast<unsigned>(h - 'A') + 10;
-                    else
-                        fail("bad \\u escape");
-                }
-                if (code > 0xff)
-                    fail("\\u escape beyond latin-1 unsupported");
-                out += static_cast<char>(code);
+            case 'u':
+                appendUtf8(out, parseCodePoint());
                 break;
-            }
             default:
                 fail("unknown escape");
             }
         }
+    }
+
+    /** The four hex digits after a `\u`. */
+    unsigned
+    parseHex4()
+    {
+        if (pos_ + 4 > text_.size())
+            fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+                code += static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                code += static_cast<unsigned>(h - 'a') + 10;
+            else if (h >= 'A' && h <= 'F')
+                code += static_cast<unsigned>(h - 'A') + 10;
+            else
+                fail("bad \\u escape");
+        }
+        return code;
+    }
+
+    /** The code point of a `\u` escape, its `\u` just read: a high
+     * surrogate must be followed by a `\u` escape of a low one. */
+    unsigned
+    parseCodePoint()
+    {
+        const unsigned code = parseHex4();
+        if (code >= 0xdc00 && code <= 0xdfff)
+            fail("lone surrogate in \\u escape");
+        if (code < 0xd800 || code > 0xdbff)
+            return code;
+        if (text_.substr(pos_, 2) != "\\u")
+            fail("lone surrogate in \\u escape");
+        pos_ += 2;
+        const unsigned low = parseHex4();
+        if (low < 0xdc00 || low > 0xdfff)
+            fail("lone surrogate in \\u escape");
+        return 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+    }
+
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+            return;
+        }
+        char bytes[4];
+        std::size_t n = 0;
+        if (code < 0x800) {
+            bytes[n++] = static_cast<char>(0xc0 | (code >> 6));
+        } else if (code < 0x10000) {
+            bytes[n++] = static_cast<char>(0xe0 | (code >> 12));
+            bytes[n++] = static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+        } else {
+            bytes[n++] = static_cast<char>(0xf0 | (code >> 18));
+            bytes[n++] = static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+            bytes[n++] = static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+        }
+        bytes[n++] = static_cast<char>(0x80 | (code & 0x3f));
+        out.append(bytes, n);
     }
 
     JsonValue

@@ -2,11 +2,13 @@
  * @file
  * Minimal JSON reader — the input-side complement of obs/json.hh,
  * sized for consuming this repository's own emitters (stats-JSON,
- * BENCH_*.json records, Chrome traces): objects, arrays, strings with
- * the escapes the writer produces, numbers as doubles, booleans,
- * null.  Not a general-purpose parser: no \uXXXX surrogate pairs, no
- * duplicate-key policy beyond last-wins, numbers limited to double
- * precision — exactly what the writer can emit.
+ * BENCH_*.json records, Chrome traces) and the daemon's requests:
+ * objects, arrays, strings, numbers as doubles, booleans, null.
+ * Every \uXXXX escape decodes to UTF-8, a surrogate pair to one
+ * four-byte sequence, so a client whose encoder escapes non-ASCII
+ * (Python's json.dumps) can send any source; a lone surrogate is
+ * malformed.  Not a general-purpose parser: no duplicate-key policy
+ * beyond last-wins, numbers limited to double precision.
  *
  * Malformed input throws FatalError with a character offset, so tools
  * built on this (tools/bench_compare.cc) report bad files cleanly

@@ -15,6 +15,7 @@
 #include "obs/exposition.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
+#include "obs/json_parse.hh"
 #include "obs/memory.hh"
 #include "service/supervisor.hh"
 #include "support/fault_inject.hh"
@@ -302,21 +303,31 @@ Daemon::acceptLoop()
 
 void
 Daemon::handleLine(const std::shared_ptr<Connection> &conn,
-                   std::string line)
+                   std::string_view line)
 {
     if (line.empty())
         return;
-    // Control lines bypass admission entirely: they are answered here
-    // on the reader thread, so `stats`/`health` stay responsive while
-    // every lane is busy and the queue is shedding.
-    if (handleControlLine(conn, line))
-        return;
-    std::string error;
-    std::optional<RequestSpec> spec = parseRequestLine(line, error);
-    if (!spec) {
+    const auto refuse = [this, &conn](const std::string &error) {
         engine_.counters().error.fetch_add(1,
                                            std::memory_order_relaxed);
         conn->respond(errorLine("", error));
+    };
+    // One decode per line; control and request lines are told apart
+    // from the decoded value.
+    obs::JsonValue doc;
+    std::string error;
+    if (!decodeLine(line, doc, error)) {
+        refuse(error);
+        return;
+    }
+    // Control lines bypass admission entirely: they are answered here
+    // on the reader thread, so `stats`/`health` stay responsive while
+    // every lane is busy and the queue is shedding.
+    if (answerControl(conn, controlFromJson(doc)))
+        return;
+    std::optional<RequestSpec> spec = requestFromJson(doc, error);
+    if (!spec) {
+        refuse(error);
         return;
     }
     Request req;
@@ -345,10 +356,9 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
 }
 
 bool
-Daemon::handleControlLine(const std::shared_ptr<Connection> &conn,
-                          const std::string &line)
+Daemon::answerControl(const std::shared_ptr<Connection> &conn,
+                      const ControlRequest &ctl)
 {
-    const ControlRequest ctl = parseControlLine(line);
     switch (ctl.type) {
     case ControlType::None:
         return false;
@@ -391,7 +401,7 @@ Daemon::readerLoop(const std::shared_ptr<Connection> &conn)
         const bool drain = draining();
         switch (reader.read(line, drain ? 0 : kPollMs)) {
         case LineReader::Status::Line:
-            handleLine(conn, std::string(line));
+            handleLine(conn, line);
             break;
         case LineReader::Status::Timeout:
             if (drain)
@@ -406,7 +416,7 @@ Daemon::readerLoop(const std::shared_ptr<Connection> &conn)
             // An unterminated last line: lenient, treat it as a
             // request (a drain, by contrast, just stops reading).
             if (!draining() && !reader.rest().empty())
-                handleLine(conn, std::string(reader.rest()));
+                handleLine(conn, reader.rest());
             return;
         }
     }

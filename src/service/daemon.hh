@@ -70,6 +70,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -181,13 +182,15 @@ class Daemon
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Connection> &conn);
     void workerLoop(unsigned lane);
+    /** Decode one wire line, a view into the reader's buffer, once:
+     * answer it if it is a control line, else admit it. */
     void handleLine(const std::shared_ptr<Connection> &conn,
-                    std::string line);
+                    std::string_view line);
 
-    /** Answer a control line on the reader thread; false when @p line
-     * is not a control request (take the scheduling path). */
-    bool handleControlLine(const std::shared_ptr<Connection> &conn,
-                           const std::string &line);
+    /** Answer a control request on the reader thread; false when
+     * @p ctl is none (take the scheduling path). */
+    bool answerControl(const std::shared_ptr<Connection> &conn,
+                       const ControlRequest &ctl);
 
     /**
      * The one stats-document builder behind every consumer — the live

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -19,14 +20,18 @@ namespace sched91::service
 {
 
 /** The parse every rung shares: even the last-resort degradation
- * needs the block structure to answer truthfully. */
+ * needs the instructions to answer truthfully.  It owns the text a
+ * response's schedule views (ResponseBody::schedule) until the
+ * response line is written. */
 struct ParsedRequest
 {
     Program prog;
-    std::vector<BasicBlock> blocks;
-    ResponseBody body; ///< blocks/insts/parse tallies pre-filled
+    ResponseBody body; ///< insts/parse tallies pre-filled
     std::optional<MachineModel> overrideMachine;
     std::uint64_t parseNs = 0; ///< the parse's wall clock
+    /** toString() of the scheduled instructions without text (none
+     * that parseAssembly makes); a deque, so views stay put. */
+    std::deque<std::string> rendered;
 };
 
 namespace
@@ -37,28 +42,41 @@ namespace
  * back onto the failing path, the worse trade for a daemon. */
 constexpr std::size_t kQuarantineCapacity = 256;
 
-/** Scheduled (or original-order) instruction text, block by block. */
-std::vector<std::string>
-scheduleText(Program &prog, const std::vector<BasicBlock> &blocks,
+/** Point @p body's schedule at the scheduled instruction text, block
+ * by block (@p schedules, one per block in program order), or at the
+ * original order without @p schedules: each line is the instruction's
+ * own text, exactly what Instruction::toString() returns. */
+void
+viewSchedule(ResponseBody &body, ParsedRequest &parsed,
              const std::vector<Schedule> *schedules)
 {
-    std::vector<std::string> lines;
-    lines.reserve(prog.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        BlockView block(prog, blocks[b]);
-        if (schedules != nullptr) {
-            for (std::uint32_t pos : (*schedules)[b].order)
-                lines.push_back(block.inst(pos).toString());
-        } else {
-            for (std::uint32_t i = 0; i < block.size(); ++i)
-                lines.push_back(block.inst(i).toString());
-        }
+    const std::vector<Instruction> &insts = parsed.prog.insts();
+    const auto text = [&parsed](const Instruction &inst) {
+        return inst.text().empty()
+                   ? std::string_view(
+                         parsed.rendered.emplace_back(inst.toString()))
+                   : inst.text();
+    };
+    body.schedule.reserve(insts.size());
+    if (schedules == nullptr) {
+        for (const Instruction &inst : insts)
+            body.schedule.push_back(text(inst));
+        return;
     }
-    return lines;
+    // Blocks partition the program in order, and each schedule orders
+    // its whole block.
+    std::size_t begin = 0;
+    for (const Schedule &sched : *schedules) {
+        for (std::uint32_t pos : sched.order)
+            body.schedule.push_back(text(insts[begin + pos]));
+        begin += sched.order.size();
+    }
 }
 
 /** Parse @p spec; throws on an unknown machine override (the assembly
- * parse itself is lenient). */
+ * parse itself is lenient).  Blocks are left to runPipeline, which
+ * partitions the program itself; only a degraded answer, made without
+ * a pipeline run, partitions here (Engine::lastRungLine). */
 ParsedRequest
 parseRequest(const RequestSpec &spec)
 {
@@ -74,9 +92,7 @@ parseRequest(const RequestSpec &spec)
     // One lane, like the pipeline below: concurrency comes from the
     // daemon's workers.
     parsed.prog = parseAssembly(spec.source, diags, "request", 1);
-    parsed.blocks = partitionBlocks(parsed.prog, {});
 
-    parsed.body.blocks = parsed.blocks.size();
     parsed.body.insts = parsed.prog.size();
     parsed.body.parseErrors = diags.errorCount();
     parsed.body.parseWarnings = diags.warningCount();
@@ -178,6 +194,7 @@ Engine::InProcessRunner::run(BuilderKind builder, int attempt,
 
         ResponseBody body = parsed.body;
         body.status = result.blocksDegraded > 0 ? "degraded" : "ok";
+        body.blocks = result.numBlocks;
         body.degradedBlocks = result.blocksDegraded;
         body.builderFallbacks = result.builderFallbacks;
         body.verifierRejections = result.verifierRejections;
@@ -189,8 +206,7 @@ Engine::InProcessRunner::run(BuilderKind builder, int attempt,
             body.cyclesScheduled = result.cyclesScheduled;
         }
         if (spec_.emitSchedule)
-            body.schedule =
-                scheduleText(parsed.prog, parsed.blocks, &schedules);
+            viewSchedule(body, parsed, &schedules);
         for (const ProgramResult::BlockIssue &issue : result.blockIssues)
             body.deadlineHit =
                 body.deadlineHit || issue.stage == "budget";
@@ -291,13 +307,13 @@ Engine::lastRungLine(ParsedRequest &parsed, const RequestSpec &spec,
     body.status = "degraded";
     body.attempts = attempts;
     body.quarantined = fromQuarantine;
-    body.degradedBlocks = parsed.blocks.size();
+    body.blocks = partitionBlocks(parsed.prog, {}).size();
+    body.degradedBlocks = body.blocks;
     // The last rung's only real work is the parse; report it so even a
     // crash-degraded answer carries a per-phase span.
     body.spans.parseNs = parsed.parseNs;
     if (spec.emitSchedule)
-        body.schedule =
-            scheduleText(parsed.prog, parsed.blocks, nullptr);
+        viewSchedule(body, parsed, nullptr);
     counters_.degraded.fetch_add(1, std::memory_order_relaxed);
     return responseLine(spec.id, body);
 }
@@ -332,7 +348,14 @@ Engine::process(const RequestSpec &spec, AttemptRunner &runner,
                 const obs::RequestTrace *trace)
 {
     using Kind = AttemptOutcome::Kind;
-    const std::uint64_t key = fault::fnv1a64(spec.source);
+    // The payload's quarantine key, hashed over the whole source only
+    // when read: the quarantine holds an entry, or an attempt failed.
+    std::optional<std::uint64_t> keyMemo;
+    const auto key = [&keyMemo, &spec] {
+        if (!keyMemo)
+            keyMemo = fault::fnv1a64(spec.source);
+        return *keyMemo;
+    };
     const std::string_view id =
         spec.id.empty() ? std::string_view("?") : std::string_view(spec.id);
     const auto now = [trace] { return trace ? trace->nowNs() : 0; };
@@ -370,11 +393,11 @@ Engine::process(const RequestSpec &spec, AttemptRunner &runner,
         return line;
     };
 
-    if (isQuarantined(key)) {
+    if (quarantineSize() != 0 && isQuarantined(key())) {
         counters_.quarantineHits.fetch_add(1,
                                            std::memory_order_relaxed);
         obs::flight::record(obs::flight::EventKind::Diag, "svc",
-                            "quarantine hit", key);
+                            "quarantine hit", key());
         return degrade(0, "quarantine", /*fromQuarantine=*/true,
                        /*attempts=*/0);
     }
@@ -405,12 +428,12 @@ Engine::process(const RequestSpec &spec, AttemptRunner &runner,
             if (attempt == 0) {
                 counters_.retries.fetch_add(1, std::memory_order_relaxed);
                 obs::flight::record(obs::flight::EventKind::Diag, "svc",
-                                    "retry: table builder", key);
+                                    "retry: table builder", key());
                 log::info("request ", id, ": attempt 0 failed (",
                           out.error, "); retrying on table builder");
             } else {
                 obs::flight::record(obs::flight::EventKind::Diag, "svc",
-                                    "quarantine add", key);
+                                    "quarantine add", key());
                 log::info("request ", id, ": attempt 1 failed (",
                           out.error, "); degrading to original order");
             }
@@ -419,7 +442,7 @@ Engine::process(const RequestSpec &spec, AttemptRunner &runner,
             // The payload killed a worker: quarantine it and answer
             // original order — a retry would crash the replacement too.
             rungSpan(attempt, t0, "crash: " + out.error);
-            addToQuarantine(key);
+            addToQuarantine(key());
             return degrade(attempt + 1, "degrade: crash",
                            /*fromQuarantine=*/false, attempt + 1,
                            /*parseSpan=*/true);
@@ -434,7 +457,7 @@ Engine::process(const RequestSpec &spec, AttemptRunner &runner,
     }
 
     // Both real attempts failed: quarantine and answer the last rung.
-    addToQuarantine(key);
+    addToQuarantine(key());
     counters_.degradedFallbacks.fetch_add(1, std::memory_order_relaxed);
     return degrade(2, "last-rung", /*fromQuarantine=*/false,
                    /*attempts=*/3);

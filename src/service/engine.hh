@@ -7,7 +7,8 @@
  *
  *  0. quarantine check — a payload that already failed twice is
  *     answered degraded (original order) without touching the
- *     pipeline again;
+ *     pipeline again (the content hash is taken only while the
+ *     quarantine holds an entry, or once an attempt fails);
  *  1. attempt 0: the requested builder, fault containment *off* so
  *     failures surface here instead of silently degrading per block;
  *     the per-request deadline rides PipelineOptions::maxRunSeconds,
@@ -23,7 +24,13 @@
  * The ladder is written once (Engine::process over an AttemptRunner)
  * and drives one of two runners: in-process, where every attempt
  * shares the request's one parse, or sandboxed, where each attempt is
- * an envelope to a lane's worker process (service/supervisor.hh).  A
+ * an envelope to a lane's worker process (service/supervisor.hh).  The
+ * in-process path does only what its answer needs: the parse leaves
+ * partitioning to runPipeline (blocks come from
+ * ProgramResult::numBlocks, schedule lines block by block from the
+ * returned schedules; only a degraded rung, which answers without a
+ * pipeline run, partitions here), and the answer's schedule views
+ * each parsed instruction's own text (ResponseBody::schedule).  A
  * runner only reports what an attempt did; the ladder alone decides
  * the next rung and does every ladder tally, flight event, log line
  * and rung span, so both isolation modes answer alike (the sandbox

@@ -71,16 +71,21 @@ policyFromToken(const std::string &name)
     fatal("unknown alias policy '", name, "'");
 }
 
-std::optional<RequestSpec>
-parseRequestLine(const std::string &line, std::string &error)
+bool
+decodeLine(std::string_view line, obs::JsonValue &doc, std::string &error)
 {
-    obs::JsonValue doc;
     try {
         doc = obs::parseJson(line);
     } catch (const std::exception &e) {
         error = e.what();
-        return std::nullopt;
+        return false;
     }
+    return true;
+}
+
+std::optional<RequestSpec>
+requestFromJson(obs::JsonValue &doc, std::string &error)
+{
     if (!doc.isObject()) {
         error = "request is not a JSON object";
         return std::nullopt;
@@ -89,11 +94,14 @@ parseRequestLine(const std::string &line, std::string &error)
     RequestSpec spec;
     spec.id = doc.strOr("id", "");
     try {
-        if (!doc.has("source") || !doc.at("source").isString()) {
+        auto &members = std::get<obs::JsonValue::Object>(doc.v);
+        const auto source = members.find("source");
+        if (source == members.end() || !source->second.isString()) {
             error = "request has no string 'source' field";
             return std::nullopt;
         }
-        spec.source = doc.at("source").str();
+        // The largest member by far: taken, not copied.
+        spec.source = std::move(std::get<std::string>(source->second.v));
         if (doc.has("algorithm"))
             spec.algorithm =
                 algorithmFromToken(doc.at("algorithm").str());
@@ -111,7 +119,7 @@ parseRequestLine(const std::string &line, std::string &error)
         if (doc.has("evaluate"))
             spec.evaluate = doc.at("evaluate").boolean();
         if (doc.has("emit")) {
-            const std::string emit = doc.at("emit").str();
+            const std::string &emit = doc.at("emit").str();
             if (emit == "schedule")
                 spec.emitSchedule = true;
             else if (emit != "none") {
@@ -128,10 +136,25 @@ parseRequestLine(const std::string &line, std::string &error)
     return spec;
 }
 
+std::optional<RequestSpec>
+parseRequestLine(const std::string &line, std::string &error)
+{
+    obs::JsonValue doc;
+    if (!decodeLine(line, doc, error))
+        return std::nullopt;
+    return requestFromJson(doc, error);
+}
+
 std::string
 responseLine(const std::string &id, const ResponseBody &body)
 {
     obs::JsonWriter w;
+    // The fixed keys take under 512 bytes; the schedule's lines add
+    // their own length, two quotes and a comma each.
+    std::size_t bytes = 512 + id.size() + body.traceId.size();
+    for (std::string_view line : body.schedule)
+        bytes += line.size() + 3;
+    w.reserve(bytes);
     w.beginObject();
     w.key("id").value(id);
     w.key("status").value(body.status);
@@ -158,7 +181,7 @@ responseLine(const std::string &id, const ResponseBody &body)
     }
     if (!body.schedule.empty()) {
         w.key("schedule").beginArray();
-        for (const std::string &line : body.schedule)
+        for (std::string_view line : body.schedule)
             w.value(line);
         w.endArray();
     }
@@ -240,15 +263,17 @@ sandboxEnvelopeLine(const SandboxEnvelope &env)
 }
 
 std::optional<SandboxEnvelope>
-parseSandboxEnvelopeLine(const std::string &line, std::string &error)
+parseSandboxEnvelopeLine(std::string_view line, std::string &error)
 {
-    std::optional<RequestSpec> spec = parseRequestLine(line, error);
+    obs::JsonValue doc;
+    if (!decodeLine(line, doc, error))
+        return std::nullopt;
+    std::optional<RequestSpec> spec = requestFromJson(doc, error);
     if (!spec)
         return std::nullopt;
     SandboxEnvelope env;
     env.spec = std::move(*spec);
     try {
-        obs::JsonValue doc = obs::parseJson(line);
         env.attempt = static_cast<int>(doc.numberOr("attempt", 0.0));
         if (doc.has("downgraded"))
             env.downgraded = doc.at("downgraded").boolean();
@@ -288,21 +313,15 @@ errorLine(const std::string &id, const std::string &message)
 }
 
 ControlRequest
-parseControlLine(const std::string &line)
+controlFromJson(const obs::JsonValue &doc)
 {
     ControlRequest req;
-    obs::JsonValue doc;
-    try {
-        doc = obs::parseJson(line);
-    } catch (const std::exception &) {
-        return req; // malformed JSON: the scheduling path reports it
-    }
     if (!doc.isObject() || !doc.has("type") ||
         !doc.at("type").isString())
         return req;
 
     req.id = doc.strOr("id", "");
-    const std::string type = doc.at("type").str();
+    const std::string &type = doc.at("type").str();
     if (type == "stats")
         req.type = ControlType::Stats;
     else if (type == "health")
@@ -321,6 +340,16 @@ parseControlLine(const std::string &line)
         req.type = ControlType::Invalid;
     }
     return req;
+}
+
+ControlRequest
+parseControlLine(const std::string &line)
+{
+    try {
+        return controlFromJson(obs::parseJson(line));
+    } catch (const std::exception &) {
+        return {}; // malformed JSON: the scheduling path reports it
+    }
 }
 
 std::string

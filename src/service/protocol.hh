@@ -51,6 +51,12 @@
  *
  * The reader (obs/json_parse) and writer (obs/json) are the repo's
  * own; the protocol deliberately stays within what they emit/accept.
+ * The writer escapes only quotes, backslashes and control characters
+ * and passes other bytes through, so sources travel as raw UTF-8; the
+ * reader also decodes any \uXXXX escape (surrogate pairs included)
+ * to UTF-8, so a client whose encoder escapes non-ASCII sends the same
+ * source.  The daemon decodes each line once: controlFromJson() and
+ * requestFromJson() classify the decoded value.
  */
 
 #ifndef SCHED91_SERVICE_PROTOCOL_HH
@@ -59,6 +65,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dag/builder.hh"
@@ -106,6 +113,19 @@ struct RequestSpec
  */
 std::optional<RequestSpec> parseRequestLine(const std::string &line,
                                             std::string &error);
+
+/** Decode one wire line into @p doc; false, with the reader's message
+ * in @p error, when it is not JSON. */
+bool decodeLine(std::string_view line, obs::JsonValue &doc,
+                std::string &error);
+
+/**
+ * parseRequestLine() from a line already decoded — the daemon decodes
+ * each wire line once and classifies it with controlFromJson() first.
+ * Moves the "source" string out of @p doc.
+ */
+std::optional<RequestSpec> requestFromJson(obs::JsonValue &doc,
+                                           std::string &error);
 
 /**
  * Per-phase wall-clock spans of one attempt, in nanoseconds — the
@@ -173,7 +193,14 @@ struct ResponseBody
     long long cyclesOriginal = 0;  ///< only when evaluate
     long long cyclesScheduled = 0; ///< only when evaluate
     bool haveCycles = false;
-    std::vector<std::string> schedule; ///< only when emitSchedule
+
+    /** Scheduled instruction text, only when emitSchedule.  Views,
+     * not copies: the engine points them at the request's parsed
+     * instructions (Instruction::text()), and its ParsedRequest, which
+     * owns those instructions and the toString() of any instruction
+     * without text, outlives the responseLine() call that writes
+     * them. */
+    std::vector<std::string_view> schedule;
 
     std::string traceId; ///< echoed when the request carried one
     PhaseSpans spans;    ///< emitted when any phase was timed
@@ -221,6 +248,10 @@ struct ControlRequest
  */
 ControlRequest parseControlLine(const std::string &line);
 
+/** The same, from a line already decoded (malformed JSON never gets
+ * here: the caller answers its parse error). */
+ControlRequest controlFromJson(const obs::JsonValue &doc);
+
 /** Serialize a control request (no trailing newline); empty id and
  * format are omitted. */
 std::string controlRequestLine(const ControlRequest &req);
@@ -250,10 +281,10 @@ struct SandboxEnvelope
 /** Serialize an envelope (no trailing newline). */
 std::string sandboxEnvelopeLine(const SandboxEnvelope &env);
 
-/** Parse an envelope; sets @p error and returns nullopt when
- * malformed (the worker answers status "error"). */
+/** Parse an envelope, decoding it once; sets @p error and returns
+ * nullopt when malformed (the worker answers status "error"). */
 std::optional<SandboxEnvelope>
-parseSandboxEnvelopeLine(const std::string &line, std::string &error);
+parseSandboxEnvelopeLine(std::string_view line, std::string &error);
 
 } // namespace sched91::service
 

@@ -21,7 +21,7 @@ namespace
  * status "error" — the parent's ladder turns that into a retry or the
  * degraded last rung; the worker itself never retries. */
 std::string
-answer(Engine &engine, const std::string &line)
+answer(Engine &engine, std::string_view line)
 {
     std::string error;
     std::optional<SandboxEnvelope> env =
@@ -90,7 +90,7 @@ runSandboxWorker(const SandboxWorkerConfig &config)
     std::string_view line;
     while (reader.read(line, -1) == LineReader::Status::Line)
         if (!line.empty() &&
-            !writeLine(config.fd, answer(engine, std::string(line))))
+            !writeLine(config.fd, answer(engine, line)))
             return 1;
     return 0; // the supervisor closed the socket: clean drain
 }

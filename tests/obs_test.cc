@@ -14,6 +14,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -458,6 +459,153 @@ TEST(JsonWriter, ControlCharacterEscapes)
     w.beginObject().key("k\n").value("v\x02").endObject();
     JsonValue v = JsonParser(w.take()).parse();
     EXPECT_EQ(v.at("k\n").str(), std::string("v\x02"));
+}
+
+/** The per-character escape the writer's runs must reproduce: the
+ * named short escapes, \u00xx for the rest of the C0 range, every other
+ * byte as itself. */
+std::string
+referenceEscape(std::string_view s)
+{
+    std::string out;
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+/** Every byte alone, inside a run, at the start and at the end of a
+ * string, and at each offset of the two eight-byte words the scans
+ * test at once; then all 256 in one string, so escapes meet back to
+ * back. */
+std::vector<std::string>
+everyByteCases()
+{
+    std::vector<std::string> cases{std::string()};
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        cases.emplace_back(1, c);
+        cases.push_back(std::string("run ") + c + " run");
+        cases.push_back(c + std::string("tail"));
+        cases.push_back(std::string("head") + c);
+        for (std::size_t at = 0; at <= 16; ++at)
+            cases.push_back(std::string(at, 'a') + c +
+                            std::string(16 - at, 'b'));
+        all += c;
+    }
+    cases.push_back(all);
+    cases.push_back(all + all);
+    return cases;
+}
+
+TEST(JsonWriter, RunEscapingMatchesAPerCharacterReference)
+{
+    for (const std::string &s : everyByteCases()) {
+        const std::string want = referenceEscape(s);
+        EXPECT_EQ(obs::jsonEscape(s), want);
+
+        obs::JsonWriter w;
+        w.beginObject().key(s).value(s).endObject();
+        const std::string object = w.take();
+        EXPECT_EQ(object, "{\"" + want + "\":\"" + want + "\"}");
+        w.beginArray().value(s).endArray();
+        EXPECT_EQ(w.take(), "[\"" + want + "\"]");
+
+        const obs::JsonValue back = obs::parseJson(object);
+        ASSERT_EQ(back.object().size(), 1u);
+        EXPECT_EQ(back.object().begin()->first, s);
+        EXPECT_EQ(back.object().begin()->second.str(), s);
+    }
+}
+
+/** parseJson's error message for @p text ("" when it parses). */
+std::string
+parseError(std::string_view text)
+{
+    try {
+        obs::parseJson(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(JsonParse, StringErrorsKeepTheirMessagesAndOffsets)
+{
+    EXPECT_EQ(parseError("\"abc"),
+              "malformed JSON at offset 4: unterminated string");
+    EXPECT_EQ(parseError("{\"k\":\"v\\n"),
+              "malformed JSON at offset 9: unterminated string");
+    EXPECT_EQ(parseError("\"abc\\"),
+              "malformed JSON at offset 5: unterminated escape");
+    EXPECT_EQ(parseError("\"a\\u00g0\""),
+              "malformed JSON at offset 7: bad \\u escape");
+    EXPECT_EQ(parseError("\"a\\u00"),
+              "malformed JSON at offset 4: truncated \\u escape");
+    EXPECT_EQ(parseError("\"a\\q\""),
+              "malformed JSON at offset 4: unknown escape");
+}
+
+TEST(JsonParse, UnicodeEscapesDecodeToUtf8)
+{
+    const auto decoded = [](std::string_view text) {
+        return obs::parseJson(text).str();
+    };
+    EXPECT_EQ(decoded(R"("\u0000")"), std::string(1, '\0'));
+    EXPECT_EQ(decoded(R"("A\u007f")"), "A\x7f");
+    // Two bytes: the latin-1 range no longer reads as single bytes.
+    EXPECT_EQ(decoded(R"("\u0080")"), "\xc2\x80");
+    EXPECT_EQ(decoded(R"("caf\u00e9")"), "caf\xc3\xa9");
+    EXPECT_EQ(decoded(R"("\u07ff")"), "\xdf\xbf");
+    // Three bytes: an em dash, the top of the basic plane.
+    EXPECT_EQ(decoded(R"("a\u2014b")"), "a\xe2\x80\x94" "b");
+    EXPECT_EQ(decoded(R"("\u0800\uffff")"), "\xe0\xa0\x80\xef\xbf\xbf");
+    // Four bytes, from surrogate pairs.
+    EXPECT_EQ(decoded(R"("\ud83d\ude00")"), "\xf0\x9f\x98\x80");
+    EXPECT_EQ(decoded(R"("\ud800\udc00")"), "\xf0\x90\x80\x80");
+    EXPECT_EQ(decoded(R"("\udbff\udfff!")"), "\xf4\x8f\xbf\xbf!");
+    // Raw UTF-8 passes through unchanged.
+    EXPECT_EQ(decoded("\"\xe2\x80\x94\""), "\xe2\x80\x94");
+}
+
+TEST(JsonParse, LoneSurrogatesAreMalformed)
+{
+    const std::string lone = "lone surrogate in \\u escape";
+    EXPECT_EQ(parseError(R"("\ude00")"),
+              "malformed JSON at offset 7: " + lone);
+    EXPECT_EQ(parseError(R"("\ud83d")"),
+              "malformed JSON at offset 7: " + lone);
+    EXPECT_EQ(parseError(R"("\ud83dx")"),
+              "malformed JSON at offset 7: " + lone);
+    EXPECT_EQ(parseError(R"("\ud83d\n")"),
+              "malformed JSON at offset 7: " + lone);
+    EXPECT_EQ(parseError(R"("\ud83d\ud83d")"),
+              "malformed JSON at offset 13: " + lone);
+    EXPECT_EQ(parseError(R"("\ud83d\u0041")"),
+              "malformed JSON at offset 13: " + lone);
+    // The pair's second escape is checked like any other.
+    EXPECT_EQ(parseError(R"("\ud83d\ude0)"),
+              "malformed JSON at offset 9: truncated \\u escape");
+    EXPECT_EQ(parseError(R"("\ud83d\ude0")"),
+              "malformed JSON at offset 13: bad \\u escape");
 }
 
 TEST(JsonWriter, EmptyContainersAndNesting)

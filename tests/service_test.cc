@@ -977,6 +977,177 @@ TEST(Daemon, AnswersAlikeOnOneAndFourLanes)
         EXPECT_EQ(answer, answers[1][id]) << id;
 }
 
+namespace
+{
+
+/** @p line with every non-ASCII character as a \u escape (a surrogate
+ * pair past the basic plane), the way Python's json.dumps writes it. */
+std::string
+asciiEscaped(const std::string &line)
+{
+    std::string out;
+    const auto emit = [&out](unsigned code) {
+        char buf[16];
+        std::snprintf(buf, sizeof buf, "\\u%04x", code);
+        out += buf;
+    };
+    for (std::size_t i = 0; i < line.size();) {
+        const auto lead = static_cast<unsigned char>(line[i]);
+        if (lead < 0x80) {
+            out += line[i++];
+            continue;
+        }
+        const int n = lead >= 0xf0 ? 4 : lead >= 0xe0 ? 3 : 2;
+        unsigned code = lead & (0x3fu >> (n - 1));
+        for (int k = 1; k < n; ++k)
+            code = (code << 6) |
+                   (static_cast<unsigned char>(line[i + k]) & 0x3fu);
+        i += static_cast<std::size_t>(n);
+        if (code < 0x10000) {
+            emit(code);
+        } else {
+            emit(0xd800 + ((code - 0x10000) >> 10));
+            emit(0xdc00 + ((code - 0x10000) & 0x3ff));
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Daemon, EscapedNonAsciiSourceAnswersLikeRawUtf8)
+{
+    // suspicious.s has an em dash in a comment.  A client whose
+    // encoder escapes non-ASCII sends it as \u2014; the daemon must
+    // read the same source, and answer as it does the raw UTF-8.
+    FaultGuard guard;
+    std::ifstream in(SCHED91_SOURCE_DIR
+                     "/tests/corpus/malformed/suspicious.s");
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string source = text.str();
+    ASSERT_NE(source.find("\xe2\x80\x94"), std::string::npos);
+
+    std::string lines[2];
+    for (int side = 0; side < 2; ++side) {
+        obs::JsonWriter w;
+        w.beginObject();
+        w.key("id").value(side == 0 ? "raw" : "escaped");
+        w.key("trace_id").value("t");
+        w.key("source").value(source);
+        w.key("emit").value("schedule");
+        w.endObject();
+        lines[side] = w.take();
+    }
+    lines[1] = asciiEscaped(lines[1]);
+    ASSERT_NE(lines[1].find("\\u2014"), std::string::npos);
+    ASSERT_EQ(lines[1].find('\xe2'), std::string::npos);
+
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("utf8");
+    config.workers = 1;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+    std::map<std::string, std::string> answers;
+    {
+        Client client(config.socketPath);
+        EXPECT_TRUE(client.send(lines[0] + "\n" + lines[1]))
+            << "daemon did not come up";
+        for (const std::string &line : client.read(2))
+            answers[obs::parseJson(line).strOr("id", "")] =
+                withoutSpans(line);
+    }
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+
+    std::string all;
+    for (const auto &[id, line] : answers)
+        all += line + "\n";
+    ASSERT_EQ(answers.count("raw") + answers.count("escaped"), 2u) << all;
+    const obs::JsonValue escaped = obs::parseJson(answers["escaped"]);
+    EXPECT_EQ(escaped.strOr("status", ""), "ok") << answers["escaped"];
+    ASSERT_TRUE(escaped.has("schedule"));
+    EXPECT_FALSE(escaped.at("schedule").array().empty());
+    const std::string raw = answers["raw"];
+    const std::string prefix = "{\"id\":\"raw\"";
+    ASSERT_EQ(raw.rfind(prefix, 0), 0u) << raw;
+    EXPECT_EQ("{\"id\":\"escaped\"" + raw.substr(prefix.size()),
+              answers["escaped"]);
+}
+
+TEST(Daemon, MalformedLinesAnswerOneErrorEachInOrder)
+{
+    // Each line is decoded once and classified from the decoded
+    // value; malformed and invalid lines, answered on the reader
+    // thread, keep their error answers, one per line, in order.
+    FaultGuard guard;
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"source\":", "malformed JSON at offset 10: unexpected end of "
+                         "input"},
+        {"not json", "malformed JSON at offset 0: bad literal"},
+        {"[1,2]", "request is not a JSON object"},
+        {"{\"id\":\"x\"}", "request has no string 'source' field"},
+        {"{\"source\":\"nop\",\"builder\":\"bogus\"}",
+         "unknown builder 'bogus'"},
+        {"{\"source\":\"nop\",\"deadline_ms\":-1}",
+         "deadline_ms must be >= 0"},
+        {"{\"source\":\"nop\",\"emit\":\"all\"}",
+         "unknown emit mode 'all'"},
+        {"{\"type\":\"reboot\",\"id\":\"c1\"}",
+         "unknown control type 'reboot'"},
+        {"{\"type\":\"stats\",\"format\":\"xml\",\"id\":\"c2\"}",
+         "unknown format 'xml'"},
+    };
+    std::string batch;
+    std::vector<std::string> want;
+    for (const auto &[line, error] : cases) {
+        batch += std::string(line) + "\n{\"type\":\"health\"}\n";
+        const std::string id = std::string(line).find("\"c1\"") !=
+                                       std::string::npos
+                                   ? "c1"
+                               : std::string(line).find("\"c2\"") !=
+                                       std::string::npos
+                                   ? "c2"
+                                   : "";
+        want.push_back(service::errorLine(id, error));
+        want.push_back("health");
+    }
+    batch.pop_back();
+
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("malformed");
+    config.workers = 1;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+    std::vector<std::string> got;
+    {
+        Client client(config.socketPath);
+        EXPECT_TRUE(client.send(batch)) << "daemon did not come up";
+        got = client.read(want.size());
+    }
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (want[i] == "health")
+            EXPECT_EQ(obs::parseJson(got[i]).strOr("status", ""), "ok")
+                << got[i];
+        else
+            EXPECT_EQ(got[i], want[i]);
+    }
+    EXPECT_EQ(daemon.counters().error.load(), 7u);
+    EXPECT_EQ(daemon.counters().accepted.load(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end CLI contracts (subprocess; SCHED91_CLI_PATH from CMake).
 

@@ -36,6 +36,14 @@
 # (a write to the dead worker's socket is an error return, not a
 # SIGPIPE that kills the daemon).
 #
+# A malformed-line cycle sends, on one connection, requests with
+# malformed JSON, a non-object line, a line without source, an unknown
+# builder, a negative deadline_ms, unknown control types and formats
+# and `health` lines between them; every line must get one answer with
+# its expected status (the daemon decodes each line once and tells
+# control from request lines by the decoded value).  It writes no
+# `soak_client:` line.
+#
 # Runs the fault-injected matrix at two injection seeds.  Usage:
 #
 #   tools/run_daemon_smoke.sh [builddir]     # default: build
@@ -413,6 +421,84 @@ EOF
     check "idle-death stats document" 0 $?
 }
 
+# Malformed lines: one connection, one answer per line with the
+# expected status, `health` answered between requests, then a clean
+# drain that counted every refused request line.
+run_malformed_cycle() {
+    local sock=$workdir/malformed.sock
+    local stats=$workdir/stats-malformed.json
+
+    "$cli" serve --socket "$sock" --stats-json "$stats" \
+        2>"$workdir/malformed.err" &
+    daemon_pid=$!
+
+    if ! wait_for_socket "$sock"; then
+        echo "FAIL: malformed-line daemon never bound $sock" >&2
+        cat "$workdir/malformed.err" >&2
+        fails=$((fails + 1))
+        kill "$daemon_pid" 2>/dev/null
+        wait "$daemon_pid" 2>/dev/null
+        daemon_pid=
+        return
+    fi
+
+    python3 - "$sock" <<'EOF'
+import json, socket, sys
+source = "add %g1, %g2, %g3 ! a comment \\u2014 escaped\\nnop\\n"
+lines = [
+    ('{"id":"r1","source":"add %g1, %g2, %g3\\nnop\\n",'
+     '"emit":"schedule"}', "r1", "ok"),
+    ('{"id":"cut","source":"nop', "", "error"),
+    ('{"type":"health","id":"h1"}', "h1", "ok"),
+    ('[1,2,3]', "", "error"),
+    ('{"id":"nosrc"}', "", "error"),
+    ('{"id":"bad","source":"nop","builder":"bogus"}', "", "error"),
+    ('{"id":"neg","source":"nop","deadline_ms":-5}', "", "error"),
+    ('{"type":"reboot","id":"badtype"}', "badtype", "error"),
+    ('{"type":"stats","format":"xml","id":"badformat"}', "badformat",
+     "error"),
+    ('{"type":"health","id":"h2"}', "h2", "ok"),
+    ('{"id":"r2","source":"' + source + '","evaluate":true}', "r2", "ok"),
+    ('{"type":"health","id":"h3"}', "h3", "ok"),
+]
+c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+c.settimeout(30)
+c.connect(sys.argv[1])
+c.sendall("".join(line + "\n" for line, _, _ in lines).encode())
+f = c.makefile("rb")
+answers = [json.loads(f.readline()) for _ in lines]
+c.close()
+want = {}
+for _, rid, status in lines:
+    want.setdefault(rid, []).append(status)
+got = {}
+for a in answers:
+    got.setdefault(a.get("id", ""), []).append(a.get("status"))
+for rid in want:
+    assert sorted(got.get(rid, [])) == sorted(want[rid]), \
+        f"id {rid!r}: statuses {got.get(rid)}, want {want[rid]}"
+assert set(got) == set(want), f"unexpected ids {set(got) - set(want)}"
+print(f"ok: malformed lines ({len(answers)} lines, one answer each)")
+EOF
+    check "one answer per malformed line" 0 $?
+
+    kill -INT "$daemon_pid"
+    wait "$daemon_pid"
+    check "malformed-line daemon drain on SIGINT" 0 $?
+    daemon_pid=
+
+    python3 - "$stats" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))['service']
+assert s['accepted'] == 2 and s['ok'] == 2, \
+    f"accepted {s['accepted']}, ok {s['ok']}: want 2 and 2"
+assert s['error'] == 5, f"error {s['error']}, want 5"
+print(f"ok: malformed-line stats (accepted {s['accepted']}, "
+      f"error {s['error']})")
+EOF
+    check "malformed-line stats document" 0 $?
+}
+
 for seed in 42 1337; do
     run_cycle "$seed" "$seed"
 done
@@ -445,6 +531,8 @@ fi
 run_quiesce_cycle
 
 run_idle_death_cycle
+
+run_malformed_cycle
 
 if [ "$fails" -ne 0 ]; then
     echo "daemon smoke: $fails failure(s)" >&2

@@ -32,6 +32,17 @@
 # lenient runs stop at the 64-error cap in a later chunk, its --strict
 # runs at the first error.  warned.s repeats the two files of that
 # corpus that only warn, so every run on it schedules.
+# serve: the wire answers of `sched91 serve`, in-process and then
+# under --isolate process, to one request file that a short python3
+# client sends on one connection: every tests/corpus/malformed/*.s,
+# malformed.s, warned.s and each kernel's `schedule` output, each
+# under three algorithm/builder/policy triples with evaluate,
+# emit "schedule" and a client-set trace_id (raw UTF-8, as the
+# writer sends it), then malformed JSON, a non-object line, a line
+# without source, an unknown builder, a negative deadline_ms, and
+# unknown control types and formats.  Answers are matched by id,
+# compared without their "spans" (wall clock), along with the
+# daemon's --zero-times stats document at drain.
 #
 # Exits non-zero at the first difference and names the command and the
 # output; otherwise prints how many outputs it compared.
@@ -198,5 +209,110 @@ for input in malformed.s warned.s; do
         done
     done
 done
+
+# The serve requests: every source under three triples, then the
+# lines the daemon must refuse, one answer each.
+serve_sources=("$corpus"/*.s "$work/malformed.s" "$work/warned.s")
+for kernel in $("${bins[0]}" kernels); do
+    "${bins[0]}" schedule --kernel "$kernel" > "$work/kernel-$kernel.s" \
+        2> /dev/null
+    serve_sources+=("$work/kernel-$kernel.s")
+done
+python3 - "$work/requests.jsonl" "${serve_sources[@]}" <<'EOF'
+import json, os, sys
+triples = [("krishnamurthy", "table-fwd", "base-offset"),
+           ("warren", "n2-fwd", "symbolic"),
+           ("simple-forward", "table-bwd", "storage")]
+lines = []
+for path in sys.argv[2:]:
+    source = open(path, encoding="utf-8").read()
+    name = os.path.basename(path)
+    for algorithm, builder, policy in triples:
+        rid = f"{name}/{algorithm}/{builder}/{policy}"
+        lines.append(json.dumps(
+            {"id": rid, "trace_id": rid, "source": source,
+             "algorithm": algorithm, "builder": builder,
+             "policy": policy, "evaluate": True, "emit": "schedule"},
+            ensure_ascii=False))
+lines += ['{"id":"cut","source":"nop',
+          '[1,2,3]',
+          '{"id":"nosrc"}',
+          '{"id":"badbuilder","source":"nop","builder":"bogus"}',
+          '{"id":"negdeadline","source":"nop","deadline_ms":-5}',
+          '{"type":"reboot","id":"badtype"}',
+          '{"type":"stats","format":"xml","id":"badformat"}']
+open(sys.argv[1], "w", encoding="utf-8").write("\n".join(lines) + "\n")
+EOF
+
+# serve_drift [serve args]: both binaries serve the request file, one
+# after the other on the same socket path; compare the answers, sorted
+# by id without spans, and the drain's stats document.
+serve_drift() {
+    local side sock=$work/serve.sock
+    # AF_UNIX paths are capped near 108 bytes.
+    [ ${#sock} -gt 100 ] && sock=/tmp/sched91-zero-drift-$$.sock
+    for side in 0 1; do
+        rm -rf "${work:?}/$side"
+        mkdir "$work/$side"
+        (cd "$work/$side" &&
+         exec "${bins[$side]}" serve --socket "$sock" --threads 2 \
+             --zero-times --stats-json stats.json "$@" 2> stderr) &
+        local pid=$! tries=100
+        while [ "$tries" -gt 0 ] && [ ! -S "$sock" ]; do
+            sleep 0.05
+            tries=$((tries - 1))
+        done
+        if ! python3 - "$sock" "$work/requests.jsonl" \
+                "$work/$side/answers" <<'EOF'
+import json, socket, sys, threading
+sock, requests, out = sys.argv[1:]
+data = open(requests, "rb").read()
+want = sum(1 for line in data.split(b"\n") if line)
+c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+c.settimeout(120)
+c.connect(sock)
+# Send while reading: answers may fill the socket before the last line
+# is sent.
+sender = threading.Thread(target=c.sendall, args=(data,))
+sender.start()
+f = c.makefile("rb")
+answers = [f.readline().rstrip(b"\n") for _ in range(want)]
+sender.join()
+c.close()
+assert all(answers), "the daemon closed the connection early"
+keyed = []
+for line in answers:
+    doc = json.loads(line)
+    cut = line.find(b',"spans":{')
+    if cut >= 0:
+        line = line[:cut] + line[line.index(b"}", cut) + 1:]
+    keyed.append((doc.get("id", ""), line))
+open(out, "wb").write(b"\n".join(l for _, l in sorted(keyed)) + b"\n")
+EOF
+        then
+            echo "zero-drift: no full answer from ${bins[$side]}:" \
+                 "sched91 serve $*" >&2
+            kill "$pid" 2>/dev/null
+            exit 1
+        fi
+        kill -INT "$pid"
+        if ! wait "$pid"; then
+            echo "zero-drift: ${bins[$side]} serve $* did not drain" >&2
+            cat "$work/$side/stderr" >&2
+            exit 1
+        fi
+    done
+    local file
+    for file in answers stats.json; do
+        if ! cmp "$work/0/$file" "$work/1/$file" >&2; then
+            echo "zero-drift: $file differs: sched91 serve $*" >&2
+            exit 1
+        fi
+        compared=$((compared + 1))
+    done
+}
+
+serve_drift
+serve_drift --isolate process
 
 echo "zero-drift: $compared outputs identical"
