@@ -21,6 +21,7 @@
 #include <chrono>
 
 #include "bench_util.hh"
+#include "support/string_util.hh"
 #include "support/thread_pool.hh"
 
 using namespace sched91;
@@ -71,7 +72,7 @@ main()
     std::vector<int> widths{11, 10};
     std::vector<std::string> header{"benchmark", "serial(ms)"};
     for (std::size_t i = 1; i < lanes.size(); ++i) {
-        header.push_back("t" + std::to_string(lanes[i]) + "(ms)");
+        header.push_back(numbered("t", lanes[i]) + "(ms)");
         header.push_back("x");
         widths.push_back(9);
         widths.push_back(6);

@@ -1,5 +1,7 @@
 #include "core/backend.hh"
 
+#include "support/string_util.hh"
+
 namespace sched91
 {
 
@@ -35,7 +37,7 @@ compileProgram(Program &prog, const MachineModel &machine,
             }
         }
 
-        allocated.addLabel("B" + std::to_string(bb.begin));
+        allocated.addLabel(numbered("B", bb.begin));
         if (alloc) {
             ++result.allocatedBlocks;
             result.spillStores += alloc->spillStores;
@@ -58,7 +60,7 @@ compileProgram(Program &prog, const MachineModel &machine,
     for (std::size_t b = 0; b < out_blocks.size(); ++b) {
         const BasicBlock &bb = out_blocks[b];
         BlockView block(allocated, bb);
-        result.program.addLabel("B" + std::to_string(bb.begin));
+        result.program.addLabel(numbered("B", bb.begin));
         for (std::uint32_t n : schedules[b].order)
             result.program.append(block.inst(n));
     }

@@ -105,7 +105,8 @@ struct WorkerState
     obs::CounterShard blockShard;
     /** Run-lifetime accumulation, merged into the run total post-join. */
     obs::CounterShard accum;
-    obs::PhaseShards phaseShards; ///< its blocks' phases count here
+    /** Its blocks' per-phase totals, for the run report's tree. */
+    obs::PhaseShards phaseShards;
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
     /** Buffered log records, replayed post-join in block order. */
@@ -214,6 +215,8 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     const bool obs_on = obs::enabled();
     const bool tracing = obs_on && opts.trace != nullptr;
+    // The parts of the run report that only observability feeds.
+    const bool obs_report = obs_on && opts.report;
 
     unsigned threads = opts.threads != 0
                            ? opts.threads
@@ -277,7 +280,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         BlockView block(prog, bb);
         BlockOutput &out = outputs[b];
         out.phases.keepCounters = tracing;
-        out.phases.shards = obs_on ? &workers[w].phaseShards : nullptr;
+        out.phases.shards = obs_report ? &workers[w].phaseShards : nullptr;
         out.worker = w;
 
         // Ladder rung two (last resort): the block keeps its original
@@ -571,7 +574,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                 }
             }
 
-            out.dagStats.accumulate(dag);
+            out.dagStats.accumulate(dag, opts.report);
 
             if (opts.evaluate) {
                 obs::ScopedPhase eval_phase(obs::Phase::Evaluate,
@@ -703,7 +706,9 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // Deterministic work score: what the outlier ranking
                 // and the CounterSnap flight event report.
                 const std::uint64_t score =
-                    obs::shardWorkScore(ws.blockShard);
+                    flight_on || ws.outliers
+                        ? obs::shardWorkScore(ws.blockShard)
+                        : 0;
                 obs::flight::record(
                     obs::flight::EventKind::CounterSnap, "work", {},
                     score);
@@ -767,7 +772,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         result.heurSeconds += out.phases.seconds(obs::Phase::Heur);
         result.schedSeconds += out.phases.seconds(obs::Phase::Sched);
         result.verifySeconds += out.phases.seconds(obs::Phase::Verify);
-        if (obs_on) {
+        if (obs_report) {
             result.phaseTree.add(out.phases);
             block_insts.record(blocks[b].size());
             block_arena_bytes.record(out.arenaBytes);
@@ -852,7 +857,8 @@ runPipeline(Program &prog, const MachineModel &machine,
     }
     result.memory.dagArcs = result.dagStats.totalArcs;
     result.memory.dagArcBytes = result.memory.dagArcs * sizeof(Arc);
-    result.memory.peakRssBytes = obs::currentPeakRssBytes();
+    if (opts.report)
+        result.memory.peakRssBytes = obs::currentPeakRssBytes();
 
     // ... and worker order for the thread-private shards and the phase
     // totals (both merges are kind-aware, so the result is independent
@@ -863,7 +869,8 @@ runPipeline(Program &prog, const MachineModel &machine,
         obs::CounterShard run_total;
         for (WorkerState &ws : workers) {
             ws.accum.flushInto(run_total);
-            result.phaseTree.add(ws.phaseShards);
+            if (obs_report)
+                result.phaseTree.add(ws.phaseShards);
         }
         // Deterministic memory gauges join the run's counters too.
         run_total.add(obs::ev::memArenaBytesAllocated.id(),
@@ -873,7 +880,8 @@ runPipeline(Program &prog, const MachineModel &machine,
         run_total.add(obs::ev::memDagArcBytes.id(),
                       result.memory.dagArcBytes);
         run_total.flushIntoActive();
-        result.counters = run_total.named();
+        if (obs_report)
+            result.counters = run_total.named();
     }
 
     // Lane-local top-K trackers merge into the global top-K: a block

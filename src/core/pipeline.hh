@@ -21,6 +21,13 @@
  * id and all reductions happen after the join in a fixed order, so
  * schedules, statistics, counters, phase trees and trace events are
  * identical for every thread count (see docs/PERFORMANCE.md).
+ *
+ * The run report — the forest count and the other per-node and
+ * per-block DAG samples, the phase tree, the per-block histograms, the
+ * named counter set and the peak RSS — is built only when
+ * PipelineOptions::report asks for it (the default).  The service
+ * engine turns it off: nothing it answers or counts reads the report,
+ * and its lane shards still get every count.
  */
 
 #ifndef SCHED91_CORE_PIPELINE_HH
@@ -67,6 +74,18 @@ struct PipelineOptions
      * is *not* charged to the three scheduling phases).
      */
     bool evaluate = false;
+
+    /**
+     * Build the run report: ProgramResult's per-node and per-block DAG
+     * samples (childrenPerInst, arcsPerBlock, treesPerBlock, with the
+     * forest count), and, while the observability layer is enabled,
+     * counters, histograms and phaseTree, plus memory.peakRssBytes.
+     * A caller that prints none of them (the service engine) turns it
+     * off.  Everything else is the same either way: schedules, cycles,
+     * issues, the DAG totals, traces, outliers, and the counts added
+     * to the caller's active counters.
+     */
+    bool report = true;
 
     /**
      * Optional per-block per-phase trace consumer.  Events fire only
@@ -216,7 +235,9 @@ struct ProgramResult
         return buildSeconds + heurSeconds + schedSeconds;
     }
 
-    /** Tables 4/5 structural statistics. */
+    /** Tables 4/5 structural statistics.  Without the run report
+     * (PipelineOptions::report) only the totals are filled; the
+     * samples are empty. */
     DagStructure dagStats;
 
     // Quality (only when PipelineOptions::evaluate).
@@ -228,7 +249,8 @@ struct ProgramResult
      * counted): the run's merged worker shards, exact even when runs
      * overlap.  The same counts are also added to the caller's active
      * counters — its installed shard, else the global registry.
-     * Empty unless the observability layer was enabled for the run.
+     * Empty unless the observability layer was enabled for the run,
+     * and without the run report (PipelineOptions::report).
      */
     obs::CounterSet counters;
 
@@ -237,16 +259,20 @@ struct ProgramResult
      * `lat.heur_ns`, `lat.sched_ns`, `lat.verify_ns`, nanoseconds, one
      * sample per block per phase that started) and sizes
      * (`block.insts`, `block.arena_bytes`).  Empty unless the
-     * observability layer was enabled for the run.
+     * observability layer was enabled for the run, and without the
+     * run report.
      */
     obs::HistogramSet histograms;
 
     /** The run's phase tree, folded from the blocks' phase records.
-     * Empty unless the observability layer was enabled for the run. */
+     * Empty unless the observability layer was enabled for the run,
+     * and without the run report. */
     obs::PhaseStats phaseTree;
 
     /** Memory footprint of the run (filled regardless of
-     * observability — the quantities are free at run end). */
+     * observability — the quantities are free at run end), except
+     * peakRssBytes, a getrusage call, which stays 0 without the run
+     * report. */
     obs::MemoryStats memory;
 
     // --- Robustness outcomes (filled regardless of observability) ---

@@ -11,6 +11,31 @@
 namespace sched91
 {
 
+namespace
+{
+
+/** Adds a build's arc tallies, which Dag::addArc keeps instead of
+ * counting, to their counters as the build ends or unwinds. */
+class ArcTally
+{
+  public:
+    explicit ArcTally(const Dag &dag) : dag_(dag) {}
+    ArcTally(const ArcTally &) = delete;
+    ArcTally &operator=(const ArcTally &) = delete;
+
+    ~ArcTally()
+    {
+        obs::ev::dagArcsAdded.inc(dag_.numArcs());
+        obs::ev::dagArcsDuplicate.inc(dag_.duplicateCount());
+        obs::ev::dagArcsSuppressed.inc(dag_.suppressedCount());
+    }
+
+  private:
+    const Dag &dag_;
+};
+
+} // namespace
+
 Dag
 DagBuilder::build(const BlockView &block, const MachineModel &machine,
                   const BuildOptions &opts) const
@@ -18,6 +43,17 @@ DagBuilder::build(const BlockView &block, const MachineModel &machine,
     // Inside a pipeline worker the arc lists draw from the worker's
     // block-lifetime arena; standalone callers get heap allocation.
     Dag dag(block, WorkerContext::currentArena());
+    {
+        const ArcTally tally(dag);
+        fill(dag, block, machine, opts);
+    }
+    return dag;
+}
+
+void
+DagBuilder::fill(Dag &dag, const BlockView &block,
+                 const MachineModel &machine, const BuildOptions &opts) const
+{
     dag.setLevelOrigin(isForward() ? Dag::LevelOrigin::Roots
                                    : Dag::LevelOrigin::Leaves);
 
@@ -68,8 +104,6 @@ DagBuilder::build(const BlockView &block, const MachineModel &machine,
             }
         }
     }
-
-    return dag;
 }
 
 PairMasks::PairMasks(const Dag &dag)

@@ -78,7 +78,9 @@ class DagBuilder
     /** Construction pass direction. */
     virtual bool isForward() const = 0;
 
-    /** Build the dependence DAG for one basic block. */
+    /** Build the dependence DAG for one basic block.  The build's arc
+     * outcomes count once, as it ends or unwinds (`dag.arcs_added`,
+     * `dag.arcs_duplicate`, `dag.arcs_suppressed`). */
     Dag build(const BlockView &block, const MachineModel &machine,
               const BuildOptions &opts = {}) const;
 
@@ -87,6 +89,11 @@ class DagBuilder
     virtual void addArcs(Dag &dag, const BlockView &block,
                          const MachineModel &machine,
                          const BuildOptions &opts) const = 0;
+
+  private:
+    /** Everything build() does to the fresh @p dag. */
+    void fill(Dag &dag, const BlockView &block, const MachineModel &machine,
+              const BuildOptions &opts) const;
 };
 
 /** Known builder kinds for registries and benches. */

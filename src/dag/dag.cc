@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/events.hh"
 #include "support/logging.hh"
 #include "support/worker_context.hh"
 
@@ -177,7 +176,6 @@ Dag::addArc(std::uint32_t from, std::uint32_t to, DepKind kind, int delay,
             arc.res = res;
         }
         ++duplicates_;
-        obs::ev::dagArcsDuplicate.inc();
         return AddArcResult::Duplicate;
     }
 
@@ -188,12 +186,10 @@ Dag::addArc(std::uint32_t from, std::uint32_t to, DepKind kind, int delay,
                              : reach_.row(to).test(from);
         if (reachable) {
             ++suppressed_;
-            obs::ev::dagArcsSuppressed.inc();
             return AddArcResult::Suppressed;
         }
     }
 
-    obs::ev::dagArcsAdded.inc();
     std::uint32_t id = static_cast<std::uint32_t>(arcs_.size());
     arcs_.push_back(Arc{from, to, kind, delay, res});
     ++numChildren_[from];

@@ -230,7 +230,9 @@ class Dag
      */
     void beginArcGroup(std::uint32_t node);
 
-    /** Add (or merge) a dependence arc from @p from to @p to. */
+    /** Add (or merge) a dependence arc from @p from to @p to.  Counts
+     * no event itself: DagBuilder::build adds the tallies below to the
+     * `dag.arcs_*` counters once per build. */
     AddArcResult addArc(std::uint32_t from, std::uint32_t to, DepKind kind,
                         int delay, Resource res = Resource());
 

@@ -4,12 +4,14 @@ namespace sched91
 {
 
 void
-DagStructure::accumulate(const Dag &dag)
+DagStructure::accumulate(const Dag &dag, bool samples)
 {
-    for (std::uint32_t i = 0; i < dag.size(); ++i)
-        childrenPerInst.add(dag.numChildren(i));
-    arcsPerBlock.add(static_cast<double>(dag.numArcs()));
-    treesPerBlock.add(static_cast<double>(dag.countForestTrees()));
+    if (samples) {
+        for (std::uint32_t i = 0; i < dag.size(); ++i)
+            childrenPerInst.add(dag.numChildren(i));
+        arcsPerBlock.add(static_cast<double>(dag.numArcs()));
+        treesPerBlock.add(static_cast<double>(dag.countForestTrees()));
+    }
     totalArcs += dag.numArcs();
     totalNodes += dag.size();
     ++totalBlocks;

@@ -1,8 +1,11 @@
 /**
  * @file
  * DAG structural statistics for Tables 4 and 5: children per
- * instruction and arcs per basic block (max and average), plus
- * transitive-arc accounting for the ablation benches.
+ * instruction and arcs per basic block (max and average), trees per
+ * block (Table 3), plus transitive-arc accounting for the ablation
+ * benches.  The totals are cheap and always kept (outlier records and
+ * `mem.dag_arc_bytes` read them); the per-node and per-block samples,
+ * with their forest count, only for a run report that prints them.
  */
 
 #ifndef SCHED91_DAG_DAG_STATS_HH
@@ -28,8 +31,9 @@ struct DagStructure
     std::size_t duplicateArcAttempts = 0;
     std::size_t suppressedArcs = 0;
 
-    /** Fold one block's DAG into the statistics. */
-    void accumulate(const Dag &dag);
+    /** Fold one block's DAG into the totals, and with @p samples into
+     * the per-node and per-block samples too (counting its forest). */
+    void accumulate(const Dag &dag, bool samples = true);
 
     /** Merge another accumulation. */
     void merge(const DagStructure &other);

@@ -20,10 +20,15 @@ aliasPolicyName(AliasPolicy policy)
     return "?";
 }
 
+MemDisambiguator::MemDisambiguator(AliasPolicy policy)
+    : policy_(policy), queries_(obs::ev::dagAliasQueries)
+{
+}
+
 AliasResult
 MemDisambiguator::alias(const MemOperand &a, const MemOperand &b) const
 {
-    obs::ev::dagAliasQueries.inc();
+    queries_.add();
     if (policy_ == AliasPolicy::SerializeAll)
         return AliasResult::MustAlias;
 

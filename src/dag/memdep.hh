@@ -21,6 +21,7 @@
 #include <string_view>
 
 #include "ir/operand.hh"
+#include "obs/counters.hh"
 #include "support/arena.hh"
 
 namespace sched91
@@ -55,11 +56,16 @@ enum class AliasResult : std::uint8_t {
     MustAlias, ///< provably the same location
 };
 
-/** Stateless alias oracle over parsed memory operands. */
+/**
+ * Alias oracle over parsed memory operands.  Its verdicts are pure;
+ * its only state is the count of its queries, added to
+ * `dag.alias_queries` once, as the oracle goes out of scope (a build's
+ * oracle dies with the build, cut short or not).
+ */
 class MemDisambiguator
 {
   public:
-    explicit MemDisambiguator(AliasPolicy policy) : policy_(policy) {}
+    explicit MemDisambiguator(AliasPolicy policy);
 
     AliasPolicy policy() const { return policy_; }
 
@@ -68,6 +74,7 @@ class MemDisambiguator
 
   private:
     AliasPolicy policy_;
+    mutable obs::CountBatch queries_;
 };
 
 /**

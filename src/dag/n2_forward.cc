@@ -13,13 +13,14 @@ N2ForwardBuilder::addArcs(Dag &dag, const BlockView &block,
     MemDisambiguator mem(opts.memPolicy);
     DelayCalc delays(machine, dag);
     PairMasks masks(dag);
+    obs::CountBatch compares(obs::ev::dagPairwiseCompares);
     std::uint32_t n = block.size();
     for (std::uint32_t j = 1; j < n; ++j) {
         dag.beginArcGroup(j);
         for (std::uint32_t i = 0; i < j; ++i) {
             if (opts.cancel)
                 opts.cancel->poll();
-            obs::ev::dagPairwiseCompares.inc();
+            compares.add();
             if (masks.mayInteract(i, j))
                 addPairwiseArcs(dag, i, j, delays, mem);
         }
@@ -34,12 +35,13 @@ N2BackwardBuilder::addArcs(Dag &dag, const BlockView &block,
     MemDisambiguator mem(opts.memPolicy);
     DelayCalc delays(machine, dag);
     PairMasks masks(dag);
+    obs::CountBatch compares(obs::ev::dagPairwiseCompares);
     for (std::uint32_t i = block.size(); i-- > 0;) {
         dag.beginArcGroup(i);
         for (std::uint32_t j = i + 1; j < block.size(); ++j) {
             if (opts.cancel)
                 opts.cancel->poll();
-            obs::ev::dagPairwiseCompares.inc();
+            compares.add();
             if (masks.mayInteract(i, j))
                 addPairwiseArcs(dag, i, j, delays, mem);
         }

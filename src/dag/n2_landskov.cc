@@ -19,6 +19,7 @@ N2LandskovBuilder::addArcs(Dag &dag, const BlockView &block,
     MemDisambiguator mem(opts.memPolicy);
     DelayCalc delays(machine, dag);
     PairMasks masks(dag);
+    obs::CountBatch compares(obs::ev::dagPairwiseCompares);
     std::uint32_t n = block.size();
     for (std::uint32_t j = 1; j < n; ++j) {
         dag.beginArcGroup(j);
@@ -28,7 +29,7 @@ N2LandskovBuilder::addArcs(Dag &dag, const BlockView &block,
         for (std::uint32_t i = j; i-- > 0;) {
             if (opts.cancel)
                 opts.cancel->poll();
-            obs::ev::dagPairwiseCompares.inc();
+            compares.add();
             if (masks.mayInteract(i, j))
                 addPairwiseArcs(dag, i, j, delays, mem);
         }

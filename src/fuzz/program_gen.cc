@@ -7,6 +7,7 @@
 
 #include "obs/events.hh"
 #include "support/prng.hh"
+#include "support/string_util.hh"
 
 namespace sched91::fuzz
 {
@@ -119,7 +120,7 @@ corruptLine(Prng &rng, std::string &line)
         break;
     case 2: { // mangle the mnemonic
         std::size_t sp = line.find_first_of(" \t");
-        line.insert(sp == std::string::npos ? line.size() : sp, "q");
+        line.insert(sp == std::string::npos ? line.size() : sp, 1, 'q');
         break;
     }
     case 3: // truncate
@@ -250,7 +251,7 @@ generateSource(const GenParams &params)
     std::vector<std::string> lines;
 
     for (int b = 0; b < p.numBlocks; ++b) {
-        lines.push_back("L" + std::to_string(b) + ":");
+        lines.push_back(numbered("L", static_cast<std::uint64_t>(b)) + ":");
         int n = static_cast<int>(rng.below(p.maxBlockSize)) + 1;
         for (int i = 0; i < n; ++i) {
             std::string line = "    ";

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/events.hh"
-
 namespace sched91
 {
 
@@ -72,14 +70,13 @@ interlocksWithPrevious(const Dag &dag, std::uint32_t candidate,
     return false;
 }
 
-void
+std::size_t
 onScheduledForward(Dag &dag, std::uint32_t n, int issue_time)
 {
     NodeAnnotations &a = dag.ann();
     a.scheduled[n] = 1;
     std::span<const std::uint32_t> to = dag.succTo(n);
     std::span<const std::int32_t> delay = dag.succDelay(n);
-    obs::ev::schedDepUpdates.inc(to.size());
     int *unsched_parents = a.unscheduledParents.data();
     int *eet = a.earliestExecTime.data();
     for (std::size_t k = 0; k < to.size(); ++k) {
@@ -87,9 +84,10 @@ onScheduledForward(Dag &dag, std::uint32_t n, int issue_time)
         --unsched_parents[c];
         eet[c] = std::max(eet[c], issue_time + delay[k]);
     }
+    return to.size();
 }
 
-void
+std::size_t
 onScheduledBackward(Dag &dag, std::uint32_t n, bool birthing,
                     double birthing_boost)
 {
@@ -97,7 +95,6 @@ onScheduledBackward(Dag &dag, std::uint32_t n, bool birthing,
     a.scheduled[n] = 1;
     std::span<const std::uint32_t> from = dag.predFrom(n);
     std::span<const DepKind> kind = dag.predKind(n);
-    obs::ev::schedDepUpdates.inc(from.size());
     int *unsched_children = a.unscheduledChildren.data();
     double *boost = a.priorityBoost.data();
     for (std::size_t k = 0; k < from.size(); ++k) {
@@ -106,6 +103,7 @@ onScheduledBackward(Dag &dag, std::uint32_t n, bool birthing,
         if (birthing && kind[k] == DepKind::RAW)
             boost[p] += birthing_boost;
     }
+    return from.size();
 }
 
 } // namespace sched91

@@ -54,18 +54,21 @@ bool interlocksWithPrevious(const Dag &dag, std::uint32_t candidate,
  * Forward-scheduling update: mark @p n scheduled at @p issue_time,
  * decrement children's unscheduled-parent counters, and push their
  * earliest execution times to max(previous, issue_time + arc delay).
+ * Returns the arcs it relaxed, which the caller counts as
+ * `sched.dep_updates`.
  */
-void onScheduledForward(Dag &dag, std::uint32_t n, int issue_time);
+std::size_t onScheduledForward(Dag &dag, std::uint32_t n, int issue_time);
 
 /**
  * Backward-scheduling update: mark @p n scheduled and decrement the
  * parents' unscheduled-children counters.  When @p birthing is set,
  * each RAW parent's priority is adjusted upward (Tiemann's birthing-
  * instruction heuristic: shorten the live range by scheduling the
- * producer next).
+ * producer next).  Returns the arcs it relaxed, which the caller
+ * counts as `sched.dep_updates`.
  */
-void onScheduledBackward(Dag &dag, std::uint32_t n, bool birthing,
-                         double birthing_boost = 1.0);
+std::size_t onScheduledBackward(Dag &dag, std::uint32_t n, bool birthing,
+                                double birthing_boost = 1.0);
 
 } // namespace sched91
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 
 namespace sched91
 {
@@ -82,33 +83,46 @@ Instruction::toString() const
         return usesImm_ ? std::to_string(imm_) : src(pos);
     };
 
+    auto mem = [this]() -> std::string {
+        return mem_ ? mem_->toString() : "[%g0]";
+    };
+    // " a, b, c" after the mnemonic.
+    auto operands = [&out](std::initializer_list<std::string> ops) {
+        const char *sep = " ";
+        for (const std::string &op : ops) {
+            out += sep;
+            out += op;
+            sep = ", ";
+        }
+    };
+
     switch (info.sig) {
       case OperandSig::Alu3:
-        out += " " + src(0) + ", " + src_or_imm(1) + ", " + dst();
+        operands({src(0), src_or_imm(1), dst()});
         break;
       case OperandSig::Cmp2:
-        out += " " + src(0) + ", " + src_or_imm(1);
+        operands({src(0), src_or_imm(1)});
         break;
       case OperandSig::Mov2:
-        out += " " + src_or_imm(0) + ", " + dst();
+        operands({src_or_imm(0), dst()});
         break;
       case OperandSig::Sethi2:
-        out += " " + std::to_string(imm_) + ", " + dst();
+        operands({std::to_string(imm_), dst()});
         break;
       case OperandSig::LoadOp:
-        out += " " + (mem_ ? mem_->toString() : "[%g0]") + ", " + dst();
+        operands({mem(), dst()});
         break;
       case OperandSig::StoreOp:
-        out += " " + src(0) + ", " + (mem_ ? mem_->toString() : "[%g0]");
+        operands({src(0), mem()});
         break;
       case OperandSig::Fp3:
-        out += " " + src(0) + ", " + src(1) + ", " + dst();
+        operands({src(0), src(1), dst()});
         break;
       case OperandSig::Fp2:
-        out += " " + src(0) + ", " + dst();
+        operands({src(0), dst()});
         break;
       case OperandSig::Fcmp2:
-        out += " " + src(0) + ", " + src(1);
+        operands({src(0), src(1)});
         break;
       case OperandSig::BranchOp:
       case OperandSig::CallOp:
@@ -116,12 +130,12 @@ Instruction::toString() const
         out += target().empty() ? std::string_view(".L0") : target();
         break;
       case OperandSig::JmplOp:
-        out += " " + src(0) + ", " + dst();
+        operands({src(0), dst()});
         break;
       case OperandSig::None:
         // Three-operand restore carries ALU-style operands.
         if (op_ == Opcode::Restore && numDefs_ != 0)
-            out += " " + src(0) + ", " + src_or_imm(1) + ", " + dst();
+            operands({src(0), src_or_imm(1), dst()});
         break;
     }
     return out;

@@ -113,7 +113,10 @@ MemOperand::exprKey() const
 std::string
 MemOperand::toString() const
 {
-    return "[" + exprKey() + "]";
+    std::string out = "[";
+    out += exprKey();
+    out += ']';
+    return out;
 }
 
 namespace

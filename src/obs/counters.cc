@@ -92,8 +92,18 @@ std::size_t
 CounterRegistry::addLocked(std::string_view name, CounterKind kind)
 {
     std::size_t id = names_.size();
+    if (id == kindCapacity_) {
+        const std::size_t capacity = std::max<std::size_t>(64, 2 * id);
+        auto table = std::make_unique<CounterKind[]>(capacity);
+        if (id != 0)
+            std::copy_n(kindTables_.back().get(), id, table.get());
+        kinds_.store(table.get());
+        kindTables_.push_back(std::move(table));
+        kindCapacity_ = capacity;
+    }
+    // Past every published size(): no reader looks at this entry yet.
+    kindTables_.back()[id] = kind;
     names_.emplace_back(name);
-    kinds_.push_back(kind);
     slots_.push_back(0);
     index_.emplace(names_.back(), id);
     size_.store(id + 1);
@@ -135,7 +145,7 @@ CounterKind
 CounterRegistry::kindByName(std::string_view name) const
 {
     std::size_t id = find(name);
-    return id == npos ? CounterKind::Sum : kinds_[id];
+    return id == npos ? CounterKind::Sum : kind(id);
 }
 
 std::uint64_t
@@ -211,11 +221,27 @@ CounterShard::clear()
 CounterShard
 CounterShard::since(const CounterShard &before) const
 {
+    const CounterKind *kinds = registry_->kinds();
     CounterShard out = *this;
     for (std::size_t id = 0; id < slots_.size(); ++id)
-        if (registry_->kind(id) == CounterKind::Sum)
+        if (kinds[id] == CounterKind::Sum)
             out.slots_[id] -= before.value(id);
     return out;
+}
+
+void
+CounterShard::foldSince(const CounterShard &now, const CounterShard &before)
+{
+    const CounterKind *kinds = registry_->kinds();
+    if (slots_.size() < now.slots_.size())
+        slots_.resize(now.slots_.size(), 0);
+    for (std::size_t id = 0; id < now.slots_.size(); ++id) {
+        const std::uint64_t v = now.slots_[id];
+        if (kinds[id] == CounterKind::Sum)
+            slots_[id] += v - before.value(id);
+        else if (v > slots_[id])
+            slots_[id] = v;
+    }
 }
 
 CounterSet
@@ -233,10 +259,11 @@ CounterShard::named() const
 void
 CounterShard::flushInto(CounterShard &into) const
 {
+    const CounterKind *kinds = registry_->kinds();
     for (std::size_t id = 0; id < slots_.size(); ++id) {
         if (slots_[id] == 0)
             continue;
-        if (registry_->kind(id) == CounterKind::Max)
+        if (kinds[id] == CounterKind::Max)
             into.recordMax(id, slots_[id]);
         else
             into.add(id, slots_[id]);
@@ -247,10 +274,11 @@ void
 CounterShard::flushInto(CounterRegistry &into) const
 {
     std::lock_guard<std::mutex> lock(into.regMu_);
+    const CounterKind *kinds = registry_->kinds();
     for (std::size_t id = 0; id < slots_.size(); ++id) {
         if (slots_[id] == 0)
             continue;
-        if (registry_->kind(id) == CounterKind::Max)
+        if (kinds[id] == CounterKind::Max)
             into.recordMax(id, slots_[id]);
         else
             into.increment(id, slots_[id]);

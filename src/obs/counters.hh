@@ -28,7 +28,16 @@
  * phase-boundary snapshots, per-phase and per-event deltas, and phase
  * tree nodes.  Each counter carries a CounterKind so folds know how to
  * combine values: Sum counters add, Max counters (gauges such as
- * `sched.ready_list_peak`) take the high-water mark.
+ * `sched.ready_list_peak`) take the high-water mark.  Folds read the
+ * kinds from one flat array (CounterRegistry::kinds), one pass per
+ * fold.
+ *
+ * Hot loops do not call a Counter per event.  They count into a
+ * CountBatch (or a member that plays its part, such as the Dag's arc
+ * tallies) and add the total once per build or pass, as its scope
+ * ends or unwinds.  The batch ends inside the phase its events belong
+ * to, so per-phase deltas read exactly what per-event increments
+ * gave, and work cut short by a throw still counts what it did.
  */
 
 #ifndef SCHED91_OBS_COUNTERS_HH
@@ -160,7 +169,14 @@ class CounterRegistry
 
     std::size_t size() const { return size_.load(); }
     const std::string &name(std::size_t id) const { return names_[id]; }
-    CounterKind kind(std::size_t id) const { return kinds_[id]; }
+    CounterKind kind(std::size_t id) const { return kinds()[id]; }
+
+    /**
+     * Every counter's kind, indexed by id: a flat array valid for each
+     * id below a size() read before the call.  Lock-free, so folds read
+     * it once and index it per counter.
+     */
+    const CounterKind *kinds() const { return kinds_.load(); }
     std::uint64_t value(std::size_t id) const { return slots_[id]; }
 
     /** Kind by name; Sum when the name is not registered. */
@@ -206,11 +222,16 @@ class CounterRegistry
 
     /** Guards registration, the name index and whole-registry reads
      * and writes; by-id access needs no lock (deques keep existing
-     * elements in place on append). */
+     * elements in place on append, and kinds() is published). */
     mutable std::mutex regMu_;
     std::deque<std::string> names_;
-    std::deque<CounterKind> kinds_;
     std::deque<std::uint64_t> slots_; ///< deque: stable addresses
+    /** kinds()'s storage.  A registration past the last table's
+     * capacity publishes a copy twice as large; older tables stay
+     * alive for readers that loaded them. */
+    std::vector<std::unique_ptr<CounterKind[]>> kindTables_;
+    std::size_t kindCapacity_ = 0;
+    std::atomic<const CounterKind *> kinds_{nullptr};
     std::map<std::string, std::size_t, std::less<>> index_;
     std::atomic<std::size_t> size_{0}; ///< ids below it are complete
     /** idsByName()'s cache; stale once its size falls behind. */
@@ -309,6 +330,10 @@ class CounterShard
      * interval's peak.
      */
     CounterShard since(const CounterShard &before) const;
+
+    /** Fold @p now.since(@p before) into this shard (kind-aware), in
+     * one pass and without the intermediate copy. */
+    void foldSince(const CounterShard &now, const CounterShard &before);
 
     /** Every registry name with this shard's value, in name order:
      * where ids become names, once per run result or document.  One
@@ -415,6 +440,35 @@ class Counter
     std::size_t id_;
     std::uint64_t *slot_;
     const char *name_;
+};
+
+/**
+ * One event count kept in a local by a hot loop and added to its
+ * Counter once, as the batch goes out of scope: normal exit or unwind
+ * (a CancelledError, std::bad_alloc or injected fault still counts
+ * every event before the throw).  With observability off it costs an
+ * add per event and one branch at the end.  A batch must end inside
+ * the phase its events belong to.
+ */
+class CountBatch
+{
+  public:
+    explicit CountBatch(Counter &counter) : counter_(&counter) {}
+
+    ~CountBatch()
+    {
+        if (n_ != 0)
+            counter_->inc(n_);
+    }
+
+    CountBatch(const CountBatch &) = delete;
+    CountBatch &operator=(const CountBatch &) = delete;
+
+    void add(std::uint64_t n = 1) { n_ += n; }
+
+  private:
+    Counter *counter_;
+    std::uint64_t n_ = 0;
 };
 
 } // namespace sched91::obs

@@ -71,14 +71,7 @@ ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
     if (PhaseShards *lane = record ? record->shards : nullptr) {
         SCHED91_ASSERT(detail::t_shard,
                        "a recorded phase opens in its block's shard");
-        CounterShard &own = lane->own[isSubPhase(phase)];
-        own.clear();
-        const CounterRegistry &registry = own.registry();
-        for (std::size_t id = 0; id < registry.size(); ++id)
-            if (registry.kind(id) == CounterKind::Max)
-                own.recordMax(id, detail::t_shard->value(id));
-        parent_ = detail::t_shard;
-        detail::t_shard = &own;
+        lane->opened[isSubPhase(phase)] = *detail::t_shard;
     }
 }
 
@@ -99,15 +92,11 @@ ScopedPhase::stop()
                                     : record_->entries[record_->size++];
         e.phase = phase_;
         e.seconds = elapsed_;
-        if (parent_) {
-            const CounterShard &own = record_->shards->own[sub];
-            own.flushInto(*parent_);
-            own.flushInto(
-                record_->shards->totals[static_cast<std::size_t>(phase_)]);
-            detail::t_shard = parent_;
-            if (record_->keepCounters && !sub)
-                e.counters = *parent_;
-        }
+        if (PhaseShards *lane = record_->shards)
+            lane->totals[static_cast<std::size_t>(phase_)].foldSince(
+                *detail::t_shard, lane->opened[sub]);
+        if (record_->keepCounters && !sub)
+            e.counters = *detail::t_shard;
     }
     return elapsed_;
 }

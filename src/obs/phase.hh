@@ -7,15 +7,18 @@
  *
  * ScopedPhase always measures wall-clock time (two steady-clock
  * reads).  A pipeline phase writes its PhaseRecord entry as it stops,
- * a phase that throws too.  While the observability layer is enabled
- * it also counts straight into its own shard in lane storage
- * (PhaseShards), which folds into its parent's as it stops: the
- * block's shard, or heur's for heur-fwd/heur-bwd.  No shard is copied
- * on the way unless a trace sink keeps each entry's.  After the join
- * the pipeline folds the records, in block order, into the run's
- * phase tree.  Deltas are *inclusive*: a parent phase's counters
- * include those of its children.  Counter names are resolved only when
- * the tree is emitted.
+ * a phase that throws too.  Counting never switches shards: every
+ * event of a block lands in the block's shard.  When the run keeps a
+ * phase tree (observability on, with the run report), a phase copies
+ * that shard as it opens and folds the shard's change since then into
+ * its phase total as it stops, one pass each way (PhaseShards).  No
+ * other shard is copied unless a trace sink keeps each entry's.
+ * After the join the pipeline folds the records, in block order, and
+ * the lanes' totals into the run's phase tree.  Deltas are
+ * *inclusive*: a parent phase's counters include those of its
+ * children, and a Max gauge reads the block's running peak as the
+ * phase ended.  Counter names are resolved only when the tree is
+ * emitted.
  */
 
 #ifndef SCHED91_OBS_PHASE_HH
@@ -65,17 +68,14 @@ phaseNames(Phase phase)
 inline bool isSubPhase(Phase phase) { return phase > Phase::Evaluate; }
 
 /**
- * A pipeline lane's counter storage for recorded phases, reused across
- * its blocks.  A phase counts into own[0], a sub-phase into own[1]: the
- * thread's active shard while it runs, cleared as it opens but for the
- * Max gauges, which start at the parent's values, so it ends holding
- * the block's running peaks.  As it stops it folds (kind-aware) into
- * its parent, the shard that was active as it opened, and into its
- * totals, the phase tree's counters.
+ * A pipeline lane's per-phase counter storage, reused across its
+ * blocks.  As a phase opens, opened[0] (a sub-phase: opened[1]) takes
+ * a copy of the block's shard; as it stops, the shard's change since
+ * then folds into its total, the phase tree's counters.
  */
 struct PhaseShards
 {
-    std::array<CounterShard, 2> own;
+    std::array<CounterShard, 2> opened;
     std::array<CounterShard, std::size(kPhaseNames)> totals; ///< by Phase
 };
 
@@ -100,7 +100,8 @@ struct PhaseRecord
     std::array<Entry, 2> subs; ///< heur's, read by the phase tree only
     std::size_t numSubs = 0;
     bool keepCounters = false; ///< set when a trace sink will read them
-    PhaseShards *shards = nullptr; ///< the lane's, while observing
+    /** The lane's, while observing for a run report. */
+    PhaseShards *shards = nullptr;
 
     const Entry *begin() const { return entries.data(); }
     const Entry *end() const { return entries.data() + size; }
@@ -129,8 +130,8 @@ struct PhaseStats
 
 /**
  * RAII handle opening a phase for the duration of a scope.  Cheap
- * when observability is disabled: construction and destruction are a
- * clock read plus one branch each.
+ * without a phase tree to feed: construction and destruction are a
+ * clock read plus a branch or two each.
  */
 class ScopedPhase
 {
@@ -158,7 +159,6 @@ class ScopedPhase
     bool stopped_ = false;
     PhaseRecord *record_;
     Phase phase_; ///< record_'s entry
-    CounterShard *parent_ = nullptr; ///< counting: active as it opened
 };
 
 } // namespace sched91::obs

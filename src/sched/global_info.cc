@@ -23,7 +23,8 @@ computeOutgoingLatencies(const Dag &dag, const Schedule &sched,
         const Instruction &inst = dag.inst(sched.order[p]);
         int done = sched.issueCycle[p] + machine.latency(inst.cls());
         for (Resource r : inst.defs())
-            settle[r.slot()] = std::max(settle[r.slot()], done);
+            if (const int s = r.slot(); s >= 0)
+                settle[s] = std::max(settle[s], done);
     }
     for (int s = 0; s < Resource::kNumSlots; ++s)
         out.ready[s] = std::max(0, settle[s] - next_issue);

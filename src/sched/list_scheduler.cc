@@ -20,6 +20,37 @@ namespace sched91
 namespace
 {
 
+/**
+ * One run's 'v' work, counted in locals and added as the run ends or
+ * unwinds, inside the sched phase (obs::CountBatch's rule): a run cut
+ * short by its cancellation token counts every pick it made.
+ */
+struct RunCounts
+{
+    obs::CountBatch visits{obs::ev::schedNodeVisits};
+    obs::CountBatch evals{obs::ev::schedHeuristicEvals};
+    obs::CountBatch depUpdates{obs::ev::schedDepUpdates};
+    std::size_t readyPeak = 0; ///< `sched.ready_list_peak`, a Max gauge
+
+    RunCounts() = default;
+    RunCounts(const RunCounts &) = delete;
+    RunCounts &operator=(const RunCounts &) = delete;
+
+    ~RunCounts()
+    {
+        if (readyPeak != 0)
+            obs::ev::schedReadyListPeak.max(readyPeak);
+    }
+
+    /** One pick from a ready list of @p ready nodes. */
+    void
+    pick(std::size_t ready)
+    {
+        visits.add();
+        readyPeak = std::max(readyPeak, ready);
+    }
+};
+
 /** Mutable evaluation context for the dynamic ("v") heuristics. */
 struct EvalContext
 {
@@ -34,7 +65,6 @@ long long
 evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
          const EvalContext &ctx, const MachineModel &machine)
 {
-    obs::ev::schedHeuristicEvals.inc();
     const NodeAnnotations &ann = dag.ann();
     switch (rh.heuristic) {
       case Heuristic::InterlockWithPrevious:
@@ -74,13 +104,13 @@ evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
  * every rank by original order (@p config.forward selects which end
  * of the block "earlier" means).  @p alive is the caller's survivor
  * buffer, so a pick allocates nothing.  @p stats, when set, records
- * what the pass decided.
+ * what the pass decided.  Each evaluation counts in @p evals.
  */
 std::size_t
 selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
            std::vector<std::uint32_t> &alive, const SchedulerConfig &config,
            const EvalContext &ctx, const MachineModel &machine,
-           DecisionStats *stats)
+           DecisionStats *stats, obs::CountBatch &evals)
 {
     SCHED91_ASSERT(!candidates.empty());
     alive.resize(candidates.size());
@@ -94,6 +124,7 @@ selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
         const RankedHeuristic &rh = config.ranking[r];
         long long best_value = 0;
         std::size_t kept = 0; // survivors compact in place: kept <= i
+        evals.add(alive.size());
         for (std::size_t i = 0; i < alive.size(); ++i) {
             long long v = evaluate(dag, candidates[alive[i]], rh, ctx,
                                    machine);
@@ -142,22 +173,23 @@ selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
  * Retire the picked node @p n: update the dynamic state, hand every
  * node it makes ready to @p admit, and return its issue cycle.  A
  * forward pass issues no earlier than @p time and the node's earliest
- * execution time; a backward pass has no clock and returns 0.
+ * execution time; a backward pass has no clock and returns 0.  The
+ * arcs it relaxes count in @p counts.
  */
 template <class Admit>
 int
 retire(Dag &dag, std::uint32_t n, int time, const SchedulerConfig &config,
-       Admit admit)
+       RunCounts &counts, Admit admit)
 {
     if (!config.forward) {
-        onScheduledBackward(dag, n, config.birthing);
+        counts.depUpdates.add(onScheduledBackward(dag, n, config.birthing));
         for (std::uint32_t p : dag.predFrom(n))
             if (dag.ann().unscheduledChildren[p] == 0)
                 admit(p);
         return 0;
     }
     int issue = std::max(time, dag.ann().earliestExecTime[n]);
-    onScheduledForward(dag, n, issue);
+    counts.depUpdates.add(onScheduledForward(dag, n, issue));
     for (std::uint32_t c : dag.succTo(n))
         if (dag.ann().unscheduledParents[c] == 0)
             admit(c);
@@ -264,6 +296,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
     const std::size_t ranks = config_.ranking.size() - first;
     const int *eet = dag.ann().earliestExecTime.data();
 
+    RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
     WorkerContext::NodeLists local_lists;
     std::vector<long long> local_keys;
@@ -284,7 +317,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                                     : staticValue(dag, n, rh.heuristic);
             keys[n * ranks + r] = rh.preferLarger ? v : -v;
         }
-        obs::ev::schedHeuristicEvals.inc(ranks + eet_rank);
+        counts.evals.add(ranks + eet_rank);
     };
 
     // The winnowing pass's strict total order over the static ranks:
@@ -362,8 +395,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
     while (waiting > 0) {
         if (cancel)
             cancel->poll();
-        obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(waiting);
+        counts.pick(waiting);
         if (eet_rank) {
             // The EET rank is max(EET, now): every node issuable by
             // now ties at now and beats the rest, and when none is,
@@ -377,7 +409,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         std::size_t best =
             Dynamic ? static_cast<std::size_t>(std::countr_zero(live)) : 0;
         if (Dynamic && std::popcount(live) > 1) {
-            obs::ev::schedHeuristicEvals.inc(
+            counts.evals.add(
                 static_cast<std::uint64_t>(std::popcount(live)));
             auto busy = [&](std::size_t c) {
                 return c == 0 ? 0
@@ -405,7 +437,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         order.push_back(n);
         if (eet_rank)
             next = std::max(time, eet[n]) + 1; // retire's issue, + 1
-        const int issue = retire(dag, n, time, config_, admit);
+        const int issue = retire(dag, n, time, config_, counts, admit);
         if (Dynamic && fus)
             fus->occupy(dag.inst(n).cls(), issue);
         time = issue + 1;
@@ -419,6 +451,7 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
 {
     const bool forward = config_.forward;
 
+    RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
     WorkerContext::NodeLists local_lists;
     WorkerContext::NodeLists &lists = wc ? wc->nodeLists : local_lists;
@@ -440,15 +473,14 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
     while (!ready.empty()) {
         if (cancel)
             cancel->poll();
-        obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(ready.size());
-        std::size_t best =
-            selectBest(dag, ready, alive, config_, ctx, machine_, stats);
+        counts.pick(ready.size());
+        std::size_t best = selectBest(dag, ready, alive, config_, ctx,
+                                      machine_, stats, counts.evals);
         std::uint32_t n = ready[best];
         ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best));
         order.push_back(n);
 
-        int issue = retire(dag, n, ctx.time, config_, admit);
+        int issue = retire(dag, n, ctx.time, config_, counts, admit);
         if (forward) {
             fus.occupy(dag.inst(n).cls(), issue);
             ctx.time = issue + 1;

@@ -22,6 +22,7 @@
 #include "support/line_io.hh"
 #include "support/log.hh"
 #include "support/logging.hh"
+#include "support/string_util.hh"
 #include "support/thread_pool.hh"
 
 namespace sched91::service
@@ -335,11 +336,8 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     req.conn = conn;
     req.arrival = std::chrono::steady_clock::now();
     if (req.spec.traceId.empty())
-        req.spec.traceId =
-            "t" + std::to_string(
-                      traceSeq_.fetch_add(1,
-                                          std::memory_order_relaxed) +
-                      1);
+        req.spec.traceId = numbered(
+            "t", traceSeq_.fetch_add(1, std::memory_order_relaxed) + 1);
     req.deadlineMs = req.spec.deadlineMs > 0.0
                          ? req.spec.deadlineMs
                          : config_.engine.defaultDeadlineMs;

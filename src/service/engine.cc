@@ -170,6 +170,9 @@ Engine::InProcessRunner::run(BuilderKind builder, int attempt,
         popts.algorithm = spec_.algorithm.value_or(config.algorithm);
         popts.build.memPolicy = spec_.policy.value_or(config.policy);
         popts.threads = 1; // concurrency comes from daemon workers
+        // An answer reads none of the run report; the lane shard still
+        // gets every count.
+        popts.report = false;
         popts.evaluate = spec_.evaluate;
         popts.verify = true;
         // Failures must reach the ladder, not vanish into per-block

@@ -79,4 +79,12 @@ padRight(std::string_view s, std::size_t width)
     return out;
 }
 
+std::string
+numbered(std::string_view prefix, std::uint64_t n)
+{
+    std::string out(prefix);
+    out += std::to_string(n);
+    return out;
+}
+
 } // namespace sched91

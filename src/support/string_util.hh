@@ -6,6 +6,7 @@
 #ifndef SCHED91_SUPPORT_STRING_UTIL_HH
 #define SCHED91_SUPPORT_STRING_UTIL_HH
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,14 @@ std::string padLeft(std::string_view s, std::size_t width);
 
 /** Right-pad @p s with spaces to @p width columns. */
 std::string padRight(std::string_view s, std::size_t width);
+
+/**
+ * @p prefix followed by @p n in decimal: "B12", "t7".  It appends to
+ * the prefix, where `"B" + std::to_string(n)` inserts in front of the
+ * number, which GCC 12 flags with a -Wrestrict false positive in
+ * optimised builds.
+ */
+std::string numbered(std::string_view prefix, std::uint64_t n);
 
 } // namespace sched91
 

@@ -8,6 +8,7 @@
 #include "ir/basic_block.hh"
 #include "support/logging.hh"
 #include "support/prng.hh"
+#include "support/string_util.hh"
 
 namespace sched91
 {
@@ -126,7 +127,7 @@ class BlockGen
     void
     emit()
     {
-        prog_.addLabel("B" + std::to_string(blockId_));
+        prog_.addLabel(numbered("B", blockId_));
         planExprIntroductions();
 
         int tail = tailLength();
@@ -362,7 +363,7 @@ class BlockGen
             Instruction br = makeInstruction(
                 branches[rng_.below(std::size(branches))], Resource(),
                 Resource(), Resource());
-            br.setTarget("B" + std::to_string(blockId_ + 1));
+            br.setTarget(numbered("B", blockId_ + 1));
             prog_.append(std::move(br));
         } else if (tailKind_ == Tail::Call && tail == 1) {
             Instruction call = makeInstruction(Opcode::Call, Resource(),

@@ -6,18 +6,21 @@
  * phase-boundary budget checks: a block that exceeds its budget is
  * abandoned *mid-loop* — inside the n**2 builder's pairwise scan or
  * the list scheduler's extraction loop — and degrades per the
- * containment semantics in both runPipeline and compileProgram.
+ * containment semantics in both runPipeline and compileProgram.  Work
+ * cut short still counts every event it got to before the throw.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "core/backend.hh"
 #include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "dag/n2_forward.hh"
+#include "dag/table_forward.hh"
 #include "ir/basic_block.hh"
 #include "ir/parser.hh"
 #include "machine/machine_model.hh"
@@ -298,6 +301,137 @@ TEST(Cancellation, BackendBudgetDegradesEvenWithoutContainment)
     BackendResult result;
     EXPECT_NO_THROW(result = compileProgram(prog, machine, opts));
     EXPECT_GE(result.prepass.blocksDegraded, 1u);
+}
+
+// --- Counts of work cut short --------------------------------------
+
+/** A token whose deadline has passed throws at its 256th poll (the
+ * poll stride), so a loop that polls once per step stops at step 255. */
+constexpr std::uint64_t kStepsBeforeThrow = 255;
+
+/**
+ * Straight-line loads, stores and ALU ops through %fp and %i0, so a
+ * table build fills its register and memory tables and asks the alias
+ * oracle as it goes; every fifth line stores the register a load four
+ * lines up read from the same slot, a RAW and a WAR arc on one pair
+ * (a duplicate).  No control transfer: a prefix of the block is a
+ * block of its own with the same arcs.
+ */
+std::string
+memoryBlockSource(int n)
+{
+    const auto slot = [](int i) { return 8 + 4 * (i % 16); };
+    std::ostringstream src;
+    src << "top:\n";
+    for (int i = 0; i < n; ++i) {
+        switch (i % 5) {
+          case 0:
+            src << "    ld [%fp-" << slot(i) << "], %l" << i % 8 << '\n';
+            break;
+          case 1:
+            src << "    add %l" << i % 8 << ", %l" << (i + 1) % 8 << ", %o"
+                << i % 6 << '\n';
+            break;
+          case 2:
+            src << "    st %o" << i % 6 << ", [%i0+" << 4 * (i % 10)
+                << "]\n";
+            break;
+          case 3:
+            src << "    ld [%i0+" << 4 * (i % 7) << "], %l" << (i + 3) % 8
+                << '\n';
+            break;
+          default:
+            src << "    st %l" << (i - 4) % 8 << ", [%fp-" << slot(i - 4)
+                << "]\n";
+            break;
+        }
+    }
+    return src.str();
+}
+
+/** What @p work counts, with observability on, into a shard installed
+ * for it alone. */
+template <class Work>
+obs::CounterShard
+countedRun(Work &&work)
+{
+    obs::setEnabled(true);
+    obs::CounterShard shard;
+    {
+        obs::ScopedCounterShard scope(shard);
+        work();
+    }
+    obs::setEnabled(false);
+    return shard;
+}
+
+TEST(CancelledWork, TableBuildCountsEveryArcAndQueryBeforeTheThrow)
+{
+    Program prog = parseAssembly(memoryBlockSource(320));
+    stampMemGenerations(prog);
+    const auto blocks = partitionBlocks(prog);
+    ASSERT_EQ(blocks.size(), 1u);
+    ASSERT_EQ(blocks[0].size(), 320u);
+    Program prefix =
+        parseAssembly(memoryBlockSource(static_cast<int>(kStepsBeforeThrow)));
+    stampMemGenerations(prefix);
+    const auto prefix_blocks = partitionBlocks(prefix);
+    ASSERT_EQ(prefix_blocks.size(), 1u);
+    MachineModel machine;
+
+    // A table build polls once per instruction.
+    const obs::CounterShard cancelled = countedRun([&] {
+        CancellationToken token(0.0);
+        BuildOptions opts;
+        opts.cancel = &token;
+        EXPECT_THROW(TableForwardBuilder().build(BlockView(prog, blocks[0]),
+                                                 machine, opts),
+                     CancelledError);
+    });
+    const obs::CounterShard whole = countedRun([&] {
+        TableForwardBuilder().build(BlockView(prefix, prefix_blocks[0]),
+                                    machine);
+    });
+
+    EXPECT_GT(whole.value("dag.arcs_added"), 0u);
+    EXPECT_GT(whole.value("dag.arcs_duplicate"), 0u);
+    EXPECT_GT(whole.value("dag.alias_queries"), 0u);
+    for (const char *name :
+         {"dag.arcs_added", "dag.arcs_duplicate", "dag.alias_queries"})
+        EXPECT_EQ(cancelled.value(name), whole.value(name)) << name;
+    EXPECT_EQ(cancelled.value("dag.table_probes"), 0u)
+        << "probes count only when a build completes";
+}
+
+TEST(CancelledWork, ScheduleCountsEveryPickBeforeTheThrow)
+{
+    Program prog = parseAssembly(memoryBlockSource(320));
+    stampMemGenerations(prog);
+    const auto blocks = partitionBlocks(prog);
+    ASSERT_EQ(blocks.size(), 1u);
+    BlockView block(prog, blocks[0]);
+    MachineModel machine;
+
+    // Heap and scan picks, forward and backward: each polls once per
+    // pick before counting it.
+    for (AlgorithmKind kind : allAlgorithms()) {
+        Dag dag = TableForwardBuilder().build(block, machine);
+        runAllStaticPasses(dag, PassImpl::ReverseWalk, true);
+        const ListScheduler scheduler(algorithmSpec(kind).config, machine);
+        const obs::CounterShard counted = countedRun([&] {
+            CancellationToken token(0.0);
+            EXPECT_THROW(scheduler.run(dag, nullptr, &token),
+                         CancelledError);
+        });
+        EXPECT_EQ(counted.value("sched.node_visits"), kStepsBeforeThrow)
+            << algorithmName(kind);
+        EXPECT_GT(counted.value("sched.dep_updates"), 0u)
+            << algorithmName(kind);
+        EXPECT_GT(counted.value("sched.heuristic_evals"), 0u)
+            << algorithmName(kind);
+        EXPECT_GT(counted.value("sched.ready_list_peak"), 0u)
+            << algorithmName(kind);
+    }
 }
 
 } // namespace

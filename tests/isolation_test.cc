@@ -37,6 +37,7 @@
 #include "service/protocol.hh"
 #include "service/supervisor.hh"
 #include "support/fault_inject.hh"
+#include "support/string_util.hh"
 
 using namespace sched91;
 
@@ -302,7 +303,7 @@ TEST(Isolation, CrashTalliesAreDeterministicAcrossFreshPools)
             params.numBlocks = 1 + i % 3;
             params.maxBlockSize = 12;
             h.process(specFor(fuzz::generateSource(params),
-                              "d" + std::to_string(i)));
+                              numbered("d", i)));
         }
         const service::SvcCounters &c = h.engine.counters();
         tallies = {c.ok.load(), c.degraded.load(),
@@ -381,7 +382,7 @@ TEST(Isolation, InProcessAndSandboxedLaddersAnswerAlike)
             params.numBlocks = 1 + i % 4;
             params.maxBlockSize = 16;
             service::RequestSpec spec = specFor(
-                fuzz::generateSource(params), "x" + std::to_string(i));
+                fuzz::generateSource(params), numbered("x", i));
             spec.builder = kBuilders[i % 3];
             spec.emitSchedule = true;
             for (int send = 0; send < 2; ++send) {

@@ -2,7 +2,8 @@
  * @file
  * Observability-layer tests: counter registry semantics (register,
  * increment, reset, merge, duplicate rejection), recorded phases
- * counting into their own shards and folding into a run tree, a
+ * folding the block shard's change into per-phase totals and a run
+ * tree, a
  * phase's idempotent stop, zero-cost-when-disabled
  * behavior, the JSON/JSONL emitters round-tripped through a minimal
  * parser, and the builder counter asymmetry (pairwise compares vs
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "obs/phase.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
+#include "support/string_util.hh"
 #include "workload/kernels.hh"
 
 namespace sched91
@@ -270,6 +274,40 @@ TEST(CounterRegistry, SnapshotAndDelta)
     obs::CounterSet delta = reg.deltaSince(before);
     EXPECT_EQ(delta.value("a"), 4u);
     EXPECT_EQ(delta.value("b"), 9u) << "new names count from zero";
+}
+
+TEST(CounterRegistry, KindsReadableWhileAnotherThreadRegisters)
+{
+    // Registration publishes a larger kinds() table as the registry
+    // grows; a reader on another thread sees every id below the size
+    // it read with its registered kind.
+    obs::CounterRegistry reg;
+    constexpr std::uint64_t kCounters = 1000;
+    const auto kindOf = [](std::uint64_t id) {
+        return id % 3 == 0 ? obs::CounterKind::Max : obs::CounterKind::Sum;
+    };
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (std::uint64_t id = 0; id < kCounters; ++id)
+            reg.add(numbered("c", id), kindOf(id));
+        done = true;
+    });
+    bool agree = true;
+    std::size_t reads = 0;
+    for (bool last = false; !last && agree;) {
+        last = done.load();
+        const std::size_t size = reg.size();
+        const obs::CounterKind *kinds = reg.kinds();
+        for (std::size_t id = 0; id < size; ++id)
+            agree = agree && kinds[id] == kindOf(id);
+        ++reads;
+    }
+    writer.join();
+    EXPECT_TRUE(agree);
+    EXPECT_GT(reads, 0u);
+    ASSERT_EQ(reg.size(), kCounters);
+    for (std::size_t id = 0; id < kCounters; ++id)
+        EXPECT_EQ(reg.kind(id), kindOf(id)) << id;
 }
 
 TEST(CounterSet, MergeAndNonzero)

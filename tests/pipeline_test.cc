@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
+#include "fuzz/program_gen.hh"
+#include "ir/parser.hh"
 #include "machine/presets.hh"
+#include "obs/counters.hh"
 #include "workload/generator.hh"
 #include "workload/kernels.hh"
 
@@ -137,6 +140,108 @@ TEST(Pipeline, LandskovEvaluationUsesFreshGroundTruth)
     ProgramResult r = runPipeline(prog, sparcstation2(), opts);
     EXPECT_GT(r.cyclesOriginal, 0);
     EXPECT_GT(r.cyclesScheduled, 0);
+}
+
+TEST(Pipeline, RunReportOffChangesNothingElse)
+{
+    struct Setting
+    {
+        BuilderKind builder;
+        int maxBlockInsts;
+    };
+    const Setting settings[] = {{BuilderKind::TableForward, 0},
+                                {BuilderKind::TableBackward, 0},
+                                {BuilderKind::N2Forward, 40}};
+
+    // What one run leaves behind: its result, its schedules, and the
+    // counts it folded into the caller's shard (a daemon lane's).
+    struct Run
+    {
+        ProgramResult result;
+        std::vector<Schedule> schedules;
+        obs::CounterShard counted;
+    };
+    const auto run = [](const std::string &source, const Setting &set,
+                        unsigned lanes, bool report) {
+        Program prog = parseAssembly(source);
+        Run out;
+        PipelineOptions opts;
+        opts.builder = set.builder;
+        opts.maxBlockInsts = set.maxBlockInsts;
+        opts.threads = lanes;
+        opts.evaluate = true;
+        opts.report = report;
+        opts.schedules = &out.schedules;
+        obs::ScopedCounterShard lane(out.counted);
+        out.result = runPipeline(prog, sparcstation2(), opts);
+        return out;
+    };
+
+    obs::setEnabled(true);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        fuzz::GenParams params;
+        params.seed = 2601 + i;
+        params.numBlocks = 1 + static_cast<int>(i % 8);
+        params.maxBlockSize = 64;
+        const std::string source = fuzz::generateSource(params);
+        for (const Setting &set : settings) {
+            for (unsigned lanes : {1u, 4u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "program " << i << ", "
+                             << builderKindName(set.builder) << ", "
+                             << lanes << " lanes");
+                const Run on = run(source, set, lanes, true);
+                const Run off = run(source, set, lanes, false);
+                const ProgramResult &a = on.result;
+                const ProgramResult &b = off.result;
+
+                ASSERT_EQ(a.numBlocks, b.numBlocks);
+                ASSERT_EQ(on.schedules.size(), off.schedules.size());
+                for (std::size_t k = 0; k < on.schedules.size(); ++k) {
+                    EXPECT_EQ(on.schedules[k].order, off.schedules[k].order);
+                    EXPECT_EQ(on.schedules[k].issueCycle,
+                              off.schedules[k].issueCycle);
+                    EXPECT_EQ(on.schedules[k].makespan,
+                              off.schedules[k].makespan);
+                }
+                EXPECT_GT(a.cyclesOriginal, 0);
+                EXPECT_EQ(a.cyclesOriginal, b.cyclesOriginal);
+                EXPECT_EQ(a.cyclesScheduled, b.cyclesScheduled);
+                EXPECT_EQ(a.blocksDegraded, b.blocksDegraded);
+                EXPECT_EQ(a.builderFallbacks, b.builderFallbacks);
+                EXPECT_EQ(a.verifierRejections, b.verifierRejections);
+                ASSERT_EQ(a.blockIssues.size(), b.blockIssues.size());
+                for (std::size_t k = 0; k < a.blockIssues.size(); ++k) {
+                    EXPECT_EQ(a.blockIssues[k].block, b.blockIssues[k].block);
+                    EXPECT_EQ(a.blockIssues[k].stage, b.blockIssues[k].stage);
+                    EXPECT_EQ(a.blockIssues[k].reason,
+                              b.blockIssues[k].reason);
+                    EXPECT_EQ(a.blockIssues[k].degraded,
+                              b.blockIssues[k].degraded);
+                }
+                EXPECT_EQ(a.dagStats.totalArcs, b.dagStats.totalArcs);
+                EXPECT_EQ(a.dagStats.totalNodes, b.dagStats.totalNodes);
+                EXPECT_EQ(a.dagStats.totalBlocks, b.dagStats.totalBlocks);
+                EXPECT_FALSE(on.counted.empty());
+                EXPECT_EQ(on.counted.named(), off.counted.named());
+
+                // The report itself: present when asked for, else empty.
+                EXPECT_FALSE(a.phaseTree.children.empty());
+                EXPECT_FALSE(a.histograms.items().empty());
+                EXPECT_FALSE(a.counters.empty());
+                EXPECT_GT(a.dagStats.treesPerBlock.count(), 0u);
+                EXPECT_EQ(a.dagStats.treesPerBlock.count(),
+                          a.dagStats.totalBlocks);
+                EXPECT_GT(a.memory.peakRssBytes, 0u);
+                EXPECT_TRUE(b.phaseTree.children.empty());
+                EXPECT_TRUE(b.histograms.items().empty());
+                EXPECT_TRUE(b.counters.empty());
+                EXPECT_EQ(b.dagStats.treesPerBlock.count(), 0u);
+                EXPECT_EQ(b.memory.peakRssBytes, 0u);
+            }
+        }
+    }
+    obs::setEnabled(false);
 }
 
 } // namespace

@@ -2,13 +2,15 @@
  * @file
  * Allocation budget of the in-process request path: decoding a wire
  * line (parseRequestLine) and answering it (Engine::process) take at
- * most 200 heap allocations per request on average, over requests
+ * most 110 heap allocations per request on average, over requests
  * shaped like the serve corpus, with observability on and a lane
  * shard installed the way the daemon's worker lanes install one.
  * The path decodes each line once, moves the source out of the
  * decoded value, and writes the schedule from the parsed instruction
- * text, so what remains is mostly the parse and the pipeline's
- * per-block work.
+ * text.  The engine runs the pipeline without its run report (no
+ * named counter set, histograms or phase tree), so what remains is
+ * mostly the parse and the pipeline's per-block work.  A library that
+ * builds the report for the engine reads about 138 and fails.
  *
  * Its own executable: it replaces the global operator new.
  */
@@ -29,6 +31,7 @@
 #include "obs/json_parse.hh"
 #include "service/engine.hh"
 #include "service/protocol.hh"
+#include "support/string_util.hh"
 
 namespace
 {
@@ -98,7 +101,7 @@ serveShapedRequests(int count)
         p.maxBlockSize = 64;
         obs::JsonWriter w;
         w.beginObject();
-        w.key("id").value("r" + std::to_string(i));
+        w.key("id").value(numbered("r", static_cast<std::uint64_t>(i)));
         w.key("source").value(fuzz::generateSource(p));
         w.key("emit").value("schedule");
         w.endObject();
@@ -107,7 +110,7 @@ serveShapedRequests(int count)
     return lines;
 }
 
-TEST(ServiceAllocations, AtMost200PerServeShapedRequest)
+TEST(ServiceAllocations, AtMost110PerServeShapedRequest)
 {
     const std::vector<std::string> lines = serveShapedRequests(512);
 
@@ -153,7 +156,7 @@ TEST(ServiceAllocations, AtMost200PerServeShapedRequest)
         static_cast<double>(allocs) / static_cast<double>(lines.size());
     std::printf("serve-shaped: %.1f allocations per request\n",
                 per_request);
-    EXPECT_LE(per_request, 200.0);
+    EXPECT_LE(per_request, 110.0);
 }
 
 } // namespace

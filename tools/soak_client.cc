@@ -43,6 +43,7 @@
 #include "obs/json.hh"
 #include "obs/json_parse.hh"
 #include "support/line_io.hh"
+#include "support/string_util.hh"
 
 using namespace sched91;
 
@@ -147,7 +148,7 @@ requestLine(const Options &opts, int index)
     }
     obs::JsonWriter w;
     w.beginObject();
-    w.key("id").value("q" + std::to_string(index));
+    w.key("id").value(numbered("q", index));
     w.key("source").value(source);
     if (opts.deadlineMs > 0.0)
         w.key("deadline_ms").value(opts.deadlineMs);
@@ -304,7 +305,7 @@ runConnection(const Options &opts, const std::vector<int> &indices,
                 ::close(fd);
                 return;
             }
-            pending.insert("q" + std::to_string(index));
+            pending.insert(numbered("q", index));
         }
         if (pending.empty() && pendingScrapes == 0)
             break;
