@@ -62,12 +62,6 @@ forEachReverseTopo(const Dag &dag, PassImpl impl, F &&fn)
 
 } // namespace
 
-std::string_view
-passImplName(PassImpl impl)
-{
-    return impl == PassImpl::ReverseWalk ? "reverse-walk" : "level-lists";
-}
-
 void
 runForwardPass(Dag &dag, PassImpl impl)
 {

@@ -20,7 +20,7 @@
 #ifndef SCHED91_HEURISTICS_STATIC_PASSES_HH
 #define SCHED91_HEURISTICS_STATIC_PASSES_HH
 
-#include <string_view>
+#include <cstdint>
 
 #include "dag/dag.hh"
 
@@ -32,8 +32,6 @@ enum class PassImpl : std::uint8_t {
     ReverseWalk, ///< walk the instruction list (program order)
     LevelLists,  ///< Section 4 level algorithm
 };
-
-std::string_view passImplName(PassImpl impl);
 
 /**
  * Forward pass: computes maxPathFromRoot, maxDelayFromRoot and the

@@ -275,31 +275,6 @@ instClass(Opcode op)
     return opcodeInfo(op).cls;
 }
 
-std::string_view
-instClassName(InstClass cls)
-{
-    switch (cls) {
-      case InstClass::IntAlu: return "int-alu";
-      case InstClass::IntMul: return "int-mul";
-      case InstClass::IntDiv: return "int-div";
-      case InstClass::Load: return "load";
-      case InstClass::LoadDouble: return "load-d";
-      case InstClass::Store: return "store";
-      case InstClass::StoreDouble: return "store-d";
-      case InstClass::Branch: return "branch";
-      case InstClass::Call: return "call";
-      case InstClass::WindowOp: return "window";
-      case InstClass::FpAdd: return "fp-add";
-      case InstClass::FpMul: return "fp-mul";
-      case InstClass::FpDiv: return "fp-div";
-      case InstClass::FpSqrt: return "fp-sqrt";
-      case InstClass::FpCmp: return "fp-cmp";
-      case InstClass::FpMove: return "fp-move";
-      case InstClass::Nop: return "nop";
-      default: return "?";
-    }
-}
-
 IssueGroup
 issueGroup(InstClass cls)
 {
@@ -328,12 +303,6 @@ bool
 isControlTransfer(InstClass cls)
 {
     return cls == InstClass::Branch || cls == InstClass::Call;
-}
-
-bool
-isMemoryClass(InstClass cls)
-{
-    return isLoadClass(cls) || isStoreClass(cls);
 }
 
 bool

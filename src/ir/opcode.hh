@@ -123,17 +123,11 @@ Opcode fpMemoryForm(Opcode op);
 /** Instruction class of an opcode. */
 InstClass instClass(Opcode op);
 
-/** Human-readable class name (for tables). */
-std::string_view instClassName(InstClass cls);
-
 /** Issue group of an instruction class. */
 IssueGroup issueGroup(InstClass cls);
 
 /** True for control-transfer classes (Branch, Call). */
 bool isControlTransfer(InstClass cls);
-
-/** True when the class accesses memory. */
-bool isMemoryClass(InstClass cls);
 
 /** True when the class is a load. */
 bool isLoadClass(InstClass cls);

@@ -217,28 +217,10 @@ setGauge(Gauge g, std::uint64_t value)
 }
 
 void
-maxGauge(Gauge g, std::uint64_t value)
-{
-    auto &cell = g_gauges[static_cast<std::size_t>(g)];
-    std::uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !cell.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-void
 addGauge(Gauge g, std::uint64_t delta)
 {
     g_gauges[static_cast<std::size_t>(g)].fetch_add(
         delta, std::memory_order_relaxed);
-}
-
-std::uint64_t
-gaugeValue(Gauge g)
-{
-    return g_gauges[static_cast<std::size_t>(g)].load(
-        std::memory_order_relaxed);
 }
 
 // --- Allocation-free JSON dump -------------------------------------

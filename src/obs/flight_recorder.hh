@@ -180,9 +180,7 @@ enum class Gauge : std::size_t
 };
 
 void setGauge(Gauge g, std::uint64_t value);
-void maxGauge(Gauge g, std::uint64_t value);
 void addGauge(Gauge g, std::uint64_t delta);
-std::uint64_t gaugeValue(Gauge g);
 
 /** Context for a dump; reason must be a NUL-terminated literal or a
  * buffer that outlives the call. */

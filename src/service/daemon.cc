@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <system_error>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -31,7 +32,8 @@ namespace sched91::service
 namespace
 {
 
-/** Reader poll interval: the latency bound on noticing a drain. */
+/** Reader poll interval: the latency bound on noticing a drain.  Also
+ * the acceptor's retry interval while descriptors run short. */
 constexpr int kPollMs = 200;
 
 /** Request lines larger than this are a protocol violation, answered
@@ -260,6 +262,7 @@ Daemon::run()
 void
 Daemon::acceptLoop()
 {
+    bool starved = false; // in a stretch of transient accept failures
     while (!draining()) {
         pollfd fds[2] = {{listenFd_, POLLIN, 0},
                          {wakePipe_[0], POLLIN, 0}};
@@ -279,10 +282,28 @@ Daemon::acceptLoop()
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
-            log::error("serve: accept(): ", std::strerror(errno));
-            requestDrain();
-            break;
+            if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+                errno != ENOMEM) {
+                log::error("serve: accept(): ", std::strerror(errno));
+                requestDrain();
+                break;
+            }
+            // Out of descriptors or memory: the connection waits in
+            // the listen backlog until a closing one frees some.  No
+            // ostringstream here: with no descriptor left, a UBSan
+            // build's vptr check (it probes memory through a pipe)
+            // would abort the daemon.
+            if (!starved)
+                log::write(log::Level::Warn,
+                           "serve: accept(): " +
+                               std::string(std::strerror(errno)) +
+                               "; retrying");
+            starved = true;
+            pollfd wake = {wakePipe_[0], POLLIN, 0};
+            (void)::poll(&wake, 1, kPollMs);
+            continue;
         }
+        starved = false;
         {
             std::lock_guard<std::mutex> lock(liveMu_);
             ++liveReaders_;
@@ -290,12 +311,23 @@ Daemon::acceptLoop()
         // Detached, so a reader and its stack leave with its
         // connection; drain waits for the live count instead.  Past
         // the notify the thread touches nothing of the daemon.
-        std::thread([this, conn = std::make_shared<Connection>(fd)] {
-            readerLoop(conn);
+        const auto readerGone = [this] {
             std::lock_guard<std::mutex> lock(liveMu_);
             if (--liveReaders_ == 0)
                 readersGone_.notify_all();
-        }).detach();
+        };
+        try {
+            std::thread([readerGone, this,
+                         conn = std::make_shared<Connection>(fd)] {
+                readerLoop(conn);
+                readerGone();
+            }).detach();
+        } catch (const std::system_error &e) {
+            // No thread to read it: the connection closes unread, and
+            // its reader is no longer counted.
+            log::warn("serve: cannot start a reader thread: ", e.what());
+            readerGone();
+        }
     }
     // Drain: stop admitting.  Closing the queue is the barrier that
     // lets workers finish everything already accepted, then exit.

@@ -119,7 +119,8 @@ struct DaemonConfig
      * (service/supervisor.hh) instead of in-process. */
     bool isolateProcess = false;
 
-    /** Watchdog bound for deadline-less requests, ms. */
+    /** Kill time of a sandbox attempt for a deadline-less request,
+     * ms. */
     int isolateHangMs = 10'000;
 
     /** Per-worker RLIMIT_CPU seconds; 0 = unlimited. */
@@ -172,9 +173,6 @@ class Daemon
 
     /** Service tallies (tests). */
     SvcCounters &counters() { return engine_.counters(); }
-
-    /** Live span log for `trace-dump` / `--trace-json` (tests). */
-    const obs::ServiceTraceLog &traceLog() const { return traceLog_; }
 
   private:
     struct WorkerSlot;

@@ -111,7 +111,7 @@ struct SvcCounters
     // Process isolation (service/supervisor.hh); all zero when the
     // daemon runs in-process.
     std::atomic<std::uint64_t> workerCrashes{0};   ///< deaths mid-request
-    std::atomic<std::uint64_t> workerKills{0};     ///< watchdog SIGKILLs
+    std::atomic<std::uint64_t> workerKills{0};     ///< kill-time SIGKILLs
     std::atomic<std::uint64_t> workerRespawns{0};  ///< replacements spawned
     std::atomic<std::uint64_t> workerSpawnFailures{0}; ///< spawns that died
 };

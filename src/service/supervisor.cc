@@ -1,5 +1,6 @@
 #include "service/supervisor.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -29,24 +30,11 @@ namespace sched91::service
 namespace
 {
 
-constexpr std::int64_t kMsNs = 1'000'000;
-
-/** Watchdog grace past a request's deadline: the in-process budget
+/** Kill-time grace past a request's deadline: the in-process budget
  * rung degrades at the deadline, so a worker healthy enough to do the
  * same answers before the SIGKILL lands. */
-constexpr std::int64_t kDeadlineGraceNs = 500 * kMsNs;
-
-/** Lane-side backstop slack past the watchdog's kill time: the lane
- * only SIGKILLs itself when the watchdog thread is wedged. */
-constexpr std::int64_t kLaneSlackNs = 250 * kMsNs;
-
-std::int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+constexpr std::chrono::nanoseconds kDeadlineGraceNs =
+    std::chrono::milliseconds(500);
 
 /** A worker's answer, decoded once: status ok/degraded is the
  * client's answer; "error" is a failed attempt, and so are bytes that
@@ -82,8 +70,8 @@ boundedString(const char *buf, std::size_t cap)
 
 } // namespace
 
-/** One lane's sandbox worker.  Owned and dispatched by exactly one
- * lane thread; the watchdog touches only the atomics. */
+/** One lane's sandbox worker, owned and dispatched by exactly one
+ * lane thread. */
 struct Supervisor::Worker
 {
     unsigned lane = 0;
@@ -92,16 +80,17 @@ struct Supervisor::Worker
     int ringFd = -1; ///< crash-ring memfd
     CrashRing *ring = nullptr; ///< parent-side mapping
     LineReader reader;         ///< responses on fd
-    bool live = false;
     bool everLive = false; ///< distinguishes respawn from first spawn
-    bool laneKilled = false; ///< this lane's backstop fired
 
-    // Watchdog interface: killAtNs != 0 marks the worker busy and
-    // names the SIGKILL instant; livePid is what the watchdog may
-    // signal (never the Subprocess object — lane-owned).
-    std::atomic<std::int64_t> killAtNs{0};
+    /** The live worker's pid, -1 while there is none.  Only the lane
+     * writes it; liveWorkers() reads it from stats threads. */
     std::atomic<pid_t> livePid{-1};
-    std::atomic<bool> watchdogKilled{false};
+
+    bool live() const
+    {
+        return livePid.load(std::memory_order_relaxed) > 0;
+    }
+    void markDead() { livePid.store(-1, std::memory_order_relaxed); }
 };
 
 Supervisor::Supervisor(SupervisorConfig config, Engine &engine)
@@ -133,12 +122,7 @@ Supervisor::start()
         // lazily at its first dispatch.
         spawnWorker(*workers_.back());
     }
-    {
-        std::lock_guard<std::mutex> lock(stopMu_);
-        stopping_ = false;
-        started_ = true;
-    }
-    watchdog_ = std::thread([this] { watchdogLoop(); });
+    started_ = true;
     log::info("sched91 serve: process isolation on (", n,
               " sandbox worker", n == 1 ? "" : "s", ", exe ", exe_,
               ")");
@@ -147,16 +131,9 @@ Supervisor::start()
 void
 Supervisor::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(stopMu_);
-        if (!started_)
-            return;
-        started_ = false;
-        stopping_ = true;
-    }
-    stopCv_.notify_all();
-    if (watchdog_.joinable())
-        watchdog_.join();
+    if (!started_)
+        return;
+    started_ = false;
 
     // Closing the socketpairs is the drain signal: workers exit 0 on
     // EOF.  Close them all first so the pool drains in parallel.
@@ -181,8 +158,7 @@ Supervisor::stop()
                 w.proc.wait();
             }
         }
-        w.live = false;
-        w.livePid.store(-1, std::memory_order_relaxed);
+        w.markDead();
         retireWorker(w);
     }
 }
@@ -210,7 +186,7 @@ Supervisor::liveWorkers() const
 {
     unsigned n = 0;
     for (const auto &wp : workers_)
-        if (wp->livePid.load(std::memory_order_relaxed) > 0)
+        if (wp->live())
             ++n;
     return n;
 }
@@ -341,39 +317,11 @@ Supervisor::spawnWorker(Worker &worker,
         return false;
     }
 
-    worker.live = true;
     worker.everLive = true;
     worker.livePid.store(worker.proc.pid(),
                          std::memory_order_relaxed);
     up = true;
     return true;
-}
-
-void
-Supervisor::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(stopMu_);
-    while (!stopping_) {
-        stopCv_.wait_for(lock, std::chrono::milliseconds(25));
-        if (stopping_)
-            break;
-        const std::int64_t now = nowNs();
-        for (auto &wp : workers_) {
-            Worker &w = *wp;
-            const std::int64_t killAt =
-                w.killAtNs.load(std::memory_order_acquire);
-            if (killAt == 0 || now <= killAt)
-                continue;
-            const pid_t pid =
-                w.livePid.load(std::memory_order_relaxed);
-            if (pid > 0) {
-                // Flag first so the lane's EOF attributes the kill.
-                w.watchdogKilled.store(true,
-                                       std::memory_order_relaxed);
-                ::kill(pid, SIGKILL);
-            }
-        }
-    }
 }
 
 void
@@ -462,7 +410,7 @@ Supervisor::harvestCrash(Worker &worker, const RequestSpec &spec,
 }
 
 /** The ladder's sandbox runner: each attempt is one envelope to the
- * lane's worker.  The runner keeps the pool — respawns, the watchdog,
+ * lane's worker.  The runner keeps the pool — respawns, the kill time,
  * crash accounting and forensics — and reports only what the attempt
  * did; the engine's ladder decides every rung. */
 class Supervisor::SandboxRunner final : public AttemptRunner
@@ -525,11 +473,21 @@ Supervisor::SandboxRunner::run(BuilderKind builder, int attempt,
         return out;
     };
 
+    // The attempt's kill time: the request's remaining deadline plus
+    // the grace, or the hang bound for a request without one.
+    const std::chrono::nanoseconds budget =
+        remainingSeconds_ > 0.0
+            ? std::chrono::nanoseconds(
+                  std::llround(remainingSeconds_ * 1e9)) +
+                  kDeadlineGraceNs
+            : std::chrono::milliseconds(sup_.config_.hangTimeoutMs);
+    LineReader::Clock::time_point killAt;
+
     // A dead pipe *before* dispatch means the worker died idle or
     // never came up; the request has not reached any worker, so this
     // is respawn territory, not the crash rung.
     for (int spawnTry = 0;; ++spawnTry) {
-        if (!worker.live) {
+        if (!worker.live()) {
             const bool respawning = worker.everLive;
             if (!sup_.spawnWorker(worker, trace_))
                 return noWorker();
@@ -537,57 +495,37 @@ Supervisor::SandboxRunner::run(BuilderKind builder, int attempt,
                 counters.workerRespawns.fetch_add(
                     1, std::memory_order_relaxed);
         }
+        // Set before the write, so the whole attempt counts against it.
+        killAt = LineReader::Clock::now() + budget;
         if (writeLine(worker.fd, request))
             break;
-        worker.live = false;
-        worker.livePid.store(-1, std::memory_order_relaxed);
+        worker.markDead();
         worker.proc.kill(SIGKILL);
         worker.proc.wait();
         if (spawnTry == 1)
             return noWorker();
     }
 
-    // Arm the watchdog for this attempt.
-    worker.laneKilled = false;
-    worker.watchdogKilled.store(false, std::memory_order_relaxed);
-    const std::int64_t budgetNs =
-        remainingSeconds_ > 0.0
-            ? static_cast<std::int64_t>(
-                  std::llround(remainingSeconds_ * 1e9)) +
-                  kDeadlineGraceNs
-            : static_cast<std::int64_t>(sup_.config_.hangTimeoutMs) *
-                  kMsNs;
-    const std::int64_t killAt = nowNs() + budgetNs;
-    worker.killAtNs.store(killAt, std::memory_order_release);
-
+    // The worker is busy only while this lane waits on it, so the lane
+    // is its watchdog: an answer past the kill time is never taken.
     std::string_view line;
-    const LineReader::Status st = worker.reader.read(
-        line, LineReader::Clock::time_point(
-                  std::chrono::nanoseconds(killAt + kLaneSlackNs)));
-    if (st == LineReader::Status::Timeout) {
-        // The watchdog is itself wedged (or this is a test with no
-        // watchdog margin): the lane is the backstop.
-        worker.laneKilled = true;
-        worker.proc.kill(SIGKILL);
-    }
-    worker.killAtNs.store(0, std::memory_order_relaxed);
+    const LineReader::Status st = worker.reader.read(line, killAt);
     if (st == LineReader::Status::Line)
         return decodeAnswer(std::string(line));
+    const bool killed = st == LineReader::Status::Timeout;
+    if (killed)
+        worker.proc.kill(SIGKILL);
 
     // The worker died holding this request: reap, account, harvest
     // forensics, respawn for the lane's next request.
-    worker.live = false;
-    worker.livePid.store(-1, std::memory_order_relaxed);
+    worker.markDead();
     const SpawnExit exit = worker.proc.wait();
-    const bool killed =
-        worker.laneKilled ||
-        worker.watchdogKilled.load(std::memory_order_relaxed);
     counters.workerCrashes.fetch_add(1, std::memory_order_relaxed);
     if (killed)
         counters.workerKills.fetch_add(1, std::memory_order_relaxed);
     log::warn("sandbox worker lane ", worker.lane,
               " died mid-request (", exit.describe(),
-              killed ? "; watchdog kill)" : ")");
+              killed ? "; killed at its kill time)" : ")");
     sup_.harvestCrash(worker, env.spec, fault::fnv1a64(spec_.source),
                       exit);
     if (sup_.spawnWorker(worker, trace_))

@@ -15,8 +15,8 @@
  *    to the lane's worker, reported back as a typed outcome.
  *  - A *worker* runs exactly one ladder attempt per dispatch envelope
  *    (service/sandbox_worker.hh).  Anything that kills it — injected
- *    SIGSEGV/abort, an rlimit, a watchdog SIGKILL — is contained to
- *    the one request it was holding.
+ *    SIGSEGV/abort, an rlimit, its lane's SIGKILL at the kill time —
+ *    is contained to the one request it was holding.
  *
  * Each worker is linked to its lane by one AF_UNIX socketpair, newline
  * framed both ways (support/line_io.hh): the worker's fd 3 carries
@@ -33,11 +33,15 @@
  * takes its next request.  Every accepted request is answered exactly
  * once.
  *
- * Hang containment is layered: a watchdog thread SIGKILLs any worker
- * busy past its deadline grace (or the idle hang bound when the
- * request has no deadline); the dispatching lane's poll loop is the
- * backstop when the watchdog itself is wedged; and RLIMIT_CPU, when
- * configured, is the kernel's final word.
+ * Hang containment has one kill time per attempt, enforced by the lane
+ * that dispatched it.  A worker is busy only while its lane waits for
+ * the answer, so the lane is its only watchdog: it sets the kill time
+ * before writing the envelope (the request's remaining deadline plus
+ * a 500 ms grace, or the hang bound when the request has none), reads
+ * the answer with that deadline, and on a timeout SIGKILLs the worker
+ * (`svc.worker_kills`) and reports the attempt crashed.  An answer
+ * past the kill time is never taken.  RLIMIT_CPU and RLIMIT_AS, when
+ * configured, are the kernel's bounds under the lane.
  *
  * Each worker also carries a crash ring — a flight-recorder ring in a
  * shared memfd — that the supervisor harvests after a death, so even
@@ -47,13 +51,9 @@
 #ifndef SCHED91_SERVICE_SUPERVISOR_HH
 #define SCHED91_SERVICE_SUPERVISOR_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/engine.hh"
@@ -89,7 +89,7 @@ struct SupervisorConfig
      * sanitizers (support/subprocess.hh). */
     std::size_t rlimitAsMb = 0;
 
-    /** Watchdog bound for requests with no deadline, ms. */
+    /** Kill time of an attempt whose request has no deadline, ms. */
     int hangTimeoutMs = 10'000;
 
     /** How long a fresh worker may take to print its ready banner. */
@@ -109,15 +109,15 @@ class Supervisor
     Supervisor(SupervisorConfig config, Engine &engine);
     ~Supervisor();
 
-    /** Spawn the pool and the watchdog.  A worker that fails to come
-     * up is counted (svc.worker_spawn_failures) and retried at its
-     * lane's first dispatch; start() itself only throws when no
+    /** Spawn the pool; no thread is started.  A worker that fails to
+     * come up is counted (svc.worker_spawn_failures) and retried at
+     * its lane's first dispatch; start() itself only throws when no
      * worker executable can be resolved. */
     void start();
 
-    /** Drain: stop the watchdog, close the workers' sockets (they
-     * exit 0 on EOF), reap with a grace period, SIGKILL stragglers.
-     * Idempotent. */
+    /** Drain, once every lane is idle: close the workers' sockets
+     * (they exit 0 on EOF), reap with a grace period, SIGKILL
+     * stragglers.  Idempotent. */
     void stop();
 
     /**
@@ -135,7 +135,8 @@ class Supervisor
                         const obs::RequestTrace *trace = nullptr);
 
     /** Lanes whose sandbox worker is currently alive (stats/health
-     * gauge; reads the watchdog atomics, so safe from any thread). */
+     * gauge; reads each worker's atomic pid, so safe from any
+     * thread). */
     unsigned liveWorkers() const;
 
   private:
@@ -145,7 +146,6 @@ class Supervisor
     bool spawnWorker(Worker &worker,
                      const obs::RequestTrace *trace = nullptr);
     void retireWorker(Worker &worker);
-    void watchdogLoop();
 
     void harvestCrash(Worker &worker, const RequestSpec &spec,
                       std::uint64_t key, const SpawnExit &exit);
@@ -154,11 +154,6 @@ class Supervisor
     Engine &engine_;
     std::string exe_; ///< resolved worker executable
     std::vector<std::unique_ptr<Worker>> workers_;
-
-    std::thread watchdog_;
-    std::mutex stopMu_;
-    std::condition_variable stopCv_;
-    bool stopping_ = false;
     bool started_ = false;
 };
 

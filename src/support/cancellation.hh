@@ -54,13 +54,6 @@ class CancellationToken
     {
     }
 
-    /** Factory spelling of the budget constructor. */
-    static CancellationToken
-    withBudget(double seconds)
-    {
-        return CancellationToken(seconds);
-    }
-
     /** Trigger cancellation from any thread. */
     void
     requestCancel()

@@ -4,11 +4,13 @@
  * real sandbox-worker subprocesses of the CLI binary.  Covers the
  * clean dispatch path, worker death as a ladder rung (degraded answer
  * + quarantine + respawn), an idle worker's death (respawned at the
- * next dispatch), the watchdog SIGKILL on a spinning worker,
- * spawn failure (degraded answer, no quarantine), crash-forensics
- * harvest from the shared-memory ring, tally determinism across fresh
- * pools under crash faults, and cross-mode equivalence: in-process and
- * sandboxed ladders answer a fault-injected corpus alike.
+ * next dispatch), the lane's SIGKILL of a spinning worker at its kill
+ * time (and the lane serving on afterwards), a late answer that is
+ * never taken, spawn failure (degraded answer, no quarantine),
+ * crash-forensics harvest from the shared-memory ring, tally
+ * determinism across fresh pools under crash faults, and cross-mode
+ * equivalence: in-process and sandboxed ladders answer a
+ * fault-injected corpus alike.
  *
  * Worker-side rlimit tests (RLIMIT_AS) are deliberately absent: the
  * address-space cap breaks sanitizer runtimes, so the flag stays 0
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -212,9 +215,8 @@ TEST(Isolation, IdleWorkerDeathRespawnsTheWorker)
 
 TEST(Isolation, WatchdogKillsASpinningWorker)
 {
-    // spin-forever wedges the worker in a busy loop; the watchdog
-    // must SIGKILL it at the hang bound and the lane answers the
-    // victim degraded.
+    // spin-forever wedges the worker in a busy loop; its lane must
+    // SIGKILL it at the hang bound and answer the victim degraded.
     Harness h{Harness::configWith("seed=3,spin-forever=1", 400)};
     obs::JsonValue doc = h.process(specFor(kSource));
     EXPECT_EQ(doc.strOr("status", ""), "degraded");
@@ -223,6 +225,38 @@ TEST(Isolation, WatchdogKillsASpinningWorker)
     EXPECT_EQ(c.workerCrashes.load(), 1u);
     EXPECT_EQ(c.workerKills.load(), 1u);
     EXPECT_EQ(c.workerRespawns.load(), 1u);
+
+    // The lane serves on with the respawned worker: a request with no
+    // block to spin in answers ok on its first attempt, and the kill
+    // reaches no request but the victim.
+    doc = h.process(specFor("", "t2"));
+    EXPECT_EQ(doc.strOr("status", ""), "ok");
+    EXPECT_EQ(doc.numberOr("attempts", -1), 1);
+    EXPECT_EQ(c.workerCrashes.load(), 1u);
+    EXPECT_EQ(c.workerKills.load(), 1u);
+    EXPECT_EQ(h.engine.quarantineSize(), 1u);
+}
+
+TEST(Isolation, AnAnswerPastTheKillTimeIsNeverTaken)
+{
+    // Each worker answers 10 ms past the 200 ms hang bound.  The lane
+    // kills it at the bound every time, so every request takes the
+    // crash rung, and none is answered before its kill time.
+    Harness h{Harness::configWith("slow-block=1,slow-ms=210", 200)};
+    for (int i = 0; i < 5; ++i) {
+        // Distinct sources: a repeated one would hit the quarantine.
+        const std::string source =
+            std::string(kSource) + "add %g" + std::to_string(i + 1) +
+            ", %g7, %g7\n";
+        const auto t0 = std::chrono::steady_clock::now();
+        obs::JsonValue doc = h.process(specFor(source, numbered("k", i)));
+        const auto took = std::chrono::steady_clock::now() - t0;
+        EXPECT_EQ(doc.strOr("status", ""), "degraded") << "request " << i;
+        EXPECT_GE(took, std::chrono::milliseconds(200)) << "request " << i;
+    }
+    const service::SvcCounters &c = h.engine.counters();
+    EXPECT_EQ(c.workerKills.load(), 5u);
+    EXPECT_EQ(c.workerCrashes.load(), 5u);
 }
 
 TEST(Isolation, SpawnFailureDegradesWithoutQuarantine)

@@ -934,21 +934,34 @@ withoutSpans(const std::string &line)
 
 TEST(Daemon, AnswersAlikeOnOneAndFourLanes)
 {
-    // The lane count must not change a response: the same pipelined
-    // corpus against a one-lane and a four-lane daemon, answers
-    // matched by id.
+    // Neither the lane count nor the isolation mode may change a
+    // response: the same pipelined corpus against in-process and
+    // sandboxed (--isolate=process) daemons, each at one and at four
+    // lanes, answers matched by id.
     FaultGuard guard;
     const std::vector<std::string> requests = crossModeRequests();
     std::string batch;
     for (const std::string &line : requests)
         batch += (batch.empty() ? "" : "\n") + line;
 
-    std::map<std::string, std::string> answers[2];
-    const unsigned lanes[] = {1, 4};
-    for (int side = 0; side < 2; ++side) {
+    struct Side
+    {
+        const char *tag;
+        unsigned lanes;
+        bool isolate;
+    };
+    const Side sides[] = {{"lanes1", 1, false},
+                          {"lanes4", 4, false},
+                          {"isolated1", 1, true},
+                          {"isolated4", 4, true}};
+    std::map<std::string, std::string> answers[std::size(sides)];
+    for (std::size_t side = 0; side < std::size(sides); ++side) {
+        SCOPED_TRACE(sides[side].tag);
         service::DaemonConfig config;
-        config.socketPath = testSocketPath(side == 0 ? "lanes1" : "lanes4");
-        config.workers = lanes[side];
+        config.socketPath = testSocketPath(sides[side].tag);
+        config.workers = sides[side].lanes;
+        config.isolateProcess = sides[side].isolate;
+        config.sandboxWorkerExe = SCHED91_CLI_PATH;
         config.queueCapacity = requests.size(); // nothing is shed
         config.engine.maxBlockInsts = 40;
         config.statsPath = "";
@@ -966,15 +979,25 @@ TEST(Daemon, AnswersAlikeOnOneAndFourLanes)
                 EXPECT_EQ(doc.strOr("trace_id", ""), doc.strOr("id", ""));
                 answers[side][doc.strOr("id", "")] = withoutSpans(line);
             }
+            // A sandboxed daemon answered through its workers.
+            EXPECT_TRUE(client.send(R"({"type":"health"})"));
+            const std::vector<std::string> health = client.read(1);
+            EXPECT_EQ(health.size(), 1u);
+            for (const std::string &line : health)
+                EXPECT_EQ(obs::parseJson(line).numberOr("workers_live", 0),
+                          sides[side].isolate ? sides[side].lanes : 0);
         }
         daemon.requestDrain();
         server.join();
         EXPECT_EQ(rc, 0);
     }
-    ASSERT_EQ(answers[0].size(), requests.size());
-    ASSERT_EQ(answers[1].size(), requests.size());
-    for (const auto &[id, answer] : answers[0])
-        EXPECT_EQ(answer, answers[1][id]) << id;
+    for (std::size_t side = 0; side < std::size(sides); ++side)
+        ASSERT_EQ(answers[side].size(), requests.size())
+            << sides[side].tag;
+    for (std::size_t side = 1; side < std::size(sides); ++side)
+        for (const auto &[id, answer] : answers[0])
+            EXPECT_EQ(answer, answers[side][id])
+                << sides[side].tag << ": " << id;
 }
 
 namespace
@@ -1524,6 +1547,79 @@ TEST(EngineLadder, AnswersAlikeWithObservabilityOnAndOff)
         EXPECT_EQ(obs::parseJson(answers[0][i]).strOr("status", ""), "ok");
         EXPECT_EQ(answers[0][i], answers[1][i]) << "request " << i;
     }
+}
+
+TEST(CliContract, ServeOutlivesDescriptorExhaustion)
+{
+    // Under `ulimit -n 64`, 80 connections exhaust the daemon's
+    // descriptors.  accept() failing with EMFILE is transient: the
+    // daemon keeps its socket and serves again once clients close.
+    const std::string sock = testSocketPath("nofile");
+    const std::string err = tempPath("nofile.err");
+    ::unlink(sock.c_str());
+    const std::string cmd = "ulimit -n 64 && exec " +
+                            std::string(SCHED91_CLI_PATH) +
+                            " serve --socket " + sock +
+                            " --threads 1 > /dev/null 2> " + err;
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::execl("/bin/sh", "sh", "-c", cmd.c_str(),
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    // However the test ends, the daemon does not outlive it.
+    struct Reap
+    {
+        pid_t &pid;
+        ~Reap()
+        {
+            if (pid > 0) {
+                ::kill(pid, SIGKILL);
+                ::waitpid(pid, nullptr, 0);
+            }
+        }
+    } reap{pid};
+    {
+        Client probe(sock);
+        ASSERT_GE(probe.fd, 0) << "daemon did not come up";
+    }
+
+    std::vector<int> clients;
+    for (int i = 0; i < 80; ++i)
+        clients.push_back(connectUnix(sock));
+    for (int i = 0; i < 100 && readFileOr(err, "").find(
+                                   "Too many open files") ==
+                                   std::string::npos;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_NE(readFileOr(err, "").find("Too many open files"),
+              std::string::npos)
+        << "the descriptor limit never bit";
+    // A daemon that drained on the error would be gone well within
+    // this second.
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) != 0)
+        pid = -1; // reaped: the daemon is gone
+    for (int fd : clients)
+        if (fd >= 0)
+            ::close(fd);
+    ASSERT_GT(pid, 0) << readFileOr(err, "");
+
+    {
+        Client client(sock);
+        EXPECT_TRUE(client.send(R"({"type":"health","id":"h"})"));
+        const std::vector<std::string> lines = client.read(1);
+        ASSERT_EQ(lines.size(), 1u) << readFileOr(err, "");
+        EXPECT_EQ(obs::parseJson(lines[0]).strOr("id", ""), "h");
+    }
+    ASSERT_EQ(::kill(pid, SIGINT), 0);
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    pid = -1;
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << readFileOr(err, "");
+    ::unlink(err.c_str());
 }
 
 TEST(CliContract, TopRendersFramesFromALiveDaemon)
