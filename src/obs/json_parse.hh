@@ -38,7 +38,6 @@ class JsonValue
                  Object>
         v;
 
-    bool isNull() const { return std::holds_alternative<std::nullptr_t>(v); }
     bool isObject() const { return std::holds_alternative<Object>(v); }
     bool isArray() const { return std::holds_alternative<Array>(v); }
     bool isNumber() const { return std::holds_alternative<double>(v); }

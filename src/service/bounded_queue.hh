@@ -3,9 +3,9 @@
  * Bounded MPMC admission queue for the scheduling daemon
  * (docs/ROBUSTNESS.md).
  *
- * The queue is the daemon's backpressure point: connection readers
- * tryPush() and get an immediate `false` when the queue is full (the
- * caller answers "rejected" — explicit load shedding, never unbounded
+ * The queue is the daemon's backpressure point: its I/O thread
+ * tryPush()es and gets an immediate `false` when the queue is full (it
+ * answers "rejected" — explicit load shedding, never unbounded
  * buffering), service workers pop() until the queue is closed.
  * close() is the drain barrier: producers can no longer add, and
  * consumers drain what was already admitted before pop() returns

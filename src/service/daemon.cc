@@ -1,11 +1,11 @@
 #include "service/daemon.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <system_error>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -32,9 +32,11 @@ namespace sched91::service
 namespace
 {
 
-/** Reader poll interval: the latency bound on noticing a drain.  Also
- * the acceptor's retry interval while descriptors run short. */
-constexpr int kPollMs = 200;
+using Clock = std::chrono::steady_clock;
+
+/** How long the listen socket stays out of the poll set after accept
+ * ran short of descriptors or memory. */
+constexpr std::chrono::milliseconds kAcceptRetry{200};
 
 /** Request lines larger than this are a protocol violation, answered
  * with an error and a closed connection — the admission path must
@@ -42,11 +44,36 @@ constexpr int kPollMs = 200;
 constexpr std::size_t kMaxLineBytes = 8u << 20;
 
 double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
+elapsedSeconds(Clock::time_point since)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
+    return std::chrono::duration<double>(Clock::now() - since).count();
+}
+
+/** A poll timeout: milliseconds until @p when, rounded up. */
+int
+msUntil(Clock::time_point when)
+{
+    using std::chrono::milliseconds;
+    return static_cast<int>(std::clamp<long long>(
+        std::chrono::ceil<milliseconds>(when - Clock::now()).count(), 0,
+        1 << 30));
+}
+
+/** Write @p doc and a newline to @p path, or to stdout for "-". */
+void
+emitDocument(const std::string &path, std::string doc, const char *what)
+{
+    doc += '\n';
+    if (path == "-") {
+        std::fputs(doc.c_str(), stdout);
+        std::fflush(stdout);
+        return;
+    }
+    std::ofstream out(path);
+    if (out)
+        out << doc;
+    else
+        log::error("serve: cannot write ", what, " to '", path, "'");
 }
 
 /** Nanoseconds from @p epoch to @p tp, clamped at zero — the span
@@ -65,34 +92,29 @@ nsSince(std::chrono::steady_clock::time_point epoch,
 
 } // namespace
 
-/** One client connection: the fd plus a write lock so concurrent
- * workers (and the reader's error path) never interleave response
- * lines.  Owned by shared_ptr — queued requests keep the fd alive
- * after the reader exits, so a draining daemon can still answer
- * everything it admitted. */
+/** One client connection, owned by the I/O thread alone.  Lanes name
+ * it by id, so an answer for a connection that is gone is dropped. */
 struct Daemon::Connection
 {
-    explicit Connection(int fd) : fd(fd) {}
-    ~Connection()
+    Connection(int fd, std::uint64_t id)
+        : fd(fd), id(id), reader(fd, kMaxLineBytes), writer(fd)
     {
-        if (fd >= 0)
-            ::close(fd);
     }
+    ~Connection() { ::close(fd); }
 
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    /** Send one response line; a client that hung up just loses it
-     * (its responses have nowhere to go). */
-    void
-    respond(const std::string &line)
-    {
-        std::lock_guard<std::mutex> lock(writeMu);
-        (void)writeLine(fd, line);
-    }
+    /** Too many unsent answers: read no more until they drain. */
+    bool paused() const { return writer.pending() > kOutboundCapBytes; }
 
     int fd;
-    std::mutex writeMu;
+    std::uint64_t id;
+    LineReader reader;
+    LineWriter writer;     ///< the outbound buffer
+    unsigned inFlight = 0; ///< admitted, not yet answered
+    bool reading = true;   ///< false after EOF, an overlong line or a drain
+    bool gone = false;     ///< the client hung up
 };
 
 /** Per-worker-lane observability kit, set up before the lanes start.
@@ -109,7 +131,9 @@ Daemon::Daemon(DaemonConfig config)
 {
     // Made before any thread exists: requestDrain() may run on another
     // thread (or in a signal handler) at any time, even before run().
-    if (::pipe(wakePipe_) < 0)
+    // Non-blocking, so a full pipe never blocks a lane or a signal
+    // handler: the I/O thread has a byte to wake on anyway.
+    if (::pipe2(wakePipe_, O_CLOEXEC | O_NONBLOCK) < 0)
         fatal("serve: pipe(): ", std::strerror(errno));
 }
 
@@ -125,9 +149,9 @@ Daemon::~Daemon()
 void
 Daemon::requestDrain()
 {
-    // Async-signal-safe: relaxed store + one write(2).  Everything
-    // heavier (queue close, joins, stats) happens on normal threads
-    // that this write wakes up.
+    // Async-signal-safe: relaxed store + one non-blocking write(2).
+    // Everything heavier (queue close, joins, stats) happens on normal
+    // threads that this write wakes up.
     drain_.store(true, std::memory_order_relaxed);
     char byte = 'd';
     if (wakePipe_[1] >= 0)
@@ -147,7 +171,8 @@ Daemon::run()
               "' too long for AF_UNIX");
     ::unlink(config_.socketPath.c_str());
 
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    listenFd_ =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
     if (listenFd_ < 0)
         fatal("serve: socket(): ", std::strerror(errno));
     sockaddr_un addr{};
@@ -207,7 +232,7 @@ Daemon::run()
         snapshotThread_ = std::thread([this] { snapshotLoop(); });
 
     // --- Serve ------------------------------------------------------
-    std::thread acceptor([this] { acceptLoop(); });
+    std::thread io([this] { ioLoop(); });
     {
         // Worker lanes on the repo's own pool.  Each chunk is one
         // long-running lane loop; lanes exit when the queue is closed
@@ -223,12 +248,7 @@ Daemon::run()
                                      static_cast<unsigned>(lane));
                          });
     }
-    acceptor.join();
-    {
-        // Readers are detached; each leaves within one drain poll.
-        std::unique_lock<std::mutex> lock(liveMu_);
-        readersGone_.wait(lock, [this] { return liveReaders_ == 0; });
-    }
+    io.join();
     if (supervisor_)
         supervisor_->stop(); // every lane is idle: clean pool drain
 
@@ -247,8 +267,11 @@ Daemon::run()
     if (flight_on)
         obs::flight::setExternallyManaged(false);
 
-    emitFinalStats();
-    emitFinalTrace();
+    if (!config_.statsPath.empty())
+        emitDocument(config_.statsPath, statsDocument("", nullptr), "stats");
+    if (!config_.tracePath.empty())
+        emitDocument(config_.tracePath,
+                     traceLog_.chromeJson(config_.zeroTimes), "trace");
 
     ::unlink(config_.socketPath.c_str());
     log::info("sched91 serve: drained cleanly (",
@@ -260,90 +283,197 @@ Daemon::run()
 }
 
 void
-Daemon::acceptLoop()
+Daemon::ioLoop()
 {
-    bool starved = false; // in a stretch of transient accept failures
-    while (!draining()) {
-        pollfd fds[2] = {{listenFd_, POLLIN, 0},
-                         {wakePipe_[0], POLLIN, 0}};
-        int rc = ::poll(fds, 2, -1);
-        if (rc < 0) {
+    std::vector<pollfd> fds;
+    bool stopped = false; // a drain stopped admission
+    Clock::time_point closeAt = Clock::time_point::max();
+    for (;;) {
+        if (draining() && !stopped) {
+            // Closing the queue lets the lanes finish what was
+            // admitted; the lines already read are answered "draining".
+            stopped = true;
+            queue_.close();
+            for (auto &[id, c] : conns_) {
+                takeLines(*c, false);
+                c->reading = false;
+            }
+        }
+        // Once a drain has every admitted request answered, clients
+        // get kDrainDeadline to take what is still unsent.
+        const bool closing = stopped && outstanding_ == 0;
+        if (closing && closeAt == Clock::time_point::max())
+            closeAt = Clock::now() + kDrainDeadline;
+        const bool expired = Clock::now() >= closeAt;
+        std::erase_if(conns_, [expired](const auto &entry) {
+            const Connection &c = *entry.second;
+            return expired || c.gone ||
+                   (!c.reading && c.inFlight == 0 &&
+                    c.writer.pending() == 0);
+        });
+        if (closing && conns_.empty())
+            break;
+
+        const bool listening = !stopped && Clock::now() >= listenAt_;
+        fds.assign({{wakePipe_[0], POLLIN, 0},
+                    {listening ? listenFd_ : -1, POLLIN, 0}});
+        for (auto &[id, c] : conns_)
+            fds.push_back(
+                {c->fd,
+                 static_cast<short>(
+                     (c->reading && !c->paused() ? POLLIN : 0) |
+                     (c->writer.pending() != 0 ? POLLOUT : 0)),
+                 0});
+        int timeout = -1;
+        if (closeAt != Clock::time_point::max())
+            timeout = msUntil(closeAt);
+        else if (!stopped && !listening)
+            timeout = msUntil(listenAt_);
+        if (::poll(fds.data(), fds.size(), timeout) < 0) {
             if (errno == EINTR)
                 continue;
             log::error("serve: poll(): ", std::strerror(errno));
             requestDrain();
+            queue_.close();
             break;
         }
-        if (draining())
-            break;
-        if (!(fds[0].revents & POLLIN))
-            continue;
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
+
+        if (fds[0].revents != 0)
+            takeAnswers();
+        // conns_ is as polled until acceptOne() adds to it.
+        const pollfd *polled = fds.data() + 2;
+        for (auto &[id, c] : conns_) {
+            const short revents = (polled++)->revents;
+            if ((revents & (POLLOUT | POLLHUP | POLLERR)) &&
+                !c->writer.flush())
+                c->gone = true;
+            if (revents == 0 || c->gone)
                 continue;
-            if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
-                errno != ENOMEM) {
-                log::error("serve: accept(): ", std::strerror(errno));
-                requestDrain();
-                break;
-            }
-            // Out of descriptors or memory: the connection waits in
-            // the listen backlog until a closing one frees some.  No
-            // ostringstream here: with no descriptor left, a UBSan
-            // build's vptr check (it probes memory through a pipe)
-            // would abort the daemon.
-            if (!starved)
-                log::write(log::Level::Warn,
-                           "serve: accept(): " +
-                               std::string(std::strerror(errno)) +
-                               "; retrying");
-            starved = true;
-            pollfd wake = {wakePipe_[0], POLLIN, 0};
-            (void)::poll(&wake, 1, kPollMs);
-            continue;
+            if (c->reading) // POLLOUT alone resumes the lines read
+                takeLines(*c, (revents & ~POLLOUT) != 0);
+            else if (revents & (POLLHUP | POLLERR))
+                c->gone = true; // nobody is left to take its answers
         }
-        starved = false;
-        {
-            std::lock_guard<std::mutex> lock(liveMu_);
-            ++liveReaders_;
-        }
-        // Detached, so a reader and its stack leave with its
-        // connection; drain waits for the live count instead.  Past
-        // the notify the thread touches nothing of the daemon.
-        const auto readerGone = [this] {
-            std::lock_guard<std::mutex> lock(liveMu_);
-            if (--liveReaders_ == 0)
-                readersGone_.notify_all();
-        };
-        try {
-            std::thread([readerGone, this,
-                         conn = std::make_shared<Connection>(fd)] {
-                readerLoop(conn);
-                readerGone();
-            }).detach();
-        } catch (const std::system_error &e) {
-            // No thread to read it: the connection closes unread, and
-            // its reader is no longer counted.
-            log::warn("serve: cannot start a reader thread: ", e.what());
-            readerGone();
-        }
+        if (fds[1].revents != 0)
+            acceptOne();
     }
-    // Drain: stop admitting.  Closing the queue is the barrier that
-    // lets workers finish everything already accepted, then exit.
-    queue_.close();
+    conns_.clear();
 }
 
 void
-Daemon::handleLine(const std::shared_ptr<Connection> &conn,
-                   std::string_view line)
+Daemon::acceptOne()
+{
+    const int fd = ::accept4(listenFd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+        starved_ = false;
+        const std::uint64_t id = ++nextConnId_;
+        conns_.emplace(id, std::make_unique<Connection>(fd, id));
+        return;
+    }
+    if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED)
+        return;
+    if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+        errno != ENOMEM) {
+        log::error("serve: accept(): ", std::strerror(errno));
+        requestDrain();
+        return;
+    }
+    // Out of descriptors or memory: the connection waits in the listen
+    // backlog until a closing one frees some.  No ostringstream here:
+    // with no descriptor left, a UBSan build's vptr check (it probes
+    // memory through a pipe) would abort the daemon.
+    if (!starved_)
+        log::write(log::Level::Warn,
+                   "serve: accept(): " + std::string(std::strerror(errno)) +
+                       "; retrying");
+    starved_ = true;
+    listenAt_ = Clock::now() + kAcceptRetry;
+}
+
+void
+Daemon::takeLines(Connection &c, bool recv)
+{
+    if (!c.reading || c.paused())
+        return;
+    // One recv per wakeup: readNow takes it, and read() with kNoWait
+    // hands out the rest of what it brought.
+    std::string_view line;
+    LineReader::Status st = recv ? c.reader.readNow(line)
+                                 : c.reader.read(line, LineReader::kNoWait);
+    for (; st == LineReader::Status::Line;
+         st = c.reader.read(line, LineReader::kNoWait)) {
+        handleLine(c, line);
+        if (c.gone || c.paused())
+            return;
+    }
+    if (st == LineReader::Status::Timeout)
+        return;
+    if (st == LineReader::Status::TooLong) {
+        engine_.counters().error.fetch_add(1, std::memory_order_relaxed);
+        respond(c, errorLine("", "request line exceeds 8 MiB"));
+    } else if (!c.reader.rest().empty()) {
+        // Eof with an unterminated last line: lenient, a request.
+        handleLine(c, c.reader.rest());
+    }
+    c.reading = false;
+}
+
+void
+Daemon::respond(Connection &c, std::string_view line)
+{
+    // Bytes already waiting mean the client is full: POLLOUT sends.
+    const bool idle = c.writer.pending() == 0;
+    c.writer.queue(line);
+    if (idle && !c.writer.flush())
+        c.gone = true;
+}
+
+void
+Daemon::takeAnswers()
+{
+    // Empty the pipe before taking the list: a lane that hands over
+    // later writes a byte of its own.  Lanes write one byte per batch,
+    // so one read takes them all.
+    char sink[256];
+    (void)!::read(wakePipe_[0], sink, sizeof sink);
+    {
+        std::lock_guard<std::mutex> lock(answersMu_);
+        taken_.swap(answers_);
+    }
+    for (auto &[id, answer] : taken_) {
+        --outstanding_;
+        if (const auto it = conns_.find(id); it != conns_.end()) {
+            --it->second->inFlight;
+            respond(*it->second, answer);
+        }
+    }
+    taken_.clear();
+}
+
+void
+Daemon::handOff(std::uint64_t conn, std::string answer)
+{
+    bool wake;
+    {
+        std::lock_guard<std::mutex> lock(answersMu_);
+        wake = answers_.empty();
+        answers_.emplace_back(conn, std::move(answer));
+    }
+    char byte = 'a';
+    if (wake) // else the I/O thread has a byte to wake on already
+        (void)!::write(wakePipe_[1], &byte, 1);
+}
+
+void
+Daemon::handleLine(Connection &c, std::string_view line)
 {
     if (line.empty())
         return;
-    const auto refuse = [this, &conn](const std::string &error) {
+    const auto refuse = [this, &c](const std::string &error) {
         engine_.counters().error.fetch_add(1,
                                            std::memory_order_relaxed);
-        conn->respond(errorLine("", error));
+        respond(c, errorLine("", error));
     };
     // One decode per line; control and request lines are told apart
     // from the decoded value.
@@ -354,9 +484,9 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
         return;
     }
     // Control lines bypass admission entirely: they are answered here
-    // on the reader thread, so `stats`/`health` stay responsive while
+    // on the I/O thread, so `stats`/`health` stay responsive while
     // every lane is busy and the queue is shedding.
-    if (answerControl(conn, controlFromJson(doc)))
+    if (answerControl(c, controlFromJson(doc)))
         return;
     std::optional<RequestSpec> spec = requestFromJson(doc, error);
     if (!spec) {
@@ -365,11 +495,10 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     }
     Request req;
     req.spec = std::move(*spec);
-    req.conn = conn;
-    req.arrival = std::chrono::steady_clock::now();
+    req.conn = c.id;
+    req.arrival = Clock::now();
     if (req.spec.traceId.empty())
-        req.spec.traceId = numbered(
-            "t", traceSeq_.fetch_add(1, std::memory_order_relaxed) + 1);
+        req.spec.traceId = numbered("t", ++traceSeq_);
     req.deadlineMs = req.spec.deadlineMs > 0.0
                          ? req.spec.deadlineMs
                          : config_.engine.defaultDeadlineMs;
@@ -377,23 +506,24 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     if (!queue_.tryPush(std::move(req))) {
         engine_.counters().rejected.fetch_add(
             1, std::memory_order_relaxed);
-        conn->respond(rejectedLine(
-            id, draining() ? "draining" : "overloaded"));
+        respond(c, rejectedLine(
+                       id, draining() ? "draining" : "overloaded"));
         return;
     }
+    ++c.inFlight;
+    ++outstanding_;
     engine_.counters().accepted.fetch_add(1,
                                           std::memory_order_relaxed);
 }
 
 bool
-Daemon::answerControl(const std::shared_ptr<Connection> &conn,
-                      const ControlRequest &ctl)
+Daemon::answerControl(Connection &c, const ControlRequest &ctl)
 {
     switch (ctl.type) {
     case ControlType::None:
         return false;
     case ControlType::Invalid:
-        conn->respond(errorLine(ctl.id, ctl.error));
+        respond(c, errorLine(ctl.id, ctl.error));
         return true;
     case ControlType::Stats:
         if (ctl.format == "prometheus") {
@@ -405,51 +535,19 @@ Daemon::answerControl(const std::shared_ptr<Connection> &conn,
             w.key("format").value("prometheus");
             w.key("exposition").value(prometheusDocument());
             w.endObject();
-            conn->respond(w.take());
+            respond(c, w.take());
         } else {
-            conn->respond(statsDocument(ctl.id, nullptr));
+            respond(c, statsDocument(ctl.id, nullptr));
         }
         return true;
     case ControlType::Health:
-        conn->respond(healthDocument(ctl.id));
+        respond(c, healthDocument(ctl.id));
         return true;
     case ControlType::TraceDump:
-        conn->respond(traceDumpDocument(ctl.id));
+        respond(c, traceDumpDocument(ctl.id));
         return true;
     }
     return false;
-}
-
-void
-Daemon::readerLoop(const std::shared_ptr<Connection> &conn)
-{
-    LineReader reader(conn->fd, kMaxLineBytes);
-    std::string_view line;
-    for (;;) {
-        // A drain reads no more: a zero timeout hands out the lines
-        // already read, then times out.
-        const bool drain = draining();
-        switch (reader.read(line, drain ? 0 : kPollMs)) {
-        case LineReader::Status::Line:
-            handleLine(conn, line);
-            break;
-        case LineReader::Status::Timeout:
-            if (drain)
-                return;
-            break; // re-check the drain flag
-        case LineReader::Status::TooLong:
-            engine_.counters().error.fetch_add(
-                1, std::memory_order_relaxed);
-            conn->respond(errorLine("", "request line exceeds 8 MiB"));
-            return;
-        case LineReader::Status::Eof:
-            // An unterminated last line: lenient, treat it as a
-            // request (a drain, by contrast, just stops reading).
-            if (!draining() && !reader.rest().empty())
-                handleLine(conn, reader.rest());
-            return;
-        }
-    }
 }
 
 void
@@ -501,8 +599,8 @@ Daemon::workerLoop(unsigned lane)
                     1, std::memory_order_relaxed);
                 engine_.counters().rejected.fetch_add(
                     1, std::memory_order_relaxed);
-                req->conn->respond(
-                    rejectedLine(req->spec.id, "deadline"));
+                handOff(req->conn,
+                        rejectedLine(req->spec.id, "deadline"));
                 trace.span("request", -1, arrivalNs, trace.nowNs(),
                            "shed: deadline");
                 continue;
@@ -510,7 +608,7 @@ Daemon::workerLoop(unsigned lane)
         }
 
         obs::flight::setBlock(lane); // key events by lane
-        const auto started = std::chrono::steady_clock::now();
+        const auto started = Clock::now();
         std::string response;
         try {
             response = supervisor_
@@ -536,7 +634,7 @@ Daemon::workerLoop(unsigned lane)
             slot.shard.clear();
         }
         trace.span("request", -1, arrivalNs, trace.nowNs());
-        req->conn->respond(response);
+        handOff(req->conn, std::move(response));
     }
 }
 
@@ -795,50 +893,6 @@ Daemon::snapshotLoop()
             return;
         lock.lock();
     }
-}
-
-void
-Daemon::emitFinalStats()
-{
-    if (config_.statsPath.empty())
-        return;
-
-    std::string doc = statsDocument("", nullptr);
-    doc += '\n';
-    if (config_.statsPath == "-") {
-        std::fputs(doc.c_str(), stdout);
-        std::fflush(stdout);
-        return;
-    }
-    std::ofstream out(config_.statsPath);
-    if (!out) {
-        log::error("serve: cannot write stats to '",
-                   config_.statsPath, "'");
-        return;
-    }
-    out << doc;
-}
-
-void
-Daemon::emitFinalTrace()
-{
-    if (config_.tracePath.empty())
-        return;
-
-    std::string doc = traceLog_.chromeJson(config_.zeroTimes);
-    doc += '\n';
-    if (config_.tracePath == "-") {
-        std::fputs(doc.c_str(), stdout);
-        std::fflush(stdout);
-        return;
-    }
-    std::ofstream out(config_.tracePath);
-    if (!out) {
-        log::error("serve: cannot write trace to '",
-                   config_.tracePath, "'");
-        return;
-    }
-    out << doc;
 }
 
 } // namespace sched91::service

@@ -6,27 +6,27 @@
  *
  * Structure (docs/ROBUSTNESS.md):
  *
- *  - an acceptor thread poll()s the listening socket and a self-pipe;
- *  - one detached reader thread per connection parses request lines
- *    and admits them through a bounded MPMC queue
- *    (service/bounded_queue.hh) — a full queue is answered
- *    "rejected"/overloaded immediately, the daemon never buffers
- *    unboundedly.  A reader leaves as its connection closes, so
- *    connection churn keeps no finished thread around; drain waits
- *    for the live-reader count to reach zero;
+ *  - one I/O thread owns every socket: it poll()s the listening
+ *    socket, a self-pipe and every connection, all non-blocking.  A
+ *    readable connection gets one recv (support/line_io.hh; an 8 MiB
+ *    cap on an unterminated line); each line is decoded once and
+ *    admitted through a bounded MPMC queue (service/bounded_queue.hh)
+ *    — a full queue is answered "rejected"/overloaded at once;
  *  - worker lanes run on the repo's own ThreadPool, each popping
  *    requests and running them through the Engine's resilience
  *    ladder (in-process, or in the lane's sandbox worker under
- *    --isolate=process); responses go back over the connection under
- *    a per-connection write lock, so concurrent workers never
- *    interleave bytes.  Both directions frame lines through
- *    support/line_io.hh: one recv per reader wakeup, an 8 MiB cap on
- *    an unterminated request line, one send per response;
+ *    --isolate=process).  A lane hands its answer over through one
+ *    list and a byte on the self-pipe and never touches a socket;
+ *    the I/O thread writes it from the connection's outbound buffer.
+ *    A connection whose unsent answers pass kOutboundCapBytes is not
+ *    read until they drain, so a client that never reads stalls only
+ *    itself;
  *  - requestDrain() — async-signal-safe: one relaxed store plus one
- *    write(2) to the self-pipe — stops admission (later lines are
- *    answered "rejected"/draining), lets workers finish everything
- *    already admitted, then emits one final stats document.  Zero
- *    accepted requests are lost on SIGINT/SIGTERM.
+ *    non-blocking write(2) to the self-pipe — stops admission (lines
+ *    already read are answered "rejected"/draining), lets workers
+ *    finish everything already admitted, gives clients kDrainDeadline
+ *    to take their answers, then emits one final stats document.
+ *    Zero accepted requests are lost on SIGINT/SIGTERM.
  *
  * Observability in a long-lived process: the daemon owns the flight-
  * recorder rings (obs::flight::setExternallyManaged), claims one per
@@ -34,16 +34,17 @@
  * detects external management and skips its own flight bracket, and
  * adds each run's counts to the lane's shard.  After every request
  * the lane adds its shard into one published aggregate and clears
- * it, so live scrapes and the drain document read the same counts.  Request latency and queue-wait distributions land in
+ * it, so live scrapes and the drain document read the same counts.
+ * Request latency and queue-wait distributions land in
  * `svc.request_ns` / `svc.queue_wait_ns` histograms; svc.* counters
- * are the engine's atomics (reader threads bump them too, and have no
+ * are the engine's atomics (the I/O thread bumps them too, and has no
  * shard), named once in kSvcTallies (service/engine.hh) and overlaid
  * on every stats document.
  *
  * Live telemetry (docs/OBSERVABILITY.md):
  *
  *  - control lines (`{"type": "stats" | "health" | "trace-dump"}`)
- *    are answered on the reader thread, *without* entering the
+ *    are answered on the I/O thread, *without* entering the
  *    admission queue, so introspection works while the service is
  *    saturated or shedding;
  *  - `stats` returns the same document shape as the drain-time stats
@@ -72,6 +73,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/chrome_trace.hh"
@@ -139,16 +142,22 @@ class Supervisor;
 class Daemon
 {
   public:
-    struct Connection;
-
-    /** One admitted request, queued between reader and worker. */
+    /** One admitted request, queued between the I/O thread and a
+     * lane. */
     struct Request
     {
         RequestSpec spec;
-        std::shared_ptr<Connection> conn;
+        std::uint64_t conn = 0; ///< the asking connection's id
         std::chrono::steady_clock::time_point arrival;
         double deadlineMs = 0.0; ///< resolved (request or default)
     };
+
+    /** Unsent answer bytes past which a connection is not read. */
+    static constexpr std::size_t kOutboundCapBytes = 1u << 20;
+
+    /** How long a drain that has answered every admitted request
+     * waits for clients to take their answers. */
+    static constexpr std::chrono::milliseconds kDrainDeadline{2000};
 
     explicit Daemon(DaemonConfig config);
     ~Daemon();
@@ -175,20 +184,29 @@ class Daemon
     SvcCounters &counters() { return engine_.counters(); }
 
   private:
+    struct Connection;
     struct WorkerSlot;
 
-    void acceptLoop();
-    void readerLoop(const std::shared_ptr<Connection> &conn);
-    void workerLoop(unsigned lane);
-    /** Decode one wire line, a view into the reader's buffer, once:
+    // --- The I/O thread ---------------------------------------------
+    void ioLoop();
+    void acceptOne();
+    /** @p c's lines while it is read and under its cap: those
+     * buffered, then (with @p recv) those one recv brings. */
+    void takeLines(Connection &c, bool recv);
+    /** Decode one wire line, a view into @p c's read buffer, once:
      * answer it if it is a control line, else admit it. */
-    void handleLine(const std::shared_ptr<Connection> &conn,
-                    std::string_view line);
+    void handleLine(Connection &c, std::string_view line);
+    /** Answer a control request; false when @p ctl is none (take the
+     * scheduling path). */
+    bool answerControl(Connection &c, const ControlRequest &ctl);
+    void respond(Connection &c, std::string_view line);
+    /** Queue the lanes' answers on their connections. */
+    void takeAnswers();
 
-    /** Answer a control request on the reader thread; false when
-     * @p ctl is none (take the scheduling path). */
-    bool answerControl(const std::shared_ptr<Connection> &conn,
-                       const ControlRequest &ctl);
+    // --- The lanes --------------------------------------------------
+    void workerLoop(unsigned lane);
+    /** Give @p answer for connection @p conn to the I/O thread. */
+    void handOff(std::uint64_t conn, std::string answer);
 
     /**
      * The one stats-document builder behind every consumer — the live
@@ -211,8 +229,6 @@ class Daemon
     obs::CounterSet liveCounters();
 
     void snapshotLoop();
-    void emitFinalStats();
-    void emitFinalTrace();
 
     DaemonConfig config_;
     Engine engine_;
@@ -220,20 +236,29 @@ class Daemon
     std::unique_ptr<Supervisor> supervisor_; ///< only under --isolate
 
     int listenFd_ = -1;
-    int wakePipe_[2] = {-1, -1};
+    int wakePipe_[2] = {-1, -1}; ///< the I/O thread's; non-blocking
     std::atomic<bool> drain_{false};
 
-    /** Reader threads still running (they are detached); drain waits
-     * for zero. */
-    std::mutex liveMu_;
-    std::condition_variable readersGone_;
-    unsigned liveReaders_ = 0;
+    using Answer = std::pair<std::uint64_t, std::string>; ///< conn id
+    std::mutex answersMu_;
+    std::vector<Answer> answers_; ///< handed over, not yet taken
+
+    // The I/O thread's own state; no other thread touches it.
+    std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
+        conns_;
+    std::uint64_t nextConnId_ = 0;
+    std::uint64_t traceSeq_ = 0;  ///< the last trace id assigned
+    std::size_t outstanding_ = 0; ///< admitted, not yet answered
+    std::vector<Answer> taken_;   ///< answers_ swapped out
+    /** The listen socket is out of the poll set until then (accept ran
+     * short of descriptors or memory). */
+    std::chrono::steady_clock::time_point listenAt_{};
+    bool starved_ = false; ///< in a stretch of transient accept failures
 
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
     // --- Live telemetry ---------------------------------------------
     obs::ServiceTraceLog traceLog_;
-    std::atomic<std::uint64_t> traceSeq_{0};
     std::chrono::steady_clock::time_point startTime_{};
 
     /** Guards the published telemetry: lanes record queue-wait /

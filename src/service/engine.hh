@@ -86,9 +86,9 @@ struct EngineConfig
     std::string outlierDir;
 };
 
-/** Service-layer tallies; atomics because every daemon thread
- * (readers, workers, acceptor) bumps them.  kSvcTallies names each
- * one for the stats document. */
+/** Service-layer tallies; atomics because every daemon thread (the
+ * I/O thread and the lanes) bumps them.  kSvcTallies names each one
+ * for the stats document. */
 struct SvcCounters
 {
     std::atomic<std::uint64_t> accepted{0};

@@ -198,16 +198,6 @@ responseLine(const std::string &id, const ResponseBody &body)
 }
 
 PhaseSpans
-phaseSpansFromResponse(const std::string &line)
-{
-    try {
-        return phaseSpansFromResponse(obs::parseJson(line));
-    } catch (const std::exception &) {
-        return {}; // unparseable: the caller classifies the response
-    }
-}
-
-PhaseSpans
 phaseSpansFromResponse(const obs::JsonValue &response)
 {
     PhaseSpans spans;
@@ -340,45 +330,6 @@ controlFromJson(const obs::JsonValue &doc)
         req.type = ControlType::Invalid;
     }
     return req;
-}
-
-ControlRequest
-parseControlLine(const std::string &line)
-{
-    try {
-        return controlFromJson(obs::parseJson(line));
-    } catch (const std::exception &) {
-        return {}; // malformed JSON: the scheduling path reports it
-    }
-}
-
-std::string
-controlRequestLine(const ControlRequest &req)
-{
-    const char *type = "";
-    switch (req.type) {
-    case ControlType::Stats:
-        type = "stats";
-        break;
-    case ControlType::Health:
-        type = "health";
-        break;
-    case ControlType::TraceDump:
-        type = "trace-dump";
-        break;
-    case ControlType::None:
-    case ControlType::Invalid:
-        fatal("controlRequestLine: not a serializable control type");
-    }
-    obs::JsonWriter w;
-    w.beginObject();
-    w.key("type").value(type);
-    if (!req.id.empty())
-        w.key("id").value(req.id);
-    if (!req.format.empty() && req.format != "json")
-        w.key("format").value(req.format);
-    w.endObject();
-    return w.take();
 }
 
 } // namespace sched91::service

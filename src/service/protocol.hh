@@ -165,11 +165,8 @@ inline constexpr PhaseSpanField kPhaseSpanFields[] = {
     {"verify", "verify_ns", &PhaseSpans::verifyNs},
 };
 
-/** Extract the "spans" object from a response line; all-zero spans
- * when absent or unparseable (old workers, error lines). */
-PhaseSpans phaseSpansFromResponse(const std::string &line);
-
-/** The same, from a response already decoded. */
+/** The "spans" object of a decoded response; all-zero spans when
+ * absent or malformed (error lines). */
 PhaseSpans phaseSpansFromResponse(const obs::JsonValue &response);
 
 /** Outcome summary serialized into ok/degraded responses. */
@@ -228,8 +225,8 @@ enum class ControlType
 
 /**
  * An in-band introspection request (`{"type": ...}`) — answered by
- * the daemon's reader thread directly, never admitted to the queue,
- * so the endpoint stays responsive while the service is saturated.
+ * the daemon's I/O thread directly, never admitted to the queue, so
+ * the endpoint stays responsive while the service is saturated.
  */
 struct ControlRequest
 {
@@ -241,20 +238,13 @@ struct ControlRequest
 };
 
 /**
- * Classify one wire line.  Returns type None for anything without a
- * "type" key (including malformed JSON — the scheduling path owns
- * those errors); Invalid with @ref ControlRequest::error set for an
- * unknown type or format.
+ * Classify one decoded wire line.  Returns type None for anything
+ * without a "type" string key (take the scheduling path); Invalid
+ * with @ref ControlRequest::error set for an unknown type or format.
+ * Malformed JSON never gets here: the caller answers its decode
+ * error.
  */
-ControlRequest parseControlLine(const std::string &line);
-
-/** The same, from a line already decoded (malformed JSON never gets
- * here: the caller answers its parse error). */
 ControlRequest controlFromJson(const obs::JsonValue &doc);
-
-/** Serialize a control request (no trailing newline); empty id and
- * format are omitted. */
-std::string controlRequestLine(const ControlRequest &req);
 
 /** CLI/display token parsers shared with `sched91 serve` defaults;
  * throw FatalError on unknown names. */

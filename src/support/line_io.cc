@@ -6,7 +6,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -16,33 +15,14 @@ namespace sched91
 bool
 writeLine(int fd, std::string_view line)
 {
-    char newline = '\n';
-    iovec iov[2] = {{const_cast<char *>(line.data()), line.size()},
-                    {&newline, 1}};
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = 2;
-    while (msg.msg_iovlen > 0) {
-        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        // Drop what went out; a short write resumes mid-iovec.
-        auto sent = static_cast<std::size_t>(n);
-        while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
-            sent -= msg.msg_iov->iov_len;
-            ++msg.msg_iov;
-            --msg.msg_iovlen;
-        }
-        if (msg.msg_iovlen > 0) {
-            msg.msg_iov->iov_base =
-                static_cast<char *>(msg.msg_iov->iov_base) + sent;
-            msg.msg_iov->iov_len -= sent;
-        }
+    // The poll loop's send path, waiting for room between flushes.
+    LineWriter writer(fd);
+    writer.queue(line);
+    while (writer.flush() && writer.pending() != 0) {
+        pollfd pfd{fd, POLLOUT, 0};
+        (void)::poll(&pfd, 1, -1);
     }
-    return true;
+    return writer.pending() == 0;
 }
 
 int
@@ -113,19 +93,53 @@ LineReader::read(std::string_view &line, Clock::time_point deadline)
                 return Status::Eof;
             }
         }
-        char chunk[65536];
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n > 0) {
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (n < 0 && (errno == EINTR || errno == EAGAIN))
-            continue;
-        if (n < 0)
-            buffer_.clear(); // a failed read keeps no last line
-        eof_ = true;
-        return Status::Eof;
+        receive(0);
     }
+}
+
+LineReader::Status
+LineReader::readNow(std::string_view &line)
+{
+    const Status st = read(line, kNoWait);
+    if (st != Status::Timeout)
+        return st;
+    receive(MSG_DONTWAIT);
+    return read(line, kNoWait);
+}
+
+void
+LineReader::receive(int flags)
+{
+    char chunk[65536];
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, flags);
+    if (n > 0) {
+        buffer_.append(chunk, static_cast<std::size_t>(n));
+        return;
+    }
+    if (n < 0 && (errno == EINTR || errno == EAGAIN))
+        return;
+    if (n < 0)
+        buffer_.clear(); // a failed read keeps no last line
+    eof_ = true;
+}
+
+bool
+LineWriter::flush()
+{
+    std::size_t sent = 0;
+    while (sent < buffer_.size()) {
+        const ssize_t n =
+            ::send(fd_, buffer_.data() + sent, buffer_.size() - sent,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n >= 0)
+            sent += static_cast<std::size_t>(n);
+        else if (errno == EAGAIN)
+            break; // the peer is full: keep the rest
+        else if (errno != EINTR)
+            return false;
+    }
+    buffer_.erase(0, sent);
+    return true;
 }
 
 } // namespace sched91

@@ -19,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -31,7 +33,9 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -835,9 +839,10 @@ TEST(Daemon, DrainWithNoRequestsExitsCleanly)
 
 TEST(Daemon, ConnectionChurnKeepsNoThreadStacks)
 {
-    // Every connection gets a reader thread.  A reader leaves with its
-    // connection, so 500 connect -> health -> close cycles must not
-    // leave 500 exited threads' stacks mapped until the drain.
+    // One I/O thread serves every connection, and a connection is
+    // closed with its client: 500 connect -> health -> close cycles
+    // must map nothing that stays (no thread stack, no buffer arena)
+    // until the drain.
     FaultGuard guard;
     service::DaemonConfig config;
     config.socketPath = testSocketPath("churn");
@@ -866,7 +871,8 @@ TEST(Daemon, ConnectionChurnKeepsNoThreadStacks)
     int answered = 0;
     for (int i = 0; i < 500; ++i)
         answered += cycle() ? 1 : 0;
-    // The last readers leave a moment after their clients close.
+    // The daemon closes the last connections a moment after their
+    // clients do.
     std::size_t after = mapsLines();
     for (int i = 0; i < 100 && after >= before + 50; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -880,6 +886,167 @@ TEST(Daemon, ConnectionChurnKeepsNoThreadStacks)
     EXPECT_LT(after, before + 50)
         << "/proc/self/maps went from " << before << " to " << after
         << " lines over 500 connections";
+}
+
+TEST(Daemon, IdleConnectionsStartNoThreads)
+{
+    // The daemon runs one I/O thread beside its lanes: 64 idle
+    // connections cost it no thread more than one does.
+    FaultGuard guard;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("idle64");
+    config.workers = 2;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+
+    const auto tasks = [] {
+        std::size_t n = 0;
+        for ([[maybe_unused]] const auto &entry :
+             std::filesystem::directory_iterator("/proc/self/task"))
+            ++n;
+        return n;
+    };
+    std::vector<std::unique_ptr<Client>> clients;
+    const auto open = [&] {
+        clients.push_back(std::make_unique<Client>(config.socketPath));
+        return clients.back()->send(R"({"type":"health"})") &&
+               clients.back()->read(1).size() == 1;
+    };
+    EXPECT_TRUE(open()) << "daemon did not come up";
+    const std::size_t withOne = tasks();
+    int answered = 1;
+    for (int i = 1; i < 64; ++i)
+        answered += open() ? 1 : 0;
+    const std::size_t withAll = tasks();
+    clients.clear();
+
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(answered, 64);
+    EXPECT_EQ(withAll, withOne)
+        << withOne << " threads with one connection, " << withAll
+        << " with 64";
+}
+
+TEST(Daemon, HalfClosedClientGetsEveryAnswer)
+{
+    // A client that shuts down its write side after its last line,
+    // here unterminated, still gets every answer: its connection stays
+    // open until nothing is in flight or unsent, then closes.
+    FaultGuard guard;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("halfclose");
+    config.workers = 2;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+    std::set<std::string> answered;
+    {
+        Client client(config.socketPath);
+        const std::string bytes =
+            R"({"id":"q1","source":"add %g1, %g2, %g3\n","emit":"schedule"})"
+            "\n"
+            R"({"id":"q2","source":"nop\n"})";
+        EXPECT_EQ(::send(client.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+        EXPECT_EQ(::shutdown(client.fd, SHUT_WR), 0);
+        for (const std::string &line : client.read(2)) {
+            const obs::JsonValue doc = obs::parseJson(line);
+            answered.insert(doc.strOr("id", "") + ":" +
+                            doc.strOr("status", ""));
+        }
+        std::string_view more;
+        EXPECT_EQ(client.reader.read(more, 5000), LineReader::Status::Eof);
+    }
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(answered, (std::set<std::string>{"q1:ok", "q2:ok"}));
+}
+
+TEST(Daemon, AClientThatNeverReadsStallsOnlyItself)
+{
+    // Client A pipelines requests over a 4 KiB receive buffer and reads
+    // none of its answers.  The daemon stops reading A once A's unsent
+    // answers pass the cap; B is still answered "ok" at once, and the
+    // drain closes A after its deadline instead of waiting on it.
+    FaultGuard guard;
+    using Clock = std::chrono::steady_clock;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("stall");
+    config.workers = 2;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::atomic<bool> ran{false};
+    std::thread server([&] {
+        rc = daemon.run();
+        ran = true;
+    });
+
+    // No ASSERT from here on: a failing check must still reach the
+    // join below.
+    Client a(config.socketPath);
+    EXPECT_GE(a.fd, 0) << "daemon did not come up";
+    const int rcvbuf = 4096;
+    EXPECT_EQ(::setsockopt(a.fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           sizeof rcvbuf),
+              0);
+    EXPECT_EQ(::fcntl(a.fd, F_SETFL, O_NONBLOCK), 0);
+    // An endless pipeline of one request, sent until nothing more goes
+    // out for half a second: the daemon has stopped reading A.
+    std::string burst;
+    for (int i = 0; i < 256; ++i)
+        burst += R"({"id":"a","source":"add %g1, %g2, %g3\nnop\n",)"
+                 R"("emit":"schedule"})"
+                 "\n";
+    std::size_t at = 0, sent = 0;
+    while (sent < (256u << 20)) {
+        const ssize_t n = ::send(a.fd, burst.data() + at, burst.size() - at,
+                                 MSG_NOSIGNAL);
+        if (n > 0) {
+            sent += static_cast<std::size_t>(n);
+            at = (at + static_cast<std::size_t>(n)) % burst.size();
+            continue;
+        }
+        pollfd pfd{a.fd, POLLOUT, 0};
+        if (errno != EAGAIN || ::poll(&pfd, 1, 500) == 0)
+            break;
+    }
+    EXPECT_LT(sent, 256u << 20) << "the daemon never stopped reading A";
+
+    Client b(config.socketPath);
+    const auto asked = Clock::now();
+    EXPECT_TRUE(b.send(R"({"id":"b","source":"add %g1, %g2, %g3\n"})"));
+    std::string_view answer;
+    const LineReader::Status st =
+        b.reader.read(answer, asked + std::chrono::seconds(2));
+    EXPECT_EQ(st, LineReader::Status::Line) << "B had no answer in 2 s";
+    if (st == LineReader::Status::Line) {
+        EXPECT_EQ(obs::parseJson(answer).strOr("status", ""), "ok")
+            << answer;
+    }
+
+    const auto drainAt = Clock::now();
+    daemon.requestDrain();
+    const auto bound =
+        service::Daemon::kDrainDeadline + std::chrono::seconds(1);
+    while (!ran && Clock::now() - drainAt < bound)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(ran) << "the drain waited on a client that never reads";
+    a.close(); // lanes blocked on A's socket, if any, fail and go on
+    server.join();
+    EXPECT_EQ(rc, 0);
 }
 
 namespace
@@ -1657,56 +1824,60 @@ TEST(CliContract, TopRendersFramesFromALiveDaemon)
 // Live telemetry (docs/OBSERVABILITY.md): control-line protocol,
 // trace propagation, the span log, and the in-band endpoints.
 
+namespace
+{
+
+/** Classify @p line as the daemon does: decode it once, then read the
+ * decoded value. */
+service::ControlRequest
+controlLine(std::string_view line)
+{
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(service::decodeLine(line, doc, error)) << error;
+    return service::controlFromJson(doc);
+}
+
+} // namespace
+
 TEST(Protocol, ControlLinesClassifyAndRoundTrip)
 {
     // The three live endpoints.
     service::ControlRequest req =
-        service::parseControlLine("{\"type\":\"stats\",\"id\":\"s1\"}");
+        controlLine("{\"type\":\"stats\",\"id\":\"s1\"}");
     EXPECT_EQ(req.type, service::ControlType::Stats);
     EXPECT_EQ(req.id, "s1");
     EXPECT_EQ(req.format, "json"); // the default format
 
-    req = service::parseControlLine(
-        "{\"type\":\"stats\",\"format\":\"prometheus\"}");
+    req = controlLine("{\"type\":\"stats\",\"format\":\"prometheus\"}");
     EXPECT_EQ(req.type, service::ControlType::Stats);
     EXPECT_EQ(req.format, "prometheus");
 
-    req = service::parseControlLine("{\"type\":\"health\"}");
+    req = controlLine("{\"type\":\"health\"}");
     EXPECT_EQ(req.type, service::ControlType::Health);
 
-    req = service::parseControlLine("{\"type\":\"trace-dump\"}");
+    req = controlLine("{\"type\":\"trace-dump\"}");
     EXPECT_EQ(req.type, service::ControlType::TraceDump);
 
-    // Anything without a "type" string key takes the scheduling path
-    // — including malformed JSON, whose errors belong to that path.
-    EXPECT_EQ(service::parseControlLine(
-                  "{\"id\":\"q1\",\"source\":\"\"}")
-                  .type,
+    // Anything without a "type" string key takes the scheduling path.
+    // Malformed JSON never gets classified: its decode error is the
+    // answer.
+    EXPECT_EQ(controlLine("{\"id\":\"q1\",\"source\":\"\"}").type,
               service::ControlType::None);
-    EXPECT_EQ(service::parseControlLine("not json at all").type,
-              service::ControlType::None);
-    EXPECT_EQ(service::parseControlLine("{\"type\":7}").type,
-              service::ControlType::None);
+    EXPECT_EQ(controlLine("{\"type\":7}").type, service::ControlType::None);
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(service::decodeLine("not json at all", doc, error));
+    EXPECT_FALSE(error.empty());
 
     // A "type" we do not serve is Invalid (answered with an error),
     // as is an unknown stats format.
-    req = service::parseControlLine("{\"type\":\"bogus\"}");
+    req = controlLine("{\"type\":\"bogus\"}");
     EXPECT_EQ(req.type, service::ControlType::Invalid);
     EXPECT_FALSE(req.error.empty());
-    req = service::parseControlLine(
-        "{\"type\":\"stats\",\"format\":\"xml\"}");
+    req = controlLine("{\"type\":\"stats\",\"format\":\"xml\"}");
     EXPECT_EQ(req.type, service::ControlType::Invalid);
     EXPECT_FALSE(req.error.empty());
-
-    // Serializer round trip.
-    service::ControlRequest out;
-    out.type = service::ControlType::Stats;
-    out.id = "rt";
-    out.format = "prometheus";
-    req = service::parseControlLine(service::controlRequestLine(out));
-    EXPECT_EQ(req.type, service::ControlType::Stats);
-    EXPECT_EQ(req.id, "rt");
-    EXPECT_EQ(req.format, "prometheus");
 }
 
 TEST(Protocol, TraceIdRidesRequestEnvelopeAndResponse)
@@ -1732,17 +1903,17 @@ TEST(Protocol, TraceIdRidesRequestEnvelopeAndResponse)
     EXPECT_EQ(back->attempt, 2);
 
     // Responses echo the id and carry the per-phase spans, which
-    // phaseSpansFromResponse() recovers on the supervisor side.
+    // phaseSpansFromResponse() recovers on the supervisor side from
+    // the decoded answer.
     service::ResponseBody body;
     body.traceId = "t42";
     body.spans.parseNs = 10;
     body.spans.buildNs = 20;
     body.spans.schedNs = 30;
-    const std::string line = service::responseLine("q1", body);
-    obs::JsonValue doc = obs::parseJson(line);
+    const obs::JsonValue doc =
+        obs::parseJson(service::responseLine("q1", body));
     EXPECT_EQ(doc.strOr("trace_id", ""), "t42");
-    service::PhaseSpans spans =
-        service::phaseSpansFromResponse(line);
+    service::PhaseSpans spans = service::phaseSpansFromResponse(doc);
     EXPECT_EQ(spans.parseNs, 10u);
     EXPECT_EQ(spans.buildNs, 20u);
     EXPECT_EQ(spans.heurNs, 0u);
@@ -1752,7 +1923,7 @@ TEST(Protocol, TraceIdRidesRequestEnvelopeAndResponse)
     // Absent spans parse as all-zero (old workers, error lines).
     body = service::ResponseBody{};
     spans = service::phaseSpansFromResponse(
-        service::responseLine("q2", body));
+        obs::parseJson(service::responseLine("q2", body)));
     EXPECT_FALSE(spans.any());
 }
 

@@ -44,6 +44,14 @@
 # control from request lines by the decoded value).  It writes no
 # `soak_client:` line.
 #
+# A stalled-reader cycle opens one connection that pipelines
+# `emit:"schedule"` requests and reads nothing, until the daemon stops
+# reading it; the soak then runs beside it and must lose nothing, and
+# SIGINT must exit 0 within the drain deadline (2 s) plus a 3 s
+# margin.  Its soak line is checked and reprinted as an `ok:` line, so
+# the `soak_client:` lines above still compare one for one with an
+# older script's.
+#
 # Runs the fault-injected matrix at two injection seeds.  Usage:
 #
 #   tools/run_daemon_smoke.sh [builddir]     # default: build
@@ -64,6 +72,7 @@ fails=0
 
 cleanup() {
     [ -n "${daemon_pid:-}" ] && kill "$daemon_pid" 2>/dev/null
+    [ -n "${stall_pid:-}" ] && kill "$stall_pid" 2>/dev/null
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -499,6 +508,105 @@ EOF
     check "malformed-line stats document" 0 $?
 }
 
+# A client that never reads: it stalls only its own connection.
+run_stalled_cycle() {
+    local sock=$workdir/stalled.sock
+    local stats=$workdir/stats-stalled.json
+    local ready=$workdir/stalled.ready
+
+    "$cli" serve --socket "$sock" --threads 2 --stats-json "$stats" \
+        2>"$workdir/stalled.err" &
+    daemon_pid=$!
+
+    if ! wait_for_socket "$sock"; then
+        echo "FAIL: stalled-reader daemon never bound $sock" >&2
+        cat "$workdir/stalled.err" >&2
+        fails=$((fails + 1))
+        kill "$daemon_pid" 2>/dev/null
+        wait "$daemon_pid" 2>/dev/null
+        daemon_pid=
+        return
+    fi
+
+    # Pipeline until nothing goes out for half a second (the daemon
+    # stopped reading this connection), then hold it open, unread.
+    python3 - "$sock" "$ready" <<'EOF' &
+import select, socket, sys, time
+c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+c.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+c.connect(sys.argv[1])
+c.setblocking(False)
+burst = b'{"id":"stall","source":"add %g1, %g2, %g3\\nnop\\n",' \
+        b'"emit":"schedule"}\n' * 256
+at = sent = 0
+while sent < 256 << 20:
+    try:
+        n = c.send(burst[at:])
+        sent += n
+        at = (at + n) % len(burst)
+        continue
+    except BlockingIOError:
+        pass
+    if not select.select([], [c], [], 0.5)[1]:
+        break
+open(sys.argv[2], "w").write(f"{sent}\n")
+time.sleep(120)
+EOF
+    stall_pid=$!
+    local tries=600
+    while [ "$tries" -gt 0 ] && [ ! -s "$ready" ]; do
+        sleep 0.05
+        tries=$((tries - 1))
+    done
+    if [ ! -s "$ready" ]; then
+        echo "FAIL: the stalled client never stalled" >&2
+        fails=$((fails + 1))
+    else
+        echo "ok: a client stalled after sending $(cat "$ready") bytes"
+    fi
+
+    "$soak" --socket "$sock" --requests 48 --connections 4 \
+        --pipeline 4 --seed 7 --scrape-every 4 \
+        >"$workdir/stalled-soak.out"
+    local soak_rc=$?
+    check "soak beside a client that never reads" 0 "$soak_rc"
+    [ "$soak_rc" -eq 0 ] &&
+        sed -n 's/^soak_client:/ok: soak beside a stalled client:/p' \
+            "$workdir/stalled-soak.out"
+
+    local t0 ms
+    t0=$(date +%s%N)
+    kill -INT "$daemon_pid"
+    # A daemon that waited on the stalled client would still be up.
+    timeout 10 tail --pid="$daemon_pid" -s 0.05 -f /dev/null ||
+        kill -9 "$daemon_pid"
+    wait "$daemon_pid"
+    check "drain beside a client that never reads" 0 $?
+    ms=$((($(date +%s%N) - t0) / 1000000))
+    daemon_pid=
+    kill "$stall_pid" 2>/dev/null
+    wait "$stall_pid" 2>/dev/null
+    stall_pid=
+    if [ "$ms" -gt 5000 ]; then
+        echo "FAIL: drain took $ms ms beside a stalled client" \
+             "(deadline 2000 ms, margin 3000 ms)" >&2
+        fails=$((fails + 1))
+    else
+        echo "ok: drained in $ms ms beside a stalled client"
+    fi
+
+    python3 - "$stats" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))['service']
+assert s['accepted'] == s['ok'] + s['degraded'] + s['error'], \
+    f"accepted {s['accepted']} != answered " \
+    f"{s['ok'] + s['degraded'] + s['error']}: a request was lost"
+print(f"ok: stalled-reader stats (accepted {s['accepted']}, "
+      f"ok {s['ok']}, rejected {s['rejected']})")
+EOF
+    check "stalled-reader stats document" 0 $?
+}
+
 for seed in 42 1337; do
     run_cycle "$seed" "$seed"
 done
@@ -533,6 +641,8 @@ run_quiesce_cycle
 run_idle_death_cycle
 
 run_malformed_cycle
+
+run_stalled_cycle
 
 if [ "$fails" -ne 0 ]; then
     echo "daemon smoke: $fails failure(s)" >&2

@@ -15,8 +15,9 @@
  *
  * Requests are pipelined (bounded in-flight window per connection)
  * across several concurrent connections, so the daemon's admission
- * queue, worker lanes, and per-connection write lock all see real
- * contention.  With `--fault-inject` armed on the daemon, fault
+ * queue, its worker lanes, and the I/O thread that reads every
+ * connection and writes every answer all see real contention.  With
+ * `--fault-inject` armed on the daemon, fault
  * decisions are a pure function of (seed, block content), so the same
  * corpus fails the same way on every run — which is what makes these
  * assertions possible at all.
