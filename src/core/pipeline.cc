@@ -73,6 +73,9 @@ struct BlockOutput
     std::uint64_t arenaBytes = 0; ///< arena in use as the block ended
     /** The per-block shard after degrading; set only when tracing. */
     obs::CounterShard degradeCounters;
+    /** The per-block shard as the block ended; set only when capturing
+     * outliers, whose score and counters it gives. */
+    obs::CounterShard counters;
     DagStructure dagStats;
     long long cyclesOriginal = 0;
     long long cyclesScheduled = 0;
@@ -109,10 +112,6 @@ struct WorkerState
     obs::PhaseShards phaseShards;
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
-    /** Buffered log records, replayed post-join in block order. */
-    log::LogBuffer logBuf;
-    /** Lane-local top-K outliers; merged post-join. */
-    std::unique_ptr<obs::OutlierTracker> outliers;
 };
 
 /**
@@ -235,12 +234,7 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     // Outlier capture rides the counter shards (the score is a counter
     // sum), so it requires the observability layer.
-    const bool capture =
-        obs_on && opts.captureOutliers > 0 && !blocks.empty();
-    if (capture)
-        for (WorkerState &ws : workers)
-            ws.outliers = std::make_unique<obs::OutlierTracker>(
-                static_cast<std::size_t>(opts.captureOutliers));
+    const bool capture = obs_on && opts.captureOutliers > 0;
 
     // Flight-recorder bracket: the caller's thread owns the first ring
     // (run begin/end, post-join events); lanes claim theirs on first
@@ -288,7 +282,6 @@ runPipeline(Program &prog, const MachineModel &machine,
         auto degrade = [&](const char *stage, std::string reason) {
             obs::flight::record(obs::flight::EventKind::Diag, stage,
                                 reason);
-            log::info("block ", b, " degraded at ", stage, ": ", reason);
             out.degraded = true;
             out.stage = stage;
             out.reason = std::move(reason);
@@ -649,10 +642,9 @@ runPipeline(Program &prog, const MachineModel &machine,
             plan.order.data() + plan.bounds[last]);
         WorkerState &ws = workers[w];
         WorkerContext::Scope ctx_scope(ws.ctx);
-        // One log buffer and (lazily claimed) flight ring per lane;
-        // both key their records by block id, so the post-join merge
-        // order is independent of the lane layout.
-        log::ScopedLogBuffer log_scope(&ws.logBuf);
+        // One (lazily claimed) flight ring per lane; it keys its events
+        // by block id, so the dump's merge order is independent of the
+        // lane layout.
         if (flight_bracket && !ws.flight)
             ws.flight = obs::flight::claim();
         std::optional<obs::flight::ScopedRecorder> lane_flight;
@@ -660,7 +652,6 @@ runPipeline(Program &prog, const MachineModel &machine,
             lane_flight.emplace(ws.flight);
 
         auto blockBegin = [&](std::size_t b) {
-            ws.logBuf.setBlock(b);
             obs::flight::setBlock(b);
             obs::flight::record(obs::flight::EventKind::BlockBegin,
                                 "block", {}, blocks[b].size(),
@@ -703,34 +694,15 @@ runPipeline(Program &prog, const MachineModel &machine,
                 BlockOutput &out = outputs[b];
                 out.arenaBytes = ws.ctx.arena().bytesInUse();
 
-                // Deterministic work score: what the outlier ranking
-                // and the CounterSnap flight event report.
-                const std::uint64_t score =
-                    flight_on || ws.outliers
-                        ? obs::shardWorkScore(ws.blockShard)
-                        : 0;
-                obs::flight::record(
-                    obs::flight::EventKind::CounterSnap, "work", {},
-                    score);
-                if (ws.outliers && ws.outliers->admits(score, b)) {
-                    obs::OutlierRecord rec;
-                    rec.block = b;
-                    rec.score = score;
-                    rec.begin = blocks[b].begin;
-                    rec.size = blocks[b].size();
-                    rec.dagNodes = out.dagStats.totalNodes;
-                    rec.dagArcs = out.dagStats.totalArcs;
-                    rec.counters = ws.blockShard;
-                    rec.stage = out.fallback && !out.degraded
-                                    ? "fallback"
-                                    : out.stage;
-                    rec.reason = out.reason;
-                    rec.degraded = out.degraded;
-                    rec.fallback = out.fallback;
-                    rec.source =
-                        blockSourceText(BlockView(prog, blocks[b]));
-                    ws.outliers->insert(std::move(rec));
-                }
+                // The deterministic work score, for the CounterSnap
+                // flight event; outlier capture scores the slot's copy
+                // after the join.
+                if (flight_on)
+                    obs::flight::record(
+                        obs::flight::EventKind::CounterSnap, "work", {},
+                        obs::shardWorkScore(ws.blockShard));
+                if (capture)
+                    out.counters = ws.blockShard;
                 blockEnd(b);
             }
         } else {
@@ -822,6 +794,8 @@ runPipeline(Program &prog, const MachineModel &machine,
             ++result.verifierRejections;
         if (out.degraded) {
             ++result.blocksDegraded;
+            log::info("block ", b, " degraded at ", out.stage, ": ",
+                      out.reason);
             result.blockIssues.push_back(ProgramResult::BlockIssue{
                 b, out.stage, out.reason, true});
         }
@@ -884,29 +858,42 @@ runPipeline(Program &prog, const MachineModel &machine,
             result.counters = run_total.named();
     }
 
-    // Lane-local top-K trackers merge into the global top-K: a block
-    // in the global top-K is necessarily in its own lane's, so the
-    // merged set is independent of the lane layout.
+    // Outlier capture: every block scored from its slot, the top K by
+    // (score desc, block asc), recorded in block order.
     if (capture) {
-        obs::OutlierTracker merged(
-            static_cast<std::size_t>(opts.captureOutliers));
-        for (WorkerState &ws : workers)
-            if (ws.outliers)
-                merged.merge(*ws.outliers);
-        result.outliers = merged.byBlock();
-        for (obs::OutlierRecord &rec : result.outliers)
-            rec.phases = outputs[rec.block].phases;
-    }
-
-    // Replay buffered log records through the sink in block order —
-    // the only way worker-side diagnostics reach the user, so output
-    // can never interleave and never depends on the thread count.
-    {
-        std::vector<const log::LogBuffer *> log_bufs;
-        log_bufs.reserve(workers.size());
-        for (WorkerState &ws : workers)
-            log_bufs.push_back(&ws.logBuf);
-        log::replay(log_bufs);
+        std::vector<std::uint64_t> scores(blocks.size());
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            scores[b] = obs::shardWorkScore(outputs[b].counters);
+        std::vector<std::size_t> top(blocks.size());
+        std::iota(top.begin(), top.end(), std::size_t{0});
+        const std::size_t k = std::min<std::size_t>(
+            static_cast<std::size_t>(opts.captureOutliers), top.size());
+        std::partial_sort(top.begin(), top.begin() + k, top.end(),
+                          [&](std::size_t a, std::size_t b) {
+                              if (scores[a] != scores[b])
+                                  return scores[a] > scores[b];
+                              return a < b;
+                          });
+        top.resize(k);
+        std::sort(top.begin(), top.end());
+        for (std::size_t b : top) {
+            BlockOutput &out = outputs[b];
+            obs::OutlierRecord &rec = result.outliers.emplace_back();
+            rec.block = b;
+            rec.score = scores[b];
+            rec.begin = blocks[b].begin;
+            rec.size = blocks[b].size();
+            rec.dagNodes = out.dagStats.totalNodes;
+            rec.dagArcs = out.dagStats.totalArcs;
+            rec.phases = out.phases;
+            rec.counters = std::move(out.counters);
+            rec.stage =
+                out.fallback && !out.degraded ? "fallback" : out.stage;
+            rec.reason = out.reason;
+            rec.degraded = out.degraded;
+            rec.fallback = out.fallback;
+            rec.source = blockSourceText(BlockView(prog, blocks[b]));
+        }
     }
 
     if (flight_bracket) {

@@ -19,8 +19,12 @@
  * arena + scratch buffers) and private counter shards for its blocks
  * and their phases; per-block outputs land in slots indexed by block
  * id and all reductions happen after the join in a fixed order, so
- * schedules, statistics, counters, phase trees and trace events are
- * identical for every thread count (see docs/PERFORMANCE.md).
+ * schedules, statistics, counters, phase trees, trace events, outlier
+ * records and the degraded-block log notices are identical for every
+ * thread count (see docs/PERFORMANCE.md).  A lane keeps only what
+ * folds the same in any order — its counter and phase totals and its
+ * arena gauges — and its flight ring, which a crash dump reads from
+ * memory.
  *
  * The run report — the forest count and the other per-node and
  * per-block DAG samples, the phase tree, the per-block histograms, the

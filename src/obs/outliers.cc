@@ -1,13 +1,9 @@
 /**
  * @file
- * Outlier tracker implementation: the deterministic work score and
- * the top-K ordering/merge algebra.
+ * The deterministic outlier work score.
  */
 
 #include "obs/outliers.hh"
-
-#include <algorithm>
-#include <utility>
 
 namespace sched91::obs
 {
@@ -24,64 +20,6 @@ shardWorkScore(const CounterShard &shard)
             score += shard.value(id);
     }
     return score;
-}
-
-namespace
-{
-
-bool
-outranks(std::uint64_t scoreA, std::size_t blockA, std::uint64_t scoreB,
-         std::size_t blockB)
-{
-    if (scoreA != scoreB)
-        return scoreA > scoreB;
-    return blockA < blockB;
-}
-
-} // namespace
-
-bool
-OutlierTracker::admits(std::uint64_t score, std::size_t block) const
-{
-    if (k_ == 0)
-        return false;
-    if (items_.size() < k_)
-        return true;
-    const OutlierRecord &last = items_.back();
-    return outranks(score, block, last.score, last.block);
-}
-
-void
-OutlierTracker::insert(OutlierRecord record)
-{
-    if (!admits(record.score, record.block))
-        return;
-    auto pos = std::lower_bound(
-        items_.begin(), items_.end(), record,
-        [](const OutlierRecord &a, const OutlierRecord &b) {
-            return outranks(a.score, a.block, b.score, b.block);
-        });
-    items_.insert(pos, std::move(record));
-    if (items_.size() > k_)
-        items_.pop_back();
-}
-
-void
-OutlierTracker::merge(const OutlierTracker &other)
-{
-    for (const OutlierRecord &r : other.items_)
-        insert(r);
-}
-
-std::vector<OutlierRecord>
-OutlierTracker::byBlock() const
-{
-    std::vector<OutlierRecord> out = items_;
-    std::sort(out.begin(), out.end(),
-              [](const OutlierRecord &a, const OutlierRecord &b) {
-                  return a.block < b.block;
-              });
-    return out;
 }
 
 } // namespace sched91::obs

@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic top-K outlier tracking (docs/FORENSICS.md).
+ * Deterministic top-K outlier capture (docs/FORENSICS.md).
  *
  * `--capture-outliers K` keeps the K most expensive blocks of a run
  * and writes a forensic bundle for each (source text, DAG shape,
@@ -14,10 +14,11 @@
  * evaluations, ...), which is a pure function of the input and the
  * configuration.  Ordering is (score desc, block id asc).
  *
- * Sharding follows the histogram pattern: each worker lane keeps its
- * own top-K over the blocks it processed, and the post-join merge of
- * lane trackers equals a global top-K because any block in the global
- * top-K is necessarily in its own lane's top-K.
+ * The ranking is a post-join reduction like every other per-block
+ * output: a capturing lane copies each block's counter shard into the
+ * block's output slot, and after the join runPipeline scores every
+ * block, keeps the top K and builds their records from the slots —
+ * the same set at every thread count.
  */
 
 #ifndef SCHED91_OBS_OUTLIERS_HH
@@ -26,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/counters.hh"
 #include "obs/phase.hh"
@@ -58,43 +58,6 @@ struct OutlierRecord
 
 /** The score: total Sum-kind work recorded in @p shard. */
 std::uint64_t shardWorkScore(const CounterShard &shard);
-
-/**
- * Keeps the K highest-scoring records seen, ordered (score desc,
- * block asc).  Plain data; merge() makes lane-local trackers
- * equivalent to one global tracker.
- */
-class OutlierTracker
-{
-  public:
-    explicit OutlierTracker(std::size_t k) : k_(k) {}
-
-    std::size_t k() const { return k_; }
-
-    /**
-     * Whether a record with @p score for @p block would be kept.
-     * Callers use this to skip the (expensive) source/counter capture
-     * for blocks that cannot place.
-     */
-    bool admits(std::uint64_t score, std::size_t block) const;
-
-    void insert(OutlierRecord record);
-
-    void merge(const OutlierTracker &other);
-
-    /** Kept records, (score desc, block asc). */
-    const std::vector<OutlierRecord> &ranked() const { return items_; }
-
-    /** Kept records re-sorted by block id (stable report order). */
-    std::vector<OutlierRecord> byBlock() const;
-
-    bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
-
-  private:
-    std::size_t k_;
-    std::vector<OutlierRecord> items_; ///< sorted (score desc, block asc)
-};
 
 } // namespace sched91::obs
 

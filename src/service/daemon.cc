@@ -566,11 +566,6 @@ Daemon::workerLoop(unsigned lane)
 
     while (std::optional<Request> req = queue_.pop()) {
         const double waited = elapsedSeconds(req->arrival);
-        {
-            std::lock_guard<std::mutex> lock(publishMu_);
-            publishedHists_.record("svc.queue_wait_ns",
-                                   obs::secondsToNs(waited));
-        }
 
         // The request's span tree: one timebase (daemon start) for
         // the whole process group, so parent and worker spans nest.
@@ -599,6 +594,11 @@ Daemon::workerLoop(unsigned lane)
                     1, std::memory_order_relaxed);
                 engine_.counters().rejected.fetch_add(
                     1, std::memory_order_relaxed);
+                {
+                    std::lock_guard<std::mutex> lock(publishMu_);
+                    publishedHists_.record("svc.queue_wait_ns",
+                                           obs::secondsToNs(waited));
+                }
                 handOff(req->conn,
                         rejectedLine(req->spec.id, "deadline"));
                 trace.span("request", -1, arrivalNs, trace.nowNs(),
@@ -624,9 +624,12 @@ Daemon::workerLoop(unsigned lane)
             response = errorLine(req->spec.id, e.what());
         }
         {
-            // Published before the response goes out: a client that
-            // has every answer sees every count in a `stats` scrape.
+            // Published before the response goes out, in one critical
+            // section: a client that has every answer sees every count
+            // in a `stats` scrape.
             std::lock_guard<std::mutex> lock(publishMu_);
+            publishedHists_.record("svc.queue_wait_ns",
+                                   obs::secondsToNs(waited));
             publishedHists_.record(
                 "svc.request_ns",
                 obs::secondsToNs(elapsedSeconds(started)));

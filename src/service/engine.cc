@@ -237,6 +237,30 @@ Engine::InProcessRunner::run(BuilderKind builder, int attempt,
     return out;
 }
 
+obs::RunMeta
+bundleMeta(const RequestSpec &spec, const EngineConfig &defaults,
+           BuilderKind builder, AlgorithmKind algorithm, AliasPolicy policy)
+{
+    obs::RunMeta meta;
+    meta.command = "serve";
+    meta.input = spec.id.empty() ? "request" : spec.id;
+    meta.builder = std::string(builderKindName(builder));
+    meta.algorithm = std::string(algorithmName(algorithm));
+    meta.machine = spec.machine.value_or(defaults.machineName);
+    meta.policy = std::string(aliasPolicyName(policy));
+    meta.traceId = spec.traceId;
+    return meta;
+}
+
+std::string
+bundleKeyHex(std::uint64_t key)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(key));
+    return hex;
+}
+
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       machine_(presetByName(config_.machineName))
@@ -274,20 +298,10 @@ Engine::writeOutlierBundles(const RequestSpec &spec,
                             const PipelineOptions &popts,
                             std::uint64_t key) const
 {
-    // Display-name meta, exactly what the CLI writes, so the daemon's
-    // bundles replay verbatim through `sched91 explain`.
-    obs::RunMeta meta;
-    meta.command = "serve";
-    meta.input = spec.id.empty() ? "request" : spec.id;
-    meta.builder = std::string(builderKindName(popts.builder));
-    meta.algorithm = std::string(algorithmName(popts.algorithm));
-    meta.machine = spec.machine.value_or(config_.machineName);
-    meta.policy = std::string(aliasPolicyName(popts.build.memPolicy));
-    meta.traceId = spec.traceId;
-
-    char keyHex[17];
-    std::snprintf(keyHex, sizeof keyHex, "%016llx",
-                  static_cast<unsigned long long>(key));
+    const obs::RunMeta meta =
+        bundleMeta(spec, config_, popts.builder, popts.algorithm,
+                   popts.build.memPolicy);
+    const std::string keyHex = bundleKeyHex(key);
     for (const obs::OutlierRecord &rec : result.outliers) {
         std::ostringstream path;
         path << config_.outlierDir << "/outlier-req" << keyHex

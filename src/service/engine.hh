@@ -59,6 +59,7 @@
 #include "core/pipeline.hh"
 #include "machine/presets.hh"
 #include "obs/chrome_trace.hh"
+#include "obs/emitter.hh"
 #include "service/protocol.hh"
 
 namespace sched91::service
@@ -177,6 +178,21 @@ struct AttemptOutcome
 /** One request's parse (engine.cc): the in-process attempts and every
  * degraded answer share it. */
 struct ParsedRequest;
+
+/**
+ * The meta of a bundle the service writes for one attempt of @p spec
+ * (an outlier bundle, a crash bundle): command `serve`, the request id
+ * as input (`request` without one), the attempt's builder, algorithm
+ * and policy by display name, the machine (@p defaults' without an
+ * override) and the trace id — what the CLI writes, so
+ * `sched91 explain` replays the bundle verbatim.
+ */
+obs::RunMeta bundleMeta(const RequestSpec &spec,
+                        const EngineConfig &defaults, BuilderKind builder,
+                        AlgorithmKind algorithm, AliasPolicy policy);
+
+/** @p key as the 16 hex digits of a bundle's file name. */
+std::string bundleKeyHex(std::uint64_t key);
 
 /** Runs one request's ladder attempts: in this process, or in a
  * lane's sandbox worker (service/supervisor.hh). */

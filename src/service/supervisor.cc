@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -336,9 +335,7 @@ Supervisor::harvestCrash(Worker &worker, const RequestSpec &spec,
         worker.ring->magic != kCrashRingMagic)
         return;
 
-    char keyHex[17];
-    std::snprintf(keyHex, sizeof keyHex, "%016llx",
-                  static_cast<unsigned long long>(key));
+    const std::string keyHex = bundleKeyHex(key);
 
     // 1. The recovered flight ring: what the worker was doing when it
     //    died, pulled from shared memory — SIGKILL leaves no other
@@ -387,17 +384,11 @@ Supervisor::harvestCrash(Worker &worker, const RequestSpec &spec,
         rec.degraded = true;
         rec.source = spec.source;
 
-        obs::RunMeta meta;
-        meta.command = "serve";
-        meta.input = spec.id.empty() ? "request" : spec.id;
-        meta.builder = std::string(builderKindName(
-            spec.builder.value_or(config_.engine.builder)));
-        meta.algorithm = std::string(algorithmName(
-            spec.algorithm.value_or(config_.engine.algorithm)));
-        meta.machine = spec.machine.value_or(config_.engine.machineName);
-        meta.policy = std::string(aliasPolicyName(
-            spec.policy.value_or(config_.engine.policy)));
-        meta.traceId = spec.traceId;
+        const EngineConfig &defaults = config_.engine;
+        const obs::RunMeta meta = bundleMeta(
+            spec, defaults, spec.builder.value_or(defaults.builder),
+            spec.algorithm.value_or(defaults.algorithm),
+            spec.policy.value_or(defaults.policy));
 
         const std::string path =
             config_.crashDir + "/crash-req" + keyHex + ".json";

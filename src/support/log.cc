@@ -1,13 +1,10 @@
 /**
  * @file
- * Leveled logger implementation: threshold/sink state, buffered
- * record storage, and the deterministic post-join replay.
+ * Leveled logger implementation: threshold/sink state and the
+ * locked write.
  */
 
 #include "support/log.hh"
-
-#include <algorithm>
-#include <utility>
 
 namespace sched91::log
 {
@@ -69,62 +66,17 @@ setSink(std::FILE *stream)
 }
 
 void
-LogBuffer::append(Level level, std::string text)
-{
-    records_.push_back(Record{level, key_, seq_++, std::move(text)});
-}
-
-void
-LogBuffer::clear()
-{
-    key_ = 0;
-    seq_ = 0;
-    records_.clear();
-}
-
-namespace
-{
-
-void
-emit(const std::string_view text)
-{
-    std::FILE *out = sink();
-    std::fwrite(text.data(), 1, text.size(), out);
-    std::fputc('\n', out);
-}
-
-} // namespace
-
-void
 write(Level level, std::string_view text)
 {
     if (!enabled(level))
         return;
-    if (detail::t_buffer) {
-        detail::t_buffer->append(level, std::string(text));
-        return;
-    }
-    emit(text);
-}
-
-void
-replay(const std::vector<const LogBuffer *> &buffers)
-{
-    std::vector<const Record *> all;
-    for (const LogBuffer *buf : buffers) {
-        if (!buf)
-            continue;
-        for (const Record &r : buf->records())
-            all.push_back(&r);
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const Record *a, const Record *b) {
-                         if (a->blockKey != b->blockKey)
-                             return a->blockKey < b->blockKey;
-                         return a->seq < b->seq;
-                     });
-    for (const Record *r : all)
-        emit(r->text);
+    std::FILE *out = sink();
+    // One lock over both calls: another thread's line cannot land
+    // between the text and its newline.
+    flockfile(out);
+    std::fwrite(text.data(), 1, text.size(), out);
+    std::fputc('\n', out);
+    funlockfile(out);
 }
 
 } // namespace sched91::log

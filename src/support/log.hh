@@ -3,17 +3,15 @@
  * Leveled structured logger (docs/FORENSICS.md).
  *
  * One deterministic sink for everything the library and the CLI used
- * to fprintf at stderr ad hoc.  Two delivery modes:
+ * to fprintf at stderr ad hoc.  A record is gated by the global
+ * threshold and written straight to the process sink (stderr by
+ * default), its text and newline under one stream lock, so lines from
+ * concurrent threads (the daemon's lanes) never splice.
  *
- *  - direct: a thread with no installed buffer writes straight to the
- *    process sink (stderr by default), gated by the global threshold —
- *    the CLI front end and tests use this;
- *  - buffered: the pipeline installs one LogBuffer per worker lane
- *    (ScopedLogBuffer).  Each record is tagged with the block being
- *    processed and a per-block sequence number, and after the parallel
- *    region the buffers are replayed through the sink sorted by
- *    (block, seq) — so worker output can never interleave and the
- *    bytes are identical at every thread count.
+ * The library writes no record inside a pipeline lane: runPipeline
+ * writes its per-block notices after the join, in block order, from
+ * the blocks' own output slots — so the bytes are identical at every
+ * thread count.
  *
  * The sink format is deliberately bare: the message, a newline,
  * nothing else.  Producers that want a prefix put it in the message
@@ -30,7 +28,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/logging.hh"
 
@@ -72,87 +69,17 @@ enabled(Level level)
            static_cast<std::uint8_t>(detail::g_threshold);
 }
 
-/** Where direct and replayed records go (stderr by default). */
+/** Where records go (stderr by default). */
 std::FILE *sink();
 
 /** Redirect the sink (tests); nullptr restores stderr. */
 void setSink(std::FILE *stream);
 
-/** One buffered record.  blockKey 0 = before any block; block b maps
- * to key b + 1, so keys sort records into block order. */
-struct Record
-{
-    Level level = Level::Info;
-    std::uint64_t blockKey = 0;
-    std::uint32_t seq = 0;
-    std::string text;
-};
-
 /**
- * Per-worker record buffer.  The owning lane calls setBlock() at each
- * block boundary; every appended record inherits the current block key
- * and a per-block sequence number, which makes the post-join merge a
- * total order (blocks are disjoint across lanes).
- */
-class LogBuffer
-{
-  public:
-    /** Tag subsequent records with block @p block. */
-    void
-    setBlock(std::uint64_t block)
-    {
-        key_ = block + 1;
-        seq_ = 0;
-    }
-
-    void append(Level level, std::string text);
-
-    const std::vector<Record> &records() const { return records_; }
-    void clear();
-
-  private:
-    std::uint64_t key_ = 0;
-    std::uint32_t seq_ = 0;
-    std::vector<Record> records_;
-};
-
-namespace detail
-{
-/** Buffer the calling thread's records divert into (none by default). */
-inline thread_local LogBuffer *t_buffer = nullptr;
-} // namespace detail
-
-/** RAII installer: route this thread's records into @p buffer. */
-class ScopedLogBuffer
-{
-  public:
-    explicit ScopedLogBuffer(LogBuffer *buffer) : prev_(detail::t_buffer)
-    {
-        detail::t_buffer = buffer;
-    }
-
-    ~ScopedLogBuffer() { detail::t_buffer = prev_; }
-
-    ScopedLogBuffer(const ScopedLogBuffer &) = delete;
-    ScopedLogBuffer &operator=(const ScopedLogBuffer &) = delete;
-
-  private:
-    LogBuffer *prev_;
-};
-
-/**
- * Emit one record: dropped when above the threshold, else appended to
- * the thread's installed buffer, else written to the sink.
+ * Emit one record: dropped when above the threshold, else written to
+ * the sink as the text and a newline under one stream lock.
  */
 void write(Level level, std::string_view text);
-
-/**
- * Replay buffered records through the sink in (block, seq) order.
- * Deterministic for the pipeline's buffers: each lane's block keys
- * are strictly increasing and no two lanes share a block, so the
- * sorted order is independent of how blocks were distributed.
- */
-void replay(const std::vector<const LogBuffer *> &buffers);
 
 namespace detail
 {

@@ -1,28 +1,39 @@
 /**
  * @file
  * Forensics-layer tests (docs/FORENSICS.md): the leveled logger's
- * threshold/sink/replay contract, the flight recorder's ring and
- * merged-dump determinism, the deterministic top-K outlier tracker's
- * ordering and merge algebra, and the pipeline-level guarantees —
- * outlier capture and decision traces byte-identical at every thread
- * count, with the traced schedule unchanged.
+ * threshold/sink contract and whole lines under concurrent writers,
+ * the flight recorder's ring and merged-dump determinism, and the
+ * pipeline-level guarantees — degraded-block notices, outlier capture
+ * (the top K by score desc, block asc) and decision traces
+ * byte-identical at every thread count, with the traced schedule
+ * unchanged.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <numeric>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hh"
+#include "ir/parser.hh"
 #include "machine/presets.hh"
 #include "obs/counters.hh"
 #include "obs/emitter.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json_parse.hh"
 #include "obs/outliers.hh"
+#include "support/fault_inject.hh"
 #include "support/log.hh"
+#include "support/string_util.hh"
 #include "workload/generator.hh"
 #include "workload/kernels.hh"
 
@@ -104,53 +115,50 @@ TEST(Log, ThresholdGatesDirectWrites)
     EXPECT_EQ(out, "i2\nd2\n");
 }
 
-TEST(Log, BufferedReplayIsBlockOrdered)
+TEST(Log, ConcurrentLinesNeverSplice)
 {
-    LogStateGuard guard;
-    log::setThreshold(log::Level::Info);
-
-    // Two lanes, interleaved blocks (0,2 vs 1,3) — replay must come
-    // out in block order regardless of which lane held which block.
-    log::LogBuffer lane_a, lane_b;
-    {
-        log::ScopedLogBuffer scope(&lane_a);
-        log::info("pre"); // blockKey 0: before any block
-        lane_a.setBlock(0);
-        log::info("b0.first");
-        log::info("b0.second");
-        lane_a.setBlock(2);
-        log::info("b2");
-    }
-    {
-        log::ScopedLogBuffer scope(&lane_b);
-        lane_b.setBlock(1);
-        log::info("b1");
-        lane_b.setBlock(3);
-        log::info("b3");
-    }
-    std::string out = captureSink([&] {
-        log::replay({&lane_a, &lane_b});
-    });
-    EXPECT_EQ(out, "pre\nb0.first\nb0.second\nb1\nb2\nb3\n");
-
-    std::string swapped = captureSink([&] {
-        log::replay({&lane_b, &lane_a});
-    });
-    EXPECT_EQ(swapped, out) << "replay order is lane-independent";
-}
-
-TEST(Log, BufferStillRespectsThreshold)
-{
+    // Two threads write distinct lines at once; each line must come
+    // back whole, however the two streams interleave.  The sink is
+    // unbuffered, as stderr is: each stdio call is then its own
+    // write(2), and a line sent in two unlocked calls (text, then
+    // newline) splices in nearly every run of this length.
     LogStateGuard guard;
     log::setThreshold(log::Level::Warn);
-    log::LogBuffer buf;
-    {
-        log::ScopedLogBuffer scope(&buf);
-        log::warn("kept");
-        log::debug("dropped at the call site");
+    constexpr int kLines = 20000;
+    std::atomic<int> started{0};
+    const auto writer = [&started](char lane) {
+        started.fetch_add(1);
+        while (started.load() < 2) {
+        }
+        for (int i = 0; i < kLines; ++i)
+            log::warn("lane ", lane, " line ", i, " of the splice test");
+    };
+    const std::string out = captureSink([&] {
+        std::setvbuf(log::sink(), nullptr, _IONBF, 0);
+        std::thread a(writer, 'a');
+        std::thread b(writer, 'b');
+        a.join();
+        b.join();
+    });
+
+    std::set<std::string> want;
+    for (char lane : {'a', 'b'})
+        for (int i = 0; i < kLines; ++i) {
+            std::ostringstream line;
+            line << "lane " << lane << " line " << i
+                 << " of the splice test";
+            want.insert(line.str());
+        }
+    std::set<std::string> got;
+    std::size_t lines = 0, spliced = 0;
+    std::istringstream in(out);
+    for (std::string line; std::getline(in, line); ++lines) {
+        spliced += want.count(line) == 0;
+        got.insert(line);
     }
-    ASSERT_EQ(buf.records().size(), 1u);
-    EXPECT_EQ(buf.records()[0].text, "kept");
+    EXPECT_EQ(spliced, 0u);
+    EXPECT_EQ(lines, want.size());
+    EXPECT_TRUE(got == want) << "every line written comes back";
 }
 
 // ---------------------------------------------------------------------
@@ -334,71 +342,7 @@ TEST(FlightRecorder, DumpTruncatesWholeEventsOnSmallBuffers)
 }
 
 // ---------------------------------------------------------------------
-// Outlier tracker
-// ---------------------------------------------------------------------
-
-obs::OutlierRecord
-rec(std::size_t block, std::uint64_t score)
-{
-    obs::OutlierRecord r;
-    r.block = block;
-    r.score = score;
-    return r;
-}
-
-TEST(OutlierTracker, KeepsTopKScoreDescBlockAsc)
-{
-    obs::OutlierTracker t(3);
-    t.insert(rec(5, 10));
-    t.insert(rec(1, 30));
-    t.insert(rec(9, 20));
-    t.insert(rec(2, 20)); // ties 20: lower block outranks
-    t.insert(rec(7, 5));  // below the cut once full
-
-    ASSERT_EQ(t.size(), 3u);
-    EXPECT_EQ(t.ranked()[0].block, 1u);
-    EXPECT_EQ(t.ranked()[1].block, 2u);
-    EXPECT_EQ(t.ranked()[2].block, 9u);
-
-    EXPECT_FALSE(t.admits(10, 5)) << "score below the kept minimum";
-    EXPECT_TRUE(t.admits(25, 5));
-    EXPECT_TRUE(t.admits(20, 0)) << "tie admitted for a lower block";
-    EXPECT_FALSE(t.admits(20, 42)) << "tie rejected for a higher block";
-
-    std::vector<obs::OutlierRecord> by_block = t.byBlock();
-    EXPECT_EQ(by_block[0].block, 1u);
-    EXPECT_EQ(by_block[1].block, 2u);
-    EXPECT_EQ(by_block[2].block, 9u);
-}
-
-TEST(OutlierTracker, LaneMergeEqualsGlobalTracker)
-{
-    // 12 blocks dealt round-robin to 3 lanes vs. inserted into one
-    // global tracker: the merge must keep exactly the global top-K.
-    const std::uint64_t scores[12] = {7, 93, 12, 55, 55, 3,
-                                      88, 21, 55, 40, 2, 67};
-    obs::OutlierTracker global(4);
-    obs::OutlierTracker lanes[3] = {obs::OutlierTracker(4),
-                                    obs::OutlierTracker(4),
-                                    obs::OutlierTracker(4)};
-    for (std::size_t b = 0; b < 12; ++b) {
-        global.insert(rec(b, scores[b]));
-        lanes[b % 3].insert(rec(b, scores[b]));
-    }
-    obs::OutlierTracker merged(4);
-    for (const obs::OutlierTracker &lane : lanes)
-        merged.merge(lane);
-
-    ASSERT_EQ(merged.size(), global.size());
-    for (std::size_t i = 0; i < global.size(); ++i) {
-        EXPECT_EQ(merged.ranked()[i].block, global.ranked()[i].block);
-        EXPECT_EQ(merged.ranked()[i].score, global.ranked()[i].score);
-    }
-    EXPECT_EQ(merged.ranked()[0].score, 93u);
-}
-
-// ---------------------------------------------------------------------
-// Pipeline integration: capture + explain determinism
+// Pipeline integration: notices, capture and explain determinism
 // ---------------------------------------------------------------------
 
 /** Enables counting for the body and restores the disabled default. */
@@ -409,21 +353,98 @@ class ObsGuard
     ~ObsGuard() { obs::setEnabled(false); }
 };
 
-ProgramResult
-runCapture(unsigned threads, int k)
+/** Injects @p spec's faults for the body, then turns injection off. */
+class FaultGuard
 {
-    Program prog = cachedProgram("linpack");
+  public:
+    explicit FaultGuard(const char *spec)
+    {
+        fault::configure(fault::parseSpec(spec));
+    }
+    ~FaultGuard() { fault::reset(); }
+};
+
+TEST(PipelineForensics, DegradedBlockNoticesAreBlockOrderedAtAnyLaneCount)
+{
+    // Blocks that degrade on any lane get their notice after the
+    // join: one per degraded block, in block order, the same bytes at
+    // 1 and 4 lanes.
+    LogStateGuard log_guard;
+    log::setThreshold(log::Level::Info);
+    FaultGuard faults("seed=3,verifier-reject=0.2");
+    const auto run = [](unsigned threads, ProgramResult &r) {
+        return captureSink([&] {
+            Program prog = cachedProgram("linpack");
+            PipelineOptions opts;
+            opts.threads = threads;
+            r = runPipeline(prog, sparcstation2(), opts);
+        });
+    };
+    ProgramResult one, four;
+    const std::string notices = run(1, one);
+    EXPECT_EQ(run(4, four), notices);
+    EXPECT_EQ(four.blocksDegraded, one.blocksDegraded);
+    EXPECT_GT(one.blocksDegraded, 1u);
+
+    std::ostringstream want;
+    std::vector<std::size_t> degraded;
+    for (const ProgramResult::BlockIssue &issue : one.blockIssues) {
+        if (!issue.degraded)
+            continue;
+        degraded.push_back(issue.block);
+        want << "block " << issue.block << " degraded at " << issue.stage
+             << ": " << issue.reason << '\n';
+        EXPECT_EQ(issue.stage, "verify");
+    }
+    EXPECT_EQ(degraded.size(), one.blocksDegraded);
+    EXPECT_EQ(std::adjacent_find(degraded.begin(), degraded.end(),
+                                 std::greater_equal<>()),
+              degraded.end())
+        << "strictly ascending blocks";
+    EXPECT_EQ(notices, want.str());
+}
+
+ProgramResult
+runCapture(Program prog, unsigned threads, int k)
+{
     PipelineOptions opts;
     opts.threads = threads;
     opts.captureOutliers = k;
     return runPipeline(prog, sparcstation2(), opts);
 }
 
+/** @p kernel's source with its loop label @p from renamed to @p label. */
+std::string
+relabel(const std::string &kernel, const std::string &from,
+        const std::string &label)
+{
+    std::string text = kernelSource(kernel);
+    for (std::size_t at = 0;
+         (at = text.find(from, at)) != std::string::npos;
+         at += label.size())
+        text.replace(at, from.size(), label);
+    return text;
+}
+
+/** A program whose blocks tie: copies of two kernels under distinct
+ * labels, so each copy's blocks repeat the first copy's. */
+Program
+tiedProgram()
+{
+    std::string text;
+    for (int i = 0; i < 8; ++i) {
+        const std::string label = numbered("copy", i);
+        text += i % 3 == 1 ? relabel("livermore1", "lloop1", label)
+                           : relabel("daxpy", "daxpy", label);
+    }
+    return parseAssembly(text);
+}
+
 TEST(PipelineForensics, OutlierCaptureIsThreadCountInvariant)
 {
     ObsGuard guard;
-    ProgramResult one = runCapture(1, 4);
-    ProgramResult four = runCapture(4, 4);
+    ProgramResult one = runCapture(cachedProgram("linpack"), 1, 4);
+    ProgramResult four = runCapture(cachedProgram("linpack"), 4, 4);
 
     ASSERT_EQ(one.outliers.size(), 4u);
     ASSERT_EQ(four.outliers.size(), one.outliers.size());
@@ -445,6 +466,40 @@ TEST(PipelineForensics, OutlierCaptureIsThreadCountInvariant)
         EXPECT_GT(r.size, 0u);
         EXPECT_FALSE(r.source.empty());
         EXPECT_FALSE(r.counters.empty());
+    }
+
+    // Brute force on a program whose blocks tie: a capture of every
+    // block gives every block's score, and a K = 4 capture keeps
+    // exactly the first four of them by (score desc, block asc).
+    const Program ties = tiedProgram();
+    const std::size_t blocks = runCapture(ties, 1, 0).numBlocks;
+    ASSERT_GT(blocks, 8u);
+    const ProgramResult every =
+        runCapture(ties, 1, static_cast<int>(blocks));
+    ASSERT_EQ(every.outliers.size(), blocks);
+    std::vector<std::size_t> ranked(blocks);
+    std::iota(ranked.begin(), ranked.end(), std::size_t{0});
+    for (std::size_t b = 0; b < blocks; ++b)
+        ASSERT_EQ(every.outliers[b].block, b) << "records in block order";
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return every.outliers[a].score >
+                                every.outliers[b].score;
+                     });
+    EXPECT_EQ(every.outliers[ranked[3]].score,
+              every.outliers[ranked[4]].score)
+        << "the cut falls inside a tie";
+    std::vector<std::size_t> want(ranked.begin(), ranked.begin() + 4);
+    std::sort(want.begin(), want.end());
+    for (unsigned threads : {1u, 4u}) {
+        const ProgramResult top = runCapture(ties, threads, 4);
+        ASSERT_EQ(top.outliers.size(), 4u) << threads << " lanes";
+        for (std::size_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(top.outliers[i].block, want[i]) << threads << " lanes";
+            EXPECT_EQ(top.outliers[i].score,
+                      every.outliers[want[i]].score)
+                << threads << " lanes";
+        }
     }
 }
 

@@ -16,6 +16,11 @@
 # drop dag.alias_queries and dag.table_probes from both sides before
 # comparing; everything else, and every base-offset run, is compared
 # byte for byte.
+# forensics: the stats document, stderr (the degraded-block notices,
+# the outlier table and the block issues) and every outlier bundle of
+# `profile` on the nine Table 3 profiles at --threads 1 and 4, with
+# --capture-outliers 5 --outlier-dir, --log-level info and injected
+# verifier-reject and builder-throw faults.
 # schedule: stdout (the scheduled assembly), the stats document and
 # the JSONL trace of every built-in kernel under all seven algorithms,
 # at --threads 1 and 4 (schedule runs the block pipeline on lanes).
@@ -58,16 +63,19 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/zero-drift.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 compared=0
 
-# drift [--status] [--no-query-counts] <file>... -- <sched91 args>:
-# run both binaries on the args, each in a fresh directory where
-# relative output paths land, and compare the named files (`stdout`
-# and `stderr` are the command's) byte for byte.  Both runs must
-# succeed; with --status they must only exit with the same status, and
-# a file neither run wrote (a failed run's stats document) is skipped.
-# With --no-query-counts the dag.alias_queries and dag.table_probes
-# keys are first removed from both sides' files.
+# drift [--status] [--no-query-counts] [--dir <dir>] <file>... --
+# <sched91 args>: run both binaries on the args, each in a fresh
+# directory where relative output paths land, and compare the named
+# files (`stdout` and `stderr` are the command's) byte for byte.  Both
+# runs must succeed; with --status they must only exit with the same
+# status, and a file neither run wrote (a failed run's stats document)
+# is skipped.  With --no-query-counts the dag.alias_queries and
+# dag.table_probes keys are first removed from both sides' files.
+# With --dir the directory is made before each run, both runs must
+# write the same file names into it, and each of those files is
+# compared too.
 drift() {
-    local any_status=false no_query_counts=false
+    local any_status=false no_query_counts=false dir=
     if [ "$1" = --status ]; then
         any_status=true
         shift
@@ -75,6 +83,10 @@ drift() {
     if [ "$1" = --no-query-counts ]; then
         no_query_counts=true
         shift
+    fi
+    if [ "$1" = --dir ]; then
+        dir=$2
+        shift 2
     fi
     local files=()
     while [ "$1" != -- ]; do
@@ -86,6 +98,9 @@ drift() {
     for side in 0 1; do
         rm -rf "${work:?}/$side"
         mkdir "$work/$side"
+        if [ -n "$dir" ]; then
+            mkdir "$work/$side/$dir"
+        fi
         local rc=0
         (cd "$work/$side" &&
          "${bins[$side]}" "$@" > stdout 2> stderr) || rc=$?
@@ -102,6 +117,17 @@ drift() {
         exit 1
     fi
     local file
+    if [ -n "$dir" ]; then
+        if ! diff <(ls "$work/0/$dir") <(ls "$work/1/$dir") >&2; then
+            echo "zero-drift: $dir/ holds other files: sched91 $*" >&2
+            exit 1
+        fi
+        for file in "$work/0/$dir"/*; do
+            if [ -e "$file" ]; then
+                files+=("$dir/${file##*/}")
+            fi
+        done
+    fi
     for file in "${files[@]}"; do
         if $any_status && [ ! -e "$work/0/$file" ] &&
            [ ! -e "$work/1/$file" ]; then
@@ -159,6 +185,16 @@ for input in grep regex dfa cccp linpack lloops tomcatv nasa7 fpppp \
                 done
             done
         done
+    done
+done
+
+for input in grep regex dfa cccp linpack lloops tomcatv nasa7 fpppp; do
+    for threads in 1 4; do
+        drift --dir outliers stats.json stderr -- profile "$input" \
+            --threads "$threads" --capture-outliers 5 \
+            --outlier-dir outliers \
+            --fault-inject seed=3,verifier-reject=0.2,builder-throw=0.1 \
+            --log-level info --zero-times --stats-json stats.json
     done
 done
 
