@@ -251,8 +251,8 @@ struct ProgramResult
     /**
      * Event counts of this run alone (Table 1's a/f/b/v work,
      * counted): the run's merged worker shards, exact even when runs
-     * overlap.  The same counts are also added to the caller's active
-     * counters — its installed shard, else the global registry.
+     * overlap.  The same counts are also added to the caller's
+     * installed shard, if it has one.
      * Empty unless the observability layer was enabled for the run,
      * and without the run report (PipelineOptions::report).
      */

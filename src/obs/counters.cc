@@ -1,8 +1,9 @@
 #include "obs/counters.hh"
 
 #include <algorithm>
+#include <array>
 
-#include "support/logging.hh"
+#include "obs/events.hh"
 
 namespace sched91::obs
 {
@@ -79,130 +80,62 @@ CounterSet::nonzero() const
     return out;
 }
 
-// --- CounterRegistry -------------------------------------------------
+// --- The roster ------------------------------------------------------
 
-CounterRegistry &
-CounterRegistry::global()
+namespace
 {
-    static CounterRegistry instance;
-    return instance;
-}
 
+constexpr std::size_t kNumCounters = std::size(kCounters);
+
+/** Every roster id in ascending name order, the order a CounterSet
+ * keeps. */
+constexpr std::array<std::size_t, kNumCounters> kByName = [] {
+    std::array<std::size_t, kNumCounters> ids{};
+    for (std::size_t id = 0; id < kNumCounters; ++id)
+        ids[id] = id;
+    std::sort(ids.begin(), ids.end(), [](std::size_t a, std::size_t b) {
+        return kCounters[a].name < kCounters[b].name;
+    });
+    return ids;
+}();
+
+/** The roster id of @p name; kNumCounters when it has none. */
 std::size_t
-CounterRegistry::addLocked(std::string_view name, CounterKind kind)
+idOf(std::string_view name)
 {
-    std::size_t id = names_.size();
-    if (id == kindCapacity_) {
-        const std::size_t capacity = std::max<std::size_t>(64, 2 * id);
-        auto table = std::make_unique<CounterKind[]>(capacity);
-        if (id != 0)
-            std::copy_n(kindTables_.back().get(), id, table.get());
-        kinds_.store(table.get());
-        kindTables_.push_back(std::move(table));
-        kindCapacity_ = capacity;
-    }
-    // Past every published size(): no reader looks at this entry yet.
-    kindTables_.back()[id] = kind;
-    names_.emplace_back(name);
-    slots_.push_back(0);
-    index_.emplace(names_.back(), id);
-    size_.store(id + 1);
+    std::size_t id = 0;
+    while (id < kNumCounters && kCounters[id].name != name)
+        ++id;
     return id;
 }
 
-std::size_t
-CounterRegistry::findLocked(std::string_view name) const
-{
-    auto it = index_.find(name);
-    return it != index_.end() ? it->second : npos;
-}
-
-std::size_t
-CounterRegistry::add(std::string_view name, CounterKind kind)
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    if (index_.find(name) != index_.end())
-        panic("duplicate counter '", std::string(name), "'");
-    return addLocked(name, kind);
-}
-
-std::size_t
-CounterRegistry::getOrAdd(std::string_view name, CounterKind kind)
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    std::size_t id = findLocked(name);
-    return id != npos ? id : addLocked(name, kind);
-}
-
-std::size_t
-CounterRegistry::find(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    return findLocked(name);
-}
+} // namespace
 
 CounterKind
-CounterRegistry::kindByName(std::string_view name) const
+kindOf(std::string_view name)
 {
-    std::size_t id = find(name);
-    return id == npos ? CounterKind::Sum : kind(id);
+    const std::size_t id = idOf(name);
+    return id < kNumCounters ? kCounters[id].kind : CounterKind::Sum;
 }
 
-std::uint64_t
-CounterRegistry::valueByName(std::string_view name) const
+std::string_view
+Counter::name() const
 {
-    std::size_t id = find(name);
-    return id == npos ? 0 : slots_[id];
-}
-
-void
-CounterRegistry::resetAll()
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    std::fill(slots_.begin(), slots_.end(), 0);
-}
-
-CounterSet
-CounterRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    CounterSet out;
-    for (std::size_t id = 0; id < names_.size(); ++id)
-        out.set(names_[id], slots_[id]);
-    return out;
-}
-
-std::shared_ptr<const std::vector<std::size_t>>
-CounterRegistry::idsByName() const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    if (!byName_ || byName_->size() != index_.size()) {
-        auto ids = std::make_shared<std::vector<std::size_t>>();
-        ids->reserve(index_.size());
-        for (const auto &entry : index_)
-            ids->push_back(entry.second);
-        byName_ = std::move(ids);
-    }
-    return byName_;
-}
-
-CounterSet
-CounterRegistry::deltaSince(const CounterSet &before) const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    CounterSet out;
-    for (std::size_t id = 0; id < names_.size(); ++id)
-        out.set(names_[id], slots_[id] - before.value(names_[id]));
-    return out;
+    return kCounters[id_].name;
 }
 
 // --- CounterShard ----------------------------------------------------
 
+void
+CounterShard::allocate()
+{
+    slots_.assign(kNumCounters, 0);
+}
+
 std::uint64_t
 CounterShard::value(std::string_view name) const
 {
-    const std::size_t id = registry_->find(name);
-    return id == CounterRegistry::npos ? 0 : value(id);
+    return value(idOf(name));
 }
 
 bool
@@ -221,10 +154,9 @@ CounterShard::clear()
 CounterShard
 CounterShard::since(const CounterShard &before) const
 {
-    const CounterKind *kinds = registry_->kinds();
     CounterShard out = *this;
     for (std::size_t id = 0; id < slots_.size(); ++id)
-        if (kinds[id] == CounterKind::Sum)
+        if (kCounters[id].kind == CounterKind::Sum)
             out.slots_[id] -= before.value(id);
     return out;
 }
@@ -232,12 +164,13 @@ CounterShard::since(const CounterShard &before) const
 void
 CounterShard::foldSince(const CounterShard &now, const CounterShard &before)
 {
-    const CounterKind *kinds = registry_->kinds();
-    if (slots_.size() < now.slots_.size())
-        slots_.resize(now.slots_.size(), 0);
-    for (std::size_t id = 0; id < now.slots_.size(); ++id) {
+    if (now.slots_.empty())
+        return;
+    if (slots_.empty())
+        allocate();
+    for (std::size_t id = 0; id < kNumCounters; ++id) {
         const std::uint64_t v = now.slots_[id];
-        if (kinds[id] == CounterKind::Sum)
+        if (kCounters[id].kind == CounterKind::Sum)
             slots_[id] += v - before.value(id);
         else if (v > slots_[id])
             slots_[id] = v;
@@ -247,23 +180,20 @@ CounterShard::foldSince(const CounterShard &now, const CounterShard &before)
 CounterSet
 CounterShard::named() const
 {
-    const std::shared_ptr<const std::vector<std::size_t>> ids =
-        registry_->idsByName();
     CounterSet out;
-    out.items_.reserve(ids->size());
-    for (std::size_t id : *ids)
-        out.items_.emplace_back(registry_->name(id), value(id));
+    out.items_.reserve(kNumCounters);
+    for (std::size_t id : kByName)
+        out.items_.emplace_back(kCounters[id].name, value(id));
     return out;
 }
 
 void
 CounterShard::flushInto(CounterShard &into) const
 {
-    const CounterKind *kinds = registry_->kinds();
     for (std::size_t id = 0; id < slots_.size(); ++id) {
         if (slots_[id] == 0)
             continue;
-        if (kinds[id] == CounterKind::Max)
+        if (kCounters[id].kind == CounterKind::Max)
             into.recordMax(id, slots_[id]);
         else
             into.add(id, slots_[id]);
@@ -271,44 +201,10 @@ CounterShard::flushInto(CounterShard &into) const
 }
 
 void
-CounterShard::flushInto(CounterRegistry &into) const
-{
-    std::lock_guard<std::mutex> lock(into.regMu_);
-    const CounterKind *kinds = registry_->kinds();
-    for (std::size_t id = 0; id < slots_.size(); ++id) {
-        if (slots_[id] == 0)
-            continue;
-        if (kinds[id] == CounterKind::Max)
-            into.recordMax(id, slots_[id]);
-        else
-            into.increment(id, slots_[id]);
-    }
-}
-
-void
 CounterShard::flushIntoActive() const
 {
-    if (CounterShard *shard = detail::t_shard;
-        shard && shard->registry_ == registry_)
+    if (CounterShard *shard = detail::t_shard)
         flushInto(*shard);
-    else
-        flushInto(*registry_);
-}
-
-CounterSet
-SnapshotDeltaTracker::advance(const CounterSet &now)
-{
-    CounterSet delta;
-    for (const auto &[name, value] : now.items()) {
-        std::uint64_t v = value;
-        if (registry_->kindByName(name) == CounterKind::Sum) {
-            const std::uint64_t prev = last_.value(name);
-            v = v > prev ? v - prev : 0;
-        }
-        delta.set(name, v);
-    }
-    last_ = now;
-    return delta;
 }
 
 } // namespace sched91::obs

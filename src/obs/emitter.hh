@@ -45,8 +45,8 @@ struct EmitOptions
 };
 
 /**
- * Serialize @p result with @p counters (typically the registry deltas
- * for the run) and, when non-null, the phase tree rooted at @p phases.
+ * Serialize @p result with @p counters (typically the CLI session
+ * shard's counts) and, when non-null, the phase tree rooted at @p phases.
  * Cycle totals are included only when the result carries them.
  */
 std::string programResultJson(const ProgramResult &result,

@@ -1,7 +1,10 @@
 /**
  * @file
- * The library's well-known event counters, one inline handle per
- * event so instrumentation sites pay no lookup.  Names are
+ * The counter roster: every event counter the library keeps, listed
+ * once in one table fixed at build time (kCounters), plus one handle
+ * per counter so instrumentation sites pay no lookup.  A counter's id
+ * is its index in the table; each handle finds its name there as it
+ * compiles, so a misspelt name does not build.  Names are
  * hierarchical (`subsystem.event`) and map onto the paper's Table 1
  * cost legend:
  *
@@ -19,152 +22,198 @@
 #ifndef SCHED91_OBS_EVENTS_HH
 #define SCHED91_OBS_EVENTS_HH
 
+#include <iterator>
+#include <string_view>
+
 #include "obs/counters.hh"
 
-namespace sched91::obs::ev
+namespace sched91::obs
 {
 
-// --- DAG construction ('a') -----------------------------------------
+/** Every counter with its kind (Sum unless marked Max), by id. */
+inline constexpr CounterDef kCounters[] = {
+    // --- DAG construction ('a') -------------------------------------
 
-/** Unique arcs inserted by Dag::addArc. */
-inline Counter dagArcsAdded{"dag.arcs_added"};
+    /** Unique arcs inserted by Dag::addArc. */
+    {"dag.arcs_added"},
+    /** (from,to) attempts merged into an existing arc. */
+    {"dag.arcs_duplicate"},
+    /** Arcs dropped by Landskov-style transitive prevention. */
+    {"dag.arcs_suppressed"},
+    /** Pairwise instruction comparisons made by the n**2 builders. */
+    {"dag.pairwise_compares"},
+    /** Definition-table slot and memory-entry probes, table builders. */
+    {"dag.table_probes"},
+    /** Memory alias-oracle queries (any builder, any policy). */
+    {"dag.alias_queries"},
+    /** Blocks force-split by the instruction window during partitioning. */
+    {"dag.window_flushes"},
 
-/** (from,to) attempts merged into an existing arc. */
-inline Counter dagArcsDuplicate{"dag.arcs_duplicate"};
+    // --- Heuristic passes ('f' / 'b') -------------------------------
 
-/** Arcs dropped by Landskov-style transitive prevention. */
-inline Counter dagArcsSuppressed{"dag.arcs_suppressed"};
+    /** Node visitations by the forward pass (EST and friends). */
+    {"heur.forward_visits"},
+    /** Node visitations by the backward pass (LST, delays-to-leaf). */
+    {"heur.backward_visits"},
+    /** Nodes whose slack was derived (LST - EST). */
+    {"heur.slack_computes"},
+    /** Descendant bitmaps materialized by a separate sweep (the
+     * backward pass had no builder-maintained maps to reuse). */
+    {"heur.descendant_sweeps"},
 
-/** Pairwise instruction comparisons made by the n**2 builders. */
-inline Counter dagPairwiseCompares{"dag.pairwise_compares"};
+    // --- List scheduling ('v') --------------------------------------
 
-/** Definition-table slot and memory-entry probes, table builders. */
-inline Counter dagTableProbes{"dag.table_probes"};
+    /** Nodes scheduled (candidate-list extractions). */
+    {"sched.node_visits"},
+    /** Individual heuristic evaluations during candidate selection. */
+    {"sched.heuristic_evals"},
+    /** High-water mark of the ready/candidate list (a Max gauge:
+     * shards and per-block deltas report peaks, not sums). */
+    {"sched.ready_list_peak", CounterKind::Max},
+    /** Dependence-arc relaxations when a scheduled node releases
+     * successors (forward) or predecessors (backward). */
+    {"sched.dep_updates"},
 
-/** Memory alias-oracle queries (any builder, any policy). */
-inline Counter dagAliasQueries{"dag.alias_queries"};
+    // --- Robustness (docs/ROBUSTNESS.md) ----------------------------
 
-/** Blocks force-split by the instruction window during partitioning. */
-inline Counter dagWindowFlushes{"dag.window_flushes"};
+    /** Malformed assembly lines recovered from by the lenient parser. */
+    {"robust.parse_errors"},
+    /** Parseable-but-suspicious lines flagged with a Severity::Warning
+     * diagnostic (immediate outside the 13-bit signed range, doubly
+     * defined labels). */
+    {"robust.parse_warnings"},
+    /** Blocks degraded to their original instruction order after a
+     * fault, budget overrun, or verifier rejection. */
+    {"robust.blocks_degraded"},
+    /** Schedules rejected by the independent verifier
+     * (sched/verifier.hh). */
+    {"robust.verifier_rejections"},
+    /** Oversized blocks auto-switched from an n**2 builder to table
+     * building (the paper's F1/F2 window ladder), not a degradation. */
+    {"robust.builder_fallbacks"},
+    /** Blocks that overran --max-block-seconds (subset of
+     * robust.blocks_degraded). */
+    {"robust.block_budget_exceeded"},
+    /** Worker exceptions dropped by ThreadPool::parallelFor after the
+     * first (only the first rethrows; the rest are counted here and in
+     * the rethrown message). */
+    {"robust.pool_suppressed_errors"},
 
-// --- Heuristic passes ('f' / 'b') -----------------------------------
+    // --- Cooperative cancellation (support/cancellation.hh) ---------
 
-/** Node visitations by the forward pass (EST and friends). */
-inline Counter heurForwardVisits{"heur.forward_visits"};
+    /** Blocks whose build/sched phase was interrupted mid-loop by a
+     * cancellation token (subset of robust.block_budget_exceeded when
+     * the token came from --max-block-seconds). */
+    {"cancel.blocks_cancelled"},
+    /** Blocks degraded because the whole-run --max-run-seconds budget
+     * ran out: cancelled while running on a fair-share allowance, or
+     * skipped outright once nothing remained. */
+    {"cancel.run_budget_exhausted"},
+    /** Blocks degraded because the run was interrupted
+     * (SIGINT/SIGTERM drain): in-flight blocks finish, the rest
+     * degrade to original order. */
+    {"cancel.run_interrupted"},
 
-/** Node visitations by the backward pass (LST, delays-to-leaf). */
-inline Counter heurBackwardVisits{"heur.backward_visits"};
+    // --- Fault injection (support/fault_inject.hh) ------------------
 
-/** Nodes whose slack was derived (LST - EST). */
-inline Counter heurSlackComputes{"heur.slack_computes"};
+    /** Faults fired by the deterministic injection layer (any point). */
+    {"fault.injected"},
 
-/** Descendant bitmaps materialized by a separate sweep (the backward
- * pass had no builder-maintained maps to reuse). */
-inline Counter heurDescendantSweeps{"heur.descendant_sweeps"};
+    // --- Memory telemetry (obs/memory.hh) ---------------------------
+    // Deterministic gauges only: each is a function of the input
+    // program, so runs stay byte-identical across thread counts.
+    // Environmental quantities (peak RSS, arena chunk reservations)
+    // live in the stats-JSON "memory" section instead, never in
+    // counters.
 
-// --- List scheduling ('v') ------------------------------------------
+    /** Cumulative bytes handed out by all worker arenas over the run. */
+    {"mem.arena_bytes_allocated"},
+    /** Largest arena working set any single block reached (Max gauge). */
+    {"mem.arena_high_water_bytes", CounterKind::Max},
+    /** Bytes of DAG arc records built over the run (arcs * sizeof(Arc)). */
+    {"mem.dag_arc_bytes"},
 
-/** Nodes scheduled (candidate-list extractions). */
-inline Counter schedNodeVisits{"sched.node_visits"};
+    // --- Adversarial harness (src/fuzz/) ----------------------------
 
-/** Individual heuristic evaluations during candidate selection. */
-inline Counter schedHeuristicEvals{"sched.heuristic_evals"};
+    /** Programs synthesized by the fuzz generator. */
+    {"fuzz.programs_generated"},
+    /** Source lines mutated by injected syntax corruption. */
+    {"fuzz.corrupted_lines"},
+    /** Differential-oracle runs (fuzz/differential.cc). */
+    {"fuzz.oracle_runs"},
+    /** Oracle runs that found a divergence or verifier rejection. */
+    {"fuzz.oracle_failures"},
+    /** Candidate reductions attempted by the minimizing reducer. */
+    {"fuzz.reducer_steps"},
+};
 
-/** High-water mark of the ready/candidate list (a Max gauge: shards
- * and per-block deltas report peaks, not sums). */
-inline Counter schedReadyListPeak{"sched.ready_list_peak",
-                                  CounterKind::Max};
+static_assert(
+    [] {
+        for (std::size_t a = 0; a < std::size(kCounters); ++a)
+            for (std::size_t b = a + 1; b < std::size(kCounters); ++b)
+                if (kCounters[a].name == kCounters[b].name)
+                    return false;
+        return true;
+    }(),
+    "each counter is listed once");
 
-/** Dependence-arc relaxations when a scheduled node releases
- * successors (forward) or predecessors (backward). */
-inline Counter schedDepUpdates{"sched.dep_updates"};
+consteval Counter::Counter(std::string_view name) : id_(0)
+{
+    while (id_ < std::size(kCounters) && kCounters[id_].name != name)
+        ++id_;
+    if (id_ == std::size(kCounters))
+        throw "no counter of that name in obs::kCounters";
+}
 
-// --- Robustness (docs/ROBUSTNESS.md) --------------------------------
+namespace ev
+{
 
-/** Malformed assembly lines recovered from by the lenient parser. */
-inline Counter robustParseErrors{"robust.parse_errors"};
+inline constexpr Counter dagArcsAdded{"dag.arcs_added"};
+inline constexpr Counter dagArcsDuplicate{"dag.arcs_duplicate"};
+inline constexpr Counter dagArcsSuppressed{"dag.arcs_suppressed"};
+inline constexpr Counter dagPairwiseCompares{"dag.pairwise_compares"};
+inline constexpr Counter dagTableProbes{"dag.table_probes"};
+inline constexpr Counter dagAliasQueries{"dag.alias_queries"};
+inline constexpr Counter dagWindowFlushes{"dag.window_flushes"};
 
-/** Parseable-but-suspicious lines flagged with a Severity::Warning
- * diagnostic (immediate outside the 13-bit signed range, doubly
- * defined labels). */
-inline Counter robustParseWarnings{"robust.parse_warnings"};
+inline constexpr Counter heurForwardVisits{"heur.forward_visits"};
+inline constexpr Counter heurBackwardVisits{"heur.backward_visits"};
+inline constexpr Counter heurSlackComputes{"heur.slack_computes"};
+inline constexpr Counter heurDescendantSweeps{"heur.descendant_sweeps"};
 
-/** Blocks degraded to their original instruction order after a fault,
- * budget overrun, or verifier rejection. */
-inline Counter robustBlocksDegraded{"robust.blocks_degraded"};
+inline constexpr Counter schedNodeVisits{"sched.node_visits"};
+inline constexpr Counter schedHeuristicEvals{"sched.heuristic_evals"};
+inline constexpr Counter schedReadyListPeak{"sched.ready_list_peak"};
+inline constexpr Counter schedDepUpdates{"sched.dep_updates"};
 
-/** Schedules rejected by the independent verifier
- * (sched/verifier.hh). */
-inline Counter robustVerifierRejections{"robust.verifier_rejections"};
+inline constexpr Counter robustParseErrors{"robust.parse_errors"};
+inline constexpr Counter robustParseWarnings{"robust.parse_warnings"};
+inline constexpr Counter robustBlocksDegraded{"robust.blocks_degraded"};
+inline constexpr Counter robustVerifierRejections{
+    "robust.verifier_rejections"};
+inline constexpr Counter robustBuilderFallbacks{"robust.builder_fallbacks"};
+inline constexpr Counter robustBudgetExceeded{"robust.block_budget_exceeded"};
+inline constexpr Counter robustPoolSuppressed{"robust.pool_suppressed_errors"};
 
-/** Oversized blocks auto-switched from an n**2 builder to table
- * building (the paper's F1/F2 window ladder) — not a degradation. */
-inline Counter robustBuilderFallbacks{"robust.builder_fallbacks"};
+inline constexpr Counter cancelBlocksCancelled{"cancel.blocks_cancelled"};
+inline constexpr Counter cancelRunBudgetExhausted{
+    "cancel.run_budget_exhausted"};
+inline constexpr Counter cancelRunInterrupted{"cancel.run_interrupted"};
 
-/** Blocks that overran --max-block-seconds (subset of
- * robust.blocks_degraded). */
-inline Counter robustBudgetExceeded{"robust.block_budget_exceeded"};
+inline constexpr Counter faultInjected{"fault.injected"};
 
-/** Worker exceptions dropped by ThreadPool::parallelFor after the
- * first (only the first rethrows; the rest are counted here and in
- * the rethrown message). */
-inline Counter robustPoolSuppressed{"robust.pool_suppressed_errors"};
+inline constexpr Counter memArenaBytesAllocated{"mem.arena_bytes_allocated"};
+inline constexpr Counter memArenaHighWater{"mem.arena_high_water_bytes"};
+inline constexpr Counter memDagArcBytes{"mem.dag_arc_bytes"};
 
-// --- Cooperative cancellation (support/cancellation.hh) -------------
+inline constexpr Counter fuzzProgramsGenerated{"fuzz.programs_generated"};
+inline constexpr Counter fuzzCorruptedLines{"fuzz.corrupted_lines"};
+inline constexpr Counter fuzzOracleRuns{"fuzz.oracle_runs"};
+inline constexpr Counter fuzzOracleFailures{"fuzz.oracle_failures"};
+inline constexpr Counter fuzzReducerSteps{"fuzz.reducer_steps"};
 
-/** Blocks whose build/sched phase was interrupted mid-loop by a
- * cancellation token (subset of robust.block_budget_exceeded when the
- * token came from --max-block-seconds). */
-inline Counter cancelBlocksCancelled{"cancel.blocks_cancelled"};
+} // namespace ev
 
-/** Blocks degraded because the whole-run --max-run-seconds budget ran
- * out: cancelled while running on a fair-share allowance, or skipped
- * outright once nothing remained. */
-inline Counter cancelRunBudgetExhausted{"cancel.run_budget_exhausted"};
-
-/** Blocks degraded because the run was interrupted (SIGINT/SIGTERM
- * drain): in-flight blocks finish, the rest degrade to original
- * order. */
-inline Counter cancelRunInterrupted{"cancel.run_interrupted"};
-
-// --- Fault injection (support/fault_inject.hh) ----------------------
-
-/** Faults fired by the deterministic injection layer (any point). */
-inline Counter faultInjected{"fault.injected"};
-
-// --- Memory telemetry (obs/memory.hh) -------------------------------
-// Deterministic gauges only: each is a function of the input program,
-// so runs stay byte-identical across thread counts.  Environmental
-// quantities (peak RSS, arena chunk reservations) live in the
-// stats-JSON "memory" section instead, never in counters.
-
-/** Cumulative bytes handed out by all worker arenas over the run. */
-inline Counter memArenaBytesAllocated{"mem.arena_bytes_allocated"};
-
-/** Largest arena working set any single block reached (Max gauge). */
-inline Counter memArenaHighWater{"mem.arena_high_water_bytes",
-                                 CounterKind::Max};
-
-/** Bytes of DAG arc records built over the run (arcs * sizeof(Arc)). */
-inline Counter memDagArcBytes{"mem.dag_arc_bytes"};
-
-// --- Adversarial harness (src/fuzz/) --------------------------------
-
-/** Programs synthesized by the fuzz generator. */
-inline Counter fuzzProgramsGenerated{"fuzz.programs_generated"};
-
-/** Source lines mutated by injected syntax corruption. */
-inline Counter fuzzCorruptedLines{"fuzz.corrupted_lines"};
-
-/** Differential-oracle runs (fuzz/differential.cc). */
-inline Counter fuzzOracleRuns{"fuzz.oracle_runs"};
-
-/** Oracle runs that found a divergence or verifier rejection. */
-inline Counter fuzzOracleFailures{"fuzz.oracle_failures"};
-
-/** Candidate reductions attempted by the minimizing reducer. */
-inline Counter fuzzReducerSteps{"fuzz.reducer_steps"};
-
-} // namespace sched91::obs::ev
+} // namespace sched91::obs
 
 #endif // SCHED91_OBS_EVENTS_HH

@@ -138,9 +138,7 @@ prometheusExposition(const PromDoc &doc)
     if (doc.counters) {
         for (const auto &[name, value] : doc.counters->items()) {
             const std::string metric = promMetricName(name);
-            const bool gauge =
-                doc.registry &&
-                doc.registry->kindByName(name) == CounterKind::Max;
+            const bool gauge = kindOf(name) == CounterKind::Max;
             appendFamily(out, metric, gauge ? "gauge" : "counter");
             out += metric;
             out += labels;

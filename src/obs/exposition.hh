@@ -52,13 +52,10 @@ struct PromGauge
 /** Everything one exposition document is built from. */
 struct PromDoc
 {
-    /** Counter samples; kinds looked up in @ref registry (Sum ->
-     * counter, Max -> gauge).  May be null. */
+    /** Counter samples, exported by their roster kind (Sum ->
+     * counter, Max -> gauge; a name outside the roster is a counter).
+     * May be null. */
     const CounterSet *counters = nullptr;
-
-    /** Kind source for @ref counters; when null every counter is
-     * exported as a Prometheus counter. */
-    const CounterRegistry *registry = nullptr;
 
     /** Histogram families, exported as cumulative bucket series. */
     const HistogramSet *histograms = nullptr;

@@ -90,6 +90,41 @@ nsSince(std::chrono::steady_clock::time_point epoch,
             .count());
 }
 
+/**
+ * Bookkeeping for periodic delta emission (`--snapshot-seconds`):
+ * remembers the previous observation and yields the kind-aware delta
+ * each time a new snapshot arrives.  Sum counters subtract (clamped at
+ * zero, so a reset source never yields an underflowed delta); Max
+ * gauges report the current value as-is — a high-water mark has no
+ * meaningful subtraction.  Names only in the previous observation are
+ * dropped; names outside the counter roster (the svc.* tallies) count
+ * as Sum.  The first advance() deltas against zero, so the first
+ * emitted snapshot covers everything since startup.
+ */
+class SnapshotDeltaTracker
+{
+  public:
+    /** Delta of @p now against the previous call; remembers @p now. */
+    obs::CounterSet
+    advance(const obs::CounterSet &now)
+    {
+        obs::CounterSet delta;
+        for (const auto &[name, value] : now.items()) {
+            std::uint64_t v = value;
+            if (obs::kindOf(name) == obs::CounterKind::Sum) {
+                const std::uint64_t prev = last_.value(name);
+                v = v > prev ? v - prev : 0;
+            }
+            delta.set(name, v);
+        }
+        last_ = now;
+        return delta;
+    }
+
+  private:
+    obs::CounterSet last_;
+};
+
 } // namespace
 
 /** One client connection, owned by the I/O thread alone.  Lanes name
@@ -649,8 +684,9 @@ Daemon::liveCounters()
         std::lock_guard<std::mutex> lock(publishMu_);
         set = publishedCounters_.named();
     }
-    // svc.* tallies live in plain atomics, never in the registry;
-    // overlay them so live scrapes and the final document agree.
+    // svc.* tallies live in plain atomics, outside the counter
+    // roster; overlay them so live scrapes and the final document
+    // agree.
     const SvcCounters &c = engine_.counters();
     for (const SvcTally &t : kSvcTallies)
         if (!t.isolationOnly || config_.isolateProcess)
@@ -777,7 +813,6 @@ Daemon::prometheusDocument()
 
     obs::PromDoc doc;
     doc.counters = &counters;
-    doc.registry = &obs::CounterRegistry::global();
     doc.histograms = &hists;
     doc.gauges.push_back(
         {"svc.uptime_seconds",
@@ -858,10 +893,13 @@ Daemon::traceDumpDocument(const std::string &id)
 void
 Daemon::snapshotLoop()
 {
-    obs::SnapshotDeltaTracker tracker(obs::CounterRegistry::global());
-    std::vector<std::string> lines;
+    SnapshotDeltaTracker tracker;
+    // The run's first tick starts the file afresh; each later one
+    // copies the file as it stands and appends its own line, so no
+    // earlier snapshot stays in memory.
+    bool fresh = true;
 
-    const auto writeAll = [this, &lines] {
+    const auto append = [this, &fresh](const std::string &line) {
         const std::string tmp = config_.snapshotPath + ".tmp";
         {
             std::ofstream out(tmp);
@@ -870,14 +908,18 @@ Daemon::snapshotLoop()
                            "'");
                 return;
             }
-            for (const std::string &line : lines)
-                out << line << '\n';
+            if (!fresh)
+                if (std::ifstream prev(config_.snapshotPath); prev)
+                    out << prev.rdbuf();
+            out << line << '\n';
         }
         if (std::rename(tmp.c_str(),
                         config_.snapshotPath.c_str()) != 0)
             log::error("serve: rename('", tmp, "' -> '",
                        config_.snapshotPath,
                        "'): ", std::strerror(errno));
+        else
+            fresh = false;
     };
 
     const auto interval =
@@ -890,8 +932,7 @@ Daemon::snapshotLoop()
         // One tick per interval — and one final tick on stop, so the
         // last snapshot line covers everything the daemon answered.
         obs::CounterSet delta = tracker.advance(liveCounters());
-        lines.push_back(statsDocument("", &delta));
-        writeAll();
+        append(statsDocument("", &delta));
         if (stopping)
             return;
         lock.lock();

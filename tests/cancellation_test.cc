@@ -207,7 +207,8 @@ multiBlockSource(int blocks, int insts_per_block)
 TEST(Cancellation, RunBudgetDegradesEveryBlockAndCounts)
 {
     obs::setEnabled(true);
-    obs::CounterRegistry::global().resetAll();
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
 
     Program prog = parseAssembly(multiBlockSource(4, 50));
     MachineModel machine;
@@ -217,7 +218,6 @@ TEST(Cancellation, RunBudgetDegradesEveryBlockAndCounts)
 
     ProgramResult result = runPipeline(prog, machine, opts);
     obs::setEnabled(false);
-    obs::CounterRegistry::global().resetAll();
 
     EXPECT_EQ(result.blocksDegraded, result.numBlocks);
     ASSERT_EQ(result.blockIssues.size(), result.numBlocks);
@@ -230,12 +230,16 @@ TEST(Cancellation, RunBudgetDegradesEveryBlockAndCounts)
     // from the per-block budget.
     EXPECT_GE(result.counters.value("cancel.run_budget_exhausted"),
               static_cast<std::uint64_t>(result.numBlocks));
+    EXPECT_EQ(shard.value("cancel.run_budget_exhausted"),
+              result.counters.value("cancel.run_budget_exhausted"))
+        << "the run adds its counts to the caller's shard";
 }
 
 TEST(Cancellation, GenerousRunBudgetDoesNotDegrade)
 {
     obs::setEnabled(true);
-    obs::CounterRegistry::global().resetAll();
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
 
     Program prog = parseAssembly(multiBlockSource(4, 50));
     MachineModel machine;
@@ -245,7 +249,6 @@ TEST(Cancellation, GenerousRunBudgetDoesNotDegrade)
 
     ProgramResult result = runPipeline(prog, machine, opts);
     obs::setEnabled(false);
-    obs::CounterRegistry::global().resetAll();
 
     EXPECT_EQ(result.blocksDegraded, 0u);
     EXPECT_TRUE(result.blockIssues.empty());

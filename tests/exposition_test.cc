@@ -42,33 +42,23 @@ TEST(Exposition, LabelValuesEscapeOnlyWhatTheFormatDefines)
 
 TEST(Exposition, CounterKindSelectsCounterVersusGauge)
 {
-    obs::CounterRegistry registry;
-    registry.add("svc.requests", obs::CounterKind::Sum);
-    registry.add("pool.max_live", obs::CounterKind::Max);
-
+    // The roster's Max gauge exports as a gauge; an svc.* tally, which
+    // the roster does not list, as a counter.
     obs::CounterSet set;
     set.set("svc.requests", 5);
-    set.set("pool.max_live", 9);
+    set.set("sched.ready_list_peak", 9);
 
     obs::PromDoc doc;
     doc.counters = &set;
-    doc.registry = &registry;
-    std::string text = obs::prometheusExposition(doc);
+    const std::string text = obs::prometheusExposition(doc);
 
-    EXPECT_NE(text.find("# TYPE sched91_pool_max_live gauge\n"),
+    EXPECT_NE(text.find("# TYPE sched91_sched_ready_list_peak gauge\n"),
               std::string::npos);
     EXPECT_NE(text.find("# TYPE sched91_svc_requests counter\n"),
               std::string::npos);
-    EXPECT_NE(text.find("sched91_pool_max_live 9\n"),
+    EXPECT_NE(text.find("sched91_sched_ready_list_peak 9\n"),
               std::string::npos);
     EXPECT_NE(text.find("sched91_svc_requests 5\n"),
-              std::string::npos);
-
-    // Without a registry every counter defaults to Prometheus
-    // counter.
-    doc.registry = nullptr;
-    text = obs::prometheusExposition(doc);
-    EXPECT_NE(text.find("# TYPE sched91_pool_max_live counter\n"),
               std::string::npos);
 }
 
@@ -98,9 +88,6 @@ TEST(Exposition, HistogramBucketsAreCumulativeAndClosed)
 
 TEST(Exposition, GoldenDocumentWithLabels)
 {
-    obs::CounterRegistry registry;
-    registry.add("svc.requests_ok", obs::CounterKind::Sum);
-
     obs::CounterSet set;
     set.set("svc.requests_ok", 3);
 
@@ -109,7 +96,6 @@ TEST(Exposition, GoldenDocumentWithLabels)
 
     obs::PromDoc doc;
     doc.counters = &set;
-    doc.registry = &registry;
     doc.histograms = &hists;
     doc.gauges.push_back({"svc.queue_depth", 2.0});
     doc.gauges.push_back({"svc.uptime_seconds", 1.5});

@@ -1,18 +1,18 @@
 /**
  * @file
- * Observability-layer tests: counter registry semantics (register,
- * increment, reset, merge, duplicate rejection), recorded phases
- * folding the block shard's change into per-phase totals and a run
- * tree, a
- * phase's idempotent stop, zero-cost-when-disabled
- * behavior, the JSON/JSONL emitters round-tripped through a minimal
- * parser, and the builder counter asymmetry (pairwise compares vs
- * table probes) the instrumentation exists to expose.
+ * Observability-layer tests: counter semantics (counts reach only the
+ * thread's installed shard, the roster in name order, set merges),
+ * recorded phases folding the block shard's change into per-phase
+ * totals and a run tree, a phase's idempotent stop,
+ * zero-cost-when-disabled behavior, the JSON/JSONL emitters
+ * round-tripped through a minimal parser, and the builder counter
+ * asymmetry (pairwise compares vs table probes) the instrumentation
+ * exists to expose.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -37,7 +37,6 @@
 #include "obs/phase.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
-#include "support/string_util.hh"
 #include "workload/kernels.hh"
 
 namespace sched91
@@ -208,107 +207,13 @@ class JsonParser
 class ObsStateGuard
 {
   public:
-    ObsStateGuard()
-    {
-        obs::setEnabled(false);
-        obs::CounterRegistry::global().resetAll();
-    }
-    ~ObsStateGuard()
-    {
-        obs::setEnabled(false);
-        obs::CounterRegistry::global().resetAll();
-    }
+    ObsStateGuard() { obs::setEnabled(false); }
+    ~ObsStateGuard() { obs::setEnabled(false); }
 };
 
 // ---------------------------------------------------------------------
-// CounterRegistry / CounterSet
+// Counter / CounterSet
 // ---------------------------------------------------------------------
-
-TEST(CounterRegistry, RegisterIncrementReset)
-{
-    obs::CounterRegistry reg;
-    std::size_t a = reg.add("x.a");
-    std::size_t b = reg.add("x.b");
-    EXPECT_NE(a, b);
-    EXPECT_EQ(reg.size(), 2u);
-    EXPECT_EQ(reg.find("x.a"), a);
-    EXPECT_EQ(reg.find("nope"), obs::CounterRegistry::npos);
-
-    reg.increment(a);
-    reg.increment(a, 4);
-    reg.increment(b, 2);
-    EXPECT_EQ(reg.value(a), 5u);
-    EXPECT_EQ(reg.valueByName("x.b"), 2u);
-    EXPECT_EQ(reg.valueByName("missing"), 0u);
-
-    reg.recordMax(b, 10);
-    reg.recordMax(b, 7); // lower: no effect
-    EXPECT_EQ(reg.value(b), 10u);
-
-    reg.resetAll();
-    EXPECT_EQ(reg.value(a), 0u);
-    EXPECT_EQ(reg.value(b), 0u);
-    EXPECT_EQ(reg.size(), 2u) << "reset keeps registrations";
-}
-
-TEST(CounterRegistry, DuplicateNameRejected)
-{
-    obs::CounterRegistry reg;
-    reg.add("dup");
-    EXPECT_THROW(reg.add("dup"), PanicError);
-    EXPECT_EQ(reg.getOrAdd("dup"), reg.find("dup"))
-        << "getOrAdd is the idempotent binding";
-}
-
-TEST(CounterRegistry, SnapshotAndDelta)
-{
-    obs::CounterRegistry reg;
-    std::size_t a = reg.add("a");
-    reg.increment(a, 3);
-    obs::CounterSet before = reg.snapshot();
-
-    reg.increment(a, 4);
-    std::size_t b = reg.add("b"); // registered after the snapshot
-    reg.increment(b, 9);
-
-    obs::CounterSet delta = reg.deltaSince(before);
-    EXPECT_EQ(delta.value("a"), 4u);
-    EXPECT_EQ(delta.value("b"), 9u) << "new names count from zero";
-}
-
-TEST(CounterRegistry, KindsReadableWhileAnotherThreadRegisters)
-{
-    // Registration publishes a larger kinds() table as the registry
-    // grows; a reader on another thread sees every id below the size
-    // it read with its registered kind.
-    obs::CounterRegistry reg;
-    constexpr std::uint64_t kCounters = 1000;
-    const auto kindOf = [](std::uint64_t id) {
-        return id % 3 == 0 ? obs::CounterKind::Max : obs::CounterKind::Sum;
-    };
-    std::atomic<bool> done{false};
-    std::thread writer([&] {
-        for (std::uint64_t id = 0; id < kCounters; ++id)
-            reg.add(numbered("c", id), kindOf(id));
-        done = true;
-    });
-    bool agree = true;
-    std::size_t reads = 0;
-    for (bool last = false; !last && agree;) {
-        last = done.load();
-        const std::size_t size = reg.size();
-        const obs::CounterKind *kinds = reg.kinds();
-        for (std::size_t id = 0; id < size; ++id)
-            agree = agree && kinds[id] == kindOf(id);
-        ++reads;
-    }
-    writer.join();
-    EXPECT_TRUE(agree);
-    EXPECT_GT(reads, 0u);
-    ASSERT_EQ(reg.size(), kCounters);
-    for (std::size_t id = 0; id < kCounters; ++id)
-        EXPECT_EQ(reg.kind(id), kindOf(id)) << id;
-}
 
 TEST(CounterSet, MergeAndNonzero)
 {
@@ -331,18 +236,62 @@ TEST(CounterSet, MergeAndNonzero)
 TEST(Counter, HandleCountsOnlyWhenEnabled)
 {
     ObsStateGuard guard;
-    obs::CounterRegistry reg;
-    obs::Counter c(reg, "h");
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
+    const obs::Counter c = obs::ev::fuzzOracleRuns;
 
     c.inc(5); // disabled: must not count
-    EXPECT_EQ(reg.valueByName("h"), 0u);
+    EXPECT_EQ(shard.value("fuzz.oracle_runs"), 0u);
 
     obs::setEnabled(true);
     c.inc(5);
     c.max(3); // below current value? no: 5 > 3 keeps 5
-    EXPECT_EQ(reg.valueByName("h"), 5u);
+    EXPECT_EQ(shard.value("fuzz.oracle_runs"), 5u);
     c.max(8);
-    EXPECT_EQ(reg.valueByName("h"), 8u);
+    EXPECT_EQ(shard.value("fuzz.oracle_runs"), 8u);
+}
+
+TEST(Counter, CountsGoOnlyToTheInstalledShard)
+{
+    // Two threads count the same counter, first with no shard (the
+    // counts are not kept anywhere), then each into its own shard:
+    // each shard holds exactly its own thread's count.
+    ObsStateGuard guard;
+    obs::setEnabled(true);
+    constexpr std::uint64_t kEvents = 20000;
+    obs::CounterShard shards[2];
+    const auto own = [](int t) {
+        return kEvents * static_cast<std::uint64_t>(t + 1);
+    };
+    const auto count = [&](int t) {
+        for (std::uint64_t i = 0; i < kEvents; ++i)
+            obs::ev::fuzzOracleRuns.inc();
+        obs::ScopedCounterShard scope(shards[t]);
+        for (std::uint64_t i = 0; i < own(t); ++i)
+            obs::ev::fuzzOracleRuns.inc();
+    };
+    std::thread other(count, 1);
+    count(0);
+    other.join();
+    for (int t = 0; t < 2; ++t) {
+        EXPECT_EQ(shards[t].value(obs::ev::fuzzOracleRuns.id()), own(t))
+            << "thread " << t;
+        EXPECT_EQ(shards[t].named().nonzero().size(), 1u);
+    }
+}
+
+TEST(Counter, NamedListsTheRosterInNameOrder)
+{
+    // Every roster counter, zeros included, in name order: what
+    // ProgramResult::counters and the stats documents list.
+    const obs::CounterSet all = obs::CounterShard().named();
+    ASSERT_EQ(all.size(), std::size(obs::kCounters));
+    EXPECT_TRUE(std::is_sorted(all.items().begin(), all.items().end()));
+    EXPECT_EQ(obs::ev::schedReadyListPeak.name(), "sched.ready_list_peak");
+    EXPECT_EQ(obs::kindOf("sched.ready_list_peak"), obs::CounterKind::Max);
+    EXPECT_EQ(obs::kindOf("dag.arcs_added"), obs::CounterKind::Sum);
+    EXPECT_EQ(obs::kindOf("svc.requests_ok"), obs::CounterKind::Sum)
+        << "a name outside the roster";
 }
 
 // ---------------------------------------------------------------------
@@ -367,8 +316,8 @@ TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
 {
     ObsStateGuard guard;
     obs::setEnabled(true);
-    obs::Counter events("test.recorded_events");
-    obs::Counter peak("test.recorded_peak", obs::CounterKind::Max);
+    const obs::Counter events = obs::ev::schedNodeVisits;
+    const obs::Counter peak = obs::ev::schedReadyListPeak;
 
     obs::CounterShard block;
     obs::PhaseShards lane;
@@ -416,9 +365,9 @@ TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
                          std::uint64_t max) {
         ASSERT_NE(node, nullptr);
         EXPECT_EQ(node->entries, 1u) << node->name;
-        EXPECT_EQ(node->counters.value("test.recorded_events"), n)
+        EXPECT_EQ(node->counters.value("sched.node_visits"), n)
             << node->name;
-        EXPECT_EQ(node->counters.value("test.recorded_peak"), max)
+        EXPECT_EQ(node->counters.value("sched.ready_list_peak"), max)
             << node->name << ": the block's running peak at its end";
     };
     const obs::PhaseStats *heur = tree.child("heur");
@@ -830,25 +779,27 @@ TEST(Emitter, RenderCountersTable)
 // Pipeline integration: the asymmetry the counters exist to expose
 // ---------------------------------------------------------------------
 
+/** What a run of @p builder over daxpy counts into the caller's
+ * installed shard. */
+obs::CounterSet
+countedRun(BuilderKind builder)
+{
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
+    Program prog = kernelProgram("daxpy");
+    PipelineOptions opts;
+    opts.builder = builder;
+    runPipeline(prog, sparcstation2(), opts);
+    return shard.named();
+}
+
 TEST(ObsPipeline, BuilderCounterAsymmetry)
 {
     ObsStateGuard guard;
     obs::setEnabled(true);
-    obs::CounterRegistry &reg = obs::CounterRegistry::global();
-
-    Program prog1 = kernelProgram("daxpy");
-    PipelineOptions n2;
-    n2.builder = BuilderKind::N2Forward;
-    obs::CounterSet before = reg.snapshot();
-    runPipeline(prog1, sparcstation2(), n2);
-    obs::CounterSet n2_delta = reg.deltaSince(before);
-
-    Program prog2 = kernelProgram("daxpy");
-    PipelineOptions table;
-    table.builder = BuilderKind::TableForward;
-    before = reg.snapshot();
-    runPipeline(prog2, sparcstation2(), table);
-    obs::CounterSet table_delta = reg.deltaSince(before);
+    const obs::CounterSet n2_delta = countedRun(BuilderKind::N2Forward);
+    const obs::CounterSet table_delta =
+        countedRun(BuilderKind::TableForward);
 
     // The n**2 builder does pairwise comparisons and never probes a
     // definition table; the table builder is the exact opposite.
@@ -865,14 +816,14 @@ TEST(ObsPipeline, BuilderCounterAsymmetry)
 TEST(ObsPipeline, DisabledRunCountsNothing)
 {
     ObsStateGuard guard; // leaves counting disabled
-    obs::CounterRegistry &reg = obs::CounterRegistry::global();
-    obs::CounterSet before = reg.snapshot();
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
 
     Program prog = kernelProgram("daxpy");
     PipelineOptions opts;
     ProgramResult r = runPipeline(prog, sparcstation2(), opts);
 
-    EXPECT_TRUE(reg.deltaSince(before).nonzero().empty());
+    EXPECT_TRUE(shard.named().nonzero().empty());
     EXPECT_TRUE(r.counters.empty());
     EXPECT_GE(r.totalSeconds(), 0.0) << "timing still works";
 }

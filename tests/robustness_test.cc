@@ -239,14 +239,15 @@ TEST(Parser, LiteralsBeyond64BitsAreErrorsAtTheirColumn)
 TEST(Parser, LenientParseCountsParseErrors)
 {
     obs::setEnabled(true);
-    obs::CounterSet before = obs::CounterRegistry::global().snapshot();
-    std::string text = readFile(corpusPath("garbage.s"));
-    DiagnosticEngine diags;
-    parseAssembly(text, diags, "garbage.s");
-    obs::CounterSet delta =
-        obs::CounterRegistry::global().deltaSince(before);
+    obs::CounterShard shard;
+    {
+        obs::ScopedCounterShard scope(shard);
+        std::string text = readFile(corpusPath("garbage.s"));
+        DiagnosticEngine diags;
+        parseAssembly(text, diags, "garbage.s");
+    }
     obs::setEnabled(false);
-    EXPECT_EQ(delta.value("robust.parse_errors"), 10u);
+    EXPECT_EQ(shard.value("robust.parse_errors"), 10u);
 }
 
 // --- Schedule verifier ---------------------------------------------

@@ -1568,6 +1568,23 @@ TEST(CliContract, ScheduleWritesTheSameAtOneAndFourLanes)
     ::unlink(input.c_str());
 }
 
+TEST(CliContract, ThreadsOutsideItsRangeIsAUsageError)
+{
+    // A lane count that is negative, not a whole number or past the
+    // cap is refused before anything runs (exit 2, naming the option),
+    // as a bad --queue-capacity is; an ordinary one still schedules.
+    for (const std::string bad : {"-1", "abc", "1025"}) {
+        int status = 0;
+        std::string err;
+        runCli("schedule --kernel daxpy --threads " + bad, status, &err);
+        EXPECT_EQ(status, 2) << "--threads " << bad;
+        EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+    }
+    int status = 0;
+    runCli("schedule --kernel daxpy --threads 4", status);
+    EXPECT_EQ(status, 0);
+}
+
 TEST(CliContract, CompileReportsEachPassInScheduleWording)
 {
     // A 601-instruction block under an n**2 builder: each of compile's

@@ -116,7 +116,8 @@ TEST(ThreadPool, MultipleFailuresAreCountedNotSwallowed)
     // Every one of the 8 chunks throws; the pool must deliver the
     // first error annotated with the other 7, not silently drop them.
     obs::setEnabled(true);
-    obs::CounterSet before = obs::CounterRegistry::global().snapshot();
+    obs::CounterShard shard;
+    obs::ScopedCounterShard scope(shard);
 
     ThreadPool pool(4);
     try {
@@ -132,9 +133,7 @@ TEST(ThreadPool, MultipleFailuresAreCountedNotSwallowed)
             << "message was: " << e.what();
     }
 
-    obs::CounterSet delta =
-        obs::CounterRegistry::global().deltaSince(before);
-    EXPECT_EQ(delta.value("robust.pool_suppressed_errors"), 7u);
+    EXPECT_EQ(shard.value("robust.pool_suppressed_errors"), 7u);
     obs::setEnabled(false);
 
     // The pool survives the failures and is reusable.

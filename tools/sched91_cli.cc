@@ -80,6 +80,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -88,6 +89,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -216,6 +218,23 @@ parseToken(Kind (*fromToken)(const std::string &), const std::string &name)
     }
 }
 
+/** The most lanes --threads may ask for. */
+constexpr unsigned kMaxThreads = 1024;
+
+/** A --threads value: a whole decimal number from 0 to kMaxThreads;
+ * anything else is a usage error. */
+unsigned
+parseThreads(const std::string &text)
+{
+    unsigned n = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc{} || stop != end || n > kMaxThreads)
+        usageError("--threads needs a whole number from 0 to ",
+                   kMaxThreads, ", not '", text, "'");
+    return n;
+}
+
 const char kUsage[] =
     "usage: sched91 <command> [input] [options]\n"
     "\n"
@@ -254,7 +273,7 @@ const char kUsage[] =
     "  --block <N>          operate on basic block N (default 0)\n"
     "  --heuristics         annotate DOT nodes with heuristic values\n"
     "  --threads <N>        pipeline worker lanes, and the lanes a\n"
-    "                       large input file parses on\n"
+    "                       large input file parses on, 0 to 1024\n"
     "                       (0 = hardware concurrency, 1 = serial;\n"
     "                       output is identical either way)\n"
     "\n"
@@ -324,7 +343,8 @@ const char kUsage[] =
     "  --deadline-ms <ms>   default per-request deadline; expired\n"
     "                       in queue = rejected/deadline, expired\n"
     "                       mid-run = degraded blocks (0 = none)\n"
-    "  --threads <N>        worker lanes (0 = hardware concurrency)\n"
+    "  --threads <N>        worker lanes, 0 to 1024 (0 = hardware\n"
+    "                       concurrency)\n"
     "  --stats-json <path>  final stats document at drain (default\n"
     "                       stdout)\n"
     "  --snapshot-seconds <S>  append one stats document (with delta\n"
@@ -388,8 +408,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--heuristics")
             opts.heuristics = true;
         else if (arg == "--threads")
-            opts.threads =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            opts.threads = parseThreads(next());
         else if (arg == "--stats-json")
             opts.statsJson = next();
         else if (arg == "--trace")
@@ -574,9 +593,11 @@ class SignalScope
 };
 
 /**
- * Observability bracket for one CLI run: enables the layer when any
- * obs option is present, opens the trace sink, and on finish() prints
- * the counter table and/or writes the stats JSON.
+ * Observability bracket for one CLI run: when any obs option is
+ * present, enables the layer and installs the session shard on this
+ * thread, which every count of the command reaches (the pipeline adds
+ * each run's totals to it); opens the trace sink; and on finish()
+ * prints the counter table and/or writes the stats JSON.
  */
 class ObsSession
 {
@@ -586,7 +607,7 @@ class ObsSession
         if (!opts.observing())
             return;
         obs::setEnabled(true);
-        before_ = obs::CounterRegistry::global().snapshot();
+        shardScope_.emplace(shard_);
         if (!opts.tracePath.empty()) {
             std::ostream *stream = &std::cout;
             if (opts.tracePath != "-") {
@@ -619,12 +640,8 @@ class ObsSession
         return m;
     }
 
-    /** Counter deltas accumulated since the session opened. */
-    obs::CounterSet
-    deltas() const
-    {
-        return obs::CounterRegistry::global().deltaSince(before_);
-    }
+    /** Every count made since the session opened. */
+    obs::CounterSet counts() const { return shard_.named(); }
 
     /** Emit --counters and --stats-json output for a finished run. */
     void
@@ -632,9 +649,9 @@ class ObsSession
     {
         if (!opts_.observing())
             return;
-        obs::CounterSet delta = deltas();
+        const obs::CounterSet counted = counts();
         if (opts_.counters)
-            std::fputs(obs::renderCounters(delta).c_str(), stderr);
+            std::fputs(obs::renderCounters(counted).c_str(), stderr);
         if (opts_.histograms)
             std::fputs(obs::renderHistograms(result.histograms).c_str(),
                        stderr);
@@ -643,7 +660,7 @@ class ObsSession
         obs::EmitOptions emit;
         emit.zeroTimes = opts_.zeroTimes;
         std::string json = obs::programResultJson(
-            result, meta(opts_), delta, &result.phaseTree, emit);
+            result, meta(opts_), counted, &result.phaseTree, emit);
         if (opts_.statsJson == "-") {
             std::fputs(json.c_str(), stdout);
             std::fputc('\n', stdout);
@@ -660,7 +677,7 @@ class ObsSession
     finishCountersOnly()
     {
         if (opts_.counters)
-            std::fputs(obs::renderCounters(deltas()).c_str(), stderr);
+            std::fputs(obs::renderCounters(counts()).c_str(), stderr);
     }
 
   private:
@@ -669,7 +686,8 @@ class ObsSession
     /** Declared after traceFile_ so it is destroyed first — the
      * Chrome sink writes its buffered document on destruction. */
     std::unique_ptr<obs::TraceSink> sink_;
-    obs::CounterSet before_;
+    obs::CounterShard shard_;
+    std::optional<obs::ScopedCounterShard> shardScope_;
 };
 
 Program

@@ -29,6 +29,11 @@
 # under table-fwd, table-bwd and n2-fwd with --max-block-insts 40, each
 # under base-offset and symbolic, at --threads 1 and 4 (both of its
 # passes run the block pipeline on lanes).
+# counters: the --counters table (stderr, with each command's summary
+# lines) of dag, stats, timeline, report, compile and schedule on every
+# built-in kernel, under the default algorithm and krishnamurthy, at
+# --threads 1 and 4, and of profile on the nine Table 3 profiles at
+# --threads 4.
 # parse: stdout, stderr (the echoed diagnostics), the exit status and
 # any stats document of stats, report, compile and schedule on two
 # texts past the size at which parseAssembly parses on lanes
@@ -217,6 +222,21 @@ for kernel in $("${bins[0]}" kernels); do
             done
         done
     done
+done
+
+for kernel in $("${bins[0]}" kernels); do
+    for command in dag stats timeline report compile schedule; do
+        for algorithm in "" "--algorithm krishnamurthy"; do
+            for threads in 1 4; do
+                # shellcheck disable=SC2086
+                drift stderr -- "$command" --kernel "$kernel" $algorithm \
+                    --threads "$threads" --counters
+            done
+        done
+    done
+done
+for input in grep regex dfa cccp linpack lloops tomcatv nasa7 fpppp; do
+    drift stderr -- profile "$input" --threads 4 --counters
 done
 
 # repeat <out> <file>...: the files, concatenated as often as it takes
