@@ -8,29 +8,45 @@
 namespace sched91
 {
 
+namespace
+{
+
+/** Definitions of each integer register so far. */
+using Generations = std::array<std::uint32_t, Resource::kNumIntRegs>;
+
+/** Stamp @p inst's memory operand with @p gen, then count its
+ * integer-register definitions in. */
+void
+stamp(Instruction &inst, Generations &gen)
+{
+    if (inst.mem().has_value()) {
+        MemOperand &m = *inst.mem();
+        m.baseGen = m.base >= 0 ? gen[m.base] : 0;
+        m.indexGen = m.index >= 0 ? gen[m.index] : 0;
+    }
+    for (Resource r : inst.defs())
+        if (r.kind() == Resource::Kind::IntReg)
+            ++gen[r.index()];
+}
+
+} // namespace
+
 void
 stampMemGenerations(Program &prog)
 {
-    std::array<std::uint32_t, Resource::kNumIntRegs> gen{};
-    for (auto &inst : prog.insts()) {
-        if (inst.mem().has_value()) {
-            MemOperand &m = *inst.mem();
-            m.baseGen = m.base >= 0 ? gen[m.base] : 0;
-            m.indexGen = m.index >= 0 ? gen[m.index] : 0;
-        }
-        for (Resource r : inst.defs())
-            if (r.kind() == Resource::Kind::IntReg)
-                ++gen[r.index()];
-    }
+    Generations gen{};
+    for (auto &inst : prog.insts())
+        stamp(inst, gen);
 }
 
 std::vector<BasicBlock>
 partitionBlocks(Program &prog, const PartitionOptions &opts)
 {
-    stampMemGenerations(prog);
-
+    // Generations are stamped on the way, in program order, as
+    // stampMemGenerations() would.
+    Generations gen{};
     std::vector<BasicBlock> blocks;
-    const auto &insts = prog.insts();
+    auto &insts = prog.insts();
     std::uint32_t n = static_cast<std::uint32_t>(insts.size());
     std::uint32_t begin = 0;
 
@@ -45,7 +61,8 @@ partitionBlocks(Program &prog, const PartitionOptions &opts)
         if (i > begin && prog.hasLabelAt(i))
             close(i);
 
-        const Instruction &inst = insts[i];
+        Instruction &inst = insts[i];
+        stamp(inst, gen);
         bool ends = false;
         InstClass cls = inst.cls();
         if (cls == InstClass::Branch || cls == InstClass::WindowOp)

@@ -57,9 +57,9 @@ struct PartitionOptions
 void stampMemGenerations(Program &prog);
 
 /**
- * Partition @p prog into basic blocks (stamps memory generations as a
- * side effect).  Blocks are returned in program order and cover every
- * instruction exactly once.
+ * Partition @p prog into basic blocks, stamping memory generations
+ * (stampMemGenerations()) in the same pass.  Blocks are returned in
+ * program order and cover every instruction exactly once.
  */
 std::vector<BasicBlock> partitionBlocks(Program &prog,
                                         const PartitionOptions &opts = {});

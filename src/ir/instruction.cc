@@ -7,12 +7,61 @@
 namespace sched91
 {
 
+namespace
+{
+
+/**
+ * Copy @p n bytes, at most InstStrings::kInline, with a few fixed-size
+ * moves instead of a call: every source byte is read before any is
+ * written.
+ */
+void
+copyShort(char *dst, const char *src, std::size_t n)
+{
+    static_assert(InstStrings::kInline <= 24);
+    if (n >= 8) {
+        std::uint64_t head, mid, tail;
+        std::memcpy(&head, src, 8);
+        std::memcpy(&mid, src + 8 * (n > 16), 8);
+        std::memcpy(&tail, src + n - 8, 8);
+        std::memcpy(dst, &head, 8);
+        std::memcpy(dst + 8 * (n > 16), &mid, 8);
+        std::memcpy(dst + n - 8, &tail, 8);
+    } else if (n >= 4) {
+        std::uint32_t head, tail;
+        std::memcpy(&head, src, 4);
+        std::memcpy(&tail, src + n - 4, 4);
+        std::memcpy(dst, &head, 4);
+        std::memcpy(dst + n - 4, &tail, 4);
+    } else if (n != 0) {
+        const char first = src[0], mid = src[n / 2], last = src[n - 1];
+        dst[0] = first;
+        dst[n / 2] = mid;
+        dst[n - 1] = last;
+    }
+}
+
+} // namespace
+
 void
 InstStrings::assign(std::string_view text, std::string_view target)
 {
-    // Copy both out before releasing: either may point into this.
     const std::size_t n = text.size() + target.size();
-    char inline_copy[kInline];
+    auto outside = [this](std::string_view s) {
+        const std::less<const char *> before;
+        return before(s.data(), buf_) || !before(s.data(), buf_ + kInline);
+    };
+    if (n <= kInline && !onHeap() && outside(text) && outside(target)) {
+        // Neither points into this: straight into place.
+        copyShort(buf_, text.data(), text.size());
+        copyShort(buf_ + text.size(), target.data(), target.size());
+        size_ = static_cast<std::uint32_t>(n);
+        textSize_ = static_cast<std::uint32_t>(text.size());
+        return;
+    }
+
+    // Copy both out before releasing: either may point into this.
+    char inline_copy[kInline] = {};
     char *dst = n > kInline ? new char[n] : inline_copy;
     std::copy_n(text.data(), text.size(), dst);
     std::copy_n(target.data(), target.size(), dst + text.size());
@@ -20,7 +69,7 @@ InstStrings::assign(std::string_view text, std::string_view target)
     if (n > kInline)
         std::memcpy(buf_, &dst, sizeof dst);
     else
-        std::memcpy(buf_, inline_copy, n);
+        std::memcpy(buf_, inline_copy, kInline);
     size_ = static_cast<std::uint32_t>(n);
     textSize_ = static_cast<std::uint32_t>(text.size());
 }
@@ -196,15 +245,15 @@ addPairDef(Instruction &inst, Resource r, bool dbl)
 
 } // namespace
 
-Instruction
-makeInstruction(Opcode op, Resource rs1, Resource rs2, Resource rd,
-                std::optional<MemOperand> mem, std::int64_t imm)
+template <OperandSig Sig>
+void
+fillOperands(Instruction &inst, Resource rs1, Resource rs2, Resource rd)
 {
-    Instruction inst(op);
+    const Opcode op = inst.op();
     const OpcodeInfo &info = opcodeInfo(op);
-    inst.setImm(imm);
+    const std::optional<MemOperand> &mem = inst.mem();
 
-    switch (info.sig) {
+    switch (Sig) {
       case OperandSig::Alu3:
         inst.addUse(rs1, 0);
         if (rs2.valid())
@@ -334,9 +383,59 @@ makeInstruction(Opcode op, Resource rs1, Resource rs2, Resource rd,
       default:
         break;
     }
+}
 
+#define SCHED91_FILL_OPERANDS(sig)                                        \
+    template void fillOperands<OperandSig::sig>(Instruction &, Resource,  \
+                                                Resource, Resource);
+SCHED91_FILL_OPERANDS(None)
+SCHED91_FILL_OPERANDS(Alu3)
+SCHED91_FILL_OPERANDS(Cmp2)
+SCHED91_FILL_OPERANDS(Mov2)
+SCHED91_FILL_OPERANDS(Sethi2)
+SCHED91_FILL_OPERANDS(LoadOp)
+SCHED91_FILL_OPERANDS(StoreOp)
+SCHED91_FILL_OPERANDS(Fp3)
+SCHED91_FILL_OPERANDS(Fp2)
+SCHED91_FILL_OPERANDS(Fcmp2)
+SCHED91_FILL_OPERANDS(BranchOp)
+SCHED91_FILL_OPERANDS(CallOp)
+SCHED91_FILL_OPERANDS(JmplOp)
+#undef SCHED91_FILL_OPERANDS
+
+void
+fillOperands(Instruction &inst, Resource rs1, Resource rs2, Resource rd)
+{
+    switch (opcodeInfo(inst.op()).sig) {
+#define SCHED91_FILL_OPERANDS(sig)                                        \
+      case OperandSig::sig:                                               \
+        return fillOperands<OperandSig::sig>(inst, rs1, rs2, rd);
+      SCHED91_FILL_OPERANDS(None)
+      SCHED91_FILL_OPERANDS(Alu3)
+      SCHED91_FILL_OPERANDS(Cmp2)
+      SCHED91_FILL_OPERANDS(Mov2)
+      SCHED91_FILL_OPERANDS(Sethi2)
+      SCHED91_FILL_OPERANDS(LoadOp)
+      SCHED91_FILL_OPERANDS(StoreOp)
+      SCHED91_FILL_OPERANDS(Fp3)
+      SCHED91_FILL_OPERANDS(Fp2)
+      SCHED91_FILL_OPERANDS(Fcmp2)
+      SCHED91_FILL_OPERANDS(BranchOp)
+      SCHED91_FILL_OPERANDS(CallOp)
+      SCHED91_FILL_OPERANDS(JmplOp)
+#undef SCHED91_FILL_OPERANDS
+    }
+}
+
+Instruction
+makeInstruction(Opcode op, Resource rs1, Resource rs2, Resource rd,
+                std::optional<MemOperand> mem, std::int64_t imm)
+{
+    Instruction inst(op);
+    inst.setImm(imm);
     if (mem.has_value())
         inst.mem() = std::move(mem);
+    fillOperands(inst, rs1, rs2, rd);
     return inst;
 }
 

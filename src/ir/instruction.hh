@@ -245,6 +245,13 @@ class Instruction
     std::string_view text() const { return strings_.text(); }
     void setText(std::string_view t) { strings_.assign(t, target()); }
 
+    /** Set the text and the target together. */
+    void
+    setStrings(std::string_view text, std::string_view target)
+    {
+        strings_.assign(text, target);
+    }
+
     /** Render the instruction as assembly. */
     std::string toString() const;
 
@@ -265,9 +272,30 @@ class Instruction
 };
 
 /**
- * Build an instruction's def/use sets from its opcode and operand
- * resources.  Used by both the parser and the synthetic generators so
- * the dependence semantics live in exactly one place.
+ * Record @p inst's defs and uses from its opcode, its memory operand
+ * and its operand resources: the dependence semantics, in exactly one
+ * place.  @p inst holds its opcode, and a load or store its memory
+ * operand; its other fields are the caller's.  The parser fills the
+ * instructions it builds in place with it; makeInstruction() wraps it
+ * for everything else.
+ *
+ * @param rs1,rs2 source registers (invalid when absent; an ALU-style
+ *                op with no rs2 reads its immediate)
+ * @param rd      destination register (invalid when absent)
+ */
+void fillOperands(Instruction &inst, Resource rs1, Resource rs2,
+                  Resource rd);
+
+/** fillOperands() for an opcode of operand signature @p Sig, for a
+ * caller that knows it as it compiles. */
+template <OperandSig Sig>
+void fillOperands(Instruction &inst, Resource rs1, Resource rs2,
+                  Resource rd);
+
+/**
+ * Build an instruction from its opcode and operands (fillOperands()).
+ * Used by the synthetic generators, the register allocator and the
+ * reference parser.
  *
  * @param op      opcode
  * @param rs1,rs2 source registers (invalid when absent)

@@ -1,7 +1,10 @@
 #include "ir/operand.hh"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
+#include <cstring>
 
 #include "support/string_util.hh"
 
@@ -74,22 +77,11 @@ appendIntReg(std::string &out, int reg)
     out += static_cast<char>('0' + reg % 8);
 }
 
-} // namespace
-
-StorageClass
-MemOperand::storageClass() const
-{
-    if (base < 0 && !symbol.empty())
-        return StorageClass::Static;
-    if (base == 14 || base == 30) // %sp, %fp
-        return StorageClass::Stack;
-    return StorageClass::Unknown;
-}
-
+/** MemOperand::exprKey() of these fields. */
 std::string
-MemOperand::exprKey() const
+renderKey(std::string_view symbol, int base, int index, std::int64_t offset)
 {
-    std::string key = symbol;
+    std::string key(symbol);
     if (base >= 0) {
         if (!key.empty())
             key += '+';
@@ -110,6 +102,136 @@ MemOperand::exprKey() const
     return key;
 }
 
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** The first register of bank letter @p c ('g', 'o', 'l' or 'i'), or
+ * -1. */
+int
+bankBase(char c)
+{
+    static constexpr std::array<std::int8_t, 128> kBase = [] {
+        std::array<std::int8_t, 128> t{};
+        t.fill(-1);
+        t['g'] = 0;
+        t['o'] = 8;
+        t['l'] = 16;
+        t['i'] = 24;
+        return t;
+    }();
+    const auto u = static_cast<unsigned char>(c);
+    return u < kBase.size() ? kBase[u] : -1;
+}
+
+/** Read "%g0".."%i7" at @p c, advancing it; false, leaving it, if
+ * none is there. */
+bool
+readIntReg(const char *&c, const char *e, int &reg)
+{
+    if (e - c < 3 || c[0] != '%' || c[2] < '0' || c[2] > '7')
+        return false;
+    const int base = bankBase(c[1]);
+    if (base < 0)
+        return false;
+    reg = base + (c[2] - '0');
+    c += 3;
+    return true;
+}
+
+/** Skip blanks at @p c. */
+void
+skipBlanks(const char *&c, const char *e)
+{
+    while (c != e && (*c == ' ' || *c == '\t'))
+        ++c;
+}
+
+/**
+ * The usual address shapes, read straight: the inside @p t (trimmed)
+ * of "[%o0]", "[%o0 + 8]", "[%o0-8]" or "[%o0 + %o1]", with %g, %o,
+ * %l or %i registers and a decimal offset (no leading 0) of at most
+ * 18 digits.  Fills @p out as the general reading would; false,
+ * leaving it as it was, for any other address.
+ */
+bool
+readCommonAddress(std::string_view t, MemOperand &out)
+{
+    const char *c = t.data();
+    const char *const e = c + t.size();
+    int base = 0;
+    if (!readIntReg(c, e, base))
+        return false;
+    skipBlanks(c, e);
+    int index = -1;
+    std::int64_t offset = 0;
+    if (c != e) {
+        // A '-' belongs to its number: "- 8" is no address.
+        const bool minus = *c == '-';
+        if (*c != '+' && !minus)
+            return false;
+        ++c;
+        if (!minus)
+            skipBlanks(c, e);
+        if (minus || !readIntReg(c, e, index)) {
+            const char *const digits = c;
+            if (c == e || *c < '1' || *c > '9')
+                return false;
+            std::uint64_t value = 0;
+            for (; c != e && *c >= '0' && *c <= '9'; ++c)
+                value = value * 10 + static_cast<unsigned>(*c - '0');
+            if (c - digits > 18)
+                return false;
+            offset = minus ? -static_cast<std::int64_t>(value)
+                           : static_cast<std::int64_t>(value);
+        }
+        skipBlanks(c, e);
+        if (c != e)
+            return false;
+    }
+    out.base = base;
+    out.index = index;
+    out.offset = offset;
+    return true;
+}
+
+/**
+ * A symbol that no key's other pieces can run into: it starts with no
+ * digit and holds no '%', '+' or '-'.  Keys of such symbols (or none)
+ * are equal exactly when their fields are, once a lone register after
+ * a symbol counts as the base.
+ */
+bool
+plainSymbol(std::string_view symbol)
+{
+    if (isDigit(symbol[0]))
+        return false;
+    for (const char c : symbol)
+        if (c == '%' || c == '+' || c == '-')
+            return false;
+    return true;
+}
+
+} // namespace
+
+StorageClass
+MemOperand::storageClass() const
+{
+    if (base < 0 && !symbol.empty())
+        return StorageClass::Static;
+    if (base == 14 || base == 30) // %sp, %fp
+        return StorageClass::Stack;
+    return StorageClass::Unknown;
+}
+
+std::string
+MemOperand::exprKey() const
+{
+    return renderKey(symbol, base, index, offset);
+}
+
 std::string
 MemOperand::toString() const
 {
@@ -119,20 +241,17 @@ MemOperand::toString() const
     return out;
 }
 
-namespace
-{
-
-/** MemOperand::parse into @p out; false when malformed. */
 bool
-parseAddress(std::string_view text, MemOperand &out,
-             std::size_t *overflowAt)
+MemOperand::parseToken(std::string_view token, MemOperand &out,
+                       std::size_t *overflowAt)
 {
-    std::string_view t = trim(text);
-    if (t.size() < 3 || t.front() != '[' || t.back() != ']')
+    if (token.size() < 3 || token.front() != '[' || token.back() != ']')
         return false;
-    t = trim(t.substr(1, t.size() - 2));
+    std::string_view t = trim(token.substr(1, token.size() - 2));
     if (t.empty())
         return false;
+    if (readCommonAddress(t, out))
+        return true;
 
     // One cursor: a piece ends at each top-level + or - (one right
     // after '(' belongs to the piece) and is read before the next is
@@ -176,7 +295,7 @@ parseAddress(std::string_view text, MemOperand &out,
              __builtin_add_overflow(out.offset, v, &out.offset))) {
             if (overflowAt)
                 *overflowAt =
-                    static_cast<std::size_t>(piece.data() - text.data());
+                    static_cast<std::size_t>(piece.data() - token.data());
             return false;
         }
         if (lit == ImmStatus::Ok)
@@ -190,8 +309,6 @@ parseAddress(std::string_view text, MemOperand &out,
     return out.base >= 0 || !out.symbol.empty();
 }
 
-} // namespace
-
 std::optional<MemOperand>
 MemOperand::parse(std::string_view text, std::uint8_t width,
                   std::size_t *overflowAt)
@@ -199,31 +316,181 @@ MemOperand::parse(std::string_view text, std::uint8_t width,
     // One object throughout, returned in place.
     std::optional<MemOperand> out(std::in_place);
     out->width = width;
-    if (!parseAddress(text, *out, overflowAt))
+    const std::string_view token = trim(text);
+    std::size_t at = std::string_view::npos;
+    if (!parseToken(token, *out, &at)) {
+        if (overflowAt && at != std::string_view::npos)
+            *overflowAt =
+                at + static_cast<std::size_t>(token.data() - text.data());
         out.reset();
+    }
     return out;
+}
+
+bool
+MemExprTable::readKey(std::string_view key, Fields &f)
+{
+    // Read loosely, then keep only fields that render to exactly the
+    // key.
+    f = Fields();
+    std::size_t n = 0;
+    while (n < key.size() && key[n] != '%' && key[n] != '+' &&
+           key[n] != '-')
+        ++n;
+    if (n != 0 && !isDigit(key[0]))
+        f.symbol = key.substr(0, n);
+    std::string_view rest = key.substr(f.symbol.size());
+
+    int regs[2] = {-1, -1};
+    int count = 0;
+    bool index_only = false; // "+%g1" with no symbol: no base
+    for (; count < 2; ++count) {
+        const std::size_t at = rest.starts_with("+%") ? 1 : 0;
+        const char *c = rest.data() + at;
+        if (!readIntReg(c, rest.data() + rest.size(), regs[count]))
+            break;
+        index_only = index_only || (count == 0 && at == 1 && f.symbol.empty());
+        rest.remove_prefix(at + 3);
+    }
+    if (!rest.empty()) {
+        if (rest[0] == '+')
+            rest.remove_prefix(1);
+        const auto [stop, ec] =
+            std::from_chars(rest.data(), rest.data() + rest.size(), f.offset);
+        if (ec != std::errc{} || stop != rest.data() + rest.size())
+            return false;
+    }
+    if (index_only) {
+        if (count != 1)
+            return false;
+        f.index = regs[0];
+    } else {
+        f.base = count > 0 ? regs[0] : -1;
+        f.index = count > 1 ? regs[1] : -1;
+    }
+    return renderKey(f.symbol, f.base, f.index, f.offset) == key;
+}
+
+std::uint32_t
+MemExprTable::hash(const Fields &f)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    auto mix = [](std::uint64_t h, std::uint64_t word) {
+        h = (h ^ word) * kMul;
+        return h ^ (h >> 29);
+    };
+    // The symbol eight bytes at a time, then the rest.
+    std::uint64_t h = 0;
+    std::string_view s = f.symbol;
+    for (; s.size() >= 8; s.remove_prefix(8)) {
+        std::uint64_t word;
+        std::memcpy(&word, s.data(), 8);
+        h = mix(h, word);
+    }
+    std::uint64_t tail = s.size();
+    for (std::size_t i = 0; i < s.size(); ++i)
+        tail |= std::uint64_t{static_cast<unsigned char>(s[i])}
+                << (8 * i + 8);
+    h = mix(h, tail);
+    h = mix(h, static_cast<std::uint64_t>(f.offset));
+    h = mix(h, static_cast<std::uint8_t>(f.base) |
+                   std::uint64_t{static_cast<std::uint8_t>(f.index)} << 8);
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::uint32_t
+MemExprTable::find(const Fields &f, const std::string *key)
+{
+    if ((keys_.size() + 1) * 2 > slots_.size())
+        grow();
+    const std::uint32_t h = hash(f);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const std::uint64_t slot = slots_[i];
+        if (slot == kEmpty) {
+            const auto id = static_cast<std::uint32_t>(keys_.size());
+            keys_.push_back(key != nullptr ? *key
+                                           : renderKey(f.symbol, f.base,
+                                                       f.index, f.offset));
+            entries_.push_back({f.offset, static_cast<std::int8_t>(f.base),
+                                static_cast<std::int8_t>(f.index),
+                                static_cast<std::uint32_t>(f.symbol.size())});
+            slots_[i] = std::uint64_t{h} << 32 | id;
+            return id;
+        }
+        const auto id = static_cast<std::uint32_t>(slot);
+        const Entry &e = entries_[id];
+        if (slot >> 32 == h && e.offset == f.offset && e.base == f.base &&
+            e.index == f.index && e.symbolSize == f.symbol.size() &&
+            (f.symbol.empty() || keys_[id].starts_with(f.symbol)))
+            return id;
+    }
+}
+
+void
+MemExprTable::grow()
+{
+    std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots_.size()),
+                                   kEmpty);
+    old.swap(slots_);
+    keys_.reserve(slots_.size() / 2);
+    entries_.reserve(slots_.size() / 2);
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint64_t slot : old) {
+        if (slot == kEmpty)
+            continue;
+        std::size_t i = (slot >> 32) & mask;
+        while (slots_[i] != kEmpty)
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+    }
 }
 
 std::uint32_t
 MemExprTable::intern(const MemOperand &op)
 {
-    return intern(op.exprKey());
+    Fields f{op.symbol, op.offset, op.base, op.index};
+    if (f.symbol.empty())
+        return find(f, nullptr);
+    if (plainSymbol(f.symbol)) {
+        // After a symbol a lone register renders alike as base or
+        // index ("sym+%g1"): it is keyed as the base.
+        if (f.base < 0)
+            std::swap(f.base, f.index);
+        return find(f, nullptr);
+    }
+    // A symbol whose key may read as other fields' ("%g1" from
+    // [%lo(%g1)] renders as a %g1 base): keyed as those fields if
+    // there are any, else as the key itself.
+    const std::string key = op.exprKey();
+    if (Fields plain; readKey(key, plain))
+        return find(plain, nullptr);
+    return find(Fields{key, 0, kKeyOnly, kKeyOnly}, &key);
 }
 
-std::uint32_t
-MemExprTable::intern(std::string key)
+std::vector<std::uint32_t>
+MemExprTable::merge(const MemExprTable &other)
 {
-    auto [it, added] = ids_.try_emplace(
-        std::move(key), static_cast<std::uint32_t>(keys_.size()));
-    if (added)
-        keys_.push_back(it->first);
-    return it->second;
+    std::vector<std::uint32_t> ids(other.size());
+    for (std::uint32_t id = 0; id < ids.size(); ++id) {
+        const Entry &e = other.entries_[id];
+        const std::string &key = other.keys_[id];
+        ids[id] = find(Fields{std::string_view(key).substr(0, e.symbolSize),
+                              e.offset, e.base, e.index},
+                       &key);
+    }
+    return ids;
 }
 
 ImmStatus
 parseImmediate(std::string_view text, std::int64_t &value)
 {
-    std::string_view t = trim(text);
+    return parseImmediateToken(trim(text), value);
+}
+
+ImmStatus
+parseImmediateToken(std::string_view t, std::int64_t &value)
+{
     if (t.empty() || t[0] == '%') {
         if (t.starts_with("%hi(") && t.back() == ')') {
             value = static_cast<std::int64_t>(

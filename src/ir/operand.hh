@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "ir/resource.hh"
@@ -74,18 +74,42 @@ struct MemOperand
                                            std::uint8_t width,
                                            std::size_t *overflowAt =
                                                nullptr);
+
+    /**
+     * parse() of a token with no whitespace at either end, into
+     * @p out, whose width the caller sets.  Returns false when
+     * malformed, leaving @p out partly filled; @p overflowAt is then
+     * relative to @p token.
+     */
+    static bool parseToken(std::string_view token, MemOperand &out,
+                           std::size_t *overflowAt = nullptr);
 };
 
-/** Interner mapping normalized memory expression keys to dense ids. */
+/**
+ * Interner mapping memory expressions to dense ids, in order of first
+ * appearance.  An operand is keyed by value, on the fields its key
+ * (MemOperand::exprKey()) is made of: the symbol, the base and index
+ * registers and the offset, hashed into an open-addressed array of
+ * ids.  No key string is built to look one up; key(id) is rendered
+ * once, when the id is made.
+ *
+ * Two operands share an id exactly when their keys are equal.  Fields
+ * and keys match one to one except where a symbol could read as other
+ * pieces of a key: "%g1" from [%lo(%g1)] renders as a %g1 base.  Such
+ * an operand is keyed on the fields its key reads back as, or, if none
+ * render to it, on the key itself.
+ */
 class MemExprTable
 {
   public:
-    /** Intern @p op's expression key; returns the id. */
+    /** Intern @p op's expression; returns the id. */
     std::uint32_t intern(const MemOperand &op);
 
-    /** Intern an expression key (MemOperand::exprKey()); returns the
-     * id. */
-    std::uint32_t intern(std::string key);
+    /**
+     * Intern @p other's expressions here in its id order.  Element i
+     * of the result is the id here of its id i.
+     */
+    std::vector<std::uint32_t> merge(const MemExprTable &other);
 
     /** Number of distinct expressions seen. */
     std::size_t size() const { return keys_.size(); }
@@ -94,7 +118,46 @@ class MemExprTable
     const std::string &key(std::uint32_t id) const { return keys_[id]; }
 
   private:
-    std::unordered_map<std::string, std::uint32_t> ids_;
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    /** base and index of an expression keyed on its key alone. */
+    static constexpr int kKeyOnly = -2;
+
+    /** What an id is keyed on; the symbol is a view. */
+    struct Fields
+    {
+        std::string_view symbol;
+        std::int64_t offset = 0;
+        int base = -1;
+        int index = -1;
+    };
+
+    /** An id's fields but the symbol, the first symbolSize bytes of
+     * its key. */
+    struct Entry
+    {
+        std::int64_t offset;
+        std::int8_t base;
+        std::int8_t index;
+        std::uint32_t symbolSize;
+    };
+
+    /** The fields with no symbol or a plain one that render to
+     * @p key; false if none do. */
+    static bool readKey(std::string_view key, Fields &f);
+
+    static std::uint32_t hash(const Fields &f);
+
+    /** The id of @p f; absent, a new one whose key is @p key, or
+     * rendered from @p f when null. */
+    std::uint32_t find(const Fields &f, const std::string *key);
+
+    void grow();
+
+    /** A power of two, at most half full: each slot kEmpty or a key's
+     * hash in the high half and its id in the low. */
+    std::vector<std::uint64_t> slots_;
+    std::vector<Entry> entries_;
     std::vector<std::string> keys_;
 };
 
@@ -113,6 +176,9 @@ enum class ImmStatus : std::uint8_t {
  * addresses.  @p value is set only on ImmStatus::Ok.
  */
 ImmStatus parseImmediate(std::string_view text, std::int64_t &value);
+
+/** parseImmediate() of a token with no whitespace at either end. */
+ImmStatus parseImmediateToken(std::string_view token, std::int64_t &value);
 
 /** The immediate's value, or std::nullopt when @p text is not an
  * immediate that fits in 64 bits. */

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "obs/events.hh"
 #include "support/log.hh"
@@ -22,21 +27,22 @@ namespace
 
 /** What the line cursor notices about a character. */
 enum CharClass : std::uint8_t {
-    kSpace = 1,   ///< the C locale's isspace(): what trimming skips
+    kSpace = 1,   ///< the C locale's isspace() but '\n': what trims skip
     kBlank = 2,   ///< ' ' or '\t': ends the mnemonic
-    kComment = 4, ///< '!' or '#': starts a comment
+    kEnd = 4,     ///< '\n', '!' or '#': ends the line or starts a comment
     kColon = 8,
     kSplit = 16,  ///< '[', ']' or ',': what splits operands
 };
 
 constexpr std::array<std::uint8_t, 256> kCharClass = [] {
     std::array<std::uint8_t, 256> t{};
-    for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+    for (unsigned char c : {' ', '\t', '\v', '\f', '\r'})
         t[c] |= kSpace;
     t[' '] |= kBlank;
     t['\t'] |= kBlank;
-    t['!'] |= kComment;
-    t['#'] |= kComment;
+    t['\n'] |= kEnd;
+    t['!'] |= kEnd;
+    t['#'] |= kEnd;
     t[':'] |= kColon;
     t['['] |= kSplit;
     t[']'] |= kSplit;
@@ -104,13 +110,24 @@ struct Operands
 
     std::string_view operator[](std::size_t i) const { return op[i]; }
 
+    /** Add [@p b, @p e), trimmed, unless it is blank. */
     void
-    add(std::string_view piece)
+    add(const char *b, const char *e)
     {
-        if (piece.empty())
-            return;
+        while (b != e && (charClass(*b) & kSpace))
+            ++b;
+        while (e != b && (charClass(e[-1]) & kSpace))
+            --e;
+        if (b != e)
+            addTrimmed(b, e);
+    }
+
+    /** Add [@p b, @p e), trimmed and not empty. */
+    void
+    addTrimmed(const char *b, const char *e)
+    {
         if (count < op.size())
-            op[count] = piece;
+            op[count] = {b, static_cast<std::size_t>(e - b)};
         ++count;
     }
 };
@@ -121,87 +138,223 @@ struct LineScan
     std::string_view line; ///< trimmed, before any comment
     std::size_t blank = std::string_view::npos; ///< mnemonic's end
     bool colon = false;    ///< line has a ':'
-    Operands ops;          ///< what follows the mnemonic
+    Operands ops;          ///< what follows the mnemonic, trimmed
 };
 
+#if defined(__SSE2__)
 /**
- * One cursor over @p raw: skip leading whitespace, stop at a comment
- * ('!' or '#'), note the mnemonic's end (the first blank) and any ':',
- * and split the rest into operands on the way.
+ * scanLine() of a line that ends ('\n' or a comment) within its first
+ * 32 bytes, from bit masks of those bytes, each classified sixteen at
+ * a time: every mark is then a bit count, with no branch per byte.
+ * Returns false, having set nothing, for a longer line.
  */
-LineScan
-scanLine(std::string_view raw)
+bool
+scanShortLine(std::string_view text, std::size_t pos, LineScan &s,
+              std::size_t &nl)
 {
-    LineScan s;
-    std::size_t b = 0;
-    while (b < raw.size() && (charClass(raw[b]) & kSpace))
-        ++b;
-    std::size_t e = b;
-    std::size_t piece = 0; // where the current operand starts
-    int depth = 0;         // brackets open
-    for (; e < raw.size(); ++e) {
-        const std::uint8_t k = charClass(raw[e]);
-        if (k == 0)
-            continue;
-        if (k & kComment)
-            break;
-        s.colon = s.colon || (k & kColon);
-        if (s.blank == std::string_view::npos) {
-            if (k & kBlank) {
-                s.blank = e - b;
-                piece = e + 1;
-            }
-        } else if (k & kSplit) {
-            if (raw[e] == '[') {
+    constexpr std::size_t kWindow = 32;
+    const char *const p = text.data() + pos;
+    const char *w = p;
+    char padded[kWindow];
+    if (text.size() - pos < kWindow) {
+        // The text's last bytes, and a '\n' where the text ends.
+        std::memset(padded, '\n', kWindow);
+        std::memcpy(padded, p, text.size() - pos);
+        w = padded;
+    }
+    std::uint32_t space = 0, blank = 0, end = 0, colon = 0, comma = 0,
+                  bracket = 0;
+    for (unsigned at = 0; at < kWindow; at += 16) {
+        const __m128i v =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(w + at));
+        auto is = [&v](char c) {
+            return _mm_cmpeq_epi8(v, _mm_set1_epi8(c));
+        };
+        auto bits = [at](__m128i m) {
+            return static_cast<std::uint32_t>(_mm_movemask_epi8(m)) << at;
+        };
+        // '\t' to '\r' move to -128..-124, below every other byte.
+        const __m128i controls = _mm_cmplt_epi8(
+            _mm_add_epi8(v, _mm_set1_epi8(static_cast<char>(0x80 - '\t'))),
+            _mm_set1_epi8(static_cast<char>(0x80 + '\r' - '\t' + 1)));
+        const __m128i newline = is('\n');
+        const __m128i spaces = is(' ');
+        space |= bits(
+            _mm_or_si128(_mm_andnot_si128(newline, controls), spaces));
+        blank |= bits(_mm_or_si128(spaces, is('\t')));
+        end |= bits(_mm_or_si128(newline, _mm_or_si128(is('!'), is('#'))));
+        colon |= bits(is(':'));
+        comma |= bits(is(','));
+        bracket |= bits(_mm_or_si128(is('['), is(']')));
+    }
+    if (end == 0)
+        return false;
+
+    const auto stop = static_cast<unsigned>(__builtin_ctz(end));
+    nl = pos + stop;
+    if (w[stop] != '\n') {
+        // A comment runs to the newline.
+        nl = text.find('\n', nl);
+        if (nl == std::string_view::npos)
+            nl = text.size();
+    }
+    auto below = [](unsigned i) { return (std::uint32_t{1} << i) - 1; };
+    const std::uint32_t solid = ~space & below(stop);
+    if (solid == 0) {
+        s.line = text.substr(pos + stop, 0);
+        return true;
+    }
+    const auto b = static_cast<unsigned>(__builtin_ctz(solid));
+    const auto e = 32 - static_cast<unsigned>(__builtin_clz(solid));
+    s.line = {p + b, e - b};
+    s.colon = (colon & below(stop)) != 0;
+    const std::uint32_t blanks = blank & below(stop) & ~below(b);
+    if (blanks == 0)
+        return true;
+    const auto mnemonic_end = static_cast<unsigned>(__builtin_ctz(blanks));
+    if (mnemonic_end < e)
+        s.blank = mnemonic_end - b;
+
+    // The operands, split at the commas outside brackets.
+    const std::uint32_t rest = below(stop) & ~below(mnemonic_end + 1);
+    std::uint32_t splits = comma & rest;
+    int depth = 0;
+    if (bracket & rest) {
+        splits = 0;
+        for (std::uint32_t m = (comma | bracket) & rest; m != 0;
+             m &= m - 1) {
+            const auto i = static_cast<unsigned>(__builtin_ctz(m));
+            if (w[i] == '[')
                 ++depth;
-            } else if (raw[e] == ']') {
+            else if (w[i] == ']')
                 --depth;
-            } else if (depth == 0) {
-                s.ops.add(trim(raw.substr(piece, e - piece)));
-                piece = e + 1;
-            }
+            else if (depth == 0)
+                splits |= std::uint32_t{1} << i;
         }
     }
-    if (s.blank != std::string_view::npos && depth == 0)
-        s.ops.add(trim(raw.substr(piece, e - piece)));
-    while (e > b && (charClass(raw[e - 1]) & kSpace))
+    auto add = [&](unsigned from, unsigned to) {
+        const std::uint32_t m = solid & below(to) & ~below(from);
+        if (m != 0)
+            s.ops.addTrimmed(
+                p + __builtin_ctz(m),
+                p + 32 - static_cast<unsigned>(__builtin_clz(m)));
+    };
+    unsigned piece = mnemonic_end + 1;
+    for (; splits != 0; splits &= splits - 1) {
+        const auto i = static_cast<unsigned>(__builtin_ctz(splits));
+        add(piece, i);
+        piece = i + 1;
+    }
+    if (depth == 0)
+        add(piece, stop);
+    return true;
+}
+#endif
+
+/**
+ * One cursor over the line at @p pos of @p text, reading each byte
+ * once: skip leading whitespace, read the mnemonic up to its first
+ * blank, then split the rest into trimmed operands, until the newline
+ * or a comment ('!' or '#'), noting any ':' on the way.  Returns the
+ * index of the line's '\n', or text.size() for the last line.
+ */
+std::size_t
+scanLine(std::string_view text, std::size_t pos, LineScan &s)
+{
+#if defined(__SSE2__)
+    if (std::size_t nl = 0; scanShortLine(text, pos, s, nl))
+        return nl;
+#endif
+    const char *const end = text.data() + text.size();
+    const char *p = text.data() + pos;
+    while (p != end && (charClass(*p) & kSpace))
+        ++p;
+    const char *const b = p;
+    std::uint8_t k = 0;
+    for (; p != end; ++p) {
+        k = charClass(*p);
+        if (k & (kBlank | kEnd))
+            break;
+        if (k & kColon)
+            s.colon = true;
+    }
+    const char *blank = nullptr; // the mnemonic's end
+    if (p != end && (k & kBlank)) {
+        // Blanks inside an operand are trimmed at its ends, never
+        // stopped at.
+        blank = p;
+        const char *piece = ++p; // where the current operand starts
+        int depth = 0;           // brackets open
+        for (; p != end; ++p) {
+            k = charClass(*p);
+            if (!(k & (kEnd | kColon | kSplit)))
+                continue;
+            if (k & kEnd)
+                break;
+            if (k & kColon) {
+                s.colon = true;
+            } else if (*p == '[') {
+                ++depth;
+            } else if (*p == ']') {
+                --depth;
+            } else if (depth == 0) {
+                s.ops.add(piece, p);
+                piece = p + 1;
+            }
+        }
+        if (depth == 0)
+            s.ops.add(piece, p);
+    }
+    const char *e = p;
+    while (e != b && (charClass(e[-1]) & kSpace))
         --e;
-    s.line = raw.substr(b, e - b);
-    if (s.blank >= s.line.size())
-        s.blank = std::string_view::npos;
-    return s;
+    s.line = {b, static_cast<std::size_t>(e - b)};
+    if (blank != nullptr && blank < e)
+        s.blank = static_cast<std::size_t>(blank - b);
+    if (p != end && *p != '\n') {
+        // A comment runs to the newline.
+        const void *nl =
+            std::memchr(p, '\n', static_cast<std::size_t>(end - p));
+        p = nl != nullptr ? static_cast<const char *>(nl) : end;
+    }
+    return static_cast<std::size_t>(p - text.data());
 }
 
-/** Parses one instruction line; every operand is a view into raw. */
+/**
+ * Parses one instruction line into the program, building the
+ * instruction in place.  Every token it reads is a trimmed view into
+ * the line.
+ */
 class LineParser
 {
   public:
-    LineParser(std::string_view raw, LineWarnings &warnings)
-        : raw_(raw), warnings_(warnings)
+    LineParser(const char *raw, Program &prog, LineWarnings &warnings)
+        : raw_(raw), prog_(prog), warnings_(warnings)
     {
     }
 
     /**
-     * Parse a scanned instruction line (not a label or directive).
-     * Throws LineError on any malformed piece.
+     * Parse a scanned instruction line (not a label or directive) and
+     * append its instruction.  Throws LineError on any malformed
+     * piece; the instruction may then be left appended, for the caller
+     * to take back.
      */
-    Instruction
+    void
     parse(const LineScan &scan)
     {
-        Instruction inst = build(scan);
-        inst.setText(scan.line);
-        return inst;
+        Instruction &inst = build(scan);
+        inst.setStrings(scan.line, target_);
+        prog_.internMem(inst);
     }
 
   private:
-    Instruction build(const LineScan &scan);
+    Instruction &build(const LineScan &scan);
 
     /** 1-based column of @p tok, a view into the line (0 = none). */
     int
     col(std::string_view tok) const
     {
-        return tok.empty() ? 0
-                           : static_cast<int>(tok.data() - raw_.data()) + 1;
+        return tok.empty() ? 0 : static_cast<int>(tok.data() - raw_) + 1;
     }
 
     Resource
@@ -218,7 +371,7 @@ class LineParser
     imm(std::string_view tok) const
     {
         std::int64_t v = 0;
-        switch (parseImmediate(tok, v)) {
+        switch (parseImmediateToken(tok, v)) {
           case ImmStatus::Ok:
             return v;
           case ImmStatus::OutOfRange:
@@ -227,6 +380,23 @@ class LineParser
           default:
             return std::nullopt;
         }
+    }
+
+    /**
+     * @p tok as a register, or else as an immediate in a simm13 field,
+     * into @p value; neither is a line error.  The register is tried
+     * first, as none reads as an immediate.
+     */
+    Resource
+    regOrSimm13(std::string_view tok, std::int64_t &value)
+    {
+        if (const Resource r = parseRegister(tok); r.valid())
+            return r;
+        if (auto v = simm13(tok)) {
+            value = *v;
+            return Resource();
+        }
+        return reg(tok);
     }
 
     /** An immediate in a simm13 field: a literal outside it warns. */
@@ -243,31 +413,48 @@ class LineParser
         return v;
     }
 
-    /** @p tok as an address (never std::nullopt: a bad one throws). */
-    std::optional<MemOperand>
-    address(std::string_view tok, Opcode op)
+    /** Parse the address @p tok into @p inst's memory operand; a bad
+     * one throws. */
+    void
+    address(std::string_view tok, Instruction &inst)
     {
+        MemOperand &mem = inst.mem().emplace();
+        mem.width = memAccessWidth(inst.op());
         std::size_t overflow_at = std::string_view::npos;
-        auto mem = MemOperand::parse(tok, memAccessWidth(op), &overflow_at);
-        if (!mem && overflow_at != std::string_view::npos)
-            lineError(col(tok) + static_cast<int>(overflow_at),
-                      "memory offset does not fit in 64 bits");
-        if (!mem)
+        if (!MemOperand::parseToken(tok, mem, &overflow_at)) {
+            if (overflow_at != std::string_view::npos)
+                lineError(col(tok) + static_cast<int>(overflow_at),
+                          "memory offset does not fit in 64 bits");
             lineError(col(tok), "bad address '", tok, "'");
-        if (mem->offset < kSimm13Min || mem->offset > kSimm13Max) {
+        }
+        if (mem.offset < kSimm13Min || mem.offset > kSimm13Max) {
             std::ostringstream os;
-            os << "memory offset " << mem->offset
+            os << "memory offset " << mem.offset
                << " outside the signed 13-bit range [-4096, 4095]";
             warnings_.push_back(LineError{col(tok), os.str()});
         }
-        return mem;
     }
 
-    std::string_view raw_;
+    /** Append @p op's instruction, of signature @p Sig, with these
+     * operands. */
+    template <OperandSig Sig>
+    Instruction &
+    emit(Opcode op, Resource rs1, Resource rs2, Resource rd,
+         std::int64_t value = 0)
+    {
+        Instruction &inst = prog_.emplace(op);
+        inst.setImm(value);
+        fillOperands<Sig>(inst, rs1, rs2, rd);
+        return inst;
+    }
+
+    const char *raw_; ///< the line's first byte
+    Program &prog_;
     LineWarnings &warnings_;
+    std::string_view target_; ///< a branch's or call's
 };
 
-Instruction
+Instruction &
 LineParser::build(const LineScan &scan)
 {
     const std::string_view word = scan.line.substr(0, scan.blank);
@@ -315,38 +502,24 @@ LineParser::build(const LineScan &scan)
       case OperandSig::Alu3: {
         need(3);
         Resource rs1 = reg(ops[0]);
-        Resource rs2;
         std::int64_t value = 0;
-        if (auto v = simm13(ops[1]))
-            value = *v;
-        else
-            rs2 = reg(ops[1]);
+        Resource rs2 = regOrSimm13(ops[1], value);
         Resource rd = reg(ops[2]);
-        return makeInstruction(op, rs1, rs2, rd, std::nullopt, value);
+        return emit<OperandSig::Alu3>(op, rs1, rs2, rd, value);
       }
       case OperandSig::Cmp2: {
         need(2);
         Resource rs1 = reg(ops[0]);
-        Resource rs2;
         std::int64_t value = 0;
-        if (auto v = simm13(ops[1]))
-            value = *v;
-        else
-            rs2 = reg(ops[1]);
-        return makeInstruction(op, rs1, rs2, Resource(), std::nullopt,
-                               value);
+        Resource rs2 = regOrSimm13(ops[1], value);
+        return emit<OperandSig::Cmp2>(op, rs1, rs2, Resource(), value);
       }
       case OperandSig::Mov2: {
         need(2);
-        Resource rs1;
         std::int64_t value = 0;
-        if (auto v = simm13(ops[0]))
-            value = *v;
-        else
-            rs1 = reg(ops[0]);
+        Resource rs1 = regOrSimm13(ops[0], value);
         Resource rd = reg(ops[1]);
-        return makeInstruction(op, rs1, Resource(), rd, std::nullopt,
-                               value);
+        return emit<OperandSig::Mov2>(op, rs1, Resource(), rd, value);
       }
       case OperandSig::Sethi2: {
         need(2);
@@ -354,24 +527,28 @@ LineParser::build(const LineScan &scan)
         if (!v)
             lineError(col(ops[0]), "bad sethi immediate '", ops[0], "'");
         Resource rd = reg(ops[1]);
-        return makeInstruction(op, Resource(), Resource(), rd,
-                               std::nullopt, *v);
+        return emit<OperandSig::Sethi2>(op, Resource(), Resource(), rd, *v);
       }
+      // A load or store reads its address into place, then its
+      // operands' resources; a bad address leaves it appended.
       case OperandSig::LoadOp: {
         need(2);
         Resource rd = reg(ops[1]);
-        Opcode real_op =
-            rd.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op;
-        return makeInstruction(real_op, Resource(), Resource(), rd,
-                               address(ops[0], real_op));
+        Instruction &inst = prog_.emplace(
+            rd.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op);
+        address(ops[0], inst);
+        fillOperands<OperandSig::LoadOp>(inst, Resource(), Resource(), rd);
+        return inst;
       }
       case OperandSig::StoreOp: {
         need(2);
         Resource rs = reg(ops[0]);
-        Opcode real_op =
-            rs.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op;
-        return makeInstruction(real_op, rs, Resource(), Resource(),
-                               address(ops[1], real_op));
+        Instruction &inst = prog_.emplace(
+            rs.kind() == Resource::Kind::FpReg ? fpMemoryForm(op) : op);
+        address(ops[1], inst);
+        fillOperands<OperandSig::StoreOp>(inst, rs, Resource(),
+                                          Resource());
+        return inst;
       }
       // The FP forms check their operands last to first, so a line
       // with several bad registers reports the rightmost.
@@ -380,26 +557,30 @@ LineParser::build(const LineScan &scan)
         Resource rd = reg(ops[2]);
         Resource rs2 = reg(ops[1]);
         Resource rs1 = reg(ops[0]);
-        return makeInstruction(op, rs1, rs2, rd);
+        return emit<OperandSig::Fp3>(op, rs1, rs2, rd);
       }
       case OperandSig::Fp2: {
         need(2);
         Resource rd = reg(ops[1]);
         Resource rs1 = reg(ops[0]);
-        return makeInstruction(op, rs1, Resource(), rd);
+        return emit<OperandSig::Fp2>(op, rs1, Resource(), rd);
       }
       case OperandSig::Fcmp2: {
         need(2);
         Resource rs2 = reg(ops[1]);
         Resource rs1 = reg(ops[0]);
-        return makeInstruction(op, rs1, rs2, Resource());
+        return emit<OperandSig::Fcmp2>(op, rs1, rs2, Resource());
       }
       case OperandSig::BranchOp:
       case OperandSig::CallOp: {
         need(1);
-        Instruction inst =
-            makeInstruction(op, Resource(), Resource(), Resource());
-        inst.setTarget(ops[0]);
+        Instruction &inst =
+            info.sig == OperandSig::BranchOp
+                ? emit<OperandSig::BranchOp>(op, Resource(), Resource(),
+                                             Resource())
+                : emit<OperandSig::CallOp>(op, Resource(), Resource(),
+                                           Resource());
+        target_ = ops[0];
         inst.setAnnul(annul && info.sig == OperandSig::BranchOp);
         return inst;
       }
@@ -407,7 +588,7 @@ LineParser::build(const LineScan &scan)
         need(2);
         Resource rs1 = reg(ops[0]);
         Resource rd = reg(ops[1]);
-        return makeInstruction(op, rs1, Resource(), rd);
+        return emit<OperandSig::JmplOp>(op, rs1, Resource(), rd);
       }
       case OperandSig::None: {
         if (op == Opcode::Restore && ops.count == 3) {
@@ -420,7 +601,7 @@ LineParser::build(const LineScan &scan)
             else
                 rs2 = reg(ops[1]);
             Resource rd = reg(ops[2]);
-            Instruction inst(Opcode::Restore);
+            Instruction &inst = prog_.emplace(Opcode::Restore);
             inst.addUse(rs1, 0);
             if (rs2.valid())
                 inst.addUse(rs2, 1);
@@ -433,7 +614,8 @@ LineParser::build(const LineScan &scan)
             return inst;
         }
         need(0);
-        return makeInstruction(op, Resource(), Resource(), Resource());
+        return emit<OperandSig::None>(op, Resource(), Resource(),
+                                      Resource());
       }
       default:
         lineError(0, "unhandled signature for '", mnemonic, "'");
@@ -509,14 +691,11 @@ parseLines(std::string_view text, Program &prog,
     std::size_t pos = 0;
     int lineno = 0;
     while (pos <= text.size() && errors < errorLimit) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            nl = text.size();
-        const std::string_view raw = text.substr(pos, nl - pos);
-        pos = nl + 1;
+        const char *const raw = text.data() + pos;
+        LineScan scan;
+        pos = scanLine(text, pos, scan) + 1;
         ++lineno;
 
-        const LineScan scan = scanLine(raw);
         const std::string_view line = scan.line;
         if (line.empty())
             continue;
@@ -543,12 +722,16 @@ parseLines(std::string_view text, Program &prog,
             continue;
 
         LineWarnings warnings;
+        const std::size_t appended = prog.size();
         try {
-            prog.append(LineParser(raw, warnings).parse(scan));
+            LineParser(raw, prog, warnings).parse(scan);
             for (LineError &w : warnings)
                 events.push_back({ParseEvent::Warning, lineno, w.col,
                                   std::move(w.message), {}});
         } catch (LineError &e) {
+            // A failed line leaves nothing behind.
+            if (prog.size() != appended)
+                prog.insts().pop_back();
             events.push_back(
                 {ParseEvent::Error, lineno, e.col, std::move(e.message), {}});
             ++errors;
@@ -639,8 +822,10 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
         pool = &ThreadPool::local(lanes);
         lanes = std::min(lanes, pool->threads());
     }
-    const std::vector<std::string_view> pieces = cutAtLines(text, lanes);
-    if (pieces.size() == 1) {
+    const std::vector<std::string_view> pieces =
+        lanes > 1 ? cutAtLines(text, lanes)
+                  : std::vector<std::string_view>{};
+    if (pieces.size() <= 1) {
         std::vector<ParseEvent> events;
         parseLines(text, prog, events, error_limit, nullptr);
         replay(events, 0, 0, prog, diags, filename);

@@ -9,10 +9,18 @@ Instruction &
 Program::append(Instruction inst)
 {
     inst.setIndex(static_cast<std::uint32_t>(insts_.size()));
-    if (inst.mem().has_value())
-        inst.mem()->exprId = memExprs_.intern(*inst.mem());
+    internMem(inst);
     insts_.push_back(std::move(inst));
     return insts_.back();
+}
+
+Instruction &
+Program::emplace(Opcode op)
+{
+    const auto idx = static_cast<std::uint32_t>(insts_.size());
+    Instruction &inst = insts_.emplace_back(op);
+    inst.setIndex(idx);
+    return inst;
 }
 
 void
@@ -52,10 +60,7 @@ Program::addLabel(LabelNode &node)
 std::vector<std::uint32_t>
 Program::internMemExprs(const MemExprTable &exprs)
 {
-    std::vector<std::uint32_t> ids(exprs.size());
-    for (std::uint32_t id = 0; id < ids.size(); ++id)
-        ids[id] = memExprs_.intern(exprs.key(id));
-    return ids;
+    return memExprs_.merge(exprs);
 }
 
 std::int64_t

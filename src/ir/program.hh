@@ -30,6 +30,24 @@ class Program
     /** Append an instruction; assigns its index and interns memory. */
     Instruction &append(Instruction inst);
 
+    /**
+     * Append a bare @p op instruction in place and return it, its
+     * index assigned, for the caller to fill (the parser's path).  Once
+     * its memory operand is set, internMem() gives it its expression
+     * id; a caller that gives up on it takes it back with
+     * insts().pop_back().
+     */
+    Instruction &emplace(Opcode op);
+
+    /** Intern @p inst's memory operand, if it has one, and set its
+     * expression id. */
+    void
+    internMem(Instruction &inst)
+    {
+        if (auto &mem = inst.mem())
+            mem->exprId = memExprs_.intern(*mem);
+    }
+
     /** Make room for @p n instructions. */
     void reserve(std::size_t n);
 
@@ -49,8 +67,9 @@ class Program
     bool addLabel(LabelNode &node);
 
     /**
-     * Intern @p exprs' keys here in its id order.  Element i of the
-     * result is the id here of its id i.
+     * Intern @p exprs' expressions here in its id order
+     * (MemExprTable::merge).  Element i of the result is the id here
+     * of its id i.
      */
     std::vector<std::uint32_t> internMemExprs(const MemExprTable &exprs);
 

@@ -1,5 +1,7 @@
 #include "ir/resource.hh"
 
+#include <array>
+
 #include "support/logging.hh"
 
 namespace sched91
@@ -49,6 +51,30 @@ Resource::toString() const
     }
 }
 
+namespace
+{
+
+/** A register bank, by its letter: its kind, first index and size. */
+struct Bank
+{
+    Resource::Kind kind = Resource::Kind::Invalid;
+    std::uint8_t first = 0;
+    std::uint8_t size = 0; ///< 0: no bank
+};
+
+constexpr std::array<Bank, 128> kBanks = [] {
+    std::array<Bank, 128> t{};
+    t['g'] = {Resource::Kind::IntReg, 0, 8};
+    t['o'] = {Resource::Kind::IntReg, 8, 8};
+    t['l'] = {Resource::Kind::IntReg, 16, 8};
+    t['i'] = {Resource::Kind::IntReg, 24, 8};
+    t['r'] = {Resource::Kind::IntReg, 0, 32};
+    t['f'] = {Resource::Kind::FpReg, 0, 32};
+    return t;
+}();
+
+} // namespace
+
 Resource
 parseRegister(std::string_view name)
 {
@@ -57,33 +83,18 @@ parseRegister(std::string_view name)
     std::string_view body = name.substr(1);
 
     // Bank letter and one or two digits: the common case.
-    std::string_view digits = body.substr(1);
-    if (!digits.empty() && digits.size() <= 2) {
-        int n = 0;
-        for (char c : digits) {
-            if (c < '0' || c > '9') {
-                n = -1;
-                break;
-            }
-            n = n * 10 + (c - '0');
-        }
-        if (n >= 0) {
-            switch (body[0]) {
-              case 'g':
-                return n < 8 ? Resource::intReg(n) : Resource();
-              case 'o':
-                return n < 8 ? Resource::intReg(8 + n) : Resource();
-              case 'l':
-                return n < 8 ? Resource::intReg(16 + n) : Resource();
-              case 'i':
-                return n < 8 ? Resource::intReg(24 + n) : Resource();
-              case 'r':
-                return n < 32 ? Resource::intReg(n) : Resource();
-              case 'f':
-                return n < 32 ? Resource::fpReg(n) : Resource();
-              default:
-                return Resource();
-            }
+    if (name.size() == 3 || name.size() == 4) {
+        const unsigned d0 = static_cast<unsigned char>(name[2]) - '0';
+        const unsigned d1 =
+            name.size() == 4 ? static_cast<unsigned char>(name[3]) - '0' : 0;
+        if (d0 < 10 && d1 < 10) {
+            const unsigned n = name.size() == 4 ? 10 * d0 + d1 : d0;
+            const auto letter = static_cast<unsigned char>(name[1]);
+            const Bank bank = letter < kBanks.size() ? kBanks[letter] : Bank();
+            return n < bank.size
+                       ? Resource(bank.kind,
+                                  static_cast<std::uint8_t>(bank.first + n))
+                       : Resource();
         }
     }
 

@@ -221,7 +221,11 @@ class Arena
         std::size_t grown =
             chunks_.empty() ? chunkBytes_ : chunks_.back().bytes * 2;
         std::size_t size = want > grown ? want : grown;
-        chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size});
+        // Not zero-filled: nothing reads arena bytes it did not write,
+        // and a chunk retained across resets hands out stale ones
+        // anyway.
+        chunks_.push_back(
+            Chunk{std::make_unique_for_overwrite<std::byte[]>(size), size});
         chunkIndex_ = chunks_.size() - 1;
         cursor_ =
             reinterpret_cast<std::uintptr_t>(chunks_.back().data.get());

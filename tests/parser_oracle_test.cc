@@ -179,6 +179,13 @@ TEST(ParserOracle, EdgeCases)
         "ld [], %g3", "ld [ ], %g3", "ld [%g1+4, %g2", "ld %g1], [%g2",
         "st %g1, [%g2]]", "std %f2, [%sp+64]", "ldd [%o0], %f4",
         "ld [%o0], %f1", "st %f1, [%o0]", "ldub [%o0+1], %g1",
+        // Around the common shapes an address is read straight in.
+        "ld [%o0 - 48], %g1", "ld [%o0 -48], %g1", "ld [%o0+0], %g1",
+        "ld [%o0+123456789012345678], %g1",
+        "ld [%o0-1234567890123456789], %g1", "ld [%o0 + %o1 ], %g1",
+        "ld [%o0\t+\t4], %g1", "ld [%o0 +\v4], %g1", "ld [%o8], %g1",
+        "ld [%G1+4], %g1", "ld [%o0+48x], %g1", "ld [%o0-%o1], %g1",
+        "ld [%o0+%o1+4], %g1", "ld [%i7+4095], %g1", "ld [%sp+64], %g1",
         // Integers and immediates.
         "add %g1, 0x, %g2", "add %g1, 08, %g2", "add %g1, 0777, %g2",
         "add %g1, -0x8000000000000000, %g2",

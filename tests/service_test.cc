@@ -1585,6 +1585,37 @@ TEST(CliContract, ThreadsOutsideItsRangeIsAUsageError)
     EXPECT_EQ(status, 0);
 }
 
+TEST(CliContract, NumericOptionsRejectJunk)
+{
+    // Every numeric option reads the whole of its text: junk, a
+    // trailing letter or a value below the option's range exits 2
+    // naming the option, where it used to read as a number.  Only
+    // commands that start no daemon are tried.
+    const std::pair<const char *, const char *> bad[] = {
+        {"dag --kernel daxpy --block abc", "--block"},
+        {"schedule --kernel daxpy --window -5", "--window"},
+        {"schedule --kernel daxpy --max-block-seconds 1x",
+         "--max-block-seconds"},
+        {"schedule --kernel daxpy --max-block-insts 40x",
+         "--max-block-insts"},
+    };
+    for (const auto &[args, option] : bad) {
+        int status = 0;
+        std::string err;
+        runCli(args, status, &err);
+        EXPECT_EQ(status, 2) << args;
+        EXPECT_NE(err.find(option), std::string::npos) << err;
+    }
+    for (const char *good :
+         {"dag --kernel daxpy --block 0",
+          "schedule --kernel daxpy --window 1000",
+          "schedule --kernel daxpy --max-block-seconds 1e-9"}) {
+        int status = 0;
+        runCli(good, status);
+        EXPECT_EQ(status, 0) << good;
+    }
+}
+
 TEST(CliContract, CompileReportsEachPassInScheduleWording)
 {
     // A 601-instruction block under an n**2 builder: each of compile's

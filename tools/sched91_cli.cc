@@ -82,12 +82,14 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -221,18 +223,46 @@ parseToken(Kind (*fromToken)(const std::string &), const std::string &name)
 /** The most lanes --threads may ask for. */
 constexpr unsigned kMaxThreads = 1024;
 
-/** A --threads value: a whole decimal number from 0 to kMaxThreads;
- * anything else is a usage error. */
-unsigned
-parseThreads(const std::string &text)
+/**
+ * @p option's value @p text: the whole of it a decimal whole number
+ * from @p min to @p max.  Anything else is a usage error naming the
+ * option and the text.
+ */
+template <typename Int>
+Int
+parseWhole(const std::string &option, const std::string &text, Int min,
+           Int max = std::numeric_limits<Int>::max())
 {
-    unsigned n = 0;
+    Int n = 0;
     const char *end = text.data() + text.size();
     const auto [stop, ec] = std::from_chars(text.data(), end, n);
-    if (ec != std::errc{} || stop != end || n > kMaxThreads)
-        usageError("--threads needs a whole number from 0 to ",
-                   kMaxThreads, ", not '", text, "'");
-    return n;
+    if (ec == std::errc{} && stop == end && n >= min && n <= max)
+        return n;
+    if (max == std::numeric_limits<Int>::max())
+        usageError(option, " needs a whole number >= ", min, ", not '",
+                   text, "'");
+    usageError(option, " needs a whole number from ", min, " to ", max,
+               ", not '", text, "'");
+}
+
+/**
+ * @p option's value @p text: the whole of it a finite decimal number
+ * (scientific notation too) of seconds or milliseconds, at least 0, or
+ * above it when @p positive.  Anything else is a usage error naming
+ * the option and the text.
+ */
+double
+parseDuration(const std::string &option, const std::string &text,
+              bool positive)
+{
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc{} && stop == end && std::isfinite(v) &&
+        (positive ? v > 0.0 : v >= 0.0))
+        return v;
+    usageError(option, " needs a finite number ", positive ? ">" : ">=",
+               " 0, not '", text, "'");
 }
 
 const char kUsage[] =
@@ -402,13 +432,13 @@ parseArgs(int argc, char **argv)
         else if (arg == "--policy")
             opts.policy = parseToken(service::policyFromToken, next());
         else if (arg == "--window")
-            opts.window = std::atoi(next().c_str());
+            opts.window = parseWhole(arg, next(), 0);
         else if (arg == "--block")
-            opts.block = std::atoi(next().c_str());
+            opts.block = parseWhole(arg, next(), 0);
         else if (arg == "--heuristics")
             opts.heuristics = true;
         else if (arg == "--threads")
-            opts.threads = parseThreads(next());
+            opts.threads = parseWhole(arg, next(), 0u, kMaxThreads);
         else if (arg == "--stats-json")
             opts.statsJson = next();
         else if (arg == "--trace")
@@ -431,17 +461,13 @@ parseArgs(int argc, char **argv)
             opts.verify = true;
         else if (arg == "--no-verify")
             opts.verify = false;
-        else if (arg == "--capture-outliers") {
-            opts.captureOutliers = std::atoi(next().c_str());
-            if (opts.captureOutliers <= 0)
-                usageError("--capture-outliers needs a positive K");
-        } else if (arg == "--outlier-dir")
+        else if (arg == "--capture-outliers")
+            opts.captureOutliers = parseWhole(arg, next(), 1);
+        else if (arg == "--outlier-dir")
             opts.outlierDir = next();
-        else if (arg == "--explain-block") {
-            opts.explainBlock = std::atoi(next().c_str());
-            if (opts.explainBlock < 0)
-                usageError("--explain-block needs a block id >= 0");
-        } else if (arg == "--log-level") {
+        else if (arg == "--explain-block")
+            opts.explainBlock = parseWhole(arg, next(), 0);
+        else if (arg == "--log-level") {
             try {
                 log::setThreshold(log::parseLevel(next()));
             } catch (const FatalError &e) {
@@ -459,11 +485,11 @@ parseArgs(int argc, char **argv)
             if (opts.injectPanic != "run" && opts.injectPanic != "abort")
                 usageError("--inject-panic expects 'run' or 'abort'");
         } else if (arg == "--max-block-insts")
-            opts.maxBlockInsts = std::atoi(next().c_str());
+            opts.maxBlockInsts = parseWhole(arg, next(), 0);
         else if (arg == "--max-block-seconds")
-            opts.maxBlockSeconds = std::atof(next().c_str());
+            opts.maxBlockSeconds = parseDuration(arg, next(), false);
         else if (arg == "--max-run-seconds")
-            opts.maxRunSeconds = std::atof(next().c_str());
+            opts.maxRunSeconds = parseDuration(arg, next(), false);
         else if (arg == "--fault-inject") {
             opts.faultInject = next();
             try {
@@ -471,54 +497,35 @@ parseArgs(int argc, char **argv)
             } catch (const FatalError &e) {
                 usageError(e.what());
             }
-        } else if (arg == "--reduce-seconds") {
-            opts.reduceSeconds = std::atof(next().c_str());
-            if (opts.reduceSeconds <= 0.0)
-                usageError("--reduce-seconds needs a positive budget");
-        } else if (arg == "--socket")
+        } else if (arg == "--reduce-seconds")
+            opts.reduceSeconds = parseDuration(arg, next(), true);
+        else if (arg == "--socket")
             opts.socketPath = next();
-        else if (arg == "--queue-capacity") {
-            opts.queueCapacity = std::atoi(next().c_str());
-            if (opts.queueCapacity <= 0)
-                usageError("--queue-capacity needs a positive depth");
-        } else if (arg == "--deadline-ms") {
-            opts.deadlineMs = std::atof(next().c_str());
-            if (opts.deadlineMs < 0.0)
-                usageError("--deadline-ms must be >= 0");
-        } else if (arg == "--snapshot-seconds") {
-            opts.snapshotSeconds = std::atof(next().c_str());
-            if (opts.snapshotSeconds <= 0.0)
-                usageError(
-                    "--snapshot-seconds needs a positive period");
-        } else if (arg == "--snapshot-json")
+        else if (arg == "--queue-capacity")
+            opts.queueCapacity = parseWhole(arg, next(), 1);
+        else if (arg == "--deadline-ms")
+            opts.deadlineMs = parseDuration(arg, next(), false);
+        else if (arg == "--snapshot-seconds")
+            opts.snapshotSeconds = parseDuration(arg, next(), true);
+        else if (arg == "--snapshot-json")
             opts.snapshotJson = next();
         else if (arg == "--trace-json")
             opts.traceJson = next();
-        else if (arg == "--interval-ms") {
-            opts.topIntervalMs = std::atoi(next().c_str());
-            if (opts.topIntervalMs <= 0)
-                usageError("--interval-ms needs a positive period");
-        } else if (arg == "--iterations") {
-            opts.topIterations = std::atoi(next().c_str());
-            if (opts.topIterations < 0)
-                usageError("--iterations must be >= 0");
-        } else if (arg == "--isolate") {
+        else if (arg == "--interval-ms")
+            opts.topIntervalMs = parseWhole(arg, next(), 1);
+        else if (arg == "--iterations")
+            opts.topIterations = parseWhole(arg, next(), 0);
+        else if (arg == "--isolate") {
             opts.isolate = next();
             if (opts.isolate != "none" && opts.isolate != "process")
                 usageError("--isolate expects 'none' or 'process'");
-        } else if (arg == "--isolate-hang-ms") {
-            opts.isolateHangMs = std::atoi(next().c_str());
-            if (opts.isolateHangMs <= 0)
-                usageError("--isolate-hang-ms needs a positive bound");
-        } else if (arg == "--isolate-rlimit-cpu") {
-            opts.isolateRlimitCpu = std::atoi(next().c_str());
-            if (opts.isolateRlimitCpu < 0)
-                usageError("--isolate-rlimit-cpu must be >= 0");
-        } else if (arg == "--isolate-rlimit-as-mb") {
-            opts.isolateRlimitAsMb = std::atoi(next().c_str());
-            if (opts.isolateRlimitAsMb < 0)
-                usageError("--isolate-rlimit-as-mb must be >= 0");
-        } else if (arg == "--isolate-exe")
+        } else if (arg == "--isolate-hang-ms")
+            opts.isolateHangMs = parseWhole(arg, next(), 1);
+        else if (arg == "--isolate-rlimit-cpu")
+            opts.isolateRlimitCpu = parseWhole(arg, next(), 0);
+        else if (arg == "--isolate-rlimit-as-mb")
+            opts.isolateRlimitAsMb = parseWhole(arg, next(), 0);
+        else if (arg == "--isolate-exe")
             opts.isolateExe = next();
         else if (!arg.empty() && arg[0] != '-')
             opts.input = arg;
