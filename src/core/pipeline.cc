@@ -43,7 +43,7 @@ namespace
 constexpr std::uint64_t kArenaAllocFailSalt = 1ULL << 63;
 
 /** Run the static heuristic passes an algorithm declares it needs,
- * each a sub-phase of heur (in @p record, if set). */
+ * each a sub-phase of heur (in @p record, if set; timed only then). */
 void
 runNeededPasses(Dag &dag, const SchedulerConfig &config,
                 obs::PhaseRecord *record)
@@ -63,34 +63,51 @@ runNeededPasses(Dag &dag, const SchedulerConfig &config,
         computeRegisterPressure(dag);
 }
 
-/** Everything one block produces, parked in its own slot until the
- * post-join reduction. */
-struct BlockOutput
+/** What a block adds to its slot only for a run that asks for it: a
+ * trace, outlier capture or --explain-block, or when it degrades. */
+struct BlockExtras
 {
-    /** The block's phases; every per-phase output derives from it. */
-    obs::PhaseRecord phases;
-    unsigned worker = 0;          ///< lane that ran the block
-    std::uint64_t arenaBytes = 0; ///< arena in use as the block ended
-    /** The per-block shard after degrading; set only when tracing. */
+    unsigned worker = 0; ///< lane that ran the block; tracing only
+    /** Each main phase's copy of the per-block shard as it ended, and
+     * the shard after degrading; tracing only. */
+    std::array<obs::CounterShard, obs::kNumMainPhases> phaseCounters;
     obs::CounterShard degradeCounters;
     /** The per-block shard as the block ended; set only when capturing
      * outliers, whose score and counters it gives. */
     obs::CounterShard counters;
-    DagStructure dagStats;
-    long long cyclesOriginal = 0;
-    long long cyclesScheduled = 0;
-    Schedule sched;
-
     /** Decision log, only for the --explain-block target. */
-    std::unique_ptr<DecisionTrace> decisions;
+    std::optional<DecisionTrace> decisions;
+    std::string stage; ///< where the degradation happened
+    std::string reason;
+};
+
+/** What every run reads of one block, parked in its own slot until
+ * the post-join reduction.  What folds the same in any order (the DAG
+ * structure, cycles, arena samples) stays with the lane instead. */
+struct BlockOutput
+{
+    Schedule sched;
+    /** The block's phases; every per-phase output derives from it. */
+    obs::PhaseRecord phases;
+    std::uint32_t arcs = 0; ///< its DAG's, 0 when degraded
 
     // Robustness outcomes (reduced into ProgramResult post-join).
     bool fallback = false;       ///< n**2 -> table builder switch
     bool degraded = false;       ///< schedule is original order
     bool verifyRejected = false; ///< verifier refused the schedule
-    std::string stage;           ///< where the degradation happened
-    std::string reason;
+
+    std::unique_ptr<BlockExtras> extras;
+
+    BlockExtras &
+    extra()
+    {
+        if (!extras)
+            extras = std::make_unique<BlockExtras>();
+        return *extras;
+    }
 };
+static_assert(sizeof(BlockOutput) <= 256,
+              "a block's slot holds only what every run reads");
 
 /** Thrown inside one block's chain to request degradation; never
  * escapes processBlock. */
@@ -110,6 +127,17 @@ struct WorkerState
     obs::CounterShard accum;
     /** Its blocks' per-phase totals, for the run report's tree. */
     obs::PhaseShards phaseShards;
+    /** Its blocks' DAG structure and cycles: sums of integers, so
+     * folding the lanes gives the same totals in any order. */
+    DagStructure dagStats;
+    long long cyclesOriginal = 0;
+    long long cyclesScheduled = 0;
+    /** Its blocks' arena in use as each ended (`block.arena_bytes`),
+     * for the run report: bucket counts, merged in any order. */
+    obs::Histogram blockArenaBytes;
+    /** Where its last block ended (its chunk started): the next
+     * block's first phase starts there. */
+    obs::PhaseRecord::Clock::time_point mark;
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
 };
@@ -272,10 +300,20 @@ runPipeline(Program &prog, const MachineModel &machine,
     auto processBlock = [&](unsigned w, std::size_t b) {
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
+        WorkerState &ws = workers[w];
         BlockOutput &out = outputs[b];
-        out.phases.keepCounters = tracing;
-        out.phases.shards = obs_report ? &workers[w].phaseShards : nullptr;
-        out.worker = w;
+        // The block's first phase starts where the lane's previous
+        // block ended.
+        out.phases.mark = ws.mark;
+        out.phases.shards = obs_report ? &ws.phaseShards : nullptr;
+        if (tracing) {
+            BlockExtras &extras = out.extra();
+            extras.worker = w;
+            out.phases.counters = &extras.phaseCounters;
+        }
+        // Added to the lane's as the block ends.
+        long long cycles_original = 0;
+        long long cycles_scheduled = 0;
 
         // Ladder rung two (last resort): the block keeps its original
         // instruction order — trivially valid, zero claimed speedup.
@@ -283,16 +321,17 @@ runPipeline(Program &prog, const MachineModel &machine,
             obs::flight::record(obs::flight::EventKind::Diag, stage,
                                 reason);
             out.degraded = true;
-            out.stage = stage;
-            out.reason = std::move(reason);
-            out.decisions.reset();
+            BlockExtras &extras = out.extra();
+            extras.stage = stage;
+            extras.reason = std::move(reason);
+            extras.decisions.reset();
             out.sched = Schedule{};
             out.sched.order.resize(bb.size());
             std::iota(out.sched.order.begin(), out.sched.order.end(),
                       std::uint32_t{0});
-            out.dagStats = DagStructure{};
-            out.cyclesOriginal = 0;
-            out.cyclesScheduled = 0;
+            out.arcs = 0;
+            cycles_original = 0;
+            cycles_scheduled = 0;
             obs::ev::robustBlocksDegraded.inc();
             if (opts.evaluate) {
                 // Best effort: cost the order we are emitting.  A
@@ -301,17 +340,17 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // cycle counts at zero.
                 try {
                     Dag gt = buildGroundTruth(block, machine, opts.build);
-                    out.cyclesOriginal =
+                    cycles_original =
                         simulateSchedule(gt,
                                          originalOrderSchedule(gt).order,
                                          machine)
                             .cycles;
-                    out.cyclesScheduled = out.cyclesOriginal;
+                    cycles_scheduled = cycles_original;
                 } catch (const std::exception &) {
                 }
             }
             if (tracing)
-                out.degradeCounters = workers[w].blockShard;
+                extras.degradeCounters = ws.blockShard;
         };
 
         // Effective per-block budget: the per-block cap, tightened by
@@ -343,10 +382,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         auto checkBudget = [&](const char *stage) {
             if (budget <= 0.0)
                 return;
-            double spent = 0.0;
-            for (const obs::PhaseRecord::Entry &e : out.phases)
-                spent += e.seconds;
-            if (spent > budget) {
+            if (out.phases.mainSeconds() > budget) {
                 obs::ev::robustBudgetExceeded.inc();
                 if (from_run_budget)
                     obs::ev::cancelRunBudgetExhausted.inc();
@@ -501,24 +537,24 @@ runPipeline(Program &prog, const MachineModel &machine,
                                 "build", {}, dag.size(), dag.numArcs());
             checkBudget("build");
 
+            // Only the phase tree reads heur's sub-phases.
             obs::ScopedPhase heur_phase(obs::Phase::Heur, &out.phases);
-            runNeededPasses(dag, spec.config, &out.phases);
+            runNeededPasses(dag, spec.config,
+                            obs_report ? &out.phases : nullptr);
             heur_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
             checkBudget("heur");
 
             // --explain-block: record this block's full decision log
             // as the winnowing pass picks.
-            DecisionStats decision_stats;
-            DecisionStats *stats_ptr = nullptr;
+            std::optional<DecisionStats> decision_stats;
             if (opts.explainBlock >= 0 &&
-                b == static_cast<std::size_t>(opts.explainBlock)) {
-                decision_stats.recordLog = true;
-                stats_ptr = &decision_stats;
-            }
+                b == static_cast<std::size_t>(opts.explainBlock))
+                decision_stats.emplace().recordLog = true;
             obs::ScopedPhase sched_phase(obs::Phase::Sched, &out.phases);
-            out.sched =
-                scheduler.run(dag, stats_ptr, token ? &*token : nullptr);
+            out.sched = scheduler.run(
+                dag, decision_stats ? &*decision_stats : nullptr,
+                token ? &*token : nullptr);
             sched_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
                                 "sched", {}, out.sched.order.size(),
@@ -526,17 +562,16 @@ runPipeline(Program &prog, const MachineModel &machine,
                                     out.sched.makespan < 0
                                         ? 0
                                         : out.sched.makespan));
-            if (stats_ptr) {
-                out.decisions = std::make_unique<DecisionTrace>();
-                out.decisions->block = static_cast<int>(b);
-                out.decisions->algorithm = spec.config.name;
+            if (decision_stats) {
+                DecisionTrace &trace = out.extra().decisions.emplace();
+                trace.block = static_cast<int>(b);
+                trace.algorithm = spec.config.name;
                 for (const RankedHeuristic &rh : spec.config.ranking)
-                    out.decisions->rankNames.push_back(
+                    trace.rankNames.push_back(
                         heuristicInfo(rh.heuristic).name);
-                out.decisions->stats = std::move(decision_stats);
+                trace.stats = std::move(*decision_stats);
                 for (std::uint32_t i = 0; i < block.size(); ++i)
-                    out.decisions->insts.push_back(
-                        block.inst(i).toString());
+                    trace.insts.push_back(block.inst(i).toString());
             }
 
             if (opts.verify) {
@@ -567,8 +602,6 @@ runPipeline(Program &prog, const MachineModel &machine,
                 }
             }
 
-            out.dagStats.accumulate(dag, opts.report);
-
             if (opts.evaluate) {
                 obs::ScopedPhase eval_phase(obs::Phase::Evaluate,
                                             &out.phases);
@@ -583,31 +616,35 @@ runPipeline(Program &prog, const MachineModel &machine,
                      opts.builder == BuilderKind::TableBackward) &&
                     !opts.build.preventTransitive;
                 if (reusable) {
-                    out.cyclesOriginal =
+                    cycles_original =
                         simulateSchedule(dag,
                                          originalOrderSchedule(dag).order,
                                          machine)
                             .cycles;
-                    out.cyclesScheduled =
+                    cycles_scheduled =
                         simulateSchedule(dag, out.sched.order, machine)
                             .cycles;
                 } else {
                     Dag gt = buildGroundTruth(block, machine, opts.build);
-                    out.cyclesOriginal =
+                    cycles_original =
                         simulateSchedule(gt,
                                          originalOrderSchedule(gt).order,
                                          machine)
                             .cycles;
-                    out.cyclesScheduled =
+                    cycles_scheduled =
                         simulateSchedule(gt, out.sched.order, machine)
                             .cycles;
                 }
                 eval_phase.stop();
                 obs::flight::record(
                     obs::flight::EventKind::PhaseEnd, "evaluate", {},
-                    static_cast<std::uint64_t>(out.cyclesOriginal),
-                    static_cast<std::uint64_t>(out.cyclesScheduled));
+                    static_cast<std::uint64_t>(cycles_original),
+                    static_cast<std::uint64_t>(cycles_scheduled));
             }
+            // Last, so a block that degrades adds nothing (it counts no
+            // event, so no counter moves with it).
+            ws.dagStats.accumulate(dag, opts.report);
+            out.arcs = static_cast<std::uint32_t>(dag.numArcs());
         } catch (const BlockAbort &a) {
             degrade(a.stage, a.reason);
         } catch (const CancelledError &e) {
@@ -626,14 +663,14 @@ runPipeline(Program &prog, const MachineModel &machine,
             if (!opts.containFaults)
                 throw;
             // Charged to the last phase to start (one that throws
-            // writes its entry as it unwinds), else to build.
-            const obs::PhaseRecord &rec = out.phases;
-            const obs::Phase at = rec.size ? rec.entries[rec.size - 1].phase
-                                           : obs::Phase::Build;
-            degrade(obs::phaseNames(at).name, e.what());
+            // writes its seconds as it unwinds), else to build.
+            degrade(obs::phaseNames(out.phases.last()).name, e.what());
         }
         // The block's DAGs die here — before the next beginBlock()
         // recycles the arena their arc lists live in.
+        ws.cyclesOriginal += cycles_original;
+        ws.cyclesScheduled += cycles_scheduled;
+        ws.mark = out.phases.mark;
     };
 
     auto runChunks = [&](unsigned w, std::size_t first, std::size_t last) {
@@ -642,6 +679,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             plan.order.data() + plan.bounds[last]);
         WorkerState &ws = workers[w];
         WorkerContext::Scope ctx_scope(ws.ctx);
+        ws.mark = obs::PhaseRecord::Clock::now();
         // One (lazily claimed) flight ring per lane; it keys its events
         // by block id, so the dump's merge order is independent of the
         // lane layout.
@@ -652,20 +690,23 @@ runPipeline(Program &prog, const MachineModel &machine,
             lane_flight.emplace(ws.flight);
 
         auto blockBegin = [&](std::size_t b) {
+            if (!flight_on)
+                return;
             obs::flight::setBlock(b);
             obs::flight::record(obs::flight::EventKind::BlockBegin,
                                 "block", {}, blocks[b].size(),
                                 blocks[b].begin);
         };
         auto blockEnd = [&](std::size_t b) {
+            if (!flight_on)
+                return;
             obs::flight::record(obs::flight::EventKind::BlockEnd,
                                 "block",
                                 outputs[b].degraded
                                     ? std::string_view{"degraded"}
                                     : std::string_view{},
                                 blocks[b].size());
-            if (flight_on)
-                obs::flight::addGauge(obs::flight::Gauge::BlocksDone, 1);
+            obs::flight::addGauge(obs::flight::Gauge::BlocksDone, 1);
         };
 
         if (obs_on) {
@@ -691,8 +732,8 @@ runPipeline(Program &prog, const MachineModel &machine,
                 ws.blockShard.flushInto(ws.accum);
                 // While the block's arena allocations are still
                 // accounted (the arena resets at the next beginBlock).
-                BlockOutput &out = outputs[b];
-                out.arenaBytes = ws.ctx.arena().bytesInUse();
+                if (obs_report)
+                    ws.blockArenaBytes.record(ws.ctx.arena().bytesInUse());
 
                 // The deterministic work score, for the CounterSnap
                 // flight event; outlier capture scores the slot's copy
@@ -702,7 +743,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                         obs::flight::EventKind::CounterSnap, "work", {},
                         obs::shardWorkScore(ws.blockShard));
                 if (capture)
-                    out.counters = ws.blockShard;
+                    outputs[b].extra().counters = ws.blockShard;
                 blockEnd(b);
             }
         } else {
@@ -737,32 +778,33 @@ runPipeline(Program &prog, const MachineModel &machine,
     // Per-block samples go into one histogram each (`lat.*` indexed by
     // Phase), named into the result once after the loop.
     obs::Histogram block_insts, block_arena_bytes;
-    std::array<obs::Histogram, std::size(obs::kPhaseNames)> phase_lat;
+    std::array<obs::Histogram, obs::kNumPhases> phase_lat;
     for (std::size_t b = 0; b < outputs.size(); ++b) {
         BlockOutput &out = outputs[b];
-        result.buildSeconds += out.phases.seconds(obs::Phase::Build);
-        result.heurSeconds += out.phases.seconds(obs::Phase::Heur);
-        result.schedSeconds += out.phases.seconds(obs::Phase::Sched);
-        result.verifySeconds += out.phases.seconds(obs::Phase::Verify);
+        const obs::PhaseRecord &phases = out.phases;
+        result.buildSeconds += phases.seconds(obs::Phase::Build);
+        result.heurSeconds += phases.seconds(obs::Phase::Heur);
+        result.schedSeconds += phases.seconds(obs::Phase::Sched);
+        result.verifySeconds += phases.seconds(obs::Phase::Verify);
         if (obs_report) {
-            result.phaseTree.add(out.phases);
+            result.phaseTree.add(phases);
             block_insts.record(blocks[b].size());
-            block_arena_bytes.record(out.arenaBytes);
-            for (const obs::PhaseRecord::Entry &e : out.phases)
-                if (obs::phaseNames(e.phase).latency != nullptr)
-                    phase_lat[static_cast<std::size_t>(e.phase)].record(
-                        obs::secondsToNs(e.seconds));
+            for (std::size_t p = 0; p < obs::kNumPhases; ++p)
+                if (obs::kPhaseNames[p].latency != nullptr &&
+                    phases.started(static_cast<obs::Phase>(p)))
+                    phase_lat[p].record(obs::secondsToNs(phases.secs[p]));
         }
         if (tracing) {
-            // One event per entry, carrying the shard's change since
-            // the previous entry (the first counts from zero: the shard
+            // One event per phase, carrying the shard's change since
+            // the previous one (the first counts from zero: the shard
             // was cleared as the block started); a degraded block's
             // `degrade` event carries what was counted after the last.
+            const BlockExtras &extras = *out.extras;
             obs::TraceEvent ev;
             ev.block = b;
             ev.begin = blocks[b].begin;
             ev.size = blocks[b].size();
-            ev.worker = out.worker;
+            ev.worker = extras.worker;
             const obs::CounterShard zero;
             const obs::CounterShard *last = &zero;
             auto fire = [&](const char *phase, double seconds,
@@ -773,18 +815,17 @@ runPipeline(Program &prog, const MachineModel &machine,
                 opts.trace->event(ev);
                 last = &now;
             };
-            for (const obs::PhaseRecord::Entry &e : out.phases)
-                fire(obs::phaseNames(e.phase).name, e.seconds, e.counters);
+            for (std::size_t p = 0; p < obs::kNumMainPhases; ++p)
+                if (phases.started(static_cast<obs::Phase>(p)))
+                    fire(obs::kPhaseNames[p].name, phases.secs[p],
+                         extras.phaseCounters[p]);
             if (out.degraded)
-                fire("degrade", 0.0, out.degradeCounters);
+                fire("degrade", 0.0, extras.degradeCounters);
         }
-        result.dagStats.merge(out.dagStats);
-        result.cyclesOriginal += out.cyclesOriginal;
-        result.cyclesScheduled += out.cyclesScheduled;
         if (opts.schedules)
             (*opts.schedules)[b] = std::move(out.sched);
-        if (out.decisions)
-            result.decisions = std::move(*out.decisions);
+        if (out.extras && out.extras->decisions)
+            result.decisions = std::move(*out.extras->decisions);
         if (out.fallback) {
             ++result.builderFallbacks;
             result.blockIssues.push_back(
@@ -793,12 +834,21 @@ runPipeline(Program &prog, const MachineModel &machine,
         if (out.verifyRejected)
             ++result.verifierRejections;
         if (out.degraded) {
+            const BlockExtras &extras = *out.extras;
             ++result.blocksDegraded;
-            log::info("block ", b, " degraded at ", out.stage, ": ",
-                      out.reason);
+            log::info("block ", b, " degraded at ", extras.stage, ": ",
+                      extras.reason);
             result.blockIssues.push_back(ProgramResult::BlockIssue{
-                b, out.stage, out.reason, true});
+                b, extras.stage, extras.reason, true});
         }
+    }
+    // ... lane order for the lanes' folds, which come out the same in
+    // any order.
+    for (const WorkerState &ws : workers) {
+        result.dagStats.merge(ws.dagStats);
+        result.cyclesOriginal += ws.cyclesOriginal;
+        result.cyclesScheduled += ws.cyclesScheduled;
+        block_arena_bytes.merge(ws.blockArenaBytes);
     }
 
     // A histogram exists exactly when some block recorded into it.
@@ -863,7 +913,7 @@ runPipeline(Program &prog, const MachineModel &machine,
     if (capture) {
         std::vector<std::uint64_t> scores(blocks.size());
         for (std::size_t b = 0; b < blocks.size(); ++b)
-            scores[b] = obs::shardWorkScore(outputs[b].counters);
+            scores[b] = obs::shardWorkScore(outputs[b].extras->counters);
         std::vector<std::size_t> top(blocks.size());
         std::iota(top.begin(), top.end(), std::size_t{0});
         const std::size_t k = std::min<std::size_t>(
@@ -878,18 +928,19 @@ runPipeline(Program &prog, const MachineModel &machine,
         std::sort(top.begin(), top.end());
         for (std::size_t b : top) {
             BlockOutput &out = outputs[b];
+            BlockExtras &extras = *out.extras;
             obs::OutlierRecord &rec = result.outliers.emplace_back();
             rec.block = b;
             rec.score = scores[b];
             rec.begin = blocks[b].begin;
             rec.size = blocks[b].size();
-            rec.dagNodes = out.dagStats.totalNodes;
-            rec.dagArcs = out.dagStats.totalArcs;
+            rec.dagNodes = out.degraded ? 0 : blocks[b].size();
+            rec.dagArcs = out.arcs;
             rec.phases = out.phases;
-            rec.counters = std::move(out.counters);
+            rec.counters = std::move(extras.counters);
             rec.stage =
-                out.fallback && !out.degraded ? "fallback" : out.stage;
-            rec.reason = out.reason;
+                out.fallback && !out.degraded ? "fallback" : extras.stage;
+            rec.reason = extras.reason;
             rec.degraded = out.degraded;
             rec.fallback = out.fallback;
             rec.source = blockSourceText(BlockView(prog, blocks[b]));

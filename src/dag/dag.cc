@@ -1,6 +1,7 @@
 #include "dag/dag.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/logging.hh"
 #include "support/worker_context.hh"
@@ -8,95 +9,107 @@
 namespace sched91
 {
 
-NodeAnnotations::NodeAnnotations(Arena *arena)
-    : execTime(ArenaAllocator<int>(arena)),
-      interlockWithChild(ArenaAllocator<std::uint8_t>(arena)),
-      sumDelaysToChildren(ArenaAllocator<int>(arena)),
-      maxDelayToChild(ArenaAllocator<int>(arena)),
-      sumDelaysFromParents(ArenaAllocator<int>(arena)),
-      maxDelayFromParents(ArenaAllocator<int>(arena)),
-      altType(ArenaAllocator<int>(arena)),
-      regsBorn(ArenaAllocator<int>(arena)),
-      regsKilled(ArenaAllocator<int>(arena)),
-      liveness(ArenaAllocator<int>(arena)),
-      maxPathFromRoot(ArenaAllocator<int>(arena)),
-      maxDelayFromRoot(ArenaAllocator<int>(arena)),
-      earliestStart(ArenaAllocator<int>(arena)),
-      maxPathToLeaf(ArenaAllocator<int>(arena)),
-      maxDelayToLeaf(ArenaAllocator<int>(arena)),
-      latestStart(ArenaAllocator<int>(arena)),
-      numDescendants(ArenaAllocator<int>(arena)),
-      sumExecOfDescendants(ArenaAllocator<long long>(arena)),
-      slack(ArenaAllocator<int>(arena)),
-      inheritedEet(ArenaAllocator<int>(arena)),
-      earliestExecTime(ArenaAllocator<int>(arena)),
-      unscheduledParents(ArenaAllocator<int>(arena)),
-      unscheduledChildren(ArenaAllocator<int>(arena)),
-      priorityBoost(ArenaAllocator<double>(arena)),
-      scheduled(ArenaAllocator<std::uint8_t>(arena))
+namespace
 {
-}
 
-void
-NodeAnnotations::resize(std::uint32_t n)
+/** Bytes per node of the node slab: three 8-byte arrays (instructions,
+ * sumExecOfDescendants, priorityBoost), 26 of 4 bytes and two of one. */
+constexpr std::size_t kNodeBytes = sizeof(const Instruction *) +
+                                   sizeof(long long) + sizeof(double) +
+                                   26 * sizeof(int) +
+                                   2 * sizeof(std::uint8_t);
+
+/** A slab's alignment: its widest element's. */
+constexpr std::size_t kSlabAlign = alignof(long long);
+static_assert(alignof(const Instruction *) <= kSlabAlign &&
+              alignof(double) <= kSlabAlign);
+
+/** Cuts typed arrays, one after another, out of a slab.  Callers take
+ * the widest types first, so no array needs padding. */
+class SlabCutter
 {
-    execTime.assign(n, 0);
-    interlockWithChild.assign(n, 0);
-    sumDelaysToChildren.assign(n, 0);
-    maxDelayToChild.assign(n, 0);
-    sumDelaysFromParents.assign(n, 0);
-    maxDelayFromParents.assign(n, 0);
-    altType.assign(n, 0);
-    regsBorn.assign(n, 0);
-    regsKilled.assign(n, 0);
-    liveness.assign(n, 0);
-    maxPathFromRoot.assign(n, 0);
-    maxDelayFromRoot.assign(n, 0);
-    earliestStart.assign(n, 0);
-    maxPathToLeaf.assign(n, 0);
-    maxDelayToLeaf.assign(n, 0);
-    latestStart.assign(n, 0);
-    numDescendants.assign(n, 0);
-    sumExecOfDescendants.assign(n, 0);
-    slack.assign(n, 0);
-    inheritedEet.assign(n, 0);
-    earliestExecTime.assign(n, 0);
-    unscheduledParents.assign(n, 0);
-    unscheduledChildren.assign(n, 0);
-    priorityBoost.assign(n, 0.0);
-    scheduled.assign(n, 0);
-}
+  public:
+    explicit SlabCutter(std::byte *at) : at_(at) {}
+
+    template <typename T>
+    T *
+    take(std::size_t n)
+    {
+        T *p = reinterpret_cast<T *>(at_);
+        at_ += n * sizeof(T);
+        return p;
+    }
+
+    template <typename T>
+    void
+    into(std::span<T> &array, std::size_t n)
+    {
+        array = {take<T>(n), n};
+    }
+
+    const std::byte *at() const { return at_; }
+
+  private:
+    std::byte *at_;
+};
+
+} // namespace
 
 Dag::Dag(const BlockView &block, Arena *arena)
-    : block_(block), arena_(arena),
-      inst_(ArenaAllocator<const Instruction *>(arena)),
-      level_(ArenaAllocator<int>(arena)),
-      numChildren_(ArenaAllocator<int>(arena)),
-      numParents_(ArenaAllocator<int>(arena)),
-      arcs_(ArenaAllocator<Arc>(arena)), ann_(arena), reach_(arena),
-      dupStamp_(ArenaAllocator<std::uint32_t>(arena)),
-      dupArc_(ArenaAllocator<std::uint32_t>(arena)),
-      succOff_(ArenaAllocator<std::uint32_t>(arena)),
-      predOff_(ArenaAllocator<std::uint32_t>(arena)),
-      succArc_(ArenaAllocator<std::uint32_t>(arena)),
-      predArc_(ArenaAllocator<std::uint32_t>(arena)),
-      succTo_(ArenaAllocator<std::uint32_t>(arena)),
-      predFrom_(ArenaAllocator<std::uint32_t>(arena)),
-      succDelay_(ArenaAllocator<std::int32_t>(arena)),
-      predDelay_(ArenaAllocator<std::int32_t>(arena)),
-      predKind_(ArenaAllocator<DepKind>(arena)), levelLists_(arena)
+    : block_(block), arena_(arena), numNodes_(block.size()),
+      arcs_(ArenaAllocator<Arc>(arena)), reach_(arena), levelLists_(arena)
 {
-    std::uint32_t n = block.size();
-    numNodes_ = n;
-    inst_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
+    const std::size_t n = numNodes_;
+    const std::size_t bytes = n * kNodeBytes;
+    std::byte *const base = slab(bytes, nodeHeap_);
+    std::memset(base, 0, bytes);
+    SlabCutter cut(base);
+    cut.into(inst_, n);
+    cut.into(ann_.sumExecOfDescendants, n);
+    cut.into(ann_.priorityBoost, n);
+
+    cut.into(level_, n);
+    cut.into(numChildren_, n);
+    cut.into(numParents_, n);
+    cut.into(dupStamp_, n);
+    cut.into(dupArc_, n);
+    cut.into(ann_.execTime, n);
+    cut.into(ann_.sumDelaysToChildren, n);
+    cut.into(ann_.maxDelayToChild, n);
+    cut.into(ann_.sumDelaysFromParents, n);
+    cut.into(ann_.maxDelayFromParents, n);
+    cut.into(ann_.altType, n);
+    cut.into(ann_.regsBorn, n);
+    cut.into(ann_.regsKilled, n);
+    cut.into(ann_.liveness, n);
+    cut.into(ann_.maxPathFromRoot, n);
+    cut.into(ann_.maxDelayFromRoot, n);
+    cut.into(ann_.earliestStart, n);
+    cut.into(ann_.maxPathToLeaf, n);
+    cut.into(ann_.maxDelayToLeaf, n);
+    cut.into(ann_.latestStart, n);
+    cut.into(ann_.numDescendants, n);
+    cut.into(ann_.slack, n);
+    cut.into(ann_.inheritedEet, n);
+    cut.into(ann_.earliestExecTime, n);
+    cut.into(ann_.unscheduledParents, n);
+    cut.into(ann_.unscheduledChildren, n);
+
+    cut.into(ann_.interlockWithChild, n);
+    cut.into(ann_.scheduled, n);
+    SCHED91_ASSERT(cut.at() == base + bytes, "node slab layout");
+
+    for (std::uint32_t i = 0; i < numNodes_; ++i)
         inst_[i] = &block.inst(i);
-    level_.assign(n, 0);
-    numChildren_.assign(n, 0);
-    numParents_.assign(n, 0);
-    ann_.resize(n);
-    dupStamp_.assign(n, 0);
-    dupArc_.assign(n, 0);
+}
+
+std::byte *
+Dag::slab(std::size_t bytes, std::unique_ptr<std::byte[]> &heap) const
+{
+    if (arena_)
+        return static_cast<std::byte *>(arena_->allocate(bytes, kSlabAlign));
+    heap = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    return heap.get();
 }
 
 void
@@ -233,23 +246,15 @@ namespace
  * i + 1 starts.  Move entries [0, n) up one slot and restart at 0.
  */
 void
-shiftUpOne(ArenaVector<std::uint32_t> &off, std::uint32_t n)
+shiftUpOne(std::uint32_t *off, std::uint32_t n)
 {
     if (n == 0)
         return;
-    std::copy_backward(off.begin(), off.begin() + (n - 1),
-                       off.begin() + n);
+    std::copy_backward(off, off + (n - 1), off + n);
     off[0] = 0;
 }
 
 } // namespace
-
-void
-Dag::ensureCsr() const
-{
-    if (!csrValid_)
-        buildCsr();
-}
 
 void
 Dag::buildCsr() const
@@ -257,8 +262,28 @@ Dag::buildCsr() const
     const std::uint32_t n = numNodes_;
     const std::uint32_t e = static_cast<std::uint32_t>(arcs_.size());
 
-    succOff_.assign(n + 1, 0);
-    predOff_.assign(n + 1, 0);
+    if (!succOff_ || e > csrArcs_) {
+        // The offsets, the six 4-byte arc arrays, then the kinds.
+        const std::size_t bytes =
+            2 * (std::size_t{n} + 1) * sizeof(std::uint32_t) +
+            std::size_t{e} * (6 * sizeof(std::uint32_t) + sizeof(DepKind));
+        std::byte *const base = slab(bytes, csrHeap_);
+        SlabCutter cut(base);
+        succOff_ = cut.take<std::uint32_t>(n + 1);
+        predOff_ = cut.take<std::uint32_t>(n + 1);
+        succArc_ = cut.take<std::uint32_t>(e);
+        predArc_ = cut.take<std::uint32_t>(e);
+        succTo_ = cut.take<std::uint32_t>(e);
+        predFrom_ = cut.take<std::uint32_t>(e);
+        succDelay_ = cut.take<std::int32_t>(e);
+        predDelay_ = cut.take<std::int32_t>(e);
+        predKind_ = cut.take<DepKind>(e);
+        SCHED91_ASSERT(cut.at() == base + bytes, "CSR slab layout");
+        csrArcs_ = e;
+    }
+
+    std::fill_n(succOff_, n + 1, 0);
+    std::fill_n(predOff_, n + 1, 0);
     for (const Arc &arc : arcs_) {
         ++succOff_[arc.from + 1];
         ++predOff_[arc.to + 1];
@@ -267,14 +292,6 @@ Dag::buildCsr() const
         succOff_[i + 1] += succOff_[i];
         predOff_[i + 1] += predOff_[i];
     }
-
-    succArc_.resize(e);
-    predArc_.resize(e);
-    succTo_.resize(e);
-    predFrom_.resize(e);
-    succDelay_.resize(e);
-    predDelay_.resize(e);
-    predKind_.resize(e);
 
     // Fill in ascending arc-id order: per-node lists come out in
     // insertion order, matching the old per-node push_back lists
@@ -363,7 +380,7 @@ Dag::levelLists() const
         for (std::uint32_t i = 0; i < numNodes_; ++i)
             levelLists_.nodes_[levelLists_.off_[static_cast<std::uint32_t>(
                 level_[i])]++] = i;
-        shiftUpOne(levelLists_.off_, levels);
+        shiftUpOne(levelLists_.off_.data(), levels);
         levelListsValid_ = true;
     }
     return levelLists_;

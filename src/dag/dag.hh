@@ -18,16 +18,18 @@
  * Storage is data-oriented:
  *
  *  - Topology and annotations are struct-of-arrays: one dense array
- *    per field (NodeAnnotations holds one ArenaVector per Table 1
- *    slot), so the static passes and the scheduler's dynamic-update
- *    loops stream over contiguous ints instead of striding 100+-byte
- *    node records.
+ *    per field (NodeAnnotations holds one span per Table 1 slot), so
+ *    the static passes and the scheduler's dynamic-update loops stream
+ *    over contiguous ints instead of striding 100+-byte node records.
+ *    All the per-node arrays share one slab, allocated and zeroed once
+ *    as the DAG is made.
  *  - Adjacency is CSR (compressed sparse row): builders only append to
  *    the flat arc array; the per-node [begin,end) ranges plus flat
- *    arc-id slabs are finalized lazily by one counting pass the first
- *    time adjacency is queried.  Filling in ascending arc-id order
- *    reproduces exactly the per-node insertion order the old
- *    linked-list representation had, so schedules are byte-identical.
+ *    arc-id arrays are finalized lazily, in a slab of their own, by one
+ *    counting pass the first time adjacency is queried.  Filling in
+ *    ascending arc-id order reproduces exactly the per-node insertion
+ *    order the old linked-list representation had, so schedules are
+ *    byte-identical.
  *  - Reachability maps are one words × nodes BitMatrix slab with
  *    word-granular OR-merge on arc insertion.
  */
@@ -36,6 +38,7 @@
 #define SCHED91_DAG_DAG_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -92,51 +95,47 @@ struct Arc
 /**
  * Per-node heuristic annotation slots (all 26 heuristics of Table 1
  * draw on these), stored struct-of-arrays: each field is a dense
- * array indexed by node id.  The 'a' fields are filled during DAG
+ * array indexed by node id, a view of the DAG's node slab, zero as
+ * the DAG is made.  The 'a' fields are filled during DAG
  * construction, the 'f'/'b' fields by the intermediate heuristic
  * pass, and the dynamic fields evolve during scheduling.
  */
 struct NodeAnnotations
 {
-    explicit NodeAnnotations(Arena *arena = nullptr);
-
-    /** Size every array to @p n zero-filled entries. */
-    void resize(std::uint32_t n);
-
     // --- 'a': determined when the node / arc is added ---------------
-    ArenaVector<int> execTime;             ///< operation latency
-    ArenaVector<std::uint8_t> interlockWithChild;
-    ArenaVector<int> sumDelaysToChildren;  ///< phi=sum delays to children
-    ArenaVector<int> maxDelayToChild;      ///< phi=max delays to children
-    ArenaVector<int> sumDelaysFromParents; ///< phi=sum delays from parents
-    ArenaVector<int> maxDelayFromParents;  ///< phi=max delays from parents
-    ArenaVector<int> altType;              ///< issue group (alternate type)
-    ArenaVector<int> regsBorn;
-    ArenaVector<int> regsKilled;
-    ArenaVector<int> liveness;             ///< Warren-style kills - births
+    std::span<int> execTime;             ///< operation latency
+    std::span<std::uint8_t> interlockWithChild;
+    std::span<int> sumDelaysToChildren;  ///< phi=sum delays to children
+    std::span<int> maxDelayToChild;      ///< phi=max delays to children
+    std::span<int> sumDelaysFromParents; ///< phi=sum delays from parents
+    std::span<int> maxDelayFromParents;  ///< phi=max delays from parents
+    std::span<int> altType;              ///< issue group (alternate type)
+    std::span<int> regsBorn;
+    std::span<int> regsKilled;
+    std::span<int> liveness;             ///< Warren-style kills - births
 
     // --- 'f': forward heuristic pass ---------------------------------
-    ArenaVector<int> maxPathFromRoot;
-    ArenaVector<int> maxDelayFromRoot;
-    ArenaVector<int> earliestStart;        ///< EST (node-latency, [12])
+    std::span<int> maxPathFromRoot;
+    std::span<int> maxDelayFromRoot;
+    std::span<int> earliestStart;        ///< EST (node-latency, [12])
 
     // --- 'b': backward heuristic pass ---------------------------------
-    ArenaVector<int> maxPathToLeaf;
-    ArenaVector<int> maxDelayToLeaf;
-    ArenaVector<int> latestStart;          ///< LST (node-latency, [12])
-    ArenaVector<int> numDescendants;
-    ArenaVector<long long> sumExecOfDescendants;
+    std::span<int> maxPathToLeaf;
+    std::span<int> maxDelayToLeaf;
+    std::span<int> latestStart;          ///< LST (node-latency, [12])
+    std::span<int> numDescendants;
+    std::span<long long> sumExecOfDescendants;
 
     // --- derived -------------------------------------------------------
-    ArenaVector<int> slack;                ///< LST - EST
+    std::span<int> slack;                ///< LST - EST
 
     // --- 'v': dynamic scheduling state ---------------------------------
-    ArenaVector<int> inheritedEet;         ///< cross-block latency floor
-    ArenaVector<int> earliestExecTime;
-    ArenaVector<int> unscheduledParents;
-    ArenaVector<int> unscheduledChildren;
-    ArenaVector<double> priorityBoost;     ///< Tiemann birthing adjustment
-    ArenaVector<std::uint8_t> scheduled;
+    std::span<int> inheritedEet;         ///< cross-block latency floor
+    std::span<int> earliestExecTime;
+    std::span<int> unscheduledParents;
+    std::span<int> unscheduledChildren;
+    std::span<double> priorityBoost;     ///< Tiemann birthing adjustment
+    std::span<std::uint8_t> scheduled;
 };
 
 /** Reachability-map maintenance mode. */
@@ -258,8 +257,7 @@ class Dag
     succs(std::uint32_t i) const
     {
         ensureCsr();
-        return {succArc_.data() + succOff_[i],
-                succArc_.data() + succOff_[i + 1]};
+        return {succArc_ + succOff_[i], succArc_ + succOff_[i + 1]};
     }
 
     /** Arc ids entering @p i, in insertion order (ascending arc id). */
@@ -267,8 +265,7 @@ class Dag
     preds(std::uint32_t i) const
     {
         ensureCsr();
-        return {predArc_.data() + predOff_[i],
-                predArc_.data() + predOff_[i + 1]};
+        return {predArc_ + predOff_[i], predArc_ + predOff_[i + 1]};
     }
 
     /** Successor node ids, parallel to succs(i). */
@@ -276,8 +273,7 @@ class Dag
     succTo(std::uint32_t i) const
     {
         ensureCsr();
-        return {succTo_.data() + succOff_[i],
-                succTo_.data() + succOff_[i + 1]};
+        return {succTo_ + succOff_[i], succTo_ + succOff_[i + 1]};
     }
 
     /** Successor arc delays, parallel to succs(i). */
@@ -285,8 +281,7 @@ class Dag
     succDelay(std::uint32_t i) const
     {
         ensureCsr();
-        return {succDelay_.data() + succOff_[i],
-                succDelay_.data() + succOff_[i + 1]};
+        return {succDelay_ + succOff_[i], succDelay_ + succOff_[i + 1]};
     }
 
     /** Predecessor node ids, parallel to preds(i). */
@@ -294,8 +289,7 @@ class Dag
     predFrom(std::uint32_t i) const
     {
         ensureCsr();
-        return {predFrom_.data() + predOff_[i],
-                predFrom_.data() + predOff_[i + 1]};
+        return {predFrom_ + predOff_[i], predFrom_ + predOff_[i + 1]};
     }
 
     /** Predecessor arc delays, parallel to preds(i). */
@@ -303,8 +297,7 @@ class Dag
     predDelay(std::uint32_t i) const
     {
         ensureCsr();
-        return {predDelay_.data() + predOff_[i],
-                predDelay_.data() + predOff_[i + 1]};
+        return {predDelay_ + predOff_[i], predDelay_ + predOff_[i + 1]};
     }
 
     /** Predecessor arc kinds, parallel to preds(i). */
@@ -312,8 +305,7 @@ class Dag
     predKind(std::uint32_t i) const
     {
         ensureCsr();
-        return {predKind_.data() + predOff_[i],
-                predKind_.data() + predOff_[i + 1]};
+        return {predKind_ + predOff_[i], predKind_ + predOff_[i + 1]};
     }
 
     const Arc &arc(std::uint32_t i) const { return arcs_[i]; }
@@ -378,11 +370,16 @@ class Dag
     Arena *arena_ = nullptr;
     std::uint32_t numNodes_ = 0;
 
-    // Topology, struct-of-arrays.
-    ArenaVector<const Instruction *> inst_;
-    ArenaVector<int> level_;
-    ArenaVector<int> numChildren_;
-    ArenaVector<int> numParents_;
+    /** The slabs' storage when the DAG has no arena. */
+    std::unique_ptr<std::byte[]> nodeHeap_;
+    mutable std::unique_ptr<std::byte[]> csrHeap_;
+
+    // Topology, struct-of-arrays: with ann_ and the duplicate stamps,
+    // views of the node slab.
+    std::span<const Instruction *> inst_;
+    std::span<int> level_;
+    std::span<int> numChildren_;
+    std::span<int> numParents_;
     ArenaVector<Arc> arcs_;
     NodeAnnotations ann_;
 
@@ -397,31 +394,43 @@ class Dag
     // O(1) duplicate detection within one arc group.
     std::uint32_t groupNode_ = ~std::uint32_t{0};
     std::uint32_t epoch_ = 0;
-    ArcIdxVec dupStamp_;
-    ArcIdxVec dupArc_;
+    std::span<std::uint32_t> dupStamp_;
+    std::span<std::uint32_t> dupArc_;
 
     // CSR adjacency, rebuilt lazily after arc insertion.  In the
     // pipeline every builder appends all arcs first and adjacency is
     // queried afterwards, so the counting pass runs exactly once per
-    // block.  The companion to/delay/kind slabs let hot loops stream
-    // without touching the (wider) Arc records.
+    // block.  The companion to/delay/kind arrays let hot loops stream
+    // without touching the (wider) Arc records.  All of them live in
+    // the CSR slab, which has room for csrArcs_ arcs.
     mutable bool csrValid_ = false;
-    mutable ArenaVector<std::uint32_t> succOff_;  ///< n + 1 offsets
-    mutable ArenaVector<std::uint32_t> predOff_;
-    mutable ArenaVector<std::uint32_t> succArc_;  ///< arc ids
-    mutable ArenaVector<std::uint32_t> predArc_;
-    mutable ArenaVector<std::uint32_t> succTo_;
-    mutable ArenaVector<std::uint32_t> predFrom_;
-    mutable ArenaVector<std::int32_t> succDelay_;
-    mutable ArenaVector<std::int32_t> predDelay_;
-    mutable ArenaVector<DepKind> predKind_;
+    mutable std::size_t csrArcs_ = 0;
+    mutable std::uint32_t *succOff_ = nullptr; ///< n + 1 offsets
+    mutable std::uint32_t *predOff_ = nullptr;
+    mutable std::uint32_t *succArc_ = nullptr; ///< arc ids
+    mutable std::uint32_t *predArc_ = nullptr;
+    mutable std::uint32_t *succTo_ = nullptr;
+    mutable std::uint32_t *predFrom_ = nullptr;
+    mutable std::int32_t *succDelay_ = nullptr;
+    mutable std::int32_t *predDelay_ = nullptr;
+    mutable DepKind *predKind_ = nullptr;
 
     mutable LevelLists levelLists_;
     mutable bool levelListsValid_ = false;
 
     /** Counting-pass CSR finalization (no-op when already valid). */
-    void ensureCsr() const;
+    void
+    ensureCsr() const
+    {
+        if (!csrValid_)
+            buildCsr();
+    }
     void buildCsr() const;
+
+    /** @p bytes of storage for a slab: from the arena, or from the heap
+     * into @p heap. */
+    std::byte *slab(std::size_t bytes,
+                    std::unique_ptr<std::byte[]> &heap) const;
 
     /** Find an existing (from,to) arc; returns arc id or ~0. */
     std::uint32_t findArc(std::uint32_t from, std::uint32_t to) const;

@@ -1,24 +1,10 @@
 #include "dag/table_backward.hh"
 
-#include <array>
-
 #include "obs/events.hh"
 #include "support/worker_context.hh"
 
 namespace sched91
 {
-
-namespace
-{
-
-/** Definition entry + use list for one register-like resource slot. */
-struct SlotEntry
-{
-    std::int64_t def = -1;
-    ArcIdxVec uses;
-};
-
-} // namespace
 
 void
 TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
@@ -26,13 +12,12 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
                               const BuildOptions &opts) const
 {
     DelayCalc delays(machine, dag);
-    std::array<SlotEntry, Resource::kNumSlots> table{};
-    if (Arena *arena = WorkerContext::currentArena()) {
-        // Per-slot use lists join the worker arena's block lifetime.
-        ArenaAllocator<std::uint32_t> alloc(arena);
-        for (SlotEntry &e : table)
-            e.uses = ArcIdxVec(alloc);
-    }
+    // The lane's table, when there is a lane; its use lists join the
+    // lane arena's block lifetime.
+    WorkerContext *wc = WorkerContext::current();
+    ResourceTable local;
+    ResourceTable &table = wc ? wc->resources : local;
+    table.begin(Resource::kNumSlots, WorkerContext::currentArena());
     MemTable mem(opts.memPolicy, WorkerContext::currentScratchArena());
 
     // Definition-table probes, accumulated locally and flushed with
@@ -48,7 +33,7 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
         // --- resources defined (processed before uses) ---------------
         for (Resource r : inst.defs()) {
             ++probes;
-            SlotEntry &e = table[r.slot()];
+            ResourceTable::Slot &e = table[r.slot()];
             if (e.def >= 0 && e.uses.empty()) {
                 std::uint32_t d = static_cast<std::uint32_t>(e.def);
                 dag.addArc(j, d, DepKind::WAW, delays.waw(j, d), r);
@@ -82,7 +67,7 @@ TableBackwardBuilder::addArcs(Dag &dag, const BlockView &block,
         // --- resources used -------------------------------------------
         for (Resource r : inst.uses()) {
             ++probes;
-            SlotEntry &e = table[r.slot()];
+            ResourceTable::Slot &e = table[r.slot()];
             if (e.def >= 0 && e.def != j) {
                 std::uint32_t d = static_cast<std::uint32_t>(e.def);
                 dag.addArc(j, d, DepKind::WAR, delays.war(), r);

@@ -1,24 +1,10 @@
 #include "dag/table_forward.hh"
 
-#include <array>
-
 #include "obs/events.hh"
 #include "support/worker_context.hh"
 
 namespace sched91
 {
-
-namespace
-{
-
-/** Definition entry + use list for one register-like resource slot. */
-struct SlotEntry
-{
-    std::int64_t def = -1;
-    ArcIdxVec uses;
-};
-
-} // namespace
 
 void
 TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
@@ -26,13 +12,12 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
                              const BuildOptions &opts) const
 {
     DelayCalc delays(machine, dag);
-    std::array<SlotEntry, Resource::kNumSlots> table{};
-    if (Arena *arena = WorkerContext::currentArena()) {
-        // Per-slot use lists join the worker arena's block lifetime.
-        ArenaAllocator<std::uint32_t> alloc(arena);
-        for (SlotEntry &e : table)
-            e.uses = ArcIdxVec(alloc);
-    }
+    // The lane's table, when there is a lane; its use lists join the
+    // lane arena's block lifetime.
+    WorkerContext *wc = WorkerContext::current();
+    ResourceTable local;
+    ResourceTable &table = wc ? wc->resources : local;
+    table.begin(Resource::kNumSlots, WorkerContext::currentArena());
     MemTable mem(opts.memPolicy, WorkerContext::currentScratchArena());
 
     // Definition-table probes, accumulated locally and flushed with
@@ -51,7 +36,7 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
         // --- resources used (processed before definitions) ----------
         for (Resource r : inst.uses()) {
             ++probes;
-            SlotEntry &e = table[r.slot()];
+            ResourceTable::Slot &e = table[r.slot()];
             if (e.def >= 0) {
                 std::uint32_t d = static_cast<std::uint32_t>(e.def);
                 dag.addArc(d, j, DepKind::RAW, delays.raw(d, j, r), r);
@@ -78,7 +63,7 @@ TableForwardBuilder::addArcs(Dag &dag, const BlockView &block,
         // --- resources defined ---------------------------------------
         for (Resource r : inst.defs()) {
             ++probes;
-            SlotEntry &e = table[r.slot()];
+            ResourceTable::Slot &e = table[r.slot()];
             if (!e.uses.empty()) {
                 for (std::uint32_t u : e.uses)
                     if (u != j)

@@ -24,9 +24,15 @@ Program::emplace(Opcode op)
 }
 
 void
-Program::reserve(std::size_t n)
+Program::reserve(std::size_t insts, std::size_t labels)
 {
-    insts_.reserve(n);
+    insts_.reserve(insts);
+    if (labels == 0)
+        return;
+    // A label may follow the last instruction.
+    if (labelAt_.size() < insts + 1)
+        labelAt_.resize(insts + 1, false);
+    labelOrder_.reserve(labels);
 }
 
 bool

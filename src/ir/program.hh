@@ -48,8 +48,10 @@ class Program
             mem->exprId = memExprs_.intern(*mem);
     }
 
-    /** Make room for @p n instructions. */
-    void reserve(std::size_t n);
+    /** Make room for @p insts instructions and, when @p labels, for
+     * that many labels at instruction indices up to @p insts (the map
+     * of their names still grows as they are added). */
+    void reserve(std::size_t insts, std::size_t labels = 0);
 
     /**
      * Attach a label to the next appended instruction position.
@@ -104,7 +106,7 @@ class Program
     std::vector<Instruction> insts_;
     std::unordered_map<std::string, std::uint32_t> labels_;
     std::vector<std::string> labelOrder_; ///< labels_' keys as defined
-    std::vector<bool> labelAt_; ///< up to the last labelled index
+    std::vector<bool> labelAt_; ///< at least up to the last labelled index
     MemExprTable memExprs_;
 };
 

@@ -1,5 +1,7 @@
 #include "obs/phase.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace sched91::obs
@@ -44,15 +46,15 @@ PhaseStats::child(std::string_view child_name) const
 void
 PhaseStats::add(const PhaseRecord &record)
 {
-    auto addEntry = [this](const PhaseRecord::Entry &e) {
-        PhaseStats &node = phaseNode(*this, e.phase);
+    // Main phases first, then heur's sub-phases: Phase order.
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+        const auto phase = static_cast<Phase>(p);
+        if (!record.started(phase))
+            continue;
+        PhaseStats &node = phaseNode(*this, phase);
         ++node.entries;
-        node.seconds += e.seconds;
-    };
-    for (const PhaseRecord::Entry &e : record)
-        addEntry(e);
-    for (std::size_t i = 0; i < record.numSubs; ++i)
-        addEntry(record.subs[i]);
+        node.seconds += record.secs[p];
+    }
 }
 
 void
@@ -66,7 +68,8 @@ PhaseStats::add(const PhaseShards &lane)
 }
 
 ScopedPhase::ScopedPhase(Phase phase, PhaseRecord *record)
-    : start_(Clock::now()), record_(record), phase_(phase)
+    : start_(record ? record->mark : Clock::time_point{}),
+      stopped_(record == nullptr), record_(record), phase_(phase)
 {
     if (PhaseShards *lane = record ? record->shards : nullptr) {
         SCHED91_ASSERT(detail::t_shard,
@@ -80,34 +83,39 @@ ScopedPhase::stop()
 {
     if (stopped_)
         return elapsed_;
-    elapsed_ =
-        std::chrono::duration<double>(Clock::now() - start_).count();
+    const Clock::time_point now = Clock::now();
+    elapsed_ = std::chrono::duration<double>(now - start_).count();
     stopped_ = true;
-    if (record_) {
-        const bool sub = isSubPhase(phase_);
-        SCHED91_ASSERT(sub ? record_->numSubs < record_->subs.size()
-                           : record_->size < record_->entries.size(),
-                       "phase record is full");
-        PhaseRecord::Entry &e = sub ? record_->subs[record_->numSubs++]
-                                    : record_->entries[record_->size++];
-        e.phase = phase_;
-        e.seconds = elapsed_;
-        if (PhaseShards *lane = record_->shards)
-            lane->totals[static_cast<std::size_t>(phase_)].foldSince(
-                *detail::t_shard, lane->opened[sub]);
-        if (record_->keepCounters && !sub)
-            e.counters = *detail::t_shard;
-    }
+    const auto p = static_cast<std::size_t>(phase_);
+    SCHED91_ASSERT(!record_->started(phase_),
+                   "a phase starts once per block");
+    record_->mark = now;
+    record_->startedMask |= static_cast<std::uint8_t>(1u << p);
+    record_->secs[p] = elapsed_;
+    const bool sub = isSubPhase(phase_);
+    if (PhaseShards *lane = record_->shards)
+        lane->totals[p].foldSince(*detail::t_shard, lane->opened[sub]);
+    if (record_->counters && !sub)
+        (*record_->counters)[p] = *detail::t_shard;
     return elapsed_;
 }
 
 double
-PhaseRecord::seconds(Phase phase) const
+PhaseRecord::mainSeconds() const
 {
-    for (const Entry &e : *this)
-        if (e.phase == phase)
-            return e.seconds;
-    return 0.0;
+    double total = 0.0;
+    for (std::size_t p = 0; p < kNumMainPhases; ++p)
+        if (started(static_cast<Phase>(p)))
+            total += secs[p];
+    return total;
+}
+
+Phase
+PhaseRecord::last() const
+{
+    const unsigned main = startedMask & ((1u << kNumMainPhases) - 1);
+    return main == 0 ? Phase::Build
+                     : static_cast<Phase>(std::bit_width(main) - 1);
 }
 
 } // namespace sched91::obs

@@ -5,14 +5,15 @@
  * (build -> heur -> heur-fwd/heur-bwd, sched, verify, evaluate)
  * carrying elapsed seconds, entry counts and per-phase counter deltas.
  *
- * ScopedPhase always measures wall-clock time (two steady-clock
- * reads).  A pipeline phase writes its PhaseRecord entry as it stops,
- * a phase that throws too.  Counting never switches shards: every
- * event of a block lands in the block's shard.  When the run keeps a
+ * ScopedPhase measures wall-clock time.  A pipeline phase runs from
+ * the end of the previous one, so it reads the clock once, as it
+ * stops, and writes its seconds into the block's PhaseRecord, a phase
+ * that throws too.  Counting never switches shards: every event of a
+ * block lands in the block's shard.  When the run keeps a
  * phase tree (observability on, with the run report), a phase copies
  * that shard as it opens and folds the shard's change since then into
  * its phase total as it stops, one pass each way (PhaseShards).  No
- * other shard is copied unless a trace sink keeps each entry's.
+ * other shard is copied unless a trace sink keeps each phase's.
  * After the join the pipeline folds the records, in block order, and
  * the lanes' totals into the run's phase tree.  Deltas are
  * *inclusive*: a parent phase's counters include those of its
@@ -79,35 +80,58 @@ struct PhaseShards
     std::array<CounterShard, std::size(kPhaseNames)> totals; ///< by Phase
 };
 
+/** Phases and sub-phases, and the main phases alone (Build to
+ * Evaluate), which are the first ones. */
+inline constexpr std::size_t kNumPhases = std::size(kPhaseNames);
+inline constexpr std::size_t kNumMainPhases =
+    std::size_t(Phase::Evaluate) + 1;
+
 /**
- * One block's pipeline phases: an entry per phase that started, in run
- * order, written by ScopedPhase::stop() (from its destructor when the
- * phase throws).  Run and outlier seconds, `lat.*` histograms, trace
- * events, the block budget and the phase tree all read it.  Fixed
- * arrays, so recording allocates nothing unless counters are kept.
+ * One block's pipeline phases, written by ScopedPhase::stop() (from
+ * its destructor when the phase throws).  A block starts each phase at
+ * most once, in Phase order, so the phases that started are a bit set
+ * and their seconds an array by Phase.  Run and outlier seconds,
+ * `lat.*` histograms, trace events, the block budget and the phase
+ * tree all read it.
+ *
+ * A recorded phase starts at mark, where the clock was last read: as
+ * the phase before it ended (a sub-phase: where heur started, or as
+ * the sub-phase before it ended), or, for a block's first phase, where
+ * its lane's previous block ended.  So each boundary costs one clock
+ * read, and the main phases of a lane's blocks add up to its whole
+ * time.
  */
 struct PhaseRecord
 {
-    struct Entry
-    {
-        Phase phase = Phase::Build;
-        double seconds = 0.0;
-        CounterShard counters; ///< per-block shard as it ended, if kept
-    };
+    using Clock = std::chrono::steady_clock;
 
-    std::array<Entry, std::size_t(Phase::Evaluate) + 1> entries;
-    std::size_t size = 0;
-    std::array<Entry, 2> subs; ///< heur's, read by the phase tree only
-    std::size_t numSubs = 0;
-    bool keepCounters = false; ///< set when a trace sink will read them
+    std::array<double, kNumPhases> secs{}; ///< by Phase; 0 if not started
+    std::uint8_t startedMask = 0;          ///< bit p: Phase p started
+    Clock::time_point mark{};              ///< the last boundary
     /** The lane's, while observing for a run report. */
     PhaseShards *shards = nullptr;
+    /** Where each main phase leaves a copy of the block's shard as it
+     * ends, when a trace sink will read them. */
+    std::array<CounterShard, kNumMainPhases> *counters = nullptr;
 
-    const Entry *begin() const { return entries.data(); }
-    const Entry *end() const { return entries.data() + size; }
+    bool
+    started(Phase phase) const
+    {
+        return (startedMask >> static_cast<unsigned>(phase)) & 1u;
+    }
 
     /** Seconds of @p phase; 0 when it did not start. */
-    double seconds(Phase phase) const;
+    double
+    seconds(Phase phase) const
+    {
+        return secs[static_cast<std::size_t>(phase)];
+    }
+
+    /** Seconds of the main phases that started. */
+    double mainSeconds() const;
+
+    /** The last main phase to start; Build when none did. */
+    Phase last() const;
 };
 
 /** Accumulated statistics for one phase node in the tree. */
@@ -130,14 +154,15 @@ struct PhaseStats
 
 /**
  * RAII handle opening a phase for the duration of a scope.  Cheap
- * without a phase tree to feed: construction and destruction are a
- * clock read plus a branch or two each.
+ * without a phase tree to feed: a recorded phase reads the clock once,
+ * as it stops, plus a branch or two.
  */
 class ScopedPhase
 {
   public:
-    /** A pipeline phase; stop() writes its entry into @p record.  With
-     * no record the phase only times itself. */
+    /** A pipeline phase of @p record's block, started at its mark;
+     * stop() writes its seconds there.  With no record it does
+     * nothing. */
     ScopedPhase(Phase phase, PhaseRecord *record);
 
     ScopedPhase(const ScopedPhase &) = delete;
@@ -146,19 +171,20 @@ class ScopedPhase
     ~ScopedPhase() { stop(); }
 
     /**
-     * Close the phase early; returns elapsed seconds.  Idempotent —
-     * the destructor becomes a no-op.  Phases must close LIFO.
+     * Close the phase early; returns elapsed seconds (0 with no
+     * record).  Idempotent — the destructor becomes a no-op.  Phases
+     * must close LIFO.
      */
     double stop();
 
   private:
-    using Clock = std::chrono::steady_clock;
+    using Clock = PhaseRecord::Clock;
 
     Clock::time_point start_;
     double elapsed_ = 0.0; ///< valid once stopped
     bool stopped_ = false;
     PhaseRecord *record_;
-    Phase phase_; ///< record_'s entry
+    Phase phase_;
 };
 
 } // namespace sched91::obs

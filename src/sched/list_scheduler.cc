@@ -232,7 +232,7 @@ fillTiming(const Dag &dag, Schedule &sched)
 
 ListScheduler::ListScheduler(SchedulerConfig config,
                              const MachineModel &machine)
-    : config_(std::move(config)), machine_(machine)
+    : config_(std::move(config)), machine_(machine), idleFus_(machine)
 {
     // A forward pass may lead with EET admission and then FPU busy
     // time, both smaller-wins: the heap path serves those two by
@@ -258,6 +258,17 @@ ListScheduler::ListScheduler(SchedulerConfig config,
                        CalcPass::Visitation ||
                    rh.heuristic == Heuristic::BirthingInstruction;
         });
+    // A pipelined unit is free again the cycle after it issues, no
+    // later than the next pick, so its busy time is always 0: all
+    // pipelined kinds share class 0, and each other kind has a class of
+    // its own.  Without FPU busy time every node is in class 0.
+    for (int k = 0; fuRank_ && k < kNumFuKinds; ++k) {
+        const auto kind = static_cast<FuKind>(k);
+        if (!machine_.fuDesc(kind).pipelined) {
+            classKind_[fuClasses_] = kind;
+            fuClass_[k] = static_cast<std::uint8_t>(fuClasses_++);
+        }
+    }
 }
 
 Schedule
@@ -298,10 +309,11 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
 
     RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
-    WorkerContext::NodeLists local_lists;
-    std::vector<long long> local_keys;
-    WorkerContext::NodeLists &lists = wc ? wc->nodeLists : local_lists;
-    std::vector<long long> &keys = wc ? wc->heapKeys : local_keys;
+    std::optional<WorkerContext::NodeLists> local_lists;
+    std::optional<std::vector<long long>> local_keys;
+    WorkerContext::NodeLists &lists =
+        wc ? wc->nodeLists : local_lists.emplace();
+    std::vector<long long> &keys = wc ? wc->heapKeys : local_keys.emplace();
     static_assert(kNumFuKinds + 2 <=
                   std::tuple_size_v<WorkerContext::NodeLists>);
     keys.resize(static_cast<std::size_t>(dag.size()) * ranks);
@@ -332,22 +344,9 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                 return k[a * ranks + r] > k[b * ranks + r];
         return forward ? a < b : a > b;
     };
-    // FPU busy time is one value per class of function-unit kinds, and
-    // each class gets its own heap.  A pipelined unit is free again the
-    // cycle after it issues, no later than the next pick, so its busy
-    // time is always 0: all pipelined kinds share class 0, and each
-    // other kind has a class of its own.  Without FPU busy time every
-    // node is in class 0.
-    std::size_t classes = 1;
-    std::array<std::uint8_t, kNumFuKinds> fu_class{};  // kind -> class
-    std::array<FuKind, kNumFuKinds + 1> class_kind{}; // class -> kind
-    for (int k = 0; Dynamic && fuRank_ && k < kNumFuKinds; ++k) {
-        const auto kind = static_cast<FuKind>(k);
-        if (!machine_.fuDesc(kind).pipelined) {
-            class_kind[classes] = kind;
-            fu_class[k] = static_cast<std::uint8_t>(classes++);
-        }
-    }
+    // FPU busy time is one value per class of function-unit kinds
+    // (fuClasses_), and each class gets its own heap.
+    const std::size_t classes = Dynamic ? fuClasses_ : 1;
     using ClassHeap = DaryHeap<std::uint32_t, decltype(outranks)>;
     std::array<std::optional<ClassHeap>, kNumFuKinds + 1> ready;
     for (std::size_t c = 0; c < classes; ++c)
@@ -365,11 +364,11 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
     // Only the classes past 0 have busy times to track.
     std::optional<FuState> fus;
     if (Dynamic && classes > 1)
-        fus.emplace(machine_);
+        fus.emplace(idleFus_);
     auto release = [&](std::uint32_t n) {
         std::size_t c = 0;
         if (Dynamic && fus)
-            c = fu_class[static_cast<std::size_t>(
+            c = fuClass_[static_cast<std::size_t>(
                 machine_.fuFor(dag.inst(n).cls()))];
         ready[c]->push(n);
         if (Dynamic)
@@ -413,7 +412,7 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
                 static_cast<std::uint64_t>(std::popcount(live)));
             auto busy = [&](std::size_t c) {
                 return c == 0 ? 0
-                              : fus->earliestFree(class_kind[c], time) -
+                              : fus->earliestFree(classKind_[c], time) -
                                     time;
             };
             int best_busy = busy(best);
@@ -453,8 +452,9 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
 
     RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
-    WorkerContext::NodeLists local_lists;
-    WorkerContext::NodeLists &lists = wc ? wc->nodeLists : local_lists;
+    std::optional<WorkerContext::NodeLists> local_lists;
+    WorkerContext::NodeLists &lists =
+        wc ? wc->nodeLists : local_lists.emplace();
     std::vector<std::uint32_t> &ready = lists[0];
     std::vector<std::uint32_t> &alive = lists[1];
     ready.clear();
@@ -465,7 +465,7 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
 
     // Only a forward pass has a clock and function-unit state for the
     // dynamic heuristics to rank on.
-    FuState fus(machine_);
+    FuState fus = idleFus_;
     EvalContext ctx;
     if (forward)
         ctx.fus = &fus;

@@ -24,12 +24,14 @@
 #ifndef SCHED91_SCHED_LIST_SCHEDULER_HH
 #define SCHED91_SCHED_LIST_SCHEDULER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "dag/dag.hh"
 #include "heuristics/heuristic.hh"
+#include "machine/function_unit.hh"
 #include "machine/machine_model.hh"
 #include "sched/schedule.hh"
 #include "support/cancellation.hh"
@@ -201,9 +203,15 @@ class ListScheduler
 
     SchedulerConfig config_;
     const MachineModel &machine_;
+    FuState idleFus_;      ///< every unit free: each run starts from it
     bool eetRank_ = false; ///< ranking leads with EET admission
     bool fuRank_ = false;  ///< then (or first) FPU busy time
     bool keyed_ = false;   ///< every later rank is static: heaps serve
+    /** The heap path's classes of function-unit kinds by FPU busy
+     * time: their number, each kind's class, each class's kind. */
+    std::size_t fuClasses_ = 1;
+    std::array<std::uint8_t, kNumFuKinds> fuClass_{};
+    std::array<FuKind, kNumFuKinds + 1> classKind_{};
 };
 
 } // namespace sched91

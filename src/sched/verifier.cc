@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/worker_context.hh"
+
 namespace sched91
 {
 
@@ -104,8 +106,10 @@ verifySchedule(const Dag &dag, const Schedule &sched,
     (void)machine; // reserved for future structural checks
     VerifyResult r;
 
-    // 1. Permutation.
-    std::vector<int> pos;
+    // 1. Permutation.  A lane's positions keep their capacity.
+    WorkerContext *wc = WorkerContext::current();
+    std::vector<int> local_pos;
+    std::vector<int> &pos = wc ? wc->schedPos : local_pos;
     if (!buildPositions(dag, sched.order, pos, r))
         return r; // positions unusable; later checks would lie
 

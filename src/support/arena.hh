@@ -160,14 +160,7 @@ class Arena
     }
 
     /** Total chunk storage owned by the arena. */
-    std::size_t
-    bytesReserved() const
-    {
-        std::size_t total = 0;
-        for (const Chunk &c : chunks_)
-            total += c.bytes;
-        return total;
-    }
+    std::size_t bytesReserved() const { return reserved_; }
 
     std::size_t numChunks() const { return chunks_.size(); }
 
@@ -203,7 +196,11 @@ class Arena
             throw std::bad_alloc();
         }
         // Advance through retained chunks first; grow only when none
-        // of them fits (doubling so chunk count stays logarithmic).
+        // of them fits.  A new chunk is as large as all the chunks
+        // before it together, or as the request if that is larger, so
+        // the reserve doubles as it grows (chunk count stays
+        // logarithmic), and one large slab does not double every chunk
+        // after it.
         while (chunkIndex_ + 1 < chunks_.size()) {
             ++chunkIndex_;
             const Chunk &c = chunks_[chunkIndex_];
@@ -217,10 +214,10 @@ class Arena
                 return reinterpret_cast<void *>(p);
             }
         }
-        std::size_t want = bytes + align;
-        std::size_t grown =
-            chunks_.empty() ? chunkBytes_ : chunks_.back().bytes * 2;
-        std::size_t size = want > grown ? want : grown;
+        const std::size_t want = bytes + align;
+        const std::size_t grown = chunks_.empty() ? chunkBytes_ : reserved_;
+        const std::size_t size = want > grown ? want : grown;
+        reserved_ += size;
         // Not zero-filled: nothing reads arena bytes it did not write,
         // and a chunk retained across resets hands out stale ones
         // anyway.
@@ -238,6 +235,7 @@ class Arena
     }
 
     std::size_t chunkBytes_;
+    std::size_t reserved_ = 0; ///< the chunks' bytes
     std::vector<Chunk> chunks_;
     std::size_t chunkIndex_ = 0;
     std::uintptr_t cursor_ = 0;

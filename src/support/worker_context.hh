@@ -7,7 +7,7 @@
  * It bundles:
  *
  *  - a bump Arena recycled at every block boundary, backing the DAG's
- *    arc-index lists and the table builders' register def/use lists
+ *    slabs and arc list and the table builders' register use lists
  *    (support/arena.hh);
  *  - a second, scratch arena for tables that live within one call:
  *    the table builders' memory table (dag/memdep.hh) and the DAG's
@@ -17,8 +17,10 @@
  *    the DAG's peak never costs the first arena another chunk;
  *  - named scratch vectors whose *capacity* persists across blocks —
  *    the list scheduler's node lists (ready list and survivors, or
- *    release queue and per-class heaps) and key store, and the timing
- *    and fixup passes' per-node arrays.
+ *    release queue and per-class heaps) and key store, and the timing,
+ *    fixup and verifier passes' per-node arrays;
+ *  - the table builders' register table (ResourceTable), which a
+ *    block resets only where it touches it.
  *
  * The context is installed thread-locally (WorkerContext::Scope) so
  * deep call sites — DAG builders, the list scheduler — can pick up the
@@ -31,6 +33,7 @@
 #ifndef SCHED91_SUPPORT_WORKER_CONTEXT_HH
 #define SCHED91_SUPPORT_WORKER_CONTEXT_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -39,6 +42,62 @@
 
 namespace sched91
 {
+
+/**
+ * The table builders' register table: per resource slot, the recorded
+ * definition and the current use list.  One kept by a lane serves all
+ * its blocks: each build starts a new generation, and a slot is reset
+ * the first time a build touches it, so a block pays for the slots it
+ * names, not for the whole table.
+ */
+class ResourceTable
+{
+  public:
+    struct Slot
+    {
+        std::int64_t def = -1;
+        ArenaVector<std::uint32_t> uses;
+    };
+
+    /** Start a build over @p slots resource slots, whose use lists
+     * draw on @p arena (null: the heap). */
+    void
+    begin(std::size_t slots, Arena *arena)
+    {
+        if (slots_.size() < slots) {
+            slots_.resize(slots);
+            stamps_.resize(slots, 0);
+        }
+        arena_ = arena;
+        if (++generation_ == 0) { // wrapped: no slot may look current
+            std::fill(stamps_.begin(), stamps_.end(), 0);
+            generation_ = 1;
+        }
+    }
+
+    /** Slot @p s, reset if this build has not touched it yet. */
+    Slot &
+    operator[](std::size_t s)
+    {
+        Slot &slot = slots_[s];
+        if (stamps_[s] != generation_) {
+            stamps_[s] = generation_;
+            slot.def = -1;
+            // The list's old storage may be arena bytes a reset took
+            // back: let go of it without reading it (an arena's
+            // deallocate is a no-op).
+            slot.uses = ArenaVector<std::uint32_t>(
+                ArenaAllocator<std::uint32_t>(arena_));
+        }
+        return slot;
+    }
+
+  private:
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> stamps_; ///< generation of each slot
+    std::uint32_t generation_ = 0;
+    Arena *arena_ = nullptr;
+};
 
 class WorkerContext
 {
@@ -101,8 +160,12 @@ class WorkerContext
      * dependence-ready cycles. */
     std::vector<int> depReady;
 
-    /** Postpass fixup: each node's position in the schedule. */
+    /** Postpass fixup, then the verifier: each node's position in the
+     * schedule. */
     std::vector<int> schedPos;
+
+    /** Table builders: the register table. */
+    ResourceTable resources;
 
   private:
     Arena arena_;

@@ -51,6 +51,20 @@ TEST(Arena, OversizedRequestGetsDedicatedChunk)
     EXPECT_GE(arena.bytesReserved(), 8000u);
 }
 
+TEST(Arena, AChunkIsSizedByTheReserveNotByTheLastChunk)
+{
+    // A new chunk is as large as the chunks before it together, or as
+    // the request: a large request gets a chunk of its own size, and
+    // the chunk after it does not double that size.
+    Arena arena(64);
+    arena.allocate(8, 8);     // the first chunk: 64 bytes
+    arena.allocate(1000, 8);  // a chunk of its own: 1008 bytes
+    EXPECT_EQ(arena.bytesReserved(), 64u + 1008u);
+    arena.allocate(16, 8);    // past it: the reserve so far, 1072
+    EXPECT_EQ(arena.numChunks(), 3u);
+    EXPECT_EQ(arena.bytesReserved(), 64u + 1008u + 1072u);
+}
+
 TEST(Arena, ResetRetainsChunks)
 {
     Arena arena(128);

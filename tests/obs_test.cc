@@ -302,14 +302,48 @@ TEST(ScopedPhase, StopIsIdempotentAndRecordsOnce)
 {
     ObsStateGuard guard;
 
-    // Disabled: the phase still times itself and writes its entry.
+    // Disabled: the phase still times itself and writes its seconds.
     obs::PhaseRecord record;
+    record.mark = obs::PhaseRecord::Clock::now();
     obs::ScopedPhase p(obs::Phase::Sched, &record);
     double t1 = p.stop();
     EXPECT_EQ(p.stop(), t1) << "stop() is idempotent";
     EXPECT_GE(t1, 0.0);
-    ASSERT_EQ(record.size, 1u) << "a second stop() writes no entry";
+    EXPECT_EQ(record.startedMask,
+              1u << static_cast<unsigned>(obs::Phase::Sched))
+        << "only sched started";
     EXPECT_EQ(record.seconds(obs::Phase::Sched), t1);
+}
+
+TEST(ScopedPhase, EachPhaseRunsFromThePreviousBoundary)
+{
+    // A phase starts where the phase before it ended, so a block's
+    // phases add up to the time from its mark to the end of its last
+    // phase; a sub-phase starts with heur.
+    using Clock = obs::PhaseRecord::Clock;
+    auto seconds = [](Clock::duration d) {
+        return std::chrono::duration<double>(d).count();
+    };
+    obs::PhaseRecord record;
+    record.mark = Clock::now();
+    const Clock::time_point begin = record.mark;
+    {
+        obs::ScopedPhase build(obs::Phase::Build, &record);
+    }
+    const Clock::time_point build_end = record.mark;
+    EXPECT_EQ(record.seconds(obs::Phase::Build),
+              seconds(build_end - begin));
+    {
+        obs::ScopedPhase heur(obs::Phase::Heur, &record);
+        obs::ScopedPhase bwd(obs::Phase::HeurBwd, &record);
+        bwd.stop();
+        EXPECT_EQ(record.seconds(obs::Phase::HeurBwd),
+                  seconds(record.mark - build_end));
+    }
+    EXPECT_EQ(record.seconds(obs::Phase::Heur),
+              seconds(record.mark - build_end));
+    EXPECT_NEAR(record.mainSeconds(), seconds(record.mark - begin), 1e-12);
+    EXPECT_EQ(record.last(), obs::Phase::Heur) << "sub-phases are not last";
 }
 
 TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
@@ -323,6 +357,7 @@ TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
     obs::PhaseShards lane;
     obs::PhaseRecord record;
     record.shards = &lane;
+    record.mark = obs::PhaseRecord::Clock::now();
     {
         obs::ScopedCounterShard scope(block);
         events.inc(1); // between phases: in no phase node
@@ -351,8 +386,13 @@ TEST(ScopedPhase, RecordedPhasesCountIntoTheirOwnShards)
     EXPECT_EQ(block.value(events.id()), 31u)
         << "the block shard ends as if counted straight into it";
     EXPECT_EQ(block.value(peak.id()), 5u);
-    ASSERT_EQ(record.size, 3u) << "a phase that throws keeps its entry";
-    EXPECT_EQ(record.numSubs, 1u);
+    EXPECT_TRUE(record.started(obs::Phase::Build));
+    EXPECT_TRUE(record.started(obs::Phase::Heur));
+    EXPECT_TRUE(record.started(obs::Phase::Sched))
+        << "a phase that throws keeps its seconds";
+    EXPECT_EQ(record.last(), obs::Phase::Sched);
+    EXPECT_TRUE(record.started(obs::Phase::HeurFwd));
+    EXPECT_FALSE(record.started(obs::Phase::HeurBwd));
 
     obs::PhaseStats tree;
     tree.add(record);

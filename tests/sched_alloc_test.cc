@@ -8,7 +8,10 @@
  * most once more per block than simple-forward (one all-static heap):
  * for the function-unit state's single buffer.  And turning the
  * observability layer on may cost at most one more per block: phases
- * count into lane storage, so only per-run outputs allocate.
+ * count into lane storage, so only per-run outputs allocate.  With it
+ * off, a block allocates only its Schedule's two arrays: the DAG's
+ * slabs live in the lane's arena, and the register table, the
+ * verifier's positions and the block's slot stay with the lane.
  *
  * Its own executable: it replaces the global operator new.
  */
@@ -26,8 +29,10 @@
 #include "dag/builder.hh"
 #include "dag/dag_stats.hh"
 #include "ir/basic_block.hh"
+#include "ir/parser.hh"
 #include "machine/presets.hh"
 #include "obs/counters.hh"
+#include "support/string_util.hh"
 #include "support/worker_context.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
@@ -87,15 +92,16 @@ namespace sched91
 namespace
 {
 
-/** Allocations per block of a one-lane table-fwd run of @p prog,
- * with the observability layer on when @p observe. */
+/** Allocations per block of a one-lane run of @p prog, with the
+ * observability layer on when @p observe. */
 double
 allocationsPerBlock(Program &prog, AlgorithmKind algorithm,
-                    bool observe = false)
+                    bool observe = false,
+                    BuilderKind builder = BuilderKind::TableForward)
 {
     PipelineOptions opts;
     opts.algorithm = algorithm;
-    opts.builder = BuilderKind::TableForward;
+    opts.builder = builder;
     opts.build.memPolicy = AliasPolicy::SymbolicExpr;
     opts.threads = 1;
     obs::setEnabled(observe);
@@ -137,6 +143,49 @@ TEST(SchedAllocations, ObservabilityAtMostOneMorePerBlock)
                     "per block\n",
                     profile.name.c_str(), off, on);
         EXPECT_LE(on - off, 1.0) << profile.name;
+    }
+}
+
+TEST(SchedAllocations, RunPipelineAllocatesOnlyTheSchedulePerBlock)
+{
+    // 16,384 one-instruction blocks: a label before every instruction
+    // that does not end a block, taken from the Table 3 profiles in
+    // turn.  What is left per block is its Schedule's order and issue
+    // cycles.
+    constexpr std::size_t kBlocks = 16384;
+    std::string text;
+    std::size_t labels = 0;
+    while (labels < kBlocks) {
+        for (const WorkloadProfile &profile : allProfiles()) {
+            const Program src = generateProgram(profile);
+            for (const Instruction &inst : src.insts()) {
+                if (labels == kBlocks)
+                    break;
+                if (inst.endsBlock())
+                    continue;
+                text += numbered("L", labels++);
+                text += ":\n    ";
+                text += inst.toString();
+                text += '\n';
+            }
+        }
+    }
+    Program prog = parseAssembly(text);
+    ASSERT_EQ(partitionBlocks(prog).size(), kBlocks);
+    for (BuilderKind builder :
+         {BuilderKind::TableForward, BuilderKind::TableBackward,
+          BuilderKind::N2Forward}) {
+        for (AlgorithmKind algorithm :
+             {AlgorithmKind::SimpleForward, AlgorithmKind::Krishnamurthy}) {
+            const double per_block =
+                allocationsPerBlock(prog, algorithm, false, builder);
+            std::printf("%-9s %-14s %.3f allocations per block\n",
+                        std::string(builderKindName(builder)).c_str(),
+                        std::string(algorithmSpec(algorithm).config.name)
+                            .c_str(),
+                        per_block);
+            EXPECT_LE(per_block, 2.01) << builderKindName(builder);
+        }
     }
 }
 

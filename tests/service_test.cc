@@ -1598,6 +1598,9 @@ TEST(CliContract, NumericOptionsRejectJunk)
          "--max-block-seconds"},
         {"schedule --kernel daxpy --max-block-insts 40x",
          "--max-block-insts"},
+        // The sandbox worker's own flags: junk is not fd 0 (stdin).
+        {"__sandbox-worker --fd abc", "--fd"},
+        {"__sandbox-worker --fd 3 --ring-fd 4x", "--ring-fd"},
     };
     for (const auto &[args, option] : bad) {
         int status = 0;

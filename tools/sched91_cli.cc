@@ -1425,15 +1425,15 @@ cmdSandboxWorker(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--fd")
-                cfg.fd = std::atoi(next().c_str());
+                cfg.fd = parseWhole(arg, next(), 0);
             else if (arg == "--ring-fd")
-                cfg.ringFd = std::atoi(next().c_str());
+                cfg.ringFd = parseWhole(arg, next(), 0);
             else if (arg == "--machine")
                 cfg.engine.machineName = next();
             else if (arg == "--max-block-insts")
-                cfg.engine.maxBlockInsts = std::atoi(next().c_str());
+                cfg.engine.maxBlockInsts = parseWhole(arg, next(), 0);
             else if (arg == "--capture-outliers")
-                cfg.engine.captureOutliers = std::atoi(next().c_str());
+                cfg.engine.captureOutliers = parseWhole(arg, next(), 0);
             else if (arg == "--outlier-dir")
                 cfg.engine.outlierDir = next();
             else if (arg == "--fault-inject")
@@ -1444,6 +1444,9 @@ cmdSandboxWorker(int argc, char **argv)
         if (!faultSpec.empty())
             fault::configure(fault::parseSpec(faultSpec));
         return service::runSandboxWorker(cfg);
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "sched91 __sandbox-worker: %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sched91 __sandbox-worker: %s\n",
                      e.what());
