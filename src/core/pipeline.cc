@@ -83,10 +83,10 @@ struct BlockExtras
 
 /** What every run reads of one block, parked in its own slot until
  * the post-join reduction.  What folds the same in any order (the DAG
- * structure, cycles, arena samples) stays with the lane instead. */
+ * structure, cycles, arena samples) stays with the lane instead, and
+ * the lane hands the block's schedule over itself. */
 struct BlockOutput
 {
-    Schedule sched;
     /** The block's phases; every per-phase output derives from it. */
     obs::PhaseRecord phases;
     std::uint32_t arcs = 0; ///< its DAG's, 0 when degraded
@@ -230,7 +230,12 @@ ProgramResult
 runPipeline(Program &prog, const MachineModel &machine,
             const PipelineOptions &opts)
 {
-    std::vector<BasicBlock> blocks = partitionBlocks(prog, opts.partition);
+    unsigned threads = opts.threads != 0
+                           ? opts.threads
+                           : ThreadPool::hardwareConcurrency();
+    std::vector<BasicBlock> blocks = partitionBlocks(
+        prog, opts.partition,
+        prog.size() >= kLanePartitionInsts ? threads : 1);
     AlgorithmSpec spec = algorithmSpec(opts.algorithm);
     std::unique_ptr<DagBuilder> builder = makeBuilder(opts.builder);
     const TableForwardBuilder table_builder;
@@ -245,9 +250,6 @@ runPipeline(Program &prog, const MachineModel &machine,
     // The parts of the run report that only observability feeds.
     const bool obs_report = obs_on && opts.report;
 
-    unsigned threads = opts.threads != 0
-                           ? opts.threads
-                           : ThreadPool::hardwareConcurrency();
     // No plan has more chunks than blocks, so no run needs more lanes.
     threads = static_cast<unsigned>(
         std::clamp<std::size_t>(blocks.size(), 1, threads));
@@ -314,6 +316,8 @@ runPipeline(Program &prog, const MachineModel &machine,
         // Added to the lane's as the block ends.
         long long cycles_original = 0;
         long long cycles_scheduled = 0;
+        // Moved into the caller's slot as the block ends, or freed.
+        Schedule sched;
 
         // Ladder rung two (last resort): the block keeps its original
         // instruction order — trivially valid, zero claimed speedup.
@@ -325,9 +329,9 @@ runPipeline(Program &prog, const MachineModel &machine,
             extras.stage = stage;
             extras.reason = std::move(reason);
             extras.decisions.reset();
-            out.sched = Schedule{};
-            out.sched.order.resize(bb.size());
-            std::iota(out.sched.order.begin(), out.sched.order.end(),
+            sched = Schedule{};
+            sched.order.resize(bb.size());
+            std::iota(sched.order.begin(), sched.order.end(),
                       std::uint32_t{0});
             out.arcs = 0;
             cycles_original = 0;
@@ -552,16 +556,15 @@ runPipeline(Program &prog, const MachineModel &machine,
                 b == static_cast<std::size_t>(opts.explainBlock))
                 decision_stats.emplace().recordLog = true;
             obs::ScopedPhase sched_phase(obs::Phase::Sched, &out.phases);
-            out.sched = scheduler.run(
+            sched = scheduler.run(
                 dag, decision_stats ? &*decision_stats : nullptr,
                 token ? &*token : nullptr);
             sched_phase.stop();
             obs::flight::record(obs::flight::EventKind::PhaseEnd,
-                                "sched", {}, out.sched.order.size(),
+                                "sched", {}, sched.order.size(),
                                 static_cast<std::uint64_t>(
-                                    out.sched.makespan < 0
-                                        ? 0
-                                        : out.sched.makespan));
+                                    sched.makespan < 0 ? 0
+                                                       : sched.makespan));
             if (decision_stats) {
                 DecisionTrace &trace = out.extra().decisions.emplace();
                 trace.block = static_cast<int>(b);
@@ -577,7 +580,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             if (opts.verify) {
                 obs::ScopedPhase verify_phase(obs::Phase::Verify,
                                               &out.phases);
-                VerifyResult vr = verifySchedule(dag, out.sched, machine);
+                VerifyResult vr = verifySchedule(dag, sched, machine);
                 verify_phase.stop();
                 // An injected rejection takes the real rejection path
                 // end to end; it only substitutes the verdict.
@@ -622,8 +625,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                                          machine)
                             .cycles;
                     cycles_scheduled =
-                        simulateSchedule(dag, out.sched.order, machine)
-                            .cycles;
+                        simulateSchedule(dag, sched.order, machine).cycles;
                 } else {
                     Dag gt = buildGroundTruth(block, machine, opts.build);
                     cycles_original =
@@ -632,8 +634,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                                          machine)
                             .cycles;
                     cycles_scheduled =
-                        simulateSchedule(gt, out.sched.order, machine)
-                            .cycles;
+                        simulateSchedule(gt, sched.order, machine).cycles;
                 }
                 eval_phase.stop();
                 obs::flight::record(
@@ -671,6 +672,9 @@ runPipeline(Program &prog, const MachineModel &machine,
         ws.cyclesOriginal += cycles_original;
         ws.cyclesScheduled += cycles_scheduled;
         ws.mark = out.phases.mark;
+        // Slot b is this lane's alone; its old schedule is freed here.
+        if (opts.schedules)
+            (*opts.schedules)[b] = std::move(sched);
     };
 
     auto runChunks = [&](unsigned w, std::size_t first, std::size_t last) {
@@ -756,9 +760,16 @@ runPipeline(Program &prog, const MachineModel &machine,
         }
     };
 
+    // Sized here, so that each lane moves its blocks' schedules into
+    // their slots.
+    if (opts.schedules)
+        opts.schedules->resize(blocks.size());
     try {
         lanes.parallelFor(plan.chunks(), 1, runChunks, threads);
     } catch (...) {
+        // No slot is left half filled.
+        if (opts.schedules)
+            opts.schedules->clear();
         // A propagating fault (containFaults off) must not lose the
         // events already counted: parallelFor drains every chunk
         // before rethrowing, so the lane accumulators are quiescent —
@@ -773,8 +784,6 @@ runPipeline(Program &prog, const MachineModel &machine,
 
     // Deterministic reduction: block order for per-block outputs,
     // every per-phase one read from the block's phase record...
-    if (opts.schedules)
-        opts.schedules->assign(blocks.size(), Schedule{});
     // Per-block samples go into one histogram each (`lat.*` indexed by
     // Phase), named into the result once after the loop.
     obs::Histogram block_insts, block_arena_bytes;
@@ -822,8 +831,6 @@ runPipeline(Program &prog, const MachineModel &machine,
             if (out.degraded)
                 fire("degrade", 0.0, extras.degradeCounters);
         }
-        if (opts.schedules)
-            (*opts.schedules)[b] = std::move(out.sched);
         if (out.extras && out.extras->decisions)
             result.decisions = std::move(*out.extras->decisions);
         if (out.fallback) {

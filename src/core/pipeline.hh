@@ -24,7 +24,10 @@
  * thread count (see docs/PERFORMANCE.md).  A lane keeps only what
  * folds the same in any order — its counter and phase totals and its
  * arena gauges — and its flight ring, which a crash dump reads from
- * memory.
+ * memory.  A large program is partitioned on the lanes too
+ * (ir/basic_block.hh), and each lane moves its blocks' schedules into
+ * their slots as they end, so the calling thread does no work per
+ * instruction.
  *
  * The run report — the forest count and the other per-node and
  * per-block DAG samples, the phase tree, the per-block histograms, the
@@ -113,7 +116,9 @@ struct PipelineOptions
     /**
      * When non-null, receives one Schedule per block (indexed by
      * block id) — the per-block output that ProgramResult otherwise
-     * aggregates away.
+     * aggregates away.  It is sized before the blocks run, and the lane
+     * that runs a block moves its schedule into the slot, freeing the
+     * schedule the slot held; a run that throws leaves it empty.
      */
     std::vector<Schedule> *schedules = nullptr;
 

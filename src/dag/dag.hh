@@ -245,6 +245,8 @@ class Dag
     int level(std::uint32_t i) const { return level_[i]; }
     int numChildren(std::uint32_t i) const { return numChildren_[i]; }
     int numParents(std::uint32_t i) const { return numParents_[i]; }
+    std::span<const int> childCounts() const { return numChildren_; }
+    std::span<const int> parentCounts() const { return numParents_; }
 
     /** Heuristic annotation arrays (index by node id). */
     NodeAnnotations &ann() { return ann_; }

@@ -121,55 +121,59 @@ calcPassName(CalcPass pass)
     return "?";
 }
 
-long long
-staticValue(const Dag &dag, std::uint32_t n, Heuristic h)
+StaticColumn
+staticColumn(const Dag &dag, Heuristic h, bool phiMax)
 {
     const NodeAnnotations &a = dag.ann();
     switch (h) {
-      case Heuristic::InterlockWithPrevious: return 0;
-      case Heuristic::EarliestExecutionTime: return a.earliestExecTime[n];
-      case Heuristic::InterlockWithChild: return a.interlockWithChild[n];
-      case Heuristic::ExecutionTime: return a.execTime[n];
-      case Heuristic::AlternateType: return a.altType[n];
-      case Heuristic::FpuBusyTimes: return 0;
-      case Heuristic::MaxPathToLeaf: return a.maxPathToLeaf[n];
-      case Heuristic::MaxDelayToLeaf: return a.maxDelayToLeaf[n];
-      case Heuristic::MaxPathFromRoot: return a.maxPathFromRoot[n];
-      case Heuristic::MaxDelayFromRoot: return a.maxDelayFromRoot[n];
-      case Heuristic::EarliestStartTime: return a.earliestStart[n];
-      case Heuristic::LatestStartTime: return a.latestStart[n];
-      case Heuristic::Slack: return a.slack[n];
-      case Heuristic::NumChildren: return dag.numChildren(n);
-      case Heuristic::DelaysToChildren: return a.sumDelaysToChildren[n];
-      case Heuristic::NumSingleParentChildren: return 0;
-      case Heuristic::SumDelaysToSingleParentChildren: return 0;
-      case Heuristic::NumUncoveredChildren: return 0;
-      case Heuristic::NumParents: return dag.numParents(n);
-      case Heuristic::DelaysFromParents: return a.sumDelaysFromParents[n];
-      case Heuristic::NumDescendants: return a.numDescendants[n];
+      case Heuristic::EarliestExecutionTime:
+        return StaticColumn(a.earliestExecTime);
+      case Heuristic::InterlockWithChild:
+        return StaticColumn(a.interlockWithChild);
+      case Heuristic::ExecutionTime: return StaticColumn(a.execTime);
+      case Heuristic::AlternateType: return StaticColumn(a.altType);
+      case Heuristic::MaxPathToLeaf: return StaticColumn(a.maxPathToLeaf);
+      case Heuristic::MaxDelayToLeaf: return StaticColumn(a.maxDelayToLeaf);
+      case Heuristic::MaxPathFromRoot:
+        return StaticColumn(a.maxPathFromRoot);
+      case Heuristic::MaxDelayFromRoot:
+        return StaticColumn(a.maxDelayFromRoot);
+      case Heuristic::EarliestStartTime: return StaticColumn(a.earliestStart);
+      case Heuristic::LatestStartTime: return StaticColumn(a.latestStart);
+      case Heuristic::Slack: return StaticColumn(a.slack);
+      case Heuristic::NumChildren: return StaticColumn(dag.childCounts());
+      case Heuristic::DelaysToChildren:
+        return StaticColumn(phiMax ? a.maxDelayToChild
+                                   : a.sumDelaysToChildren);
+      case Heuristic::NumParents: return StaticColumn(dag.parentCounts());
+      case Heuristic::DelaysFromParents:
+        return StaticColumn(phiMax ? a.maxDelayFromParents
+                                   : a.sumDelaysFromParents);
+      case Heuristic::NumDescendants: return StaticColumn(a.numDescendants);
       case Heuristic::SumExecTimesOfDescendants:
-        return a.sumExecOfDescendants[n];
-      case Heuristic::RegistersBorn: return a.regsBorn[n];
-      case Heuristic::RegistersKilled: return a.regsKilled[n];
-      case Heuristic::Liveness: return a.liveness[n];
+        return StaticColumn(a.sumExecOfDescendants);
+      case Heuristic::RegistersBorn: return StaticColumn(a.regsBorn);
+      case Heuristic::RegistersKilled: return StaticColumn(a.regsKilled);
+      case Heuristic::Liveness: return StaticColumn(a.liveness);
       case Heuristic::BirthingInstruction:
-        return static_cast<long long>(a.priorityBoost[n]);
+        return StaticColumn(a.priorityBoost);
       default:
-        return 0;
+        // InterlockWithPrevious, FpuBusyTimes and the uncovering counts
+        // are the scheduler's to evaluate.
+        return {};
     }
+}
+
+long long
+staticValue(const Dag &dag, std::uint32_t n, Heuristic h)
+{
+    return staticColumn(dag, h).at(n);
 }
 
 long long
 staticValueMax(const Dag &dag, std::uint32_t n, Heuristic h)
 {
-    switch (h) {
-      case Heuristic::DelaysToChildren:
-        return dag.ann().maxDelayToChild[n];
-      case Heuristic::DelaysFromParents:
-        return dag.ann().maxDelayFromParents[n];
-      default:
-        return staticValue(dag, n, h);
-    }
+    return staticColumn(dag, h, true).at(n);
 }
 
 } // namespace sched91

@@ -117,6 +117,59 @@ long long staticValue(const Dag &dag, std::uint32_t n, Heuristic h);
 /** phi = max variant for DelaysToChildren / DelaysFromParents. */
 long long staticValueMax(const Dag &dag, std::uint32_t n, Heuristic h);
 
+/**
+ * Where staticValue() reads one heuristic for every node of a DAG: an
+ * annotation array (or the DAG's child or parent counts), or nothing
+ * for a heuristic that reads 0.  A caller that reads many nodes takes
+ * the column once instead of switching on the heuristic per node.
+ */
+class StaticColumn
+{
+  public:
+    StaticColumn() = default;
+    explicit StaticColumn(std::span<const int> v)
+        : kind_(Int), data_(v.data())
+    {
+    }
+    explicit StaticColumn(std::span<const std::uint8_t> v)
+        : kind_(Byte), data_(v.data())
+    {
+    }
+    explicit StaticColumn(std::span<const long long> v)
+        : kind_(Wide), data_(v.data())
+    {
+    }
+    explicit StaticColumn(std::span<const double> v)
+        : kind_(Real), data_(v.data())
+    {
+    }
+
+    /** Node @p n's value: staticValue()'s. */
+    long long
+    at(std::uint32_t n) const
+    {
+        switch (kind_) {
+          case Int: return static_cast<const int *>(data_)[n];
+          case Byte: return static_cast<const std::uint8_t *>(data_)[n];
+          case Wide: return static_cast<const long long *>(data_)[n];
+          case Real:
+            return static_cast<long long>(
+                static_cast<const double *>(data_)[n]);
+          case Zero: break;
+        }
+        return 0;
+    }
+
+  private:
+    enum Kind : std::uint8_t { Zero, Int, Byte, Wide, Real };
+    Kind kind_ = Zero;
+    const void *data_ = nullptr;
+};
+
+/** The column staticValue() reads @p h from, or with @p phiMax
+ * staticValueMax(). */
+StaticColumn staticColumn(const Dag &dag, Heuristic h, bool phiMax = false);
+
 } // namespace sched91
 
 #endif // SCHED91_HEURISTICS_HEURISTIC_HH

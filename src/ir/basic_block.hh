@@ -13,12 +13,25 @@
  *
  * The paper's fpppp-1000/2000/4000 variants cap the maximum block size
  * with an instruction window; the same mechanism is exposed here via
- * PartitionOptions::window.
+ * PartitionOptions::window.  The window cuts each natural block (one
+ * that labels and block-ending instructions delimit) every `window`
+ * instructions from its start.
+ *
+ * Lanes: partitionBlocks() on N > 1 lanes cuts the program into N
+ * ranges of about equal size.  Each lane counts its range's
+ * integer-register definitions and finds its first and last natural
+ * block starts; the caller takes the prefix of the counts and the
+ * block starts around each range; then each lane stamps its range's
+ * generations and cuts the blocks that start in it.  The blocks, every
+ * generation and `dag.window_flushes` (counted in the caller's shard)
+ * are those of a one-lane partition.  runPipeline partitions on its
+ * lanes from kLanePartitionInsts instructions on.
  */
 
 #ifndef SCHED91_IR_BASIC_BLOCK_HH
 #define SCHED91_IR_BASIC_BLOCK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,12 +70,24 @@ struct PartitionOptions
 void stampMemGenerations(Program &prog);
 
 /**
+ * Programs with fewer instructions than this partition on the calling
+ * thread in runPipeline; larger ones on its lanes.  About where four
+ * lanes break even right after a lane parse: below it the lanes' two
+ * round trips cost more than they save (docs/PERFORMANCE.md, "The
+ * caller's steps").
+ */
+inline constexpr std::size_t kLanePartitionInsts = 10000;
+
+/**
  * Partition @p prog into basic blocks, stamping memory generations
  * (stampMemGenerations()) in the same pass.  Blocks are returned in
- * program order and cover every instruction exactly once.
+ * program order and cover every instruction exactly once.  With
+ * @p threads > 1 the work runs on that many of the calling thread's
+ * lanes (ThreadPool::local), with the same result.
  */
 std::vector<BasicBlock> partitionBlocks(Program &prog,
-                                        const PartitionOptions &opts = {});
+                                        const PartitionOptions &opts = {},
+                                        unsigned threads = 1);
 
 /** Structural data reported in Table 3. */
 struct ProgramStructure

@@ -471,6 +471,10 @@ MemExprTable::intern(const MemOperand &op)
 std::vector<std::uint32_t>
 MemExprTable::merge(const MemExprTable &other)
 {
+    // Room for every expression of both, so the merge does not grow
+    // the table on the way.
+    while ((keys_.size() + other.size() + 1) * 2 > slots_.size())
+        grow();
     std::vector<std::uint32_t> ids(other.size());
     for (std::uint32_t id = 0; id < ids.size(); ++id) {
         const Entry &e = other.entries_[id];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -745,7 +746,7 @@ parseLines(std::string_view text, Program &prog,
         } catch (LineError &e) {
             // A failed line leaves nothing behind.
             if (prog.size() != appended)
-                prog.insts().pop_back();
+                prog.store().popBack();
             events.push_back(
                 {ParseEvent::Error, lineno, e.col, std::move(e.message), {}});
             ++errors;
@@ -870,9 +871,7 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
 
     // On this thread, per label and per diagnostic, in line order: the
     // first definition of a label wins, and a throwing engine ends the
-    // parse here.  The label map is not reserved: Program::toString()
-    // lists the labels of one index in the map's order, which follows
-    // how it grew, so it must grow as in a one-lane parse.
+    // parse here.
     std::vector<std::uint32_t> inst_base(chunks.size() + 1, 0);
     for (std::size_t c = 0; c < chunks.size(); ++c)
         inst_base[c + 1] =
@@ -891,10 +890,13 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
     for (std::size_t c = 1; c < chunks.size(); ++c)
         expr_ids[c] = prog.internMemExprs(chunks[c].prog.memExprs());
 
-    // Per instruction, back on the lanes: each moves into place with its
-    // program index and expression id.
-    prog.insts().resize(inst_base.back());
-    Instruction *const insts = prog.insts().data();
+    // Per instruction, back on the lanes: the program's store grows by
+    // slots nothing constructs (within the capacity reserved above, so
+    // the first piece stays where it is), and each lane moves its
+    // piece's instructions into theirs and frees what the piece kept.
+    // The moves cannot throw, so no slot is left unbuilt.
+    prog.store().appendUnbuilt(inst_base.back() - inst_base[1]);
+    Instruction *const insts = prog.store().data();
     pool->parallelFor(
         chunks.size() - 1, 1,
         [&](unsigned, std::size_t first, std::size_t) {
@@ -906,7 +908,7 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
                 inst.setIndex(idx);
                 if (auto &mem = inst.mem())
                     mem->exprId = ids[mem->exprId];
-                insts[idx] = std::move(inst);
+                std::construct_at(insts + idx, std::move(inst));
             }
             chunks[c].prog = Program(); // freed here, not on the caller
         },

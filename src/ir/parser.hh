@@ -26,13 +26,17 @@
  *
  * Lanes: a large text is cut at line boundaries into one chunk per
  * lane, and the chunks parse on the calling thread's lanes
- * (ThreadPool::local).  Each records its labels, warnings and errors
- * instead of reporting them; the caller then replays them in line
- * order, interns the chunks' memory expressions in chunk order, and
- * the lanes move the instructions into place.  The Program, every
- * diagnostic, the strict and error-cap outcomes and the counts are
- * those of a one-lane parse at every lane count.  A short text, or a
- * one-lane call, is one chunk parsed on the calling thread.
+ * (ThreadPool::local); the first straight into the result, the others
+ * into programs of their own.  Each records its labels, warnings and
+ * errors instead of reporting them; the caller then replays them in
+ * line order and interns the chunks' memory expressions in chunk
+ * order, work per label, diagnostic and unique expression.  The
+ * result's instruction store grows by slots nothing constructs
+ * (InstStore::appendUnbuilt), and each lane moves its chunk's
+ * instructions into theirs.  The Program, every diagnostic, the strict
+ * and error-cap outcomes and the counts are those of a one-lane parse
+ * at every lane count.  A short text, or a one-lane call, is one chunk
+ * parsed on the calling thread.
  */
 
 #ifndef SCHED91_IR_PARSER_HH

@@ -1,24 +1,137 @@
 #include "ir/program.hh"
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
+#include <utility>
 
 namespace sched91
 {
+
+namespace
+{
+
+Instruction *
+allocate(std::size_t n)
+{
+    return std::allocator<Instruction>().allocate(n);
+}
+
+void
+deallocate(Instruction *p, std::size_t n)
+{
+    if (p)
+        std::allocator<Instruction>().deallocate(p, n);
+}
+
+} // namespace
+
+InstStore::InstStore(const InstStore &other)
+{
+    if (other.size_ == 0)
+        return;
+    data_ = allocate(other.size_);
+    try {
+        std::uninitialized_copy_n(other.data_, other.size_, data_);
+    } catch (...) {
+        deallocate(data_, other.size_);
+        data_ = nullptr;
+        throw;
+    }
+    size_ = capacity_ = other.size_;
+}
+
+InstStore::InstStore(InstStore &&other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      capacity_(std::exchange(other.capacity_, 0))
+{
+}
+
+InstStore &
+InstStore::operator=(InstStore other) noexcept
+{
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(capacity_, other.capacity_);
+    return *this;
+}
+
+InstStore::~InstStore()
+{
+    std::destroy_n(data_, size_);
+    deallocate(data_, capacity_);
+}
+
+void
+InstStore::reallocate(std::size_t capacity)
+{
+    Instruction *data = allocate(capacity);
+    std::uninitialized_move_n(data_, size_, data);
+    std::destroy_n(data_, size_);
+    deallocate(data_, capacity_);
+    data_ = data;
+    capacity_ = capacity;
+}
+
+void
+InstStore::grow()
+{
+    reallocate(size_ + std::max<std::size_t>(size_, 1));
+}
+
+void
+InstStore::reserve(std::size_t n)
+{
+    if (n > capacity_)
+        reallocate(n);
+}
+
+Instruction &
+InstStore::emplaceBack(Opcode op)
+{
+    if (size_ == capacity_)
+        grow();
+    return *std::construct_at(data_ + size_++, op);
+}
+
+Instruction &
+InstStore::pushBack(Instruction &&inst)
+{
+    if (size_ == capacity_)
+        grow();
+    return *std::construct_at(data_ + size_++, std::move(inst));
+}
+
+void
+InstStore::popBack()
+{
+    std::destroy_at(data_ + --size_);
+}
+
+Instruction *
+InstStore::appendUnbuilt(std::size_t n)
+{
+    if (size_ + n > capacity_)
+        reallocate(size_ + n);
+    Instruction *first = data_ + size_;
+    size_ += n;
+    return first;
+}
 
 Instruction &
 Program::append(Instruction inst)
 {
     inst.setIndex(static_cast<std::uint32_t>(insts_.size()));
     internMem(inst);
-    insts_.push_back(std::move(inst));
-    return insts_.back();
+    return insts_.pushBack(std::move(inst));
 }
 
 Instruction &
 Program::emplace(Opcode op)
 {
     const auto idx = static_cast<std::uint32_t>(insts_.size());
-    Instruction &inst = insts_.emplace_back(op);
+    Instruction &inst = insts_.emplaceBack(op);
     inst.setIndex(idx);
     return inst;
 }
@@ -33,6 +146,7 @@ Program::reserve(std::size_t insts, std::size_t labels)
     if (labelAt_.size() < insts + 1)
         labelAt_.resize(insts + 1, false);
     labelOrder_.reserve(labels);
+    labels_.reserve(labels);
 }
 
 bool
@@ -91,7 +205,7 @@ Program::toString() const
         names[labels_.find(name)->second].push_back(name);
 
     std::ostringstream os;
-    for (const auto &inst : insts_) {
+    for (const Instruction &inst : insts()) {
         auto it = names.find(inst.index());
         if (it != names.end())
             for (const auto &name : it->second)

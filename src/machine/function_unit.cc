@@ -38,10 +38,16 @@ FuState::earliestFree(FuKind kind, int now) const
 void
 FuState::occupy(InstClass cls, int start)
 {
-    const auto k = static_cast<std::size_t>(machine_->fuFor(cls));
+    occupy(machine_->fuFor(cls), start, machine_->fuBusyCycles(cls));
+}
+
+void
+FuState::occupy(FuKind kind, int start, int busy)
+{
+    const auto k = static_cast<std::size_t>(kind);
     int *units = busyUntil();
     *std::min_element(units + first_[k], units + first_[k + 1]) =
-        start + machine_->fuBusyCycles(cls);
+        start + busy;
 }
 
 int

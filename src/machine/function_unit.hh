@@ -42,6 +42,11 @@ class FuState
      */
     void occupy(InstClass cls, int start);
 
+    /** occupy() with the class's unit and busy time looked up already:
+     * a unit of @p kind takes an operation at @p start for @p busy
+     * cycles. */
+    void occupy(FuKind kind, int start, int busy);
+
     /** Busy-until time of the most-loaded unit of @p kind. */
     int maxBusyUntil(FuKind kind) const;
 

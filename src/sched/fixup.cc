@@ -32,6 +32,10 @@ applyPostpassFixup(const Dag &dag, Schedule &sched)
         dep_ready[i] = dag.ann().inheritedEet[i];
     int moved = 0;
     int time = 0;
+    // Positions before p keep their nodes, so each issue cycle is the
+    // final order's.
+    sched.issueCycle.assign(n, 0);
+    sched.makespan = 0;
 
     for (std::size_t p = 0; p < n; ++p) {
         std::uint32_t node = sched.order[p];
@@ -77,6 +81,9 @@ applyPostpassFixup(const Dag &dag, Schedule &sched)
             dep_ready[to[k]] =
                 std::max(dep_ready[to[k]], issue + delay[k]);
         }
+        sched.issueCycle[p] = issue;
+        sched.makespan =
+            std::max(sched.makespan, issue + dag.ann().execTime[node]);
         time = issue + 1;
     }
 

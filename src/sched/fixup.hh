@@ -21,7 +21,10 @@ namespace sched91
 
 /**
  * Improve @p sched in place; returns the number of instructions moved.
- * The result is still a valid topological order of @p dag.
+ * The result is still a valid topological order of @p dag, and its
+ * issue cycles and makespan are set to the timing of that order (each
+ * node issued in sequence, no earlier than its arcs and inherited
+ * floor allow), which the fixup works out as it goes.
  */
 int applyPostpassFixup(const Dag &dag, Schedule &sched);
 

@@ -56,14 +56,16 @@ struct EvalContext
 {
     std::int64_t last = -1; ///< most recently scheduled node
     int lastGroup = -1;     ///< its issue group
-    const FuState *fus = nullptr;
+    const FuState *fus = nullptr; ///< set in a forward pass only
+    const std::uint8_t *cls = nullptr; ///< each node's InstClass
+    const FuKind *unitOf = nullptr;    ///< each InstClass's unit
     int time = 0;
 };
 
 /** Evaluate one heuristic for candidate @p n. */
 long long
 evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
-         const EvalContext &ctx, const MachineModel &machine)
+         const EvalContext &ctx)
 {
     const NodeAnnotations &ann = dag.ann();
     switch (rh.heuristic) {
@@ -77,7 +79,7 @@ evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
       case Heuristic::FpuBusyTimes: {
         if (!ctx.fus)
             return 0;
-        FuKind fu = machine.fuFor(dag.inst(n).cls());
+        const FuKind fu = ctx.unitOf[ctx.cls[n]];
         return std::max(0, ctx.fus->earliestFree(fu, ctx.time) - ctx.time);
       }
       case Heuristic::AlternateType:
@@ -109,8 +111,8 @@ evaluate(const Dag &dag, std::uint32_t n, const RankedHeuristic &rh,
 std::size_t
 selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
            std::vector<std::uint32_t> &alive, const SchedulerConfig &config,
-           const EvalContext &ctx, const MachineModel &machine,
-           DecisionStats *stats, obs::CountBatch &evals)
+           const EvalContext &ctx, DecisionStats *stats,
+           obs::CountBatch &evals)
 {
     SCHED91_ASSERT(!candidates.empty());
     alive.resize(candidates.size());
@@ -126,8 +128,7 @@ selectBest(const Dag &dag, const std::vector<std::uint32_t> &candidates,
         std::size_t kept = 0; // survivors compact in place: kept <= i
         evals.add(alive.size());
         for (std::size_t i = 0; i < alive.size(); ++i) {
-            long long v = evaluate(dag, candidates[alive[i]], rh, ctx,
-                                   machine);
+            long long v = evaluate(dag, candidates[alive[i]], rh, ctx);
             if (kept == 0 ||
                 (rh.preferLarger ? v > best_value : v < best_value)) {
                 best_value = v;
@@ -196,6 +197,31 @@ retire(Dag &dag, std::uint32_t n, int time, const SchedulerConfig &config,
     return issue;
 }
 
+/** Record that the pick just appended to @p sched issues at
+ * @p issue. */
+void
+timePick(const Dag &dag, Schedule &sched, std::uint32_t n, int issue)
+{
+    sched.issueCycle.push_back(issue);
+    sched.makespan = std::max(sched.makespan, issue + dag.ann().execTime[n]);
+}
+
+/**
+ * Each node's instruction class, read once per run into the lane's
+ * scratch (@p local without one).  Only a forward pass reads it, and
+ * it needs the DAG's instructions.
+ */
+const std::uint8_t *
+nodeClasses(const Dag &dag, std::vector<std::uint8_t> &local)
+{
+    WorkerContext *wc = WorkerContext::current();
+    std::vector<std::uint8_t> &cls = wc ? wc->nodeClass : local;
+    cls.resize(dag.size());
+    for (std::uint32_t n = 0; n < dag.size(); ++n)
+        cls[n] = static_cast<std::uint8_t>(dag.inst(n).cls());
+    return cls.data();
+}
+
 /** Compute issue cycles and makespan for a completed order. */
 void
 fillTiming(const Dag &dag, Schedule &sched)
@@ -251,23 +277,31 @@ ListScheduler::ListScheduler(SchedulerConfig config,
     // The rest must not change as nodes issue: Table 1's 'v' column,
     // plus Tiemann's birthing instruction, whose priorityBoost the
     // backward pass raises (onScheduledBackward).
-    keyed_ = std::none_of(
-        ranking.begin() + static_cast<std::ptrdiff_t>(r), ranking.end(),
-        [](const RankedHeuristic &rh) {
-            return heuristicInfo(rh.heuristic).pass ==
-                       CalcPass::Visitation ||
-                   rh.heuristic == Heuristic::BirthingInstruction;
-        });
+    keyed_ = ranking.size() - r <= kMaxKeyedRanks &&
+             std::none_of(
+                 ranking.begin() + static_cast<std::ptrdiff_t>(r),
+                 ranking.end(), [](const RankedHeuristic &rh) {
+                     return heuristicInfo(rh.heuristic).pass ==
+                                CalcPass::Visitation ||
+                            rh.heuristic == Heuristic::BirthingInstruction;
+                 });
     // A pipelined unit is free again the cycle after it issues, no
     // later than the next pick, so its busy time is always 0: all
     // pipelined kinds share class 0, and each other kind has a class of
     // its own.  Without FPU busy time every node is in class 0.
+    std::array<std::uint8_t, kNumFuKinds> fu_class{};
     for (int k = 0; fuRank_ && k < kNumFuKinds; ++k) {
         const auto kind = static_cast<FuKind>(k);
         if (!machine_.fuDesc(kind).pipelined) {
             classKind_[fuClasses_] = kind;
-            fuClass_[k] = static_cast<std::uint8_t>(fuClasses_++);
+            fu_class[k] = static_cast<std::uint8_t>(fuClasses_++);
         }
+    }
+    for (std::size_t c = 0; c < kNumInstClasses; ++c) {
+        const auto cls = static_cast<InstClass>(c);
+        unitOf_[c] = machine_.fuFor(cls);
+        busyOf_[c] = machine_.fuBusyCycles(cls);
+        heapOf_[c] = fu_class[static_cast<std::size_t>(unitOf_[c])];
     }
 }
 
@@ -278,34 +312,39 @@ ListScheduler::run(Dag &dag, DecisionStats *stats,
     initDynamicState(dag);
     Schedule sched;
     sched.order.reserve(dag.size());
+    if (timesPicks())
+        sched.issueCycle.reserve(dag.size());
     // DecisionStats observes every candidate at every pick, so it
     // moves a keyed ranking off the heaps onto the scan.
     if (!keyed_ || stats)
-        runScan(dag, sched.order, stats, cancel);
+        runScan(dag, sched, stats, cancel);
     else if (eetRank_ || fuRank_)
-        runHeap<true>(dag, sched.order, cancel);
+        runHeap<true>(dag, sched, cancel);
     else
-        runHeap<false>(dag, sched.order, cancel);
+        runHeap<false>(dag, sched, cancel);
     SCHED91_ASSERT(sched.order.size() == dag.size(),
                    "scheduler lost nodes (cyclic DAG?)");
-    // A backward pass picks the block from its end.
+    // A backward pass picks the block from its end, and times it once
+    // it is in order; the fixup times the order it leaves.
     if (!config_.forward)
         std::reverse(sched.order.begin(), sched.order.end());
     if (config_.postpassFixup)
         applyPostpassFixup(dag, sched);
-    fillTiming(dag, sched);
+    else if (!config_.forward)
+        fillTiming(dag, sched);
     return sched;
 }
 
 template <bool Dynamic>
 void
-ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
+ListScheduler::runHeap(Dag &dag, Schedule &sched,
                        const CancellationToken *cancel) const
 {
     const bool eet_rank = Dynamic && eetRank_;
     const std::size_t first = std::size_t{eetRank_} + fuRank_;
     const std::size_t ranks = config_.ranking.size() - first;
     const int *eet = dag.ann().earliestExecTime.data();
+    const bool times = timesPicks();
 
     RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
@@ -321,13 +360,24 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
     // Each node enters the ready list exactly once, so its static
     // tuple is evaluated exactly once, at admission, and so is its
     // EET, which is final once every parent has issued.  Keys are
-    // stored so that the larger value wins at every rank.
+    // stored so that the larger value wins at every rank, each read
+    // from the array its heuristic names.
+    struct Column
+    {
+        StaticColumn values;
+        bool negate = false;
+    };
+    std::array<Column, kMaxKeyedRanks> columns;
+    for (std::size_t r = 0; r < ranks; ++r) {
+        const RankedHeuristic &rh = config_.ranking[first + r];
+        columns[r] = {staticColumn(dag, rh.heuristic, rh.phiMax),
+                      !rh.preferLarger};
+    }
     auto computeKey = [&](std::uint32_t n) {
+        long long *key = keys.data() + n * ranks;
         for (std::size_t r = 0; r < ranks; ++r) {
-            const RankedHeuristic &rh = config_.ranking[first + r];
-            long long v = rh.phiMax ? staticValueMax(dag, n, rh.heuristic)
-                                    : staticValue(dag, n, rh.heuristic);
-            keys[n * ranks + r] = rh.preferLarger ? v : -v;
+            const long long v = columns[r].values.at(n);
+            key[r] = columns[r].negate ? -v : v;
         }
         counts.evals.add(ranks + eet_rank);
     };
@@ -363,13 +413,16 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
 
     // Only the classes past 0 have busy times to track.
     std::optional<FuState> fus;
-    if (Dynamic && classes > 1)
+    const std::uint8_t *cls = nullptr;
+    std::vector<std::uint8_t> local_cls;
+    if (Dynamic && classes > 1) {
         fus.emplace(idleFus_);
+        cls = nodeClasses(dag, local_cls);
+    }
     auto release = [&](std::uint32_t n) {
         std::size_t c = 0;
         if (Dynamic && fus)
-            c = fuClass_[static_cast<std::size_t>(
-                machine_.fuFor(dag.inst(n).cls()))];
+            c = heapOf_[cls[n]];
         ready[c]->push(n);
         if (Dynamic)
             live |= 1u << c;
@@ -433,22 +486,24 @@ ListScheduler::runHeap(Dag &dag, std::vector<std::uint32_t> &order,
         if (Dynamic && ready[best]->empty())
             live &= ~(1u << best);
         --waiting;
-        order.push_back(n);
+        sched.order.push_back(n);
         if (eet_rank)
             next = std::max(time, eet[n]) + 1; // retire's issue, + 1
         const int issue = retire(dag, n, time, config_, counts, admit);
+        if (times)
+            timePick(dag, sched, n, issue);
         if (Dynamic && fus)
-            fus->occupy(dag.inst(n).cls(), issue);
+            fus->occupy(unitOf_[cls[n]], issue, busyOf_[cls[n]]);
         time = issue + 1;
     }
 }
 
 void
-ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
-                       DecisionStats *stats,
+ListScheduler::runScan(Dag &dag, Schedule &sched, DecisionStats *stats,
                        const CancellationToken *cancel) const
 {
     const bool forward = config_.forward;
+    const bool times = timesPicks();
 
     RunCounts counts;
     WorkerContext *wc = WorkerContext::current();
@@ -467,22 +522,28 @@ ListScheduler::runScan(Dag &dag, std::vector<std::uint32_t> &order,
     // dynamic heuristics to rank on.
     FuState fus = idleFus_;
     EvalContext ctx;
-    if (forward)
+    std::vector<std::uint8_t> local_cls;
+    if (forward) {
         ctx.fus = &fus;
+        ctx.cls = nodeClasses(dag, local_cls);
+        ctx.unitOf = unitOf_.data();
+    }
 
     while (!ready.empty()) {
         if (cancel)
             cancel->poll();
         counts.pick(ready.size());
         std::size_t best = selectBest(dag, ready, alive, config_, ctx,
-                                      machine_, stats, counts.evals);
+                                      stats, counts.evals);
         std::uint32_t n = ready[best];
         ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best));
-        order.push_back(n);
+        sched.order.push_back(n);
 
         int issue = retire(dag, n, ctx.time, config_, counts, admit);
+        if (times)
+            timePick(dag, sched, n, issue);
         if (forward) {
-            fus.occupy(dag.inst(n).cls(), issue);
+            fus.occupy(unitOf_[ctx.cls[n]], issue, busyOf_[ctx.cls[n]]);
             ctx.time = issue + 1;
         }
         ctx.last = n;

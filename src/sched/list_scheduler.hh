@@ -19,6 +19,17 @@
  * the winner no earlier than its earliest execution time, and updates
  * its children's dynamic state.  A backward pass fills the block from
  * the end: a node is a candidate once all children are scheduled.
+ *
+ * Timing: a forward pass records each pick's issue cycle as it issues
+ * it, and the Krishnamurthy postpass fixup records the cycles of the
+ * order it leaves; only a backward pass without the fixup times its
+ * order once it is complete.  Either way Schedule::issueCycle and
+ * makespan are those of issuing the returned order in sequence, each
+ * node no earlier than its arcs and inherited floor allow.
+ *
+ * A scheduler works out once, per instruction class, the function unit
+ * that runs it, how long the unit stays busy and which of the heap
+ * path's heaps it joins; a run reads each node's class once.
  */
 
 #ifndef SCHED91_SCHED_LIST_SCHEDULER_HH
@@ -191,14 +202,27 @@ class ListScheduler
                  const CancellationToken *cancel = nullptr) const;
 
   private:
-    // Each appends the picks to @p order in the order they are made.
-    void runScan(Dag &dag, std::vector<std::uint32_t> &order,
-                 DecisionStats *stats,
+    static constexpr std::size_t kNumInstClasses =
+        static_cast<std::size_t>(InstClass::kNumClasses);
+    /** The most static ranks the heap path keys on. */
+    static constexpr std::size_t kMaxKeyedRanks = 8;
+
+    /** A forward pass without the fixup times its picks as it issues
+     * them. */
+    bool
+    timesPicks() const
+    {
+        return config_.forward && !config_.postpassFixup;
+    }
+
+    // Each appends the picks to @p sched's order in the order they are
+    // made, and when timesPicks() their issue cycles and makespan.
+    void runScan(Dag &dag, Schedule &sched, DecisionStats *stats,
                  const CancellationToken *cancel) const;
     // Dynamic: the ranking leads with EET and/or FPU busy time; an
     // all-static ranking compiles to a loop over one heap.
     template <bool Dynamic>
-    void runHeap(Dag &dag, std::vector<std::uint32_t> &order,
+    void runHeap(Dag &dag, Schedule &sched,
                  const CancellationToken *cancel) const;
 
     SchedulerConfig config_;
@@ -208,10 +232,14 @@ class ListScheduler
     bool fuRank_ = false;  ///< then (or first) FPU busy time
     bool keyed_ = false;   ///< every later rank is static: heaps serve
     /** The heap path's classes of function-unit kinds by FPU busy
-     * time: their number, each kind's class, each class's kind. */
+     * time: their number and each class's kind. */
     std::size_t fuClasses_ = 1;
-    std::array<std::uint8_t, kNumFuKinds> fuClass_{};
     std::array<FuKind, kNumFuKinds + 1> classKind_{};
+    /** Per instruction class: the unit that runs it, the cycles it
+     * holds the unit, and the heap path's class of its unit. */
+    std::array<FuKind, kNumInstClasses> unitOf_{};
+    std::array<int, kNumInstClasses> busyOf_{};
+    std::array<std::uint8_t, kNumInstClasses> heapOf_{};
 };
 
 } // namespace sched91

@@ -37,6 +37,15 @@ reservationPattern(const MachineModel &machine, InstClass cls)
     }
 }
 
+ReservationPatterns
+reservationPatterns(const MachineModel &machine)
+{
+    ReservationPatterns patterns;
+    for (std::size_t c = 0; c < patterns.size(); ++c)
+        patterns[c] = reservationPattern(machine, static_cast<InstClass>(c));
+    return patterns;
+}
+
 ReservationTable::ReservationTable(const MachineModel &machine)
     : machine_(machine), busy_(kNumFuKinds)
 {
@@ -95,6 +104,7 @@ scheduleWithReservationTable(Dag &dag, const MachineModel &machine)
     result.cycle.assign(n, -1);
 
     ReservationTable table(machine);
+    const ReservationPatterns patterns = reservationPatterns(machine);
     std::vector<int> unplaced_parents(n);
     for (std::uint32_t i = 0; i < n; ++i)
         unplaced_parents[i] = dag.numParents(i);
@@ -128,8 +138,8 @@ scheduleWithReservationTable(Dag &dag, const MachineModel &machine)
         std::span<const std::int32_t> pdelay = dag.predDelay(node_id);
         for (std::size_t k = 0; k < from.size(); ++k)
             floor = std::max(floor, result.cycle[from[k]] + pdelay[k]);
-        auto pattern =
-            reservationPattern(machine, dag.inst(node_id).cls());
+        const std::vector<FuUse> &pattern = patterns[static_cast<std::size_t>(
+            dag.inst(node_id).cls())];
         int slot = table.earliestFit(pattern, floor);
         table.place(pattern, slot);
         result.cycle[node_id] = slot;

@@ -26,6 +26,7 @@
 #ifndef SCHED91_SCHED_RESERVATION_HH
 #define SCHED91_SCHED_RESERVATION_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,13 @@ struct FuUse
 /** Reservation pattern (busy blocks) for an instruction class. */
 std::vector<FuUse> reservationPattern(const MachineModel &machine,
                                       InstClass cls);
+
+/** Every instruction class's reservationPattern(), indexed by class:
+ * made once per run, looked up per node. */
+using ReservationPatterns =
+    std::array<std::vector<FuUse>,
+               static_cast<std::size_t>(InstClass::kNumClasses)>;
+ReservationPatterns reservationPatterns(const MachineModel &machine);
 
 /** A partially filled reservation table. */
 class ReservationTable

@@ -201,11 +201,13 @@ verifyReservation(const Dag &dag, const ReservationResult &res,
 
     // Reservation conflicts: replay every pattern into a fresh table.
     ReservationTable table(machine);
+    const ReservationPatterns patterns = reservationPatterns(machine);
     for (std::uint32_t n : res.sched.order) {
         const Instruction *inst = dag.instPtr(n);
         if (inst == nullptr)
             continue;
-        auto pattern = reservationPattern(machine, inst->cls());
+        const std::vector<FuUse> &pattern =
+            patterns[static_cast<std::size_t>(inst->cls())];
         int start = res.cycle[n];
         if (!table.fits(pattern, start)) {
             fail(r, concat("node ", n, " reservation pattern conflicts "

@@ -50,7 +50,7 @@ void
 viewSchedule(ResponseBody &body, ParsedRequest &parsed,
              const std::vector<Schedule> *schedules)
 {
-    const std::vector<Instruction> &insts = parsed.prog.insts();
+    const std::span<const Instruction> insts = parsed.prog.insts();
     const auto text = [&parsed](const Instruction &inst) {
         return inst.text().empty()
                    ? std::string_view(

@@ -80,11 +80,12 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::runChunks(unsigned id)
+ThreadPool::runChunks(unsigned id, bool first)
 {
-    for (;;) {
+    for (;; first = false) {
         std::size_t begin =
-            next_.fetch_add(jobChunk_, std::memory_order_relaxed);
+            first ? 0
+                  : next_.fetch_add(jobChunk_, std::memory_order_relaxed);
         if (begin >= jobSize_)
             return;
         std::size_t end = begin + jobChunk_;
@@ -117,7 +118,7 @@ ThreadPool::workerMain(unsigned id)
         if (id >= jobLanes_)
             continue;
         lk.unlock();
-        runChunks(id);
+        runChunks(id, false);
         lk.lock();
         if (--active_ == 0)
             cvDone_.notify_all();
@@ -152,13 +153,13 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
         jobFn_ = &fn;
         firstError_ = nullptr;
         suppressed_ = 0;
-        next_.store(0, std::memory_order_relaxed);
+        next_.store(chunk, std::memory_order_relaxed); // the caller's
         active_ = lanes - 1;
         ++generation_;
     }
     cvStart_.notify_all();
 
-    runChunks(0);
+    runChunks(0, true);
 
     std::exception_ptr error;
     std::size_t extra;

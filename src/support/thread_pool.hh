@@ -76,7 +76,11 @@ class ThreadPool
      * Run @p fn over [0, n) in chunks of @p chunk items, on the first
      * @p lanes lanes (all of them when 0 or more than threads()), so
      * worker ids stay below that count.  Blocks until every item is
-     * done.  The first exception thrown by @p fn is rethrown here
+     * done.  The first chunk is always the caller's (worker 0): the
+     * pipeline's first is its largest block, whose DAG then lives in
+     * the caller's allocator arena, where malloc_trim() can return it,
+     * and not in that of a lane still awake from the previous call.
+     * The first exception thrown by @p fn is rethrown here
      * (remaining chunks still drain).  Further exceptions are counted,
      * not swallowed: the count lands in the
      * `robust.pool_suppressed_errors` event counter and is appended to
@@ -88,7 +92,9 @@ class ThreadPool
 
   private:
     void workerMain(unsigned id);
-    void runChunks(unsigned id);
+    /** Take chunks until none is left; @p first: start with the
+     * first, which no worker takes. */
+    void runChunks(unsigned id, bool first);
 
     unsigned nthreads_;
     std::vector<std::thread> workers_;

@@ -17,8 +17,8 @@
  *    the DAG's peak never costs the first arena another chunk;
  *  - named scratch vectors whose *capacity* persists across blocks —
  *    the list scheduler's node lists (ready list and survivors, or
- *    release queue and per-class heaps) and key store, and the timing,
- *    fixup and verifier passes' per-node arrays;
+ *    release queue and per-class heaps), key store and node classes,
+ *    and the timing, fixup and verifier passes' per-node arrays;
  *  - the table builders' register table (ResourceTable), which a
  *    block resets only where it touches it.
  *
@@ -155,6 +155,10 @@ class WorkerContext
 
     /** List scheduler: per-node ranked-key store for the heap. */
     std::vector<long long> heapKeys;
+
+    /** List scheduler: each node's instruction class, read once per
+     * run. */
+    std::vector<std::uint8_t> nodeClass;
 
     /** Postpass fixup, then the timing fill pass: per-node
      * dependence-ready cycles. */

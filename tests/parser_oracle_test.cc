@@ -27,6 +27,7 @@
 #include "obs/events.hh"
 #include "support/diagnostics.hh"
 #include "support/logging.hh"
+#include "support/string_util.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -297,6 +298,77 @@ parseOutcome(std::string_view text, DiagnosticEngine::Options opts,
     out.warnings = shard.value(obs::ev::robustParseWarnings.id());
     out.errors = shard.value(obs::ev::robustParseErrors.id());
     return out;
+}
+
+/** Each line of piecewiseText(), padded to this many bytes. */
+constexpr std::size_t kLineBytes = 24;
+
+/**
+ * About 56 KB of lines of kLineBytes bytes each, cut as parseAssembly
+ * cuts a text for 2, 3, 4 and 8 lanes: every piece but the last ends
+ * in a malformed line and then a label, whose instruction is the next
+ * piece's first.
+ */
+std::string
+piecewiseText()
+{
+    constexpr std::size_t kLines = 2400;
+    std::vector<std::string> lines(kLines);
+    for (std::size_t i = 0; i < kLines; ++i)
+        lines[i] = i % 3 == 0   ? "    ld [%o0 + 8], %o1"
+                   : i % 3 == 1 ? "    add %o1, 1, %o2"
+                                : "    st %o2, [%o0 + %o3]";
+    // A piece ends at the first newline at or past size / n * i: the
+    // end of the line holding that byte.
+    const std::size_t size = kLines * kLineBytes;
+    for (std::size_t n : {2u, 3u, 4u, 8u})
+        for (std::size_t i = 1; i < n; ++i) {
+            const std::size_t last = size / n * i / kLineBytes;
+            lines[last - 1] = "    frobnicate %o1";
+            lines[last] = numbered("P", last) + ":";
+        }
+    std::string text;
+    for (std::string &line : lines) {
+        line.resize(kLineBytes - 1, ' ');
+        text += line;
+        text += '\n';
+    }
+    return text;
+}
+
+TEST(ParserOracle, PiecesEndingInAnErrorAndALabel)
+{
+    const std::string text = piecewiseText();
+    ASSERT_GE(text.size(), kLaneParseBytes);
+    DiagnosticEngine::Options strict;
+    strict.strict = true;
+    DiagnosticEngine::Options lenient;
+    lenient.maxErrors = 0;
+    obs::setEnabled(true);
+    const Outcome strict_one = parseOutcome(text, strict, 1);
+    const Outcome lenient_one = parseOutcome(text, lenient, 1);
+    EXPECT_FALSE(strict_one.thrown.empty());
+    EXPECT_EQ(lenient_one.errors, 9u); // one per distinct cut
+    {
+        DiagnosticEngine diags(lenient);
+        const Program prog = parseAssembly(text, diags, "t.s", 1);
+        EXPECT_EQ(prog.labels().size(), 9u);
+        // Its 1200 lines before, less four labels and five errors.
+        EXPECT_EQ(prog.labelTarget(numbered("P", 1200)), 1191);
+    }
+    for (unsigned lanes : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(lanes) + " lanes");
+        expectSameParse(text, "pieces ending in an error and a label",
+                        lanes);
+        const Outcome got_strict = parseOutcome(text, strict, lanes);
+        EXPECT_EQ(got_strict.thrown, strict_one.thrown);
+        EXPECT_EQ(got_strict.diags, strict_one.diags);
+        EXPECT_EQ(got_strict.errors, strict_one.errors);
+        const Outcome got_lenient = parseOutcome(text, lenient, lanes);
+        EXPECT_EQ(got_lenient.diags, lenient_one.diags);
+        EXPECT_EQ(got_lenient.errors, lenient_one.errors);
+    }
+    obs::setEnabled(false);
 }
 
 TEST(ParserOracle, LanesStopWhereOneLaneStops)

@@ -13,6 +13,7 @@
 #include "core/pipeline.hh"
 #include "dag/builder.hh"
 #include "dag/table_forward.hh"
+#include "heuristics/register_pressure.hh"
 #include "heuristics/static_passes.hh"
 #include "ir/basic_block.hh"
 #include "ir/parser.hh"
@@ -22,7 +23,9 @@
 #include "sched/list_scheduler.hh"
 #include "sched/pipeline_sim.hh"
 #include "sched/registry.hh"
+#include "workload/generator.hh"
 #include "workload/kernels.hh"
+#include "workload/profiles.hh"
 
 namespace sched91
 {
@@ -195,6 +198,84 @@ TEST(Fixup, FillsLoadDelaySlot)
     int moved = applyPostpassFixup(dag, sched);
     EXPECT_EQ(moved, 1);
     EXPECT_EQ(sched.order, (std::vector<std::uint32_t>{0, 2, 1}));
+}
+
+/**
+ * The timing of @p order as the scheduler once worked it out after
+ * every pass: each node issued in sequence, no earlier than the cycle
+ * after the previous issue, its inherited floor, or any parent's issue
+ * plus the arc's delay.
+ */
+Schedule
+referenceTiming(const Dag &dag, const std::vector<std::uint32_t> &order)
+{
+    Schedule sched;
+    sched.order = order;
+    std::vector<int> dep_ready(dag.size());
+    for (std::uint32_t i = 0; i < dag.size(); ++i)
+        dep_ready[i] = dag.ann().inheritedEet[i];
+    sched.issueCycle.assign(order.size(), 0);
+    int time = 0;
+    for (std::size_t p = 0; p < order.size(); ++p) {
+        const std::uint32_t n = order[p];
+        const int issue = std::max(time, dep_ready[n]);
+        sched.issueCycle[p] = issue;
+        std::span<const std::uint32_t> to = dag.succTo(n);
+        std::span<const std::int32_t> delay = dag.succDelay(n);
+        for (std::size_t k = 0; k < to.size(); ++k)
+            dep_ready[to[k]] = std::max(dep_ready[to[k]], issue + delay[k]);
+        sched.makespan =
+            std::max(sched.makespan, issue + dag.ann().execTime[n]);
+        time = issue + 1;
+    }
+    return sched;
+}
+
+TEST(ListScheduler, IssueCyclesAreTheTimingOfTheOrder)
+{
+    // Every algorithm, forward and backward, as registered and with
+    // the postpass fixup flipped; each block with no inherited floors
+    // and with some.
+    MachineModel machine = sparcstation2();
+    std::vector<std::string> names;
+    std::vector<ListScheduler> schedulers;
+    for (AlgorithmKind kind : allAlgorithms())
+        for (bool flip : {false, true}) {
+            SchedulerConfig config = algorithmSpec(kind).config;
+            config.postpassFixup ^= flip;
+            names.push_back(config.name + (flip ? " (fixup flipped)" : ""));
+            schedulers.emplace_back(config, machine);
+        }
+    BuildOptions bopts;
+    bopts.memPolicy = AliasPolicy::SymbolicExpr;
+    std::size_t blocks = 0;
+    for (const WorkloadProfile &profile : allProfiles()) {
+        Program prog = cachedProgram(profile.name);
+        for (const BasicBlock &bb : partitionBlocks(prog)) {
+            Dag dag = TableForwardBuilder().build(BlockView(prog, bb),
+                                                  machine, bopts);
+            runAllStaticPasses(dag, PassImpl::ReverseWalk, true);
+            computeRegisterPressure(dag);
+            ++blocks;
+            for (bool floors : {false, true}) {
+                for (std::uint32_t i = 0; floors && i < dag.size(); ++i)
+                    dag.ann().inheritedEet[i] = static_cast<int>(i % 3) * 2;
+                for (std::size_t k = 0; k < schedulers.size(); ++k) {
+                    const Schedule got = schedulers[k].run(dag);
+                    const Schedule want = referenceTiming(dag, got.order);
+                    ASSERT_EQ(got.issueCycle, want.issueCycle)
+                        << names[k] << " on " << profile.name
+                        << " block @" << bb.begin
+                        << (floors ? " with floors" : "");
+                    ASSERT_EQ(got.makespan, want.makespan)
+                        << names[k] << " on " << profile.name
+                        << " block @" << bb.begin
+                        << (floors ? " with floors" : "");
+                }
+            }
+        }
+    }
+    EXPECT_EQ(blocks, 8889u);
 }
 
 TEST(PipelineSim, CountsLoadUseStall)

@@ -58,6 +58,27 @@ TEST(ThreadPool, CoversRangeExactlyOnce)
     expectExactOnceCoverage(4, 3, 100); // chunk larger than range
 }
 
+TEST(ThreadPool, TheCallerTakesTheFirstChunk)
+{
+    // Back to back, so lanes are still awake from the call before.
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 200; ++round) {
+        std::atomic<bool> first_on_caller{false};
+        std::atomic<int> first_calls{0};
+        pool.parallelFor(16, 2, [&](unsigned w, std::size_t begin,
+                                    std::size_t) {
+            if (begin == 0) {
+                first_calls.fetch_add(1);
+                first_on_caller = w == 0 &&
+                                  std::this_thread::get_id() == caller;
+            }
+        });
+        ASSERT_EQ(first_calls.load(), 1);
+        ASSERT_TRUE(first_on_caller.load()) << "round " << round;
+    }
+}
+
 TEST(ThreadPool, EmptyRangeIsANoop)
 {
     ThreadPool pool(4);
