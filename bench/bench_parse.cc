@@ -12,9 +12,18 @@
  * `ns_per_inst` is parseAssembly's wall time per parsed instruction
  * (the Program's destruction is not timed).  Texts below
  * kLaneParseBytes parse on the calling thread at any lane count, so
- * the serve-shaped rows differ only by noise.  Not part of
- * tools/run_bench.sh's regression subset: it writes no BenchRecord,
- * and wall-clock time is compared only between runs on one host.
+ * the serve-shaped rows differ only by noise.
+ *
+ * The front-end rows (BM_ParsePartition) time parseAssembly plus
+ * partitionBlocks, as runPipeline cuts the parsed program, per
+ * instruction parsed: the serve-shaped texts at one lane, and the
+ * Table 3 texts with fpppp also under windows 1000, 2000 and 4000
+ * (batch-table3's twelve rows) at one lane and at the hardware
+ * concurrency.  `partition_ns_per_inst` is the partition's share.
+ *
+ * Not part of tools/run_bench.sh's regression subset: it writes no
+ * BenchRecord, and wall-clock time is compared only between runs on
+ * one host.
  *
  *   build/bench/bench_parse --benchmark_repetitions=5
  */
@@ -27,6 +36,7 @@
 #include <vector>
 
 #include "fuzz/program_gen.hh"
+#include "ir/basic_block.hh"
 #include "ir/parser.hh"
 #include "support/thread_pool.hh"
 #include "workload/generator.hh"
@@ -66,6 +76,44 @@ table3()
     return texts;
 }
 
+/** A text and the window its program is cut under. */
+struct Row
+{
+    const std::string *text;
+    int window;
+};
+
+const std::vector<Row> &
+serveRows()
+{
+    static const std::vector<Row> rows = [] {
+        std::vector<Row> out;
+        for (const std::string &text : serveShaped())
+            out.push_back({&text, 0});
+        return out;
+    }();
+    return rows;
+}
+
+/** Each Table 3 text without a window, fpppp's also under windows
+ * 1000, 2000 and 4000. */
+const std::vector<Row> &
+table3Rows()
+{
+    static const std::vector<Row> rows = [] {
+        std::vector<Row> out;
+        const std::vector<WorkloadProfile> profiles = allProfiles();
+        for (std::size_t i = 0; i < profiles.size(); ++i) {
+            out.push_back({&table3()[i], 0});
+            if (profiles[i].name == "fpppp")
+                for (int window : {1000, 2000, 4000})
+                    out.push_back({&table3()[i], window});
+        }
+        return out;
+    }();
+    return rows;
+}
+
 /** Parse every text of @p corpus per iteration on range(0) lanes
  * (0: the hardware concurrency). */
 void
@@ -93,12 +141,61 @@ BM_Parse(benchmark::State &state, const std::vector<std::string> &(*corpus)())
         static_cast<double>(parsing.count()) / static_cast<double>(insts);
 }
 
+/** Parse every row of @p corpus on range(0) lanes and cut its program
+ * into blocks under the row's window, per iteration. */
+void
+BM_ParsePartition(benchmark::State &state,
+                  const std::vector<Row> &(*corpus)())
+{
+    using Clock = std::chrono::steady_clock;
+    const std::vector<Row> &rows = corpus();
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    state.counters["lanes"] =
+        lanes != 0 ? lanes : ThreadPool::hardwareConcurrency();
+    DiagnosticEngine::Options opts;
+    opts.maxErrors = 0;
+    std::size_t insts = 0;
+    Clock::duration total{0}, cutting{0};
+    for (auto _ : state) {
+        for (const Row &row : rows) {
+            DiagnosticEngine diags(opts);
+            PartitionOptions part;
+            part.window = row.window;
+            const auto start = Clock::now();
+            Program prog = parseAssembly(*row.text, diags, "<bench>", lanes);
+            const auto parsed = Clock::now();
+            std::vector<BasicBlock> blocks = partitionBlocks(prog, part);
+            const auto cut = Clock::now();
+            total += cut - start;
+            cutting += cut - parsed;
+            insts += prog.size();
+            benchmark::DoNotOptimize(blocks);
+        }
+    }
+    const auto perInst = [insts](Clock::duration d) {
+        return static_cast<double>(
+                   std::chrono::nanoseconds(d).count()) /
+               static_cast<double>(insts);
+    };
+    state.counters["ns_per_inst"] = perInst(total);
+    state.counters["partition_ns_per_inst"] = perInst(cutting);
+}
+
 BENCHMARK_CAPTURE(BM_Parse, serve_shaped, serveShaped)
     ->Arg(1)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_Parse, table3, table3)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_ParsePartition, serve_shaped, serveRows)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_ParsePartition, table3, table3Rows)
     ->Arg(1)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)

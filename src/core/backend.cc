@@ -6,7 +6,7 @@ namespace sched91
 {
 
 BackendResult
-compileProgram(Program &prog, const MachineModel &machine,
+compileProgram(const Program &prog, const MachineModel &machine,
                const BackendOptions &opts)
 {
     BackendResult result;
@@ -17,7 +17,7 @@ compileProgram(Program &prog, const MachineModel &machine,
 
     // Allocate each scheduled block, emitting the allocated program.
     Program allocated;
-    const auto blocks = partitionBlocks(prog, pass.partition);
+    const std::vector<BasicBlock> &blocks = result.prepass.blocks;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
@@ -56,7 +56,7 @@ compileProgram(Program &prog, const MachineModel &machine,
     pass.algorithm = opts.postpass;
     pass.evaluate = true;
     result.postpass = runPipeline(allocated, machine, pass);
-    const auto out_blocks = partitionBlocks(allocated, pass.partition);
+    const std::vector<BasicBlock> &out_blocks = result.postpass.blocks;
     for (std::size_t b = 0; b < out_blocks.size(); ++b) {
         const BasicBlock &bb = out_blocks[b];
         BlockView block(allocated, bb);
@@ -64,7 +64,6 @@ compileProgram(Program &prog, const MachineModel &machine,
         for (std::uint32_t n : schedules[b].order)
             result.program.append(block.inst(n));
     }
-    stampMemGenerations(result.program);
     return result;
 }
 

@@ -70,11 +70,9 @@ struct BackendResult
     std::vector<ProgramResult::BlockIssue> alloc;
 };
 
-/**
- * Run the full backend flow over @p prog.  The input program is only
- * mutated by memory-generation stamping.
- */
-BackendResult compileProgram(Program &prog, const MachineModel &machine,
+/** Run the full backend flow over @p prog. */
+BackendResult compileProgram(const Program &prog,
+                             const MachineModel &machine,
                              const BackendOptions &opts = {});
 
 } // namespace sched91

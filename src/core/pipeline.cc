@@ -227,21 +227,17 @@ planDispatch(const std::vector<BasicBlock> &blocks, unsigned lanes)
 }
 
 ProgramResult
-runPipeline(Program &prog, const MachineModel &machine,
+runPipeline(const Program &prog, const MachineModel &machine,
             const PipelineOptions &opts)
 {
-    unsigned threads = opts.threads != 0
-                           ? opts.threads
-                           : ThreadPool::hardwareConcurrency();
-    std::vector<BasicBlock> blocks = partitionBlocks(
-        prog, opts.partition,
-        prog.size() >= kLanePartitionInsts ? threads : 1);
+    ProgramResult result;
+    result.blocks = partitionBlocks(prog, opts.partition);
+    const std::vector<BasicBlock> &blocks = result.blocks;
     AlgorithmSpec spec = algorithmSpec(opts.algorithm);
     std::unique_ptr<DagBuilder> builder = makeBuilder(opts.builder);
     const TableForwardBuilder table_builder;
     ListScheduler scheduler(spec.config, machine);
 
-    ProgramResult result;
     result.numBlocks = blocks.size();
     result.numInsts = prog.size();
 
@@ -250,6 +246,9 @@ runPipeline(Program &prog, const MachineModel &machine,
     // The parts of the run report that only observability feeds.
     const bool obs_report = obs_on && opts.report;
 
+    unsigned threads = opts.threads != 0
+                           ? opts.threads
+                           : ThreadPool::hardwareConcurrency();
     // No plan has more chunks than blocks, so no run needs more lanes.
     threads = static_cast<unsigned>(
         std::clamp<std::size_t>(blocks.size(), 1, threads));

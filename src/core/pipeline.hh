@@ -24,10 +24,11 @@
  * thread count (see docs/PERFORMANCE.md).  A lane keeps only what
  * folds the same in any order — its counter and phase totals and its
  * arena gauges — and its flight ring, which a crash dump reads from
- * memory.  A large program is partitioned on the lanes too
- * (ir/basic_block.hh), and each lane moves its blocks' schedules into
- * their slots as they end, so the calling thread does no work per
- * instruction.
+ * memory.  The calling thread cuts the blocks, one read-only pass
+ * over the program (ir/basic_block.hh), and hands them back with the
+ * result; each lane moves its blocks' schedules into their slots as
+ * they end.  The program is only read, so one Program can run on
+ * several threads at once.
  *
  * The run report — the forest count and the other per-node and
  * per-block DAG samples, the phase tree, the per-block histograms, the
@@ -231,6 +232,11 @@ struct ProgramResult
     std::size_t numBlocks = 0;
     std::size_t numInsts = 0;
 
+    /** The blocks the run cut the program into (PipelineOptions::
+     * partition), in block-id order: what PipelineOptions::schedules
+     * and every block number in this result index. */
+    std::vector<BasicBlock> blocks;
+
     // Phase wall-clock times, summed over the blocks' phase records
     // (a phase that threw counts the time it ran).
     double buildSeconds = 0.0;
@@ -357,11 +363,8 @@ struct DispatchPlan
 DispatchPlan planDispatch(const std::vector<BasicBlock> &blocks,
                           unsigned lanes);
 
-/**
- * Run the full pipeline over @p prog.  The program is mutated only by
- * memory-generation stamping (idempotent).
- */
-ProgramResult runPipeline(Program &prog, const MachineModel &machine,
+/** Run the full pipeline over @p prog. */
+ProgramResult runPipeline(const Program &prog, const MachineModel &machine,
                           const PipelineOptions &opts);
 
 /** Single-block result: the annotated DAG and its schedule. */

@@ -140,7 +140,7 @@ mismatch(std::size_t block, BuilderKind a, BuilderKind b,
 } // namespace
 
 OracleReport
-checkProgram(Program &prog, const MachineModel &machine,
+checkProgram(const Program &prog, const MachineModel &machine,
              const OracleOptions &opts)
 {
     OracleReport report;

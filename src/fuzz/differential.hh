@@ -75,11 +75,11 @@ struct OracleReport
 
 /**
  * Check the differential properties over every basic block of
- * @p prog.  Mutates the program only by memory-generation stamping.
- * Never throws: an exception escaping any stage is itself an oracle
- * failure and is reported in OracleReport::failure.
+ * @p prog.  Never throws: an exception escaping any stage is itself an
+ * oracle failure and is reported in OracleReport::failure.
  */
-OracleReport checkProgram(Program &prog, const MachineModel &machine,
+OracleReport checkProgram(const Program &prog,
+                          const MachineModel &machine,
                           const OracleOptions &opts = {});
 
 /**

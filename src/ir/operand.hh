@@ -12,9 +12,11 @@
  * Because "two memory references [that] use the same base register but
  * different offsets cannot refer to the same location" only holds while
  * the base register value is unchanged, each memory reference also
- * carries a generation stamp of its base register at the point of the
- * reference (filled in by BasicBlockView preparation); the memory
- * disambiguator refuses to prove independence across generations.
+ * carries a generation stamp of its base and index registers at the
+ * point of the reference: how many instructions before it in its
+ * Program defined them, stamped as its instruction joins the Program
+ * (Program::commit).  The memory disambiguator refuses to prove
+ * independence across generations.
  */
 
 #ifndef SCHED91_IR_OPERAND_HH
@@ -50,8 +52,10 @@ struct MemOperand
     std::uint8_t width = 4; ///< access width in bytes
 
     std::uint32_t exprId = kNoExpr; ///< interned expression id
-    std::uint32_t baseGen = 0;      ///< base-reg generation at this ref
-    std::uint32_t indexGen = 0;     ///< index-reg generation at this ref
+    /** Definitions of the base register before this reference in its
+     * Program (Program::commit); 0 without a base. */
+    std::uint32_t baseGen = 0;
+    std::uint32_t indexGen = 0;     ///< the same for the index register
 
     /** Storage class inferred from the address shape. */
     StorageClass storageClass() const;

@@ -345,7 +345,7 @@ class LineParser
     {
         Instruction &inst = build(scan);
         inst.setStrings(scan.line, target_);
-        prog_.internMem(inst);
+        prog_.commit(inst);
     }
 
   private:
@@ -884,17 +884,19 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
         line_base += chunks[c].lines;
     }
 
-    // Per unique expression, in chunk order: the ids come out in order
-    // of first appearance, as one lane numbers them.
-    std::vector<std::vector<std::uint32_t>> expr_ids(chunks.size());
+    // Per unique expression and per chunk, in chunk order: the ids
+    // come out in order of first appearance, and each chunk's
+    // generations count on from the definitions of the chunks before
+    // it, as one lane numbers them.
+    std::vector<Program::PieceRebase> rebases(chunks.size());
     for (std::size_t c = 1; c < chunks.size(); ++c)
-        expr_ids[c] = prog.internMemExprs(chunks[c].prog.memExprs());
+        rebases[c] = prog.joinPiece(chunks[c].prog);
 
     // Per instruction, back on the lanes: the program's store grows by
     // slots nothing constructs (within the capacity reserved above, so
     // the first piece stays where it is), and each lane moves its
-    // piece's instructions into theirs and frees what the piece kept.
-    // The moves cannot throw, so no slot is left unbuilt.
+    // piece's instructions, rebased, into theirs and frees what the
+    // piece kept.  The moves cannot throw, so no slot is left unbuilt.
     prog.store().appendUnbuilt(inst_base.back() - inst_base[1]);
     Instruction *const insts = prog.store().data();
     pool->parallelFor(
@@ -902,12 +904,12 @@ parseAssembly(std::string_view text, DiagnosticEngine &diags,
         [&](unsigned, std::size_t first, std::size_t) {
             const std::size_t c = first + 1;
             const std::uint32_t base = inst_base[c];
-            const std::vector<std::uint32_t> &ids = expr_ids[c];
+            const Program::PieceRebase &rebase = rebases[c];
             for (Instruction &inst : chunks[c].prog.insts()) {
                 const std::uint32_t idx = base + inst.index();
                 inst.setIndex(idx);
                 if (auto &mem = inst.mem())
-                    mem->exprId = ids[mem->exprId];
+                    rebase.apply(*mem);
                 std::construct_at(insts + idx, std::move(inst));
             }
             chunks[c].prog = Program(); // freed here, not on the caller

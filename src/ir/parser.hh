@@ -27,16 +27,19 @@
  * Lanes: a large text is cut at line boundaries into one chunk per
  * lane, and the chunks parse on the calling thread's lanes
  * (ThreadPool::local); the first straight into the result, the others
- * into programs of their own.  Each records its labels, warnings and
- * errors instead of reporting them; the caller then replays them in
- * line order and interns the chunks' memory expressions in chunk
- * order, work per label, diagnostic and unique expression.  The
- * result's instruction store grows by slots nothing constructs
- * (InstStore::appendUnbuilt), and each lane moves its chunk's
- * instructions into theirs.  The Program, every diagnostic, the strict
- * and error-cap outcomes and the counts are those of a one-lane parse
- * at every lane count.  A short text, or a one-lane call, is one chunk
- * parsed on the calling thread.
+ * into programs of their own, each numbering its expressions and
+ * counting its register definitions from zero.  Each records its
+ * labels, warnings and errors instead of reporting them; the caller
+ * then replays them in line order and joins the chunks in chunk order
+ * (Program::joinPiece: their memory expressions, and their definition
+ * counts summed into each chunk's prefix), work per label, diagnostic,
+ * unique expression and chunk.  The result's instruction store grows
+ * by slots nothing constructs (InstStore::appendUnbuilt), and each
+ * lane moves its chunk's instructions into theirs, rebasing each
+ * memory operand's expression id and generations.  The Program, every
+ * diagnostic, the strict and error-cap outcomes and the counts are
+ * those of a one-lane parse at every lane count.  A short text, or a
+ * one-lane call, is one chunk parsed on the calling thread.
  */
 
 #ifndef SCHED91_IR_PARSER_HH

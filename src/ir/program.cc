@@ -123,7 +123,7 @@ Instruction &
 Program::append(Instruction inst)
 {
     inst.setIndex(static_cast<std::uint32_t>(insts_.size()));
-    internMem(inst);
+    commit(inst);
     return insts_.pushBack(std::move(inst));
 }
 
@@ -177,10 +177,13 @@ Program::addLabel(LabelNode &node)
     return result.inserted;
 }
 
-std::vector<std::uint32_t>
-Program::internMemExprs(const MemExprTable &exprs)
+Program::PieceRebase
+Program::joinPiece(const Program &piece)
 {
-    return memExprs_.merge(exprs);
+    PieceRebase rebase{memExprs_.merge(piece.memExprs_), defs_};
+    for (std::size_t r = 0; r < defs_.size(); ++r)
+        defs_[r] += piece.defs_[r];
+    return rebase;
 }
 
 std::int64_t

@@ -3,17 +3,29 @@
  * A Program is an ordered list of instructions plus label positions and
  * the interned memory-expression table.
  *
+ * Each instruction is numbered as it joins the program (commit()): its
+ * memory operand gets its expression id and the generations of its
+ * base and index registers (MemOperand::baseGen), the count of their
+ * definitions before it; then its own integer-register definitions
+ * are counted.  Generations are a property of the instruction
+ * sequence, so a built Program is complete: partitioning and
+ * scheduling read it as const.
+ *
  * The instructions live in an InstStore: a vector that can also grow
  * by slots it leaves unconstructed.  A lane parse reserves the program
  * once, parses the text's first piece in place and grows the store by
- * unconstructed slots for the rest; each lane moves its piece's
- * instructions straight into their final slots, so the calling thread
- * constructs none of them (ir/parser.hh).
+ * unconstructed slots for the rest.  Each later piece is numbered on
+ * its own, from expression 0 and no definitions; joinPiece() takes its
+ * expressions and definition counts into the program's, and each lane
+ * moves its piece's instructions, rebased (PieceRebase), straight into
+ * their final slots, so the calling thread constructs none of them
+ * (ir/parser.hh).
  */
 
 #ifndef SCHED91_IR_PROGRAM_HH
 #define SCHED91_IR_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -90,25 +102,59 @@ class Program
     using LabelNode =
         std::unordered_map<std::string, std::uint32_t>::node_type;
 
-    /** Append an instruction; assigns its index and interns memory. */
+    /** Definitions of each integer register, by register index. */
+    using DefCounts = std::array<std::uint32_t, Resource::kNumIntRegs>;
+
+    /**
+     * How the memory operands of a piece numbered on its own read once
+     * the piece follows this program's instructions (joinPiece()).
+     */
+    struct PieceRebase
+    {
+        /** Element i is the id here of the piece's expression id i. */
+        std::vector<std::uint32_t> exprIds;
+        /** Definitions before the piece's first instruction. */
+        DefCounts defsBefore{};
+
+        void
+        apply(MemOperand &mem) const
+        {
+            mem.exprId = exprIds[mem.exprId];
+            if (mem.base >= 0)
+                mem.baseGen += defsBefore[mem.base];
+            if (mem.index >= 0)
+                mem.indexGen += defsBefore[mem.index];
+        }
+    };
+
+    /** Append an instruction; assigns its index and commits it. */
     Instruction &append(Instruction inst);
 
     /**
      * Append a bare @p op instruction in place and return it, its
-     * index assigned, for the caller to fill (the parser's path).  Once
-     * its memory operand is set, internMem() gives it its expression
-     * id; a caller that gives up on it takes it back with
-     * store().popBack().
+     * index assigned, for the caller to fill (the parser's path) and
+     * then commit().  A caller that gives up on it before then takes
+     * it back with store().popBack().
      */
     Instruction &emplace(Opcode op);
 
-    /** Intern @p inst's memory operand, if it has one, and set its
-     * expression id. */
+    /**
+     * Number @p inst, the newest instruction, once it is filled:
+     * intern its memory operand's expression, stamp the operand with
+     * the definitions of its base and index registers so far, then
+     * count @p inst's own integer-register definitions.
+     */
     void
-    internMem(Instruction &inst)
+    commit(Instruction &inst)
     {
-        if (auto &mem = inst.mem())
+        if (auto &mem = inst.mem()) {
             mem->exprId = memExprs_.intern(*mem);
+            mem->baseGen = mem->base >= 0 ? defs_[mem->base] : 0;
+            mem->indexGen = mem->index >= 0 ? defs_[mem->index] : 0;
+        }
+        for (Resource r : inst.defs())
+            if (r.kind() == Resource::Kind::IntReg)
+                ++defs_[r.index()];
     }
 
     /** Make room for @p insts instructions and, when @p labels, for
@@ -131,11 +177,13 @@ class Program
     bool addLabel(LabelNode &node);
 
     /**
-     * Intern @p exprs' expressions here in its id order
-     * (MemExprTable::merge).  Element i of the result is the id here
-     * of its id i.
+     * Number @p piece, a program built on its own from the
+     * instructions that follow this one's, as their continuation here:
+     * intern its expressions in its id order (MemExprTable::merge) and
+     * count its definitions in.  The caller then moves the piece's
+     * instructions here, each memory operand rebased by the result.
      */
-    std::vector<std::uint32_t> internMemExprs(const MemExprTable &exprs);
+    PieceRebase joinPiece(const Program &piece);
 
     std::span<const Instruction> insts() const
     {
@@ -178,6 +226,7 @@ class Program
     std::vector<std::string> labelOrder_; ///< labels_' keys as defined
     std::vector<bool> labelAt_; ///< at least up to the last labelled index
     MemExprTable memExprs_;
+    DefCounts defs_{}; ///< of every committed instruction
 };
 
 } // namespace sched91

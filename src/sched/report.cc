@@ -43,7 +43,7 @@ ProgramReport::render(std::size_t n) const
 }
 
 ProgramReport
-reportProgram(Program &prog, const MachineModel &machine,
+reportProgram(const Program &prog, const MachineModel &machine,
               const PipelineOptions &opts)
 {
     std::vector<Schedule> schedules;
@@ -52,7 +52,7 @@ reportProgram(Program &prog, const MachineModel &machine,
     ProgramReport report;
     report.run = runPipeline(prog, machine, run);
 
-    auto blocks = partitionBlocks(prog, opts.partition);
+    const std::vector<BasicBlock> &blocks = report.run.blocks;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);

@@ -65,7 +65,8 @@ struct ProgramReport
  * pipeline degrades (a contained fault, a budget overrun) is reported
  * in original order, and in ProgramReport::run's block issues.
  */
-ProgramReport reportProgram(Program &prog, const MachineModel &machine,
+ProgramReport reportProgram(const Program &prog,
+                            const MachineModel &machine,
                             const PipelineOptions &opts);
 
 } // namespace sched91

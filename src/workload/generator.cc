@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "ir/basic_block.hh"
 #include "support/logging.hh"
 #include "support/prng.hh"
 #include "support/string_util.hh"
@@ -408,8 +407,6 @@ generateProgram(const WorkloadProfile &profile)
                      budgets[i]);
         gen.emit();
     }
-
-    stampMemGenerations(prog);
     return prog;
 }
 

@@ -35,8 +35,7 @@ Program generateProgram(const WorkloadProfile &profile);
 /**
  * Generated program for a named profile, built once per process and
  * cached (the fpppp program is ~25k instructions; benches and tests
- * share it).  The cached Program already has memory generations
- * stamped.
+ * share it).
  */
 const Program &cachedProgram(const std::string &profile_name);
 

@@ -1,6 +1,5 @@
 #include "workload/kernels.hh"
 
-#include "ir/basic_block.hh"
 #include "ir/parser.hh"
 #include "support/logging.hh"
 
@@ -181,21 +180,17 @@ kernelSource(const std::string &name)
 Program
 kernelProgram(const std::string &name)
 {
-    Program prog = parseAssembly(kernelSource(name));
-    stampMemGenerations(prog);
-    return prog;
+    return parseAssembly(kernelSource(name));
 }
 
 Program
 figure1Program()
 {
-    Program prog = parseAssembly(R"(
+    return parseAssembly(R"(
     fdivd %f0, %f2, %f4
     faddd %f6, %f8, %f0
     faddd %f0, %f4, %f10
 )");
-    stampMemGenerations(prog);
-    return prog;
 }
 
 } // namespace sched91

@@ -23,7 +23,7 @@ std::vector<std::string> kernelNames();
 /** Assembly text of a kernel by name; throws FatalError if unknown. */
 std::string kernelSource(const std::string &name);
 
-/** Parsed kernel Program (generations stamped). */
+/** Parsed kernel Program. */
 Program kernelProgram(const std::string &name);
 
 /**

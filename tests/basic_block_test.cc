@@ -107,25 +107,91 @@ TEST(Partition, BlocksCoverProgramExactly)
     EXPECT_EQ(covered, p.size());
 }
 
+// Generations are stamped as each instruction joins the Program
+// (Program::commit), which parseAssembly, its lane merge and the
+// reference parser all go through, so only literal values show a fault
+// in the stamping itself.
+
 TEST(Generations, BaseRedefinitionBumpsStamp)
 {
-    Program p = parse(
+    const Program p = parse(
         "ld [%o0+4], %g1\n"
         "add %o0, 8, %o0\n"
         "ld [%o0+4], %g2\n");
-    partitionBlocks(p);
     EXPECT_EQ(p[0].mem()->baseGen, 0u);
     EXPECT_EQ(p[2].mem()->baseGen, 1u);
 }
 
 TEST(Generations, UnrelatedDefsDoNotBump)
 {
-    Program p = parse(
+    const Program p = parse(
         "ld [%o0+4], %g1\n"
         "add %g1, 8, %g2\n"
         "ld [%o0+8], %g3\n");
-    partitionBlocks(p);
     EXPECT_EQ(p[0].mem()->baseGen, p[2].mem()->baseGen);
+}
+
+TEST(Generations, IndexRegistersCountTheirOwnDefinitions)
+{
+    const Program p = parse(
+        "ld [%o0+%o1], %g1\n"
+        "add %o1, 1, %o1\n"
+        "st %g1, [%o0+%o1]\n"
+        "ldd [%o2], %o0\n" // defines the pair %o0, %o1
+        "ld [%o1+%o0], %g2\n"
+        "ld [%o2], %g3\n");
+    ASSERT_EQ(p.size(), 6u);
+    EXPECT_EQ(p[0].mem()->baseGen, 0u);
+    EXPECT_EQ(p[0].mem()->indexGen, 0u);
+    EXPECT_EQ(p[2].mem()->baseGen, 0u);
+    EXPECT_EQ(p[2].mem()->indexGen, 1u);
+    EXPECT_EQ(p[4].mem()->baseGen, 2u); // %o1: add, ldd
+    EXPECT_EQ(p[4].mem()->indexGen, 1u); // %o0: ldd
+    EXPECT_EQ(p[5].mem()->baseGen, 0u);
+    EXPECT_EQ(p[5].mem()->indexGen, 0u); // no index register
+}
+
+TEST(Generations, CallsDefineTheOutgoingRegistersAndO7)
+{
+    const Program p = parse(
+        "ld [%o0+4], %g1\n"
+        "call f\n"
+        "nop\n"
+        "ld [%o0+4], %g2\n"
+        "ld [%sp+64], %g3\n"
+        "ld [%o5+%o7], %g4\n"
+        "call g\n"
+        "nop\n"
+        "ld [%o7+%i0], %g5\n");
+    ASSERT_EQ(p.size(), 9u);
+    EXPECT_EQ(p[0].mem()->baseGen, 0u);
+    EXPECT_EQ(p[3].mem()->baseGen, 1u); // %o0
+    EXPECT_EQ(p[4].mem()->baseGen, 0u); // %sp is not clobbered
+    EXPECT_EQ(p[5].mem()->baseGen, 1u); // %o5
+    EXPECT_EQ(p[5].mem()->indexGen, 1u); // %o7
+    EXPECT_EQ(p[8].mem()->baseGen, 2u); // %o7
+    EXPECT_EQ(p[8].mem()->indexGen, 0u); // %i0
+}
+
+TEST(Generations, RestoreDefinesItsDestinationOnly)
+{
+    const Program p = parse(
+        "ld [%i0+4], %g1\n"
+        "restore %g1, %g2, %i0\n"
+        "ld [%i0+4], %g2\n"
+        "ld [%g1+%g2], %g3\n"
+        "restore\n"
+        "ld [%i0+4], %g4\n"
+        "save %sp, -96, %sp\n"
+        "ld [%sp+%i0], %g5\n");
+    ASSERT_EQ(p.size(), 8u);
+    EXPECT_EQ(p[0].mem()->baseGen, 0u);
+    EXPECT_EQ(p[2].mem()->baseGen, 1u); // restore's %i0
+    EXPECT_EQ(p[3].mem()->baseGen, 1u); // %g1: the first load only
+    EXPECT_EQ(p[3].mem()->indexGen, 1u); // %g2: the second load only
+    EXPECT_EQ(p[5].mem()->baseGen, 1u); // a bare restore defines none
+    EXPECT_EQ(p[7].mem()->baseGen, 1u); // save's %sp
+    EXPECT_EQ(p[7].mem()->indexGen, 1u);
 }
 
 TEST(Structure, MeasuresTable3Quantities)

@@ -104,7 +104,6 @@ TEST(CancellationToken, CancelledErrorIsNotAFatalOrPanicError)
 TEST(Cancellation, N2BuildAbortsMidLoopOnCancelledToken)
 {
     Program prog = parseAssembly(bigBlockSource(8));
-    stampMemGenerations(prog);
     auto blocks = partitionBlocks(prog);
     ASSERT_EQ(blocks.size(), 1u);
     BlockView block(prog, blocks[0]);
@@ -121,7 +120,6 @@ TEST(Cancellation, N2BuildAbortsMidLoopOnCancelledToken)
 TEST(Cancellation, ListSchedulerAbortsOnCancelledToken)
 {
     Program prog = parseAssembly(bigBlockSource(8));
-    stampMemGenerations(prog);
     auto blocks = partitionBlocks(prog);
     BlockView block(prog, blocks[0]);
     MachineModel machine;
@@ -275,7 +273,6 @@ TEST(Cancellation, RunBudgetTightensPerBlockShare)
 TEST(Cancellation, BackendBudgetDegradesAndPreservesProgram)
 {
     Program prog = parseAssembly(bigBlockSource(400));
-    stampMemGenerations(prog);
     MachineModel machine;
     BackendOptions opts;
     opts.pipeline.builder = BuilderKind::N2Forward;
@@ -293,7 +290,6 @@ TEST(Cancellation, BackendBudgetDegradesAndPreservesProgram)
 TEST(Cancellation, BackendBudgetDegradesEvenWithoutContainment)
 {
     Program prog = parseAssembly(bigBlockSource(400));
-    stampMemGenerations(prog);
     MachineModel machine;
     BackendOptions opts;
     opts.pipeline.builder = BuilderKind::N2Forward;
@@ -371,13 +367,11 @@ countedRun(Work &&work)
 TEST(CancelledWork, TableBuildCountsEveryArcAndQueryBeforeTheThrow)
 {
     Program prog = parseAssembly(memoryBlockSource(320));
-    stampMemGenerations(prog);
     const auto blocks = partitionBlocks(prog);
     ASSERT_EQ(blocks.size(), 1u);
     ASSERT_EQ(blocks[0].size(), 320u);
     Program prefix =
         parseAssembly(memoryBlockSource(static_cast<int>(kStepsBeforeThrow)));
-    stampMemGenerations(prefix);
     const auto prefix_blocks = partitionBlocks(prefix);
     ASSERT_EQ(prefix_blocks.size(), 1u);
     MachineModel machine;
@@ -409,7 +403,6 @@ TEST(CancelledWork, TableBuildCountsEveryArcAndQueryBeforeTheThrow)
 TEST(CancelledWork, ScheduleCountsEveryPickBeforeTheThrow)
 {
     Program prog = parseAssembly(memoryBlockSource(320));
-    stampMemGenerations(prog);
     const auto blocks = partitionBlocks(prog);
     ASSERT_EQ(blocks.size(), 1u);
     BlockView block(prog, blocks[0]);

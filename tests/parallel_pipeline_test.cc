@@ -8,8 +8,9 @@
  * observability, and on fpppp, whose one big block skews the dispatch
  * plan; a run's own counters and phase tree stay exact while other
  * runs overlap it; every per-phase output agrees with the phase tree;
- * a caller's lanes outlive its runs; and runs and parses made from
- * inside a lane match serial ones.
+ * two callers may run one const Program at once; a caller's lanes
+ * outlive its runs; and runs and parses made from inside a lane match
+ * serial ones.
  */
 
 #include <gtest/gtest.h>
@@ -324,6 +325,52 @@ TEST(ParallelPipeline, OverlappingRunsCountExactlyTheirOwnWork)
         }
     }
     obs::setEnabled(false);
+}
+
+TEST(ParallelPipeline, TwoThreadsRunOneConstProgramAtOnce)
+{
+    // runPipeline only reads its program, so two callers may share
+    // one: each must get a single run's blocks and schedules.  Under
+    // TSan any write to the shared program shows as a race.
+    const Program prog = testProgram();
+    PipelineOptions opts;
+    opts.algorithm = AlgorithmKind::Krishnamurthy;
+    opts.threads = 2;
+    std::vector<Schedule> want;
+    opts.schedules = &want;
+    const ProgramResult serial = runPipeline(prog, sparcstation2(), opts);
+    ASSERT_EQ(want.size(), serial.blocks.size());
+    ASSERT_GT(want.size(), 1u);
+
+    for (int round = 0; round < 10; ++round) {
+        std::vector<Schedule> got[2];
+        ProgramResult results[2];
+        std::latch start(2);
+        auto caller = [&](int i) {
+            PipelineOptions mine = opts;
+            mine.schedules = &got[i];
+            start.arrive_and_wait();
+            results[i] = runPipeline(prog, sparcstation2(), mine);
+        };
+        std::thread a(caller, 0);
+        std::thread b(caller, 1);
+        a.join();
+        b.join();
+        for (int i = 0; i < 2; ++i) {
+            SCOPED_TRACE("round " + std::to_string(round) + ", caller " +
+                         std::to_string(i));
+            ASSERT_EQ(results[i].blocks.size(), serial.blocks.size());
+            ASSERT_EQ(got[i].size(), want.size());
+            for (std::size_t b = 0; b < want.size(); ++b) {
+                EXPECT_EQ(results[i].blocks[b].begin,
+                          serial.blocks[b].begin);
+                EXPECT_EQ(results[i].blocks[b].end, serial.blocks[b].end);
+                EXPECT_EQ(got[i][b].order, want[b].order) << "block " << b;
+                EXPECT_EQ(got[i][b].issueCycle, want[b].issueCycle)
+                    << "block " << b;
+            }
+        }
+    }
 }
 
 /** The process's threads, by id, from /proc/self/task. */

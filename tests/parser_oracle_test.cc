@@ -7,7 +7,8 @@
  * which indexes carry one, interned expressions and every instruction
  * field) and the same diagnostics (severity, line, column and
  * message).  A text large enough to parse on lanes must do so at
- * every lane count, and a strict or capped engine must stop it with
+ * every lane count, every piece's generations counting on from the
+ * pieces before it, and a strict or capped engine must stop it with
  * the same message, diagnostics and counts as a one-lane parse.
  */
 
@@ -84,14 +85,16 @@ render(const Diag &d)
 
 /**
  * Parse @p text with both parsers, parseAssembly on @p threads lanes,
- * and require the same result.
+ * and require the same result, under a lenient engine or, for a text
+ * with no malformed line, a strict one.
  */
 void
 expectSameParse(std::string_view text, const std::string &what,
-                unsigned threads = 0)
+                unsigned threads = 0, bool strict = false)
 {
     DiagnosticEngine::Options opts;
     opts.maxErrors = 0; // compare every line, not just the first 64
+    opts.strict = strict;
     DiagnosticEngine got_diags(opts), want_diags(opts);
     Program got = parseAssembly(text, got_diags, "t.s", threads);
     Program want = fuzz::referenceParseAssembly(text, want_diags, "t.s");
@@ -369,6 +372,60 @@ TEST(ParserOracle, PiecesEndingInAnErrorAndALabel)
         EXPECT_EQ(got_lenient.errors, lenient_one.errors);
     }
     obs::setEnabled(false);
+}
+
+/**
+ * About 144 KB of lines of kLineBytes bytes each that load and store
+ * through base and index registers redefined every few lines, %sp
+ * among them, with @p mark's line (a label, a branch, a call or a
+ * save) as the last line of every piece parseAssembly cuts for 2, 3, 4
+ * and 8 lanes, the line before it and the next piece's first.  Each
+ * piece's generations count on from the pieces before it only if the
+ * lane merge rebases them.
+ */
+std::string
+markedText(const std::string &mark)
+{
+    constexpr std::size_t kLines = 6000;
+    static constexpr const char *kPattern[] = {
+        "    ld [%o0 + 8], %o1",    "    add %o0, 4, %o0",
+        "    st %o1, [%o0 + %o2]",  "    add %o2, %o1, %o2",
+        "    ldd [%o2 + 16], %f2",  "    ld [%sp + 64], %o3",
+        "    st %o3, [%o1 + %o0]",
+    };
+    std::vector<std::string> lines(kLines);
+    for (std::size_t i = 0; i < kLines; ++i)
+        lines[i] = kPattern[i % std::size(kPattern)];
+    const std::size_t size = kLines * kLineBytes;
+    for (std::size_t n : {2u, 3u, 4u, 8u})
+        for (std::size_t i = 1; i < n; ++i) {
+            const std::size_t last = size / n * i / kLineBytes;
+            for (std::size_t at = last - 1; at <= last + 1; ++at)
+                lines[at] = mark == "label" ? numbered("M", at) + ":"
+                                            : "    " + mark;
+        }
+    std::string text;
+    for (std::string &line : lines) {
+        line.resize(kLineBytes - 1, ' ');
+        text += line;
+        text += '\n';
+    }
+    return text;
+}
+
+TEST(ParserOracle, LanesRebaseGenerationsAtEveryPieceBoundary)
+{
+    for (const std::string mark :
+         {"label", "ba M0", "call foo", "save %sp, -96, %sp"}) {
+        const std::string text = markedText(mark);
+        ASSERT_GE(text.size(), kLaneParseBytes);
+        for (unsigned lanes : {2u, 3u, 4u, 8u})
+            for (bool strict : {false, true}) {
+                SCOPED_TRACE(mark + " at " + std::to_string(lanes) +
+                             (strict ? " lanes, strict" : " lanes"));
+                expectSameParse(text, mark, lanes, strict);
+            }
+    }
 }
 
 TEST(ParserOracle, LanesStopWhereOneLaneStops)

@@ -7,6 +7,8 @@
 
 #include "ir/parser.hh"
 #include "machine/presets.hh"
+#include "obs/counters.hh"
+#include "obs/events.hh"
 #include "sched/report.hh"
 #include "workload/generator.hh"
 #include "workload/kernels.hh"
@@ -36,6 +38,32 @@ TEST(Report, CoversEveryBlock)
     }
     EXPECT_EQ(orig, report.cyclesOriginal);
     EXPECT_EQ(sched, report.cyclesScheduled);
+}
+
+TEST(Report, CountsTheWindowFlushesOfItsOneRun)
+{
+    // The report reads the blocks its run cut, so under a window it
+    // counts the flushes of one partition, as the run alone does.
+    const Program prog = kernelProgram("livermore1");
+    PipelineOptions opts;
+    opts.partition.window = 4;
+    opts.threads = 1;
+    const auto flushes = [](const auto &run) {
+        obs::CounterShard shard;
+        {
+            obs::ScopedCounterShard scope(shard);
+            run();
+        }
+        return shard.value(obs::ev::dagWindowFlushes.id());
+    };
+    obs::setEnabled(true);
+    const std::uint64_t run =
+        flushes([&] { runPipeline(prog, sparcstation2(), opts); });
+    const std::uint64_t report =
+        flushes([&] { reportProgram(prog, sparcstation2(), opts); });
+    obs::setEnabled(false);
+    EXPECT_GT(run, 0u);
+    EXPECT_EQ(report, run);
 }
 
 TEST(Report, WorstBlocksSortedByExcess)

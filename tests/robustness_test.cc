@@ -180,7 +180,6 @@ TEST(MalformedCorpus, SurvivorsStillSchedule)
         std::string text = readFile(corpusPath(c.name));
         DiagnosticEngine diags;
         Program prog = parseAssembly(text, diags, c.name);
-        stampMemGenerations(prog);
         PipelineOptions opts;
         ProgramResult r = runPipeline(prog, machine, opts);
         EXPECT_EQ(r.numInsts, c.insts) << c.name;
@@ -265,7 +264,6 @@ verifierDag(Program &prog, const MachineModel &machine)
                          "	bne	out\n",
                          diags, "verifier.s");
     EXPECT_EQ(diags.errorCount(), 0u);
-    stampMemGenerations(prog);
     auto blocks = partitionBlocks(prog);
     EXPECT_EQ(blocks.size(), 1u);
     BlockView block(prog, blocks[0]);
@@ -435,7 +433,6 @@ TEST(Pipeline, OversizedBlockFallsBackInsteadOfDegrading)
     DiagnosticEngine diags;
     Program prog = parseAssembly(text, diags, "oversized_block.s");
     EXPECT_EQ(diags.errorCount(), 0u);
-    stampMemGenerations(prog);
     MachineModel machine = sparcstation2();
 
     PipelineOptions opts;
@@ -452,7 +449,6 @@ TEST(Pipeline, OversizedBlockFallsBackInsteadOfDegrading)
     // Same run without the window: the n**2 builder handles it (just
     // slower), so no fallback is recorded.
     Program prog2 = parseAssembly(text);
-    stampMemGenerations(prog2);
     opts.maxBlockInsts = 0;
     r = runPipeline(prog2, machine, opts);
     EXPECT_EQ(r.builderFallbacks, 0u);

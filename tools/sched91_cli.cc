@@ -730,12 +730,11 @@ loadInput(const CliOptions &opts, std::size_t *parseErrors = nullptr,
         *parseErrors = diags.errorCount();
     if (parseWarnings)
         *parseWarnings = diags.warningCount();
-    stampMemGenerations(prog);
     return prog;
 }
 
 BlockView
-selectBlock(Program &prog, const CliOptions &opts,
+selectBlock(const Program &prog, const CliOptions &opts,
             std::vector<BasicBlock> &blocks)
 {
     PartitionOptions popts;
@@ -862,7 +861,7 @@ cmdSchedule(const CliOptions &opts)
     SignalScope signals(onInterruptSignal);
     ObsSession session(opts);
     std::size_t parse_errors = 0, parse_warnings = 0;
-    Program prog = loadInput(opts, &parse_errors, &parse_warnings);
+    const Program prog = loadInput(opts, &parse_errors, &parse_warnings);
     MachineModel machine = presetByName(opts.machineName);
 
     PipelineOptions pipeline = runOptions(opts, session);
@@ -879,8 +878,7 @@ cmdSchedule(const CliOptions &opts)
     r.parseErrors = parse_errors;
     r.parseWarnings = parse_warnings;
 
-    const std::vector<BasicBlock> blocks =
-        partitionBlocks(prog, pipeline.partition);
+    const std::vector<BasicBlock> &blocks = r.blocks;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         BlockView block(prog, blocks[b]);
         std::printf(".B%u:\n", blocks[b].begin);
@@ -900,7 +898,7 @@ int
 cmdDag(const CliOptions &opts, bool dot)
 {
     ObsSession session(opts);
-    Program prog = loadInput(opts);
+    const Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
     std::vector<BasicBlock> blocks;
     BlockView block = selectBlock(prog, opts, blocks);
@@ -943,7 +941,7 @@ int
 cmdCompile(const CliOptions &opts)
 {
     ObsSession session(opts);
-    Program prog = loadInput(opts);
+    const Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
     BackendOptions bopts;
     bopts.pipeline = blockOptions(opts);
@@ -968,7 +966,7 @@ int
 cmdTimeline(const CliOptions &opts)
 {
     ObsSession session(opts);
-    Program prog = loadInput(opts);
+    const Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
     std::vector<BasicBlock> blocks;
     BlockView block = selectBlock(prog, opts, blocks);
@@ -992,7 +990,7 @@ int
 cmdStats(const CliOptions &opts)
 {
     ObsSession session(opts);
-    Program prog = loadInput(opts);
+    const Program prog = loadInput(opts);
     PartitionOptions popts;
     popts.window = opts.window;
     auto blocks = partitionBlocks(prog, popts);
@@ -1013,7 +1011,7 @@ int
 cmdReport(const CliOptions &opts)
 {
     ObsSession session(opts);
-    Program prog = loadInput(opts);
+    const Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
     PipelineOptions pipeline = blockOptions(opts);
     pipeline.threads = opts.threads;
@@ -1031,7 +1029,7 @@ cmdProfile(const CliOptions &opts)
         fatal("usage: sched91 profile <name>");
     SignalScope signals(onInterruptSignal);
     MachineModel machine = presetByName(opts.machineName);
-    Program prog = cachedProgram(opts.input);
+    const Program &prog = cachedProgram(opts.input);
 
     ObsSession session(opts);
     ProgramResult r =
@@ -1132,11 +1130,10 @@ cmdExplain(const CliOptions &opts)
     // The captured source is one block's instructions (Inst::toString
     // round-trips through the parser); replay it as block 0.
     DiagnosticEngine diags;
-    Program prog =
+    const Program prog =
         parseAssembly(doc.at("source").str(), diags, opts.input);
     if (diags.hasErrors())
         fatal("bundle source does not re-parse:\n", diags.render());
-    stampMemGenerations(prog);
     MachineModel machine = presetByName(machineName);
 
     PipelineOptions pipeline;
